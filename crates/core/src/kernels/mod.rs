@@ -404,12 +404,22 @@ type Portable = eutectica_simd::scalar::F64x4;
 ///
 /// The `#[target_feature]` wrappers let the compiler generate real AVX2+FMA
 /// code for the inlined kernels even when the crate itself is built without
-/// those target features. This only works because the whole generic call
-/// chain (`*_range_v` → const-dispatched kernel → vector helpers) is
-/// `#[inline(always)]`: the feature attribute applies per LLVM function,
-/// so any kernel left out-of-line would compile featureless and every
-/// intrinsic inside it would degrade to an un-inlinable libcall (~20x
-/// slower, measured). Calling one without checking
+/// those target features. The feature attribute applies per LLVM function,
+/// so this only covers code that ends up *inside* the wrapper: anything
+/// left out of line compiles featureless and every intrinsic in it
+/// degrades to an un-inlinable call (~20x slower, measured). Two rules keep
+/// the complete kernel body in here:
+///
+/// * every generic fn of the chain (`*_range_v` → const-dispatched kernel →
+///   vector helpers) is `#[inline(always)]`;
+/// * nothing that touches a `V: SimdF64x4` is a closure — and a
+///   `core::array::from_fn(|a| …)` callback is one. A closure is a separate
+///   LLVM function that neither inherits the wrapper's features nor accepts
+///   `#[inline(always)]`; use a generic fn with explicit arguments, or
+///   `simd_common::per_phase!` / `per_comp!` for arrays.
+///
+/// CI's `kernel-codegen` step (`.github/scripts/kernel-codegen.sh`) checks
+/// both on the release binaries. Calling a wrapper without checking
 /// [`eutectica_simd::avx2_available`] first is undefined behavior, hence
 /// the `unsafe` at the call sites.
 #[cfg(target_arch = "x86_64")]
@@ -497,5 +507,77 @@ mod tests {
         assert!(l[4].config().staggered_buffer && !l[4].config().shortcuts);
         assert!(l[5].config().shortcuts);
         assert_eq!(KernelConfig::default(), l[5].config());
+    }
+
+    /// The face slots a skipped bulk group leaves in the staggered buffer
+    /// (zeroed by the φ skip, constant-coefficient fluxes in µ) are read by
+    /// whatever follows it in x (carry), y (row buffer) and z (plane
+    /// buffer). Put an interface group right there and require the buffered
+    /// sweep to reproduce the unbuffered one — which recomputes those faces
+    /// from the cells — bit for bit.
+    #[test]
+    fn faces_left_by_skipped_groups_match_the_recomputed_ones() {
+        use crate::simplex::project_to_simplex;
+        use eutectica_blockgrid::GridDims;
+        use rand::{Rng, SeedableRng};
+
+        let params = ModelParams::ag_al_cu();
+        let dims = GridDims::new(12, 5, 5, 1);
+        let mut isas = vec![SimdIsa::Portable];
+        if eutectica_simd::avx2_available() {
+            isas.push(SimdIsa::Avx2);
+        }
+        // The bulk group is x = 4..8 at y = z = 2 (interior); the interface
+        // group follows it along one axis.
+        for (label, at) in [("x", (8, 2, 2)), ("y", (4, 3, 2)), ("z", (4, 2, 3))] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+            let mut base = BlockState::new(dims, [0, 0, 3]);
+            for z in 0..dims.tz() {
+                for y in 0..dims.ty() {
+                    for x in 0..dims.tx() {
+                        base.phi_src.set_cell(x, y, z, [0.0, 1.0, 0.0, 0.0]);
+                        base.phi_dst.set_cell(x, y, z, [0.0, 1.0, 0.0, 0.0]);
+                        let mu = [rng.random_range(-0.3..0.3), rng.random_range(-0.3..0.3)];
+                        base.mu_src.set_cell(x, y, z, mu);
+                    }
+                }
+            }
+            for x in at.0..at.0 + 4 {
+                let raw: [f64; 4] = core::array::from_fn(|_| rng.random_range(0.0..1.0));
+                let cell = project_to_simplex(raw);
+                base.phi_src.set_cell(x + 1, at.1 + 1, at.2 + 1, cell);
+                base.phi_dst.set_cell(x + 1, at.1 + 1, at.2 + 1, cell);
+            }
+            for &isa in &isas {
+                for tz in [false, true] {
+                    let run = |stag: bool| {
+                        let cfg = KernelConfig {
+                            isa,
+                            tz_precompute: tz,
+                            staggered_buffer: stag,
+                            ..KernelConfig::default()
+                        };
+                        let mut s = base.clone();
+                        phi_sweep(&params, &mut s, 0.2, cfg);
+                        mu_sweep(&params, &mut s, 0.2, cfg, MuPart::Full);
+                        s
+                    };
+                    let (plain, buffered) = (run(false), run(true));
+                    for (field, a, b) in [
+                        ("phi", plain.phi_dst.raw(), buffered.phi_dst.raw()),
+                        ("mu", plain.mu_dst.raw(), buffered.mu_dst.raw()),
+                    ] {
+                        let diff = a
+                            .iter()
+                            .zip(b)
+                            .position(|(p, q)| p.to_bits() != q.to_bits());
+                        assert_eq!(
+                            diff, None,
+                            "{label} {isa:?} tz={tz}: {field}_dst (raw index)"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

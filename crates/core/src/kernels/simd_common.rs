@@ -4,10 +4,68 @@
 //! vectorized kernels can be instantiated per ISA and dispatched at runtime
 //! (see [`super::backend`]). The crate-level `eutectica_simd::F64x4` alias
 //! remains the compile-time default instantiation.
+//!
+//! **No closures around `V`.** The AVX2 instantiation only becomes AVX2
+//! machine code when the complete kernel body is inlined into the
+//! `#[target_feature]` wrappers of `kernels::avx2_entry`. A closure — and
+//! therefore every `core::array::from_fn(|a| …)` callback — is its own LLVM
+//! function that does *not* inherit the wrapper's features and cannot be
+//! marked `#[inline(always)]`; whenever LLVM leaves one out of line, each
+//! intrinsic inside it becomes a real `call` with operands through memory.
+//! Anything that touches a `V` is therefore an `#[inline(always)]` generic
+//! fn with explicit arguments, and per-phase / per-component arrays are
+//! built with `per_phase!` / `per_comp!`. The CI `kernel-codegen` step
+//! enforces this on the release binaries.
 
+use crate::params::ModelParams;
 use crate::temperature::SliceCtx;
 use crate::{N_COMP, N_PHASES};
 use eutectica_simd::{SimdF64x4, SimdMask4};
+
+/// `[f(0), f(1), f(2), f(3)]` with the body expanded in place — the
+/// closure-free replacement for `core::array::from_fn` over the phases.
+macro_rules! per_phase {
+    (|$a:ident| $body:expr) => {
+        [
+            {
+                let $a = 0usize;
+                $body
+            },
+            {
+                let $a = 1usize;
+                $body
+            },
+            {
+                let $a = 2usize;
+                $body
+            },
+            {
+                let $a = 3usize;
+                $body
+            },
+        ]
+    };
+}
+pub(crate) use per_phase;
+
+/// `[f(0), f(1)]` over the chemical components; see `per_phase!`.
+macro_rules! per_comp {
+    (|$i:ident| $body:expr) => {
+        [
+            {
+                let $i = 0usize;
+                $body
+            },
+            {
+                let $i = 1usize;
+                $body
+            },
+        ]
+    };
+}
+pub(crate) use per_comp;
+
+const _: () = assert!(N_PHASES == 4 && N_COMP == 2);
 
 /// Gather the 4 phase values of one cell from the SoA planes into a vector
 /// (lane α = φ_α). This is the cost of running the cellwise φ-kernel on a
@@ -43,7 +101,7 @@ pub fn matvec<V: SimdF64x4>(cols: &[V; N_PHASES], v: V) -> V {
 /// γ matrix as column vectors (symmetric, so columns = rows).
 #[inline(always)]
 pub fn gamma_cols<V: SimdF64x4>(gamma: &[[f64; N_PHASES]; N_PHASES]) -> [V; N_PHASES] {
-    core::array::from_fn(|b| V::from_array(core::array::from_fn(|a| gamma[a][b])))
+    per_phase!(|b| V::from_array(per_phase!(|a| gamma[a][b])))
 }
 
 /// Per-slice thermodynamic constants in lane-per-phase layout for the
@@ -67,25 +125,13 @@ impl<V: SimdF64x4> SliceCtxV<V> {
     #[inline(always)]
     pub fn from_ctx(ctx: &SliceCtx) -> Self {
         Self {
-            c_eq: [
-                V::from_array(core::array::from_fn(|a| ctx.c_eq[a][0])),
-                V::from_array(core::array::from_fn(|a| ctx.c_eq[a][1])),
-            ],
+            c_eq: per_comp!(|i| V::from_array(per_phase!(|a| ctx.c_eq[a][i]))),
             offset: V::from_array(ctx.offset),
-            inv4k: [
-                V::from_array(core::array::from_fn(|a| ctx.inv4k[a][0])),
-                V::from_array(core::array::from_fn(|a| ctx.inv4k[a][1])),
-            ],
+            inv4k: per_comp!(|i| V::from_array(per_phase!(|a| ctx.inv4k[a][i]))),
             pref_grad: ctx.pref_grad,
             pref_obst: ctx.pref_obst,
         }
     }
-}
-
-/// Lanewise equality mask via `ge ∧ le` (no dedicated eq in the API).
-#[inline(always)]
-pub fn eq_mask<V: SimdF64x4>(a: V, b: V) -> V::Mask {
-    a.ge(b).and(a.le(b))
 }
 
 /// Lane-parallel Gibbs-simplex projection for four independent cells:
@@ -117,7 +163,63 @@ pub fn project_simplex_lanes<V: SimdF64x4>(phi: [V; N_PHASES]) -> [V; N_PHASES] 
         let mask = (*u + l).gt(zero);
         lambda = mask.select(l, lambda);
     }
-    core::array::from_fn(|a| (phi[a] + lambda).max(zero))
+    per_phase!(|a| (phi[a] + lambda).max(zero))
+}
+
+/// Four consecutive x-cells of every phase plane starting at linear index
+/// `i` (lanes = cells).
+#[inline(always)]
+pub(crate) fn load_cells4<V: SimdF64x4>(comps: &[&[f64]; N_PHASES], i: usize) -> [V; N_PHASES] {
+    per_phase!(|a| V::load(comps[a], i))
+}
+
+/// Lanes (= cells) in which every phase of `a` equals the same phase of `b`.
+#[inline(always)]
+pub(crate) fn cells_eq_mask<V: SimdF64x4>(a: &[V; N_PHASES], b: &[V; N_PHASES]) -> V::Mask {
+    a[0].eq(b[0])
+        .and(a[1].eq(b[1]))
+        .and(a[2].eq(b[2]))
+        .and(a[3].eq(b[3]))
+}
+
+/// Slice contexts recomputed from the temperature on every call — what the
+/// rungs below "T(z)" do per cell / per group instead of reading a
+/// [`crate::temperature::SliceTable`]. `black_box` keeps the recomputation
+/// from being hoisted (see `scalar_phi.rs`).
+#[derive(Copy, Clone)]
+pub(crate) struct RecomputedSlices<'a> {
+    /// Model parameters.
+    pub params: &'a ModelParams,
+    /// Global z of the block's first interior slice.
+    pub origin_z: isize,
+    /// Ghost width.
+    pub ghost: usize,
+    /// Simulation time.
+    pub time: f64,
+}
+
+impl RecomputedSlices<'_> {
+    /// Temperature of total slice `z`.
+    #[inline(always)]
+    pub fn temperature(&self, z: usize) -> f64 {
+        let gz = self.origin_z as f64 + z as f64 - self.ghost as f64;
+        std::hint::black_box(self.params.temperature(gz, self.time))
+    }
+
+    /// Cell-centred context of total slice `z`.
+    #[inline(always)]
+    pub fn cell(&self, z: usize) -> SliceCtx {
+        SliceCtx::at(self.params, self.temperature(z))
+    }
+
+    /// Context of the z-face between total slices `z` and `z + 1`.
+    #[inline(always)]
+    pub fn zface(&self, z: usize) -> SliceCtx {
+        SliceCtx::at(
+            self.params,
+            0.5 * (self.temperature(z) + self.temperature(z + 1)),
+        )
+    }
 }
 
 #[cfg(test)]
@@ -160,13 +262,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn eq_mask_detects_equality() {
-        let a = F64x4::from_array([1.0, 2.0, 3.0, 4.0]);
-        let b = F64x4::from_array([1.0, 2.5, 3.0, 4.0]);
-        assert_eq!(eq_mask(a, a).bitmask(), 0b1111);
-        assert_eq!(eq_mask(a, b).bitmask(), 0b1101);
     }
 }

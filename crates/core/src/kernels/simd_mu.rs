@@ -11,13 +11,20 @@
 //! the y/z face fluxes are buffered per group exactly like Fig. 3.
 //! Shortcuts can only trigger when the condition holds for **all four
 //! cells** of a group (the four-cell limitation the paper measures in
-//! Fig. 5's discussion).
+//! Fig. 5's discussion). The one that makes bulk regions cheap is the
+//! *single-phase* shortcut: where every cell a term reads is pure in the
+//! same phase, the mobility, the susceptibility and the drift slope are
+//! that phase's slice constants and the anti-trapping current is exactly
+//! zero, so the update degenerates to a constant-coefficient 7-point
+//! stencil on µ (`pure_face_flux` and the local terms in `sweep`).
 //!
 //! The kernel is generic over the ISA backend `V:`[`SimdF64x4`]; see
 //! [`super::simd_phi`] for the instantiation scheme.
 
 use crate::kernels::scalar_mu::SweepCtx;
-use crate::kernels::simd_common::eq_mask;
+use crate::kernels::simd_common::{
+    cells_eq_mask, load_cells4, per_comp, per_phase, RecomputedSlices,
+};
 use crate::kernels::{get2, get4, MuPart};
 use crate::model::{mu_cell_update, phase_change_source, susceptibility, temp_drift};
 use crate::params::ModelParams;
@@ -92,9 +99,55 @@ fn shift_in<V: SimdF64x4>(carry: f64, v: V) -> V {
     v.permute::<3, 0, 1, 2>().replace(0, carry)
 }
 
-struct VCtx<'a, V: SimdF64x4> {
-    #[allow(dead_code)]
-    params: &'a ModelParams,
+/// The unit vector of phase `p` in every lane: four cells pure in `p`.
+#[inline(always)]
+fn unit_phase<V: SimdF64x4>(p: usize) -> [V; N_PHASES] {
+    per_phase!(|a| V::splat(if a == p { 1.0 } else { 0.0 }))
+}
+
+/// The phase in which all four `cells` (loaded from linear index `i`) are
+/// exactly pure — `φ_p = 1`, every other `φ = 0` — if there is one.
+#[inline(always)]
+fn pure_phase<V: SimdF64x4>(
+    ps: &[&[f64]; N_PHASES],
+    i: usize,
+    cells: &[V; N_PHASES],
+) -> Option<usize> {
+    let mut p = 0;
+    while ps[p][i] != 1.0 {
+        p += 1;
+        if p == N_PHASES {
+            return None;
+        }
+    }
+    cells_eq_mask(cells, &unit_phase::<V>(p)).all().then_some(p)
+}
+
+/// Whether the neighbour groups a four-cell update at `i` takes its face
+/// fluxes from — the three high ones, and the three low ones unless those
+/// come out of the staggered buffer — are all pure in phase `p`.
+#[inline(always)]
+fn neighbours_pure<V: SimdF64x4, const STAG: bool>(
+    ps: &[&[f64]; N_PHASES],
+    i: usize,
+    sy: usize,
+    sz: usize,
+    p: usize,
+) -> bool {
+    let e = unit_phase::<V>(p);
+    let mut pure = cells_eq_mask(&load_cells4::<V>(ps, i + 1), &e)
+        .and(cells_eq_mask(&load_cells4::<V>(ps, i + sy), &e))
+        .and(cells_eq_mask(&load_cells4::<V>(ps, i + sz), &e));
+    if !STAG {
+        pure = pure
+            .and(cells_eq_mask(&load_cells4::<V>(ps, i - 1), &e))
+            .and(cells_eq_mask(&load_cells4::<V>(ps, i - sy), &e))
+            .and(cells_eq_mask(&load_cells4::<V>(ps, i - sz), &e));
+    }
+    pure.all()
+}
+
+struct VCtx<V: SimdF64x4> {
     inv_dx: V,
     inv_dt: V,
     dc_dt: [[f64; N_COMP]; N_PHASES],
@@ -105,7 +158,7 @@ struct VCtx<'a, V: SimdF64x4> {
     with_jat: bool,
 }
 
-impl<V: SimdF64x4> VCtx<'_, V> {
+impl<V: SimdF64x4> VCtx<V> {
     #[inline(always)]
     fn trans(&self, axis: usize) -> (usize, usize) {
         match axis {
@@ -113,6 +166,30 @@ impl<V: SimdF64x4> VCtx<'_, V> {
             1 => (1, self.sz),
             _ => (1, self.sy),
         }
+    }
+
+    /// [`Self::face_flux`] where all eight cells are pure in the phase with
+    /// mobilities `mob`. The general mobility sum is then
+    /// 0 + … + (1+1)·½·M_p = M_p exactly, and J_at vanishes exactly whatever
+    /// the tangential neighbours hold: in a solid phase the liquid fraction
+    /// at the face is 0, in liquid every solid fraction is, so its indicator
+    /// is false either way.
+    #[inline(always)]
+    fn pure_face_flux(
+        &self,
+        ms: &[&[f64]; N_COMP],
+        mob: &[f64; N_COMP],
+        il: usize,
+        ir: usize,
+    ) -> [V; N_COMP] {
+        let mut flux = [V::zero(); N_COMP];
+        if self.with_grad {
+            for i in 0..N_COMP {
+                flux[i] =
+                    V::splat(mob[i]) * (V::load(ms[i], ir) - V::load(ms[i], il)) * self.inv_dx;
+            }
+        }
+        flux
     }
 
     /// Combined face flux `M∇µ − J_at` for the four faces between cell
@@ -131,8 +208,8 @@ impl<V: SimdF64x4> VCtx<'_, V> {
     ) -> [V; N_COMP] {
         let half = V::splat(0.5);
         let zero = V::zero();
-        let phi_l: [V; N_PHASES] = core::array::from_fn(|a| V::load(ps[a], il));
-        let phi_r: [V; N_PHASES] = core::array::from_fn(|a| V::load(ps[a], ir));
+        let phi_l = load_cells4::<V>(ps, il);
+        let phi_r = load_cells4::<V>(ps, ir);
         let mu_l = [V::load(ms[0], il), V::load(ms[1], il)];
         let mu_r = [V::load(ms[0], ir), V::load(ms[1], ir)];
         let mut flux = [zero; N_COMP];
@@ -162,7 +239,7 @@ impl<V: SimdF64x4> VCtx<'_, V> {
             let ind_l = pl.gt(zero).and(nl2.gt(zero));
             let inv_nl = one / nl2.max(minpos).sqrt();
             let inv_pl = one / pl.max(minpos);
-            let pf: [V; N_PHASES] = core::array::from_fn(|a| (phi_l[a] + phi_r[a]) * half);
+            let pf: [V; N_PHASES] = per_phase!(|a| (phi_l[a] + phi_r[a]) * half);
             let mut s_f = zero;
             for p in &pf {
                 s_f += *p * *p;
@@ -243,7 +320,6 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
     let dtv = V::splat(dt);
 
     let cx = VCtx::<V> {
-        params,
         inv_dx: V::splat(1.0 / params.dx),
         inv_dt: V::splat(1.0 / params.dt),
         dc_dt: params.dc_dt_coeffs(),
@@ -263,16 +339,12 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
     } else {
         None
     };
-    // black_box: see scalar_phi.rs.
-    let temp_of = |z: usize| -> f64 {
-        let gz = origin_z as f64 + z as f64 - g as f64;
-        if TZ {
-            params.temperature(gz, time)
-        } else {
-            std::hint::black_box(params.temperature(gz, time))
-        }
+    let recomputed = RecomputedSlices {
+        params,
+        origin_z,
+        ghost: g,
+        time,
     };
-    let zface_ctx = |z: usize| SliceCtx::at(params, 0.5 * (temp_of(z) + temp_of(z + 1)));
 
     let BlockState {
         phi_src,
@@ -294,7 +366,7 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
         let ctx_zlow = if TZ {
             table.as_ref().unwrap().zface[z0 - 1]
         } else {
-            zface_ctx(z0 - 1)
+            recomputed.zface(z0 - 1)
         };
         for y in 0..ny {
             for gx in 0..ngx {
@@ -305,30 +377,30 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
     }
 
     // Per-phase constant splats for the temperature-independent slopes.
-    let dcdt_v: [[V; N_COMP]; N_PHASES] =
-        core::array::from_fn(|a| core::array::from_fn(|i| V::splat(cx.dc_dt[a][i])));
+    let dcdt_v: [[V; N_COMP]; N_PHASES] = per_phase!(|a| per_comp!(|i| V::splat(cx.dc_dt[a][i])));
     let dtdt = V::splat(params.dtemp_dt());
 
+    // Contexts are used by reference: a `SliceCtx` is 39 doubles, and a
+    // by-value copy per group costs more than a single-phase group update.
+    let untabulated = SliceCtx::at(params, 0.0); // never read
     for z in z0..z1 {
         let (ctx_z, ctx_zf_low, ctx_zf_high) = if TZ {
             let t = table.as_ref().unwrap();
-            (t.cell[z], t.zface[z - 1], t.zface[z])
+            (&t.cell[z], &t.zface[z - 1], &t.zface[z])
         } else {
-            (
-                SliceCtx::at(params, 0.0),
-                SliceCtx::at(params, 0.0),
-                SliceCtx::at(params, 0.0),
-            )
+            (&untabulated, &untabulated, &untabulated)
         };
         if STAG {
+            let fresh;
             let ctx_yf = if TZ {
                 ctx_z
             } else {
-                SliceCtx::at(params, temp_of(z))
+                fresh = recomputed.cell(z);
+                &fresh
             };
             for gx in 0..ngx {
                 let i = dims.idx(4 * gx + g, g, z);
-                ybuf[gx] = cx.face_flux::<SC>(&ps, &pd, &ms, &ctx_yf, i - sy, i, 1);
+                ybuf[gx] = cx.face_flux::<SC>(&ps, &pd, &ms, ctx_yf, i - sy, i, 1);
             }
         }
         for y in g..g + ny {
@@ -336,65 +408,100 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
             // Row-start x carry: lane 0 of the explicit low-face evaluation.
             let mut carry = [0.0f64; N_COMP];
             if STAG && ngx > 0 {
+                let fresh;
                 let ctx_xf = if TZ {
                     ctx_z
                 } else {
-                    SliceCtx::at(params, temp_of(z))
+                    fresh = recomputed.cell(z);
+                    &fresh
                 };
-                let lo = cx.face_flux::<SC>(&ps, &pd, &ms, &ctx_xf, row - 1, row, 0);
+                let lo = cx.face_flux::<SC>(&ps, &pd, &ms, ctx_xf, row - 1, row, 0);
                 carry = [lo[0].extract(0), lo[1].extract(0)];
             }
             for gx in 0..ngx {
                 let i = row + 4 * gx;
+                let fresh;
                 let (ctx, czl, czh) = if TZ {
                     (ctx_z, ctx_zf_low, ctx_zf_high)
                 } else {
-                    (
-                        SliceCtx::at(params, temp_of(z)),
-                        zface_ctx(z - 1),
-                        zface_ctx(z),
-                    )
+                    fresh = (
+                        recomputed.cell(z),
+                        recomputed.zface(z - 1),
+                        recomputed.zface(z),
+                    );
+                    (&fresh.0, &fresh.1, &fresh.2)
                 };
 
-                let f_xh = cx.face_flux::<SC>(&ps, &pd, &ms, &ctx, i, i + 1, 0);
+                // Shortcut: a group pure in one phase p (`pure`) whose face
+                // neighbours are too (`stencil_pure`) is a
+                // constant-coefficient 7-point stencil on µ.
+                let pc = load_cells4::<V>(&ps, i);
+                let pure = if SC { pure_phase(&ps, i, &pc) } else { None };
+                let stencil_pure = match pure {
+                    Some(p) if neighbours_pure::<V, STAG>(&ps, i, sy, sz, p) => Some(p),
+                    _ => None,
+                };
+
+                let (f_xh, f_yh, f_zh) = if let Some(p) = stencil_pure {
+                    (
+                        cx.pure_face_flux(&ms, &ctx.mob[p], i, i + 1),
+                        cx.pure_face_flux(&ms, &ctx.mob[p], i, i + sy),
+                        cx.pure_face_flux(&ms, &czh.mob[p], i, i + sz),
+                    )
+                } else {
+                    (
+                        cx.face_flux::<SC>(&ps, &pd, &ms, ctx, i, i + 1, 0),
+                        cx.face_flux::<SC>(&ps, &pd, &ms, ctx, i, i + sy, 1),
+                        cx.face_flux::<SC>(&ps, &pd, &ms, czh, i, i + sz, 2),
+                    )
+                };
                 let (f_xl, f_yl, f_zl) = if STAG {
                     let xl = [shift_in(carry[0], f_xh[0]), shift_in(carry[1], f_xh[1])];
                     carry = [f_xh[0].extract(3), f_xh[1].extract(3)];
-                    (xl, ybuf[gx], zbuf[(y - g) * ngx + gx])
-                } else {
-                    (
-                        cx.face_flux::<SC>(&ps, &pd, &ms, &ctx, i - 1, i, 0),
-                        cx.face_flux::<SC>(&ps, &pd, &ms, &ctx, i - sy, i, 1),
-                        cx.face_flux::<SC>(&ps, &pd, &ms, &czl, i - sz, i, 2),
-                    )
-                };
-                let f_yh = cx.face_flux::<SC>(&ps, &pd, &ms, &ctx, i, i + sy, 1);
-                let f_zh = cx.face_flux::<SC>(&ps, &pd, &ms, &czh, i, i + sz, 2);
-                if STAG {
+                    let lows = (xl, ybuf[gx], zbuf[(y - g) * ngx + gx]);
                     ybuf[gx] = f_yh;
                     zbuf[(y - g) * ngx + gx] = f_zh;
-                }
+                    lows
+                } else if let Some(p) = stencil_pure {
+                    (
+                        cx.pure_face_flux(&ms, &ctx.mob[p], i - 1, i),
+                        cx.pure_face_flux(&ms, &ctx.mob[p], i - sy, i),
+                        cx.pure_face_flux(&ms, &czl.mob[p], i - sz, i),
+                    )
+                } else {
+                    (
+                        cx.face_flux::<SC>(&ps, &pd, &ms, ctx, i - 1, i, 0),
+                        cx.face_flux::<SC>(&ps, &pd, &ms, ctx, i - sy, i, 1),
+                        cx.face_flux::<SC>(&ps, &pd, &ms, czl, i - sz, i, 2),
+                    )
+                };
 
                 let div = [
                     (f_xh[0] - f_xl[0] + f_yh[0] - f_yl[0] + f_zh[0] - f_zl[0]) * cx.inv_dx,
                     (f_xh[1] - f_xl[1] + f_yh[1] - f_yl[1] + f_zh[1] - f_zl[1]) * cx.inv_dx,
                 ];
 
-                // Local terms, lanes = cells.
-                let pc: [V; N_PHASES] = core::array::from_fn(|a| V::load(ps[a], i));
-                let mut s_old = V::zero();
-                for p in &pc {
-                    s_old = p.mul_add(*p, s_old);
-                }
-                let inv_s_old = V::splat(1.0) / s_old;
-                let h_old: [V; N_PHASES] = core::array::from_fn(|a| pc[a] * pc[a] * inv_s_old);
-                let chi: [V; N_COMP] = core::array::from_fn(|i| {
-                    let mut c = V::zero();
-                    for a in 0..N_PHASES {
-                        c = h_old[a].mul_add(V::splat(ctx.inv2k[a][i]), c);
+                // Local terms, lanes = cells. A pure group has h = e_p
+                // exactly, so the h-weighted sums below (all accumulated
+                // from +0) reduce to phase p's own coefficient.
+                let (h_old, chi): ([V; N_PHASES], [V; N_COMP]) = if let Some(p) = pure {
+                    (unit_phase::<V>(p), per_comp!(|i| V::splat(ctx.inv2k[p][i])))
+                } else {
+                    let mut s_old = V::zero();
+                    for p in &pc {
+                        s_old = p.mul_add(*p, s_old);
                     }
-                    c
-                });
+                    let inv_s_old = V::splat(1.0) / s_old;
+                    let h_old: [V; N_PHASES] = per_phase!(|a| pc[a] * pc[a] * inv_s_old);
+                    let chi: [V; N_COMP] = per_comp!(|i| {
+                        let mut c = V::zero();
+                        for a in 0..N_PHASES {
+                            c = h_old[a].mul_add(V::splat(ctx.inv2k[a][i]), c);
+                        }
+                        c
+                    });
+                    (h_old, chi)
+                };
 
                 if accumulate {
                     for i_c in 0..N_COMP {
@@ -408,13 +515,8 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
                 let mut source = [V::zero(); N_COMP];
                 let mut drift = [V::zero(); N_COMP];
                 if with_local_terms {
-                    let pn: [V; N_PHASES] = core::array::from_fn(|a| V::load(pd[a], i));
-                    let unchanged = SC
-                        && eq_mask(pn[0], pc[0])
-                            .and(eq_mask(pn[1], pc[1]))
-                            .and(eq_mask(pn[2], pc[2]))
-                            .and(eq_mask(pn[3], pc[3]))
-                            .all();
+                    let pn = load_cells4::<V>(&pd, i);
+                    let unchanged = SC && cells_eq_mask(&pn, &pc).all();
                     if !unchanged {
                         let mut s_new = V::zero();
                         for p in &pn {
@@ -432,10 +534,15 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
                         }
                     }
                     for i_c in 0..N_COMP {
-                        let mut dcdt = V::zero();
-                        for a in 0..N_PHASES {
-                            dcdt = h_old[a].mul_add(dcdt_v[a][i_c], dcdt);
-                        }
+                        let dcdt = if let Some(p) = pure {
+                            dcdt_v[p][i_c]
+                        } else {
+                            let mut dcdt = V::zero();
+                            for a in 0..N_PHASES {
+                                dcdt = h_old[a].mul_add(dcdt_v[a][i_c], dcdt);
+                            }
+                            dcdt
+                        };
                         drift[i_c] = -(dcdt * dtdt);
                     }
                 }
@@ -449,27 +556,29 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
             // Scalar remainder (right edge of the row).
             for x in (g + 4 * ngx)..(g + nx) {
                 let i = dims.idx(x, y, z);
+                let fresh;
                 let (ctx, czl, czh) = if TZ {
                     (ctx_z, ctx_zf_low, ctx_zf_high)
                 } else {
-                    (
-                        SliceCtx::at(params, temp_of(z)),
-                        zface_ctx(z - 1),
-                        zface_ctx(z),
-                    )
+                    fresh = (
+                        recomputed.cell(z),
+                        recomputed.zface(z - 1),
+                        recomputed.zface(z),
+                    );
+                    (&fresh.0, &fresh.1, &fresh.2)
                 };
-                let f_xl = scx.face_flux::<SC>(&ps, &pd, &ms, &ctx, i - 1, i, 0);
-                let f_xh = scx.face_flux::<SC>(&ps, &pd, &ms, &ctx, i, i + 1, 0);
-                let f_yl = scx.face_flux::<SC>(&ps, &pd, &ms, &ctx, i - sy, i, 1);
-                let f_yh = scx.face_flux::<SC>(&ps, &pd, &ms, &ctx, i, i + sy, 1);
-                let f_zl = scx.face_flux::<SC>(&ps, &pd, &ms, &czl, i - sz, i, 2);
-                let f_zh = scx.face_flux::<SC>(&ps, &pd, &ms, &czh, i, i + sz, 2);
+                let f_xl = scx.face_flux::<SC>(&ps, &pd, &ms, ctx, i - 1, i, 0);
+                let f_xh = scx.face_flux::<SC>(&ps, &pd, &ms, ctx, i, i + 1, 0);
+                let f_yl = scx.face_flux::<SC>(&ps, &pd, &ms, ctx, i - sy, i, 1);
+                let f_yh = scx.face_flux::<SC>(&ps, &pd, &ms, ctx, i, i + sy, 1);
+                let f_zl = scx.face_flux::<SC>(&ps, &pd, &ms, czl, i - sz, i, 2);
+                let f_zh = scx.face_flux::<SC>(&ps, &pd, &ms, czh, i, i + sz, 2);
                 let div = [
                     (f_xh[0] - f_xl[0] + f_yh[0] - f_yl[0] + f_zh[0] - f_zl[0]) / params.dx,
                     (f_xh[1] - f_xl[1] + f_yh[1] - f_yl[1] + f_zh[1] - f_zl[1]) / params.dx,
                 ];
                 let phi_old = get4(&ps, i);
-                let chi = susceptibility(&ctx, phi_old);
+                let chi = susceptibility(ctx, phi_old);
                 if accumulate {
                     md[0][i] += dt * div[0] / chi[0];
                     md[1][i] += dt * div[1] / chi[1];
@@ -478,7 +587,7 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
                 let mu = get2(&ms, i);
                 let (source, drift) = if with_local_terms {
                     let phi_new = get4(&pd, i);
-                    let src = phase_change_source(&ctx, phi_old, phi_new, mu, 1.0 / params.dt);
+                    let src = phase_change_source(ctx, phi_old, phi_new, mu, 1.0 / params.dt);
                     (src, temp_drift(&cx.dc_dt, phi_old, params.dtemp_dt()))
                 } else {
                     ([0.0; N_COMP], [0.0; N_COMP])

@@ -20,11 +20,12 @@
 //! compile-time default `eutectica_simd::F64x4`.
 
 use crate::kernels::simd_common::{
-    eq_mask, gamma_cols, gather_cell4, matvec, project_simplex_lanes, scatter_cell4, SliceCtxV,
+    cells_eq_mask, gamma_cols, gather_cell4, load_cells4, matvec, per_phase, project_simplex_lanes,
+    scatter_cell4, RecomputedSlices, SliceCtxV,
 };
 use crate::params::ModelParams;
 use crate::state::BlockState;
-use crate::temperature::{SliceCtx, SliceTable};
+use crate::temperature::SliceTable;
 use crate::N_PHASES;
 use eutectica_simd::{F64x4, SimdF64x4, SimdMask4};
 
@@ -131,6 +132,56 @@ fn face_flux_v<V: SimdF64x4, const UG: bool>(
     (pf * s1 - g * s2) * V::splat(-2.0)
 }
 
+/// Face flux between the cells at linear indices `il` and `ir`, gathered
+/// from the SoA planes (the staggered-buffer prefill).
+#[inline(always)]
+fn face_at<V: SimdF64x4, const UG: bool>(
+    gcols: &[V; N_PHASES],
+    gu: V,
+    ps: &[&[f64]; N_PHASES],
+    il: usize,
+    ir: usize,
+    inv_dx: V,
+) -> V {
+    face_flux_v::<V, UG>(
+        gcols,
+        gu,
+        gather_cell4(ps, il),
+        gather_cell4(ps, ir),
+        inv_dx,
+    )
+}
+
+/// The per-cell bulk predicate (centre pure ∧ all six neighbours equal to it
+/// in every phase) evaluated for the four consecutive x-cells starting at
+/// `i` with contiguous SoA loads, *before* any per-cell gather. Returns the
+/// centre cells when all four are bulk.
+#[inline(always)]
+fn bulk_group<V: SimdF64x4>(
+    ps: &[&[f64]; N_PHASES],
+    i: usize,
+    sy: usize,
+    sz: usize,
+) -> Option<[V; N_PHASES]> {
+    let one = V::splat(1.0);
+    let pc = load_cells4::<V>(ps, i);
+    let pure = pc[0]
+        .ge(one)
+        .or(pc[1].ge(one))
+        .or(pc[2].ge(one))
+        .or(pc[3].ge(one));
+    if !pure.all() {
+        return None;
+    }
+    let same = cells_eq_mask(&load_cells4::<V>(ps, i - 1), &pc)
+        .and(cells_eq_mask(&load_cells4::<V>(ps, i + 1), &pc))
+        .and(cells_eq_mask(&load_cells4::<V>(ps, i - sy), &pc))
+        .and(cells_eq_mask(&load_cells4::<V>(ps, i + sy), &pc))
+        .and(cells_eq_mask(&load_cells4::<V>(ps, i - sz), &pc))
+        .and(cells_eq_mask(&load_cells4::<V>(ps, i + sz), &pc));
+    same.all().then_some(pc)
+}
+
 #[inline(always)]
 fn cellwise<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool, const UG: bool>(
     params: &ModelParams,
@@ -160,14 +211,11 @@ fn cellwise<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool, cons
     } else {
         None
     };
-    // black_box: keep the per-cell recomputation from being hoisted (see
-    // scalar_phi.rs).
-    let cell_ctx = |z: usize| -> SliceCtxV<V> {
-        let gz = origin_z as f64 + z as f64 - g as f64;
-        SliceCtxV::from_ctx(&SliceCtx::at(
-            params,
-            std::hint::black_box(params.temperature(gz, time)),
-        ))
+    let recomputed = RecomputedSlices {
+        params,
+        origin_z,
+        ghost: g,
+        time,
     };
 
     let BlockState {
@@ -180,16 +228,6 @@ fn cellwise<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool, cons
     let ms = mu_src.comps();
     let mut pd = phi_dst.comps_mut();
 
-    let face = |il: usize, ir: usize| -> V {
-        face_flux_v::<V, UG>(
-            &gcols,
-            gu,
-            gather_cell4(&ps, il),
-            gather_cell4(&ps, ir),
-            inv_dx,
-        )
-    };
-
     let mut zbuf = vec![V::zero(); if STAG { nx * ny } else { 0 }];
     let mut ybuf = vec![V::zero(); if STAG { nx } else { 0 }];
 
@@ -197,7 +235,7 @@ fn cellwise<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool, cons
         for y in 0..ny {
             for x in 0..nx {
                 let i = dims.idx(x + g, y + g, z0);
-                zbuf[y * nx + x] = face(i - sz, i);
+                zbuf[y * nx + x] = face_at::<V, UG>(&gcols, gu, &ps, i - sz, i, inv_dx);
             }
         }
     }
@@ -206,109 +244,144 @@ fn cellwise<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool, cons
         let ctx_z = if TZ {
             SliceCtxV::from_ctx(&table.as_ref().unwrap().cell[z])
         } else {
-            cell_ctx(g) // placeholder; recomputed per cell
+            SliceCtxV::<V>::from_ctx(&recomputed.cell(g)) // placeholder; recomputed per cell
         };
         if STAG {
             for x in 0..nx {
                 let i = dims.idx(x + g, g, z);
-                ybuf[x] = face(i - sy, i);
+                ybuf[x] = face_at::<V, UG>(&gcols, gu, &ps, i - sy, i, inv_dx);
             }
         }
         for y in g..g + ny {
             let mut xprev = if STAG {
                 let i = dims.idx(g, y, z);
-                face(i - 1, i)
+                face_at::<V, UG>(&gcols, gu, &ps, i - 1, i, inv_dx)
             } else {
                 V::zero()
             };
-            for x in g..g + nx {
-                let i = dims.idx(x, y, z);
-                let pc = gather_cell4::<V>(&ps, i);
-                let xm = gather_cell4::<V>(&ps, i - 1);
-                let xp = gather_cell4::<V>(&ps, i + 1);
-                let ym = gather_cell4::<V>(&ps, i - sy);
-                let yp = gather_cell4::<V>(&ps, i + sy);
-                let zm = gather_cell4::<V>(&ps, i - sz);
-                let zp = gather_cell4::<V>(&ps, i + sz);
-
-                let pure_mask = pc.ge(one);
-                if SC && pure_mask.any() {
-                    // Bulk shortcut: the cell is pure; if all six neighbors
-                    // equal it exactly, ∂φ/∂t = 0.
-                    let same = eq_mask(xm, pc)
-                        .and(eq_mask(xp, pc))
-                        .and(eq_mask(ym, pc))
-                        .and(eq_mask(yp, pc))
-                        .and(eq_mask(zm, pc))
-                        .and(eq_mask(zp, pc));
-                    if same.all() {
-                        scatter_cell4(&mut pd, i, pc);
-                        if STAG {
-                            xprev = V::zero();
-                            ybuf[x - g] = V::zero();
-                            zbuf[(y - g) * nx + (x - g)] = V::zero();
+            let mut x0 = g;
+            while x0 < g + nx {
+                let n = (g + nx - x0).min(4);
+                // Bulk shortcut at vector granularity: test four cells with
+                // contiguous loads before paying for any per-cell gather.
+                // Same predicate, same stores and same zeroed face slots
+                // as four per-cell skips below.
+                if SC && n == 4 {
+                    let i = dims.idx(x0, y, z);
+                    if let Some(pc) = bulk_group::<V>(&ps, i, sy, sz) {
+                        for a in 0..N_PHASES {
+                            pc[a].store(pd[a], i);
                         }
+                        if STAG {
+                            let (bx, bz) = (x0 - g, (y - g) * nx + (x0 - g));
+                            xprev = V::zero();
+                            for k in 0..4 {
+                                ybuf[bx + k] = V::zero();
+                                zbuf[bz + k] = V::zero();
+                            }
+                        }
+                        x0 += 4;
                         continue;
                     }
                 }
+                for x in x0..x0 + n {
+                    let i = dims.idx(x, y, z);
+                    let pc = gather_cell4::<V>(&ps, i);
+                    let xm = gather_cell4::<V>(&ps, i - 1);
+                    let xp = gather_cell4::<V>(&ps, i + 1);
+                    let ym = gather_cell4::<V>(&ps, i - sy);
+                    let yp = gather_cell4::<V>(&ps, i + sy);
+                    let zm = gather_cell4::<V>(&ps, i - sz);
+                    let zp = gather_cell4::<V>(&ps, i + sz);
 
-                let ctx = if TZ { ctx_z } else { cell_ctx(z) };
+                    let pure_mask = pc.ge(one);
+                    if SC && pure_mask.any() {
+                        // Bulk shortcut: the cell is pure; if all six neighbors
+                        // equal it exactly, ∂φ/∂t = 0.
+                        let same = xm
+                            .eq(pc)
+                            .and(xp.eq(pc))
+                            .and(ym.eq(pc))
+                            .and(yp.eq(pc))
+                            .and(zm.eq(pc))
+                            .and(zp.eq(pc));
+                        if same.all() {
+                            scatter_cell4(&mut pd, i, pc);
+                            if STAG {
+                                xprev = V::zero();
+                                ybuf[x - g] = V::zero();
+                                zbuf[(y - g) * nx + (x - g)] = V::zero();
+                            }
+                            continue;
+                        }
+                    }
 
-                // Reuse the already-gathered cell vectors for every face.
-                let (f_xl, f_yl, f_zl) = if STAG {
-                    (xprev, ybuf[x - g], zbuf[(y - g) * nx + (x - g)])
-                } else {
-                    (
-                        face_flux_v::<V, UG>(&gcols, gu, xm, pc, inv_dx),
-                        face_flux_v::<V, UG>(&gcols, gu, ym, pc, inv_dx),
-                        face_flux_v::<V, UG>(&gcols, gu, zm, pc, inv_dx),
-                    )
-                };
-                let f_xh = face_flux_v::<V, UG>(&gcols, gu, pc, xp, inv_dx);
-                let f_yh = face_flux_v::<V, UG>(&gcols, gu, pc, yp, inv_dx);
-                let f_zh = face_flux_v::<V, UG>(&gcols, gu, pc, zp, inv_dx);
-                if STAG {
-                    xprev = f_xh;
-                    ybuf[x - g] = f_yh;
-                    zbuf[(y - g) * nx + (x - g)] = f_zh;
+                    let fresh;
+                    let ctx = if TZ {
+                        &ctx_z
+                    } else {
+                        fresh = SliceCtxV::<V>::from_ctx(&recomputed.cell(z));
+                        &fresh
+                    };
+
+                    // Reuse the already-gathered cell vectors for every face.
+                    let (f_xl, f_yl, f_zl) = if STAG {
+                        (xprev, ybuf[x - g], zbuf[(y - g) * nx + (x - g)])
+                    } else {
+                        (
+                            face_flux_v::<V, UG>(&gcols, gu, xm, pc, inv_dx),
+                            face_flux_v::<V, UG>(&gcols, gu, ym, pc, inv_dx),
+                            face_flux_v::<V, UG>(&gcols, gu, zm, pc, inv_dx),
+                        )
+                    };
+                    let f_xh = face_flux_v::<V, UG>(&gcols, gu, pc, xp, inv_dx);
+                    let f_yh = face_flux_v::<V, UG>(&gcols, gu, pc, yp, inv_dx);
+                    let f_zh = face_flux_v::<V, UG>(&gcols, gu, pc, zp, inv_dx);
+                    if STAG {
+                        xprev = f_xh;
+                        ybuf[x - g] = f_yh;
+                        zbuf[(y - g) * nx + (x - g)] = f_zh;
+                    }
+
+                    // Central gradients (lanes = phases).
+                    let gx = (xp - xm) * inv_2dx;
+                    let gy = (yp - ym) * inv_2dx;
+                    let gz = (zp - zm) * inv_2dx;
+
+                    // ∂a/∂φ = 2[φ (Γ m) − Σ_axis g_axis (Γ (φ g_axis))].
+                    let m = gx.mul_add(gx, gy.mul_add(gy, gz * gz));
+                    let t2 = gx * gamma_apply::<V, UG>(&gcols, gu, pc * gx)
+                        + gy * gamma_apply::<V, UG>(&gcols, gu, pc * gy)
+                        + gz * gamma_apply::<V, UG>(&gcols, gu, pc * gz);
+                    let da = (pc * gamma_apply::<V, UG>(&gcols, gu, m) - t2) * two;
+
+                    let div = (f_xh - f_xl + f_yh - f_yl + f_zh - f_zl) * inv_dx;
+                    let obst = gamma_apply::<V, UG>(&gcols, gu, pc);
+
+                    // Driving force, skipped for pure cells with shortcuts.
+                    let drive = if SC && pure_mask.any() {
+                        V::zero()
+                    } else {
+                        let phi2 = pc * pc;
+                        let inv_s = one / phi2.hsum_splat();
+                        let mu0 = V::splat(ms[0][i]);
+                        let mu1 = V::splat(ms[1][i]);
+                        let psi = -(mu0 * mu0 * ctx.inv4k[0] + mu1 * mu1 * ctx.inv4k[1])
+                            - (mu0 * ctx.c_eq[0] + mu1 * ctx.c_eq[1])
+                            + ctx.offset;
+                        let psi_bar = (phi2 * psi).hsum_splat() * inv_s;
+                        two * pc * inv_s * (psi - psi_bar)
+                    };
+
+                    let vdf = V::splat(ctx.pref_grad) * (da - div)
+                        + V::splat(ctx.pref_obst) * obst
+                        + drive;
+                    let mean = vdf.hsum_splat() * quarter;
+                    let raw = pc - rate * (vdf - mean);
+                    let out = crate::simplex::project_to_simplex(raw.to_array());
+                    scatter_cell4(&mut pd, i, V::from_array(out));
                 }
-
-                // Central gradients (lanes = phases).
-                let gx = (xp - xm) * inv_2dx;
-                let gy = (yp - ym) * inv_2dx;
-                let gz = (zp - zm) * inv_2dx;
-
-                // ∂a/∂φ = 2[φ (Γ m) − Σ_axis g_axis (Γ (φ g_axis))].
-                let m = gx.mul_add(gx, gy.mul_add(gy, gz * gz));
-                let t2 = gx * gamma_apply::<V, UG>(&gcols, gu, pc * gx)
-                    + gy * gamma_apply::<V, UG>(&gcols, gu, pc * gy)
-                    + gz * gamma_apply::<V, UG>(&gcols, gu, pc * gz);
-                let da = (pc * gamma_apply::<V, UG>(&gcols, gu, m) - t2) * two;
-
-                let div = (f_xh - f_xl + f_yh - f_yl + f_zh - f_zl) * inv_dx;
-                let obst = gamma_apply::<V, UG>(&gcols, gu, pc);
-
-                // Driving force, skipped for pure cells with shortcuts.
-                let drive = if SC && pure_mask.any() {
-                    V::zero()
-                } else {
-                    let phi2 = pc * pc;
-                    let inv_s = one / phi2.hsum_splat();
-                    let mu0 = V::splat(ms[0][i]);
-                    let mu1 = V::splat(ms[1][i]);
-                    let psi = -(mu0 * mu0 * ctx.inv4k[0] + mu1 * mu1 * ctx.inv4k[1])
-                        - (mu0 * ctx.c_eq[0] + mu1 * ctx.c_eq[1])
-                        + ctx.offset;
-                    let psi_bar = (phi2 * psi).hsum_splat() * inv_s;
-                    two * pc * inv_s * (psi - psi_bar)
-                };
-
-                let vdf =
-                    V::splat(ctx.pref_grad) * (da - div) + V::splat(ctx.pref_obst) * obst + drive;
-                let mean = vdf.hsum_splat() * quarter;
-                let raw = pc - rate * (vdf - mean);
-                let out = crate::simplex::project_to_simplex(raw.to_array());
-                scatter_cell4(&mut pd, i, V::from_array(out));
+                x0 += n;
             }
         }
     }
@@ -388,9 +461,9 @@ fn face_flux_cells<V: SimdF64x4>(
     inv_dx: V,
 ) -> [V; N_PHASES] {
     let half = V::splat(0.5);
-    let pf: [V; N_PHASES] = core::array::from_fn(|a| (l[a] + r[a]) * half);
-    let gd: [V; N_PHASES] = core::array::from_fn(|a| (r[a] - l[a]) * inv_dx);
-    core::array::from_fn(|a| {
+    let pf: [V; N_PHASES] = per_phase!(|a| (l[a] + r[a]) * half);
+    let gd: [V; N_PHASES] = per_phase!(|a| (r[a] - l[a]) * inv_dx);
+    per_phase!(|a| {
         let mut s1 = V::zero();
         let mut s2 = V::zero();
         for b in 0..N_PHASES {
@@ -436,10 +509,11 @@ fn fourcell<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
     } else {
         None
     };
-    // black_box: see scalar_phi.rs.
-    let scalar_ctx = |z: usize| -> SliceCtx {
-        let gz = origin_z as f64 + z as f64 - g as f64;
-        SliceCtx::at(params, std::hint::black_box(params.temperature(gz, time)))
+    let recomputed = RecomputedSlices {
+        params,
+        origin_z,
+        ghost: g,
+        time,
     };
 
     let BlockState {
@@ -452,10 +526,6 @@ fn fourcell<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
     let ms = mu_src.comps();
     let pd = phi_dst.comps_mut();
 
-    let load4 = |off: isize, i: usize| -> [V; N_PHASES] {
-        core::array::from_fn(|a| V::load(ps[a], (i as isize + off) as usize))
-    };
-
     // Staggered face buffers, one entry per four-cell group (lanes = cells).
     let ngx = nx / 4;
     let mut zbuf = vec![[V::zero(); N_PHASES]; if STAG { ngx * ny } else { 0 }];
@@ -465,24 +535,25 @@ fn fourcell<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
         for y in 0..ny {
             for gx in 0..ngx {
                 let i = dims.idx(g + gx * 4, y + g, z0);
-                let pc = load4(0, i);
-                let zm = load4(-(sz as isize), i);
+                let pc = load_cells4::<V>(&ps, i);
+                let zm = load_cells4::<V>(&ps, i - sz);
                 zbuf[y * ngx + gx] = face_flux_cells(&params.gamma, &zm, &pc, inv_dx);
             }
         }
     }
 
+    let untabulated = recomputed.cell(g); // never read
     for z in z0..z1 {
-        let ctx = if TZ {
-            table.as_ref().unwrap().cell[z]
+        let ctx_z = if TZ {
+            &table.as_ref().unwrap().cell[z]
         } else {
-            scalar_ctx(z) // placeholder; recomputed per group below
+            &untabulated
         };
         if STAG {
             for gx in 0..ngx {
                 let i = dims.idx(g + gx * 4, g, z);
-                let pc = load4(0, i);
-                let ym = load4(-(sy as isize), i);
+                let pc = load_cells4::<V>(&ps, i);
+                let ym = load_cells4::<V>(&ps, i - sy);
                 ybuf[gx] = face_flux_cells(&params.gamma, &ym, &pc, inv_dx);
             }
         }
@@ -492,8 +563,8 @@ fn fourcell<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
             // first interior cell, read out of lane 0 of a lanewise flux.
             let mut carry = [0.0f64; N_PHASES];
             if STAG && ngx > 0 {
-                let pc = load4(0, row);
-                let xm = load4(-1, row);
+                let pc = load_cells4::<V>(&ps, row);
+                let xm = load_cells4::<V>(&ps, row - 1);
                 let f = face_flux_cells(&params.gamma, &xm, &pc, inv_dx);
                 for a in 0..N_PHASES {
                     carry[a] = f[a].extract(0);
@@ -504,14 +575,20 @@ fn fourcell<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
             // Vectorized groups of four cells.
             while x + 4 <= nx {
                 let i = row + x;
-                let ctx = if TZ { ctx } else { scalar_ctx(z) };
-                let pc = load4(0, i);
-                let xm = load4(-1, i);
-                let xp = load4(1, i);
-                let ym = load4(-(sy as isize), i);
-                let yp = load4(sy as isize, i);
-                let zm = load4(-(sz as isize), i);
-                let zp = load4(sz as isize, i);
+                let fresh;
+                let ctx = if TZ {
+                    ctx_z
+                } else {
+                    fresh = recomputed.cell(z);
+                    &fresh
+                };
+                let pc = load_cells4::<V>(&ps, i);
+                let xm = load_cells4::<V>(&ps, i - 1);
+                let xp = load_cells4::<V>(&ps, i + 1);
+                let ym = load_cells4::<V>(&ps, i - sy);
+                let yp = load_cells4::<V>(&ps, i + sy);
+                let zm = load_cells4::<V>(&ps, i - sz);
+                let zp = load_cells4::<V>(&ps, i + sz);
 
                 // Shortcut only if the condition holds for ALL four cells:
                 // some phase is pure (=1) in every lane with all neighbors
@@ -555,7 +632,7 @@ fn fourcell<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
                 // or the previous row/plane (y/z, verbatim).
                 let f_xh = face_flux_cells(&params.gamma, &pc, &xp, inv_dx);
                 let (f_xl, f_yl, f_zl) = if STAG {
-                    let xl: [V; N_PHASES] = core::array::from_fn(|a| shift_in(carry[a], f_xh[a]));
+                    let xl: [V; N_PHASES] = per_phase!(|a| shift_in(carry[a], f_xh[a]));
                     (xl, ybuf[gx_i], zbuf[(y - g) * ngx + gx_i])
                 } else {
                     (
@@ -575,14 +652,13 @@ fn fourcell<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
                 }
 
                 // Gradients per phase.
-                let gx: [V; N_PHASES] = core::array::from_fn(|a| (xp[a] - xm[a]) * inv_2dx);
-                let gy: [V; N_PHASES] = core::array::from_fn(|a| (yp[a] - ym[a]) * inv_2dx);
-                let gz: [V; N_PHASES] = core::array::from_fn(|a| (zp[a] - zm[a]) * inv_2dx);
+                let gx: [V; N_PHASES] = per_phase!(|a| (xp[a] - xm[a]) * inv_2dx);
+                let gy: [V; N_PHASES] = per_phase!(|a| (yp[a] - ym[a]) * inv_2dx);
+                let gz: [V; N_PHASES] = per_phase!(|a| (zp[a] - zm[a]) * inv_2dx);
 
                 // ∂a/∂φ_a = 2[φ_a Σ_b γ m_b − Σ_b γ φ_b (g_a·g_b)].
-                let m: [V; N_PHASES] = core::array::from_fn(|a| {
-                    gx[a].mul_add(gx[a], gy[a].mul_add(gy[a], gz[a] * gz[a]))
-                });
+                let m: [V; N_PHASES] =
+                    per_phase!(|a| gx[a].mul_add(gx[a], gy[a].mul_add(gy[a], gz[a] * gz[a])));
                 let mut da = [V::zero(); N_PHASES];
                 for a in 0..N_PHASES {
                     let mut s_norm = V::zero();
@@ -644,7 +720,7 @@ fn fourcell<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
                     mean += vdf[a];
                 }
                 mean *= V::splat(0.25);
-                let raw: [V; N_PHASES] = core::array::from_fn(|a| pc[a] - rate * (vdf[a] - mean));
+                let raw: [V; N_PHASES] = per_phase!(|a| pc[a] - rate * (vdf[a] - mean));
                 let out = project_simplex_lanes(raw);
                 for a in 0..N_PHASES {
                     out[a].store(pd[a], i);
@@ -657,10 +733,12 @@ fn fourcell<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
             // plumbing here).
             while x < nx {
                 let i = row + x;
+                let fresh;
                 let ctx = if TZ {
-                    table.as_ref().unwrap().cell[z]
+                    ctx_z
                 } else {
-                    scalar_ctx(z)
+                    fresh = recomputed.cell(z);
+                    &fresh
                 };
                 let pc = crate::kernels::get4(&ps, i);
                 let xm = crate::kernels::get4(&ps, i - 1);
@@ -681,7 +759,7 @@ fn fourcell<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
                 let mu = crate::kernels::get2(&ms, i);
                 let out = crate::model::phi_cell_update(
                     params,
-                    &ctx,
+                    ctx,
                     pc,
                     &grads,
                     &faces,

@@ -427,3 +427,294 @@ proptest::proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Adversarial shortcut states (PR 12): the vector-granularity bulk paths of
+// the cellwise φ-kernel and the four-cell µ-kernel, asserted **bitwise**
+// against `shortcuts = false` on both ISAs and every `tz`/`stag` combination.
+
+use eutectica_core::kernels::{mu_sweep_range, phi_sweep_range};
+use eutectica_core::LIQ;
+
+const PURE_LIQ: [f64; 4] = [0.0, 0.0, 0.0, 1.0];
+
+/// All-liquid block (ghosts included) with a rough µ field and φ_dst = φ_src,
+/// i.e. every aligned group takes the bulk paths.
+fn bulk_state(dims: GridDims, seed: u64) -> BlockState {
+    assert_eq!(LIQ, 3);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut s = BlockState::new(dims, [0, 0, 3]);
+    for z in 0..dims.tz() {
+        for y in 0..dims.ty() {
+            for x in 0..dims.tx() {
+                s.phi_src.set_cell(x, y, z, PURE_LIQ);
+                s.phi_dst.set_cell(x, y, z, PURE_LIQ);
+                s.mu_src.set_cell(
+                    x,
+                    y,
+                    z,
+                    [rng.random_range(-0.3..0.3), rng.random_range(-0.3..0.3)],
+                );
+            }
+        }
+    }
+    s
+}
+
+/// Replace the cells of a total-coordinate box by random interface cells
+/// (φ_dst a nudged copy, as after a φ-sweep).
+fn roughen(
+    s: &mut BlockState,
+    seed: u64,
+    xs: std::ops::Range<usize>,
+    ys: std::ops::Range<usize>,
+    zs: std::ops::Range<usize>,
+) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    for z in zs {
+        for y in ys.clone() {
+            for x in xs.clone() {
+                let raw: [f64; 4] = core::array::from_fn(|_| rng.random_range(0.0..1.0));
+                let phi = project_to_simplex(raw);
+                s.phi_src.set_cell(x, y, z, phi);
+                let nudged: [f64; 4] =
+                    core::array::from_fn(|a| phi[a] + rng.random_range(-0.02..0.02));
+                s.phi_dst.set_cell(x, y, z, project_to_simplex(nudged));
+            }
+        }
+    }
+}
+
+/// Set one cell of φ_src and φ_dst (total coordinates).
+fn set_phi(s: &mut BlockState, at: (usize, usize, usize), cell: [f64; 4]) {
+    s.phi_src.set_cell(at.0, at.1, at.2, cell);
+    s.phi_dst.set_cell(at.0, at.1, at.2, cell);
+}
+
+/// The ISAs selectable on this host/build.
+fn isas() -> Vec<SimdIsa> {
+    let mut v = vec![SimdIsa::Portable];
+    if eutectica_simd::avx2_available() {
+        v.push(SimdIsa::Avx2);
+    }
+    v
+}
+
+/// First interior cell whose φ_dst / µ_dst bits differ, if any. Cells in
+/// `by_value` compare with `==` instead (±0 are equal).
+fn first_bit_diff(
+    a: &BlockState,
+    b: &BlockState,
+    by_value: &[(usize, usize, usize)],
+) -> Option<String> {
+    for (x, y, z) in a.dims.interior_iter() {
+        let same = |p: f64, q: f64| {
+            if by_value.contains(&(x, y, z)) {
+                p == q
+            } else {
+                p.to_bits() == q.to_bits()
+            }
+        };
+        for c in 0..4 {
+            let (p, q) = (a.phi_dst.at(c, x, y, z), b.phi_dst.at(c, x, y, z));
+            if !same(p, q) {
+                return Some(format!("phi[{c}]@({x},{y},{z}): {p:e} vs {q:e}"));
+            }
+        }
+        for c in 0..2 {
+            let (p, q) = (a.mu_dst.at(c, x, y, z), b.mu_dst.at(c, x, y, z));
+            if !same(p, q) {
+                return Some(format!("mu[{c}]@({x},{y},{z}): {p:e} vs {q:e}"));
+            }
+        }
+    }
+    None
+}
+
+/// Run φ cellwise and µ four-cell (all three parts) with and without
+/// shortcuts on every ISA × tz × stag and require identical bits.
+fn assert_shortcuts_bit_exact(
+    name: &str,
+    base: &BlockState,
+    phi_by_value: &[(usize, usize, usize)],
+) {
+    let params = ModelParams::ag_al_cu();
+    for isa in isas() {
+        for tz in [false, true] {
+            for stag in [false, true] {
+                let run = |sc: bool, part: Option<MuPart>| {
+                    let mut c = cfg(
+                        PhiVariant::SimdCellwise,
+                        MuVariant::SimdFourCell,
+                        tz,
+                        stag,
+                        sc,
+                    );
+                    c.isa = isa;
+                    let mut s = base.clone();
+                    match part {
+                        None => phi_sweep(&params, &mut s, 0.7, c),
+                        Some(MuPart::NeighborOnly) => {
+                            // Accumulates onto the local part's output.
+                            mu_sweep(&params, &mut s, 0.7, c, MuPart::LocalOnly);
+                            mu_sweep(&params, &mut s, 0.7, c, MuPart::NeighborOnly);
+                        }
+                        Some(part) => mu_sweep(&params, &mut s, 0.7, c, part),
+                    }
+                    s
+                };
+                let what = format!("{name}: {isa:?} tz={tz} stag={stag}");
+                if let Some(d) = first_bit_diff(&run(false, None), &run(true, None), phi_by_value) {
+                    panic!("{what}: φ cellwise shortcuts not bit-exact: {d}");
+                }
+                for part in [MuPart::Full, MuPart::LocalOnly, MuPart::NeighborOnly] {
+                    let (plain, short) = (run(false, Some(part)), run(true, Some(part)));
+                    if let Some(d) = first_bit_diff(&plain, &short, &[]) {
+                        panic!("{what}: µ four-cell {part:?} shortcuts not bit-exact: {d}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn almost_pure_neighbours_do_not_take_the_bulk_paths() {
+    let dims = GridDims::new(12, 6, 6, 1);
+    let below_one = f64::from_bits(1.0f64.to_bits() - 1);
+    // The poisoned neighbour sits inside a group (x = 6, interior 5) and, in
+    // a second case, just across a group boundary (x = 9, interior 8) of the
+    // pure cells next to it, in x, y and z.
+    for at in [(6, 3, 3), (9, 3, 3), (5, 4, 3), (5, 3, 4)] {
+        for (label, cell) in [
+            ("min-positive", [f64::MIN_POSITIVE, 0.0, 0.0, 1.0]),
+            ("1e-17", [1e-17, 0.0, 0.0, 1.0]),
+            ("ulp-below-one", [0.0, 0.0, 0.0, below_one]),
+            // φ_ℓ = 1 exactly, but off the simplex: large enough to move µ.
+            ("off-simplex", [1e-3, 0.0, 0.0, 1.0]),
+        ] {
+            let mut s = bulk_state(dims, 31);
+            set_phi(&mut s, at, cell);
+            assert_shortcuts_bit_exact(&format!("{label}@{at:?}"), &s, &[]);
+        }
+        // −0.0 *is* equal to 0.0, so the cell and its neighbours are bulk.
+        // The φ shortcut (per cell, before and after this change) copies the
+        // −0.0 through where the full update re-projects it to +0.0: that
+        // one cell compares by value, everything else by bits.
+        let mut s = bulk_state(dims, 31);
+        set_phi(&mut s, at, [-0.0, 0.0, 0.0, 1.0]);
+        assert_shortcuts_bit_exact(&format!("negative-zero@{at:?}"), &s, &[at]);
+    }
+}
+
+#[test]
+fn bulk_runs_ending_anywhere_in_a_group_are_bit_exact() {
+    // (nx, rough x-ranges [start, end) in interior coordinates)
+    let layouts: [(usize, &[(usize, usize)]); 8] = [
+        (12, &[(0, 2), (10, 12)]), // bulk run starts and ends mid-group
+        (12, &[(4, 12)]),          // bulk only in the first group (x = 0)
+        (12, &[(0, 8)]),           // bulk only in the last group (x = nx − 4)
+        (12, &[(5, 6)]),           // one interface cell splits the row
+        (4, &[]),                  // a single group
+        (6, &[]),                  // group + scalar remainder
+        (10, &[(8, 9)]),           // two groups + remainder with an interface cell
+        (10, &[(3, 5)]),
+    ];
+    for (nx, rough) in layouts {
+        let dims = GridDims::new(nx, 5, 5, 1);
+        let mut s = bulk_state(dims, 32);
+        for (k, r) in rough.iter().enumerate() {
+            // Interface columns through the whole block, ghosts included.
+            roughen(
+                &mut s,
+                50 + k as u64,
+                r.0 + 1..r.1 + 1,
+                0..dims.ty(),
+                0..dims.tz(),
+            );
+        }
+        assert_shortcuts_bit_exact(&format!("nx={nx} rough={rough:?}"), &s, &[]);
+        // The same with the interface confined to one row, so bulk groups
+        // sit above, below and beside it.
+        let mut s = bulk_state(dims, 33);
+        for (k, r) in rough.iter().enumerate() {
+            roughen(&mut s, 60 + k as u64, r.0 + 1..r.1 + 1, 3..4, 3..4);
+        }
+        assert_shortcuts_bit_exact(&format!("nx={nx} rough-row={rough:?}"), &s, &[]);
+    }
+}
+
+#[test]
+fn impure_tangential_neighbour_of_a_pure_face_is_bit_exact() {
+    // Group x = 4..8 (interior 4..7 → total 5..8) at y = z = 3: all six
+    // direct neighbour groups stay pure, but the cells diagonally across its
+    // x- and y-faces — tangential neighbours of those faces' J_at gradients
+    // — are interface cells.
+    let dims = GridDims::new(12, 6, 6, 1);
+    for diag in [(9, 4, 3), (4, 4, 3), (9, 3, 4), (6, 4, 4)] {
+        let mut s = bulk_state(dims, 34);
+        roughen(
+            &mut s,
+            70,
+            diag.0..diag.0 + 1,
+            diag.1..diag.1 + 1,
+            diag.2..diag.2 + 1,
+        );
+        assert_shortcuts_bit_exact(&format!("diagonal@{diag:?}"), &s, &[]);
+    }
+}
+
+#[test]
+fn changed_phi_on_a_bulk_group_is_bit_exact() {
+    let dims = GridDims::new(12, 6, 6, 1);
+    let mut s = bulk_state(dims, 35);
+    // φ_dst ≠ φ_src in one lane of an otherwise single-phase group: the
+    // phase-change source is live although every face is pure.
+    s.phi_dst.set_cell(6, 3, 3, [0.02, 0.0, 0.0, 0.98]);
+    s.phi_dst.set_cell(9, 4, 2, [0.0, 0.5, 0.0, 0.5]);
+    assert_shortcuts_bit_exact("phi_dst != phi_src", &s, &[]);
+}
+
+#[test]
+fn slab_cuts_through_a_bulk_run_reproduce_the_full_sweep() {
+    let params = ModelParams::ag_al_cu();
+    let dims = GridDims::new(10, 6, 9, 1);
+    let mut base = bulk_state(dims, 36);
+    // An interface sheet in the middle: bulk runs above and below are cut
+    // by the slab boundaries, and one boundary lands inside the sheet.
+    roughen(&mut base, 80, 0..dims.tx(), 0..dims.ty(), 4..6);
+    roughen(&mut base, 81, 3..5, 2..4, 7..8);
+    let (z0, z1) = dims.interior_z_range();
+    for isa in isas() {
+        for tz in [false, true] {
+            for stag in [false, true] {
+                let mut c = cfg(
+                    PhiVariant::SimdCellwise,
+                    MuVariant::SimdFourCell,
+                    tz,
+                    stag,
+                    true,
+                );
+                c.isa = isa;
+                let mut full = base.clone();
+                phi_sweep(&params, &mut full, 0.4, c);
+                mu_sweep(&params, &mut full, 0.4, c, MuPart::Full);
+                for threads in [2usize, 7] {
+                    let mut slabbed = base.clone();
+                    let cut = |t: usize| z0 + (z1 - z0) * t / threads;
+                    for t in 0..threads {
+                        phi_sweep_range(&params, &mut slabbed, 0.4, c, cut(t), cut(t + 1));
+                    }
+                    // Reverse order: slabs are independent.
+                    for t in (0..threads).rev() {
+                        let (a, b) = (cut(t), cut(t + 1));
+                        mu_sweep_range(&params, &mut slabbed, 0.4, c, MuPart::Full, a, b);
+                    }
+                    if let Some(d) = first_bit_diff(&full, &slabbed, &[]) {
+                        panic!("{isa:?} tz={tz} stag={stag} threads={threads}: {d}");
+                    }
+                }
+            }
+        }
+    }
+}

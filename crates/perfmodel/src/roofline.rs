@@ -9,7 +9,7 @@
 //! 80 GiB/s : 680 B/LUP = 126.3 MLUP/s."
 
 use eutectica_core::metrics::FlopCount;
-use eutectica_simd::F64x4;
+use eutectica_simd::SimdF64x4;
 use std::time::Instant;
 
 /// Measured machine characteristics.
@@ -45,11 +45,36 @@ pub fn measure_stream_bandwidth() -> f64 {
 
 /// Peak-FLOP probe: eight independent FMA chains on 4-wide vectors.
 /// Returns FLOP/s (each FMA counts as 2 FLOPs × 4 lanes).
+///
+/// Dispatched at runtime exactly like the kernels it is compared with
+/// (`eutectica_core::kernels`): the AVX2+FMA instantiation inside a
+/// `#[target_feature]` wrapper when the host has it, the portable one
+/// otherwise. The compile-time `eutectica_simd::F64x4` alias would be the
+/// scalar backend in a default build — a libm `fma` call per lane, some
+/// 40x below what the dispatched kernels actually run on.
 pub fn measure_peak_flops() -> f64 {
+    #[cfg(target_arch = "x86_64")]
+    if eutectica_simd::avx2_available() {
+        // SAFETY: `avx2_available()` verified AVX2+FMA at runtime.
+        return unsafe { fma_chains_avx2() };
+    }
+    fma_chains::<eutectica_simd::scalar::F64x4>()
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+fn fma_chains_avx2() -> f64 {
+    fma_chains::<eutectica_simd::avx2::F64x4>()
+}
+
+/// `#[inline(always)]` so the chains are code-generated inside the
+/// `#[target_feature]` wrapper (see `eutectica_core::kernels::simd_common`).
+#[inline(always)]
+fn fma_chains<V: SimdF64x4>() -> f64 {
     let iters: u64 = 4_000_000;
-    let mut acc = [F64x4::splat(0.0); 8];
-    let x = F64x4::splat(1.000000001);
-    let y = F64x4::splat(1e-9);
+    let mut acc = [V::splat(0.0); 8];
+    let x = V::splat(1.000000001);
+    let y = V::splat(1e-9);
     let mut best = f64::INFINITY;
     for _ in 0..3 {
         let t = Instant::now();
@@ -145,6 +170,11 @@ mod tests {
         assert!(bw > 1e9, "bandwidth {bw} implausibly low");
         let pf = measure_peak_flops();
         assert!(pf > 1e9, "peak {pf} implausibly low");
+        // The probe is dispatched like the kernels: on an AVX2+FMA host it
+        // must not read the scalar backend's libm-`fma` rate (< 1 GFLOP/s).
+        if eutectica_simd::avx2_available() {
+            assert!(pf > 5e9, "peak {pf} is not an AVX2 FMA rate");
+        }
         assert!(pf / bw > 0.05);
     }
 }

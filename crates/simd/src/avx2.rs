@@ -219,6 +219,12 @@ impl F64x4 {
         Mask4(unsafe { _mm256_cmp_pd::<_CMP_LE_OQ>(self.0, o.0) })
     }
 
+    /// Lanewise `self == o` (`vcmppd` EQ_OQ).
+    #[inline(always)]
+    pub fn eq(self, o: Self) -> Mask4 {
+        Mask4(unsafe { _mm256_cmp_pd::<_CMP_EQ_OQ>(self.0, o.0) })
+    }
+
     /// Lanewise `self > o`.
     #[inline(always)]
     pub fn gt(self, o: Self) -> Mask4 {
@@ -440,6 +446,8 @@ mod tests {
             let (sa, sb) = (S::from_array(a), S::from_array(b));
             assert_eq!(va.lt(vb).bitmask(), sa.lt(sb).bitmask());
             assert_eq!(va.le(vb).bitmask(), sa.le(sb).bitmask());
+            assert_eq!(va.eq(vb).bitmask(), sa.eq(sb).bitmask());
+            assert_eq!(va.eq(va).bitmask(), sa.eq(sa).bitmask());
             assert_eq!(va.gt(vb).bitmask(), sa.gt(sb).bitmask());
             assert_eq!(va.ge(vb).bitmask(), sa.ge(sb).bitmask());
             let m = va.lt(vb);

@@ -196,6 +196,17 @@ impl F64x4 {
         ])
     }
 
+    /// Lanewise `self == o` (IEEE: `-0.0 == 0.0`, NaN equals nothing).
+    #[inline(always)]
+    pub fn eq(self, o: Self) -> Mask4 {
+        Mask4([
+            self.0[0] == o.0[0],
+            self.0[1] == o.0[1],
+            self.0[2] == o.0[2],
+            self.0[3] == o.0[3],
+        ])
+    }
+
     /// Lanewise `self > o`.
     #[inline(always)]
     pub fn gt(self, o: Self) -> Mask4 {

@@ -106,6 +106,8 @@ pub trait SimdF64x4:
     fn lt(self, o: Self) -> Self::Mask;
     /// Lanewise `self <= o`.
     fn le(self, o: Self) -> Self::Mask;
+    /// Lanewise `self == o`.
+    fn eq(self, o: Self) -> Self::Mask;
     /// Lanewise `self > o`.
     fn gt(self, o: Self) -> Self::Mask;
     /// Lanewise `self >= o`.
@@ -240,6 +242,10 @@ macro_rules! forward_simd_impl {
             #[inline(always)]
             fn le(self, o: Self) -> Self::Mask {
                 <$vec>::le(self, o)
+            }
+            #[inline(always)]
+            fn eq(self, o: Self) -> Self::Mask {
+                <$vec>::eq(self, o)
             }
             #[inline(always)]
             fn gt(self, o: Self) -> Self::Mask {

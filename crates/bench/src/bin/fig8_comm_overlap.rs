@@ -18,14 +18,16 @@ use eutectica_core::timeloop::{run_distributed_threaded, OverlapOptions};
 use eutectica_perfmodel::machines::supermuc;
 use eutectica_perfmodel::network::message_time;
 
+/// What a block's six remote faces cost outside the wire: each packed from
+/// the field into its wire buffer and unpacked from it into the ghosts.
 fn pack_unpack_time<const NC: usize>(dims: GridDims) -> f64 {
     let field = SoaField::<NC>::new(dims, [0.5; NC]);
     let mut target = field.clone();
-    let mut buf = Vec::new();
     time_median(9, || {
         for face in Face::ALL {
-            ghost::pack(&field, face, &mut buf);
-            ghost::unpack(&mut target, face.opposite(), &buf);
+            let wire = ghost::pack_region_bytes(&field, ghost::send_region(dims, face));
+            let ghosts = ghost::recv_region(dims, face.opposite());
+            ghost::unpack_region_bytes(&mut target, ghosts, &wire);
         }
     })
 }

@@ -148,37 +148,165 @@ pub fn recv_region_plain(dims: GridDims, face: Face) -> Region {
     r
 }
 
-/// Pack an arbitrary region (component-major, then z, y, x).
-pub fn pack_region<const NC: usize>(field: &SoaField<NC>, r: Region, buf: &mut Vec<f64>) {
-    let dims = field.dims();
-    buf.clear();
-    buf.reserve(r.volume() * NC);
-    for c in 0..NC {
-        let comp = field.comp(c);
-        for z in r.range[2][0]..r.range[2][1] {
-            for y in r.range[1][0]..r.range[1][1] {
-                let row = dims.idx(r.range[0][0], y, z);
-                buf.extend_from_slice(&comp[row..row + (r.range[0][1] - r.range[0][0])]);
+/// Calls `f(src_offset, dst_offset)` for every x-row of two equally shaped
+/// regions, in wire order (component-major, then z, then y). Offsets index
+/// the fields' raw storage and address the first cell of the row.
+#[inline(always)]
+fn for_each_row(
+    nc: usize,
+    (sd, sr): (GridDims, Region),
+    (dd, dr): (GridDims, Region),
+    mut f: impl FnMut(usize, usize),
+) {
+    let ext = |r: Region| [0, 1, 2].map(|a| r.range[a][1] - r.range[a][0]);
+    assert_eq!(ext(sr), ext(dr), "ghost regions differ in shape");
+    assert!(
+        sr.range[0][1] <= sd.tx() && sr.range[1][1] <= sd.ty() && sr.range[2][1] <= sd.tz(),
+        "ghost region outside the source field"
+    );
+    assert!(
+        dr.range[0][1] <= dd.tx() && dr.range[1][1] <= dd.ty() && dr.range[2][1] <= dd.tz(),
+        "ghost region outside the destination field"
+    );
+    let [_, ny, nz] = ext(sr);
+    for c in 0..nc {
+        let (sc, dc) = (c * sd.volume(), c * dd.volume());
+        for z in 0..nz {
+            let s = sc + sd.idx(sr.range[0][0], sr.range[1][0], sr.range[2][0] + z);
+            let d = dc + dd.idx(dr.range[0][0], dr.range[1][0], dr.range[2][0] + z);
+            for y in 0..ny {
+                f(s + y * sd.sy(), d + y * dd.sy());
             }
         }
     }
 }
 
+/// [`for_each_row`] over one region: `f(offset)` per x-row.
+#[inline(always)]
+fn for_each_row_of(nc: usize, dims: GridDims, r: Region, mut f: impl FnMut(usize)) {
+    for_each_row(nc, (dims, r), (dims, r), |i, _| f(i));
+}
+
+/// Cells per x-row of `r`. Rows of one cell (x-faces at ghost width 1) are
+/// copied by a strided scalar loop instead of one slice copy per cell.
+fn row_len(r: Region) -> usize {
+    r.range[0][1] - r.range[0][0]
+}
+
+/// Copy `src_r` of `src` into the equally shaped `dst_r` of `dst` — a
+/// same-process face transfer with no staging buffer. Equivalent to
+/// [`pack_region`] on `src` followed by [`unpack_region`] on `dst`.
+///
+/// # Panics
+/// Panics if the regions differ in shape or leave their fields.
+pub fn copy_region<const NC: usize>(
+    src: &SoaField<NC>,
+    src_r: Region,
+    dst: &mut SoaField<NC>,
+    dst_r: Region,
+) {
+    let (from, to) = ((src.dims(), src_r), (dst.dims(), dst_r));
+    let (s, d) = (src.raw(), dst.raw_mut());
+    match row_len(src_r) {
+        1 => for_each_row(NC, from, to, |i, j| d[j] = s[i]),
+        n => for_each_row(NC, from, to, |i, j| {
+            d[j..j + n].copy_from_slice(&s[i..i + n])
+        }),
+    }
+}
+
+/// [`copy_region`] inside one field: a block that is its own periodic
+/// neighbor.
+///
+/// # Panics
+/// Panics like [`copy_region`], and if the regions overlap (a send region
+/// and a receive region never do).
+pub fn copy_region_within<const NC: usize>(field: &mut SoaField<NC>, src_r: Region, dst_r: Region) {
+    assert!(
+        (0..3).any(|a| {
+            src_r.range[a][1] <= dst_r.range[a][0] || dst_r.range[a][1] <= src_r.range[a][0]
+        }),
+        "in-field ghost copy between overlapping regions"
+    );
+    let (from, to) = ((field.dims(), src_r), (field.dims(), dst_r));
+    let d = field.raw_mut();
+    match row_len(src_r) {
+        1 => for_each_row(NC, from, to, |i, j| d[j] = d[i]),
+        n => for_each_row(NC, from, to, |i, j| d.copy_within(i..i + n, j)),
+    }
+}
+
+/// Pack an arbitrary region (component-major, then z, y, x).
+pub fn pack_region<const NC: usize>(field: &SoaField<NC>, r: Region, buf: &mut Vec<f64>) {
+    let s = field.raw();
+    buf.clear();
+    buf.reserve(r.volume() * NC);
+    match row_len(r) {
+        1 => for_each_row_of(NC, field.dims(), r, |i| buf.push(s[i])),
+        n => for_each_row_of(NC, field.dims(), r, |i| buf.extend_from_slice(&s[i..i + n])),
+    }
+}
+
 /// Unpack into an arbitrary region (inverse of [`pack_region`]).
 pub fn unpack_region<const NC: usize>(field: &mut SoaField<NC>, r: Region, data: &[f64]) {
-    let dims = field.dims();
     assert_eq!(data.len(), r.volume() * NC, "ghost message length mismatch");
-    let row_len = r.range[0][1] - r.range[0][0];
+    let dims = field.dims();
+    let d = field.raw_mut();
     let mut pos = 0;
-    for c in 0..NC {
-        let comp = field.comp_mut(c);
-        for z in r.range[2][0]..r.range[2][1] {
-            for y in r.range[1][0]..r.range[1][1] {
-                let row = dims.idx(r.range[0][0], y, z);
-                comp[row..row + row_len].copy_from_slice(&data[pos..pos + row_len]);
-                pos += row_len;
+    match row_len(r) {
+        1 => for_each_row_of(NC, dims, r, |i| {
+            d[i] = data[pos];
+            pos += 1;
+        }),
+        n => for_each_row_of(NC, dims, r, |i| {
+            d[i..i + n].copy_from_slice(&data[pos..pos + n]);
+            pos += n;
+        }),
+    }
+}
+
+/// Pack a region straight into its wire form: the little-endian bytes of
+/// the doubles [`pack_region`] would produce, in one pass and one
+/// allocation.
+pub fn pack_region_bytes<const NC: usize>(field: &SoaField<NC>, r: Region) -> Vec<u8> {
+    let s = field.raw();
+    let mut out: Vec<[u8; 8]> = Vec::with_capacity(r.volume() * NC);
+    match row_len(r) {
+        1 => for_each_row_of(NC, field.dims(), r, |i| out.push(s[i].to_le_bytes())),
+        n => for_each_row_of(NC, field.dims(), r, |i| {
+            out.extend(s[i..i + n].iter().map(|v| v.to_le_bytes()))
+        }),
+    }
+    out.into_flattened()
+}
+
+/// Unpack a wire payload produced by [`pack_region_bytes`] into a region,
+/// in one pass and without staging.
+///
+/// # Panics
+/// Panics if `bytes` has the wrong length.
+pub fn unpack_region_bytes<const NC: usize>(field: &mut SoaField<NC>, r: Region, bytes: &[u8]) {
+    assert_eq!(
+        bytes.len(),
+        r.volume() * NC * std::mem::size_of::<f64>(),
+        "ghost message length mismatch"
+    );
+    let dims = field.dims();
+    let d = field.raw_mut();
+    let le = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("8-byte chunk"));
+    let mut pos = 0;
+    match row_len(r) {
+        1 => for_each_row_of(NC, dims, r, |i| {
+            d[i] = le(&bytes[pos..pos + 8]);
+            pos += 8;
+        }),
+        n => for_each_row_of(NC, dims, r, |i| {
+            let row = bytes[pos..pos + 8 * n].chunks_exact(8);
+            for (cell, b) in d[i..i + n].iter_mut().zip(row) {
+                *cell = le(b);
             }
-        }
+            pos += 8 * n;
+        }),
     }
 }
 
@@ -200,18 +328,15 @@ pub fn unpack<const NC: usize>(field: &mut SoaField<NC>, face: Face, data: &[f64
     unpack_region(field, recv_region(field.dims(), face), data);
 }
 
-/// Perform a local periodic exchange on one axis of a single field by
-/// packing each face and unpacking it at the opposite face — exactly what a
-/// pair of neighboring blocks does through the communicator, but in-place.
-/// Used by tests and by single-block periodic domains.
+/// Perform a local periodic exchange on one axis of a single field:
+/// each face's send region is copied into the ghost layers of the opposite
+/// face — exactly what a pair of neighboring blocks does through the
+/// communicator, but in-place. Used by tests and by single-block periodic
+/// domains.
 pub fn local_periodic_exchange<const NC: usize>(field: &mut SoaField<NC>, axis: usize) {
-    let faces = [Face::ALL[2 * axis], Face::ALL[2 * axis + 1]];
-    let mut buf = Vec::new();
-    for f in faces {
-        pack(field, f, &mut buf);
-        let data = core::mem::take(&mut buf);
-        unpack(field, f.opposite(), &data);
-        buf = data;
+    let dims = field.dims();
+    for f in [Face::ALL[2 * axis], Face::ALL[2 * axis + 1]] {
+        copy_region_within(field, send_region(dims, f), recv_region(dims, f.opposite()));
     }
 }
 

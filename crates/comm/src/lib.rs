@@ -1991,17 +1991,6 @@ pub fn bytes_to_f64s(b: &Bytes) -> Vec<f64> {
         .collect()
 }
 
-/// Deserialize a byte payload into an existing buffer (allocation-free path
-/// used by the ghost-layer exchange every timestep).
-pub fn bytes_to_f64s_into(b: &Bytes, out: &mut Vec<f64>) {
-    assert!(b.len() % 8 == 0, "payload not f64-aligned");
-    out.clear();
-    out.extend(
-        b.chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap())),
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2272,9 +2261,6 @@ mod tests {
         let vals = vec![0.0, -1.5, f64::MAX, f64::MIN_POSITIVE, std::f64::consts::PI];
         let b = f64s_to_bytes(&vals);
         assert_eq!(bytes_to_f64s(&b), vals);
-        let mut out = Vec::new();
-        bytes_to_f64s_into(&b, &mut out);
-        assert_eq!(out, vals);
     }
 
     // ----- fault tolerance -----

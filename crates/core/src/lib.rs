@@ -54,6 +54,7 @@
 #![allow(clippy::needless_range_loop)]
 #![deny(missing_docs)]
 
+mod exchange;
 pub mod health;
 pub mod init;
 pub mod kernels;

@@ -3,7 +3,8 @@
 //! Each rank owns a contiguous set of blocks from the static decomposition.
 //! Every time step runs the φ- and µ-sweeps on all local blocks with ghost
 //! layers exchanged through `eutectica-comm` (local block pairs copy
-//! directly; remote pairs send serialized face messages).
+//! directly; remote pairs send serialized face messages), following the
+//! rank's precomputed exchange plan (`exchange.rs`).
 //!
 //! The four communication-hiding combinations of Fig. 8 are supported via
 //! [`OverlapOptions`]:
@@ -26,17 +27,16 @@ use eutectica_blockgrid::balance::imbalance;
 use eutectica_blockgrid::boundary::{Bc, BoundarySpec};
 use eutectica_blockgrid::codec::DEFAULT_FIELD_BYTE_BUDGET;
 use eutectica_blockgrid::decomp::Decomposition;
-use eutectica_blockgrid::ghost;
 use eutectica_blockgrid::rebalance::{
     blend_weights, plan_rebalance, CostEntry, CostModel, RebalancePolicy,
 };
 use eutectica_blockgrid::Face;
 use eutectica_comm::{
-    bytes_to_f64s_into, f64s_to_bytes, user_tag, CommStats, FaultPhase, Rank, RecvRequest,
-    TagStats, COLLECTIVE_TAG, MEMBERSHIP_TAG,
+    user_tag, CommStats, FaultPhase, Rank, TagStats, COLLECTIVE_TAG, MEMBERSHIP_TAG,
 };
 use eutectica_telemetry::{StepRecord, Telemetry};
 
+use crate::exchange::{ExchangePlan, FieldSel, Phase};
 use crate::health::{self, HealthMonitor, HealthReport, ScanStats};
 use crate::kernels::backend::{self as kernel_backend, AutotunePolicy, AutotuneStats, Autotuner};
 use crate::kernels::{KernelConfig, MuPart};
@@ -109,26 +109,6 @@ impl StepTimings {
             bc: self.bc.saturating_sub(base.bc),
             ghost_refresh: self.ghost_refresh.saturating_sub(base.ghost_refresh),
             steps: self.steps.saturating_sub(base.steps),
-        }
-    }
-}
-
-/// Which field a ghost exchange operates on.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-enum FieldSel {
-    PhiSrc,
-    PhiDst,
-    MuSrc,
-    MuDst,
-}
-
-impl FieldSel {
-    fn code(self) -> u32 {
-        match self {
-            FieldSel::PhiSrc => 0,
-            FieldSel::PhiDst => 1,
-            FieldSel::MuSrc => 2,
-            FieldSel::MuDst => 3,
         }
     }
 }
@@ -224,12 +204,12 @@ struct AutotuneState {
     acc: Vec<f64>,
 }
 
-/// A posted nonblocking exchange awaiting completion.
+/// A posted exchange phase awaiting completion. Same-rank transfers are
+/// applied at post time and receives are matched by (peer, tag) from the
+/// plan at completion, so nothing else is kept.
 struct Pending {
-    /// (local block index, face to unpack at, request, plain or sequenced).
-    recvs: Vec<(usize, Face, RecvRequest, bool)>,
-    /// Same-rank transfers applied immediately at post time keep no state.
     field: FieldSel,
+    phase: Phase,
 }
 
 /// One rank's share of a distributed simulation.
@@ -250,7 +230,6 @@ pub struct DistributedSim<'r> {
     step: usize,
     /// Accumulated timings (derived from the telemetry timing tree).
     pub timings: StepTimings,
-    scratch: Vec<f64>,
     window: Option<f64>,
     window_shifts: usize,
     telemetry: Telemetry,
@@ -271,6 +250,9 @@ pub struct DistributedSim<'r> {
     /// Current block→rank placement, identical on every rank. Starts as the
     /// static decomposition mapping; migrations rewrite it collectively.
     placement: Vec<usize>,
+    /// Ghost transfers of this rank under `placement`; rebuilt wherever
+    /// `placement` or `local_ids` change.
+    exchange: ExchangePlan,
     /// Dynamic load rebalancing (cost model + migration), when attached.
     rebalance: Option<RebalanceState>,
     /// Per-block kernel-variant autotuning, when attached.
@@ -302,9 +284,10 @@ impl<'r> DistributedSim<'r> {
             .iter()
             .map(|b| (b.dims.nx * b.dims.ny * b.dims.nz) as u64)
             .sum();
-        let placement = (0..decomp.blocks().len())
+        let placement: Vec<usize> = (0..decomp.blocks().len())
             .map(|id| decomp.rank_of(id, n_ranks))
             .collect();
+        let exchange = ExchangePlan::build(&decomp, &placement, &local_ids, &blocks, rank.rank());
         let sim = Self {
             params,
             cfg,
@@ -318,7 +301,6 @@ impl<'r> DistributedSim<'r> {
             time: 0.0,
             step: 0,
             timings: StepTimings::default(),
-            scratch: Vec::new(),
             window: None,
             window_shifts: 0,
             timings_base: StepTimings::default(),
@@ -330,6 +312,7 @@ impl<'r> DistributedSim<'r> {
             pool: SweepPool::new(1),
             health: None,
             placement,
+            exchange,
             rebalance: None,
             autotune: None,
         };
@@ -760,7 +743,7 @@ impl<'r> DistributedSim<'r> {
         // --- φ-sweep, optionally hiding the µ_src exchange behind it.
         let mu_pending = if ov.hide_mu {
             let _g = self.telemetry.span_cat("mu_comm", "comm");
-            Some(self.post_plain(FieldSel::MuSrc))
+            Some(self.post(FieldSel::MuSrc, Phase::Plain))
         } else {
             None
         };
@@ -787,7 +770,7 @@ impl<'r> DistributedSim<'r> {
             // end of the previous step depend only on interior cells the
             // exchange never touches.
             let _g = self.telemetry.span_cat("mu_comm", "comm");
-            self.finish_plain(p);
+            self.finish(p);
         }
 
         // --- φ_dst exchange then boundary handling (the BC fill reads
@@ -798,7 +781,7 @@ impl<'r> DistributedSim<'r> {
             // the dependent y/z phases synchronously.
             let p = {
                 let _g = self.telemetry.span_cat("phi_comm", "comm");
-                self.post_axis(FieldSel::PhiDst, 0)
+                self.post(FieldSel::PhiDst, Phase::Axis(0))
             };
 
             {
@@ -820,7 +803,7 @@ impl<'r> DistributedSim<'r> {
 
             {
                 let _g = self.telemetry.span_cat("phi_comm", "comm");
-                self.finish_plain(p);
+                self.finish(p);
                 self.exchange_axis(FieldSel::PhiDst, 1);
                 self.exchange_axis(FieldSel::PhiDst, 2);
             }
@@ -1152,8 +1135,9 @@ impl<'r> DistributedSim<'r> {
         self.rank.fault_phase(FaultPhase::Migration);
         let my = self.rank.rank();
         let nb = new_placement.len();
-        // Ghost tags occupy [0, 4·6·nb); migration tags sit just above.
-        let mig_tag = |id: usize| 4 * 6 * nb as u32 + id as u32;
+        // Migration tags sit just above the ghost-exchange tag space.
+        let first_mig_tag = self.exchange.tag_space();
+        let mig_tag = |id: usize| first_mig_tag + id as u32;
         let old = std::mem::replace(&mut self.placement, new_placement);
         let mut departing = Vec::new();
         for li in 0..self.local_ids.len() {
@@ -1236,6 +1220,7 @@ impl<'r> DistributedSim<'r> {
         if let Some(at) = self.autotune.as_mut() {
             at.acc = vec![0.0; self.local_ids.len()];
         }
+        self.rebuild_exchange_plan();
         self.telemetry.counter_add("rebalance/migrations", 1);
         // Fence the migration epoch: no ghost message of the next step can
         // race a straggling migration payload, and migration tags can be
@@ -1279,6 +1264,7 @@ impl<'r> DistributedSim<'r> {
             .iter()
             .map(|b| (b.dims.nx * b.dims.ny * b.dims.nz) as u64)
             .sum();
+        self.rebuild_exchange_plan();
         if let Some(rb) = &mut self.rebalance {
             rb.acc = vec![0.0; self.local_ids.len()];
             rb.acc_steps = 0;
@@ -1296,6 +1282,17 @@ impl<'r> DistributedSim<'r> {
                     .track(id, kernel_backend::dominant_region_class(&counts), cells);
             }
         }
+    }
+
+    /// Re-plan the ghost exchange after `placement` / `local_ids` changed.
+    fn rebuild_exchange_plan(&mut self) {
+        self.exchange = ExchangePlan::build(
+            &self.decomp,
+            &self.placement,
+            &self.local_ids,
+            &self.blocks,
+            self.rank.rank(),
+        );
     }
 
     /// Fold the telemetry tree back into the legacy [`StepTimings`] view,
@@ -1446,15 +1443,9 @@ impl<'r> DistributedSim<'r> {
         }
         // Wire tags carry the membership-epoch stamp in their high bits;
         // strip it to recover the application tag.
-        let tag = user_tag(tag);
-        let nb = self.decomp.blocks().len() as u32;
-        match tag / (nb * 6) {
-            0 => Some("phi_src"),
-            1 => Some("phi_dst"),
-            2 => Some("mu_src"),
-            3 => Some("mu_dst"),
-            _ => None,
-        }
+        self.exchange
+            .field_of_tag(user_tag(tag))
+            .map(FieldSel::name)
     }
 
     /// Run `n` steps.
@@ -1561,127 +1552,23 @@ impl<'r> DistributedSim<'r> {
 
     // ----- ghost exchange plumbing -----
 
-    fn tag(&self, field: FieldSel, sender_block: usize, sender_face: Face) -> u32 {
-        let nb = self.decomp.blocks().len() as u32;
-        field.code() * nb * 6 + (sender_block as u32) * 6 + sender_face as u32
+    /// Start `phase` of the `field` exchange: remote faces are sent and
+    /// same-rank faces copied; complete it with [`Self::finish`].
+    fn post(&mut self, field: FieldSel, phase: Phase) -> Pending {
+        self.exchange
+            .post(&mut self.blocks, field, phase, self.rank);
+        Pending { field, phase }
     }
 
-    fn pack_face(&mut self, li: usize, field: FieldSel, face: Face, plain: bool) -> Bytes {
-        fn pack_one<const NC: usize>(
-            f: &eutectica_blockgrid::field::SoaField<NC>,
-            face: Face,
-            plain: bool,
-            buf: &mut Vec<f64>,
-        ) {
-            let r = if plain {
-                ghost::send_region_plain(f.dims(), face)
-            } else {
-                ghost::send_region(f.dims(), face)
-            };
-            ghost::pack_region(f, r, buf);
-        }
-        let mut buf = core::mem::take(&mut self.scratch);
-        let b = &self.blocks[li];
-        match field {
-            FieldSel::PhiSrc => pack_one(&b.phi_src, face, plain, &mut buf),
-            FieldSel::PhiDst => pack_one(&b.phi_dst, face, plain, &mut buf),
-            FieldSel::MuSrc => pack_one(&b.mu_src, face, plain, &mut buf),
-            FieldSel::MuDst => pack_one(&b.mu_dst, face, plain, &mut buf),
-        }
-        let bytes = f64s_to_bytes(&buf);
-        self.scratch = buf;
-        bytes
-    }
-
-    fn unpack_face(&mut self, li: usize, field: FieldSel, face: Face, plain: bool, data: &[f64]) {
-        fn unpack_one<const NC: usize>(
-            f: &mut eutectica_blockgrid::field::SoaField<NC>,
-            face: Face,
-            plain: bool,
-            data: &[f64],
-        ) {
-            let r = if plain {
-                ghost::recv_region_plain(f.dims(), face)
-            } else {
-                ghost::recv_region(f.dims(), face)
-            };
-            ghost::unpack_region(f, r, data);
-        }
-        let b = &mut self.blocks[li];
-        match field {
-            FieldSel::PhiSrc => unpack_one(&mut b.phi_src, face, plain, data),
-            FieldSel::PhiDst => unpack_one(&mut b.phi_dst, face, plain, data),
-            FieldSel::MuSrc => unpack_one(&mut b.mu_src, face, plain, data),
-            FieldSel::MuDst => unpack_one(&mut b.mu_dst, face, plain, data),
-        }
-    }
-
-    /// Post the exchange of `faces` for `field`; same-rank transfers are
-    /// applied immediately, remote recvs are returned as pending.
-    fn post_faces(&mut self, field: FieldSel, faces: &[Face], plain: bool) -> Pending {
-        let my = self.rank.rank();
-        let mut recvs = Vec::new();
-        // Send (or locally deliver) all outgoing faces first.
-        for li in 0..self.local_ids.len() {
-            let id = self.local_ids[li];
-            for &face in faces {
-                let Some(nb) = self.decomp.block(id).neighbors[face as usize] else {
-                    continue;
-                };
-                let nb_rank = self.placement[nb];
-                let payload = self.pack_face(li, field, face, plain);
-                if nb_rank == my {
-                    // Neighbor is local: deliver directly into its ghosts.
-                    let nli = self.local_ids.iter().position(|&b| b == nb).unwrap();
-                    let mut vals = core::mem::take(&mut self.scratch);
-                    bytes_to_f64s_into(&payload, &mut vals);
-                    self.unpack_face(nli, field, face.opposite(), plain, &vals);
-                    self.scratch = vals;
-                } else {
-                    self.rank.isend(nb_rank, self.tag(field, id, face), payload);
-                }
-            }
-        }
-        // Post matching receives for remote neighbors.
-        for li in 0..self.local_ids.len() {
-            let id = self.local_ids[li];
-            for &face in faces {
-                let Some(nb) = self.decomp.block(id).neighbors[face as usize] else {
-                    continue;
-                };
-                let nb_rank = self.placement[nb];
-                if nb_rank != my {
-                    let tag = self.tag(field, nb, face.opposite());
-                    recvs.push((li, face, self.rank.irecv(nb_rank, tag), plain));
-                }
-            }
-        }
-        Pending { recvs, field }
-    }
-
-    fn finish_plain(&mut self, p: Pending) {
-        let field = p.field;
-        for (li, face, req, plain) in p.recvs {
-            let payload = self.rank.wait(req);
-            let mut vals = core::mem::take(&mut self.scratch);
-            bytes_to_f64s_into(&payload, &mut vals);
-            self.unpack_face(li, field, face, plain, &vals);
-            self.scratch = vals;
-        }
-    }
-
-    fn post_plain(&mut self, field: FieldSel) -> Pending {
-        self.post_faces(field, &Face::ALL, true)
-    }
-
-    fn post_axis(&mut self, field: FieldSel, axis: usize) -> Pending {
-        let faces = [Face::ALL[2 * axis], Face::ALL[2 * axis + 1]];
-        self.post_faces(field, &faces, false)
+    /// Receive the remote faces of a posted phase into their ghost cells.
+    fn finish(&mut self, p: Pending) {
+        self.exchange
+            .finish(&mut self.blocks, p.field, p.phase, self.rank);
     }
 
     fn exchange_axis(&mut self, field: FieldSel, axis: usize) {
-        let p = self.post_axis(field, axis);
-        self.finish_plain(p);
+        let p = self.post(field, Phase::Axis(axis));
+        self.finish(p);
     }
 
     fn exchange_sequenced(&mut self, field: FieldSel) {
@@ -1830,6 +1717,128 @@ mod tests {
                     "phi[{c}] mismatch at ({x},{y},{z}): {a} vs {b}"
                 );
             }
+        }
+    }
+
+    /// Bitwise comparison of distributed blocks against the matching
+    /// sub-boxes of a single-block [`crate::solver::Simulation`] state.
+    fn assert_blocks_equal_single_block(blocks: &[BlockState], single: &BlockState, what: &str) {
+        let g = single.dims.ghost;
+        for b in blocks {
+            for (x, y, z) in b.dims.interior_iter() {
+                let [gx, gy, gz] = [x, y, z].map(|v| v - b.dims.ghost + g);
+                let at = (gx + b.origin[0], gy + b.origin[1], gz + b.origin[2]);
+                for c in 0..N_PHASES {
+                    assert_eq!(
+                        b.phi_src.at(c, x, y, z).to_bits(),
+                        single.phi_src.at(c, at.0, at.1, at.2).to_bits(),
+                        "{what}: phi[{c}] at global {at:?}"
+                    );
+                }
+                for c in 0..N_COMP {
+                    assert_eq!(
+                        b.mu_src.at(c, x, y, z).to_bits(),
+                        single.mu_src.at(c, at.0, at.1, at.2).to_bits(),
+                        "{what}: mu[{c}] at global {at:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    fn single_block_after(params: &ModelParams, cells: [usize; 3], steps: usize) -> BlockState {
+        let mut sim = crate::solver::Simulation::new(params.clone(), cells).unwrap();
+        init_fn(&mut sim.state);
+        sim.step_n(steps);
+        sim.state
+    }
+
+    /// The plan-driven exchange reproduces the single-block solver bit for
+    /// bit: eight blocks on one rank (every face a two-field copy, z open)
+    /// and one block that is its own x/y neighbor (every face an in-field
+    /// copy), with the µ exchange sequenced and hidden (plain).
+    #[test]
+    fn local_face_copies_match_single_block_solver() {
+        let params = ModelParams::ag_al_cu();
+        let cells = [16, 16, 16];
+        let steps = 6;
+        let single = single_block_after(&params, cells, steps);
+        for blocks in [[2, 2, 2], [1, 1, 1]] {
+            for hide_mu in [false, true] {
+                let out = run_distributed(
+                    params.clone(),
+                    Decomposition::new(DomainSpec::directional(cells, blocks)),
+                    1,
+                    steps,
+                    KernelConfig::default(),
+                    OverlapOptions {
+                        hide_mu,
+                        hide_phi: false,
+                    },
+                    init_fn,
+                );
+                let what = format!("blocks {blocks:?}, hide_mu {hide_mu}");
+                assert_blocks_equal_single_block(&out[0].0, &single, &what);
+            }
+        }
+    }
+
+    /// A placement change between steps re-plans the exchange: two ranks
+    /// swap all their blocks half-way (state shipped as migration frames,
+    /// topology via `adopt_placement`, as the shrink recovery does) and the
+    /// run still ends bit-identical to the single-block solver. With a
+    /// stale plan every formerly local face would be copied from an empty
+    /// block and every formerly remote one sent to its own rank.
+    #[test]
+    fn adopt_placement_replans_the_exchange() {
+        let params = ModelParams::ag_al_cu();
+        let cells = [16, 16, 16];
+        let single = single_block_after(&params, cells, 6);
+        let p = params.clone();
+        let out = eutectica_comm::Universe::run(2, move |rank| {
+            let decomp = Decomposition::new(DomainSpec::directional(cells, [2, 2, 2]));
+            let overlap = OverlapOptions {
+                hide_mu: true,
+                hide_phi: false,
+            };
+            let mut sim =
+                DistributedSim::new(&rank, p.clone(), decomp, KernelConfig::default(), overlap);
+            sim.init_blocks(init_fn);
+            sim.step_n(3);
+
+            let peer = 1 - rank.rank();
+            let frame_tag = |id: usize| 1_000_000 + id as u32;
+            let entry = CostEntry {
+                measured: None,
+                prior: 1.0,
+            };
+            for (b, &id) in sim.blocks.iter().zip(&sim.local_ids) {
+                let frame = crate::migrate::encode_block(b, id as u64, &entry);
+                rank.send(peer, frame_tag(id), Bytes::from(frame));
+            }
+            let swapped: Vec<usize> = sim.placement().iter().map(|&r| 1 - r).collect();
+            sim.adopt_placement(swapped);
+            for li in 0..sim.local_ids.len() {
+                let id = sim.local_ids[li];
+                let frame = rank.recv(peer, frame_tag(id));
+                let (_, mut state, _) = crate::migrate::decode_block(
+                    &frame,
+                    sim.blocks[li].dims,
+                    DEFAULT_FIELD_BYTE_BUDGET,
+                )
+                .unwrap();
+                state.bc_phi = sim.blocks[li].bc_phi;
+                state.bc_mu = sim.blocks[li].bc_mu;
+                sim.blocks[li] = state;
+            }
+            rank.barrier();
+
+            sim.step_n(3);
+            std::mem::take(&mut sim.blocks)
+        });
+        for (r, blocks) in out.iter().enumerate() {
+            assert_eq!(blocks.len(), 4, "rank {r} block count after the swap");
+            assert_blocks_equal_single_block(blocks, &single, &format!("rank {r}"));
         }
     }
 

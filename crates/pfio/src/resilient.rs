@@ -767,7 +767,7 @@ struct RankOutcome {
 fn recover_and_rehome(
     sim: &mut DistributedSim<'_>,
     replica: Option<&ReplicaStore>,
-    source: ShrinkSource,
+    policy: &ShrinkPolicy,
     root: &Path,
     budget: u64,
     validate: bool,
@@ -802,6 +802,17 @@ fn recover_and_rehome(
     tel.set_epoch(change.epoch);
     tel.gauge_set("membership/epoch", change.epoch as f64);
     tel.counter_add("shrink/ranks_lost", change.newly_dead.len() as u64);
+    // The budget is in deaths, not in rounds: a second death that lands
+    // before this round converges is fenced by the same round and raises
+    // no further comm failure, so it has to be charged here.
+    let deaths = sim.comm_rank().size() - change.alive.len();
+    if deaths > policy.max_shrinks {
+        return Err(RankFailure::ShrinkExhausted {
+            shrinks: deaths,
+            step,
+            detail: format!("{deaths} ranks fenced by epoch {}: {trigger}", change.epoch),
+        });
+    }
     // 2. Agree on the pre-death placement. A death mid-migration can leave
     // survivor views divergent (some applied the migration epoch, some
     // aborted first); the fields are fully restored below anyway, so the
@@ -831,7 +842,7 @@ fn recover_and_rehome(
     let rehomed = plan.moves.len();
     sim.adopt_placement(plan.placement);
     // 4. Restore a consistent global state at the shrunken rank count.
-    match source {
+    match policy.source {
         ShrinkSource::Disk => match restore_best(sim, root, budget, validate, restore_skips)? {
             RestoreBest::Restored(s) => {
                 sim.telemetry().gauge_set("shrink/restored_step", s as f64);
@@ -987,7 +998,7 @@ where
                         recover_and_rehome(
                             &mut sim,
                             replica.as_ref(),
-                            sp.source,
+                            sp,
                             &root,
                             budget,
                             validate,

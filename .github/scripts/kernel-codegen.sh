@@ -16,8 +16,12 @@
 #     backend, so the correct count is zero (`_xgetbv` of the feature
 #     detection does not match the pattern);
 #  2. a call from `avx2_entry::{phi_cellwise,phi_fourcell,mu_fourcell}` to a
-#     `kernels::simd_*::...::{{closure}}`, or to a `core::array::try_from_fn`
-#     instance that itself calls an x86 intrinsic.
+#     `{{closure}}` of the kernels or of `blockgrid::field` (the slab-level
+#     path of PR 16 reads the fields' constant-slab summary and takes
+#     `comps_mut_below` inside the wrappers: `kernels::pure_phase_of`, the
+#     zone decision and the accessors must inline whole, closure-free), or
+#     to a `core::array::try_from_fn` instance that itself calls an x86
+#     intrinsic.
 #
 # usage: kernel-codegen.sh [binary ...]
 set -euo pipefail
@@ -47,7 +51,7 @@ for bin in "$@"; do
         }
         /\tcall / {
             if (in_from_fn && $0 ~ /core::core_arch::x86/) bad_from_fn[addr] = 1
-            if (in_entry && $0 ~ /kernels::simd_[a-z_]*::.*[{][{]closure[}][}]/) print fn " -> " $NF
+            if (in_entry && $0 ~ /(kernels|blockgrid::field)::.*[{][{]closure[}][}]/) print fn " -> " $NF
             if (in_entry && $0 ~ /core::array::try_from_fn/) {
                 callee = $(NF - 1); from_fn_calls[fn " " callee]++
             }

@@ -9,7 +9,7 @@
 //! transverse extent, so edge/corner ghosts required by the D3C19 stencil
 //! are filled consistently with the communication scheme (see [`crate::ghost`]).
 
-use crate::field::SoaField;
+use crate::field::{same_bits, SoaField};
 use crate::Face;
 
 /// Boundary condition of one block face.
@@ -131,7 +131,10 @@ fn apply_dirichlet<const NC: usize>(field: &mut SoaField<NC>, face: Face, v: [f6
     }
 }
 
-/// Copy one full transverse layer `src` -> `dst` along `axis`.
+/// Copy one full transverse layer `src` -> `dst` along `axis`. Where both
+/// layers lie in the field's constant zone they are equal already and the
+/// copy is skipped; a z-layer copied into the zone from below it ends the
+/// zone above the copy.
 fn copy_axis_layer<const NC: usize>(
     field: &mut SoaField<NC>,
     axis: usize,
@@ -140,12 +143,22 @@ fn copy_axis_layer<const NC: usize>(
     _t: usize,
 ) {
     let d = field.dims();
-    let (tx, ty, tz) = (d.tx(), d.ty(), d.tz());
-    for c in 0..NC {
-        let comp = field.comp_mut(c);
+    let (tx, ty, tz, vol) = (d.tx(), d.ty(), d.tz(), d.volume());
+    let (data, const_from, _) = field.raw_and_zone();
+    // x- and y-layers cross every slab: the slabs of the zone need no copy.
+    let z_end = tz.min(*const_from);
+    if axis == 2 {
+        if src >= *const_from && dst >= *const_from {
+            return;
+        }
+        if dst >= *const_from {
+            *const_from = dst + 1;
+        }
+    }
+    for comp in data.chunks_exact_mut(vol) {
         match axis {
             0 => {
-                for z in 0..tz {
+                for z in 0..z_end {
                     for y in 0..ty {
                         let row = (z * ty + y) * tx;
                         comp[row + dst] = comp[row + src];
@@ -153,7 +166,7 @@ fn copy_axis_layer<const NC: usize>(
                 }
             }
             1 => {
-                for z in 0..tz {
+                for z in 0..z_end {
                     let base = z * ty * tx;
                     let (d0, s0) = (base + dst * tx, base + src * tx);
                     comp.copy_within(s0..s0 + tx, d0);
@@ -167,7 +180,9 @@ fn copy_axis_layer<const NC: usize>(
     }
 }
 
-/// Fill one full transverse layer along `axis` with constant `v`.
+/// Fill one full transverse layer along `axis` with constant `v`. Slabs of
+/// the field's constant zone that hold `v` already are skipped; writing any
+/// other value into the zone ends it above the write.
 fn fill_axis_layer<const NC: usize>(
     field: &mut SoaField<NC>,
     axis: usize,
@@ -175,19 +190,35 @@ fn fill_axis_layer<const NC: usize>(
     v: [f64; NC],
 ) {
     let d = field.dims();
-    let (tx, ty, tz) = (d.tx(), d.ty(), d.tz());
-    for c in 0..NC {
-        let comp = field.comp_mut(c);
+    let (tx, ty, tz, vol) = (d.tx(), d.ty(), d.tz(), d.volume());
+    let (data, const_from, const_val) = field.raw_and_zone();
+    let same = same_bits(v, const_val);
+    let z_end = if axis == 2 {
+        if layer >= *const_from {
+            if same {
+                return;
+            }
+            *const_from = layer + 1;
+        }
+        tz
+    } else if same {
+        tz.min(*const_from)
+    } else {
+        // An x- or y-layer of another value crosses every slab of the zone.
+        *const_from = tz;
+        tz
+    };
+    for (c, comp) in data.chunks_exact_mut(vol).enumerate() {
         match axis {
             0 => {
-                for z in 0..tz {
+                for z in 0..z_end {
                     for y in 0..ty {
                         comp[(z * ty + y) * tx + layer] = v[c];
                     }
                 }
             }
             1 => {
-                for z in 0..tz {
+                for z in 0..z_end {
                     let start = (z * ty + layer) * tx;
                     comp[start..start + tx].fill(v[c]);
                 }

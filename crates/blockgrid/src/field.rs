@@ -60,21 +60,130 @@ impl ScalarField {
 
 /// Multi-component field in structure-of-arrays layout: component `c` is one
 /// contiguous block of `dims.volume()` doubles.
+///
+/// # Constant-slab summary
+///
+/// The field carries a conservative two-word summary of its own contents:
+/// *every cell, ghosts included, of the z-slabs `const_from..tz` holds
+/// bitwise `const_val`* (`const_from == tz`: nothing known). The far-field
+/// melt of a directional-solidification block is such a zone, and sweeps,
+/// boundary fills and scans that know it need not touch those slabs. The
+/// summary is kept true by the field itself, never by its callers: every
+/// mutator below states its effect on it, [`SoaField::tighten`] is the only
+/// way the zone grows, and the region writers of [`crate::ghost`] and
+/// [`crate::boundary`] (same crate) maintain it through
+/// `SoaField::raw_and_zone`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SoaField<const NC: usize> {
     dims: GridDims,
     data: Vec<f64>,
+    const_from: usize,
+    const_val: [f64; NC],
+}
+
+/// Whether every value of `slab` has the bit pattern `bits`. Folds whole
+/// chunks (vectorizable) and leaves at the first chunk that differs.
+fn all_bits(slab: &[f64], bits: u64) -> bool {
+    slab.chunks(64)
+        .all(|chunk| chunk.iter().fold(0, |acc, v| acc | (v.to_bits() ^ bits)) == 0)
+}
+
+/// Bitwise equality of two cells (`-0.0 != 0.0`, a NaN equals itself).
+pub(crate) fn same_bits<const NC: usize>(a: [f64; NC], b: [f64; NC]) -> bool {
+    a.map(f64::to_bits) == b.map(f64::to_bits)
 }
 
 impl<const NC: usize> SoaField<NC> {
-    /// Allocate with every component of every cell set to `init[c]`.
+    /// Allocate with every component of every cell set to `init[c]`. The
+    /// whole field is one constant zone.
     pub fn new(dims: GridDims, init: [f64; NC]) -> Self {
         let vol = dims.volume();
         let mut data = vec![0.0; NC * vol];
         for (c, chunk) in data.chunks_exact_mut(vol).enumerate() {
             chunk.fill(init[c]);
         }
-        Self { dims, data }
+        Self {
+            dims,
+            data,
+            const_from: 0,
+            const_val: init,
+        }
+    }
+
+    /// The constant-slab summary `(const_from, const_val)`: every cell of
+    /// the z-slabs `const_from..tz`, ghosts included, holds bitwise
+    /// `const_val`. Conservative — slabs below may be constant too (see
+    /// [`SoaField::tighten`]).
+    #[inline(always)]
+    pub fn const_zone(&self) -> (usize, [f64; NC]) {
+        (self.const_from, self.const_val)
+    }
+
+    /// Extend the constant zone downward while whole padded slabs compare
+    /// bitwise equal to it; with nothing known, start from the value of the
+    /// topmost cell. Costs one pass over the slabs gained plus the start of
+    /// the first slab that differs.
+    pub fn tighten(&mut self) {
+        let vol = self.dims.volume();
+        if self.const_from == self.dims.tz() {
+            self.const_val = core::array::from_fn(|c| self.data[(c + 1) * vol - 1]);
+        }
+        while self.const_from > 0 && self.slab_is_const(self.const_from - 1) {
+            self.const_from -= 1;
+        }
+    }
+
+    fn slab_is_const(&self, z: usize) -> bool {
+        let (sz, vol) = (self.dims.sz(), self.dims.volume());
+        (0..NC).all(|c| {
+            let start = c * vol + z * sz;
+            all_bits(&self.data[start..start + sz], self.const_val[c].to_bits())
+        })
+    }
+
+    /// Full-scan check of the summary invariant (debug assertions, tests).
+    pub fn summary_holds(&self) -> bool {
+        (self.const_from..self.dims.tz()).all(|z| self.slab_is_const(z))
+    }
+
+    /// Make the constant zone cover the slabs `z..tz` with value `v`,
+    /// writing only the slabs that do not hold it already (none, if the
+    /// zone has that value and reaches down to `z`).
+    pub fn extend_const_zone(&mut self, z: usize, v: [f64; NC]) {
+        let (sz, vol, tz) = (self.dims.sz(), self.dims.volume(), self.dims.tz());
+        assert!(z <= tz, "constant zone starts above the field");
+        let held_from = if same_bits(v, self.const_val) {
+            self.const_from
+        } else {
+            tz
+        };
+        if z < held_from {
+            for c in 0..NC {
+                self.data[c * vol + z * sz..c * vol + held_from * sz].fill(v[c]);
+            }
+            self.const_from = z;
+            self.const_val = v;
+        }
+    }
+
+    /// Raw storage together with the summary, for the region writers of
+    /// this crate: whoever writes a row of a slab `z >= *const_from` must
+    /// either leave it bitwise equal to `const_val` or raise `*const_from`
+    /// above `z`.
+    #[inline(always)]
+    pub(crate) fn raw_and_zone(&mut self) -> (&mut [f64], &mut usize, [f64; NC]) {
+        (&mut self.data, &mut self.const_from, self.const_val)
+    }
+
+    /// "Anything may be written": the summary drops to nothing known. The
+    /// store is conditional so that concurrent callers who find it dropped
+    /// already (sweep-pool workers, after their coordinator) only read.
+    #[inline(always)]
+    fn forget_zone(&mut self) {
+        let tz = self.dims.tz();
+        if self.const_from != tz {
+            self.const_from = tz;
+        }
     }
 
     /// Grid geometry.
@@ -96,9 +205,10 @@ impl<const NC: usize> SoaField<NC> {
         &self.data[c * vol..(c + 1) * vol]
     }
 
-    /// Mutable slice of component `c`.
+    /// Mutable slice of component `c`. Drops the constant-slab summary.
     #[inline(always)]
     pub fn comp_mut(&mut self, c: usize) -> &mut [f64] {
+        self.forget_zone();
         let vol = self.dims.volume();
         &mut self.data[c * vol..(c + 1) * vol]
     }
@@ -117,12 +227,27 @@ impl<const NC: usize> SoaField<NC> {
         out
     }
 
-    /// All components as an array of mutable slices.
+    /// All components as an array of mutable slices. Drops the
+    /// constant-slab summary.
     #[inline(always)]
     pub fn comps_mut(&mut self) -> [&mut [f64]; NC] {
-        let vol = self.dims.volume();
+        self.comps_mut_below(self.dims.tz())
+    }
+
+    /// All components as mutable slices cut off at the start of slab `z1`:
+    /// "I may write anything below slab `z1`". Slabs from `z1` up are out
+    /// of the caller's reach, so the constant zone keeps what it holds
+    /// there; with `z1 <= const_from` the summary is not written at all
+    /// (a sweep's slab workers share the field under that condition).
+    #[inline(always)]
+    pub fn comps_mut_below(&mut self, z1: usize) -> [&mut [f64]; NC] {
+        assert!(z1 <= self.dims.tz(), "slab bound above the field");
+        if z1 > self.const_from {
+            self.const_from = z1;
+        }
+        let (vol, end) = (self.dims.volume(), z1 * self.dims.sz());
         let mut iter = self.data.chunks_exact_mut(vol);
-        core::array::from_fn(|_| iter.next().expect("component count"))
+        core::array::from_fn(|_| &mut iter.next().expect("component count")[..end])
     }
 
     /// Value of component `c` at total coordinates.
@@ -139,20 +264,28 @@ impl<const NC: usize> SoaField<NC> {
         core::array::from_fn(|c| self.data[c * vol + i])
     }
 
-    /// Set component `c` at total coordinates.
+    /// Set component `c` at total coordinates. A value that differs from
+    /// the constant zone's cuts the zone off above slab `z`.
     #[inline(always)]
     pub fn set(&mut self, c: usize, x: usize, y: usize, z: usize, v: f64) {
         let i = self.dims.idx(x, y, z);
-        self.comp_mut(c)[i] = v;
+        self.data[c * self.dims.volume() + i] = v;
+        if z >= self.const_from && v.to_bits() != self.const_val[c].to_bits() {
+            self.const_from = z + 1;
+        }
     }
 
-    /// Set all components at total coordinates.
+    /// Set all components at total coordinates. A cell that differs from
+    /// the constant zone's cuts the zone off above slab `z`.
     #[inline(always)]
     pub fn set_cell(&mut self, x: usize, y: usize, z: usize, v: [f64; NC]) {
         let i = self.dims.idx(x, y, z);
         let vol = self.dims.volume();
         for c in 0..NC {
             self.data[c * vol + i] = v[c];
+        }
+        if z >= self.const_from && !same_bits(v, self.const_val) {
+            self.const_from = z + 1;
         }
     }
 
@@ -162,23 +295,27 @@ impl<const NC: usize> SoaField<NC> {
         &self.data
     }
 
-    /// Mutable raw backing storage.
+    /// Mutable raw backing storage. Drops the constant-slab summary.
     #[inline(always)]
     pub fn raw_mut(&mut self) -> &mut [f64] {
+        self.forget_zone();
         &mut self.data
     }
 
     /// Swap contents with another field of identical geometry (the paper's
-    /// src/dst pointer swap at the end of each time step).
+    /// src/dst pointer swap at the end of each time step). The summaries
+    /// travel with the data.
     pub fn swap(&mut self, other: &mut Self) {
         assert_eq!(self.dims, other.dims);
-        core::mem::swap(&mut self.data, &mut other.data);
+        core::mem::swap(self, other);
     }
 
     /// Shift all interior data one cell towards −z and fill the topmost
     /// interior slice with `fill` (the moving-window advance; ghost layers
     /// are left stale and must be refreshed by communication + boundary
-    /// handling afterwards).
+    /// handling afterwards). A constant zone that reaches into the interior
+    /// moves down with the data when `fill` continues it, and is cut back
+    /// to the top ghost slabs when it does not.
     pub fn shift_z_down(&mut self, fill: [f64; NC]) {
         let d = self.dims;
         let g = d.ghost;
@@ -195,6 +332,17 @@ impl<const NC: usize> SoaField<NC> {
             for y in g..g + d.ny {
                 let row = top + y * d.sy() + g;
                 comp[row..row + d.nx].fill(fill[c]);
+            }
+        }
+        // Whole padded slabs moved down one; the top interior slab kept its
+        // own xy-ghosts and got `fill` inside; slabs outside the interior
+        // did not move.
+        let top = g + d.nz - 1;
+        if self.const_from <= top {
+            if !same_bits(fill, self.const_val) {
+                self.const_from = top + 1;
+            } else if self.const_from > g {
+                self.const_from -= 1;
             }
         }
     }

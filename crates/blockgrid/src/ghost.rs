@@ -148,15 +148,26 @@ pub fn recv_region_plain(dims: GridDims, face: Face) -> Region {
     r
 }
 
-/// Calls `f(src_offset, dst_offset)` for every x-row of two equally shaped
-/// regions, in wire order (component-major, then z, then y). Offsets index
-/// the fields' raw storage and address the first cell of the row.
+/// One x-row of a pair of equally shaped regions: its component, the z-slab
+/// it lies in on either side, and the offset of its first cell in either
+/// field's raw storage.
+#[derive(Copy, Clone)]
+struct Row {
+    c: usize,
+    src_z: usize,
+    dst_z: usize,
+    src: usize,
+    dst: usize,
+}
+
+/// Calls `f(row)` for every x-row of two equally shaped regions, in wire
+/// order (component-major, then z, then y).
 #[inline(always)]
 fn for_each_row(
     nc: usize,
     (sd, sr): (GridDims, Region),
     (dd, dr): (GridDims, Region),
-    mut f: impl FnMut(usize, usize),
+    mut f: impl FnMut(Row),
 ) {
     let ext = |r: Region| [0, 1, 2].map(|a| r.range[a][1] - r.range[a][0]);
     assert_eq!(ext(sr), ext(dr), "ghost regions differ in shape");
@@ -172,19 +183,26 @@ fn for_each_row(
     for c in 0..nc {
         let (sc, dc) = (c * sd.volume(), c * dd.volume());
         for z in 0..nz {
-            let s = sc + sd.idx(sr.range[0][0], sr.range[1][0], sr.range[2][0] + z);
-            let d = dc + dd.idx(dr.range[0][0], dr.range[1][0], dr.range[2][0] + z);
+            let (src_z, dst_z) = (sr.range[2][0] + z, dr.range[2][0] + z);
+            let s = sc + sd.idx(sr.range[0][0], sr.range[1][0], src_z);
+            let d = dc + dd.idx(dr.range[0][0], dr.range[1][0], dst_z);
             for y in 0..ny {
-                f(s + y * sd.sy(), d + y * dd.sy());
+                f(Row {
+                    c,
+                    src_z,
+                    dst_z,
+                    src: s + y * sd.sy(),
+                    dst: d + y * dd.sy(),
+                });
             }
         }
     }
 }
 
-/// [`for_each_row`] over one region: `f(offset)` per x-row.
+/// [`for_each_row`] over one region (`src` and `dst` sides coincide).
 #[inline(always)]
-fn for_each_row_of(nc: usize, dims: GridDims, r: Region, mut f: impl FnMut(usize)) {
-    for_each_row(nc, (dims, r), (dims, r), |i, _| f(i));
+fn for_each_row_of(nc: usize, dims: GridDims, r: Region, f: impl FnMut(Row)) {
+    for_each_row(nc, (dims, r), (dims, r), f);
 }
 
 /// Cells per x-row of `r`. Rows of one cell (x-faces at ghost width 1) are
@@ -193,9 +211,45 @@ fn row_len(r: Region) -> usize {
     r.range[0][1] - r.range[0][0]
 }
 
+/// The destination field's constant-slab summary while a region writer
+/// holds its raw storage (see `SoaField::raw_and_zone`).
+struct Zone<'a, const NC: usize> {
+    from: &'a mut usize,
+    bits: [u64; NC],
+}
+
+impl<const NC: usize> Zone<'_, NC> {
+    /// Whether slab `z` lies in the zone, i.e. its rows hold the constant
+    /// until they are written.
+    #[inline(always)]
+    fn holds(&self, z: usize) -> bool {
+        z >= *self.from
+    }
+
+    /// Account for the row just written to `cells`: if it lies in the zone
+    /// and no longer equals the constant, the zone ends above it. Reads only
+    /// what was just written, and nothing for rows below the zone.
+    #[inline(always)]
+    fn wrote(&mut self, row: Row, cells: &[f64]) {
+        if self.holds(row.dst_z) && cells.iter().any(|v| v.to_bits() != self.bits[row.c]) {
+            *self.from = row.dst_z + 1;
+        }
+    }
+}
+
+/// Raw storage of `field` plus its summary, for a region writer.
+#[inline(always)]
+fn writer<const NC: usize>(field: &mut SoaField<NC>) -> (&mut [f64], Zone<'_, NC>) {
+    let (data, from, val) = field.raw_and_zone();
+    let bits = val.map(f64::to_bits);
+    (data, Zone { from, bits })
+}
+
 /// Copy `src_r` of `src` into the equally shaped `dst_r` of `dst` — a
 /// same-process face transfer with no staging buffer. Equivalent to
-/// [`pack_region`] on `src` followed by [`unpack_region`] on `dst`.
+/// [`pack_region`] on `src` followed by [`unpack_region`] on `dst`. Rows
+/// that lie in a constant zone of the same value on both sides are equal
+/// already and are not touched.
 ///
 /// # Panics
 /// Panics if the regions differ in shape or leave their fields.
@@ -206,11 +260,29 @@ pub fn copy_region<const NC: usize>(
     dst_r: Region,
 ) {
     let (from, to) = ((src.dims(), src_r), (dst.dims(), dst_r));
-    let (s, d) = (src.raw(), dst.raw_mut());
+    let (src_from, src_val) = src.const_zone();
+    let s = src.raw();
+    let (d, mut zone) = writer(dst);
+    // With different constants no source row counts as "in the zone".
+    let src_from = if src_val.map(f64::to_bits) == zone.bits {
+        src_from
+    } else {
+        usize::MAX
+    };
     match row_len(src_r) {
-        1 => for_each_row(NC, from, to, |i, j| d[j] = s[i]),
-        n => for_each_row(NC, from, to, |i, j| {
-            d[j..j + n].copy_from_slice(&s[i..i + n])
+        1 => for_each_row(NC, from, to, |r| {
+            if r.src_z >= src_from && zone.holds(r.dst_z) {
+                return;
+            }
+            d[r.dst] = s[r.src];
+            zone.wrote(r, &d[r.dst..=r.dst]);
+        }),
+        n => for_each_row(NC, from, to, |r| {
+            if r.src_z >= src_from && zone.holds(r.dst_z) {
+                return;
+            }
+            d[r.dst..r.dst + n].copy_from_slice(&s[r.src..r.src + n]);
+            zone.wrote(r, &d[r.dst..r.dst + n]);
         }),
     }
 }
@@ -229,10 +301,22 @@ pub fn copy_region_within<const NC: usize>(field: &mut SoaField<NC>, src_r: Regi
         "in-field ghost copy between overlapping regions"
     );
     let (from, to) = ((field.dims(), src_r), (field.dims(), dst_r));
-    let d = field.raw_mut();
+    let (d, mut zone) = writer(field);
     match row_len(src_r) {
-        1 => for_each_row(NC, from, to, |i, j| d[j] = d[i]),
-        n => for_each_row(NC, from, to, |i, j| d.copy_within(i..i + n, j)),
+        1 => for_each_row(NC, from, to, |r| {
+            if zone.holds(r.src_z) && zone.holds(r.dst_z) {
+                return;
+            }
+            d[r.dst] = d[r.src];
+            zone.wrote(r, &d[r.dst..=r.dst]);
+        }),
+        n => for_each_row(NC, from, to, |r| {
+            if zone.holds(r.src_z) && zone.holds(r.dst_z) {
+                return;
+            }
+            d.copy_within(r.src..r.src + n, r.dst);
+            zone.wrote(r, &d[r.dst..r.dst + n]);
+        }),
     }
 }
 
@@ -242,8 +326,10 @@ pub fn pack_region<const NC: usize>(field: &SoaField<NC>, r: Region, buf: &mut V
     buf.clear();
     buf.reserve(r.volume() * NC);
     match row_len(r) {
-        1 => for_each_row_of(NC, field.dims(), r, |i| buf.push(s[i])),
-        n => for_each_row_of(NC, field.dims(), r, |i| buf.extend_from_slice(&s[i..i + n])),
+        1 => for_each_row_of(NC, field.dims(), r, |r| buf.push(s[r.src])),
+        n => for_each_row_of(NC, field.dims(), r, |r| {
+            buf.extend_from_slice(&s[r.src..r.src + n])
+        }),
     }
 }
 
@@ -251,15 +337,17 @@ pub fn pack_region<const NC: usize>(field: &SoaField<NC>, r: Region, buf: &mut V
 pub fn unpack_region<const NC: usize>(field: &mut SoaField<NC>, r: Region, data: &[f64]) {
     assert_eq!(data.len(), r.volume() * NC, "ghost message length mismatch");
     let dims = field.dims();
-    let d = field.raw_mut();
+    let (d, mut zone) = writer(field);
     let mut pos = 0;
     match row_len(r) {
-        1 => for_each_row_of(NC, dims, r, |i| {
-            d[i] = data[pos];
+        1 => for_each_row_of(NC, dims, r, |r| {
+            d[r.dst] = data[pos];
+            zone.wrote(r, &d[r.dst..=r.dst]);
             pos += 1;
         }),
-        n => for_each_row_of(NC, dims, r, |i| {
-            d[i..i + n].copy_from_slice(&data[pos..pos + n]);
+        n => for_each_row_of(NC, dims, r, |r| {
+            d[r.dst..r.dst + n].copy_from_slice(&data[pos..pos + n]);
+            zone.wrote(r, &d[r.dst..r.dst + n]);
             pos += n;
         }),
     }
@@ -272,9 +360,9 @@ pub fn pack_region_bytes<const NC: usize>(field: &SoaField<NC>, r: Region) -> Ve
     let s = field.raw();
     let mut out: Vec<[u8; 8]> = Vec::with_capacity(r.volume() * NC);
     match row_len(r) {
-        1 => for_each_row_of(NC, field.dims(), r, |i| out.push(s[i].to_le_bytes())),
-        n => for_each_row_of(NC, field.dims(), r, |i| {
-            out.extend(s[i..i + n].iter().map(|v| v.to_le_bytes()))
+        1 => for_each_row_of(NC, field.dims(), r, |r| out.push(s[r.src].to_le_bytes())),
+        n => for_each_row_of(NC, field.dims(), r, |r| {
+            out.extend(s[r.src..r.src + n].iter().map(|v| v.to_le_bytes()))
         }),
     }
     out.into_flattened()
@@ -292,19 +380,21 @@ pub fn unpack_region_bytes<const NC: usize>(field: &mut SoaField<NC>, r: Region,
         "ghost message length mismatch"
     );
     let dims = field.dims();
-    let d = field.raw_mut();
+    let (d, mut zone) = writer(field);
     let le = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("8-byte chunk"));
     let mut pos = 0;
     match row_len(r) {
-        1 => for_each_row_of(NC, dims, r, |i| {
-            d[i] = le(&bytes[pos..pos + 8]);
+        1 => for_each_row_of(NC, dims, r, |r| {
+            d[r.dst] = le(&bytes[pos..pos + 8]);
+            zone.wrote(r, &d[r.dst..=r.dst]);
             pos += 8;
         }),
-        n => for_each_row_of(NC, dims, r, |i| {
+        n => for_each_row_of(NC, dims, r, |r| {
             let row = bytes[pos..pos + 8 * n].chunks_exact(8);
-            for (cell, b) in d[i..i + n].iter_mut().zip(row) {
+            for (cell, b) in d[r.dst..r.dst + n].iter_mut().zip(row) {
                 *cell = le(b);
             }
+            zone.wrote(r, &d[r.dst..r.dst + n]);
             pos += 8 * n;
         }),
     }

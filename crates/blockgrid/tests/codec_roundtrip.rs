@@ -120,6 +120,43 @@ proptest! {
     }
 }
 
+/// The textbook CRC32: one bit at a time, no table.
+fn crc32_bitwise(data: &[u8]) -> u32 {
+    let mut c = 0xffff_ffffu32;
+    for &b in data {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xedb8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    c ^ 0xffff_ffff
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The eight-bytes-per-step CRC equals the bitwise loop for every
+    /// length (so every head/tail remainder) and every start alignment.
+    #[test]
+    fn sliced_crc_equals_the_bitwise_loop(len in 0usize..4097, align in 0usize..16, seed in any::<u64>()) {
+        let mut buf = vec![0u8; len + align];
+        let mut s = seed | 1;
+        for chunk in buf.chunks_mut(8) {
+            s ^= s >> 12;
+            s ^= s << 25;
+            s ^= s >> 27;
+            let word = s.wrapping_mul(0x2545_f491_4f6c_dd1d).to_le_bytes();
+            chunk.copy_from_slice(&word[..chunk.len()]);
+        }
+        let data = &buf[align..];
+        prop_assert_eq!(crc32(data), crc32_bitwise(data));
+    }
+}
+
 #[test]
 fn crc_matches_reference_vectors() {
     // Same IEEE polynomial/vectors the checkpoint format asserts — the two

@@ -197,7 +197,25 @@ impl ScanStats {
     }
 }
 
+/// Whether one φ cell is finite, and whether it lies on the Gibbs simplex
+/// within `tol`.
+#[inline(always)]
+fn phi_verdict(cell: [f64; N_PHASES], tol: f64) -> (bool, bool) {
+    let mut sum = 0.0;
+    let mut finite = true;
+    let mut boxed = true;
+    for v in cell {
+        finite &= v.is_finite();
+        boxed &= (-tol..=1.0 + tol).contains(&v);
+        sum += v;
+    }
+    (finite, boxed && (sum - 1.0).abs() <= tol)
+}
+
 /// Scan the interior z-rows `z0..z1` of one block against the invariants.
+/// Every φ cell of a slab in `φ_src`'s constant zone gets the verdict of
+/// the zone's value, so a valid value is checked once and those slabs are
+/// scanned for µ only.
 pub fn scan_block_range(
     state: &BlockState,
     cfg: &HealthConfig,
@@ -210,6 +228,11 @@ pub fn scan_block_range(
     let phi = state.phi_src.comps();
     let mu = state.mu_src.comps();
     let tol = cfg.simplex_tol;
+    let (const_from, const_val) = state.phi_src.const_zone();
+    let phi_checked_below = match phi_verdict(const_val, tol) {
+        (true, true) => const_from,
+        _ => usize::MAX,
+    };
     let mut s = ScanStats::default();
     for z in z0..z1 {
         for y in g..g + d.ny {
@@ -218,21 +241,16 @@ pub fn scan_block_range(
                 let idx = row + i;
                 let cell = [g + i, y, z];
                 s.cells += 1;
-                let mut sum = 0.0;
-                let mut finite = true;
-                let mut boxed = true;
-                for c in 0..N_PHASES {
-                    let v = phi[c][idx];
-                    finite &= v.is_finite();
-                    boxed &= (-tol..=1.0 + tol).contains(&v);
-                    sum += v;
-                }
-                if !finite {
-                    s.phi_nonfinite += 1;
-                    s.record(block, cell, BadKind::PhiNonFinite);
-                } else if !boxed || (sum - 1.0).abs() > tol {
-                    s.phi_off_simplex += 1;
-                    s.record(block, cell, BadKind::PhiOffSimplex);
+                if z < phi_checked_below {
+                    let (finite, on_simplex) =
+                        phi_verdict(core::array::from_fn(|c| phi[c][idx]), tol);
+                    if !finite {
+                        s.phi_nonfinite += 1;
+                        s.record(block, cell, BadKind::PhiNonFinite);
+                    } else if !on_simplex {
+                        s.phi_off_simplex += 1;
+                        s.record(block, cell, BadKind::PhiOffSimplex);
+                    }
                 }
                 let mut mu_finite = true;
                 let mut mu_boxed = true;

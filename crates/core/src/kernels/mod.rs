@@ -40,6 +40,7 @@ pub mod simd_phi;
 
 use crate::params::ModelParams;
 use crate::state::BlockState;
+use crate::N_PHASES;
 
 /// φ-kernel implementation selector.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -232,15 +233,80 @@ impl Default for KernelConfig {
 /// Run the φ-sweep over a block's interior with the selected variant:
 /// `φ_dst ← φ-kernel(φ_src, µ_src)` (Algorithm 1, line 1).
 pub fn phi_sweep(params: &ModelParams, state: &mut BlockState, time: f64, cfg: KernelConfig) {
-    let (z0, z1) = state.dims.interior_z_range();
+    let (z0, z1) = phi_sweep_prepare(state, cfg);
     phi_sweep_range(params, state, time, cfg, z0, z1);
+}
+
+/// The phase a cell is exactly pure in — bitwise the unit vector `e_p` —
+/// if there is one. The slab-level shortcuts require this of a constant
+/// zone's value: it implies every per-group bulk / pure predicate of the
+/// kernels, whatever they compare.
+pub(crate) fn pure_phase_of(cell: [f64; N_PHASES]) -> Option<usize> {
+    let bits = cell.map(f64::to_bits);
+    for p in 0..N_PHASES {
+        let mut unit = [0.0f64.to_bits(); N_PHASES];
+        unit[p] = 1.0f64.to_bits();
+        if bits == unit {
+            return Some(p);
+        }
+    }
+    None
+}
+
+/// The once-per-sweep part of [`phi_sweep`], run on the calling thread
+/// before any [`phi_sweep_range`] worker shares the block: returns the
+/// z-range the cell loop still has to cover and leaves `φ_dst`'s summary in
+/// a state no worker needs to write.
+///
+/// With the default kernels (`shortcuts`, cellwise φ) this is where the
+/// sweep becomes proportional to the front. `φ_src`'s constant zone (see
+/// [`SoaField`]) is tightened; if it is pure, every cell of the slabs from
+/// `const_from + 1` up is a bulk cell whose update is the identity, so the
+/// cell loop ends there and `φ_dst` is *declared* to hold the same constant
+/// above — which writes nothing when it already does, the steady state.
+/// Every other configuration sweeps the whole interior and drops `φ_dst`'s
+/// summary, as its `comps_mut` would.
+///
+/// [`SoaField`]: eutectica_blockgrid::field::SoaField
+///
+/// Under `debug_assertions` the summaries of all four fields are verified
+/// by a full scan first.
+pub fn phi_sweep_prepare(state: &mut BlockState, cfg: KernelConfig) -> (usize, usize) {
+    debug_assert!(
+        state.phi_src.summary_holds()
+            && state.phi_dst.summary_holds()
+            && state.mu_src.summary_holds()
+            && state.mu_dst.summary_holds(),
+        "a field's constant-slab summary does not describe its contents"
+    );
+    let (z0, z1) = state.dims.interior_z_range();
+    if !(cfg.shortcuts && cfg.phi == PhiVariant::SimdCellwise) {
+        state.phi_dst.comps_mut();
+        return (z0, z1);
+    }
+    state.phi_src.tighten();
+    let (const_from, val) = state.phi_src.const_zone();
+    let active_end = match pure_phase_of(val) {
+        Some(_) => (const_from + 1).clamp(z0, z1),
+        None => z1,
+    };
+    if active_end < z1 {
+        state.phi_dst.extend_const_zone(active_end, val);
+    }
+    if active_end > z0 {
+        // What the cell loop is about to write leaves φ_dst's zone here.
+        state.phi_dst.comps_mut_below(active_end);
+    }
+    (z0, active_end)
 }
 
 /// Like [`phi_sweep`] restricted to the z-slices `z0..z1` (absolute,
 /// ghost-inclusive coordinates with `g <= z0 <= z1 <= g + nz`). All
 /// variants read only the source fields and write each `φ_dst` cell of the
 /// slab exactly once, so a disjoint slab partition run in any order (or
-/// concurrently) produces the full sweep's result bit-for-bit.
+/// concurrently) produces the full sweep's result bit-for-bit. Runs the
+/// cell loop on every slab asked for; [`phi_sweep_prepare`] says which
+/// slabs need it.
 pub fn phi_sweep_range(
     params: &ModelParams,
     state: &mut BlockState,
@@ -249,6 +315,9 @@ pub fn phi_sweep_range(
     z0: usize,
     z1: usize,
 ) {
+    if z0 >= z1 {
+        return;
+    }
     match cfg.phi {
         PhiVariant::Reference => reference::phi_sweep_reference_range(params, state, time, z0, z1),
         PhiVariant::Scalar => scalar_phi::phi_sweep_scalar_range(

@@ -25,7 +25,7 @@ use crate::kernels::scalar_mu::SweepCtx;
 use crate::kernels::simd_common::{
     cells_eq_mask, load_cells4, per_comp, per_phase, RecomputedSlices,
 };
-use crate::kernels::{get2, get4, MuPart};
+use crate::kernels::{get2, get4, pure_phase_of, MuPart};
 use crate::model::{mu_cell_update, phase_change_source, susceptibility, temp_drift};
 use crate::params::ModelParams;
 use crate::state::BlockState;
@@ -192,6 +192,29 @@ impl<V: SimdF64x4> VCtx<V> {
         flux
     }
 
+    /// The face flux between the groups at `il` and `ir`:
+    /// [`Self::pure_face_flux`] when everything the face reads is known to
+    /// be pure in phase `pure`, [`Self::face_flux`] otherwise. The two
+    /// agree bit for bit wherever the first applies.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn face_flux_in<const SC: bool>(
+        &self,
+        pure: Option<usize>,
+        ps: &[&[f64]; N_PHASES],
+        pd: &[&[f64]; N_PHASES],
+        ms: &[&[f64]; N_COMP],
+        ctx_face: &SliceCtx,
+        il: usize,
+        ir: usize,
+        axis: usize,
+    ) -> [V; N_COMP] {
+        match pure {
+            Some(p) => self.pure_face_flux(ms, &ctx_face.mob[p], il, ir),
+            None => self.face_flux::<SC>(ps, pd, ms, ctx_face, il, ir, axis),
+        }
+    }
+
     /// Combined face flux `M∇µ − J_at` for the four faces between cell
     /// groups starting at `il` and `ir` (ir = il + stride(axis)).
     #[inline(always)]
@@ -353,6 +376,18 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
         mu_dst,
         ..
     } = state;
+    // Slab-level shortcut: where φ_src's slabs z−1..z+1 and φ_dst's slab z
+    // lie in constant zones of one pure phase, every group of slab z passes
+    // the per-group predicates below (`pure_phase`, `neighbours_pure`,
+    // `unchanged`) — so they are decided once per slab, from the fields'
+    // summaries, and φ is not loaded at all.
+    let (src_from, src_val) = phi_src.const_zone();
+    let (dst_from, dst_val) = phi_dst.const_zone();
+    let (zone_phase, zone_from) = match (pure_phase_of(src_val), pure_phase_of(dst_val)) {
+        (Some(p), Some(q)) if SC && p == q => (Some(p), (src_from + 1).max(dst_from)),
+        _ => (None, usize::MAX),
+    };
+
     let ps = phi_src.comps();
     let pd = phi_dst.comps();
     let ms = mu_src.comps();
@@ -368,10 +403,12 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
         } else {
             recomputed.zface(z0 - 1)
         };
+        let slab_pure = if z0 >= zone_from { zone_phase } else { None };
         for y in 0..ny {
             for gx in 0..ngx {
                 let i = dims.idx(4 * gx + g, y + g, z0);
-                zbuf[y * ngx + gx] = cx.face_flux::<SC>(&ps, &pd, &ms, &ctx_zlow, i - sz, i, 2);
+                zbuf[y * ngx + gx] =
+                    cx.face_flux_in::<SC>(slab_pure, &ps, &pd, &ms, &ctx_zlow, i - sz, i, 2);
             }
         }
     }
@@ -390,6 +427,7 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
         } else {
             (&untabulated, &untabulated, &untabulated)
         };
+        let slab_pure = if z >= zone_from { zone_phase } else { None };
         if STAG {
             let fresh;
             let ctx_yf = if TZ {
@@ -400,7 +438,7 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
             };
             for gx in 0..ngx {
                 let i = dims.idx(4 * gx + g, g, z);
-                ybuf[gx] = cx.face_flux::<SC>(&ps, &pd, &ms, ctx_yf, i - sy, i, 1);
+                ybuf[gx] = cx.face_flux_in::<SC>(slab_pure, &ps, &pd, &ms, ctx_yf, i - sy, i, 1);
             }
         }
         for y in g..g + ny {
@@ -415,7 +453,7 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
                     fresh = recomputed.cell(z);
                     &fresh
                 };
-                let lo = cx.face_flux::<SC>(&ps, &pd, &ms, ctx_xf, row - 1, row, 0);
+                let lo = cx.face_flux_in::<SC>(slab_pure, &ps, &pd, &ms, ctx_xf, row - 1, row, 0);
                 carry = [lo[0].extract(0), lo[1].extract(0)];
             }
             for gx in 0..ngx {
@@ -435,26 +473,21 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
                 // Shortcut: a group pure in one phase p (`pure`) whose face
                 // neighbours are too (`stencil_pure`) is a
                 // constant-coefficient 7-point stencil on µ.
-                let pc = load_cells4::<V>(&ps, i);
-                let pure = if SC { pure_phase(&ps, i, &pc) } else { None };
-                let stencil_pure = match pure {
-                    Some(p) if neighbours_pure::<V, STAG>(&ps, i, sy, sz, p) => Some(p),
-                    _ => None,
+                let (pc, pure, stencil_pure) = if let Some(p) = slab_pure {
+                    (unit_phase::<V>(p), Some(p), Some(p))
+                } else {
+                    let pc = load_cells4::<V>(&ps, i);
+                    let pure = if SC { pure_phase(&ps, i, &pc) } else { None };
+                    let stencil_pure = match pure {
+                        Some(p) if neighbours_pure::<V, STAG>(&ps, i, sy, sz, p) => Some(p),
+                        _ => None,
+                    };
+                    (pc, pure, stencil_pure)
                 };
 
-                let (f_xh, f_yh, f_zh) = if let Some(p) = stencil_pure {
-                    (
-                        cx.pure_face_flux(&ms, &ctx.mob[p], i, i + 1),
-                        cx.pure_face_flux(&ms, &ctx.mob[p], i, i + sy),
-                        cx.pure_face_flux(&ms, &czh.mob[p], i, i + sz),
-                    )
-                } else {
-                    (
-                        cx.face_flux::<SC>(&ps, &pd, &ms, ctx, i, i + 1, 0),
-                        cx.face_flux::<SC>(&ps, &pd, &ms, ctx, i, i + sy, 1),
-                        cx.face_flux::<SC>(&ps, &pd, &ms, czh, i, i + sz, 2),
-                    )
-                };
+                let f_xh = cx.face_flux_in::<SC>(stencil_pure, &ps, &pd, &ms, ctx, i, i + 1, 0);
+                let f_yh = cx.face_flux_in::<SC>(stencil_pure, &ps, &pd, &ms, ctx, i, i + sy, 1);
+                let f_zh = cx.face_flux_in::<SC>(stencil_pure, &ps, &pd, &ms, czh, i, i + sz, 2);
                 let (f_xl, f_yl, f_zl) = if STAG {
                     let xl = [shift_in(carry[0], f_xh[0]), shift_in(carry[1], f_xh[1])];
                     carry = [f_xh[0].extract(3), f_xh[1].extract(3)];
@@ -462,17 +495,11 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
                     ybuf[gx] = f_yh;
                     zbuf[(y - g) * ngx + gx] = f_zh;
                     lows
-                } else if let Some(p) = stencil_pure {
-                    (
-                        cx.pure_face_flux(&ms, &ctx.mob[p], i - 1, i),
-                        cx.pure_face_flux(&ms, &ctx.mob[p], i - sy, i),
-                        cx.pure_face_flux(&ms, &czl.mob[p], i - sz, i),
-                    )
                 } else {
                     (
-                        cx.face_flux::<SC>(&ps, &pd, &ms, ctx, i - 1, i, 0),
-                        cx.face_flux::<SC>(&ps, &pd, &ms, ctx, i - sy, i, 1),
-                        cx.face_flux::<SC>(&ps, &pd, &ms, czl, i - sz, i, 2),
+                        cx.face_flux_in::<SC>(stencil_pure, &ps, &pd, &ms, ctx, i - 1, i, 0),
+                        cx.face_flux_in::<SC>(stencil_pure, &ps, &pd, &ms, ctx, i - sy, i, 1),
+                        cx.face_flux_in::<SC>(stencil_pure, &ps, &pd, &ms, czl, i - sz, i, 2),
                     )
                 };
 
@@ -515,7 +542,11 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
                 let mut source = [V::zero(); N_COMP];
                 let mut drift = [V::zero(); N_COMP];
                 if with_local_terms {
-                    let pn = load_cells4::<V>(&pd, i);
+                    // In a constant slab φ_dst is φ_src: no phase change.
+                    let pn = match slab_pure {
+                        Some(_) => pc,
+                        None => load_cells4::<V>(&pd, i),
+                    };
                     let unchanged = SC && cells_eq_mask(&pn, &pc).all();
                     if !unchanged {
                         let mut s_new = V::zero();

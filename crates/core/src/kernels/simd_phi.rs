@@ -226,7 +226,9 @@ fn cellwise<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool, cons
     } = state;
     let ps = phi_src.comps();
     let ms = mu_src.comps();
-    let mut pd = phi_dst.comps_mut();
+    // Cut off at the slab bound: whatever `φ_dst` is known to hold above
+    // (`kernels::phi_sweep_prepare`) is out of this sweep's reach.
+    let mut pd = phi_dst.comps_mut_below(z1);
 
     let mut zbuf = vec![V::zero(); if STAG { nx * ny } else { 0 }];
     let mut ybuf = vec![V::zero(); if STAG { nx } else { 0 }];

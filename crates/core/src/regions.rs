@@ -89,10 +89,18 @@ pub fn classify_block(state: &BlockState) -> RegionCounts {
 /// Default per-region kernel rates `[interface, liquid, solid]` in MLUP/s,
 /// following the measured ordering of Sec. 5.1 (liquid fastest thanks to the
 /// bulk shortcuts, interface slowest). Used as the cold-start prior of the
-/// dynamic rebalancer's cost model before any sweep has been timed; only the
-/// *ratios* matter there, and measured times replace the prior as soon as
-/// they exist.
-pub const DEFAULT_REGION_RATES: [f64; 3] = [30.0, 100.0, 45.0];
+/// dynamic rebalancer's cost model before any sweep has been timed and by
+/// the campaign scheduler's LPT plan; only the *ratios* matter there, and
+/// measured times replace the prior as soon as they exist.
+///
+/// The numbers are the per-class sweep rates `2 / (1/φ + 1/µ)` of the
+/// benchmark ledger's `core.kernels.{phi,mu}_mlups.{interface,liquid,solid}`
+/// (40³ scenario blocks, default kernels, 2-vCPU reference box; medians of
+/// the twelve traced 20-s runs of PR 16: φ 31.6 / 9·10⁵ / 37.6 and
+/// µ 30.9 / 214 / 72.1 MLUP/s). Liquid is a µ-diffusion stream since the
+/// sweeps became proportional to the front: the φ-sweep does not visit a
+/// constant melt.
+pub const DEFAULT_REGION_RATES: [f64; 3] = [31.0, 430.0, 49.0];
 
 /// Estimated relative cost (time per cell) of a block from its region
 /// composition and the measured per-region kernel rates (MLUP/s for
@@ -292,7 +300,8 @@ mod tests {
         // in interface cells" — with the measured rate ordering
         // (liquid > solid > interface at full optimization), interface
         // blocks get the largest weight.
-        let rates = [30.0, 100.0, 45.0]; // interface, liquid, solid MLUP/s
+        let rates = DEFAULT_REGION_RATES; // interface, liquid, solid MLUP/s
+        assert!(rates[0] < rates[2] && rates[2] < rates[1], "{rates:?}");
         let dims = GridDims::cube(16);
         let w_interface = block_weight(
             &classify_block(&build_scenario(Scenario::Interface, dims)),

@@ -294,20 +294,11 @@ impl Simulation {
     /// front position); the block origin offset is included, so this grows
     /// monotonically under the moving window.
     pub fn front_position(&self) -> f64 {
-        let d = self.state.dims;
-        let g = d.ghost;
-        for z in (g..g + d.nz).rev() {
-            let mut solid = 0.0;
-            for y in g..g + d.ny {
-                for x in g..g + d.nx {
-                    solid += 1.0 - self.state.phi_src.at(LIQ, x, y, z);
-                }
-            }
-            if solid / (d.nx * d.ny) as f64 > 0.05 {
-                return (self.state.origin[2] + z - g) as f64;
-            }
-        }
-        self.state.origin[2] as f64
+        let rise = self
+            .state
+            .front_slab()
+            .map_or(0, |z| z - self.state.dims.ghost);
+        (self.state.origin[2] + rise) as f64
     }
 
     /// Mean chemical potential over the interior.

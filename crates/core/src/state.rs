@@ -9,7 +9,7 @@ use eutectica_blockgrid::boundary::{Bc, BoundarySpec};
 use eutectica_blockgrid::field::SoaField;
 use eutectica_blockgrid::GridDims;
 
-use crate::{N_COMP, N_PHASES};
+use crate::{LIQ, N_COMP, N_PHASES};
 
 /// Simulation state of one block.
 #[derive(Clone, Debug)]
@@ -87,6 +87,30 @@ impl BlockState {
         self.mu_src.shift_z_down([0.0; N_COMP]);
         self.mu_dst.shift_z_down([0.0; N_COMP]);
         self.origin[2] += 1;
+    }
+
+    /// The highest interior z-slab (padded coordinate) whose mean solid
+    /// fraction `1 − φ_ℓ` exceeds 5 % — the solidification front — scanning
+    /// down from the top. Slabs in a constant zone of `φ_src` with
+    /// `φ_ℓ = 1` hold no solid, so the scan starts below them.
+    pub fn front_slab(&self) -> Option<usize> {
+        let d = self.dims;
+        let g = d.ghost;
+        let (const_from, val) = self.phi_src.const_zone();
+        let top = if val[LIQ] == 1.0 {
+            (g + d.nz).min(const_from)
+        } else {
+            g + d.nz
+        };
+        (g..top).rev().find(|&z| {
+            let mut solid = 0.0;
+            for y in g..g + d.ny {
+                for x in g..g + d.nx {
+                    solid += 1.0 - self.phi_src.at(LIQ, x, y, z);
+                }
+            }
+            solid / (d.nx * d.ny) as f64 > 0.05
+        })
     }
 
     /// Copy src fields into dst (so untouched dst ghost/boundary data is

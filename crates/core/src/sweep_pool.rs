@@ -173,10 +173,12 @@ impl SweepPool {
         cfg: KernelConfig,
         tel: &Telemetry,
     ) {
-        let (z0, z1) = state.dims.interior_z_range();
+        // Summary transitions happen here, once, on the calling thread; the
+        // workers below share the block and only read the summaries.
+        let (z0, z1) = kernels::phi_sweep_prepare(state, cfg);
         let parts = self.threads.min(z1 - z0);
         if parts <= 1 {
-            kernels::phi_sweep(params, state, time, cfg);
+            kernels::phi_sweep_range(params, state, time, cfg, z0, z1);
             return;
         }
         let ptr = SendPtr(state as *mut BlockState);
@@ -210,6 +212,9 @@ impl SweepPool {
             kernels::mu_sweep(params, state, time, cfg, part);
             return;
         }
+        // Every µ-kernel takes µ_dst whole ("anything may be written"):
+        // drop its summary here so that no worker has to.
+        state.mu_dst.raw_mut();
         let ptr = SendPtr(state as *mut BlockState);
         self.run(parts, &|k| {
             let _slab = tel.span_cat("mu_slab", "compute");

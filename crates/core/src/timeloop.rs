@@ -386,27 +386,14 @@ impl<'r> DistributedSim<'r> {
 
     /// Highest global z with ≥ 5 % solid in any local block slice.
     fn local_front(&self) -> f64 {
-        let mut best = f64::NEG_INFINITY;
-        for b in &self.blocks {
-            let d = b.dims;
-            let g = d.ghost;
-            for z in (g..g + d.nz).rev() {
-                let mut solid = 0.0;
-                for y in g..g + d.ny {
-                    for x in g..g + d.nx {
-                        solid += 1.0 - b.phi_src.at(LIQ, x, y, z);
-                    }
-                }
-                if solid / (d.nx * d.ny) as f64 > 0.05 {
-                    best = best.max((b.origin[2] + z - g) as f64);
-                    break;
-                }
-            }
-        }
-        if best.is_finite() {
-            best
-        } else {
-            self.blocks.first().map_or(0.0, |b| b.origin[2] as f64)
+        let best = self
+            .blocks
+            .iter()
+            .filter_map(|b| Some(b.origin[2] + b.front_slab()? - b.dims.ghost))
+            .max();
+        match best {
+            Some(z) => z as f64,
+            None => self.blocks.first().map_or(0.0, |b| b.origin[2] as f64),
         }
     }
 

@@ -718,3 +718,334 @@ fn slab_cuts_through_a_bulk_run_reproduce_the_full_sweep() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Constant-slab summary (PR 16): the default kernels end the φ cell loop at
+// the field's constant pure zone and decide the µ shortcuts once per slab
+// from it. Whole runs — sweeps, boundary fills, window shifts, health scans —
+// are compared step by step against `shortcuts = false`, which ignores the
+// summary, on both ISAs and with the slab pool at 1, 2 and 7 threads.
+
+use eutectica_core::health::{
+    apply_fault, scan_block, FaultKind, FieldFault, FieldTarget, HealthConfig,
+};
+use eutectica_core::kernels::phi_sweep_prepare;
+use eutectica_core::solver::Simulation;
+
+const THREADS: [usize; 3] = [1, 2, 7];
+
+/// Two simulations that differ in `shortcuts` only: `(fast, plain)`.
+fn sim_pair(
+    params: &ModelParams,
+    cells: [usize; 3],
+    isa: SimdIsa,
+    threads: usize,
+    init: impl Fn(&mut Simulation),
+) -> (Simulation, Simulation) {
+    let build = |shortcuts: bool| {
+        let mut sim = Simulation::new(params.clone(), cells).unwrap();
+        sim.cfg = KernelConfig {
+            isa,
+            shortcuts,
+            ..KernelConfig::default()
+        };
+        sim.set_threads(threads);
+        init(&mut sim);
+        sim
+    };
+    (build(true), build(false))
+}
+
+/// First interior cell of the evolved fields whose bits differ (two NaNs
+/// count as equal; `phi_by_value` compares φ with `==`, so ±0 are equal).
+fn first_state_diff(a: &BlockState, b: &BlockState, phi_by_value: bool) -> Option<String> {
+    let same = |p: f64, q: f64, by_value: bool| {
+        p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan()) || (by_value && p == q)
+    };
+    for (x, y, z) in a.dims.interior_iter() {
+        for c in 0..4 {
+            let (p, q) = (a.phi_src.at(c, x, y, z), b.phi_src.at(c, x, y, z));
+            if !same(p, q, phi_by_value) {
+                return Some(format!("phi[{c}]@({x},{y},{z}): {p:e} vs {q:e}"));
+            }
+        }
+        for c in 0..2 {
+            let (p, q) = (a.mu_src.at(c, x, y, z), b.mu_src.at(c, x, y, z));
+            if !same(p, q, false) {
+                return Some(format!("mu[{c}]@({x},{y},{z}): {p:e} vs {q:e}"));
+            }
+        }
+    }
+    None
+}
+
+/// Step both simulations `steps` times; after every step the fields and
+/// the health scan must agree.
+fn lockstep(
+    what: &str,
+    fast: &mut Simulation,
+    plain: &mut Simulation,
+    steps: usize,
+    by_value: bool,
+) {
+    let health = HealthConfig::for_params(&fast.params);
+    for _ in 0..steps {
+        fast.step();
+        plain.step();
+        let at = format!("{what}, after step {}", fast.steps());
+        if let Some(d) = first_state_diff(&fast.state, &plain.state, by_value) {
+            panic!("{at}: {d}");
+        }
+        assert_eq!(
+            scan_block(&fast.state, &health, 0),
+            scan_block(&plain.state, &health, 0),
+            "{at}: health scan"
+        );
+        assert_eq!(fast.window_shifts(), plain.window_shifts(), "{at}: shifts");
+    }
+}
+
+#[test]
+fn a_cell_poked_into_the_melt_is_seen_by_the_next_sweep_and_the_next_scan() {
+    let params = ModelParams::ag_al_cu();
+    let cells = [8, 8, 24];
+    // Interior cell (3, 4, 18) — total coordinates `at` — far above the front.
+    let at = (4, 5, 19);
+    let fault = move |target, kind| FieldFault {
+        step: 0,
+        block: 0,
+        cell: [at.0 - 1, at.1 - 1, at.2 - 1],
+        target,
+        kind,
+    };
+    type Poke = Box<dyn Fn(&mut BlockState)>;
+    let pokes: [(&str, Poke); 5] = [
+        (
+            "set_cell",
+            Box::new(move |s| s.phi_src.set_cell(at.0, at.1, at.2, [0.25, 0.0, 0.0, 0.75])),
+        ),
+        (
+            "comps_mut",
+            Box::new(move |s| {
+                let i = s.dims.idx(at.0, at.1, at.2);
+                s.phi_src.comps_mut()[1][i] = 0.25;
+            }),
+        ),
+        (
+            "raw_mut",
+            Box::new(move |s| {
+                let i = 2 * s.dims.volume() + s.dims.idx(at.0, at.1, at.2);
+                s.phi_src.raw_mut()[i] = 0.5;
+            }),
+        ),
+        (
+            "fault-nan",
+            Box::new(move |s| {
+                apply_fault(s, &fault(FieldTarget::Phi(LIQ), FaultKind::Nan));
+            }),
+        ),
+        (
+            // Bit 62 of +0.0: the value 2.0, finite and off the simplex.
+            "fault-bitflip",
+            Box::new(move |s| {
+                apply_fault(s, &fault(FieldTarget::Phi(0), FaultKind::BitFlip(62)));
+            }),
+        ),
+    ];
+    let health = HealthConfig::for_params(&params);
+    for isa in isas() {
+        for threads in THREADS {
+            for (name, poke) in &pokes {
+                let what = format!("{name} {isa:?} threads={threads}");
+                let (mut fast, mut plain) =
+                    sim_pair(&params, cells, isa, threads, |s| s.init_directional(5));
+                lockstep(&what, &mut fast, &mut plain, 4, false);
+                let (zone_from, zone_val) = fast.state.phi_src.const_zone();
+                assert!(
+                    zone_from < at.2 && zone_val == PURE_LIQ,
+                    "{what}: the poke must land inside the constant zone ({zone_from})"
+                );
+                poke(&mut fast.state);
+                poke(&mut plain.state);
+                assert_ne!(
+                    fast.state.phi_src.cell(at.0, at.1, at.2),
+                    PURE_LIQ,
+                    "{what}"
+                );
+                assert!(
+                    fast.state.phi_src.summary_holds(),
+                    "{what}: summary after the poke"
+                );
+                // The very next scan, before any sweep, reports the cell.
+                let scan = scan_block(&fast.state, &health, 0);
+                assert_eq!(scan, scan_block(&plain.state, &health, 0), "{what}: scan");
+                if name.starts_with("fault") {
+                    assert_eq!(scan.violations(), 1, "{what}: {scan:?}");
+                    assert_eq!(scan.first_bad.unwrap().cell, [at.0, at.1, at.2], "{what}");
+                }
+                // The very next sweep sees it, and every one after it. (Once
+                // a NaN spreads, `shortcuts` on and off differ in how
+                // comparisons with it fall — with or without a summary — so
+                // that case is held to "both stay unhealthy" from there.)
+                if *name == "fault-nan" {
+                    lockstep(&what, &mut fast, &mut plain, 1, false);
+                    for _ in 0..19 {
+                        fast.step();
+                        plain.step();
+                        for sim in [&fast, &plain] {
+                            let scan = scan_block(&sim.state, &health, 0);
+                            assert!(scan.violations() > 0, "{what}: NaN laundered");
+                        }
+                    }
+                } else {
+                    lockstep(&what, &mut fast, &mut plain, 20, false);
+                }
+            }
+        }
+    }
+}
+
+/// Overwrite every cell of the slabs `z_from..tz`, ghosts included, of both
+/// φ fields.
+fn fill_phi_from(s: &mut BlockState, z_from: usize, cell: [f64; 4]) {
+    for z in z_from..s.dims.tz() {
+        for y in 0..s.dims.ty() {
+            for x in 0..s.dims.tx() {
+                set_phi(s, (x, y, z), cell);
+            }
+        }
+    }
+}
+
+#[test]
+fn constant_but_impure_zones_keep_the_summary_and_skip_the_fast_paths() {
+    let params = ModelParams::ag_al_cu();
+    let cells = [8, 8, 20];
+    for (label, cell, by_value) in [
+        ("off-vertex", [0.0, 0.0, 1e-3, 1.0 - 1e-3], false),
+        // Equal to pure liquid for every `==`, but not bitwise: the per-cell
+        // φ shortcut copies the −0.0 through where the full update
+        // re-projects it to +0.0 (PR 12), so φ compares by value here.
+        ("negative-zero", [-0.0, 0.0, 0.0, 1.0], true),
+    ] {
+        for isa in isas() {
+            for threads in THREADS {
+                let what = format!("{label} {isa:?} threads={threads}");
+                let (mut fast, mut plain) = sim_pair(&params, cells, isa, threads, |s| {
+                    s.init_planar(1, 6);
+                    fill_phi_from(&mut s.state, 11, cell);
+                });
+                // The sweep finds the new constant, keeps it in the summary
+                // and still covers the whole interior.
+                let mut probe = fast.state.clone();
+                let range = phi_sweep_prepare(&mut probe, fast.cfg);
+                assert_eq!(
+                    range,
+                    probe.dims.interior_z_range(),
+                    "{what}: fast path taken"
+                );
+                let (from, val) = probe.phi_src.const_zone();
+                assert_eq!(
+                    (from, val.map(f64::to_bits)),
+                    (11, cell.map(f64::to_bits)),
+                    "{what}"
+                );
+                lockstep(&what, &mut fast, &mut plain, 20, by_value);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_retreating_front_melts_back_into_the_zone() {
+    // Above the eutectic temperature the solid melts: cells at the zone's
+    // lower edge turn into exact liquid and the zone grows downward.
+    let mut params = ModelParams::ag_al_cu();
+    params.t0 = 1.06;
+    params.grad_g = 0.0;
+    for isa in isas() {
+        for threads in THREADS {
+            let what = format!("retreat {isa:?} threads={threads}");
+            let (mut fast, mut plain) =
+                sim_pair(&params, [8, 8, 24], isa, threads, |s| s.init_planar(0, 12));
+            lockstep(&what, &mut fast, &mut plain, 1, false);
+            let (solid, zone) = (fast.solid_fraction(), fast.state.phi_src.const_zone().0);
+            lockstep(&what, &mut fast, &mut plain, 500, false);
+            assert!(fast.solid_fraction() < solid, "{what}: nothing melted");
+            assert!(
+                fast.state.phi_src.const_zone().0 < zone,
+                "{what}: zone did not grow"
+            );
+        }
+    }
+}
+
+#[test]
+fn an_advancing_front_and_window_shifts_move_the_zone() {
+    let mut params = ModelParams::ag_al_cu();
+    params.t0 = 0.95;
+    params.grad_g = 0.0;
+    for isa in isas() {
+        for threads in THREADS {
+            let what = format!("window {isa:?} threads={threads}");
+            let (mut fast, mut plain) = sim_pair(&params, [8, 8, 20], isa, threads, |s| {
+                s.init_planar(0, 9);
+                s.enable_moving_window(0.5);
+            });
+            lockstep(&what, &mut fast, &mut plain, 260, false);
+            assert!(fast.window_shifts() > 0, "{what}: the window never moved");
+            let (from, val) = fast.state.phi_src.const_zone();
+            assert!(
+                from < 20 && val == PURE_LIQ,
+                "{what}: no melt zone left ({from})"
+            );
+        }
+    }
+}
+
+#[test]
+fn range_cuts_inside_at_and_outside_the_zone_reproduce_the_full_sweep() {
+    let params = ModelParams::ag_al_cu();
+    let dims = GridDims::new(8, 6, 12, 1);
+    // Interface sheet in slabs 3..5, melt above: after `tighten` the zone
+    // starts at slab 5, so µ's slab decision applies from slab 6.
+    let mut base = bulk_state(dims, 37);
+    roughen(&mut base, 82, 0..dims.tx(), 0..dims.ty(), 0..5);
+    let (z0, z1) = dims.interior_z_range();
+    for isa in isas() {
+        for stag in [false, true] {
+            let fast = KernelConfig {
+                isa,
+                staggered_buffer: stag,
+                ..KernelConfig::default()
+            };
+            let plain = KernelConfig {
+                shortcuts: false,
+                ..fast
+            };
+            let mut want = base.clone();
+            phi_sweep(&params, &mut want, 0.4, plain);
+            mu_sweep(&params, &mut want, 0.4, plain, MuPart::Full);
+            for cut in [4, 5, 6, 7, 9] {
+                let what = format!("{isa:?} stag={stag} cut={cut}");
+                let mut s = base.clone();
+                let (a, b) = phi_sweep_prepare(&mut s, fast);
+                assert_eq!((a, b), (z0, 6), "{what}: φ cell loop bounds");
+                assert_eq!(s.phi_dst.const_zone().0, 6, "{what}: φ_dst zone");
+                let mid = cut.min(b);
+                phi_sweep_range(&params, &mut s, 0.4, fast, mid, b);
+                phi_sweep_range(&params, &mut s, 0.4, fast, a, mid);
+                assert_eq!(
+                    s.phi_dst.const_zone().0,
+                    6,
+                    "{what}: φ_dst zone after the sweep"
+                );
+                mu_sweep_range(&params, &mut s, 0.4, fast, MuPart::Full, cut, z1);
+                mu_sweep_range(&params, &mut s, 0.4, fast, MuPart::Full, z0, cut);
+                if let Some(d) = first_bit_diff(&want, &s, &[]) {
+                    panic!("{what}: {d}");
+                }
+            }
+        }
+    }
+}

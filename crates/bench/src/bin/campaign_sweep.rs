@@ -15,41 +15,17 @@
 //!   and exit (CI smoke: asserts every frame parses)
 //! - `--kill-rank <r> --kill-step <round>` chaos leg: kill a rank at the
 //!   given campaign round and shrink-continue on the survivors
-//! - `--bench-out <path>` record a perf trajectory with the
-//!   `campaign_points_per_hour` metric
 
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use eutectica_bench::{arg_parsed, arg_value};
 use eutectica_campaign::{run_campaign, CampaignOpts, CampaignSpec};
 use eutectica_comm::{FaultPlan, Universe, UniverseCfg};
 use eutectica_core::params::ModelParams;
-use eutectica_obsv::{FrameBus, JobRecord, Trajectory};
+use eutectica_obsv::{FrameBus, JobRecord};
 use eutectica_pfio::resilient::{ShrinkPolicy, ShrinkSource};
-
-fn value_of(flag: &str) -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == flag {
-            return Some(
-                args.next()
-                    .unwrap_or_else(|| panic!("{flag} needs a value")),
-            );
-        }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
-fn usize_of(flag: &str, default: usize) -> usize {
-    value_of(flag).map_or(default, |v| {
-        v.parse()
-            .unwrap_or_else(|_| panic!("{flag} must be a non-negative integer"))
-    })
-}
 
 fn decode_ndjson(path: &str) -> ! {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
@@ -74,15 +50,15 @@ fn decode_ndjson(path: &str) -> ! {
 }
 
 fn main() {
-    if let Some(path) = value_of("--decode") {
+    if let Some(path) = arg_value("--decode") {
         decode_ndjson(&path);
     }
 
-    let ranks = usize_of("--ranks", 2);
+    let ranks = arg_parsed("--ranks").unwrap_or(2usize);
     let threads = eutectica_bench::threads_arg();
-    let min_points = usize_of("--points", 32);
-    let steps = usize_of("--steps", 12);
-    let slice = usize_of("--slice", 4).max(1);
+    let min_points = arg_parsed("--points").unwrap_or(32usize);
+    let steps = arg_parsed("--steps").unwrap_or(12usize);
+    let slice = arg_parsed("--slice").unwrap_or(4usize).max(1);
 
     // 2 velocities × 2 gradients × 2 compositions = 8 points per seed row;
     // add seed rows until the requested size is covered.
@@ -119,8 +95,8 @@ fn main() {
         "campaign_sweep: {points} points on {ranks} rank(s) x {threads} thread(s), \
          {steps} steps/job, slice {slice}"
     );
-    let kill = eutectica_bench::kill_rank_arg()
-        .map(|r| (r, eutectica_bench::kill_step_arg().unwrap_or(2)));
+    let kill = arg_parsed::<usize>("--kill-rank")
+        .map(|r| (r, arg_parsed::<u64>("--kill-step").unwrap_or(2)));
 
     let wall = Instant::now();
     let spec_run = spec.clone();
@@ -184,7 +160,7 @@ fn main() {
     );
     assert_eq!(done + failed, points, "fleet lost jobs");
 
-    if let Some(path) = value_of("--ndjson-out") {
+    if let Some(path) = arg_value("--ndjson-out") {
         let mut lines = String::new();
         let mut n = 0usize;
         while let Some(frame) = sub.try_recv() {
@@ -194,15 +170,5 @@ fn main() {
         }
         std::fs::write(&path, lines).unwrap_or_else(|e| panic!("{path}: {e}"));
         println!("wrote {n} job frames to {path}");
-    }
-
-    if let Some(path) = eutectica_bench::bench_out_arg() {
-        let mut traj = Trajectory::new("campaign_sweep");
-        traj.push("campaign_points_per_hour", pph, "points/h", true);
-        traj.push("campaign_fleet_points", points as f64, "points", true);
-        traj.push("campaign_wall_s", wall_s, "s", false);
-        traj.write(path.to_str().expect("utf-8 path"))
-            .expect("write trajectory");
-        println!("trajectory written to {}", path.display());
     }
 }

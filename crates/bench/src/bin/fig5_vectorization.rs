@@ -8,7 +8,7 @@
 //! vectorization, or `simd-avx2` to *require* it — a typed error on hosts
 //! without AVX2+FMA instead of a silent scalar fallback).
 
-use eutectica_bench::{backend_arg, f2, phi_mlups, resolve_backend_or_exit, ResultTable};
+use eutectica_bench::{backend_isa_from_args, f2, phi_mlups, ResultTable};
 use eutectica_blockgrid::GridDims;
 use eutectica_core::kernels::{backend, KernelConfig, MuVariant, PhiVariant};
 use eutectica_core::params::ModelParams;
@@ -18,7 +18,7 @@ fn main() {
     let params = ModelParams::ag_al_cu();
     let dims = GridDims::cube(60);
     let reps = 5;
-    let isa = resolve_backend_or_exit(&backend_arg().unwrap_or_else(|| "simd".into())).isa;
+    let isa = backend_isa_from_args();
     println!(
         "Fig. 5 — phi-kernel vectorization strategies, block 60^3, SIMD backend: {}",
         isa.resolved_name()

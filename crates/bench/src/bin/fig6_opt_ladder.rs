@@ -10,8 +10,8 @@
 //! rate against the best hardcoded rung.
 
 use eutectica_bench::{
-    autotune_arg, autotune_step_report, backend_arg, f2, mu_mlups, phi_mlups,
-    resolve_backend_or_exit, threads_arg, ResultTable,
+    arg_flag, autotune_step_report, backend_isa_from_args, f2, mu_mlups, phi_mlups, threads_arg,
+    ResultTable,
 };
 use eutectica_blockgrid::GridDims;
 use eutectica_core::kernels::OptLevel;
@@ -21,7 +21,7 @@ use eutectica_core::regions::Scenario;
 fn main() {
     let params = ModelParams::ag_al_cu();
     let dims = GridDims::cube(60);
-    let isa = resolve_backend_or_exit(&backend_arg().unwrap_or_else(|| "simd".into())).isa;
+    let isa = backend_isa_from_args();
     println!(
         "Fig. 6 — optimization ladder, block 60^3, SIMD backend: {}",
         isa.resolved_name()
@@ -55,7 +55,7 @@ fn main() {
     println!("Expected shape (paper): every rung improves; staggered buffer ~2x on mu;");
     println!("shortcuts fastest in liquid (phi) and solid (mu).");
 
-    if autotune_arg() {
+    if arg_flag("--autotune") {
         println!();
         autotune_step_report(true, threads_arg()).print();
     }

@@ -17,14 +17,13 @@ use eutectica_perfmodel::machines::{intranode_scaling, supermuc};
 
 fn main() {
     let params = ModelParams::ag_al_cu();
-    let mut cfg = OptLevel::SimdTzBuf.config(); // no shortcuts, as in the paper
-    if let Some(name) = eutectica_bench::backend_arg() {
-        // Pin the ISA of the paper rung's SIMD kernels (`simd-avx2` errors
-        // on an incapable host instead of silently measuring scalar code).
-        cfg.isa = eutectica_bench::resolve_backend_or_exit(&name).isa;
-    }
+    // The paper's rung: no shortcuts. `--backend` pins the ISA of its SIMD
+    // kernels (`simd-avx2` errors on an incapable host instead of silently
+    // measuring scalar code).
+    let mut cfg = OptLevel::SimdTzBuf.config();
+    cfg.isa = eutectica_bench::backend_isa_from_args();
     let threads = eutectica_bench::threads_arg();
-    let autotune = eutectica_bench::autotune_arg();
+    let autotune = eutectica_bench::arg_flag("--autotune");
     println!(
         "Fig. 7 — intranode scaling of the mu-kernel (no shortcuts), SIMD backend: {}",
         cfg.isa.resolved_name()
@@ -32,32 +31,14 @@ fn main() {
     println!();
 
     // Per-block autotuning: tune, report the chosen variants, and measure
-    // the tuned step rate against the best hardcoded rung (also recorded
-    // into the --bench-out trajectory below as `step_mlups_autotuned`).
-    let report = autotune.then(|| {
-        let r = eutectica_bench::autotune_step_report(eutectica_bench::quick_arg(), threads);
-        r.print();
-        println!();
-        r
-    });
-
-    if let Some(path) = eutectica_bench::bench_out_arg() {
-        let quick = eutectica_bench::quick_arg();
-        println!(
-            "recording perf trajectory ({}) ...",
-            if quick { "quick" } else { "full" }
-        );
-        let mut traj = eutectica_bench::record_fig7_trajectory("fig7_intranode", quick);
-        if let Some(r) = &report {
-            traj.push("step_mlups_autotuned", r.tuned_mlups, "MLUP/s", true);
-        }
-        let path = path.to_string_lossy();
-        traj.write(&path).expect("write --bench-out trajectory");
-        println!("wrote {path} ({} entries)", traj.entries.len());
+    // the tuned step rate against the best hardcoded rung.
+    if autotune {
+        eutectica_bench::autotune_step_report(eutectica_bench::arg_flag("--quick"), threads)
+            .print();
         println!();
     }
 
-    if let Some(every) = eutectica_bench::observe_every_arg() {
+    if let Some(every) = eutectica_bench::arg_parsed("--observe-every") {
         println!("observed 2-rank run (20^3 blocks, {threads} sweep thread(s)):");
         eutectica_bench::run_observed(
             2,
@@ -67,13 +48,13 @@ fn main() {
             60,
             eutectica_core::timeloop::OverlapOptions::default(),
             every,
-            eutectica_bench::metrics_out_arg(),
-            eutectica_bench::serve_arg(),
+            eutectica_bench::arg_value("--metrics-out"),
+            eutectica_bench::arg_value("--serve"),
         );
         println!();
     }
 
-    if let Some(dir) = eutectica_bench::trace_out_arg() {
+    if let Some(dir) = eutectica_bench::arg_parsed::<std::path::PathBuf>("--trace-out") {
         println!("instrumented 2-rank run (20^3 blocks, 4 steps, {threads} sweep thread(s)):");
         eutectica_bench::run_traced(
             &dir,
@@ -83,7 +64,7 @@ fn main() {
             [2, 1, 1],
             4,
             eutectica_core::timeloop::OverlapOptions::default(),
-            eutectica_bench::health_every_arg(),
+            eutectica_bench::arg_parsed("--health-every"),
             eutectica_bench::rebalance_policy_from_args(),
         )
         .expect("write trace artifacts");

@@ -14,7 +14,7 @@ use eutectica_blockgrid::field::SoaField;
 use eutectica_blockgrid::{ghost, Face, GridDims};
 use eutectica_core::kernels::KernelConfig;
 use eutectica_core::params::ModelParams;
-use eutectica_core::timeloop::{run_distributed_threaded, OverlapOptions};
+use eutectica_core::timeloop::{run_distributed, OverlapOptions};
 use eutectica_perfmodel::machines::supermuc;
 use eutectica_perfmodel::network::message_time;
 
@@ -41,7 +41,7 @@ fn main() {
 
     // --trace-out <dir>: run an instrumented 2-rank simulation and emit the
     // Chrome trace / JSONL / reduced-timing-tree artifacts.
-    if let Some(dir) = eutectica_bench::trace_out_arg() {
+    if let Some(dir) = eutectica_bench::arg_parsed::<std::path::PathBuf>("--trace-out") {
         println!(
             "instrumented 2-rank run (mu-overlap, 32x16x16, 6 steps, {threads} sweep thread(s)):"
         );
@@ -56,7 +56,7 @@ fn main() {
                 hide_mu: true,
                 hide_phi: false,
             },
-            eutectica_bench::health_every_arg(),
+            eutectica_bench::arg_parsed("--health-every"),
             eutectica_bench::rebalance_policy_from_args(),
         )
         .expect("write trace artifacts");
@@ -66,33 +66,26 @@ fn main() {
     // --kill-rank R --kill-step S [--survive] [--shrink-source disk|buddy]:
     // chaos leg — kill a rank mid-run and either shrink-continue on the
     // survivors or tear down and restart, with a rank-0 summary line.
-    if let Some(kr) = eutectica_bench::kill_rank_arg() {
-        let ks = eutectica_bench::kill_step_arg().unwrap_or(6);
-        eutectica_bench::shrink_demo(
-            kr,
-            ks,
-            eutectica_bench::survive_arg(),
-            eutectica_bench::shrink_source_arg(),
-            threads,
-        );
-        println!();
-    }
+    eutectica_bench::shrink_demo_from_args(threads);
 
     // --- Live end-to-end check of the four overlap combinations (2 ranks).
     println!("live 2-rank run (16^3 blocks, 4 steps each, {threads} sweep thread(s)):");
     let params = ModelParams::ag_al_cu();
     for ov in OverlapOptions::ALL {
-        let out = run_distributed_threaded(
+        let out = run_distributed(
             params.clone(),
             Decomposition::new(DomainSpec::directional([32, 16, 16], [2, 1, 1])),
             2,
-            threads,
-            4,
             KernelConfig::default(),
             ov,
-            |b| eutectica_core::init::init_planar_front(b, 0, 6),
+            move |sim| {
+                sim.set_threads(threads);
+                sim.init_blocks(|b| eutectica_core::init::init_planar_front(b, 0, 6));
+                sim.step_n(4);
+                sim.timings
+            },
         );
-        let t = &out[0].1;
+        let t = &out[0];
         println!(
             "  hide_mu={:5} hide_phi={:5}:  phi_comm {:7.3} ms/step, mu_comm {:7.3} ms/step",
             ov.hide_mu,

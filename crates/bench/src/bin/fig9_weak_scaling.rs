@@ -25,7 +25,7 @@ fn main() {
     println!("Fig. 9 — weak scaling, MLUP/s per core (block 60^3 per rank)");
     println!();
 
-    if let Some(dir) = eutectica_bench::trace_out_arg() {
+    if let Some(dir) = eutectica_bench::arg_parsed::<std::path::PathBuf>("--trace-out") {
         println!(
             "instrumented 4-rank run (weak-scaling layout 2x2x1, 4 steps, {threads} sweep thread(s)):"
         );
@@ -40,7 +40,7 @@ fn main() {
                 hide_mu: true,
                 hide_phi: false,
             },
-            eutectica_bench::health_every_arg(),
+            eutectica_bench::arg_parsed("--health-every"),
             eutectica_bench::rebalance_policy_from_args(),
         )
         .expect("write trace artifacts");
@@ -50,23 +50,12 @@ fn main() {
     // --kill-rank R --kill-step S [--survive] [--shrink-source disk|buddy]:
     // chaos leg — kill a rank mid-run and either shrink-continue on the
     // survivors or tear down and restart, with a rank-0 summary line.
-    if let Some(kr) = eutectica_bench::kill_rank_arg() {
-        let ks = eutectica_bench::kill_step_arg().unwrap_or(6);
-        eutectica_bench::shrink_demo(
-            kr,
-            ks,
-            eutectica_bench::survive_arg(),
-            eutectica_bench::shrink_source_arg(),
-            threads,
-        );
-        println!();
-    }
+    eutectica_bench::shrink_demo_from_args(threads);
 
     // --rebalance-every <k>: run the front-crossing load-imbalance demo and
     // report the measured static vs. dynamically rebalanced max/avg ratio.
-    if let Some(every) = eutectica_bench::rebalance_every_arg() {
-        let threshold = eutectica_bench::imbalance_threshold_arg().unwrap_or(1.1);
-        eutectica_bench::rebalance_demo(every, threshold, threads, 24);
+    if let Some(policy) = eutectica_bench::rebalance_policy_from_args() {
+        eutectica_bench::rebalance_demo(policy.every, policy.threshold, threads, 24);
         println!();
     }
 

@@ -13,7 +13,6 @@ use eutectica_blockgrid::GridDims;
 use eutectica_core::kernels::{mu_sweep, phi_sweep, KernelConfig, MuPart};
 use eutectica_core::params::ModelParams;
 use eutectica_core::regions::{build_scenario, Scenario};
-use eutectica_core::state::BlockState;
 use eutectica_core::sweep_pool::SweepPool;
 
 /// Median-of-repetitions timing of `f`, in seconds per call.
@@ -166,13 +165,6 @@ impl ResultTable {
     }
 }
 
-/// Build a scenario state with an evolved φ_dst, for direct kernel calls.
-pub fn prepared_state(params: &ModelParams, scenario: Scenario, dims: GridDims) -> BlockState {
-    let mut s = build_scenario(scenario, dims);
-    phi_sweep(params, &mut s, 0.0, KernelConfig::default());
-    s
-}
-
 /// Round to 2 decimals for display.
 pub fn f2(v: f64) -> String {
     format!("{v:.2}")
@@ -183,227 +175,79 @@ pub fn f3(v: f64) -> String {
     format!("{v:.3}")
 }
 
-/// Parse a `--trace-out <dir>` flag from the process arguments.
-pub fn trace_out_arg() -> Option<std::path::PathBuf> {
+/// The value of `--flag <v>` or `--flag=<v>` among the process arguments
+/// (`None` when the flag is absent; a flag without its value panics).
+pub fn arg_value(flag: &str) -> Option<String> {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        if a == "--trace-out" {
-            return Some(args.next().expect("--trace-out needs a path").into());
+        if a == flag {
+            return Some(
+                args.next()
+                    .unwrap_or_else(|| panic!("{flag} needs a value")),
+            );
         }
-        if let Some(p) = a.strip_prefix("--trace-out=") {
-            return Some(p.into());
-        }
-    }
-    None
-}
-
-/// Parse a `--threads <n>` flag from the process arguments (default 1):
-/// intra-rank sweep threads, composing with the rank count into the hybrid
-/// ranks × threads layout.
-pub fn threads_arg() -> usize {
-    let mut args = std::env::args().skip(1);
-    let parse = |v: String| -> usize {
-        let n = v.parse().expect("--threads must be a positive integer");
-        assert!(n >= 1, "--threads must be a positive integer");
-        n
-    };
-    while let Some(a) = args.next() {
-        if a == "--threads" {
-            return parse(args.next().expect("--threads needs a count"));
-        }
-        if let Some(v) = a.strip_prefix("--threads=") {
-            return parse(v.to_string());
-        }
-    }
-    1
-}
-
-/// Parse a `--health-every <n>` flag from the process arguments: scan
-/// cadence of the in-situ field-health monitor (`0` disables scans even if
-/// a monitor is attached; absent flag = no monitor, zero overhead).
-pub fn health_every_arg() -> Option<usize> {
-    let mut args = std::env::args().skip(1);
-    let parse = |v: String| -> usize {
-        v.parse()
-            .expect("--health-every must be a non-negative step count")
-    };
-    while let Some(a) = args.next() {
-        if a == "--health-every" {
-            return Some(parse(
-                args.next().expect("--health-every needs a step count"),
-            ));
-        }
-        if let Some(v) = a.strip_prefix("--health-every=") {
-            return Some(parse(v.to_string()));
-        }
-    }
-    None
-}
-
-/// Parse a `--rebalance-every <n>` flag from the process arguments: cadence
-/// of the dynamic load rebalancer's collective imbalance check (absent flag
-/// = static placement, zero overhead).
-pub fn rebalance_every_arg() -> Option<usize> {
-    let mut args = std::env::args().skip(1);
-    let parse = |v: String| -> usize {
-        let n = v
-            .parse()
-            .expect("--rebalance-every must be a positive step count");
-        assert!(n >= 1, "--rebalance-every must be a positive step count");
-        n
-    };
-    while let Some(a) = args.next() {
-        if a == "--rebalance-every" {
-            return Some(parse(
-                args.next().expect("--rebalance-every needs a step count"),
-            ));
-        }
-        if let Some(v) = a.strip_prefix("--rebalance-every=") {
-            return Some(parse(v.to_string()));
-        }
-    }
-    None
-}
-
-/// Parse an `--imbalance-threshold <x>` flag from the process arguments:
-/// max/avg per-rank load ratio above which a periodic check actually
-/// migrates blocks (default 1.1 when `--rebalance-every` is given).
-pub fn imbalance_threshold_arg() -> Option<f64> {
-    let mut args = std::env::args().skip(1);
-    let parse = |v: String| -> f64 {
-        let x: f64 = v
-            .parse()
-            .expect("--imbalance-threshold must be a ratio >= 1.0");
-        assert!(x >= 1.0, "--imbalance-threshold must be a ratio >= 1.0");
-        x
-    };
-    while let Some(a) = args.next() {
-        if a == "--imbalance-threshold" {
-            return Some(parse(
-                args.next().expect("--imbalance-threshold needs a ratio"),
-            ));
-        }
-        if let Some(v) = a.strip_prefix("--imbalance-threshold=") {
-            return Some(parse(v.to_string()));
-        }
-    }
-    None
-}
-
-/// Build a [`RebalancePolicy`](eutectica_blockgrid::rebalance::RebalancePolicy)
-/// from the `--rebalance-every` / `--imbalance-threshold` flags (`None`
-/// when `--rebalance-every` is absent).
-pub fn rebalance_policy_from_args() -> Option<eutectica_blockgrid::rebalance::RebalancePolicy> {
-    rebalance_every_arg().map(|every| {
-        eutectica_blockgrid::rebalance::RebalancePolicy::new(
-            every,
-            imbalance_threshold_arg().unwrap_or(1.1),
-        )
-    })
-}
-
-/// Parse a `--bench-out <path>` flag: record a perf trajectory
-/// (`BENCH_<name>.json`) of this benchmark run to `path`.
-pub fn bench_out_arg() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--bench-out" {
-            return Some(args.next().expect("--bench-out needs a path").into());
-        }
-        if let Some(p) = a.strip_prefix("--bench-out=") {
-            return Some(p.into());
-        }
-    }
-    None
-}
-
-/// Parse a `--quick` flag: shrink benchmark workloads for CI smoke runs.
-pub fn quick_arg() -> bool {
-    std::env::args().skip(1).any(|a| a == "--quick")
-}
-
-/// Parse a `--backend <name>` flag: a kernel-backend registry name
-/// (`family[+tz][+buf][+sc]`, see `eutectica_core::kernels::backend`).
-pub fn backend_arg() -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--backend" {
-            return Some(args.next().expect("--backend needs a registry name"));
-        }
-        if let Some(v) = a.strip_prefix("--backend=") {
+        if let Some(v) = a.strip_prefix(flag).and_then(|r| r.strip_prefix('=')) {
             return Some(v.to_string());
         }
     }
     None
 }
 
-/// Resolve a registry backend name to its kernel configuration, exiting
-/// with the typed registry error on failure — `simd-avx2` on a host
-/// without AVX2+FMA is a hard error here, never a silent fallback.
-pub fn resolve_backend_or_exit(name: &str) -> KernelConfig {
-    match eutectica_core::kernels::backend::resolve(name) {
-        Ok(b) => b.config(),
+/// [`arg_value`] parsed as `T`; an unparsable value panics naming the flag.
+pub fn arg_parsed<T: std::str::FromStr>(flag: &str) -> Option<T> {
+    arg_value(flag).map(|v| {
+        v.parse()
+            .unwrap_or_else(|_| panic!("{flag}: cannot parse '{v}'"))
+    })
+}
+
+/// True when the bare switch `--flag` is among the process arguments.
+pub fn arg_flag(flag: &str) -> bool {
+    std::env::args().skip(1).any(|a| a == flag)
+}
+
+/// `--threads <n>` (default 1): intra-rank sweep threads, composing with
+/// the rank count into the hybrid ranks × threads layout.
+pub fn threads_arg() -> usize {
+    let n = arg_parsed("--threads").unwrap_or(1);
+    assert!(n >= 1, "--threads must be a positive integer");
+    n
+}
+
+/// Build a [`RebalancePolicy`](eutectica_blockgrid::rebalance::RebalancePolicy)
+/// from `--rebalance-every <n>` (cadence of the collective imbalance check;
+/// absent = `None`, static placement) and `--imbalance-threshold <x>`
+/// (max/avg per-rank load ratio above which a check migrates, default 1.1).
+pub fn rebalance_policy_from_args() -> Option<eutectica_blockgrid::rebalance::RebalancePolicy> {
+    let every: usize = arg_parsed("--rebalance-every")?;
+    assert!(
+        every >= 1,
+        "--rebalance-every must be a positive step count"
+    );
+    let threshold: f64 = arg_parsed("--imbalance-threshold").unwrap_or(1.1);
+    assert!(
+        threshold >= 1.0,
+        "--imbalance-threshold must be a ratio >= 1.0"
+    );
+    Some(eutectica_blockgrid::rebalance::RebalancePolicy::new(
+        every, threshold,
+    ))
+}
+
+/// The SIMD instantiation selected by `--backend <name>` (a registry name
+/// `family[+tz][+buf][+sc]`, see `eutectica_core::kernels::backend`;
+/// default `simd` = resolved at runtime). Exits with the typed registry
+/// error on failure — `simd-avx2` on a host without AVX2+FMA is a hard
+/// error here, never a silent fallback.
+pub fn backend_isa_from_args() -> eutectica_core::kernels::SimdIsa {
+    let name = arg_value("--backend").unwrap_or_else(|| "simd".into());
+    match eutectica_core::kernels::backend::resolve(&name) {
+        Ok(cfg) => cfg.isa,
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(2);
         }
     }
-}
-
-/// Parse an `--autotune` flag: per-block kernel-variant autotuning.
-pub fn autotune_arg() -> bool {
-    std::env::args().skip(1).any(|a| a == "--autotune")
-}
-
-/// Parse an `--observe-every <n>` flag: cadence of the in-situ physics
-/// observables (absent = observability plane off, zero overhead).
-pub fn observe_every_arg() -> Option<usize> {
-    let mut args = std::env::args().skip(1);
-    let parse = |v: String| -> usize {
-        v.parse()
-            .expect("--observe-every must be a non-negative step count")
-    };
-    while let Some(a) = args.next() {
-        if a == "--observe-every" {
-            return Some(parse(
-                args.next().expect("--observe-every needs a step count"),
-            ));
-        }
-        if let Some(v) = a.strip_prefix("--observe-every=") {
-            return Some(parse(v.to_string()));
-        }
-    }
-    None
-}
-
-/// Parse a `--metrics-out <path>` flag: write observable / slice / metrics
-/// frames as NDJSON to `path` (rank 0).
-pub fn metrics_out_arg() -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--metrics-out" {
-            return Some(args.next().expect("--metrics-out needs a path"));
-        }
-        if let Some(p) = a.strip_prefix("--metrics-out=") {
-            return Some(p.to_string());
-        }
-    }
-    None
-}
-
-/// Parse a `--serve <addr>` flag: bind the live NDJSON subscription
-/// endpoint on `addr` (e.g. `127.0.0.1:7119`; port 0 = OS-assigned).
-pub fn serve_arg() -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--serve" {
-            return Some(args.next().expect("--serve needs host:port"));
-        }
-        if let Some(p) = a.strip_prefix("--serve=") {
-            return Some(p.to_string());
-        }
-    }
-    None
 }
 
 /// Run a distributed simulation with the in-situ observability plane
@@ -492,118 +336,6 @@ pub fn run_observed(
         );
     }
     records
-}
-
-/// Record the fig7-workload perf trajectory: per-kernel MLUP/s on the
-/// paper's block sizes, hybrid step rate, ghost-exchange bandwidth, and
-/// health/rebalance overheads — the repo's honesty file about speed
-/// (commit as `BENCH_baseline.json`; compare with `bench_compare`).
-pub fn record_fig7_trajectory(name: &str, quick: bool) -> eutectica_obsv::Trajectory {
-    use eutectica_blockgrid::rebalance::RebalancePolicy;
-    use eutectica_core::health::{HealthConfig, HealthMonitor};
-    use eutectica_core::kernels::OptLevel;
-    use eutectica_core::timeloop::{DistributedSim, OverlapOptions};
-    use eutectica_telemetry::Telemetry;
-
-    let params = ModelParams::ag_al_cu();
-    let cfg = OptLevel::SimdTzBuf.config(); // the fig7 rung (no shortcuts)
-    let (n, reps, steps) = if quick { (20, 2, 8) } else { (40, 5, 16) };
-    let dims = GridDims::cube(n);
-    let mut traj = eutectica_obsv::Trajectory::new(name);
-
-    traj.push(
-        "phi_mlups_simd_tz_buf",
-        phi_mlups(&params, Scenario::Interface, dims, cfg, reps),
-        "MLUP/s",
-        true,
-    );
-    traj.push(
-        "mu_mlups_simd_tz_buf",
-        mu_mlups(&params, Scenario::Interface, dims, cfg, reps),
-        "MLUP/s",
-        true,
-    );
-    traj.push(
-        "step_mlups_threaded2",
-        step_mlups_threaded(
-            &params,
-            Scenario::Interface,
-            GridDims::cube(20),
-            cfg,
-            2,
-            reps,
-        ),
-        "MLUP/s",
-        true,
-    );
-
-    // Distributed leg: 2 ranks with health scans and a rebalance policy
-    // attached, so the overheads are measured in their production setting.
-    let domain = [16, 16, 32];
-    let blocks = [1, 1, 4];
-    let decomp = eutectica_blockgrid::decomp::Decomposition::new(
-        eutectica_blockgrid::decomp::DomainSpec::directional(domain, blocks),
-    );
-    let dist_params = params.clone();
-    let (out, summary) = eutectica_comm::Universe::run_with_stats(2, move |rank| {
-        let mut sim = DistributedSim::new(
-            &rank,
-            dist_params.clone(),
-            decomp.clone(),
-            cfg,
-            OverlapOptions::default(),
-        );
-        let tel = Telemetry::new(rank.rank());
-        sim.set_telemetry(tel.clone());
-        sim.set_health_monitor(Some(HealthMonitor::new(
-            HealthConfig::for_params(&dist_params).with_every(4),
-        )));
-        sim.set_rebalance_policy(Some(RebalancePolicy::new(8, 1.05)));
-        sim.init_blocks(|b| eutectica_core::init::init_planar_front(b, 0, 6));
-        let t = Instant::now();
-        sim.step_n(steps);
-        let wall = t.elapsed().as_secs_f64();
-        let m = tel.sample().metrics;
-        (
-            wall,
-            m.gauges.get("health/scan_frac").copied().unwrap_or(0.0),
-            tel.node_secs("step/rebalance").unwrap_or(0.0),
-            tel.node_secs("step").unwrap_or(0.0),
-        )
-    });
-    let wall = out.iter().map(|o| o.0).fold(0.0, f64::max).max(1e-9);
-    let updates = (domain[0] * domain[1] * domain[2] * steps) as f64;
-    traj.push("step_mlups_2ranks", updates / wall / 1e6, "MLUP/s", true);
-    traj.push(
-        "ghost_exchange_mb_s",
-        summary.total.bytes_sent as f64 / wall / 1e6,
-        "MB/s",
-        true,
-    );
-    let health_pct = out.iter().map(|o| o.1).fold(0.0, f64::max) * 100.0;
-    traj.push("health_scan_overhead_pct", health_pct, "%", false);
-    let (rb_secs, step_secs) = out.iter().fold((0.0, 0.0), |(a, b), o| (a + o.2, b + o.3));
-    traj.push(
-        "rebalance_overhead_pct",
-        if step_secs > 0.0 {
-            100.0 * rb_secs / step_secs
-        } else {
-            0.0
-        },
-        "%",
-        false,
-    );
-    // Shrink-recovery leg: kill a rank mid-run, shrink-continue on the
-    // survivors, and charge the membership-round + re-homing + restore
-    // wall-clock against the whole run.
-    let chaos = shrink_demo(1, 6, true, eutectica_pfio::resilient::ShrinkSource::Disk, 1);
-    traj.push(
-        "recovery_overhead_pct",
-        100.0 * chaos.outcome.shrink_cost.recovery_secs / chaos.total_secs.max(1e-9),
-        "%",
-        false,
-    );
-    traj
 }
 
 /// Result of an autotuned step benchmark: the per-block chosen-variant
@@ -874,7 +606,7 @@ pub fn rebalance_demo(every: usize, threshold: f64, threads: usize, steps: usize
     use eutectica_blockgrid::decomp::{Decomposition, DomainSpec};
     use eutectica_blockgrid::rebalance::{BalanceStrategy, RebalancePolicy};
     use eutectica_core::kernels::OptLevel;
-    use eutectica_core::timeloop::{run_distributed_rebalanced, OverlapOptions};
+    use eutectica_core::timeloop::{run_distributed, OverlapOptions};
 
     // Block ids are x-fastest, so the contiguous static placement hands
     // rank 0 the entire bottom z-layer — which is exactly where the
@@ -887,17 +619,21 @@ pub fn rebalance_demo(every: usize, threshold: f64, threads: usize, steps: usize
     // front blocks — exactly the cost contrast of the paper's Sec. 5.1.2
     // region argument, and the worst case for a static layout.
     let cfg = OptLevel::SimdTzBufShortcuts.config();
+    // Every rank's rebalance counters after `steps` steps under `policy`.
     let run = |policy: RebalancePolicy| {
-        run_distributed_rebalanced(
+        run_distributed(
             params.clone(),
             Decomposition::new(DomainSpec::directional(domain, blocks)),
             n_ranks,
-            threads,
-            steps,
             cfg,
             OverlapOptions::default(),
-            policy,
-            |b| eutectica_core::init::init_planar_front(b, 0, 2),
+            move |sim| {
+                sim.set_threads(threads);
+                sim.init_blocks(|b| eutectica_core::init::init_planar_front(b, 0, 2));
+                sim.set_rebalance_policy(Some(policy.clone()));
+                sim.step_n(steps);
+                sim.rebalance_stats().cloned().unwrap_or_default()
+            },
         )
     };
     // Mean of the back half of the per-check measured imbalances: the
@@ -909,7 +645,7 @@ pub fn rebalance_demo(every: usize, threshold: f64, threads: usize, steps: usize
     // Static run: threshold = infinity means the checks only *measure* the
     // imbalance of the untouched contiguous placement, never migrate.
     let static_out = run(RebalancePolicy::new(every, f64::INFINITY));
-    let static_imb = settled(&static_out[0].1.imbalance_history);
+    let static_imb = settled(&static_out[0].imbalance_history);
     let mut policy = RebalancePolicy::new(every, threshold).with_strategy(BalanceStrategy::Lpt);
     // Short demo: weight the newest measurement heavily so the model tracks
     // the moving front within a couple of checks, and cancel cosmetic moves
@@ -917,7 +653,7 @@ pub fn rebalance_demo(every: usize, threshold: f64, threads: usize, steps: usize
     policy.alpha = 0.7;
     policy.slack = 0.15;
     let dynamic_out = run(policy);
-    let rb = &dynamic_out[0].1;
+    let rb = &dynamic_out[0];
     let dynamic_imb = settled(&rb.imbalance_history);
     println!(
         "rebalance demo ({domain:?} cells, {blocks:?} blocks, {n_ranks} ranks, \
@@ -934,92 +670,29 @@ pub fn rebalance_demo(every: usize, threshold: f64, threads: usize, steps: usize
     (static_imb, dynamic_imb)
 }
 
-/// Parse a `--kill-rank <r>` flag: rank to kill in the chaos leg of a
-/// figure binary (absent = no chaos leg).
-pub fn kill_rank_arg() -> Option<usize> {
-    let mut args = std::env::args().skip(1);
-    let parse = |v: String| -> usize { v.parse().expect("--kill-rank must be a rank id") };
-    while let Some(a) = args.next() {
-        if a == "--kill-rank" {
-            return Some(parse(args.next().expect("--kill-rank needs a rank id")));
-        }
-        if let Some(v) = a.strip_prefix("--kill-rank=") {
-            return Some(parse(v.to_string()));
-        }
-    }
-    None
-}
-
-/// Parse a `--kill-step <s>` flag: step at which the chaos leg kills the
-/// rank named by `--kill-rank` (default 6).
-pub fn kill_step_arg() -> Option<u64> {
-    let mut args = std::env::args().skip(1);
-    let parse = |v: String| -> u64 { v.parse().expect("--kill-step must be a step index") };
-    while let Some(a) = args.next() {
-        if a == "--kill-step" {
-            return Some(parse(args.next().expect("--kill-step needs a step index")));
-        }
-        if let Some(v) = a.strip_prefix("--kill-step=") {
-            return Some(parse(v.to_string()));
-        }
-    }
-    None
-}
-
-/// Parse a `--survive` flag: shrink-continue on the survivors instead of
-/// tearing down and restarting after the injected kill.
-pub fn survive_arg() -> bool {
-    std::env::args().skip(1).any(|a| a == "--survive")
-}
-
-/// Parse a `--shrink-source disk|buddy` flag: where a shrink recovery
-/// sources the dead rank's state from (default: disk checkpoint set).
-pub fn shrink_source_arg() -> eutectica_pfio::resilient::ShrinkSource {
-    use eutectica_pfio::resilient::ShrinkSource;
-    let mut args = std::env::args().skip(1);
-    let parse = |v: String| -> ShrinkSource {
-        match v.as_str() {
-            "disk" => ShrinkSource::Disk,
-            "buddy" => ShrinkSource::Buddy,
-            other => panic!("--shrink-source must be disk or buddy, got {other}"),
-        }
-    };
-    while let Some(a) = args.next() {
-        if a == "--shrink-source" {
-            return parse(args.next().expect("--shrink-source needs disk|buddy"));
-        }
-        if let Some(v) = a.strip_prefix("--shrink-source=") {
-            return parse(v.to_string());
-        }
-    }
-    eutectica_pfio::resilient::ShrinkSource::Disk
-}
-
-/// What [`shrink_demo`] measured, for callers that fold the numbers into a
-/// perf trajectory.
-pub struct ShrinkDemoReport {
-    /// Result of the resilient run.
-    pub outcome: eutectica_pfio::resilient::ResilientOutcome,
-    /// Total wall-clock of the run, including the recovery.
-    pub total_secs: f64,
-}
-
-/// Chaos leg shared by the figure binaries: run a small 3-rank resilient
-/// simulation, kill `kill_rank` at `kill_step`, and either shrink-continue
-/// on the survivors (`survive`, sourcing lost state per `source`) or tear
-/// down and restart classically. Prints a rank-0 summary line — blocks
-/// re-homed, bytes moved, wall-clock recovery cost — and returns the
-/// measurements.
-pub fn shrink_demo(
-    kill_rank: usize,
-    kill_step: u64,
-    survive: bool,
-    source: eutectica_pfio::resilient::ShrinkSource,
-    threads: usize,
-) -> ShrinkDemoReport {
+/// Chaos leg shared by the figure binaries, driven by `--kill-rank <r>`
+/// (absent = no chaos leg), `--kill-step <s>` (default 6), `--survive` and
+/// `--shrink-source disk|buddy` (default disk): run a small 3-rank
+/// resilient simulation, kill the rank at the step, and either
+/// shrink-continue on the survivors (sourcing lost state per the source)
+/// or tear down and restart classically. Prints a rank-0 summary line —
+/// blocks re-homed, bytes moved, wall-clock recovery cost.
+pub fn shrink_demo_from_args(threads: usize) {
     use eutectica_core::timeloop::OverlapOptions;
-    use eutectica_pfio::resilient::{run_resilient, Cadence, ResilientOpts, ShrinkPolicy};
+    use eutectica_pfio::resilient::{
+        run_resilient, Cadence, ResilientOpts, ShrinkPolicy, ShrinkSource,
+    };
 
+    let Some(kill_rank) = arg_parsed::<usize>("--kill-rank") else {
+        return;
+    };
+    let kill_step: u64 = arg_parsed("--kill-step").unwrap_or(6);
+    let survive = arg_flag("--survive");
+    let source = match arg_value("--shrink-source").as_deref() {
+        None | Some("disk") => ShrinkSource::Disk,
+        Some("buddy") => ShrinkSource::Buddy,
+        Some(other) => panic!("--shrink-source must be disk or buddy, got {other}"),
+    };
     let n_ranks = 3usize;
     assert!(
         kill_rank < n_ranks,
@@ -1074,8 +747,5 @@ pub fn shrink_demo(
             total_secs * 1e3,
         );
     }
-    ShrinkDemoReport {
-        outcome,
-        total_secs,
-    }
+    println!();
 }

@@ -9,21 +9,20 @@
 //! round-trip), prefixes a self-describing header, and appends a CRC32 so
 //! a corrupted transfer is rejected instead of silently resumed.
 //!
-//! Both field layouts are supported ([`SoaField`] and [`AosField`], the
-//! Sec. 5.1.1 layout ablation), and header dimensions are validated against
-//! a byte budget *before* any allocation — the same anti-OOM gate the
-//! checkpoint reader applies (`eutectica-pfio`, which reuses this module's
-//! [`crc32`]).
+//! The solver's [`SoaField`] is the one layout on the wire, and header
+//! dimensions are validated against a byte budget *before* any allocation —
+//! the same anti-OOM gate the checkpoint reader applies (`eutectica-pfio`,
+//! which reuses this module's [`crc32`]).
 //!
 //! Wire layout (little-endian):
 //!
 //! ```text
-//! magic "EUTFLD01" (8) | layout u8 | components u8 |
+//! magic "EUTFLD01" (8) | layout u8 (0 = SoA) | components u8 |
 //! nx u64 | ny u64 | nz u64 | ghost u64 |
 //! payload: components × volume × f64 (raw bits) | crc32 u32
 //! ```
 
-use crate::field::{AosField, SoaField};
+use crate::field::SoaField;
 use crate::GridDims;
 
 /// Magic bytes of an encoded field.
@@ -95,14 +94,9 @@ pub fn crc32(data: &[u8]) -> u32 {
     c ^ 0xffff_ffff
 }
 
-/// Memory layout of an encoded field.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Layout {
-    /// Structure of arrays: component-major, `volume` doubles per component.
-    Soa = 0,
-    /// Array of structures: cell-major, `NC` doubles per cell.
-    Aos = 1,
-}
+/// Layout byte of the header: structure of arrays (component-major,
+/// `volume` doubles per component) — the only layout written or accepted.
+const LAYOUT_SOA: u8 = 0;
 
 /// Typed decode failure.
 #[derive(Debug)]
@@ -114,7 +108,7 @@ pub enum CodecError {
         /// What was being parsed.
         what: &'static str,
     },
-    /// The encoded layout differs from the requested one.
+    /// The header names a layout other than SoA.
     WrongLayout {
         /// Layout byte found in the header.
         found: u8,
@@ -206,12 +200,13 @@ pub fn validate_field_dims(
     ))
 }
 
-fn encode_raw(layout: Layout, components: usize, dims: GridDims, raw: &[f64]) -> Vec<u8> {
-    debug_assert_eq!(raw.len(), components * dims.volume());
+/// Encode a SoA field — full buffer including ghost layers, bit-exact.
+pub fn encode_soa<const NC: usize>(f: &SoaField<NC>) -> Vec<u8> {
+    let (dims, raw) = (f.dims(), f.raw());
     let mut out = Vec::with_capacity(HEADER_LEN + raw.len() * 8 + 4);
     out.extend_from_slice(&FIELD_MAGIC);
-    out.push(layout as u8);
-    out.push(components as u8);
+    out.push(LAYOUT_SOA);
+    out.push(NC as u8);
     for v in [dims.nx, dims.ny, dims.nz, dims.ghost] {
         out.extend_from_slice(&(v as u64).to_le_bytes());
     }
@@ -223,24 +218,21 @@ fn encode_raw(layout: Layout, components: usize, dims: GridDims, raw: &[f64]) ->
     out
 }
 
-fn decode_raw(
-    bytes: &[u8],
-    layout: Layout,
-    components: usize,
-    budget: u64,
-) -> Result<(GridDims, Vec<f64>), CodecError> {
+/// Decode a SoA field, validating dimensions against `budget` before
+/// allocating and verifying the CRC trailer.
+pub fn decode_soa<const NC: usize>(bytes: &[u8], budget: u64) -> Result<SoaField<NC>, CodecError> {
     if bytes.len() < HEADER_LEN + 4 {
         return Err(CodecError::Truncated { what: "header" });
     }
     if bytes[..8] != FIELD_MAGIC {
         return Err(CodecError::BadMagic);
     }
-    if bytes[8] != layout as u8 {
+    if bytes[8] != LAYOUT_SOA {
         return Err(CodecError::WrongLayout { found: bytes[8] });
     }
-    if bytes[9] as usize != components {
+    if bytes[9] as usize != NC {
         return Err(CodecError::WrongComponents {
-            expected: components,
+            expected: NC,
             found: bytes[9] as usize,
         });
     }
@@ -250,10 +242,10 @@ fn decode_raw(
         u64_at(18),
         u64_at(26),
         u64_at(34),
-        components as u64,
+        NC as u64,
         budget,
     )?;
-    let n = components * dims.volume();
+    let n = NC * dims.volume();
     let expected_len = HEADER_LEN + n * 8 + 4;
     if bytes.len() != expected_len {
         return Err(CodecError::Truncated { what: "payload" });
@@ -267,38 +259,14 @@ fn decode_raw(
             found: actual,
         });
     }
-    let mut data = Vec::with_capacity(n);
-    for chunk in bytes[HEADER_LEN..expected_len - 4].chunks_exact(8) {
-        data.push(f64::from_le_bytes(chunk.try_into().unwrap()));
-    }
-    Ok((dims, data))
-}
-
-/// Encode a SoA field — full buffer including ghost layers, bit-exact.
-pub fn encode_soa<const NC: usize>(f: &SoaField<NC>) -> Vec<u8> {
-    encode_raw(Layout::Soa, NC, f.dims(), f.raw())
-}
-
-/// Encode an AoS field — full buffer including ghost layers, bit-exact.
-pub fn encode_aos<const NC: usize>(f: &AosField<NC>) -> Vec<u8> {
-    encode_raw(Layout::Aos, NC, f.dims(), f.raw())
-}
-
-/// Decode a SoA field, validating dimensions against `budget` before
-/// allocating and verifying the CRC trailer.
-pub fn decode_soa<const NC: usize>(bytes: &[u8], budget: u64) -> Result<SoaField<NC>, CodecError> {
-    let (dims, data) = decode_raw(bytes, Layout::Soa, NC, budget)?;
     let mut f = SoaField::new(dims, [0.0; NC]);
-    f.raw_mut().copy_from_slice(&data);
-    Ok(f)
-}
-
-/// Decode an AoS field, validating dimensions against `budget` before
-/// allocating and verifying the CRC trailer.
-pub fn decode_aos<const NC: usize>(bytes: &[u8], budget: u64) -> Result<AosField<NC>, CodecError> {
-    let (dims, data) = decode_raw(bytes, Layout::Aos, NC, budget)?;
-    let mut f = AosField::new(dims, [0.0; NC]);
-    f.raw_mut().copy_from_slice(&data);
+    for (v, chunk) in f
+        .raw_mut()
+        .iter_mut()
+        .zip(bytes[HEADER_LEN..expected_len - 4].chunks_exact(8))
+    {
+        *v = f64::from_le_bytes(chunk.try_into().unwrap());
+    }
     Ok(f)
 }
 
@@ -332,20 +300,20 @@ mod tests {
     }
 
     #[test]
-    fn aos_roundtrip_and_layout_mismatch() {
-        let d = GridDims::new(2, 2, 2, 1);
-        let mut f = AosField::<4>::new(d, [0.1, 0.2, 0.3, 0.4]);
-        f.set_cell(1, 1, 1, [1.0, -2.0, 3.5, f64::MIN_POSITIVE]);
-        let bytes = encode_aos(&f);
-        let back = decode_aos::<4>(&bytes, DEFAULT_FIELD_BYTE_BUDGET).unwrap();
-        assert_eq!(f.raw(), back.raw());
+    fn foreign_layout_and_component_count_are_rejected() {
+        let f = SoaField::<4>::new(GridDims::new(2, 2, 2, 1), [0.1, 0.2, 0.3, 0.4]);
+        let bytes = encode_soa(&f);
         assert!(matches!(
-            decode_soa::<4>(&bytes, DEFAULT_FIELD_BYTE_BUDGET),
-            Err(CodecError::WrongLayout { .. })
-        ));
-        assert!(matches!(
-            decode_aos::<2>(&bytes, DEFAULT_FIELD_BYTE_BUDGET),
+            decode_soa::<2>(&bytes, DEFAULT_FIELD_BYTE_BUDGET),
             Err(CodecError::WrongComponents { .. })
+        ));
+        // A header naming any other layout (1 was AoS) is refused, not
+        // reinterpreted.
+        let mut aos = bytes;
+        aos[8] = 1;
+        assert!(matches!(
+            decode_soa::<4>(&aos, DEFAULT_FIELD_BYTE_BUDGET),
+            Err(CodecError::WrongLayout { found: 1 })
         ));
     }
 

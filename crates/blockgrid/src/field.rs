@@ -10,54 +10,6 @@
 use crate::GridDims;
 use serde::{Deserialize, Serialize};
 
-/// A single-component scalar field with ghost layers.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ScalarField {
-    dims: GridDims,
-    data: Vec<f64>,
-}
-
-impl ScalarField {
-    /// Allocate, initialized to `init`.
-    pub fn new(dims: GridDims, init: f64) -> Self {
-        Self {
-            dims,
-            data: vec![init; dims.volume()],
-        }
-    }
-
-    /// Grid geometry.
-    #[inline(always)]
-    pub fn dims(&self) -> GridDims {
-        self.dims
-    }
-
-    /// Raw data, linearized (x fastest).
-    #[inline(always)]
-    pub fn data(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Mutable raw data.
-    #[inline(always)]
-    pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
-    /// Value at total coordinates.
-    #[inline(always)]
-    pub fn at(&self, x: usize, y: usize, z: usize) -> f64 {
-        self.data[self.dims.idx(x, y, z)]
-    }
-
-    /// Set value at total coordinates.
-    #[inline(always)]
-    pub fn set(&mut self, x: usize, y: usize, z: usize, v: f64) {
-        let i = self.dims.idx(x, y, z);
-        self.data[i] = v;
-    }
-}
-
 /// Multi-component field in structure-of-arrays layout: component `c` is one
 /// contiguous block of `dims.volume()` doubles.
 ///

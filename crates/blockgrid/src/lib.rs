@@ -9,9 +9,9 @@
 //! * [`GridDims`] — regular grid geometry with ghost layers and linearized
 //!   indexing (x fastest, z slowest, matching the paper's loop nest where z
 //!   is outermost so temperature-dependent terms amortize per slice);
-//! * [`field::ScalarField`], [`field::SoaField`], [`field::AosField`] —
-//!   ghost-layered fields in structure-of-arrays and array-of-structures
-//!   layouts (the paper benchmarks both for the φ-field, Sec. 5.1.1);
+//! * [`field::SoaField`], [`field::AosField`] — ghost-layered fields in
+//!   structure-of-arrays and array-of-structures layouts (the paper
+//!   benchmarks both for the φ-field, Sec. 5.1.1);
 //! * [`boundary`] — Dirichlet, Neumann and periodic boundary handling on
 //!   physical domain faces (Fig. 2);
 //! * [`ghost`] — face pack/unpack for ghost-layer exchange. Exchanging the
@@ -121,13 +121,6 @@ impl GridDims {
     pub fn idx(&self, x: usize, y: usize, z: usize) -> usize {
         debug_assert!(x < self.tx() && y < self.ty() && z < self.tz());
         (z * self.ty() + y) * self.tx() + x
-    }
-
-    /// Linear index of *interior* coordinates (0-based inside the interior).
-    #[inline(always)]
-    pub fn interior_idx(&self, x: usize, y: usize, z: usize) -> usize {
-        debug_assert!(x < self.nx && y < self.ny && z < self.nz);
-        self.idx(x + self.ghost, y + self.ghost, z + self.ghost)
     }
 
     /// Iterate over all interior total-coordinate triples, z-outermost.

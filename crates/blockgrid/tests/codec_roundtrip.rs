@@ -1,13 +1,12 @@
 //! Property tests for the migration field codec: serialize → ship → decode
-//! must be *bit*-identical for both SoA and AoS layouts, for arbitrary
+//! must be *bit*-identical for arbitrary
 //! dimensions within the byte budget, including ghost layers and arbitrary
 //! f64 bit patterns (NaN payloads, signed zeros, subnormals).
 
 use eutectica_blockgrid::codec::{
-    crc32, decode_aos, decode_soa, encode_aos, encode_soa, validate_field_dims, CodecError,
-    DEFAULT_FIELD_BYTE_BUDGET,
+    crc32, decode_soa, encode_soa, validate_field_dims, CodecError, DEFAULT_FIELD_BYTE_BUDGET,
 };
-use eutectica_blockgrid::field::{AosField, SoaField};
+use eutectica_blockgrid::field::SoaField;
 use eutectica_blockgrid::GridDims;
 use proptest::prelude::*;
 
@@ -52,34 +51,17 @@ proptest! {
         }
     }
 
-    /// AoS serialize → migrate → deserialize is bit-identical, ghosts
-    /// included, for arbitrary in-budget dims.
-    #[test]
-    fn aos_roundtrip_bit_identical(dims in arb_dims(), seed in any::<u64>()) {
-        let mut f = AosField::<2>::new(dims, [0.0; 2]);
-        fill_bits::<2>(f.raw_mut(), seed);
-        let bytes = encode_aos(&f);
-        let back = decode_aos::<2>(&bytes, DEFAULT_FIELD_BYTE_BUDGET).unwrap();
-        prop_assert_eq!(back.dims(), dims);
-        for (a, b) in f.raw().iter().zip(back.raw()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    /// The two layouts agree through the codec: encoding an SoA field,
-    /// decoding it, and converting to AoS equals converting first and going
-    /// through the AoS codec — the wire format hides no layout-dependent
-    /// transformation.
+    /// The codec commutes with the layout conversion: a field that went
+    /// through the wire converts to the same AoS bits as one that did not —
+    /// the wire format hides no layout-dependent transformation.
     #[test]
     fn layouts_commute_with_codec(dims in arb_dims(), seed in any::<u64>()) {
         let mut f = SoaField::<3>::new(dims, [0.0; 3]);
         fill_bits::<3>(f.raw_mut(), seed);
-        let via_soa = decode_soa::<3>(&encode_soa(&f), DEFAULT_FIELD_BYTE_BUDGET)
+        let via_wire = decode_soa::<3>(&encode_soa(&f), DEFAULT_FIELD_BYTE_BUDGET)
             .unwrap()
             .to_aos();
-        let via_aos =
-            decode_aos::<3>(&encode_aos(&f.to_aos()), DEFAULT_FIELD_BYTE_BUDGET).unwrap();
-        for (a, b) in via_soa.raw().iter().zip(via_aos.raw()) {
+        for (a, b) in via_wire.raw().iter().zip(f.to_aos().raw()) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }

@@ -311,7 +311,7 @@ pub fn run_campaign(
     tel.gauge_set("campaign/resident_jobs", residents.len() as f64);
 
     // A single sweep pool shared by every resident job on this rank.
-    let mut pool = (opts.threads > 1).then(|| SweepPool::new(opts.threads));
+    let mut pool = SweepPool::new(opts.threads);
 
     let mut fleet: BTreeMap<u32, JobTrack> = BTreeMap::new();
     let mut round: u64 = 0;
@@ -515,7 +515,7 @@ pub fn standalone_sim(spec: &JobSpec) -> Result<Simulation, CampaignError> {
     let mut sim = Simulation::new(spec.params(), spec.dims).map_err(|reason| {
         CampaignError::InvalidPoint {
             label: spec.label(),
-            reason,
+            reason: reason.to_string(),
         }
     })?;
     sim.set_telemetry(Telemetry::disabled());
@@ -561,15 +561,13 @@ fn step_slice(
     key: u32,
     job: &mut ResidentJob,
     opts: &CampaignOpts,
-    pool: &mut Option<SweepPool>,
+    pool: &mut SweepPool,
 ) -> Result<(), CampaignError> {
     if job.status != JobStatus::Active {
         return Ok(());
     }
     let lane = opts.telemetry.lane(&format!("campaign/job/{key}"));
-    if let Some(p) = pool.take() {
-        job.sim.set_pool(p);
-    }
+    job.sim.swap_pool(pool);
     let mut stepped = 0;
     while stepped < opts.slice_steps && job.status == JobStatus::Active {
         if job.sim.steps() >= job.spec.steps {
@@ -625,7 +623,7 @@ fn step_slice(
         }
     }
     job.finish_if_due();
-    *pool = job.sim.take_pool();
+    job.sim.swap_pool(pool);
     Ok(())
 }
 

@@ -233,7 +233,7 @@ impl JobSpec {
         if self.dims.iter().any(|&d| d < 2) {
             return Err(fail(format!("degenerate dims {:?}", self.dims)));
         }
-        self.params().validate().map_err(fail)
+        self.params().validate().map_err(|e| fail(e.to_string()))
     }
 
     /// Bit-exact point identity (ignores the key).

@@ -1478,11 +1478,6 @@ impl Rank {
         self.stats.borrow().clone()
     }
 
-    /// Reset the statistics counters (e.g. after warmup timesteps).
-    pub fn reset_stats(&self) {
-        *self.stats.borrow_mut() = CommStats::default();
-    }
-
     /// Reduce a telemetry timing tree across all ranks (min/avg/max per
     /// node, the waLBerla reduced-timing-pool pattern). Collective: every
     /// rank must call it. Returns `Some` on rank 0, `None` elsewhere.

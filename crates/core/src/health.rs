@@ -506,7 +506,6 @@ pub struct HealthMonitor {
     fired: Vec<bool>,
     /// Total faults injected so far.
     pub injected: u64,
-    last: Option<HealthReport>,
     pending_unhealthy: Option<HealthReport>,
     prev_front: Option<(usize, f64)>,
 }
@@ -519,7 +518,6 @@ impl HealthMonitor {
             plan: FieldFaultPlan::default(),
             fired: Vec::new(),
             injected: 0,
-            last: None,
             pending_unhealthy: None,
             prev_front: None,
         }
@@ -535,11 +533,6 @@ impl HealthMonitor {
     /// True when a scan is due after completing step number `step`.
     pub fn due(&self, step: usize) -> bool {
         self.cfg.every > 0 && step > 0 && step % self.cfg.every == 0
-    }
-
-    /// Most recent scan report.
-    pub fn last_report(&self) -> Option<&HealthReport> {
-        self.last.as_ref()
     }
 
     /// Take the unhealthy report produced by the latest scan, if any —
@@ -567,9 +560,8 @@ impl HealthMonitor {
             self.prev_front = Some((report.step, pos));
         }
         if !report.is_healthy() {
-            self.pending_unhealthy = Some(report.clone());
+            self.pending_unhealthy = Some(report);
         }
-        self.last = Some(report);
     }
 
     /// Previous front sample `(step, position)` for speed estimation.

@@ -1,10 +1,11 @@
 //! Runtime kernel-backend registry and telemetry-driven autotuner.
 //!
 //! The optimization ladder of Fig. 5/6 ([`super::OptLevel`]) picks a kernel
-//! variant *globally*; this module packages every rung behind one
-//! object-safe [`KernelBackend`] trait with a **named registry** resolved at
-//! runtime, and adds an [`Autotuner`] that measures the candidates per block
-//! on the running machine and pins the fastest — the refactor waLBerla
+//! variant *globally*; this module names every rung in a **registry** that
+//! [`resolve`]s a name to its [`KernelConfig`] at runtime (the sweep entry
+//! points [`super::phi_sweep_range`] / [`super::mu_sweep_range`] take the
+//! configuration), and adds an [`Autotuner`] that measures the candidates
+//! per block on the running machine and pins the fastest — the refactor waLBerla
 //! underwent to grow heterogeneous backends, and the reason per-machine
 //! kernel choice is worth real speedups: the fastest variant depends on
 //! region content (bulk vs front) and on the host ISA.
@@ -42,9 +43,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use super::{KernelConfig, MuPart, MuVariant, PhiVariant, SimdIsa};
-use crate::params::ModelParams;
-use crate::state::BlockState;
+use super::{KernelConfig, MuVariant, PhiVariant, SimdIsa};
 
 /// Why a backend could not be resolved.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -80,80 +79,6 @@ impl fmt::Display for BackendError {
 
 impl std::error::Error for BackendError {}
 
-/// One runnable kernel implementation: the φ- and µ-sweep entry points the
-/// time loop needs, object-safe so registries and autotuners can hold
-/// `Box<dyn KernelBackend>`.
-pub trait KernelBackend: Send + Sync {
-    /// Canonical registry name (`"simd-avx2+tz+buf+sc"`-style).
-    fn name(&self) -> &str;
-
-    /// The ladder configuration this backend dispatches to.
-    fn config(&self) -> KernelConfig;
-
-    /// Run the φ-sweep over z-slices `z0..z1` (see
-    /// [`super::phi_sweep_range`] for the slab contract).
-    fn phi_sweep_range(
-        &self,
-        params: &ModelParams,
-        state: &mut BlockState,
-        time: f64,
-        z0: usize,
-        z1: usize,
-    );
-
-    /// Run the µ-sweep part over z-slices `z0..z1` (see
-    /// [`super::mu_sweep_range`]).
-    fn mu_sweep_range(
-        &self,
-        params: &ModelParams,
-        state: &mut BlockState,
-        time: f64,
-        part: MuPart,
-        z0: usize,
-        z1: usize,
-    );
-}
-
-/// The registry's backend implementation: a named [`KernelConfig`]
-/// dispatched through the ladder's range entry points.
-struct ConfigBackend {
-    name: String,
-    cfg: KernelConfig,
-}
-
-impl KernelBackend for ConfigBackend {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn config(&self) -> KernelConfig {
-        self.cfg
-    }
-
-    fn phi_sweep_range(
-        &self,
-        params: &ModelParams,
-        state: &mut BlockState,
-        time: f64,
-        z0: usize,
-        z1: usize,
-    ) {
-        super::phi_sweep_range(params, state, time, self.cfg, z0, z1);
-    }
-
-    fn mu_sweep_range(
-        &self,
-        params: &ModelParams,
-        state: &mut BlockState,
-        time: f64,
-        part: MuPart,
-        z0: usize,
-        z1: usize,
-    ) {
-        super::mu_sweep_range(params, state, time, self.cfg, part, z0, z1);
-    }
-}
-
 /// The registered backend families, in ladder order.
 pub const FAMILIES: [&str; 5] = ["reference", "scalar", "simd", "simd-avx2", "simd-portable"];
 
@@ -172,12 +97,12 @@ pub fn backend_name(family: &str, tz: bool, buf: bool, sc: bool) -> String {
     name
 }
 
-/// Resolve a registry name to a runnable backend.
+/// Resolve a registry name to the kernel configuration it names.
 ///
 /// Availability is checked *here*, at resolve time: `simd-avx2` on a host
 /// without AVX2+FMA (or under `force-scalar`) is a typed
 /// [`BackendError::Unavailable`], never a silent fallback.
-pub fn resolve(name: &str) -> Result<Box<dyn KernelBackend>, BackendError> {
+pub fn resolve(name: &str) -> Result<KernelConfig, BackendError> {
     let mut parts = name.split('+');
     let family = parts.next().unwrap_or("");
     let (mut tz, mut buf, mut sc) = (false, false, false);
@@ -230,17 +155,14 @@ pub fn resolve(name: &str) -> Result<Box<dyn KernelBackend>, BackendError> {
             })
         }
     };
-    Ok(Box::new(ConfigBackend {
-        name: backend_name(family, tz, buf, sc),
-        cfg: KernelConfig {
-            phi,
-            mu,
-            isa,
-            tz_precompute: tz,
-            staggered_buffer: buf,
-            shortcuts: sc,
-        },
-    }))
+    Ok(KernelConfig {
+        phi,
+        mu,
+        isa,
+        tz_precompute: tz,
+        staggered_buffer: buf,
+        shortcuts: sc,
+    })
 }
 
 /// Every registry name: each family × the ladder's cumulative toggle
@@ -356,9 +278,7 @@ impl AutotunePolicy {
                 (false, false, false),
             ] {
                 let name = backend_name(family, tz, buf, sc);
-                let cfg = resolve(&name)
-                    .expect("bit-exact candidates resolve by construction")
-                    .config();
+                let cfg = resolve(&name).expect("bit-exact candidates resolve by construction");
                 candidates.push(Candidate { name, cfg });
             }
         }
@@ -649,9 +569,7 @@ mod tests {
     fn registry_resolves_known_names() {
         for name in registry_names() {
             match resolve(&name) {
-                Ok(b) => {
-                    assert_eq!(b.name(), name);
-                    let cfg = b.config();
+                Ok(cfg) => {
                     assert_eq!(cfg.tz_precompute, name.contains("+tz"));
                     assert_eq!(cfg.staggered_buffer, name.contains("+buf"));
                     assert_eq!(cfg.shortcuts, name.contains("+sc"));
@@ -675,9 +593,9 @@ mod tests {
     #[test]
     fn avx2_availability_matches_runtime_detection() {
         match resolve("simd-avx2") {
-            Ok(b) => {
+            Ok(cfg) => {
                 assert!(eutectica_simd::avx2_available());
-                assert_eq!(b.config().isa, SimdIsa::Avx2);
+                assert_eq!(cfg.isa, SimdIsa::Avx2);
             }
             Err(BackendError::Unavailable { reason, .. }) => {
                 assert!(!eutectica_simd::avx2_available());
@@ -696,7 +614,7 @@ mod tests {
     }
 
     fn tiny_policy(n: usize) -> AutotunePolicy {
-        let base = resolve("simd-portable").unwrap().config();
+        let base = resolve("simd-portable").unwrap();
         AutotunePolicy {
             candidates: (0..n)
                 .map(|i| Candidate {

@@ -27,8 +27,8 @@
 //! without `-C target-cpu=native` still runs real AVX2 code) and the
 //! portable instantiation. Both produce bit-identical results, so the
 //! selection — including the autotuner's mid-run switches — never changes
-//! physics. [`backend`] packages the whole ladder behind an object-safe
-//! [`backend::KernelBackend`] trait with a named registry.
+//! physics. [`backend`] names the whole ladder in a registry that resolves
+//! to a [`KernelConfig`].
 
 pub mod backend;
 pub mod reference;

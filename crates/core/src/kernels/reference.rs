@@ -668,14 +668,9 @@ pub fn gather19<R: Real>(
     debug_assert_eq!(out.len(), GATHER19_LEN);
 }
 
-/// Reference φ-sweep (Algorithm 1, line 1) in the general-purpose style.
-pub fn phi_sweep_reference(params: &ModelParams, state: &mut BlockState, time: f64) {
-    let (z0, z1) = state.dims.interior_z_range();
-    phi_sweep_reference_range(params, state, time, z0, z1);
-}
-
-/// Range-restricted reference φ-sweep for z-slab work-sharing (the plain
-/// triple loop has no cross-slice state, so any sub-range is exact).
+/// Range-restricted reference φ-sweep (Algorithm 1, line 1) in the
+/// general-purpose style, for z-slab work-sharing (the plain triple loop
+/// has no cross-slice state, so any sub-range is exact).
 pub fn phi_sweep_reference_range(
     params: &ModelParams,
     state: &mut BlockState,
@@ -734,16 +729,11 @@ pub fn phi_sweep_reference_range(
     }
 }
 
-/// Reference µ-sweep (Algorithm 1, line 4) in the general-purpose style.
+/// Range-restricted reference µ-sweep (Algorithm 1, line 4) in the
+/// general-purpose style, for z-slab work-sharing.
 ///
 /// Only [`MuPart::Full`] is provided: the general code predates the
 /// communication-hiding split (Sec. 3.3).
-pub fn mu_sweep_reference(params: &ModelParams, state: &mut BlockState, time: f64, part: MuPart) {
-    let (z0, z1) = state.dims.interior_z_range();
-    mu_sweep_reference_range(params, state, time, part, z0, z1);
-}
-
-/// Range-restricted reference µ-sweep for z-slab work-sharing.
 pub fn mu_sweep_reference_range(
     params: &ModelParams,
     state: &mut BlockState,

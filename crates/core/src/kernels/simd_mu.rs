@@ -33,20 +33,6 @@ use crate::temperature::{SliceCtx, SliceTable};
 use crate::{LIQ, N_COMP, N_PHASES};
 use eutectica_simd::{F64x4, SimdF64x4, SimdMask4};
 
-/// Entry point (compile-time default backend).
-pub fn mu_sweep_fourcell(
-    params: &ModelParams,
-    state: &mut BlockState,
-    time: f64,
-    part: MuPart,
-    tz: bool,
-    stag: bool,
-    shortcuts: bool,
-) {
-    let (z0, z1) = state.dims.interior_z_range();
-    mu_sweep_fourcell_range(params, state, time, part, tz, stag, shortcuts, z0, z1);
-}
-
 /// Range-restricted entry point for z-slab work-sharing (see
 /// [`crate::kernels::scalar_phi::phi_sweep_scalar_range`] for the
 /// coordinate convention and the bit-exactness argument).

@@ -5,6 +5,62 @@ use serde::{Deserialize, Serialize};
 
 use crate::{N_COMP, N_PHASES};
 
+/// Why [`ModelParams::validate`] rejected a parameter set.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ParamError {
+    /// A parameter is NaN or infinite.
+    NonFinite {
+        /// Field name of the offending parameter.
+        name: &'static str,
+    },
+    /// `eps`, `tau`, `dx` and `dt` must be strictly positive.
+    NonPositive {
+        /// Field name of the offending parameter.
+        name: &'static str,
+        /// Its value.
+        value: f64,
+    },
+    /// `dt` exceeds the explicit-Euler stability limit.
+    Unstable {
+        /// The requested time step.
+        dt: f64,
+        /// The largest stable time step.
+        dt_max: f64,
+        /// Effective µ diffusivity.
+        d_mu: f64,
+        /// Effective φ diffusivity.
+        d_phi: f64,
+    },
+    /// The surface-energy matrix is not symmetric at `(a, b)`.
+    AsymmetricGamma {
+        /// Row.
+        a: usize,
+        /// Column.
+        b: usize,
+    },
+}
+
+impl std::fmt::Display for ParamError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::NonFinite { name } => write!(f, "{name} is not finite"),
+            Self::NonPositive { name, value } => write!(f, "{name} = {value} must be positive"),
+            Self::Unstable {
+                dt,
+                dt_max,
+                d_mu,
+                d_phi,
+            } => write!(
+                f,
+                "dt = {dt} exceeds stability limit {dt_max:.4} (D_mu = {d_mu}, D_phi = {d_phi:.3})"
+            ),
+            Self::AsymmetricGamma { a, b } => write!(f, "gamma not symmetric at ({a},{b})"),
+        }
+    }
+}
+
+impl std::error::Error for ParamError {}
+
 /// All physical and numerical parameters of the phase-field model.
 ///
 /// Everything is nondimensionalized: `dx = 1` cell, eutectic temperature 1,
@@ -93,9 +149,30 @@ impl ModelParams {
     /// between mobility and susceptibility), the φ-equation with effective
     /// diffusivity ≈ 2 T γ_max / τ. Both must satisfy the 3-D stability
     /// bound `dt ≤ dx² / (6 D)` with margin.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(self.eps > 0.0 && self.tau > 0.0 && self.dx > 0.0 && self.dt > 0.0) {
-            return Err("eps, tau, dx, dt must be positive".into());
+    ///
+    /// Every numerical parameter must be finite first: a NaN would sail
+    /// through the comparisons below (`f64::max` drops it) and fill the run
+    /// with NaN.
+    pub fn validate(&self) -> Result<(), ParamError> {
+        let scalars = [
+            ("eps", self.eps),
+            ("tau", self.tau),
+            ("dx", self.dx),
+            ("dt", self.dt),
+            ("t0", self.t0),
+            ("grad_g", self.grad_g),
+            ("vel_v", self.vel_v),
+        ];
+        let gammas = self.gamma.iter().flatten().map(|&g| ("gamma", g));
+        if let Some((name, _)) = scalars
+            .into_iter()
+            .chain(gammas)
+            .find(|(_, v)| !v.is_finite())
+        {
+            return Err(ParamError::NonFinite { name });
+        }
+        if let Some(&(name, value)) = scalars[..4].iter().find(|(_, v)| *v <= 0.0) {
+            return Err(ParamError::NonPositive { name, value });
         }
         let d_mu = self
             .sys
@@ -109,16 +186,22 @@ impl ModelParams {
         let d_phi = t_max * self.gamma_max() / self.tau;
         let d = d_mu.max(d_phi);
         let dt_max = self.dx * self.dx / (6.0 * d);
-        if self.dt > dt_max {
-            return Err(format!(
-                "dt = {} exceeds stability limit {:.4} (D_mu = {d_mu}, D_phi = {d_phi:.3})",
-                self.dt, dt_max
-            ));
+        // Written so that NaN fails: `f64::max` drops a NaN operand,
+        // `d_phi <= d` does not.
+        let stable = d_phi <= d && self.dt <= dt_max;
+        if !stable {
+            return Err(ParamError::Unstable {
+                dt: self.dt,
+                dt_max,
+                d_mu,
+                d_phi,
+            });
         }
         for a in 0..N_PHASES {
             for b in 0..N_PHASES {
-                if (self.gamma[a][b] - self.gamma[b][a]).abs() > 1e-14 {
-                    return Err(format!("gamma not symmetric at ({a},{b})"));
+                let symmetric = (self.gamma[a][b] - self.gamma[b][a]).abs() <= 1e-14;
+                if !symmetric {
+                    return Err(ParamError::AsymmetricGamma { a, b });
                 }
             }
         }
@@ -159,6 +242,33 @@ mod tests {
         let mut p = ModelParams::ag_al_cu();
         p.dt = 10.0;
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn non_finite_parameters_rejected() {
+        type Poke = fn(&mut ModelParams, f64);
+        let poke: [(&str, Poke); 8] = [
+            ("eps", |p, v| p.eps = v),
+            ("tau", |p, v| p.tau = v),
+            ("dx", |p, v| p.dx = v),
+            ("dt", |p, v| p.dt = v),
+            ("t0", |p, v| p.t0 = v),
+            ("grad_g", |p, v| p.grad_g = v),
+            ("vel_v", |p, v| p.vel_v = v),
+            ("gamma", |p, v| p.gamma[1][2] = v),
+        ];
+        for (name, set) in poke {
+            for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut p = ModelParams::ag_al_cu();
+                set(&mut p, v);
+                assert_eq!(p.validate(), Err(ParamError::NonFinite { name }), "{v}");
+                assert!(crate::solver::Simulation::new(p, [4, 4, 4]).is_err());
+            }
+        }
+        let mut p = ModelParams::ag_al_cu();
+        p.tau = 0.0;
+        let e = p.validate().unwrap_err();
+        assert_eq!(e.to_string(), "tau = 0 must be positive");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::init;
 use crate::kernels::{self, KernelConfig, MuPart};
 use crate::metrics;
-use crate::params::ModelParams;
+use crate::params::{ModelParams, ParamError};
 use crate::state::BlockState;
 use crate::sweep_pool::SweepPool;
 use crate::{LIQ, N_COMP, N_PHASES};
@@ -37,12 +37,12 @@ pub struct Simulation {
     window: Option<MovingWindow>,
     window_shifts: usize,
     telemetry: Telemetry,
-    pool: Option<SweepPool>,
+    pool: SweepPool,
 }
 
 impl Simulation {
     /// Create a liquid-filled simulation of `cells` total cells.
-    pub fn new(params: ModelParams, cells: [usize; 3]) -> Result<Self, String> {
+    pub fn new(params: ModelParams, cells: [usize; 3]) -> Result<Self, ParamError> {
         params.validate()?;
         let dims = GridDims::new(cells[0], cells[1], cells[2], 1);
         let mut state = BlockState::new(dims, [0, 0, 0]);
@@ -63,7 +63,7 @@ impl Simulation {
             window: None,
             window_shifts: 0,
             telemetry,
-            pool: None,
+            pool: SweepPool::new(1),
         })
     }
 
@@ -72,43 +72,24 @@ impl Simulation {
     /// runner's intra-rank threading. The threaded result is bit-identical
     /// to the serial one at any thread count (see [`SweepPool`] docs), so
     /// this only changes speed, never physics. `threads <= 1` restores
-    /// plain serial stepping.
+    /// plain serial stepping (a one-thread pool spawns nothing and runs the
+    /// serial kernels inline).
     pub fn set_threads(&mut self, threads: usize) {
-        self.pool = (threads > 1).then(|| SweepPool::new(threads));
+        self.pool = SweepPool::new(threads);
     }
 
-    /// Attach an externally owned pool instead of building one, so several
+    /// Exchange this simulation's sweep pool with `pool`, so several
     /// co-resident simulations on one rank (a campaign fleet) share a
     /// single set of sweep workers rather than spawning `threads × jobs`
-    /// OS threads. The pool is taken by value; use [`Simulation::take_pool`]
-    /// to move it to the next job.
-    pub fn set_pool(&mut self, pool: SweepPool) {
-        self.pool = Some(pool);
-    }
-
-    /// Detach the sweep pool (if any), returning it for reuse elsewhere.
-    pub fn take_pool(&mut self) -> Option<SweepPool> {
-        self.pool.take()
+    /// OS threads: swap the shared pool in before stepping a job and swap
+    /// it back out afterwards.
+    pub fn swap_pool(&mut self, pool: &mut SweepPool) {
+        std::mem::swap(&mut self.pool, pool);
     }
 
     /// Threads the sweeps run on (1 = serial).
     pub fn threads(&self) -> usize {
-        self.pool.as_ref().map_or(1, SweepPool::threads)
-    }
-
-    /// Select the kernel backend by registry name
-    /// (`family[+tz][+buf][+sc]`, see [`kernels::backend`]). Unknown names
-    /// and unavailable families (`simd-avx2` on a host without AVX2+FMA)
-    /// are typed errors, never silent fallbacks.
-    pub fn set_backend(&mut self, name: &str) -> Result<(), kernels::backend::BackendError> {
-        self.cfg = kernels::backend::resolve(name)?.config();
-        Ok(())
-    }
-
-    /// The registry backend the vectorized kernels resolve to at runtime
-    /// on this host (`"avx2"` or `"portable"`).
-    pub fn active_backend(&self) -> &'static str {
-        self.cfg.isa.resolved_name()
+        self.pool.threads()
     }
 
     /// The simulation's telemetry collector. Each step records a
@@ -164,16 +145,13 @@ impl Simulation {
         {
             let _g = self.telemetry.span_cat("phi_sweep", "compute");
             let t = Instant::now();
-            match &self.pool {
-                Some(pool) => pool.phi_sweep(
-                    &self.params,
-                    &mut self.state,
-                    self.time,
-                    self.cfg,
-                    &self.telemetry,
-                ),
-                None => kernels::phi_sweep(&self.params, &mut self.state, self.time, self.cfg),
-            }
+            self.pool.phi_sweep(
+                &self.params,
+                &mut self.state,
+                self.time,
+                self.cfg,
+                &self.telemetry,
+            );
             self.telemetry.gauge_set(
                 "phi_sweep_mlups",
                 metrics::mlups(cells, 1, t.elapsed().as_secs_f64().max(1e-12)),
@@ -183,23 +161,14 @@ impl Simulation {
         {
             let _g = self.telemetry.span_cat("mu_sweep", "compute");
             let t = Instant::now();
-            match &self.pool {
-                Some(pool) => pool.mu_sweep(
-                    &self.params,
-                    &mut self.state,
-                    self.time,
-                    self.cfg,
-                    MuPart::Full,
-                    &self.telemetry,
-                ),
-                None => kernels::mu_sweep(
-                    &self.params,
-                    &mut self.state,
-                    self.time,
-                    self.cfg,
-                    MuPart::Full,
-                ),
-            }
+            self.pool.mu_sweep(
+                &self.params,
+                &mut self.state,
+                self.time,
+                self.cfg,
+                MuPart::Full,
+                &self.telemetry,
+            );
             self.telemetry.gauge_set(
                 "mu_sweep_mlups",
                 metrics::mlups(cells, 1, t.elapsed().as_secs_f64().max(1e-12)),

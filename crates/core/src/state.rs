@@ -65,12 +65,6 @@ impl BlockState {
         self.mu_src.swap(&mut self.mu_dst);
     }
 
-    /// Apply physical boundary conditions to the destination fields.
-    pub fn apply_bc_dst(&mut self) {
-        self.bc_phi.apply(&mut self.phi_dst);
-        self.bc_mu.apply(&mut self.mu_dst);
-    }
-
     /// Apply physical boundary conditions to the source fields (used once
     /// after initialization).
     pub fn apply_bc_src(&mut self) {

@@ -38,13 +38,13 @@ use eutectica_telemetry::{StepRecord, Telemetry};
 
 use crate::exchange::{ExchangePlan, FieldSel, Phase};
 use crate::health::{self, HealthMonitor, HealthReport, ScanStats};
-use crate::kernels::backend::{self as kernel_backend, AutotunePolicy, AutotuneStats, Autotuner};
+use crate::kernels::backend::{self as kernel_backend, AutotunePolicy, Autotuner};
 use crate::kernels::{KernelConfig, MuPart};
 use crate::metrics;
 use crate::params::ModelParams;
 use crate::state::{BlockState, PHI_LIQUID};
 use crate::sweep_pool::SweepPool;
-use crate::{LIQ, N_COMP, N_PHASES};
+use crate::{N_COMP, N_PHASES};
 
 /// Which ghost exchanges to overlap with computation.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -196,12 +196,48 @@ struct RebalanceState {
     stats: RebalanceStats,
 }
 
+impl RebalanceState {
+    /// Drop the open measurement window and size it for `n_local` blocks.
+    fn reset_window(&mut self, n_local: usize) {
+        self.acc = vec![0.0; n_local];
+        self.acc_steps = 0;
+    }
+}
+
 /// Live state of the kernel autotuner (tuner + per-step sweep-seconds
 /// accumulator, aligned with `local_ids` like the rebalancer's window).
 struct AutotuneState {
     tuner: Autotuner,
     /// Sweep seconds accumulated per local block in the current step.
     acc: Vec<f64>,
+}
+
+impl AutotuneState {
+    /// A fresh tuner with every local block entering warmup.
+    fn new(policy: AutotunePolicy, local_ids: &[usize], blocks: &[BlockState]) -> Self {
+        let mut at = Self {
+            tuner: Autotuner::new(policy),
+            acc: vec![0.0; local_ids.len()],
+        };
+        for (&id, b) in local_ids.iter().zip(blocks) {
+            at.track(id, b);
+        }
+        at
+    }
+
+    /// Start (or restart) tuning block `id` from its current contents.
+    fn track(&mut self, id: usize, b: &BlockState) {
+        let counts = crate::regions::classify_block(b);
+        let class = kernel_backend::dominant_region_class(&counts);
+        self.tuner.track(id, class, b.dims.interior_volume() as u64);
+    }
+}
+
+/// Which kernel [`DistributedSim::sweep_blocks`] runs.
+#[derive(Copy, Clone)]
+enum Sweep {
+    Phi,
+    Mu(MuPart),
 }
 
 /// A posted exchange phase awaiting completion. Same-rank transfers are
@@ -240,8 +276,6 @@ pub struct DistributedSim<'r> {
     /// Comm-stats snapshot at the end of the previous step (per-step deltas).
     prev_stats: CommStats,
     prev_window_shifts: usize,
-    /// Interior cells over all local blocks (one sweep pair updates each once).
-    interior_cells: u64,
     step_records: Option<Vec<StepRecord>>,
     /// Intra-rank z-slab work sharing for the sweeps (1 thread = serial).
     pool: SweepPool,
@@ -272,18 +306,8 @@ impl<'r> DistributedSim<'r> {
         let local_ids = decomp.blocks_of_rank(rank.rank(), n_ranks);
         let blocks: Vec<BlockState> = local_ids
             .iter()
-            .map(|&id| {
-                let desc = decomp.block(id);
-                let mut st = BlockState::new(desc.dims(1), desc.origin);
-                st.bc_phi = block_bc::<N_PHASES>(desc.neighbors, PHI_LIQUID);
-                st.bc_mu = block_bc::<N_COMP>(desc.neighbors, [0.0; N_COMP]);
-                st
-            })
+            .map(|&id| empty_block(&decomp, id))
             .collect();
-        let interior_cells = blocks
-            .iter()
-            .map(|b| (b.dims.nx * b.dims.ny * b.dims.nz) as u64)
-            .sum();
         let placement: Vec<usize> = (0..decomp.blocks().len())
             .map(|id| decomp.rank_of(id, n_ranks))
             .collect();
@@ -307,7 +331,6 @@ impl<'r> DistributedSim<'r> {
             steps_base: 0,
             prev_stats: CommStats::default(),
             prev_window_shifts: 0,
-            interior_cells,
             step_records: None,
             pool: SweepPool::new(1),
             health: None,
@@ -526,29 +549,13 @@ impl<'r> DistributedSim<'r> {
     /// bit-identical, so an autotuned run produces bit-identical fields to
     /// an untuned one.
     pub fn set_autotune_policy(&mut self, policy: Option<AutotunePolicy>) {
-        self.autotune = policy.map(|policy| {
-            let mut tuner = Autotuner::new(policy);
-            for (li, &id) in self.local_ids.iter().enumerate() {
-                let b = &self.blocks[li];
-                let counts = crate::regions::classify_block(b);
-                let cells = (b.dims.nx * b.dims.ny * b.dims.nz) as u64;
-                tuner.track(id, kernel_backend::dominant_region_class(&counts), cells);
-            }
-            AutotuneState {
-                tuner,
-                acc: vec![0.0; self.local_ids.len()],
-            }
-        });
+        self.autotune =
+            policy.map(|policy| AutotuneState::new(policy, &self.local_ids, &self.blocks));
     }
 
     /// The attached autotuner, if any.
     pub fn autotuner(&self) -> Option<&Autotuner> {
         self.autotune.as_ref().map(|at| &at.tuner)
-    }
-
-    /// Counters of the attached autotuner, if any.
-    pub fn autotune_stats(&self) -> Option<&AutotuneStats> {
-        self.autotune.as_ref().map(|at| at.tuner.stats())
     }
 
     /// Per-region kernel rates for cold-start cost priors: the autotuner's
@@ -578,11 +585,6 @@ impl<'r> DistributedSim<'r> {
     /// decomposition mapping.
     pub fn placement(&self) -> &[usize] {
         &self.placement
-    }
-
-    /// The attached health monitor, if any.
-    pub fn health_monitor(&self) -> Option<&HealthMonitor> {
-        self.health.as_ref()
     }
 
     /// Take the unhealthy report produced by the most recent scan, if any
@@ -735,21 +737,7 @@ impl<'r> DistributedSim<'r> {
             None
         };
 
-        {
-            let _g = self.telemetry.span_cat("phi_sweep", "compute");
-            for li in 0..self.blocks.len() {
-                let cfg = self.cfg_for(li);
-                let t0 = self.sweep_stamp();
-                self.pool.phi_sweep(
-                    &self.params,
-                    &mut self.blocks[li],
-                    self.time,
-                    cfg,
-                    &self.telemetry,
-                );
-                self.note_sweep_time(li, t0);
-            }
-        }
+        self.sweep_blocks("phi_sweep", Sweep::Phi);
 
         if let Some(p) = mu_pending {
             // No BC reapplication needed: the hidden exchange unpacks only
@@ -771,22 +759,7 @@ impl<'r> DistributedSim<'r> {
                 self.post(FieldSel::PhiDst, Phase::Axis(0))
             };
 
-            {
-                let _g = self.telemetry.span_cat("mu_sweep_local", "compute");
-                for li in 0..self.blocks.len() {
-                    let cfg = self.cfg_for(li);
-                    let t0 = self.sweep_stamp();
-                    self.pool.mu_sweep(
-                        &self.params,
-                        &mut self.blocks[li],
-                        self.time,
-                        cfg,
-                        MuPart::LocalOnly,
-                        &self.telemetry,
-                    );
-                    self.note_sweep_time(li, t0);
-                }
-            }
+            self.sweep_blocks("mu_sweep_local", Sweep::Mu(MuPart::LocalOnly));
 
             {
                 let _g = self.telemetry.span_cat("phi_comm", "comm");
@@ -801,20 +774,7 @@ impl<'r> DistributedSim<'r> {
                 }
             }
 
-            let _g = self.telemetry.span_cat("mu_sweep_neighbor", "compute");
-            for li in 0..self.blocks.len() {
-                let cfg = self.cfg_for(li);
-                let t0 = self.sweep_stamp();
-                self.pool.mu_sweep(
-                    &self.params,
-                    &mut self.blocks[li],
-                    self.time,
-                    cfg,
-                    MuPart::NeighborOnly,
-                    &self.telemetry,
-                );
-                self.note_sweep_time(li, t0);
-            }
+            self.sweep_blocks("mu_sweep_neighbor", Sweep::Mu(MuPart::NeighborOnly));
         } else {
             {
                 let _g = self.telemetry.span_cat("phi_comm", "comm");
@@ -827,20 +787,7 @@ impl<'r> DistributedSim<'r> {
                 }
             }
 
-            let _g = self.telemetry.span_cat("mu_sweep", "compute");
-            for li in 0..self.blocks.len() {
-                let cfg = self.cfg_for(li);
-                let t0 = self.sweep_stamp();
-                self.pool.mu_sweep(
-                    &self.params,
-                    &mut self.blocks[li],
-                    self.time,
-                    cfg,
-                    MuPart::Full,
-                    &self.telemetry,
-                );
-                self.note_sweep_time(li, t0);
-            }
+            self.sweep_blocks("mu_sweep", Sweep::Mu(MuPart::Full));
         }
 
         // --- µ_dst exchange, unless deferred to the next step's hidden
@@ -864,6 +811,23 @@ impl<'r> DistributedSim<'r> {
         self.time += self.params.dt;
         self.step += 1;
         self.maybe_shift_window();
+    }
+
+    /// Run `sweep` over every local block inside one `span` compute span.
+    /// The per-block sequence — the autotuner's variant choice, the cost
+    /// clock, the pooled kernel, the cost accounting — lives here only.
+    fn sweep_blocks(&mut self, span: &'static str, sweep: Sweep) {
+        let _g = self.telemetry.span_cat(span, "compute");
+        for li in 0..self.blocks.len() {
+            let cfg = self.cfg_for(li);
+            let t0 = self.sweep_stamp();
+            let (p, b, tel) = (&self.params, &mut self.blocks[li], &self.telemetry);
+            match sweep {
+                Sweep::Phi => self.pool.phi_sweep(p, b, self.time, cfg, tel),
+                Sweep::Mu(part) => self.pool.mu_sweep(p, b, self.time, cfg, part, tel),
+            }
+            self.note_sweep_time(li, t0);
+        }
     }
 
     /// Take a cost-clock reading before a block sweep (`None` without a
@@ -986,18 +950,18 @@ impl<'r> DistributedSim<'r> {
         // autotuner's machine-measured region rates (the cold-start-prior
         // satellite fix): the first rebalance epoch plans from measured
         // rates, not the hardcoded per-machine guesses.
-        if let Some(at) = &self.autotune {
-            if at.tuner.has_region_rates() {
-                let rates = at
-                    .tuner
-                    .region_rates_or(crate::regions::DEFAULT_REGION_RATES);
-                let rb = self.rebalance.as_mut().unwrap();
-                for (li, &id) in self.local_ids.iter().enumerate() {
-                    if rb.cost.entry(id).is_some_and(|e| e.measured.is_none()) {
-                        let counts = crate::regions::classify_block(&self.blocks[li]);
-                        rb.cost
-                            .set_prior(id, crate::regions::block_weight(&counts, rates));
-                    }
+        if self
+            .autotune
+            .as_ref()
+            .is_some_and(|at| at.tuner.has_region_rates())
+        {
+            let rates = self.region_rates();
+            let rb = self.rebalance.as_mut().unwrap();
+            for (li, &id) in self.local_ids.iter().enumerate() {
+                if rb.cost.entry(id).is_some_and(|e| e.measured.is_none()) {
+                    let counts = crate::regions::classify_block(&self.blocks[li]);
+                    rb.cost
+                        .set_prior(id, crate::regions::block_weight(&counts, rates));
                 }
             }
         }
@@ -1174,8 +1138,7 @@ impl<'r> DistributedSim<'r> {
                 crate::migrate::decode_block(&payload, desc.dims(1), DEFAULT_FIELD_BYTE_BUDGET)
                     .unwrap_or_else(|e| panic!("migration of block {id} failed: {e}"));
             assert_eq!(pid as usize, id, "migration payload id mismatch");
-            state.bc_phi = block_bc::<N_PHASES>(desc.neighbors, PHI_LIQUID);
-            state.bc_mu = block_bc::<N_COMP>(desc.neighbors, [0.0; N_COMP]);
+            set_block_bcs(&mut state, desc.neighbors);
             let pos = self.local_ids.partition_point(|&x| x < id);
             self.local_ids.insert(pos, id);
             self.blocks.insert(pos, state);
@@ -1187,21 +1150,11 @@ impl<'r> DistributedSim<'r> {
             // fastest variant is machine-local (cache topology, ISA), so
             // the old owner's pin does not transfer.
             if let Some(at) = self.autotune.as_mut() {
-                let b = &self.blocks[pos];
-                let counts = crate::regions::classify_block(b);
-                let cells = (b.dims.nx * b.dims.ny * b.dims.nz) as u64;
-                at.tuner
-                    .track(id, kernel_backend::dominant_region_class(&counts), cells);
+                at.track(id, &self.blocks[pos]);
             }
         }
-        self.interior_cells = self
-            .blocks
-            .iter()
-            .map(|b| (b.dims.nx * b.dims.ny * b.dims.nz) as u64)
-            .sum();
         if let Some(rb) = self.rebalance.as_mut() {
-            rb.acc = vec![0.0; self.local_ids.len()];
-            rb.acc_steps = 0;
+            rb.reset_window(self.local_ids.len());
             rb.stats.rebalances += 1;
         }
         if let Some(at) = self.autotune.as_mut() {
@@ -1220,7 +1173,7 @@ impl<'r> DistributedSim<'r> {
     /// empty from its descriptor (dims, origin, boundary specs derived from
     /// the static decomposition), ready to be filled by a checkpoint or
     /// buddy-replica restore. Placement-derived caches (`local_block_ids`,
-    /// interior cell count, rebalancer measurement window) are refreshed;
+    /// rebalancer measurement window) are refreshed;
     /// re-attach the rebalance policy after the restore for fresh cost
     /// priors. Not collective by itself, but every survivor must adopt the
     /// identical placement before the collective restore that follows.
@@ -1238,36 +1191,16 @@ impl<'r> DistributedSim<'r> {
         self.blocks = self
             .local_ids
             .iter()
-            .map(|&id| {
-                let desc = self.decomp.block(id);
-                let mut st = BlockState::new(desc.dims(1), desc.origin);
-                st.bc_phi = block_bc::<N_PHASES>(desc.neighbors, PHI_LIQUID);
-                st.bc_mu = block_bc::<N_COMP>(desc.neighbors, [0.0; N_COMP]);
-                st
-            })
+            .map(|&id| empty_block(&self.decomp, id))
             .collect();
-        self.interior_cells = self
-            .blocks
-            .iter()
-            .map(|b| (b.dims.nx * b.dims.ny * b.dims.nz) as u64)
-            .sum();
         self.rebuild_exchange_plan();
         if let Some(rb) = &mut self.rebalance {
-            rb.acc = vec![0.0; self.local_ids.len()];
-            rb.acc_steps = 0;
+            rb.reset_window(self.local_ids.len());
         }
         if let Some(at) = &mut self.autotune {
             // Blocks are rebuilt empty here; like the rebalancer, expect a
             // policy re-attach after the restore for fresh tuning state.
-            at.tuner = Autotuner::new(at.tuner.policy().clone());
-            at.acc = vec![0.0; self.local_ids.len()];
-            for (li, &id) in self.local_ids.iter().enumerate() {
-                let b = &self.blocks[li];
-                let counts = crate::regions::classify_block(b);
-                let cells = (b.dims.nx * b.dims.ny * b.dims.nz) as u64;
-                at.tuner
-                    .track(id, kernel_backend::dominant_region_class(&counts), cells);
-            }
+            *at = AutotuneState::new(at.tuner.policy().clone(), &self.local_ids, &self.blocks);
         }
     }
 
@@ -1294,13 +1227,14 @@ impl<'r> DistributedSim<'r> {
             return;
         }
         let d = t.saturating_sub(prev);
-        let mlups = metrics::mlups(
-            self.interior_cells as usize,
-            1,
-            wall.as_secs_f64().max(1e-12),
-        );
-        self.telemetry
-            .counter_add("cells_updated", self.interior_cells);
+        // One sweep pair updates every local interior cell once.
+        let interior_cells: u64 = self
+            .blocks
+            .iter()
+            .map(|b| b.dims.interior_volume() as u64)
+            .sum();
+        let mlups = metrics::mlups(interior_cells as usize, 1, wall.as_secs_f64().max(1e-12));
+        self.telemetry.counter_add("cells_updated", interior_cells);
         self.telemetry.gauge_set("step_mlups", mlups);
 
         let stats = self.rank.stats();
@@ -1341,7 +1275,7 @@ impl<'r> DistributedSim<'r> {
                 step: self.step - 1,
                 wall_ms: wall.as_secs_f64() * 1e3,
                 mlups,
-                cells_updated: self.interior_cells,
+                cells_updated: interior_cells,
                 compute_ms: d.compute.as_secs_f64() * 1e3,
                 phi_comm_ms: d.phi_comm.as_secs_f64() * 1e3,
                 mu_comm_ms: d.mu_comm.as_secs_f64() * 1e3,
@@ -1511,30 +1445,8 @@ impl<'r> DistributedSim<'r> {
         // whose contents just changed — drop the open measurement window
         // (the EWMA itself survives; it converges again within a few steps).
         if let Some(rb) = &mut self.rebalance {
-            for a in &mut rb.acc {
-                *a = 0.0;
-            }
-            rb.acc_steps = 0;
+            rb.reset_window(self.local_ids.len());
         }
-    }
-
-    /// Global solid fraction (allreduce over ranks).
-    pub fn solid_fraction_global(&self) -> f64 {
-        let mut local = 0.0;
-        let mut cells = 0.0;
-        for b in &self.blocks {
-            for (x, y, z) in b.dims.interior_iter() {
-                local += 1.0 - b.phi_src.at(LIQ, x, y, z);
-                cells += 1.0;
-            }
-        }
-        let sum = self
-            .rank
-            .allreduce_f64(local, eutectica_comm::ReduceOp::Sum);
-        let n = self
-            .rank
-            .allreduce_f64(cells, eutectica_comm::ReduceOp::Sum);
-        sum / n
     }
 
     // ----- ghost exchange plumbing -----
@@ -1565,6 +1477,20 @@ impl<'r> DistributedSim<'r> {
     }
 }
 
+/// An empty block built from its descriptor in the decomposition.
+fn empty_block(decomp: &Decomposition, id: usize) -> BlockState {
+    let desc = decomp.block(id);
+    let mut st = BlockState::new(desc.dims(1), desc.origin);
+    set_block_bcs(&mut st, desc.neighbors);
+    st
+}
+
+/// Give `state` the boundary specs its neighbor topology implies.
+fn set_block_bcs(state: &mut BlockState, neighbors: [Option<usize>; 6]) {
+    state.bc_phi = block_bc::<N_PHASES>(neighbors, PHI_LIQUID);
+    state.bc_mu = block_bc::<N_COMP>(neighbors, [0.0; N_COMP]);
+}
+
 /// Boundary spec for a block: Comm on faces with neighbors, the
 /// directional-solidification physical conditions elsewhere.
 fn block_bc<const NC: usize>(neighbors: [Option<usize>; 6], top: [f64; NC]) -> BoundarySpec<NC> {
@@ -1582,87 +1508,28 @@ fn block_bc<const NC: usize>(neighbors: [Option<usize>; 6], top: [f64; NC]) -> B
     spec
 }
 
-/// Run a distributed simulation on `n_ranks` thread-ranks and return every
-/// rank's blocks plus timings (rank order).
+/// Run a distributed simulation on `n_ranks` thread-ranks. Every rank
+/// builds its [`DistributedSim`] and hands it to `per_rank`, which
+/// configures it (sweep threads, initial condition, policies), steps it and
+/// returns what the caller wants harvested — final blocks, timings,
+/// rebalance counters. Results come back in rank order.
 ///
 /// Convenience wrapper over [`DistributedSim`] for tests and benchmarks.
-pub fn run_distributed<F>(
+pub fn run_distributed<T, F>(
     params: ModelParams,
     decomp: Decomposition,
     n_ranks: usize,
-    steps: usize,
     cfg: KernelConfig,
     overlap: OverlapOptions,
-    init: F,
-) -> Vec<(Vec<BlockState>, StepTimings)>
+    per_rank: F,
+) -> Vec<T>
 where
-    F: Fn(&mut BlockState) + Send + Sync + 'static,
+    T: Send + 'static,
+    F: Fn(&mut DistributedSim<'_>) -> T + Send + Sync + 'static,
 {
-    run_distributed_threaded(params, decomp, n_ranks, 1, steps, cfg, overlap, init)
-}
-
-/// Like [`run_distributed`] with `threads` intra-rank sweep threads per
-/// rank (hybrid ranks × threads; `threads = 1` is the serial sweep path).
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_threaded<F>(
-    params: ModelParams,
-    decomp: Decomposition,
-    n_ranks: usize,
-    threads: usize,
-    steps: usize,
-    cfg: KernelConfig,
-    overlap: OverlapOptions,
-    init: F,
-) -> Vec<(Vec<BlockState>, StepTimings)>
-where
-    F: Fn(&mut BlockState) + Send + Sync + 'static,
-{
-    let params = std::sync::Arc::new(params);
-    let decomp = std::sync::Arc::new(decomp);
-    let init = std::sync::Arc::new(init);
     eutectica_comm::Universe::run(n_ranks, move |rank| {
-        let mut sim =
-            DistributedSim::new(&rank, (*params).clone(), (*decomp).clone(), cfg, overlap);
-        sim.set_threads(threads);
-        sim.init_blocks(|b| init(b));
-        sim.step_n(steps);
-        (std::mem::take(&mut sim.blocks), sim.timings)
-    })
-}
-
-/// Like [`run_distributed_threaded`] with a dynamic rebalancing policy
-/// attached. Because blocks may finish on a different rank than they
-/// started on, results are returned as `(block id, state)` pairs per rank
-/// together with that rank's [`RebalanceStats`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_rebalanced<F>(
-    params: ModelParams,
-    decomp: Decomposition,
-    n_ranks: usize,
-    threads: usize,
-    steps: usize,
-    cfg: KernelConfig,
-    overlap: OverlapOptions,
-    policy: RebalancePolicy,
-    init: F,
-) -> Vec<(Vec<(usize, BlockState)>, RebalanceStats)>
-where
-    F: Fn(&mut BlockState) + Send + Sync + 'static,
-{
-    let params = std::sync::Arc::new(params);
-    let decomp = std::sync::Arc::new(decomp);
-    let init = std::sync::Arc::new(init);
-    eutectica_comm::Universe::run(n_ranks, move |rank| {
-        let mut sim =
-            DistributedSim::new(&rank, (*params).clone(), (*decomp).clone(), cfg, overlap);
-        sim.set_threads(threads);
-        sim.init_blocks(|b| init(b));
-        sim.set_rebalance_policy(Some(policy.clone()));
-        sim.step_n(steps);
-        let ids = sim.local_block_ids().to_vec();
-        let stats = sim.rebalance_stats().cloned().unwrap_or_default();
-        let blocks = std::mem::take(&mut sim.blocks);
-        (ids.into_iter().zip(blocks).collect(), stats)
+        let mut sim = DistributedSim::new(&rank, params.clone(), decomp.clone(), cfg, overlap);
+        per_rank(&mut sim)
     })
 }
 
@@ -1676,13 +1543,30 @@ mod tests {
         crate::init::init_directional_block(b, &seeds, 4);
     }
 
+    /// `steps` plain steps from `init`; every rank's final blocks + timings.
+    fn run_steps(
+        params: ModelParams,
+        decomp: Decomposition,
+        n_ranks: usize,
+        steps: usize,
+        cfg: KernelConfig,
+        overlap: OverlapOptions,
+        init: fn(&mut BlockState),
+    ) -> Vec<(Vec<BlockState>, StepTimings)> {
+        run_distributed(params, decomp, n_ranks, cfg, overlap, move |sim| {
+            sim.init_blocks(init);
+            sim.step_n(steps);
+            (std::mem::take(&mut sim.blocks), sim.timings)
+        })
+    }
+
     /// Single-rank single-block distributed run must match the Simulation
     /// façade exactly.
     #[test]
     fn matches_single_block_solver() {
         let params = ModelParams::ag_al_cu();
         let spec = DomainSpec::directional([16, 16, 16], [1, 1, 1]);
-        let out = run_distributed(
+        let out = run_steps(
             params.clone(),
             Decomposition::new(spec),
             1,
@@ -1752,7 +1636,7 @@ mod tests {
         let single = single_block_after(&params, cells, steps);
         for blocks in [[2, 2, 2], [1, 1, 1]] {
             for hide_mu in [false, true] {
-                let out = run_distributed(
+                let out = run_steps(
                     params.clone(),
                     Decomposition::new(DomainSpec::directional(cells, blocks)),
                     1,
@@ -1835,7 +1719,7 @@ mod tests {
         let params = ModelParams::ag_al_cu();
         let spec = DomainSpec::directional([16, 16, 8], [2, 2, 1]);
         let run = |n_ranks: usize| {
-            run_distributed(
+            run_steps(
                 params.clone(),
                 Decomposition::new(spec),
                 n_ranks,
@@ -1874,7 +1758,7 @@ mod tests {
         // Enough steps for the longest warmup walk: |candidates| × (skip 1
         // + warmup 3) is at most 8 × 4 = 32 on an AVX2 host.
         let steps = 40;
-        let plain = run_distributed(
+        let plain = run_steps(
             params.clone(),
             Decomposition::new(spec),
             1,
@@ -1938,7 +1822,7 @@ mod tests {
         let runs: Vec<_> = OverlapOptions::ALL
             .iter()
             .map(|&ov| {
-                run_distributed(
+                run_steps(
                     params.clone(),
                     Decomposition::new(spec),
                     2,

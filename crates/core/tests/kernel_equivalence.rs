@@ -300,8 +300,8 @@ fn registry_backends_agree_with_reference() {
     for (name, base) in states(dims) {
         let (z0, z1) = dims.interior_z_range();
         let mut oracle = base.clone();
-        reference.phi_sweep_range(&params, &mut oracle, 1.5, z0, z1);
-        reference.mu_sweep_range(&params, &mut oracle, 1.5, MuPart::Full, z0, z1);
+        phi_sweep_range(&params, &mut oracle, 1.5, reference, z0, z1);
+        mu_sweep_range(&params, &mut oracle, 1.5, reference, MuPart::Full, z0, z1);
         for bname in backend::registry_names() {
             let b = match backend::resolve(&bname) {
                 Ok(b) => b,
@@ -315,8 +315,8 @@ fn registry_backends_agree_with_reference() {
                 Err(e) => panic!("{bname}: {e}"),
             };
             let mut s = base.clone();
-            b.phi_sweep_range(&params, &mut s, 1.5, z0, z1);
-            b.mu_sweep_range(&params, &mut s, 1.5, MuPart::Full, z0, z1);
+            phi_sweep_range(&params, &mut s, 1.5, b, z0, z1);
+            mu_sweep_range(&params, &mut s, 1.5, b, MuPart::Full, z0, z1);
             let (dp, dm) = (max_phi_diff(&oracle, &s), max_mu_diff(&oracle, &s));
             assert!(
                 dp < 1e-11 && dm < 1e-11,

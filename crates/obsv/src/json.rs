@@ -3,9 +3,8 @@
 //! The workspace has no serde_json; emission goes through
 //! [`eutectica_telemetry::JsonObject`], and this module provides the
 //! matching reader: enough of RFC 8259 to decode observable/slice frames
-//! off the live endpoint and to load perf-trajectory files for the
-//! comparator. Numbers parse as `f64`; `\uXXXX` escapes decode including
-//! surrogate pairs.
+//! off the live endpoint. Numbers parse as `f64`; `\uXXXX` escapes decode
+//! including surrogate pairs.
 
 use std::collections::BTreeMap;
 

@@ -2,7 +2,7 @@
 //!
 //! The paper's workflow is batch-shaped: run, checkpoint, post-process.
 //! This crate turns the running solver into something that *serves
-//! traffic*, with three pillars:
+//! traffic*, with two pillars:
 //!
 //! 1. **In-situ observables** ([`observables`]) — a cadenced collective
 //!    reducer computing front position/velocity/roughness, phase
@@ -14,10 +14,6 @@
 //!    and downsampled 2-D field slices ([`slices`]) to N concurrent
 //!    subscribers over bounded-lag broadcast channels. Slow consumers
 //!    drop frames (counted exactly), they never stall the sweep.
-//! 3. **Perf trajectories** ([`trajectory`]) — stable-schema
-//!    `BENCH_<name>.json` files recording machine info, build flags and
-//!    benchmark measurements, plus a comparator that flags regressions
-//!    beyond a noise band.
 //!
 //! Everything here is *inert* by construction: observation reads
 //! `phi_src`/`mu_src` only and communicates via fresh collectives in
@@ -32,11 +28,9 @@ pub mod json;
 pub mod observables;
 pub mod server;
 pub mod slices;
-pub mod trajectory;
 
 pub use bus::{BusStats, FrameBus, Subscription};
 pub use jobs::JobRecord;
 pub use observables::{InSituObserver, ObservableRecord, ObservablesConfig, RecoveryRecord};
 pub use server::LiveServer;
 pub use slices::{gather_slice, SliceField, SliceFrame};
-pub use trajectory::{compare, Comparison, Trajectory};

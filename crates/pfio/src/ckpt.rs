@@ -33,6 +33,9 @@ use eutectica_core::{N_COMP, N_PHASES};
 
 /// Magic bytes of a v2 (checkpoint-set) block file.
 pub const BLOCK_MAGIC: &[u8; 8] = b"EUTECKP2";
+/// Magic bytes of the retired CRC-less single-block format; recognised only
+/// so that a leftover file is named for what it is.
+const LEGACY_BLOCK_MAGIC: &[u8; 8] = b"EUTECKP1";
 /// Magic bytes of a checkpoint-set manifest.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"EUTECMF1";
 /// Format version written into block files and manifests.
@@ -72,6 +75,9 @@ pub enum CkptError {
         /// What was being parsed.
         what: &'static str,
     },
+    /// The file is in the retired legacy single-block format (no CRC, no
+    /// version field); this reader no longer understands it.
+    LegacyFormat,
     /// The format version is newer than this reader understands.
     UnsupportedVersion(u32),
     /// The input ended before the structure was complete.
@@ -120,6 +126,12 @@ impl fmt::Display for CkptError {
         match self {
             CkptError::Io(e) => write!(f, "checkpoint I/O error: {e}"),
             CkptError::BadMagic { what } => write!(f, "{what}: bad magic bytes"),
+            CkptError::LegacyFormat => write!(
+                f,
+                "block file is in the retired legacy {} format; \
+                 re-write it with ckpt::encode_block",
+                String::from_utf8_lossy(LEGACY_BLOCK_MAGIC)
+            ),
             CkptError::UnsupportedVersion(v) => write!(f, "unsupported checkpoint version {v}"),
             CkptError::Truncated { what } => write!(f, "{what}: truncated"),
             CkptError::CrcMismatch {
@@ -355,6 +367,11 @@ pub fn encode_block(state: &BlockState, id: u64, time: f64, precision: Precision
 /// validating the header dimensions against `budget` before allocating.
 pub fn decode_block(bytes: &[u8], budget: u64) -> Result<DecodedBlock, CkptError> {
     let what = "block file";
+    // Before the CRC: a legacy file has none, so it would otherwise be
+    // reported as corrupted rather than as what it is.
+    if bytes.starts_with(LEGACY_BLOCK_MAGIC) {
+        return Err(CkptError::LegacyFormat);
+    }
     if bytes.len() < 8 + 4 + 4 {
         return Err(CkptError::Truncated { what });
     }
@@ -911,6 +928,28 @@ mod tests {
         match decode_block(&bytes, DEFAULT_BYTE_BUDGET) {
             Err(CkptError::CrcMismatch { .. }) => {}
             other => panic!("expected CrcMismatch, got {other:?}"),
+        }
+    }
+
+    /// A leftover file of the retired format is named as such — at any
+    /// length, since it never carried a CRC to mismatch.
+    #[test]
+    fn legacy_block_file_is_rejected_by_name() {
+        // magic | nx ny nz ghost | origin | time | f32 payload, as the
+        // retired writer laid it out for a 1×1×1 block.
+        let mut legacy = b"EUTECKP1".to_vec();
+        for v in [1u64, 1, 1, 1, 0, 0, 0] {
+            legacy.extend_from_slice(&v.to_le_bytes());
+        }
+        legacy.extend_from_slice(&2.5f64.to_le_bytes());
+        legacy.extend_from_slice(&[0u8; 6 * 4]);
+        for len in [8, 12, legacy.len()] {
+            match decode_block(&legacy[..len], DEFAULT_BYTE_BUDGET) {
+                Err(e @ CkptError::LegacyFormat) => {
+                    assert!(e.to_string().contains("retired legacy EUTECKP1"), "{e}")
+                }
+                other => panic!("expected LegacyFormat at length {len}, got {other:?}"),
+            }
         }
     }
 

@@ -3,9 +3,11 @@
 //! "For generating checkpoints, the complete simulation state has to be
 //! stored on disk, containing four φ values and two µ values per cell. While
 //! all computations are carried out in double precision, checkpoints use
-//! only single precision to save disk space and I/O bandwidth." This crate
-//! implements exactly that checkpoint format, plus a legacy-VTK writer for
-//! visual inspection of fields.
+//! only single precision to save disk space and I/O bandwidth." That format
+//! is [`ckpt::encode_block`] at [`ckpt::Precision::F32`] — the one block-file
+//! format, shared with the checkpoint sets, with a CRC and a byte budget on
+//! the reader. This crate adds a legacy-VTK writer for visual inspection of
+//! fields.
 //!
 //! Fault tolerance lives in four submodules: [`ckpt`] defines multi-block
 //! *checkpoint sets* (per-block files + CRC-verified manifest, atomic
@@ -26,127 +28,8 @@ pub mod resilient;
 use std::io::{Read, Write};
 
 use eutectica_blockgrid::decomp::{Decomposition, DomainSpec};
-use eutectica_blockgrid::GridDims;
 use eutectica_core::state::BlockState;
 use eutectica_core::{N_COMP, N_PHASES};
-
-/// Magic bytes identifying a checkpoint file.
-const MAGIC: &[u8; 8] = b"EUTECKP1";
-
-/// Write a single-precision checkpoint of a block's source fields.
-///
-/// Layout: magic, dims (nx, ny, nz, ghost), origin, time, then the interior
-/// cells of the four φ components and two µ components as little-endian
-/// f32, component-major. Ghost layers are *not* stored — they are
-/// reconstructed by communication + boundary handling after restart.
-pub fn write_checkpoint(w: &mut impl Write, state: &BlockState, time: f64) -> std::io::Result<()> {
-    let d = state.dims;
-    w.write_all(MAGIC)?;
-    for v in [d.nx as u64, d.ny as u64, d.nz as u64, d.ghost as u64] {
-        w.write_all(&v.to_le_bytes())?;
-    }
-    for v in state.origin {
-        w.write_all(&(v as u64).to_le_bytes())?;
-    }
-    w.write_all(&time.to_le_bytes())?;
-    let mut write_comp = |comp: &[f64]| -> std::io::Result<()> {
-        for z in d.ghost..d.ghost + d.nz {
-            for y in d.ghost..d.ghost + d.ny {
-                let row = d.idx(d.ghost, y, z);
-                for v in &comp[row..row + d.nx] {
-                    w.write_all(&(*v as f32).to_le_bytes())?;
-                }
-            }
-        }
-        Ok(())
-    };
-    for c in 0..N_PHASES {
-        write_comp(state.phi_src.comp(c))?;
-    }
-    for c in 0..N_COMP {
-        write_comp(state.mu_src.comp(c))?;
-    }
-    Ok(())
-}
-
-/// Restore a checkpoint written by [`write_checkpoint`]. Returns the block
-/// state (with default directional boundary conditions — adjust afterwards
-/// if needed) and the simulation time.
-///
-/// Header dimensions are validated against [`ckpt::DEFAULT_BYTE_BUDGET`]
-/// before any allocation — a corrupt 16-byte header cannot trigger a
-/// multi-GB allocation; use [`read_checkpoint_bounded`] for a custom
-/// budget.
-///
-/// Ghost layers are left at their initial values; call the appropriate
-/// exchange/boundary handling before stepping.
-pub fn read_checkpoint(r: &mut impl Read) -> std::io::Result<(BlockState, f64)> {
-    read_checkpoint_bounded(r, ckpt::DEFAULT_BYTE_BUDGET)
-}
-
-/// [`read_checkpoint`] with an explicit byte budget: headers whose
-/// dimensions imply an in-memory [`BlockState`] larger than `byte_budget`
-/// are rejected with `InvalidData` before allocating.
-pub fn read_checkpoint_bounded(
-    r: &mut impl Read,
-    byte_budget: u64,
-) -> std::io::Result<(BlockState, f64)> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "not a eutectica checkpoint",
-        ));
-    }
-    let mut u64buf = [0u8; 8];
-    let mut read_u64 = |r: &mut dyn Read| -> std::io::Result<u64> {
-        r.read_exact(&mut u64buf)?;
-        Ok(u64::from_le_bytes(u64buf))
-    };
-    let nx = read_u64(r)?;
-    let ny = read_u64(r)?;
-    let nz = read_u64(r)?;
-    let ghost = read_u64(r)?;
-    let dims = ckpt::validate_dims(nx, ny, nz, ghost, byte_budget)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    let (nx, ny, nz, ghost) = (dims.nx, dims.ny, dims.nz, dims.ghost);
-    let origin = [
-        read_u64(r)? as usize,
-        read_u64(r)? as usize,
-        read_u64(r)? as usize,
-    ];
-    let mut f64buf = [0u8; 8];
-    r.read_exact(&mut f64buf)?;
-    let time = f64::from_le_bytes(f64buf);
-    let mut state = BlockState::new(dims, origin);
-    let mut buf = [0u8; 4];
-    let mut read_comp = |r: &mut dyn Read, comp: &mut [f64]| -> std::io::Result<()> {
-        for z in ghost..ghost + nz {
-            for y in ghost..ghost + ny {
-                let row = dims.idx(ghost, y, z);
-                for v in comp[row..row + nx].iter_mut() {
-                    r.read_exact(&mut buf)?;
-                    *v = f32::from_le_bytes(buf) as f64;
-                }
-            }
-        }
-        Ok(())
-    };
-    for c in 0..N_PHASES {
-        read_comp(r, state.phi_src.comp_mut(c))?;
-    }
-    for c in 0..N_COMP {
-        read_comp(r, state.mu_src.comp_mut(c))?;
-    }
-    state.sync_dst_from_src();
-    Ok((state, time))
-}
-
-/// Size in bytes of a checkpoint for the given dims (used by I/O planning).
-pub fn checkpoint_size(dims: GridDims) -> usize {
-    8 + 4 * 8 + 3 * 8 + 8 + dims.interior_volume() * (N_PHASES + N_COMP) * 4
-}
 
 /// Magic bytes of a block-structure file.
 const BS_MAGIC: &[u8; 8] = b"EUTECBS1";
@@ -260,6 +143,10 @@ pub fn write_vtk(w: &mut impl Write, state: &BlockState, title: &str) -> std::io
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ckpt::{
+        block_file_size, decode_block, encode_block, Precision, DEFAULT_BYTE_BUDGET,
+    };
+    use eutectica_blockgrid::GridDims;
     use rand::{Rng, SeedableRng};
 
     fn random_state(seed: u64) -> BlockState {
@@ -283,11 +170,11 @@ mod tests {
     #[test]
     fn checkpoint_roundtrip_within_f32_precision() {
         let s = random_state(5);
-        let mut buf = Vec::new();
-        write_checkpoint(&mut buf, &s, 123.25).unwrap();
-        assert_eq!(buf.len(), checkpoint_size(s.dims));
-        let (s2, time) = read_checkpoint(&mut buf.as_slice()).unwrap();
-        assert_eq!(time, 123.25);
+        let buf = encode_block(&s, 7, 123.25, Precision::F32);
+        assert_eq!(buf.len(), block_file_size(s.dims, Precision::F32));
+        let back = decode_block(&buf, DEFAULT_BYTE_BUDGET).unwrap();
+        assert_eq!((back.id, back.time), (7, 123.25));
+        let s2 = back.state;
         assert_eq!(s2.dims, s.dims);
         assert_eq!(s2.origin, s.origin);
         for c in 0..N_PHASES {
@@ -309,14 +196,14 @@ mod tests {
     #[test]
     fn checkpoint_rejects_garbage() {
         let garbage = b"NOTACKPT-and-some-more-bytes".to_vec();
-        assert!(read_checkpoint(&mut garbage.as_slice()).is_err());
+        assert!(decode_block(&garbage, DEFAULT_BYTE_BUDGET).is_err());
     }
 
     #[test]
     fn checkpoint_is_single_precision_sized() {
         // 4 φ + 2 µ per cell at 4 bytes — half the in-memory double size.
-        let dims = GridDims::new(10, 10, 10, 1);
-        let payload = checkpoint_size(dims) - (8 + 4 * 8 + 3 * 8 + 8);
+        let framing = block_file_size(GridDims::new(1, 1, 1, 1), Precision::F32) - 6 * 4;
+        let payload = block_file_size(GridDims::new(10, 10, 10, 1), Precision::F32) - framing;
         assert_eq!(payload, 1000 * 6 * 4);
     }
 

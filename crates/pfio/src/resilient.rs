@@ -422,12 +422,6 @@ impl ShrinkPolicy {
             source,
         }
     }
-
-    /// Same policy with a different per-attempt death budget.
-    pub fn with_max_shrinks(mut self, n: usize) -> Self {
-        self.max_shrinks = n;
-        self
-    }
 }
 
 /// Typed per-rank failure inside a [`run_resilient`] attempt — distinguishes

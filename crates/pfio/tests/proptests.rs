@@ -1,15 +1,14 @@
-//! Property-based tests of the checkpoint formats (legacy single-block
-//! files and the fault-tolerant checkpoint-set block/manifest path).
+//! Property-based tests of the checkpoint formats (block files at both
+//! precisions and the checkpoint-set manifest).
 
 use eutectica_blockgrid::decomp::DomainSpec;
 use eutectica_blockgrid::GridDims;
 use eutectica_core::simplex::project_to_simplex;
 use eutectica_core::state::BlockState;
 use eutectica_pfio::ckpt::{
-    crc32, decode_block, decode_manifest, encode_block, encode_manifest, BlockEntry, Manifest,
-    Precision, DEFAULT_BYTE_BUDGET,
+    block_file_size, crc32, decode_block, decode_manifest, encode_block, encode_manifest,
+    BlockEntry, Manifest, Precision, DEFAULT_BYTE_BUDGET,
 };
-use eutectica_pfio::{checkpoint_size, read_checkpoint, write_checkpoint};
 use proptest::prelude::*;
 
 fn make_state(nx: usize, ny: usize, nz: usize, origin: [usize; 3], seed: u64) -> BlockState {
@@ -47,11 +46,11 @@ proptest! {
         time in 0.0..1e6f64,
     ) {
         let s = make_state(nx, ny, nz, [ox, 0, oz], seed);
-        let mut buf = Vec::new();
-        write_checkpoint(&mut buf, &s, time).unwrap();
-        prop_assert_eq!(buf.len(), checkpoint_size(s.dims));
-        let (s2, t2) = read_checkpoint(&mut buf.as_slice()).unwrap();
-        prop_assert_eq!(t2, time);
+        let buf = encode_block(&s, seed, time, Precision::F32);
+        prop_assert_eq!(buf.len(), block_file_size(s.dims, Precision::F32));
+        let back = decode_block(&buf, DEFAULT_BYTE_BUDGET).unwrap();
+        prop_assert_eq!((back.id, back.time), (seed, time));
+        let s2 = back.state;
         prop_assert_eq!(s2.dims, s.dims);
         prop_assert_eq!(s2.origin, s.origin);
         for (x, y, z) in s.dims.interior_iter() {
@@ -72,11 +71,9 @@ proptest! {
     #[test]
     fn truncation_is_detected(cut in 0usize..200, seed in any::<u64>()) {
         let s = make_state(4, 4, 4, [0, 0, 0], seed);
-        let mut buf = Vec::new();
-        write_checkpoint(&mut buf, &s, 1.0).unwrap();
+        let buf = encode_block(&s, 0, 1.0, Precision::F32);
         let cut = cut.min(buf.len().saturating_sub(1));
-        let truncated = &buf[..cut];
-        prop_assert!(read_checkpoint(&mut &truncated[..]).is_err());
+        prop_assert!(decode_block(&buf[..cut], DEFAULT_BYTE_BUDGET).is_err());
     }
 
     /// Checkpoint-set block files round-trip bit-exactly in f64 (the

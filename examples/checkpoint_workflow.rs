@@ -8,9 +8,10 @@
 //! ```
 
 use eutectica_core::prelude::*;
-use eutectica_pfio::{
-    checkpoint_interval, checkpoint_size, read_checkpoint, write_checkpoint, write_vtk,
+use eutectica_pfio::ckpt::{
+    atomic_write, block_file_size, decode_block, encode_block, Precision, DEFAULT_BYTE_BUDGET,
 };
+use eutectica_pfio::{checkpoint_interval, write_vtk};
 use std::time::Instant;
 
 fn main() {
@@ -28,18 +29,16 @@ fn main() {
     let step_time = t.elapsed().as_secs_f64() / 200.0;
 
     // Write a checkpoint (f32: half the in-memory footprint) and measure it.
-    let ckpt_path = "results/checkpoint.eut";
+    let ckpt_path = std::path::Path::new("results/checkpoint.eckp");
     let t = Instant::now();
-    {
-        let mut f = std::io::BufWriter::new(std::fs::File::create(ckpt_path).unwrap());
-        write_checkpoint(&mut f, &sim.state, sim.time()).unwrap();
-    }
+    let bytes = encode_block(&sim.state, 0, sim.time(), Precision::F32);
+    atomic_write(ckpt_path, &bytes).unwrap();
     let ckpt_time = t.elapsed().as_secs_f64();
     println!(
         "step: {:.2} ms, checkpoint: {:.2} ms ({} KiB on disk, {} KiB in memory)",
         step_time * 1e3,
         ckpt_time * 1e3,
-        checkpoint_size(sim.state.dims) / 1024,
+        block_file_size(sim.state.dims, Precision::F32) / 1024,
         sim.state.dims.volume() * 6 * 8 / 1024,
     );
     println!(
@@ -58,12 +57,10 @@ fn main() {
     sim.step_n(100);
 
     // Phase 3: restart from the checkpoint and run the same 100 steps.
-    let (state, time) = {
-        let mut f = std::io::BufReader::new(std::fs::File::open(ckpt_path).unwrap());
-        read_checkpoint(&mut f).unwrap()
-    };
+    let saved = decode_block(&std::fs::read(ckpt_path).unwrap(), DEFAULT_BYTE_BUDGET).unwrap();
+    let time = saved.time;
     let mut resumed = Simulation::new(params, cells).expect("valid setup");
-    resumed.state = state;
+    resumed.state = saved.state;
     resumed.state.apply_bc_src();
     resumed.state.sync_dst_from_src();
     println!("restarted at t = {time}");

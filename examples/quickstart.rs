@@ -34,9 +34,9 @@ fn main() {
     );
 
     // Optional in-situ observability plane (provably inert when off).
-    let mut observer = eutectica_bench::observe_every_arg().map(|every| {
+    let mut observer = eutectica_bench::arg_parsed("--observe-every").map(|every| {
         let obs = InSituObserver::new(ObservablesConfig::with_every(every));
-        match eutectica_bench::metrics_out_arg() {
+        match eutectica_bench::arg_value("--metrics-out") {
             Some(path) => obs
                 .with_output_path(&path)
                 .expect("create --metrics-out file"),

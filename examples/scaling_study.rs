@@ -28,20 +28,23 @@ fn main() {
             params.clone(),
             Decomposition::new(spec),
             ranks,
-            20,
             KernelConfig::default(),
             OverlapOptions {
                 hide_mu: true,
                 hide_phi: false,
             },
-            |b| {
-                let seeds = eutectica_core::init::VoronoiSeeds::generate(
-                    [32, 32],
-                    8,
-                    [0.34, 0.33, 0.33],
-                    1,
-                );
-                eutectica_core::init::init_directional_block(b, &seeds, 5);
+            |sim| {
+                sim.init_blocks(|b| {
+                    let seeds = eutectica_core::init::VoronoiSeeds::generate(
+                        [32, 32],
+                        8,
+                        [0.34, 0.33, 0.33],
+                        1,
+                    );
+                    eutectica_core::init::init_directional_block(b, &seeds, 5);
+                });
+                sim.step_n(20);
+                (std::mem::take(&mut sim.blocks), sim.timings)
             },
         );
         let elapsed = t.elapsed().as_secs_f64();

@@ -4,7 +4,7 @@
 
 use eutectica_core::params::ModelParams;
 use eutectica_core::prelude::*;
-use eutectica_pfio::{read_checkpoint, write_checkpoint};
+use eutectica_pfio::ckpt::{decode_block, encode_block, Precision, DEFAULT_BYTE_BUDGET};
 
 fn setup() -> Simulation {
     let mut p = ModelParams::ag_al_cu();
@@ -23,13 +23,12 @@ fn restart_continues_within_f32_tolerance() {
     // Checkpointed run: 10 steps, save, restore, 5 more.
     let mut first = setup();
     first.step_n(10);
-    let mut buf = Vec::new();
-    write_checkpoint(&mut buf, &first.state, first.time()).unwrap();
+    let buf = encode_block(&first.state, 0, first.time(), Precision::F32);
 
-    let (state, time) = read_checkpoint(&mut buf.as_slice()).unwrap();
-    assert!((time - 10.0 * first.params.dt).abs() < 1e-12);
+    let saved = decode_block(&buf, DEFAULT_BYTE_BUDGET).unwrap();
+    assert!((saved.time - 10.0 * first.params.dt).abs() < 1e-12);
     let mut resumed = Simulation::new(first.params.clone(), [12, 12, 24]).unwrap();
-    resumed.state = state;
+    resumed.state = saved.state;
     // Restore boundary conditions and ghost layers, as a restart must.
     resumed.state.bc_phi = first.state.bc_phi;
     resumed.state.bc_mu = first.state.bc_mu;
@@ -73,8 +72,7 @@ fn checkpoint_restart_preserves_window_origin() {
     assert!(sim.window_shifts() > 0);
     let origin_before = sim.state.origin;
 
-    let mut buf = Vec::new();
-    write_checkpoint(&mut buf, &sim.state, sim.time()).unwrap();
-    let (state, _) = read_checkpoint(&mut buf.as_slice()).unwrap();
+    let buf = encode_block(&sim.state, 0, sim.time(), Precision::F32);
+    let state = decode_block(&buf, DEFAULT_BYTE_BUDGET).unwrap().state;
     assert_eq!(state.origin, origin_before, "window offset lost in restart");
 }

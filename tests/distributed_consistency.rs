@@ -13,6 +13,23 @@ fn init(b: &mut BlockState) {
     eutectica_core::init::init_directional_block(b, &seeds, 6);
 }
 
+/// `steps` plain steps from `init`; every rank's final blocks + timings.
+fn run_steps(
+    params: ModelParams,
+    decomp: Decomposition,
+    n_ranks: usize,
+    steps: usize,
+    cfg: KernelConfig,
+    overlap: OverlapOptions,
+    init: fn(&mut BlockState),
+) -> Vec<(Vec<BlockState>, eutectica_core::timeloop::StepTimings)> {
+    run_distributed(params, decomp, n_ranks, cfg, overlap, move |sim| {
+        sim.init_blocks(init);
+        sim.step_n(steps);
+        (std::mem::take(&mut sim.blocks), sim.timings)
+    })
+}
+
 /// Reassemble the global interior φ/µ fields from per-rank blocks.
 fn assemble(
     out: &[(Vec<BlockState>, eutectica_core::timeloop::StepTimings)],
@@ -55,7 +72,7 @@ fn block_and_rank_decompositions_agree() {
 
     let run = |blocks: [usize; 3], ranks: usize| {
         let spec = DomainSpec::directional(cells, blocks);
-        let out = run_distributed(
+        let out = run_steps(
             params.clone(),
             Decomposition::new(spec),
             ranks,
@@ -101,7 +118,7 @@ fn all_overlap_modes_agree_on_multiblock_multirank() {
     let runs: Vec<_> = OverlapOptions::ALL
         .iter()
         .map(|&ov| {
-            let out = run_distributed(
+            let out = run_steps(
                 params.clone(),
                 Decomposition::new(spec),
                 4,
@@ -141,7 +158,7 @@ fn kernel_variants_agree_in_full_distributed_steps() {
     let cells = [12usize, 12, 12];
     let spec = DomainSpec::directional(cells, [2, 1, 1]);
     let run = |cfg: KernelConfig| {
-        let out = run_distributed(
+        let out = run_steps(
             params.clone(),
             Decomposition::new(spec),
             2,

@@ -293,18 +293,29 @@ fn migrated_blocks_are_bit_identical() {
             // `execute_migration`: every block changes rank after step 8
             // and goes back after step 16.
             let what = format!("migration {isa:?} threads={threads}");
-            let out = eutectica_core::timeloop::run_distributed_rebalanced(
+            let out = eutectica_core::timeloop::run_distributed(
                 params.clone(),
                 Decomposition::new(spec),
                 2,
-                threads,
-                STEPS,
                 cfg(isa, true),
                 OverlapOptions::default(),
-                RebalancePolicy::new(0, f64::INFINITY)
-                    .with_forced_plan(8, vec![1, 1, 1, 1, 0, 0, 0, 0])
-                    .with_forced_plan(16, vec![0, 0, 0, 0, 1, 1, 1, 1]),
-                stepped_front,
+                move |sim| {
+                    sim.set_threads(threads);
+                    sim.init_blocks(stepped_front);
+                    sim.set_rebalance_policy(Some(
+                        RebalancePolicy::new(0, f64::INFINITY)
+                            .with_forced_plan(8, vec![1, 1, 1, 1, 0, 0, 0, 0])
+                            .with_forced_plan(16, vec![0, 0, 0, 0, 1, 1, 1, 1]),
+                    ));
+                    sim.step_n(STEPS);
+                    let ids = sim.local_block_ids().to_vec();
+                    let stats = sim.rebalance_stats().cloned().unwrap_or_default();
+                    let blocks: Vec<_> = ids
+                        .into_iter()
+                        .zip(std::mem::take(&mut sim.blocks))
+                        .collect();
+                    (blocks, stats)
+                },
             );
             let sent: u64 = out.iter().map(|(_, s)| s.blocks_sent).sum();
             assert_eq!(sent, 16, "{what}: 8 blocks x 2 forced swaps");

@@ -7,9 +7,7 @@ use eutectica_blockgrid::decomp::{Decomposition, DomainSpec};
 use eutectica_core::kernels::KernelConfig;
 use eutectica_core::params::ModelParams;
 use eutectica_core::state::BlockState;
-use eutectica_core::timeloop::{
-    run_distributed_threaded, DistributedSim, OverlapOptions, StepTimings,
-};
+use eutectica_core::timeloop::{run_distributed, DistributedSim, OverlapOptions, StepTimings};
 use eutectica_core::{N_COMP, N_PHASES};
 
 fn init_fn(b: &mut BlockState) {
@@ -25,15 +23,18 @@ fn run(
     steps: usize,
     overlap: OverlapOptions,
 ) -> Vec<(Vec<BlockState>, StepTimings)> {
-    run_distributed_threaded(
+    run_distributed(
         ModelParams::ag_al_cu(),
         Decomposition::new(DomainSpec::directional(domain, blocks)),
         n_ranks,
-        threads,
-        steps,
         KernelConfig::default(),
         overlap,
-        init_fn,
+        move |sim| {
+            sim.set_threads(threads);
+            sim.init_blocks(init_fn);
+            sim.step_n(steps);
+            (std::mem::take(&mut sim.blocks), sim.timings)
+        },
     )
 }
 

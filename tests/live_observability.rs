@@ -8,8 +8,6 @@
 //!   time loop (wall-clock acceptance test, run explicitly).
 //! - **Endpoint**: a plain TCP client decodes at least one observable and
 //!   one slice frame from a live run.
-//! - **Comparator**: `bench_compare` exits nonzero on a synthetic ≥15%
-//!   MLUP/s regression, zero within the noise band or with `--report-only`.
 
 use std::io::BufRead;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -22,7 +20,7 @@ use eutectica_core::params::ModelParams;
 use eutectica_core::state::BlockState;
 use eutectica_core::timeloop::{DistributedSim, OverlapOptions};
 use eutectica_core::{N_COMP, N_PHASES};
-use eutectica_obsv::{FrameBus, InSituObserver, LiveServer, ObservablesConfig, Trajectory};
+use eutectica_obsv::{FrameBus, InSituObserver, LiveServer, ObservablesConfig};
 
 const CELLS: [usize; 3] = [16, 16, 24];
 const STEPS: usize = 12;
@@ -281,59 +279,6 @@ fn endpoint_streams_decodable_observables_and_slices() {
         assert!(observables >= 1, "no observable frame decoded: {lines:?}");
         assert!(slices >= 1, "no slice frame decoded");
     });
-}
-
-#[test]
-fn comparator_flags_synthetic_regression_via_exit_code() {
-    let dir = std::env::temp_dir().join(format!("eutectica_cmp_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
-
-    let mut base = Trajectory::new("baseline");
-    base.push("mu_mlups_simd_tz_buf", 100.0, "MLUP/s", true);
-    base.push("ghost_exchange_mb_s", 500.0, "MB/s", true);
-    base.write(&path("base.json")).unwrap();
-
-    // 20% MLUP/s regression — beyond the 15% noise band.
-    let mut cur = Trajectory::new("current");
-    cur.push("mu_mlups_simd_tz_buf", 80.0, "MLUP/s", true);
-    cur.push("ghost_exchange_mb_s", 510.0, "MB/s", true);
-    cur.write(&path("cur.json")).unwrap();
-
-    let bin = env!("CARGO_BIN_EXE_bench_compare");
-    let run = |args: &[&str]| std::process::Command::new(bin).args(args).output().unwrap();
-
-    let out = run(&[
-        &path("base.json"),
-        &path("cur.json"),
-        "--noise-band",
-        "0.15",
-    ]);
-    assert!(!out.status.success(), "regression must fail the gate");
-    let text = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(
-        text.contains("REGRESSION"),
-        "report names the regression: {text}"
-    );
-
-    let out = run(&[
-        &path("base.json"),
-        &path("cur.json"),
-        "--noise-band",
-        "0.15",
-        "--report-only",
-    ]);
-    assert!(out.status.success(), "--report-only never gates");
-
-    let out = run(&[
-        &path("base.json"),
-        &path("base.json"),
-        "--noise-band",
-        "0.15",
-    ]);
-    assert!(out.status.success(), "identical trajectories pass");
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// ISSUE acceptance: a stalled TCP subscriber adds < 2% per-step wall time

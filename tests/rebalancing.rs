@@ -13,9 +13,7 @@ use eutectica_core::kernels::KernelConfig;
 use eutectica_core::migrate::{decode_block, encode_block};
 use eutectica_core::params::ModelParams;
 use eutectica_core::state::BlockState;
-use eutectica_core::timeloop::{
-    run_distributed_rebalanced, run_distributed_threaded, OverlapOptions, RebalanceStats,
-};
+use eutectica_core::timeloop::{run_distributed, OverlapOptions, RebalanceStats};
 use eutectica_core::{N_COMP, N_PHASES};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -31,42 +29,32 @@ fn init_fn(b: &mut BlockState) {
     eutectica_core::init::init_planar_front(b, 0, 4);
 }
 
-/// Baseline: static placement, no rebalancer attached at all. Blocks come
-/// back per rank in ascending block-id order.
-fn baseline(n_ranks: usize, threads: usize, overlap: OverlapOptions) -> Vec<BlockState> {
-    run_distributed_threaded(
-        ModelParams::ag_al_cu(),
-        Decomposition::new(DomainSpec::directional(DOMAIN, BLOCKS)),
-        n_ranks,
-        threads,
-        STEPS,
-        KernelConfig::default(),
-        overlap,
-        init_fn,
-    )
-    .into_iter()
-    .flat_map(|(blocks, _)| blocks)
-    .collect()
-}
-
-/// Rebalanced run: same seed/steps with `policy` attached. Returns final
-/// blocks re-sorted into global id order plus the per-rank stats.
-fn rebalanced(
+/// `STEPS` steps with `policy` attached after init (`None`: static
+/// placement, no rebalancer at all). Returns the final blocks in global id
+/// order — they may finish on another rank than they started on — plus
+/// the per-rank stats.
+fn run(
     n_ranks: usize,
     threads: usize,
     overlap: OverlapOptions,
-    policy: RebalancePolicy,
+    policy: Option<RebalancePolicy>,
 ) -> (Vec<BlockState>, Vec<RebalanceStats>) {
-    let out = run_distributed_rebalanced(
+    let out = run_distributed(
         ModelParams::ag_al_cu(),
         Decomposition::new(DomainSpec::directional(DOMAIN, BLOCKS)),
         n_ranks,
-        threads,
-        STEPS,
         KernelConfig::default(),
         overlap,
-        policy,
-        init_fn,
+        move |sim| {
+            sim.set_threads(threads);
+            sim.init_blocks(init_fn);
+            sim.set_rebalance_policy(policy.clone());
+            sim.step_n(STEPS);
+            let ids = sim.local_block_ids().to_vec();
+            let stats = sim.rebalance_stats().cloned().unwrap_or_default();
+            let blocks = std::mem::take(&mut sim.blocks);
+            (ids.into_iter().zip(blocks).collect::<Vec<_>>(), stats)
+        },
     );
     let mut stats = Vec::new();
     let mut tagged: Vec<(usize, BlockState)> = Vec::new();
@@ -76,6 +64,19 @@ fn rebalanced(
     }
     tagged.sort_by_key(|(id, _)| *id);
     (tagged.into_iter().map(|(_, b)| b).collect(), stats)
+}
+
+fn baseline(n_ranks: usize, threads: usize, overlap: OverlapOptions) -> Vec<BlockState> {
+    run(n_ranks, threads, overlap, None).0
+}
+
+fn rebalanced(
+    n_ranks: usize,
+    threads: usize,
+    overlap: OverlapOptions,
+    policy: RebalancePolicy,
+) -> (Vec<BlockState>, Vec<RebalanceStats>) {
+    run(n_ranks, threads, overlap, Some(policy))
 }
 
 /// Interiors bit-for-bit (ghosts excluded: under `hide_mu` the µ ghost

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # kernel-codegen guard: the AVX2 kernel instantiations must be code-generated
-# *inside* the `#[target_feature(enable = "avx2,fma")]` wrappers of
-# `eutectica_core::kernels::avx2_entry`.
+# *inside* `eutectica_simd::avx2_entry`, the `#[target_feature]` wrapper of
+# `eutectica_simd::dispatch` — one generic fn, so every dispatched kernel
+# (cellwise / four-cell φ, four-cell µ, the AoS layout ablation, the
+# peak-FLOP probe, the rsqrt ablation) is an instance of that one symbol.
 #
 # A closure (and so every `core::array::from_fn` callback) is its own LLVM
 # function and does not inherit the wrapper's features. Left out of line, it
@@ -12,22 +14,23 @@
 #
 #  1. a text symbol `core::core_arch::x86::{avx,avx2,fma}::_mm256*`: an
 #     out-of-line AVX intrinsic exists only if featureless code calls it. In
-#     the default build only the `avx2_entry` wrappers instantiate the AVX2
-#     backend, so the correct count is zero (`_xgetbv` of the feature
-#     detection does not match the pattern);
-#  2. a call from `avx2_entry::{phi_cellwise,phi_fourcell,mu_fourcell}` to a
-#     `{{closure}}` of the kernels or of `blockgrid::field` (the slab-level
-#     path of PR 16 reads the fields' constant-slab summary and takes
-#     `comps_mut_below` inside the wrappers: `kernels::pure_phase_of`, the
-#     zone decision and the accessors must inline whole, closure-free), or
-#     to a `core::array::try_from_fn` instance that itself calls an x86
+#     the default build only `avx2_entry` instantiates the AVX2 backend, so
+#     the correct count is zero (`_xgetbv` of the feature detection does not
+#     match the pattern);
+#  2. a call from an `avx2_entry` instance to a `{{closure}}` of the
+#     kernels, of `blockgrid::field` (the slab-level path of PR 16 reads the
+#     fields' constant-slab summary and takes `comps_mut_below` inside the
+#     wrapper: `kernels::pure_phase_of`, the zone decision and the accessors
+#     must inline whole, closure-free) or of `perfmodel::roofline`, or to a
+#     `core::array::try_from_fn` instance that itself calls an x86
 #     intrinsic.
 #
 # usage: kernel-codegen.sh [binary ...]
 set -euo pipefail
 
 if [ "$#" -eq 0 ]; then
-    set -- target/release/fig7_intranode benchmark/target/release/perf_ledger
+    set -- target/release/fig7_intranode target/release/roofline_analysis \
+        benchmark/target/release/perf_ledger
 fi
 
 status=0
@@ -45,13 +48,13 @@ for bin in "$@"; do
         /^[0-9a-f]+ <.*>:$/ {
             fn = $0; sub(/^[0-9a-f]+ </, "", fn); sub(/>:$/, "", fn)
             addr = $1; sub(/^0+/, "", addr)
-            in_entry = fn ~ /kernels::avx2_entry::(phi_cellwise|phi_fourcell|mu_fourcell)$/
+            in_entry = fn ~ /^eutectica_simd::avx2_entry$/
             in_from_fn = fn ~ /core::array::try_from_fn/
             next
         }
         /\tcall / {
             if (in_from_fn && $0 ~ /core::core_arch::x86/) bad_from_fn[addr] = 1
-            if (in_entry && $0 ~ /(kernels|blockgrid::field)::.*[{][{]closure[}][}]/) print fn " -> " $NF
+            if (in_entry && $0 ~ /(kernels|blockgrid::field|roofline)::.*[{][{]closure[}][}]/) print fn " -> " $NF
             if (in_entry && $0 ~ /core::array::try_from_fn/) {
                 callee = $(NF - 1); from_fn_calls[fn " " callee]++
             }
@@ -80,6 +83,6 @@ if [ "$checked" -eq 0 ]; then
 fi
 if [ "$status" -ne 0 ]; then
     echo "kernel-codegen: FAILED - a closure or from_fn callback touches a SIMD vector inside a kernel;" >&2
-    echo "  make it an #[inline(always)] generic fn / per_phase! (see crates/core/src/kernels/simd_common.rs)" >&2
+    echo "  make it an #[inline(always)] generic fn / per_phase! (see eutectica_simd::IsaGeneric::run)" >&2
 fi
 exit "$status"

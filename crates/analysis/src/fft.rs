@@ -97,11 +97,6 @@ pub fn fft3(data: &mut [C], dims: [usize; 3], inverse: bool) {
     }
 }
 
-/// In-place 2-D FFT on an `nx × ny` complex grid (x fastest).
-pub fn fft2(data: &mut [C], dims: [usize; 2], inverse: bool) {
-    fft3(data, [dims[0], dims[1], 1], inverse);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,11 +159,12 @@ mod tests {
 
     #[test]
     fn fft2_roundtrip() {
-        let dims = [8, 16];
+        // A 2-D grid is the `nz = 1` case of `fft3`.
+        let dims = [8, 16, 1];
         let orig: Vec<C> = (0..128).map(|i| ((i as f64 * 0.3).cos(), 0.0)).collect();
         let mut data = orig.clone();
-        fft2(&mut data, dims, false);
-        fft2(&mut data, dims, true);
+        fft3(&mut data, dims, false);
+        fft3(&mut data, dims, true);
         for (a, b) in orig.iter().zip(&data) {
             assert!((a.0 - b.0).abs() < 1e-11);
         }

@@ -60,7 +60,7 @@ impl PatternCensus {
 /// * **Connection**: poor oriented-box fill (< 0.75): bent or branched.
 /// * **Chain**: principal-axis aspect ratio ≥ 3.
 /// * **Brick**: everything else (compact).
-pub fn classify_component(
+fn classify_component(
     labels: &Labels,
     dims: [usize; 2],
     component: u32,
@@ -191,25 +191,6 @@ pub fn census_slice(state: &BlockState, phase: usize, z: usize, min_size: usize)
     census
 }
 
-/// Census over a range of slices, accumulated (the statistics the paper's
-/// micrograph comparison would aggregate over several cross sections).
-pub fn census_volume(
-    state: &BlockState,
-    phase: usize,
-    z_range: core::ops::Range<usize>,
-    min_size: usize,
-) -> PatternCensus {
-    let mut total = PatternCensus::default();
-    for z in z_range {
-        let c = census_slice(state, phase, z, min_size);
-        total.rings += c.rings;
-        total.connections += c.connections;
-        total.chains += c.chains;
-        total.bricks += c.bricks;
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,18 +276,6 @@ mod tests {
         mask[0] = true;
         let l = labels_of(&mask, [n, n]);
         assert_eq!(classify_component(&l, [n, n], 1, 4), None);
-    }
-
-    #[test]
-    fn volume_census_accumulates_slices() {
-        use eutectica_blockgrid::GridDims;
-        use eutectica_core::regions::{build_scenario, Scenario};
-        let s = build_scenario(Scenario::Solid, GridDims::cube(24));
-        let g = s.dims.ghost;
-        let single = census_slice(&s, 0, g + 12, 4);
-        let volume = census_volume(&s, 0, g + 10..g + 14, 4);
-        assert!(volume.total() >= single.total());
-        assert_eq!(census_volume(&s, 0, g..g, 4).total(), 0, "empty range");
     }
 
     #[test]

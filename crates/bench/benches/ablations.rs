@@ -5,10 +5,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eutectica_blockgrid::GridDims;
-use eutectica_core::kernels::{mu_sweep, phi_sweep, KernelConfig, MuPart, OptLevel};
+use eutectica_core::kernels::{mu_sweep, phi_sweep, KernelConfig, MuPart, OptLevel, SimdIsa};
 use eutectica_core::params::ModelParams;
 use eutectica_core::regions::{build_scenario, Scenario};
-use eutectica_simd::F64x4;
+use eutectica_simd::{dispatch, IsaGeneric, SimdF64x4};
 
 fn flag_ablations(c: &mut Criterion) {
     let params = ModelParams::ag_al_cu();
@@ -111,9 +111,12 @@ fn anti_trapping_cost(c: &mut Criterion) {
 /// cell for the cellwise φ-kernel). The paper measured "no notable
 /// differences" thanks to the kernel's high arithmetic intensity.
 fn phi_layout(c: &mut Criterion) {
-    use eutectica_core::kernels::simd_phi::{phi_sweep_cellwise, phi_sweep_cellwise_aos};
+    use eutectica_core::kernels::simd_phi::phi_sweep_cellwise_aos;
     let params = ModelParams::ag_al_cu();
     let dims = GridDims::cube(32);
+    // Rung 4, the configuration the AoS kernel implements.
+    let cfg = OptLevel::SimdTzBuf.config();
+    println!("phi_layout: SIMD backend {}", cfg.isa.resolved_name());
     let mut group = c.benchmark_group("phi_layout");
     group.throughput(criterion::Throughput::Elements(
         dims.interior_volume() as u64
@@ -121,40 +124,52 @@ fn phi_layout(c: &mut Criterion) {
     let base = build_scenario(Scenario::Interface, dims);
     let mut soa_state = base.clone();
     group.bench_function("soa_cellwise", |b| {
-        b.iter(|| phi_sweep_cellwise(&params, &mut soa_state, 0.0, true, true, false));
+        b.iter(|| phi_sweep(&params, &mut soa_state, 0.0, cfg));
     });
     let aos = base.phi_src.to_aos();
     let mut out = base.phi_dst.clone();
     group.bench_function("aos_cellwise", |b| {
-        b.iter(|| phi_sweep_cellwise_aos(&params, &aos, &base.mu_src, &mut out, 0, 0.0));
+        b.iter(|| phi_sweep_cellwise_aos(&params, &aos, &base.mu_src, &mut out, 0, 0.0, cfg.isa));
     });
     group.finish();
 }
 
+/// Σ 1/√x over `xs`, four values per vector: exact for `newton == None`,
+/// else Lomont's estimate refined by that many Newton steps.
+struct RsqrtSum<'a> {
+    xs: &'a [f64],
+    newton: Option<u32>,
+}
+
+impl IsaGeneric for RsqrtSum<'_> {
+    type Output = [f64; 4];
+
+    #[inline(always)]
+    fn run<V: SimdF64x4>(self) -> [f64; 4] {
+        let mut acc = V::zero();
+        for x in self.xs.chunks_exact(4) {
+            let x = V::load(x, 0);
+            acc += match self.newton {
+                None => x.rsqrt(),
+                Some(iters) => x.rsqrt_fast(iters),
+            };
+        }
+        acc.to_array()
+    }
+}
+
 /// Fast inverse square root (Lomont [20]) vs exact.
 fn rsqrt_variants(c: &mut Criterion) {
+    println!("rsqrt: SIMD backend {}", SimdIsa::Auto.resolved_name());
     let mut group = c.benchmark_group("rsqrt");
-    let xs: Vec<F64x4> = (0..1024)
-        .map(|i| F64x4::splat(0.001 + i as f64 * 0.37))
-        .collect();
-    group.bench_function("exact", |b| {
-        b.iter(|| {
-            let mut acc = F64x4::zero();
-            for x in &xs {
-                acc += x.rsqrt();
-            }
-            acc
-        });
-    });
-    for iters in [2u32, 4] {
-        group.bench_function(format!("lomont_{iters}_newton"), |b| {
-            b.iter(|| {
-                let mut acc = F64x4::zero();
-                for x in &xs {
-                    acc += x.rsqrt_fast(iters);
-                }
-                acc
-            });
+    let xs: Vec<f64> = (0..4096).map(|i| 0.001 + i as f64 * 0.37).collect();
+    for (name, newton) in [
+        ("exact".to_string(), None),
+        ("lomont_2_newton".to_string(), Some(2)),
+        ("lomont_4_newton".to_string(), Some(4)),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| dispatch(true, RsqrtSum { xs: &xs, newton }));
         });
     }
     group.finish();

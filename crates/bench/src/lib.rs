@@ -578,7 +578,7 @@ pub fn run_traced(
 /// the first check (static placement) vs. the last check, plus migration
 /// volume. Ranks agree on the imbalance numbers — they come from the
 /// collective decision broadcast.
-pub fn print_rebalance_summary(rb: &eutectica_core::timeloop::RebalanceStats) {
+fn print_rebalance_summary(rb: &eutectica_core::timeloop::RebalanceStats) {
     println!(
         "load rebalancing: {} check(s), {} rebalance(s); imbalance (max/avg) \
          {} at first check -> {:.3} before / {:.3} after last check; \
@@ -604,7 +604,7 @@ pub fn print_rebalance_summary(rb: &eutectica_core::timeloop::RebalanceStats) {
 /// `(static max/avg, rebalanced max/avg)`.
 pub fn rebalance_demo(every: usize, threshold: f64, threads: usize, steps: usize) -> (f64, f64) {
     use eutectica_blockgrid::decomp::{Decomposition, DomainSpec};
-    use eutectica_blockgrid::rebalance::{BalanceStrategy, RebalancePolicy};
+    use eutectica_blockgrid::rebalance::RebalancePolicy;
     use eutectica_core::kernels::OptLevel;
     use eutectica_core::timeloop::{run_distributed, OverlapOptions};
 
@@ -646,7 +646,7 @@ pub fn rebalance_demo(every: usize, threshold: f64, threads: usize, steps: usize
     // imbalance of the untouched contiguous placement, never migrate.
     let static_out = run(RebalancePolicy::new(every, f64::INFINITY));
     let static_imb = settled(&static_out[0].imbalance_history);
-    let mut policy = RebalancePolicy::new(every, threshold).with_strategy(BalanceStrategy::Lpt);
+    let mut policy = RebalancePolicy::new(every, threshold);
     // Short demo: weight the newest measurement heavily so the model tracks
     // the moving front within a couple of checks, and cancel cosmetic moves
     // aggressively so measurement noise does not cause placement churn.

@@ -39,16 +39,6 @@ impl<const NC: usize> BoundarySpec<NC> {
         Self { faces: [bc; 6] }
     }
 
-    /// The paper's directional-solidification setup (Fig. 2): periodic side
-    /// walls, Dirichlet at the bottom (`z_low`), Neumann at the top
-    /// (`z_high`).
-    pub fn directional(z_low: [f64; NC], _z_high_neumann: ()) -> Self {
-        let mut faces = [Bc::Periodic; 6];
-        faces[Face::ZLow as usize] = Bc::Dirichlet(z_low);
-        faces[Face::ZHigh as usize] = Bc::Neumann;
-        Self { faces }
-    }
-
     /// Condition on one face.
     #[inline]
     pub fn face(&self, f: Face) -> Bc<NC> {
@@ -289,7 +279,9 @@ mod tests {
     fn directional_setup_matches_fig2() {
         let d = GridDims::new(3, 3, 3, 1);
         let mut f = marked_field(d);
-        let spec = BoundarySpec::directional([1.0, 2.0], ());
+        let spec = BoundarySpec::uniform(Bc::Periodic)
+            .with_face(Face::ZLow, Bc::Dirichlet([1.0, 2.0]))
+            .with_face(Face::ZHigh, Bc::Neumann);
         spec.apply(&mut f);
         // Bottom Dirichlet.
         assert_eq!(f.at(0, 1, 1, 0), 1.0);

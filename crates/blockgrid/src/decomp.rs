@@ -33,7 +33,7 @@ impl DomainSpec {
     }
 
     /// Cells per block per axis.
-    pub fn block_cells(&self) -> [usize; 3] {
+    fn block_cells(&self) -> [usize; 3] {
         [
             self.cells[0] / self.blocks[0],
             self.cells[1] / self.blocks[1],

@@ -94,7 +94,7 @@ pub fn recv_region(dims: GridDims, face: Face) -> Region {
 }
 
 /// Number of doubles in a face message for an `NC`-component field.
-pub fn message_len(dims: GridDims, face: Face, nc: usize) -> usize {
+fn message_len(dims: GridDims, face: Face, nc: usize) -> usize {
     send_region(dims, face).volume() * nc
 }
 

@@ -14,8 +14,8 @@
 //! * [`blend_weights`] — reconciles measured and prior-only blocks onto one
 //!   scale so they can be balanced together;
 //! * [`RebalancePolicy`] — when to check, when to act, how to assign;
-//! * [`plan_rebalance`] — the target assignment from the existing weighted
-//!   balancers in [`crate::balance`], post-processed by a
+//! * [`plan_rebalance`] — the target assignment from
+//!   [`crate::balance::assign_lpt`], post-processed by a
 //!   migration-minimizing diff against the current placement.
 //!
 //! The communication half (gather → decide → broadcast → p2p migration) lives
@@ -26,18 +26,6 @@
 use std::collections::BTreeMap;
 
 use crate::balance;
-
-/// Which weighted balancer produces the target assignment.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum BalanceStrategy {
-    /// Contiguous id-ranges with a binary-searched bottleneck
-    /// ([`balance::assign_contiguous_weighted`]) — preserves id locality,
-    /// bounded quality on skewed weights.
-    ContiguousWeighted,
-    /// Longest-processing-time greedy ([`balance::assign_lpt`]) — best
-    /// bottleneck on skewed weights, ignores id locality.
-    Lpt,
-}
 
 /// Configuration of the dynamic rebalancer.
 ///
@@ -56,8 +44,6 @@ pub struct RebalancePolicy {
     /// A planned move is cancelled if keeping the block on its current rank
     /// leaves every rank within `(1 + slack)` of the plan's bottleneck.
     pub slack: f64,
-    /// Balancer used for the target assignment.
-    pub strategy: BalanceStrategy,
     /// Forced migration plans: at step `s`, adopt the given placement
     /// unconditionally (adversarial/testing hook; validated at plan time).
     pub forced: Vec<(u64, Vec<usize>)>,
@@ -65,23 +51,15 @@ pub struct RebalancePolicy {
 
 impl RebalancePolicy {
     /// Policy checking every `every` steps against `threshold`, with
-    /// defaults: `alpha = 0.3`, `slack = 0.05`, LPT strategy, no forced
-    /// plans.
+    /// defaults: `alpha = 0.3`, `slack = 0.05`, no forced plans.
     pub fn new(every: usize, threshold: f64) -> Self {
         RebalancePolicy {
             every,
             threshold,
             alpha: 0.3,
             slack: 0.05,
-            strategy: BalanceStrategy::Lpt,
             forced: Vec::new(),
         }
-    }
-
-    /// Replace the balancing strategy.
-    pub fn with_strategy(mut self, strategy: BalanceStrategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Append a forced plan: at step `step`, migrate to `placement`
@@ -259,7 +237,7 @@ impl MigrationPlan {
 }
 
 /// Diff two placements into the move list, ascending by block id.
-pub fn moves_between(current: &[usize], target: &[usize]) -> Vec<BlockMove> {
+fn moves_between(current: &[usize], target: &[usize]) -> Vec<BlockMove> {
     assert_eq!(current.len(), target.len());
     current
         .iter()
@@ -283,16 +261,10 @@ pub fn plan_rebalance(
     weights: &[f64],
     current: &[usize],
     n_ranks: usize,
-    strategy: BalanceStrategy,
     slack: f64,
 ) -> MigrationPlan {
     assert_eq!(weights.len(), current.len());
-    let target = match strategy {
-        BalanceStrategy::ContiguousWeighted => {
-            balance::assign_contiguous_weighted(weights, n_ranks)
-        }
-        BalanceStrategy::Lpt => balance::assign_lpt(weights, n_ranks),
-    };
+    let target = balance::assign_lpt(weights, n_ranks);
     let placement = minimize_moves(weights, current, &target, n_ranks, slack);
     let moves = moves_between(current, &placement);
     MigrationPlan { placement, moves }
@@ -454,7 +426,7 @@ mod tests {
         let current = vec![0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]; // static triples: rank 0 overloaded
         let before = imbalance(&weights, &current, 4);
         assert!(before > 1.5, "scenario should start imbalanced: {before}");
-        let plan = plan_rebalance(&weights, &current, 4, BalanceStrategy::Lpt, 0.05);
+        let plan = plan_rebalance(&weights, &current, 4, 0.05);
         let after = imbalance(&weights, &plan.placement, 4);
         assert!(after <= 1.15, "LPT should even this out: {after}");
         // Every rank keeps at least one block.
@@ -474,10 +446,10 @@ mod tests {
         let current = vec![0, 0, 1, 1, 2, 2, 3, 3];
         // Already perfectly balanced: the move-minimizer must cancel every
         // cosmetic reshuffle LPT proposes, yielding the identity plan.
-        let plan = plan_rebalance(&weights, &current, 4, BalanceStrategy::Lpt, 0.0);
+        let plan = plan_rebalance(&weights, &current, 4, 0.0);
         assert!(plan.is_empty(), "balanced ties must not migrate: {plan:?}");
         assert_eq!(plan.placement, current);
-        let again = plan_rebalance(&weights, &current, 4, BalanceStrategy::Lpt, 0.0);
+        let again = plan_rebalance(&weights, &current, 4, 0.0);
         assert_eq!(plan.placement, again.placement);
     }
 
@@ -488,7 +460,7 @@ mod tests {
         // the move of block 2 would empty rank 1.
         let weights = vec![1.0, 1.0, 9.0];
         let current = vec![0, 0, 0];
-        let plan = plan_rebalance(&weights, &current, 2, BalanceStrategy::Lpt, 1e9);
+        let plan = plan_rebalance(&weights, &current, 2, 1e9);
         for r in 0..2 {
             assert!(
                 plan.placement.contains(&r),

@@ -218,7 +218,7 @@ impl JobSpec {
 
     /// Point-level validation: finite axis values, a usable composition,
     /// a non-degenerate domain, and the base stability bound.
-    pub fn validate_point(&self) -> Result<(), CampaignError> {
+    fn validate_point(&self) -> Result<(), CampaignError> {
         let fail = |reason: String| CampaignError::InvalidPoint {
             label: self.label(),
             reason,

@@ -871,7 +871,7 @@ pub struct CommSummary {
 
 impl CommSummary {
     /// Build the aggregate from per-rank snapshots.
-    pub fn from_per_rank(per_rank: Vec<CommStats>) -> Self {
+    fn from_per_rank(per_rank: Vec<CommStats>) -> Self {
         let mut total = CommStats::default();
         for s in &per_rank {
             total.merge(s);
@@ -978,11 +978,6 @@ impl Rank {
     /// Is `rank` alive in the current membership epoch?
     pub fn is_alive(&self, rank: usize) -> bool {
         self.membership.is_alive(rank)
-    }
-
-    /// Number of surviving ranks in the current membership epoch.
-    pub fn n_alive(&self) -> usize {
-        self.membership.alive_ranks().len()
     }
 
     /// Stamp a tag with the current epoch bits (applied to every user and
@@ -1903,69 +1898,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Cartesian process-grid helper (the analog of `MPI_Cart_create`): maps a
-/// rank onto coordinates of a `[px, py, pz]` grid and resolves face
-/// neighbors with optional periodic wrap — the topology the halo exchange
-/// of the block decomposition runs on.
-#[derive(Copy, Clone, Debug)]
-pub struct CartComm {
-    /// Ranks per axis.
-    pub dims: [usize; 3],
-    /// Periodicity per axis.
-    pub periodic: [bool; 3],
-}
-
-impl CartComm {
-    /// Create a Cartesian layout; `dims` must multiply to the rank count it
-    /// is used with.
-    pub fn new(dims: [usize; 3], periodic: [bool; 3]) -> Self {
-        assert!(dims.iter().all(|&d| d > 0), "empty Cartesian grid");
-        Self { dims, periodic }
-    }
-
-    /// Total ranks of the grid.
-    pub fn size(&self) -> usize {
-        self.dims.iter().product()
-    }
-
-    /// Coordinates of `rank` (x fastest).
-    pub fn coords(&self, rank: usize) -> [usize; 3] {
-        assert!(rank < self.size());
-        [
-            rank % self.dims[0],
-            (rank / self.dims[0]) % self.dims[1],
-            rank / (self.dims[0] * self.dims[1]),
-        ]
-    }
-
-    /// Rank of `coords`.
-    pub fn rank_of(&self, coords: [usize; 3]) -> usize {
-        for a in 0..3 {
-            assert!(coords[a] < self.dims[a]);
-        }
-        (coords[2] * self.dims[1] + coords[1]) * self.dims[0] + coords[0]
-    }
-
-    /// Neighbor of `rank` one step along `axis` in direction `dir` (±1);
-    /// `None` at a non-periodic boundary.
-    pub fn neighbor(&self, rank: usize, axis: usize, dir: i32) -> Option<usize> {
-        assert!(axis < 3 && (dir == 1 || dir == -1));
-        let mut c = self.coords(rank);
-        let n = self.dims[axis] as i64;
-        let next = c[axis] as i64 + dir as i64;
-        if next < 0 || next >= n {
-            if self.periodic[axis] {
-                c[axis] = ((next + n) % n) as usize;
-            } else {
-                return None;
-            }
-        } else {
-            c[axis] = next as usize;
-        }
-        Some(self.rank_of(c))
-    }
-}
-
 /// Serialize a f64 slice into a byte payload (little-endian).
 pub fn f64s_to_bytes(vals: &[f64]) -> Bytes {
     let mut out = Vec::with_capacity(vals.len() * 8);
@@ -2231,24 +2163,6 @@ mod tests {
         let (n, paths) = got[0].clone().unwrap();
         assert_eq!(n, 4);
         assert_eq!(paths, ["step", "step/exchange"]);
-    }
-
-    #[test]
-    fn cart_comm_coordinates_and_neighbors() {
-        let c = CartComm::new([4, 3, 2], [true, false, true]);
-        assert_eq!(c.size(), 24);
-        for r in 0..24 {
-            assert_eq!(c.rank_of(c.coords(r)), r);
-        }
-        // Periodic x wraps.
-        assert_eq!(c.neighbor(0, 0, -1), Some(3));
-        assert_eq!(c.neighbor(3, 0, 1), Some(0));
-        // Open y stops at the boundary.
-        assert_eq!(c.neighbor(0, 1, -1), None);
-        assert_eq!(c.neighbor(c.rank_of([0, 2, 0]), 1, 1), None);
-        assert_eq!(c.neighbor(0, 1, 1), Some(4));
-        // Periodic z wraps across the slowest axis.
-        assert_eq!(c.neighbor(0, 2, -1), Some(12));
     }
 
     #[test]

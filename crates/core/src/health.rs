@@ -73,7 +73,7 @@ impl HealthConfig {
     /// `TernarySystem::mu_plausible_bounds` over the temperature range the
     /// frozen-T ansatz can produce across a generous 1024-cell column,
     /// doubled in half-width for slack. Front-speed sanity is off by
-    /// default; enable with [`HealthConfig::with_front_speed`].
+    /// default; enable it by setting [`HealthConfig::max_front_speed`].
     pub fn for_params(params: &ModelParams) -> Self {
         let span = params.grad_g.abs() * 1024.0 * params.dx + 0.5;
         let (t_lo, t_hi) = (params.t0 - span, params.t0 + span);
@@ -95,13 +95,6 @@ impl HealthConfig {
     /// Same configuration with a different scan cadence.
     pub fn with_every(mut self, every: usize) -> Self {
         self.every = every;
-        self
-    }
-
-    /// Same configuration with interface-velocity sanity enabled at
-    /// `cells_per_step` maximum front displacement.
-    pub fn with_front_speed(mut self, cells_per_step: f64) -> Self {
-        self.max_front_speed = cells_per_step;
         self
     }
 }
@@ -216,7 +209,7 @@ fn phi_verdict(cell: [f64; N_PHASES], tol: f64) -> (bool, bool) {
 /// Every φ cell of a slab in `φ_src`'s constant zone gets the verdict of
 /// the zone's value, so a valid value is checked once and those slabs are
 /// scanned for µ only.
-pub fn scan_block_range(
+fn scan_block_range(
     state: &BlockState,
     cfg: &HealthConfig,
     block: u64,

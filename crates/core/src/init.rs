@@ -12,7 +12,6 @@
 
 use rand::{Rng, SeedableRng};
 
-use crate::params::ModelParams;
 use crate::state::{BlockState, PHI_LIQUID};
 use crate::{LIQ, N_PHASES};
 
@@ -78,7 +77,7 @@ impl VoronoiSeeds {
 
     /// Solid phase of the Voronoi cell containing (x, y), with periodic
     /// wrap-around distance.
-    pub fn phase_at(&self, x: f64, y: f64) -> usize {
+    fn phase_at(&self, x: f64, y: f64) -> usize {
         let (lx, ly) = (self.domain[0] as f64, self.domain[1] as f64);
         let mut best = f64::INFINITY;
         let mut phase = 0;
@@ -156,46 +155,10 @@ pub fn init_planar_front(state: &mut BlockState, phase: usize, height: usize) {
     state.bc_mu.apply(&mut state.mu_dst);
 }
 
-/// A spherical solid nucleus of `phase` centered at global `center` with
-/// `radius`, embedded in liquid (used by tests and the quickstart example).
-pub fn init_sphere(state: &mut BlockState, phase: usize, center: [f64; 3], radius: f64) {
-    assert!(phase < LIQ);
-    let dims = state.dims;
-    let g = dims.ghost;
-    for z in 0..dims.nz {
-        for y in 0..dims.ny {
-            for x in 0..dims.nx {
-                let p = [
-                    (state.origin[0] + x) as f64,
-                    (state.origin[1] + y) as f64,
-                    (state.origin[2] + z) as f64,
-                ];
-                let d2: f64 = (0..3).map(|i| (p[i] - center[i]).powi(2)).sum();
-                let mut phi = PHI_LIQUID;
-                if d2 <= radius * radius {
-                    phi = [0.0; N_PHASES];
-                    phi[phase] = 1.0;
-                }
-                state.phi_src.set_cell(x + g, y + g, z + g, phi);
-                state.mu_src.set_cell(x + g, y + g, z + g, [0.0; 2]);
-            }
-        }
-    }
-    state.sync_dst_from_src();
-    state.apply_bc_src();
-    state.bc_phi.apply(&mut state.phi_dst);
-    state.bc_mu.apply(&mut state.mu_dst);
-}
-
 /// Number of seeds that gives the paper-like lamella spacing: roughly one
 /// seed per (16 cells)² of cross section, at least 3.
 pub fn default_seed_count(nx: usize, ny: usize) -> usize {
     ((nx * ny) / 256).max(3)
-}
-
-/// Convenience: the eutectic volume fractions from the model parameters.
-pub fn eutectic_fractions(params: &ModelParams) -> [f64; 3] {
-    params.sys.eutectic_fractions()
 }
 
 #[cfg(test)]
@@ -302,14 +265,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sphere_init() {
-        let dims = GridDims::cube(16);
-        let mut st = BlockState::new(dims, [0, 0, 0]);
-        init_sphere(&mut st, 1, [8.0, 8.0, 8.0], 4.0);
-        assert_eq!(st.phi_src.cell(9, 9, 9), [0.0, 1.0, 0.0, 0.0]);
-        assert_eq!(st.phi_src.cell(2, 2, 2), PHI_LIQUID);
     }
 }

@@ -24,9 +24,9 @@
 //! buffer, `sc` the region shortcuts — the ladder's cumulative toggles,
 //! here freely combinable. `simd` resolves the ISA at runtime
 //! ([`SimdIsa::Auto`]); `simd-avx2` *requires* AVX2+FMA and reports a typed
-//! [`BackendError::Unavailable`] when the host lacks the features or the
-//! `force-scalar` feature is enabled, instead of silently degrading;
-//! `simd-portable` forces the bit-identical portable instantiation.
+//! [`BackendError::Unavailable`] when the host lacks the features, instead
+//! of silently degrading; `simd-portable` forces the bit-identical portable
+//! instantiation.
 //!
 //! # Equivalence guarantee
 //!
@@ -53,11 +53,11 @@ pub enum BackendError {
         /// The offending name.
         name: String,
     },
-    /// The family exists but cannot run on this host/build.
+    /// The family exists but cannot run on this host.
     Unavailable {
         /// The requested name.
         name: String,
-        /// Human-readable reason (host lacks AVX2+FMA, or `force-scalar`).
+        /// Human-readable reason (host lacks AVX2+FMA).
         reason: String,
     },
 }
@@ -83,7 +83,7 @@ impl std::error::Error for BackendError {}
 pub const FAMILIES: [&str; 5] = ["reference", "scalar", "simd", "simd-avx2", "simd-portable"];
 
 /// Canonical name for a family + toggle combination.
-pub fn backend_name(family: &str, tz: bool, buf: bool, sc: bool) -> String {
+fn backend_name(family: &str, tz: bool, buf: bool, sc: bool) -> String {
     let mut name = family.to_string();
     if tz {
         name.push_str("+tz");
@@ -100,9 +100,14 @@ pub fn backend_name(family: &str, tz: bool, buf: bool, sc: bool) -> String {
 /// Resolve a registry name to the kernel configuration it names.
 ///
 /// Availability is checked *here*, at resolve time: `simd-avx2` on a host
-/// without AVX2+FMA (or under `force-scalar`) is a typed
-/// [`BackendError::Unavailable`], never a silent fallback.
+/// without AVX2+FMA is a typed [`BackendError::Unavailable`], never a
+/// silent fallback.
 pub fn resolve(name: &str) -> Result<KernelConfig, BackendError> {
+    resolve_on(name, eutectica_simd::avx2_available())
+}
+
+/// [`resolve`] for a host that has (`avx2`) or lacks AVX2+FMA.
+fn resolve_on(name: &str, avx2: bool) -> Result<KernelConfig, BackendError> {
     let mut parts = name.split('+');
     let family = parts.next().unwrap_or("");
     let (mut tz, mut buf, mut sc) = (false, false, false);
@@ -132,15 +137,10 @@ pub fn resolve(name: &str) -> Result<KernelConfig, BackendError> {
             SimdIsa::Portable,
         ),
         "simd-avx2" => {
-            if !eutectica_simd::avx2_available() {
-                let reason = if eutectica_simd::host_has_avx2() {
-                    "the `force-scalar` feature disabled the AVX2+FMA backend".to_string()
-                } else {
-                    "host CPU lacks AVX2+FMA".to_string()
-                };
+            if !avx2 {
                 return Err(BackendError::Unavailable {
                     name: name.to_string(),
-                    reason,
+                    reason: "host CPU lacks AVX2+FMA".to_string(),
                 });
             }
             (
@@ -190,37 +190,6 @@ pub fn registry_names() -> Vec<String> {
 /// features the binary was compiled with.
 pub fn active_simd_backend() -> &'static str {
     SimdIsa::Auto.resolved_name()
-}
-
-/// A human-readable note when the SIMD rungs are degraded on this host:
-/// the CPU supports AVX2+FMA but the build refuses to use it
-/// (`force-scalar`). Returns `None` when the resolved backend is the best
-/// the host offers. A host that genuinely lacks AVX2 is not "degraded" —
-/// the portable instantiation *is* its best backend.
-pub fn degradation_notice() -> Option<String> {
-    if eutectica_simd::avx2_available() || !eutectica_simd::host_has_avx2() {
-        return None;
-    }
-    Some(
-        "kernel backend degraded: host CPU supports AVX2+FMA but the `force-scalar` \
-         feature pins the portable instantiation; 'SIMD' rungs run scalar code"
-            .to_string(),
-    )
-}
-
-/// Log [`degradation_notice`] to stderr once per process, on rank 0 only —
-/// the satellite fix for the silent-scalar-fallback bug: a "SIMD" bench row
-/// can no longer secretly be scalar without a visible warning.
-pub fn warn_once_if_degraded(rank: usize) {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    if rank != 0 {
-        return;
-    }
-    ONCE.call_once(|| {
-        if let Some(note) = degradation_notice() {
-            eprintln!("[eutectica] warning: {note}");
-        }
-    });
 }
 
 /// One autotune candidate: a named, runnable kernel configuration.
@@ -409,12 +378,6 @@ impl Autotuner {
         Some(self.policy.candidates[t.cand].cfg)
     }
 
-    /// The name of block `id`'s current variant and whether it is pinned.
-    pub fn variant_of(&self, id: usize) -> Option<(&str, bool)> {
-        let t = self.blocks.get(&id)?;
-        Some((self.policy.candidates[t.cand].name.as_str(), t.pinned))
-    }
-
     /// Feed one step's measured sweep seconds for block `id`. Returns the
     /// winner's name when this sample completes the block's warmup (a pin
     /// event, for telemetry counters).
@@ -597,20 +560,36 @@ mod tests {
                 assert!(eutectica_simd::avx2_available());
                 assert_eq!(cfg.isa, SimdIsa::Avx2);
             }
-            Err(BackendError::Unavailable { reason, .. }) => {
-                assert!(!eutectica_simd::avx2_available());
-                if eutectica_simd::host_has_avx2() {
-                    assert!(reason.contains("force-scalar"), "reason: {reason}");
-                }
-            }
+            Err(BackendError::Unavailable { .. }) => assert!(!eutectica_simd::avx2_available()),
             Err(e) => panic!("unexpected: {e}"),
         }
     }
 
+    /// The "never silently degrade" contract on both kinds of host, from
+    /// one build.
     #[test]
-    fn degradation_notice_fires_exactly_under_force_scalar_on_capable_host() {
-        let degraded = eutectica_simd::host_has_avx2() && !eutectica_simd::avx2_available();
-        assert_eq!(degradation_notice().is_some(), degraded);
+    fn simd_avx2_is_unavailable_exactly_on_a_host_without_avx2() {
+        for toggles in ["", "+tz", "+tz+buf", "+tz+buf+sc"] {
+            let name = format!("simd-avx2{toggles}");
+            match resolve_on(&name, false) {
+                Err(BackendError::Unavailable { name: n, reason }) => {
+                    assert_eq!(n, name);
+                    assert!(reason.contains("AVX2"), "reason: {reason}");
+                }
+                other => panic!("{name} on a host without AVX2: {other:?}"),
+            }
+            assert_eq!(resolve_on(&name, true).unwrap().isa, SimdIsa::Avx2);
+            for (family, isa) in [
+                ("simd", SimdIsa::Auto),
+                ("simd-portable", SimdIsa::Portable),
+            ] {
+                for avx2 in [false, true] {
+                    let cfg = resolve_on(&format!("{family}{toggles}"), avx2).unwrap();
+                    assert_eq!(cfg.isa, isa);
+                    assert_eq!(cfg.phi, PhiVariant::SimdCellwise);
+                }
+            }
+        }
     }
 
     fn tiny_policy(n: usize) -> AutotunePolicy {
@@ -648,7 +627,7 @@ mod tests {
         let winner = run_warmup(&mut tuner, 7, &[3e-3, 1e-3, 2e-3]);
         assert_eq!(winner, 1);
         assert_eq!(tuner.stats().pins, 1);
-        assert_eq!(tuner.variant_of(7), Some(("cand-1", true)));
+        assert_eq!(tuner.per_block(), [(7, "cand-1".to_string(), true)]);
         let summary = tuner.pinned_summary();
         assert_eq!(summary.get("cand-1"), Some(&1));
         // Region rates were seeded from the winner: 1e6 cells in 1e-3 s
@@ -670,7 +649,7 @@ mod tests {
         assert_eq!(tuner.stats().retunes, 1);
         // The block re-pins after another warmup round.
         run_warmup(&mut tuner, 0, &[2e-3, 1e-3]);
-        assert_eq!(tuner.variant_of(0), Some(("cand-1", true)));
+        assert_eq!(tuner.per_block(), [(0, "cand-1".to_string(), true)]);
     }
 
     #[test]
@@ -678,7 +657,7 @@ mod tests {
         let mut tuner = Autotuner::new(tiny_policy(1));
         tuner.track(3, 0, 1000);
         assert!(tuner.all_pinned());
-        assert_eq!(tuner.variant_of(3), Some(("cand-0", true)));
+        assert_eq!(tuner.per_block(), [(3, "cand-0".to_string(), true)]);
     }
 
     #[test]

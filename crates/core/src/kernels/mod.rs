@@ -21,14 +21,31 @@
 //! other ("a regularly running test suite checks all kernel versions for
 //! equivalence").
 //!
-//! The explicitly vectorized variants are additionally generic over the ISA
-//! backend and dispatched at **runtime**: [`SimdIsa`] selects between the
-//! AVX2+FMA instantiation (gated on `is_x86_feature_detected!`, so a build
-//! without `-C target-cpu=native` still runs real AVX2 code) and the
-//! portable instantiation. Both produce bit-identical results, so the
-//! selection — including the autotuner's mid-run switches — never changes
-//! physics. [`backend`] names the whole ladder in a registry that resolves
-//! to a [`KernelConfig`].
+//! # One door, one ISA switch
+//!
+//! [`phi_sweep`], [`phi_sweep_prepare`], [`phi_sweep_range`], [`mu_sweep`]
+//! and [`mu_sweep_range`] are the only public way into a sweep; each takes
+//! the [`KernelConfig`] whole. The kernel files below keep one
+//! `pub(super)` entry per kernel with the same `cfg` parameter, and the
+//! expansion of its three flags into const generics is written once
+//! (`with_flags!`).
+//!
+//! The explicitly vectorized variants are generic over the ISA backend
+//! `V: SimdF64x4` and instantiated at **runtime** by
+//! [`eutectica_simd::dispatch`], the workspace's single
+//! `#[target_feature]` + feature-detection construct: [`SimdIsa`] (a field
+//! of [`KernelConfig`]) says whether the AVX2+FMA instantiation is allowed,
+//! the host says whether it is possible. Both instantiations produce
+//! bit-identical results, so the selection — including the autotuner's
+//! mid-run switches — never changes physics. [`backend`] names the whole
+//! ladder in a registry that resolves to a [`KernelConfig`].
+//!
+//! For the AVX2 instantiation to be AVX2 machine code, the complete kernel
+//! body has to inline into `dispatch`'s wrapper; see
+//! [`eutectica_simd::IsaGeneric::run`] for the two rules (everything
+//! generic over `V` is `#[inline(always)]`, nothing that touches a `V` is a
+//! closure — use `simd_common::per_phase!` / `per_comp!` for arrays) and
+//! `.github/scripts/kernel-codegen.sh` for the check.
 
 pub mod backend;
 pub mod reference;
@@ -41,6 +58,27 @@ pub mod simd_phi;
 use crate::params::ModelParams;
 use crate::state::BlockState;
 use crate::N_PHASES;
+use eutectica_simd::{dispatch, IsaGeneric, SimdF64x4};
+
+/// `with_flags!(cfg, kernel[lead..](args..))` calls
+/// `kernel::<lead.., TZ, STAG, SC>(args..)` with the three runtime
+/// flags of a [`KernelConfig`] expanded to the kernel's trailing const
+/// generics — the one bool → const-generic table of the module.
+macro_rules! with_flags {
+    ($cfg:expr, $kernel:ident[$($lead:tt),*]($($arg:expr),*)) => {
+        match ($cfg.tz_precompute, $cfg.staggered_buffer, $cfg.shortcuts) {
+            (false, false, false) => $kernel::<$($lead,)* false, false, false>($($arg),*),
+            (false, false, true) => $kernel::<$($lead,)* false, false, true>($($arg),*),
+            (false, true, false) => $kernel::<$($lead,)* false, true, false>($($arg),*),
+            (false, true, true) => $kernel::<$($lead,)* false, true, true>($($arg),*),
+            (true, false, false) => $kernel::<$($lead,)* true, false, false>($($arg),*),
+            (true, false, true) => $kernel::<$($lead,)* true, false, true>($($arg),*),
+            (true, true, false) => $kernel::<$($lead,)* true, true, false>($($arg),*),
+            (true, true, true) => $kernel::<$($lead,)* true, true, true>($($arg),*),
+        }
+    };
+}
+pub(crate) use with_flags;
 
 /// φ-kernel implementation selector.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -96,23 +134,24 @@ pub enum SimdIsa {
     /// Portable backend (scalar emulation of the 4-lane ops).
     Portable,
     /// AVX2+FMA backend. Falls back to the (bit-identical) portable
-    /// instantiation when the host lacks the features or `force-scalar` is
-    /// enabled; the [`backend`] registry reports a typed
-    /// [`backend::BackendError::Unavailable`] instead of falling back.
+    /// instantiation when the host lacks the features; the [`backend`]
+    /// registry reports a typed [`backend::BackendError::Unavailable`]
+    /// instead of falling back.
     Avx2,
 }
 
 impl SimdIsa {
-    /// Whether this selection resolves to the AVX2+FMA instantiation on
-    /// this host (always `false` under the `force-scalar` feature).
+    /// Whether this selection lets [`eutectica_simd::dispatch`] pick the
+    /// AVX2+FMA instantiation when the host has it.
     #[inline]
-    pub fn use_avx2(self) -> bool {
-        self != SimdIsa::Portable && eutectica_simd::avx2_available()
+    fn allows_avx2(self) -> bool {
+        self != SimdIsa::Portable
     }
 
-    /// The resolved backend name (`"avx2"` or `"portable"`).
+    /// The backend this selection resolves to on this host (`"avx2"` or
+    /// `"portable"`).
     pub fn resolved_name(self) -> &'static str {
-        if self.use_avx2() {
+        if self.allows_avx2() && eutectica_simd::avx2_available() {
             "avx2"
         } else {
             "portable"
@@ -318,76 +357,19 @@ pub fn phi_sweep_range(
     if z0 >= z1 {
         return;
     }
+    let args = SweepArgs {
+        params,
+        state,
+        time,
+        cfg,
+        z0,
+        z1,
+    };
     match cfg.phi {
         PhiVariant::Reference => reference::phi_sweep_reference_range(params, state, time, z0, z1),
-        PhiVariant::Scalar => scalar_phi::phi_sweep_scalar_range(
-            params,
-            state,
-            time,
-            cfg.tz_precompute,
-            cfg.staggered_buffer,
-            cfg.shortcuts,
-            z0,
-            z1,
-        ),
-        PhiVariant::SimdCellwise => {
-            #[cfg(target_arch = "x86_64")]
-            if cfg.isa.use_avx2() {
-                // SAFETY: `use_avx2()` verified AVX2+FMA at runtime.
-                unsafe {
-                    avx2_entry::phi_cellwise(
-                        params,
-                        state,
-                        time,
-                        cfg.tz_precompute,
-                        cfg.staggered_buffer,
-                        cfg.shortcuts,
-                        z0,
-                        z1,
-                    );
-                }
-                return;
-            }
-            simd_phi::phi_sweep_cellwise_range_v::<Portable>(
-                params,
-                state,
-                time,
-                cfg.tz_precompute,
-                cfg.staggered_buffer,
-                cfg.shortcuts,
-                z0,
-                z1,
-            )
-        }
-        PhiVariant::SimdFourCell => {
-            #[cfg(target_arch = "x86_64")]
-            if cfg.isa.use_avx2() {
-                // SAFETY: `use_avx2()` verified AVX2+FMA at runtime.
-                unsafe {
-                    avx2_entry::phi_fourcell(
-                        params,
-                        state,
-                        time,
-                        cfg.tz_precompute,
-                        cfg.staggered_buffer,
-                        cfg.shortcuts,
-                        z0,
-                        z1,
-                    );
-                }
-                return;
-            }
-            simd_phi::phi_sweep_fourcell_range_v::<Portable>(
-                params,
-                state,
-                time,
-                cfg.tz_precompute,
-                cfg.staggered_buffer,
-                cfg.shortcuts,
-                z0,
-                z1,
-            )
-        }
+        PhiVariant::Scalar => scalar_phi::phi_sweep_scalar_range(params, state, time, cfg, z0, z1),
+        PhiVariant::SimdCellwise => dispatch(cfg.isa.allows_avx2(), PhiCellwise(args)),
+        PhiVariant::SimdFourCell => dispatch(cfg.isa.allows_avx2(), PhiFourCell(args)),
     }
 }
 
@@ -416,133 +398,78 @@ pub fn mu_sweep_range(
     z0: usize,
     z1: usize,
 ) {
+    let args = SweepArgs {
+        params,
+        state,
+        time,
+        cfg,
+        z0,
+        z1,
+    };
     match cfg.mu {
         MuVariant::Reference => {
             reference::mu_sweep_reference_range(params, state, time, part, z0, z1)
         }
-        MuVariant::Scalar => scalar_mu::mu_sweep_scalar_range(
-            params,
-            state,
-            time,
-            part,
-            cfg.tz_precompute,
-            cfg.staggered_buffer,
-            cfg.shortcuts,
-            z0,
-            z1,
-        ),
-        MuVariant::SimdFourCell => {
-            #[cfg(target_arch = "x86_64")]
-            if cfg.isa.use_avx2() {
-                // SAFETY: `use_avx2()` verified AVX2+FMA at runtime.
-                unsafe {
-                    avx2_entry::mu_fourcell(
-                        params,
-                        state,
-                        time,
-                        part,
-                        cfg.tz_precompute,
-                        cfg.staggered_buffer,
-                        cfg.shortcuts,
-                        z0,
-                        z1,
-                    );
-                }
-                return;
-            }
-            simd_mu::mu_sweep_fourcell_range_v::<Portable>(
-                params,
-                state,
-                time,
-                part,
-                cfg.tz_precompute,
-                cfg.staggered_buffer,
-                cfg.shortcuts,
-                z0,
-                z1,
-            )
+        MuVariant::Scalar => {
+            scalar_mu::mu_sweep_scalar_range(params, state, time, cfg, part, z0, z1)
         }
+        MuVariant::SimdFourCell => dispatch(cfg.isa.allows_avx2(), MuFourCell(args, part)),
     }
 }
 
-/// The portable ISA instantiation: the scalar backend's 4-lane type, whose
-/// semantics mirror the AVX2 backend bit-for-bit.
-type Portable = eutectica_simd::scalar::F64x4;
+/// What a range sweep takes, bundled so a vectorized kernel can travel
+/// through [`eutectica_simd::dispatch`] as one value.
+struct SweepArgs<'a> {
+    params: &'a ModelParams,
+    state: &'a mut BlockState,
+    time: f64,
+    cfg: KernelConfig,
+    z0: usize,
+    z1: usize,
+}
 
-/// Monomorphic AVX2+FMA instantiations of the vectorized kernels.
-///
-/// The `#[target_feature]` wrappers let the compiler generate real AVX2+FMA
-/// code for the inlined kernels even when the crate itself is built without
-/// those target features. The feature attribute applies per LLVM function,
-/// so this only covers code that ends up *inside* the wrapper: anything
-/// left out of line compiles featureless and every intrinsic in it
-/// degrades to an un-inlinable call (~20x slower, measured). Two rules keep
-/// the complete kernel body in here:
-///
-/// * every generic fn of the chain (`*_range_v` → const-dispatched kernel →
-///   vector helpers) is `#[inline(always)]`;
-/// * nothing that touches a `V: SimdF64x4` is a closure — and a
-///   `core::array::from_fn(|a| …)` callback is one. A closure is a separate
-///   LLVM function that neither inherits the wrapper's features nor accepts
-///   `#[inline(always)]`; use a generic fn with explicit arguments, or
-///   `simd_common::per_phase!` / `per_comp!` for arrays.
-///
-/// CI's `kernel-codegen` step (`.github/scripts/kernel-codegen.sh`) checks
-/// both on the release binaries. Calling a wrapper without checking
-/// [`eutectica_simd::avx2_available`] first is undefined behavior, hence
-/// the `unsafe` at the call sites.
-#[cfg(target_arch = "x86_64")]
-mod avx2_entry {
-    use super::{simd_mu, simd_phi, ModelParams, MuPart};
-    use crate::state::BlockState;
-    use eutectica_simd::avx2::F64x4 as Avx2V;
+struct PhiCellwise<'a>(SweepArgs<'a>);
+struct PhiFourCell<'a>(SweepArgs<'a>);
+struct MuFourCell<'a>(SweepArgs<'a>, MuPart);
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn phi_cellwise(
-        params: &ModelParams,
-        state: &mut BlockState,
-        time: f64,
-        tz: bool,
-        stag: bool,
-        sc: bool,
-        z0: usize,
-        z1: usize,
-    ) {
-        simd_phi::phi_sweep_cellwise_range_v::<Avx2V>(params, state, time, tz, stag, sc, z0, z1);
+impl IsaGeneric for PhiCellwise<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: SimdF64x4>(self) {
+        let a = self.0;
+        simd_phi::phi_sweep_cellwise_range::<V>(a.params, a.state, a.time, a.cfg, a.z0, a.z1);
     }
+}
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn phi_fourcell(
-        params: &ModelParams,
-        state: &mut BlockState,
-        time: f64,
-        tz: bool,
-        stag: bool,
-        sc: bool,
-        z0: usize,
-        z1: usize,
-    ) {
-        simd_phi::phi_sweep_fourcell_range_v::<Avx2V>(params, state, time, tz, stag, sc, z0, z1);
+impl IsaGeneric for PhiFourCell<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: SimdF64x4>(self) {
+        let a = self.0;
+        simd_phi::phi_sweep_fourcell_range::<V>(a.params, a.state, a.time, a.cfg, a.z0, a.z1);
     }
+}
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn mu_fourcell(
-        params: &ModelParams,
-        state: &mut BlockState,
-        time: f64,
-        part: MuPart,
-        tz: bool,
-        stag: bool,
-        sc: bool,
-        z0: usize,
-        z1: usize,
-    ) {
-        simd_mu::mu_sweep_fourcell_range_v::<Avx2V>(
-            params, state, time, part, tz, stag, sc, z0, z1,
-        );
+impl IsaGeneric for MuFourCell<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: SimdF64x4>(self) {
+        let (a, part) = (self.0, self.1);
+        simd_mu::mu_sweep_fourcell_range::<V>(a.params, a.state, a.time, a.cfg, part, a.z0, a.z1);
+    }
+}
+
+/// The scalar rung with the given flags, for the kernel files' unit tests.
+#[cfg(test)]
+pub(crate) fn scalar_rung(tz: bool, stag: bool, sc: bool) -> KernelConfig {
+    KernelConfig {
+        tz_precompute: tz,
+        staggered_buffer: stag,
+        shortcuts: sc,
+        ..OptLevel::Basic.config()
     }
 }
 

@@ -271,7 +271,7 @@ impl<R: Real> Scratch<R> {
 /// −x,+x,−y,+y,−z,+z neighbors, each a slice of n phase values. Returns the
 /// projected new φ in `scratch.out`.
 #[allow(clippy::too_many_arguments)]
-pub fn ref_phi_cell<R: Real>(
+fn ref_phi_cell<R: Real>(
     model: &GeneralModel<R>,
     p: &ModelParams,
     stencil: &[Vec<R>; 7],
@@ -428,7 +428,7 @@ pub fn ref_phi_cell_faces<R: Real>(
 /// holds φ_dst for the D3C7 sub-stencil; `mu7` the µ values of the D3C7
 /// stencil. `t`, `t_zlow`, `t_zhigh` are the cell and z-face temperatures.
 #[allow(clippy::too_many_arguments)]
-pub fn ref_mu_cell<R: Real>(
+fn ref_mu_cell<R: Real>(
     model: &GeneralModel<R>,
     p: &ModelParams,
     phi19: &[Vec<R>],
@@ -588,14 +588,14 @@ pub fn ref_mu_cell_faces<R: Real>(
 
 /// D3C7 stencil id → index into the `phi19` layout.
 #[inline(always)]
-pub fn d7(id: usize) -> usize {
+fn d7(id: usize) -> usize {
     id
 }
 
 /// Index of the diagonal neighbor of D3C7 cell `base` shifted ±1 along
 /// `axis` inside the `phi19` layout produced by [`gather19`].
 #[inline(always)]
-pub fn d19(base: usize, axis: usize, positive: bool) -> usize {
+fn d19(base: usize, axis: usize, positive: bool) -> usize {
     // Layout: 0..7 = D3C7 (c, -x, +x, -y, +y, -z, +z);
     // 7.. = for each D3C7 neighbor 1..7, its ± shifts along the two
     // transverse axes, in a fixed order; see `gather19`.
@@ -615,7 +615,7 @@ pub fn d19(base: usize, axis: usize, positive: bool) -> usize {
 
 /// The two transverse axes of `axis`.
 #[inline(always)]
-pub fn trans_axes(axis: usize) -> (usize, usize) {
+fn trans_axes(axis: usize) -> (usize, usize) {
     match axis {
         0 => (1, 2),
         1 => (0, 2),

@@ -12,7 +12,7 @@
 //! `NeighborOnly` adds −∇·J_at afterwards, once the φ_dst ghost layers have
 //! arrived.
 
-use crate::kernels::{get2, get4, MuPart};
+use crate::kernels::{get2, get4, with_flags, KernelConfig, MuPart};
 use crate::model::{
     jat_face_flux, mu_cell_update, mu_face_flux_gradient, phase_change_source, susceptibility,
     temp_drift,
@@ -22,45 +22,19 @@ use crate::state::BlockState;
 use crate::temperature::{SliceCtx, SliceTable};
 use crate::{N_COMP, N_PHASES};
 
-/// Entry point: dispatches the flag combination to a monomorphized sweep.
-pub fn mu_sweep_scalar(
-    params: &ModelParams,
-    state: &mut BlockState,
-    time: f64,
-    part: MuPart,
-    tz: bool,
-    stag: bool,
-    shortcuts: bool,
-) {
-    let (z0, z1) = state.dims.interior_z_range();
-    mu_sweep_scalar_range(params, state, time, part, tz, stag, shortcuts, z0, z1);
-}
-
-/// Range-restricted entry point for z-slab work-sharing (see
+/// Scalar µ-sweep of the z-slices `z0..z1` (see
 /// [`crate::kernels::scalar_phi::phi_sweep_scalar_range`] for the
 /// coordinate convention and the bit-exactness argument).
-#[allow(clippy::too_many_arguments)]
-pub fn mu_sweep_scalar_range(
+pub(super) fn mu_sweep_scalar_range(
     params: &ModelParams,
     state: &mut BlockState,
     time: f64,
+    cfg: KernelConfig,
     part: MuPart,
-    tz: bool,
-    stag: bool,
-    shortcuts: bool,
     z0: usize,
     z1: usize,
 ) {
-    match (tz, stag, shortcuts) {
-        (false, false, false) => sweep::<false, false, false>(params, state, time, part, z0, z1),
-        (false, false, true) => sweep::<false, false, true>(params, state, time, part, z0, z1),
-        (false, true, false) => sweep::<false, true, false>(params, state, time, part, z0, z1),
-        (false, true, true) => sweep::<false, true, true>(params, state, time, part, z0, z1),
-        (true, false, false) => sweep::<true, false, false>(params, state, time, part, z0, z1),
-        (true, false, true) => sweep::<true, false, true>(params, state, time, part, z0, z1),
-        (true, true, false) => sweep::<true, true, false>(params, state, time, part, z0, z1),
-        (true, true, true) => sweep::<true, true, true>(params, state, time, part, z0, z1),
-    }
+    with_flags!(cfg, sweep[](params, state, time, part, z0, z1))
 }
 
 /// Everything a face-flux evaluation needs, bundled to keep signatures sane.
@@ -371,6 +345,7 @@ fn sweep<const TZ: bool, const STAG: bool, const SC: bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::{mu_sweep, scalar_rung as scalar};
     use eutectica_blockgrid::GridDims;
 
     /// Random valid state with φ_dst slightly evolved from φ_src (as after a
@@ -417,12 +392,13 @@ mod tests {
         let base = random_state(3, 6);
         let p = ModelParams::ag_al_cu();
         let mut reference = base.clone();
-        mu_sweep_scalar(&p, &mut reference, 2.0, MuPart::Full, false, false, false);
+        let plain = scalar(false, false, false);
+        mu_sweep(&p, &mut reference, 2.0, plain, MuPart::Full);
         for tz in [false, true] {
             for stag in [false, true] {
                 for sc in [false, true] {
                     let mut s = base.clone();
-                    mu_sweep_scalar(&p, &mut s, 2.0, MuPart::Full, tz, stag, sc);
+                    mu_sweep(&p, &mut s, 2.0, scalar(tz, stag, sc), MuPart::Full);
                     let d = max_mu_diff(&reference, &s);
                     assert_eq!(d, 0.0, "flags ({tz},{stag},{sc}) diverged by {d:e}");
                 }
@@ -434,11 +410,12 @@ mod tests {
     fn split_parts_compose_to_full() {
         let base = random_state(5, 6);
         let p = ModelParams::ag_al_cu();
+        let cfg = scalar(true, true, false);
         let mut full = base.clone();
-        mu_sweep_scalar(&p, &mut full, 1.0, MuPart::Full, true, true, false);
+        mu_sweep(&p, &mut full, 1.0, cfg, MuPart::Full);
         let mut split = base.clone();
-        mu_sweep_scalar(&p, &mut split, 1.0, MuPart::LocalOnly, true, true, false);
-        mu_sweep_scalar(&p, &mut split, 1.0, MuPart::NeighborOnly, true, true, false);
+        mu_sweep(&p, &mut split, 1.0, cfg, MuPart::LocalOnly);
+        mu_sweep(&p, &mut split, 1.0, cfg, MuPart::NeighborOnly);
         let d = max_mu_diff(&full, &split);
         assert!(d < 1e-13, "split composition diverged by {d:e}");
     }
@@ -452,7 +429,7 @@ mod tests {
         let dims = GridDims::cube(5);
         let mut s = BlockState::new(dims, [0, 0, 0]);
         s.sync_dst_from_src();
-        mu_sweep_scalar(&p, &mut s, 0.0, MuPart::Full, true, true, false);
+        mu_sweep(&p, &mut s, 0.0, scalar(true, true, false), MuPart::Full);
         for (x, y, z) in dims.interior_iter() {
             let mu = s.mu_dst.cell(x, y, z);
             assert!(
@@ -472,7 +449,7 @@ mod tests {
         let dims = GridDims::cube(4);
         let mut s = BlockState::new(dims, [0, 0, 0]);
         s.sync_dst_from_src();
-        mu_sweep_scalar(&p, &mut s, 0.0, MuPart::Full, true, false, false);
+        mu_sweep(&p, &mut s, 0.0, scalar(true, false, false), MuPart::Full);
         let mu = s.mu_dst.cell(2, 2, 2);
         assert!(
             mu[0] > 0.0 && mu[1] > 0.0,
@@ -492,14 +469,12 @@ mod tests {
         s.apply_bc_src();
         let var_before = mu_variance(&s);
         for step in 0..10 {
-            mu_sweep_scalar(
+            mu_sweep(
                 &p,
                 &mut s,
                 step as f64 * p.dt,
+                scalar(true, true, false),
                 MuPart::Full,
-                true,
-                true,
-                false,
             );
             s.mu_src.swap(&mut s.mu_dst);
             s.bc_mu.apply(&mut s.mu_src);
@@ -558,7 +533,7 @@ mod tests {
             t
         };
         let before = total(&s, false);
-        mu_sweep_scalar(&p, &mut s, 0.0, MuPart::Full, true, true, false);
+        mu_sweep(&p, &mut s, 0.0, scalar(true, true, false), MuPart::Full);
         let after = total(&s, true);
         for i in 0..2 {
             assert!(

@@ -10,53 +10,27 @@
 //! buffer as in Fig. 3), halving the face evaluations. With `shortcuts`,
 //! bulk cells are skipped entirely and pure cells skip the driving force.
 
-use crate::kernels::{get2, get4};
+use crate::kernels::{get2, get4, with_flags, KernelConfig};
 use crate::model::{central_gradients, is_bulk, is_pure, phi_cell_update, phi_face_flux};
 use crate::params::ModelParams;
 use crate::state::BlockState;
 use crate::temperature::{SliceCtx, SliceTable};
 
-/// Entry point: dispatches the flag combination to a monomorphized sweep.
-pub fn phi_sweep_scalar(
+/// Scalar φ-sweep of the slices `z0..z1` (absolute, ghost-inclusive
+/// coordinates with `g <= z0 <= z1 <= g + nz`). Because all reads go to the
+/// source fields, a partition of the interior into slabs yields exactly the
+/// cells the full sweep computes — the staggered z-slab buffer is
+/// reprefilled at `z0` from source faces, which the flag-equivalence tests
+/// pin bit-exact against the carried values.
+pub(super) fn phi_sweep_scalar_range(
     params: &ModelParams,
     state: &mut BlockState,
     time: f64,
-    tz: bool,
-    stag: bool,
-    shortcuts: bool,
-) {
-    let (z0, z1) = state.dims.interior_z_range();
-    phi_sweep_scalar_range(params, state, time, tz, stag, shortcuts, z0, z1);
-}
-
-/// Range-restricted entry point for z-slab work-sharing: updates only the
-/// slices `z0..z1` (absolute, ghost-inclusive coordinates with
-/// `g <= z0 <= z1 <= g + nz`). Because all reads go to the source fields,
-/// a partition of the interior into slabs yields exactly the cells the
-/// full sweep computes — the staggered z-slab buffer is reprefilled at `z0`
-/// from source faces, which the flag-equivalence tests pin bit-exact
-/// against the carried values.
-#[allow(clippy::too_many_arguments)]
-pub fn phi_sweep_scalar_range(
-    params: &ModelParams,
-    state: &mut BlockState,
-    time: f64,
-    tz: bool,
-    stag: bool,
-    shortcuts: bool,
+    cfg: KernelConfig,
     z0: usize,
     z1: usize,
 ) {
-    match (tz, stag, shortcuts) {
-        (false, false, false) => sweep::<false, false, false>(params, state, time, z0, z1),
-        (false, false, true) => sweep::<false, false, true>(params, state, time, z0, z1),
-        (false, true, false) => sweep::<false, true, false>(params, state, time, z0, z1),
-        (false, true, true) => sweep::<false, true, true>(params, state, time, z0, z1),
-        (true, false, false) => sweep::<true, false, false>(params, state, time, z0, z1),
-        (true, false, true) => sweep::<true, false, true>(params, state, time, z0, z1),
-        (true, true, false) => sweep::<true, true, false>(params, state, time, z0, z1),
-        (true, true, true) => sweep::<true, true, true>(params, state, time, z0, z1),
-    }
+    with_flags!(cfg, sweep[](params, state, time, z0, z1))
 }
 
 fn sweep<const TZ: bool, const STAG: bool, const SC: bool>(
@@ -207,6 +181,7 @@ fn sweep<const TZ: bool, const STAG: bool, const SC: bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::{phi_sweep, scalar_rung as scalar};
     use eutectica_blockgrid::GridDims;
 
     fn random_state(seed: u64, n: usize) -> BlockState {
@@ -247,12 +222,12 @@ mod tests {
         let base = random_state(7, 6);
         let p = ModelParams::ag_al_cu();
         let mut reference = base.clone();
-        phi_sweep_scalar(&p, &mut reference, 3.0, false, false, false);
+        phi_sweep(&p, &mut reference, 3.0, scalar(false, false, false));
         for tz in [false, true] {
             for stag in [false, true] {
                 for sc in [false, true] {
                     let mut s = base.clone();
-                    phi_sweep_scalar(&p, &mut s, 3.0, tz, stag, sc);
+                    phi_sweep(&p, &mut s, 3.0, scalar(tz, stag, sc));
                     let d = max_diff(&reference, &s);
                     assert_eq!(d, 0.0, "flags ({tz},{stag},{sc}) diverged by {d:e}");
                 }
@@ -264,7 +239,7 @@ mod tests {
     fn output_stays_on_simplex() {
         let p = ModelParams::ag_al_cu();
         let mut s = random_state(11, 5);
-        phi_sweep_scalar(&p, &mut s, 0.0, true, true, true);
+        phi_sweep(&p, &mut s, 0.0, scalar(true, true, true));
         for (x, y, z) in s.dims.interior_iter() {
             let phi = s.phi_dst.cell(x, y, z);
             assert!(
@@ -279,7 +254,7 @@ mod tests {
         let p = ModelParams::ag_al_cu();
         let dims = GridDims::cube(5);
         let mut s = BlockState::new(dims, [0, 0, 0]); // all liquid, µ = 0
-        phi_sweep_scalar(&p, &mut s, 0.0, false, false, false);
+        phi_sweep(&p, &mut s, 0.0, scalar(false, false, false));
         for (x, y, z) in dims.interior_iter() {
             assert_eq!(s.phi_dst.cell(x, y, z), [0.0, 0.0, 0.0, 1.0]);
         }
@@ -304,7 +279,7 @@ mod tests {
             .sum();
         let mut time = 0.0;
         for _ in 0..20 {
-            phi_sweep_scalar(&p, &mut s, time, true, true, false);
+            phi_sweep(&p, &mut s, time, scalar(true, true, false));
             s.phi_src.swap(&mut s.phi_dst);
             s.bc_phi.apply(&mut s.phi_src);
             time += p.dt;

@@ -1,21 +1,15 @@
 //! Shared helpers for the explicitly vectorized kernels.
 //!
 //! Everything here is generic over the ISA backend `V:`[`SimdF64x4`], so the
-//! vectorized kernels can be instantiated per ISA and dispatched at runtime
-//! (see [`super::backend`]). The crate-level `eutectica_simd::F64x4` alias
-//! remains the compile-time default instantiation.
+//! vectorized kernels can be instantiated per ISA by
+//! [`eutectica_simd::dispatch`].
 //!
-//! **No closures around `V`.** The AVX2 instantiation only becomes AVX2
-//! machine code when the complete kernel body is inlined into the
-//! `#[target_feature]` wrappers of `kernels::avx2_entry`. A closure — and
-//! therefore every `core::array::from_fn(|a| …)` callback — is its own LLVM
-//! function that does *not* inherit the wrapper's features and cannot be
-//! marked `#[inline(always)]`; whenever LLVM leaves one out of line, each
-//! intrinsic inside it becomes a real `call` with operands through memory.
-//! Anything that touches a `V` is therefore an `#[inline(always)]` generic
-//! fn with explicit arguments, and per-phase / per-component arrays are
-//! built with `per_phase!` / `per_comp!`. The CI `kernel-codegen` step
-//! enforces this on the release binaries.
+//! **No closures around `V`.** Anything that touches a `V` is an
+//! `#[inline(always)]` generic fn with explicit arguments, and per-phase /
+//! per-component arrays are built with `per_phase!` / `per_comp!` instead of
+//! `core::array::from_fn(|a| …)`; [`eutectica_simd::IsaGeneric::run`] says
+//! why, and the CI `kernel-codegen` step enforces it on the release
+//! binaries.
 
 use crate::params::ModelParams;
 use crate::temperature::SliceCtx;
@@ -225,13 +219,14 @@ impl RecomputedSlices<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eutectica_simd::F64x4;
 
-    #[test]
-    fn matvec_matches_scalar() {
+    // Outside `eutectica_simd::dispatch` the AVX2 type is still legal on any
+    // x86-64 host (the intrinsics are legalized to narrower ops), just slow.
+
+    fn check_matvec<V: SimdF64x4>() {
         let gamma = crate::params::ModelParams::ag_al_cu().gamma;
-        let cols = gamma_cols::<F64x4>(&gamma);
-        let v = F64x4::from_array([0.1, 0.2, 0.3, 0.4]);
+        let cols = gamma_cols::<V>(&gamma);
+        let v = V::from_array([0.1, 0.2, 0.3, 0.4]);
         let got = matvec(&cols, v).to_array();
         for a in 0..4 {
             let want: f64 = (0..4).map(|b| gamma[a][b] * v.extract(b)).sum();
@@ -240,7 +235,13 @@ mod tests {
     }
 
     #[test]
-    fn lane_projection_matches_scalar_projection() {
+    fn matvec_matches_scalar() {
+        check_matvec::<eutectica_simd::scalar::F64x4>();
+        #[cfg(target_arch = "x86_64")]
+        check_matvec::<eutectica_simd::avx2::F64x4>();
+    }
+
+    fn check_lane_projection<V: SimdF64x4>() {
         let cells = [
             [1.2, -0.1, -0.05, -0.05],
             [0.25, 0.25, 0.25, 0.25],
@@ -248,8 +249,8 @@ mod tests {
             [0.0, 1.0, 0.0, 0.0],
         ];
         // Transpose into per-phase lanes.
-        let phi: [F64x4; 4] =
-            core::array::from_fn(|a| F64x4::from_array(core::array::from_fn(|c| cells[c][a])));
+        let phi: [V; 4] =
+            core::array::from_fn(|a| V::from_array(core::array::from_fn(|c| cells[c][a])));
         let out = project_simplex_lanes(phi);
         for (c, cell) in cells.iter().enumerate() {
             let want = crate::simplex::project_to_simplex(*cell);
@@ -262,5 +263,12 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn lane_projection_matches_scalar_projection() {
+        check_lane_projection::<eutectica_simd::scalar::F64x4>();
+        #[cfg(target_arch = "x86_64")]
+        check_lane_projection::<eutectica_simd::avx2::F64x4>();
     }
 }

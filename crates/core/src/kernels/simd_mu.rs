@@ -18,64 +18,35 @@
 //! zero, so the update degenerates to a constant-coefficient 7-point
 //! stencil on µ (`pure_face_flux` and the local terms in `sweep`).
 //!
-//! The kernel is generic over the ISA backend `V:`[`SimdF64x4`]; see
-//! [`super::simd_phi`] for the instantiation scheme.
+//! The kernel is generic over the ISA backend `V:`[`SimdF64x4`] and
+//! instantiated per ISA by [`super::mu_sweep_range`].
 
 use crate::kernels::scalar_mu::SweepCtx;
 use crate::kernels::simd_common::{
     cells_eq_mask, load_cells4, per_comp, per_phase, RecomputedSlices,
 };
-use crate::kernels::{get2, get4, pure_phase_of, MuPart};
+use crate::kernels::{get2, get4, pure_phase_of, with_flags, KernelConfig, MuPart};
 use crate::model::{mu_cell_update, phase_change_source, susceptibility, temp_drift};
 use crate::params::ModelParams;
 use crate::state::BlockState;
 use crate::temperature::{SliceCtx, SliceTable};
 use crate::{LIQ, N_COMP, N_PHASES};
-use eutectica_simd::{F64x4, SimdF64x4, SimdMask4};
+use eutectica_simd::{SimdF64x4, SimdMask4};
 
-/// Range-restricted entry point for z-slab work-sharing (see
+/// Four-cell µ-sweep of the z-slices `z0..z1` (see
 /// [`crate::kernels::scalar_phi::phi_sweep_scalar_range`] for the
 /// coordinate convention and the bit-exactness argument).
-#[allow(clippy::too_many_arguments)]
-pub fn mu_sweep_fourcell_range(
-    params: &ModelParams,
-    state: &mut BlockState,
-    time: f64,
-    part: MuPart,
-    tz: bool,
-    stag: bool,
-    shortcuts: bool,
-    z0: usize,
-    z1: usize,
-) {
-    mu_sweep_fourcell_range_v::<F64x4>(params, state, time, part, tz, stag, shortcuts, z0, z1);
-}
-
-/// Backend-generic four-cell µ range sweep; instantiated per ISA by the
-/// runtime dispatcher in [`super`].
-#[allow(clippy::too_many_arguments)]
 #[inline(always)]
-pub fn mu_sweep_fourcell_range_v<V: SimdF64x4>(
+pub(super) fn mu_sweep_fourcell_range<V: SimdF64x4>(
     params: &ModelParams,
     state: &mut BlockState,
     time: f64,
+    cfg: KernelConfig,
     part: MuPart,
-    tz: bool,
-    stag: bool,
-    shortcuts: bool,
     z0: usize,
     z1: usize,
 ) {
-    match (tz, stag, shortcuts) {
-        (false, false, false) => sweep::<V, false, false, false>(params, state, time, part, z0, z1),
-        (false, false, true) => sweep::<V, false, false, true>(params, state, time, part, z0, z1),
-        (false, true, false) => sweep::<V, false, true, false>(params, state, time, part, z0, z1),
-        (false, true, true) => sweep::<V, false, true, true>(params, state, time, part, z0, z1),
-        (true, false, false) => sweep::<V, true, false, false>(params, state, time, part, z0, z1),
-        (true, false, true) => sweep::<V, true, false, true>(params, state, time, part, z0, z1),
-        (true, true, false) => sweep::<V, true, true, false>(params, state, time, part, z0, z1),
-        (true, true, true) => sweep::<V, true, true, true>(params, state, time, part, z0, z1),
-    }
+    with_flags!(cfg, sweep[V](params, state, time, part, z0, z1))
 }
 
 /// `[carry, v0, v1, v2]` — slide a face-flux vector one lane to reuse the

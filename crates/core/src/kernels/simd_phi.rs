@@ -2,106 +2,60 @@
 //!
 //! Two strategies, exactly as compared in Fig. 5:
 //!
-//! * **cellwise** ([`phi_sweep_cellwise`]): "a SIMD vector [represents] the
-//!   four phases of a cell. With this technique, the field is still updated
-//!   cellwise, such that branching on a cell-by-cell basis becomes
-//!   possible" — pays for lane permutes (matrix–vector products need
+//! * **cellwise** ([`phi_sweep_cellwise_range`]): "a SIMD vector
+//!   [represents] the four phases of a cell. With this technique, the field
+//!   is still updated cellwise, such that branching on a cell-by-cell basis
+//!   becomes possible" — pays for lane permutes (matrix–vector products need
 //!   broadcasts) but can take per-cell shortcuts and keeps more
 //!   intermediates in registers. The paper's fastest variant.
-//! * **four-cell** ([`phi_sweep_fourcell`]): "unroll the innermost loop,
-//!   updating four cells in one iteration" — contiguous SoA loads, no
+//! * **four-cell** ([`phi_sweep_fourcell_range`]): "unroll the innermost
+//!   loop, updating four cells in one iteration" — contiguous SoA loads, no
 //!   permutes, but "can only take these shortcuts if the condition is true
 //!   for all four cells".
 //!
-//! Every kernel is generic over the ISA backend `V:`[`SimdF64x4`]; the
-//! `_v`-suffixed entry points take the backend as a type parameter and are
-//! instantiated per ISA by the runtime dispatch layer in [`super`]. The
-//! unsuffixed entry points keep the original signatures and instantiate the
-//! compile-time default `eutectica_simd::F64x4`.
+//! Every kernel is generic over the ISA backend `V:`[`SimdF64x4`] and
+//! instantiated per ISA by [`eutectica_simd::dispatch`], from
+//! [`super::phi_sweep_range`] (and, for the AoS layout ablation, from
+//! [`phi_sweep_cellwise_aos`] itself).
 
 use crate::kernels::simd_common::{
     cells_eq_mask, gamma_cols, gather_cell4, load_cells4, matvec, per_phase, project_simplex_lanes,
     scatter_cell4, RecomputedSlices, SliceCtxV,
 };
+use crate::kernels::{with_flags, KernelConfig, SimdIsa};
 use crate::params::ModelParams;
 use crate::state::BlockState;
 use crate::temperature::SliceTable;
 use crate::N_PHASES;
-use eutectica_simd::{F64x4, SimdF64x4, SimdMask4};
+use eutectica_blockgrid::field::{AosField, SoaField};
+use eutectica_simd::{IsaGeneric, SimdF64x4, SimdMask4};
 
-/// Cellwise sweep entry point (compile-time default backend).
-pub fn phi_sweep_cellwise(
-    params: &ModelParams,
-    state: &mut BlockState,
-    time: f64,
-    tz: bool,
-    stag: bool,
-    shortcuts: bool,
-) {
-    let (z0, z1) = state.dims.interior_z_range();
-    phi_sweep_cellwise_range(params, state, time, tz, stag, shortcuts, z0, z1);
+/// Whether the surface-energy matrix is uniform (γ_αβ = γ for α ≠ β, the
+/// standard setup here and in the paper). Then Γ·v = γ(Σv − v): the
+/// matrix–vector product collapses to one horizontal sum — the
+/// "φ_α Σ φ_β"-style permute structure the paper describes for its cellwise
+/// kernel.
+fn gamma_is_uniform(params: &ModelParams) -> bool {
+    let g = params.gamma[0][1];
+    (0..N_PHASES).all(|a| (0..N_PHASES).all(|b| params.gamma[a][b] == if a == b { 0.0 } else { g }))
 }
 
-/// Range-restricted entry point for z-slab work-sharing (see
+/// Cellwise sweep of the z-slices `z0..z1` (see
 /// [`crate::kernels::scalar_phi::phi_sweep_scalar_range`] for the
 /// coordinate convention and the bit-exactness argument).
-#[allow(clippy::too_many_arguments)]
-pub fn phi_sweep_cellwise_range(
-    params: &ModelParams,
-    state: &mut BlockState,
-    time: f64,
-    tz: bool,
-    stag: bool,
-    shortcuts: bool,
-    z0: usize,
-    z1: usize,
-) {
-    phi_sweep_cellwise_range_v::<F64x4>(params, state, time, tz, stag, shortcuts, z0, z1);
-}
-
-/// Backend-generic cellwise range sweep; instantiated per ISA by the runtime
-/// dispatcher in [`super`].
-#[allow(clippy::too_many_arguments)]
 #[inline(always)]
-pub fn phi_sweep_cellwise_range_v<V: SimdF64x4>(
+pub(super) fn phi_sweep_cellwise_range<V: SimdF64x4>(
     params: &ModelParams,
     state: &mut BlockState,
     time: f64,
-    tz: bool,
-    stag: bool,
-    shortcuts: bool,
+    cfg: KernelConfig,
     z0: usize,
     z1: usize,
 ) {
-    // With a uniform surface-energy matrix (γ_αβ = γ for α ≠ β, the standard
-    // setup here and in the paper), Γ·v = γ(Σv − v): the matrix–vector
-    // product collapses to one horizontal sum — the "φ_α Σ φ_β"-style
-    // permute structure the paper describes for its cellwise kernel.
-    let g = params.gamma[0][1];
-    let uniform = (0..4).all(|a| {
-        (0..4).all(|b| {
-            let want = if a == b { 0.0 } else { g };
-            params.gamma[a][b] == want
-        })
-    });
-    let (p, s, t) = (params, state, time);
-    match (uniform, tz, stag, shortcuts) {
-        (false, false, false, false) => cellwise::<V, false, false, false, false>(p, s, t, z0, z1),
-        (false, false, false, true) => cellwise::<V, false, false, true, false>(p, s, t, z0, z1),
-        (false, false, true, false) => cellwise::<V, false, true, false, false>(p, s, t, z0, z1),
-        (false, false, true, true) => cellwise::<V, false, true, true, false>(p, s, t, z0, z1),
-        (false, true, false, false) => cellwise::<V, true, false, false, false>(p, s, t, z0, z1),
-        (false, true, false, true) => cellwise::<V, true, false, true, false>(p, s, t, z0, z1),
-        (false, true, true, false) => cellwise::<V, true, true, false, false>(p, s, t, z0, z1),
-        (false, true, true, true) => cellwise::<V, true, true, true, false>(p, s, t, z0, z1),
-        (true, false, false, false) => cellwise::<V, false, false, false, true>(p, s, t, z0, z1),
-        (true, false, false, true) => cellwise::<V, false, false, true, true>(p, s, t, z0, z1),
-        (true, false, true, false) => cellwise::<V, false, true, false, true>(p, s, t, z0, z1),
-        (true, false, true, true) => cellwise::<V, false, true, true, true>(p, s, t, z0, z1),
-        (true, true, false, false) => cellwise::<V, true, false, false, true>(p, s, t, z0, z1),
-        (true, true, false, true) => cellwise::<V, true, false, true, true>(p, s, t, z0, z1),
-        (true, true, true, false) => cellwise::<V, true, true, false, true>(p, s, t, z0, z1),
-        (true, true, true, true) => cellwise::<V, true, true, true, true>(p, s, t, z0, z1),
+    if gamma_is_uniform(params) {
+        with_flags!(cfg, cellwise[V, true](params, state, time, z0, z1))
+    } else {
+        with_flags!(cfg, cellwise[V, false](params, state, time, z0, z1))
     }
 }
 
@@ -183,7 +137,7 @@ fn bulk_group<V: SimdF64x4>(
 }
 
 #[inline(always)]
-fn cellwise<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool, const UG: bool>(
+fn cellwise<V: SimdF64x4, const UG: bool, const TZ: bool, const STAG: bool, const SC: bool>(
     params: &ModelParams,
     state: &mut BlockState,
     time: f64,
@@ -389,66 +343,23 @@ fn cellwise<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool, cons
     }
 }
 
-/// Four-cell sweep entry point (compile-time default backend). The
-/// staggered-buffer variant carries face fluxes across the four-cell groups
-/// with lane shifts (`shift_in`), exactly like the µ-kernel's buffered
-/// sweep, and is bit-exact against the unbuffered variant because
-/// [`face_flux_cells`] is purely lanewise.
-pub fn phi_sweep_fourcell(
-    params: &ModelParams,
-    state: &mut BlockState,
-    time: f64,
-    tz: bool,
-    stag: bool,
-    shortcuts: bool,
-) {
-    let (z0, z1) = state.dims.interior_z_range();
-    phi_sweep_fourcell_range(params, state, time, tz, stag, shortcuts, z0, z1);
-}
-
-/// Range-restricted entry point for z-slab work-sharing. With the staggered
-/// buffer the z-face plane is pre-filled at `z0`, so restarting at any slab
-/// boundary reproduces the full sweep bit-for-bit (same argument as the
-/// µ-kernel).
-#[allow(clippy::too_many_arguments)]
-pub fn phi_sweep_fourcell_range(
-    params: &ModelParams,
-    state: &mut BlockState,
-    time: f64,
-    tz: bool,
-    stag: bool,
-    shortcuts: bool,
-    z0: usize,
-    z1: usize,
-) {
-    phi_sweep_fourcell_range_v::<F64x4>(params, state, time, tz, stag, shortcuts, z0, z1);
-}
-
-/// Backend-generic four-cell range sweep; instantiated per ISA by the
-/// runtime dispatcher in [`super`].
-#[allow(clippy::too_many_arguments)]
+/// Four-cell sweep of the z-slices `z0..z1`. The staggered-buffer variant
+/// carries face fluxes across the four-cell groups with lane shifts
+/// (`shift_in`), exactly like the µ-kernel's buffered sweep, and is
+/// bit-exact against the unbuffered variant because [`face_flux_cells`] is
+/// purely lanewise. The z-face plane is pre-filled at `z0`, so restarting
+/// at any slab boundary reproduces the full sweep bit-for-bit (same
+/// argument as the µ-kernel).
 #[inline(always)]
-pub fn phi_sweep_fourcell_range_v<V: SimdF64x4>(
+pub(super) fn phi_sweep_fourcell_range<V: SimdF64x4>(
     params: &ModelParams,
     state: &mut BlockState,
     time: f64,
-    tz: bool,
-    stag: bool,
-    shortcuts: bool,
+    cfg: KernelConfig,
     z0: usize,
     z1: usize,
 ) {
-    let (p, s, t) = (params, state, time);
-    match (tz, stag, shortcuts) {
-        (false, false, false) => fourcell::<V, false, false, false>(p, s, t, z0, z1),
-        (false, false, true) => fourcell::<V, false, false, true>(p, s, t, z0, z1),
-        (false, true, false) => fourcell::<V, false, true, false>(p, s, t, z0, z1),
-        (false, true, true) => fourcell::<V, false, true, true>(p, s, t, z0, z1),
-        (true, false, false) => fourcell::<V, true, false, false>(p, s, t, z0, z1),
-        (true, false, true) => fourcell::<V, true, false, true>(p, s, t, z0, z1),
-        (true, true, false) => fourcell::<V, true, true, false>(p, s, t, z0, z1),
-        (true, true, true) => fourcell::<V, true, true, true>(p, s, t, z0, z1),
-    }
+    with_flags!(cfg, fourcell[V](params, state, time, z0, z1))
 }
 
 /// Face flux for four consecutive cells: lanes = cells, one output per phase.
@@ -784,96 +695,133 @@ fn fourcell<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
 /// a SIMD vector directly from contiguous memory ... no notable differences
 /// could be measured in the φ-kernel performance after a data layout
 /// change"). Production uses SoA (the µ-kernel's preference); this variant
-/// exists for the layout ablation bench and is equivalence-tested against
-/// [`phi_sweep_cellwise`].
+/// exists for the layout ablation bench, which is why it is public and
+/// dispatches on `isa` itself. `tests/kernel_equivalence.rs` pins it
+/// against the SoA cellwise kernel.
 ///
 /// Runs the T(z) + staggered-buffer configuration (rung 4) with uniform-γ
 /// fast path when applicable.
 pub fn phi_sweep_cellwise_aos(
     params: &ModelParams,
-    phi_src: &eutectica_blockgrid::field::AosField<N_PHASES>,
-    mu_src: &eutectica_blockgrid::field::SoaField<2>,
-    phi_dst: &mut eutectica_blockgrid::field::SoaField<N_PHASES>,
+    phi_src: &AosField<N_PHASES>,
+    mu_src: &SoaField<2>,
+    phi_dst: &mut SoaField<N_PHASES>,
     origin_z: isize,
     time: f64,
+    isa: SimdIsa,
 ) {
+    assert_eq!(phi_dst.dims(), phi_src.dims());
+    eutectica_simd::dispatch(
+        isa.allows_avx2(),
+        CellwiseAos {
+            params,
+            phi_src,
+            mu_src,
+            phi_dst,
+            origin_z,
+            time,
+        },
+    );
+}
+
+struct CellwiseAos<'a> {
+    params: &'a ModelParams,
+    phi_src: &'a AosField<N_PHASES>,
+    mu_src: &'a SoaField<2>,
+    phi_dst: &'a mut SoaField<N_PHASES>,
+    origin_z: isize,
+    time: f64,
+}
+
+impl IsaGeneric for CellwiseAos<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: SimdF64x4>(self) {
+        if gamma_is_uniform(self.params) {
+            cellwise_aos::<V, true>(self)
+        } else {
+            cellwise_aos::<V, false>(self)
+        }
+    }
+}
+
+/// Face flux between AoS cells `il` and `ir`: one contiguous load per cell,
+/// the AoS advantage.
+#[inline(always)]
+fn aos_face<V: SimdF64x4, const UG: bool>(
+    gcols: &[V; N_PHASES],
+    gu: V,
+    raw: &[f64],
+    il: usize,
+    ir: usize,
+    inv_dx: V,
+) -> V {
+    let (l, r) = (V::load(raw, il * N_PHASES), V::load(raw, ir * N_PHASES));
+    face_flux_v::<V, UG>(gcols, gu, l, r, inv_dx)
+}
+
+#[inline(always)]
+fn cellwise_aos<V: SimdF64x4, const UG: bool>(args: CellwiseAos<'_>) {
+    let CellwiseAos {
+        params,
+        phi_src,
+        mu_src,
+        phi_dst,
+        origin_z,
+        time,
+    } = args;
     let dims = phi_dst.dims();
-    assert_eq!(dims, phi_src.dims());
     let g = dims.ghost;
     let (nx, ny, nz) = (dims.nx, dims.ny, dims.nz);
     let (sy, sz) = (dims.sy(), dims.sz());
     let inv_dx_s = 1.0 / params.dx;
-    let inv_dx = F64x4::splat(inv_dx_s);
-    let inv_2dx = F64x4::splat(0.5 * inv_dx_s);
-    let gcols = gamma_cols(&params.gamma);
-    let gu = F64x4::splat(params.gamma[0][1]);
-    let uniform = {
-        let gv = params.gamma[0][1];
-        (0..N_PHASES)
-            .all(|a| (0..N_PHASES).all(|b| params.gamma[a][b] == if a == b { 0.0 } else { gv }))
-    };
-    let rate = F64x4::splat(params.dt / (params.tau * params.eps));
-    let quarter = F64x4::splat(0.25);
-    let two = F64x4::splat(2.0);
-    let one = F64x4::splat(1.0);
+    let inv_dx = V::splat(inv_dx_s);
+    let inv_2dx = V::splat(0.5 * inv_dx_s);
+    let gcols = gamma_cols::<V>(&params.gamma);
+    let gu = V::splat(params.gamma[0][1]);
+    let rate = V::splat(params.dt / (params.tau * params.eps));
+    let quarter = V::splat(0.25);
+    let two = V::splat(2.0);
+    let one = V::splat(1.0);
 
     let table = SliceTable::build(params, origin_z, dims.tz(), g, time);
     let raw = phi_src.raw();
-    let ms: [&[f64]; 2] = [mu_src.comp(0), mu_src.comp(1)];
-    let pd = phi_dst.comps_mut();
+    let ms = mu_src.comps();
+    let mut pd = phi_dst.comps_mut();
 
-    // One contiguous load per cell — the AoS advantage.
-    let cell = |i: usize| -> F64x4 { F64x4::load(raw, i * N_PHASES) };
-    let gapply = |v: F64x4| -> F64x4 {
-        if uniform {
-            gu * (v.hsum_splat() - v)
-        } else {
-            matvec(&gcols, v)
-        }
-    };
-    let face = |il: usize, ir: usize| -> F64x4 {
-        let (l, r) = (cell(il), cell(ir));
-        let pf = (l + r) * F64x4::splat(0.5);
-        let gd = (r - l) * inv_dx;
-        let s1 = gapply(pf * gd);
-        let s2 = gapply(pf * pf);
-        (pf * s1 - gd * s2) * F64x4::splat(-2.0)
-    };
-
-    let mut zbuf = vec![F64x4::zero(); nx * ny];
-    let mut ybuf = vec![F64x4::zero(); nx];
+    let mut zbuf = vec![V::zero(); nx * ny];
+    let mut ybuf = vec![V::zero(); nx];
     for y in 0..ny {
         for x in 0..nx {
             let i = dims.idx(x + g, y + g, g);
-            zbuf[y * nx + x] = face(i - sz, i);
+            zbuf[y * nx + x] = aos_face::<V, UG>(&gcols, gu, raw, i - sz, i, inv_dx);
         }
     }
 
     for z in g..g + nz {
-        let ctx = SliceCtxV::<F64x4>::from_ctx(&table.cell[z]);
+        let ctx = SliceCtxV::<V>::from_ctx(&table.cell[z]);
         for x in 0..nx {
             let i = dims.idx(x + g, g, z);
-            ybuf[x] = face(i - sy, i);
+            ybuf[x] = aos_face::<V, UG>(&gcols, gu, raw, i - sy, i, inv_dx);
         }
         for y in g..g + ny {
-            let mut xprev = {
-                let i = dims.idx(g, y, z);
-                face(i - 1, i)
-            };
+            let i0 = dims.idx(g, y, z);
+            let mut xprev = aos_face::<V, UG>(&gcols, gu, raw, i0 - 1, i0, inv_dx);
             for x in g..g + nx {
                 let i = dims.idx(x, y, z);
-                let pc = cell(i);
-                let xm = cell(i - 1);
-                let xp = cell(i + 1);
-                let ym = cell(i - sy);
-                let yp = cell(i + sy);
-                let zm = cell(i - sz);
-                let zp = cell(i + sz);
+                let pc = V::load(raw, i * N_PHASES);
+                let xm = V::load(raw, (i - 1) * N_PHASES);
+                let xp = V::load(raw, (i + 1) * N_PHASES);
+                let ym = V::load(raw, (i - sy) * N_PHASES);
+                let yp = V::load(raw, (i + sy) * N_PHASES);
+                let zm = V::load(raw, (i - sz) * N_PHASES);
+                let zp = V::load(raw, (i + sz) * N_PHASES);
 
                 let (f_xl, f_yl, f_zl) = (xprev, ybuf[x - g], zbuf[(y - g) * nx + (x - g)]);
-                let f_xh = face(i, i + 1);
-                let f_yh = face(i, i + sy);
-                let f_zh = face(i, i + sz);
+                let f_xh = face_flux_v::<V, UG>(&gcols, gu, pc, xp, inv_dx);
+                let f_yh = face_flux_v::<V, UG>(&gcols, gu, pc, yp, inv_dx);
+                let f_zh = face_flux_v::<V, UG>(&gcols, gu, pc, zp, inv_dx);
                 xprev = f_xh;
                 ybuf[x - g] = f_yh;
                 zbuf[(y - g) * nx + (x - g)] = f_zh;
@@ -882,29 +830,28 @@ pub fn phi_sweep_cellwise_aos(
                 let gy = (yp - ym) * inv_2dx;
                 let gz = (zp - zm) * inv_2dx;
                 let m = gx.mul_add(gx, gy.mul_add(gy, gz * gz));
-                let t2 = gx * gapply(pc * gx) + gy * gapply(pc * gy) + gz * gapply(pc * gz);
-                let da = (pc * gapply(m) - t2) * two;
+                let t2 = gx * gamma_apply::<V, UG>(&gcols, gu, pc * gx)
+                    + gy * gamma_apply::<V, UG>(&gcols, gu, pc * gy)
+                    + gz * gamma_apply::<V, UG>(&gcols, gu, pc * gz);
+                let da = (pc * gamma_apply::<V, UG>(&gcols, gu, m) - t2) * two;
                 let div = (f_xh - f_xl + f_yh - f_yl + f_zh - f_zl) * inv_dx;
-                let obst = gapply(pc);
+                let obst = gamma_apply::<V, UG>(&gcols, gu, pc);
 
                 let phi2 = pc * pc;
                 let inv_s = one / phi2.hsum_splat();
-                let mu0 = F64x4::splat(ms[0][i]);
-                let mu1 = F64x4::splat(ms[1][i]);
+                let mu0 = V::splat(ms[0][i]);
+                let mu1 = V::splat(ms[1][i]);
                 let psi = -(mu0 * mu0 * ctx.inv4k[0] + mu1 * mu1 * ctx.inv4k[1])
                     - (mu0 * ctx.c_eq[0] + mu1 * ctx.c_eq[1])
                     + ctx.offset;
                 let psi_bar = (phi2 * psi).hsum_splat() * inv_s;
                 let drive = two * pc * inv_s * (psi - psi_bar);
 
-                let vdf = F64x4::splat(ctx.pref_grad) * (da - div)
-                    + F64x4::splat(ctx.pref_obst) * obst
-                    + drive;
+                let vdf =
+                    V::splat(ctx.pref_grad) * (da - div) + V::splat(ctx.pref_obst) * obst + drive;
                 let mean = vdf.hsum_splat() * quarter;
                 let out = crate::simplex::project_to_simplex((pc - rate * (vdf - mean)).to_array());
-                for c in 0..N_PHASES {
-                    pd[c][i] = out[c];
-                }
+                scatter_cell4(&mut pd, i, V::from_array(out));
             }
         }
     }
@@ -913,46 +860,8 @@ pub fn phi_sweep_cellwise_aos(
 #[cfg(test)]
 mod aos_tests {
     use super::*;
-    use crate::state::BlockState;
+    use crate::kernels::{phi_sweep, PhiVariant};
     use eutectica_blockgrid::GridDims;
-
-    #[test]
-    fn aos_variant_matches_soa_cellwise() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
-        let dims = GridDims::cube(8);
-        let mut s = BlockState::new(dims, [0, 0, 2]);
-        for z in 0..dims.tz() {
-            for y in 0..dims.ty() {
-                for x in 0..dims.tx() {
-                    let raw: [f64; 4] = core::array::from_fn(|_| rng.random_range(0.0..1.0));
-                    s.phi_src
-                        .set_cell(x, y, z, crate::simplex::project_to_simplex(raw));
-                    s.mu_src.set_cell(
-                        x,
-                        y,
-                        z,
-                        [rng.random_range(-0.2..0.2), rng.random_range(-0.2..0.2)],
-                    );
-                }
-            }
-        }
-        // SoA cellwise (T(z) + staggered buffer, no shortcuts).
-        let mut soa = s.clone();
-        phi_sweep_cellwise(&ModelParams::ag_al_cu(), &mut soa, 1.0, true, true, false);
-        // AoS variant.
-        let params = ModelParams::ag_al_cu();
-        let aos = s.phi_src.to_aos();
-        let mut out = s.phi_dst.clone();
-        phi_sweep_cellwise_aos(&params, &aos, &s.mu_src, &mut out, 2, 1.0);
-        for c in 0..4 {
-            for (x, y, z) in dims.interior_iter() {
-                let a = soa.phi_dst.at(c, x, y, z);
-                let b = out.at(c, x, y, z);
-                assert!((a - b).abs() < 1e-13, "phi[{c}]@({x},{y},{z}): {a} vs {b}");
-            }
-        }
-    }
 
     #[test]
     fn fourcell_staggered_is_bit_exact_vs_unbuffered() {
@@ -984,10 +893,17 @@ mod aos_tests {
         }
         for tz in [false, true] {
             for sc in [false, true] {
+                let cfg = |staggered_buffer| KernelConfig {
+                    phi: PhiVariant::SimdFourCell,
+                    tz_precompute: tz,
+                    staggered_buffer,
+                    shortcuts: sc,
+                    ..KernelConfig::default()
+                };
                 let mut plain = s.clone();
                 let mut stag = s.clone();
-                phi_sweep_fourcell(&params, &mut plain, 1.0, tz, false, sc);
-                phi_sweep_fourcell(&params, &mut stag, 1.0, tz, true, sc);
+                phi_sweep(&params, &mut plain, 1.0, cfg(false));
+                phi_sweep(&params, &mut stag, 1.0, cfg(true));
                 for c in 0..N_PHASES {
                     for (x, y, z) in dims.interior_iter() {
                         let a = plain.phi_dst.at(c, x, y, z);

@@ -112,7 +112,7 @@ pub fn phi_face_flux(
 /// ∂a/∂φ_α = 2 Σ_{β≠α} γ_αβ (q_αβ·∇φ_β)
 ///         = 2 [ φ_α Σ_β γ_αβ |∇φ_β|² − Σ_axis ∂φ_α Σ_β γ_αβ φ_β ∂φ_β ].
 #[inline(always)]
-pub fn da_dphi(
+fn da_dphi(
     gamma: &[[f64; N_PHASES]; N_PHASES],
     phi: [f64; N_PHASES],
     grads: &[[f64; 3]; N_PHASES],
@@ -140,10 +140,7 @@ pub fn da_dphi(
 /// Obstacle-potential derivative (unscaled): ∂ω̂/∂φ_α = Σ_β γ_αβ φ_β.
 /// The caller multiplies by the slice prefactor 16T/(π²ε).
 #[inline(always)]
-pub fn obstacle_deriv(
-    gamma: &[[f64; N_PHASES]; N_PHASES],
-    phi: [f64; N_PHASES],
-) -> [f64; N_PHASES] {
+fn obstacle_deriv(gamma: &[[f64; N_PHASES]; N_PHASES], phi: [f64; N_PHASES]) -> [f64; N_PHASES] {
     let mut out = [0.0; N_PHASES];
     for a in 0..N_PHASES {
         let mut s = 0.0;
@@ -158,7 +155,7 @@ pub fn obstacle_deriv(
 /// Driving force ∂ψ/∂φ_α = Σ_β ψ_β ∂h_β/∂φ_α = (2φ_α/S)(ψ_α − Σ_β h_β ψ_β)
 /// with S = Σφ². Zero for pure cells (the φ-kernel "shortcut" in liquid).
 #[inline(always)]
-pub fn driving_force(ctx: &SliceCtx, phi: [f64; N_PHASES], mu: [f64; N_COMP]) -> [f64; N_PHASES] {
+fn driving_force(ctx: &SliceCtx, phi: [f64; N_PHASES], mu: [f64; N_COMP]) -> [f64; N_PHASES] {
     let mut psi = [0.0; N_PHASES];
     for a in 0..N_PHASES {
         psi[a] = ctx.grand_potential(a, mu);

@@ -131,7 +131,7 @@ impl ModelParams {
     }
 
     /// Largest surface energy (used by the stability estimate).
-    pub fn gamma_max(&self) -> f64 {
+    fn gamma_max(&self) -> f64 {
         let mut m: f64 = 0.0;
         for a in 0..N_PHASES {
             for b in 0..N_PHASES {

@@ -29,7 +29,7 @@ pub enum CellRegion {
 }
 
 /// Classify one interior cell of a block.
-pub fn classify_cell(state: &BlockState, x: usize, y: usize, z: usize) -> CellRegion {
+fn classify_cell(state: &BlockState, x: usize, y: usize, z: usize) -> CellRegion {
     let phi = state.phi_src.cell(x, y, z);
     let neighbors = [
         state.phi_src.cell(x - 1, y, z),

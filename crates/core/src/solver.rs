@@ -48,7 +48,6 @@ impl Simulation {
         let mut state = BlockState::new(dims, [0, 0, 0]);
         state.apply_bc_src();
         state.sync_dst_from_src();
-        kernels::backend::warn_once_if_degraded(0);
         let telemetry = Telemetry::new(0);
         telemetry.counter_add(
             &format!("kernel/backend/{}", kernels::backend::active_simd_backend()),
@@ -103,15 +102,6 @@ impl Simulation {
     /// Replace the telemetry collector (e.g. [`Telemetry::disabled`]).
     pub fn set_telemetry(&mut self, tel: Telemetry) {
         self.telemetry = tel;
-    }
-
-    /// MLUP/s of the most recent φ- and µ-sweeps, if telemetry is enabled.
-    pub fn last_sweep_mlups(&self) -> Option<(f64, f64)> {
-        let m = self.telemetry.metrics_snapshot();
-        Some((
-            *m.gauges.get("phi_sweep_mlups")?,
-            *m.gauges.get("mu_sweep_mlups")?,
-        ))
     }
 
     /// Initialize with Voronoi solid nuclei at the bottom (Fig. 2 setup).
@@ -402,7 +392,8 @@ mod tests {
         let mut sim = Simulation::new(ModelParams::ag_al_cu(), [8, 8, 8]).unwrap();
         sim.init_directional(3);
         sim.step_n(2);
-        let (phi, mu) = sim.last_sweep_mlups().unwrap();
+        let gauges = sim.telemetry().metrics_snapshot().gauges;
+        let (phi, mu) = (gauges["phi_sweep_mlups"], gauges["mu_sweep_mlups"]);
         assert!(phi > 0.0 && mu > 0.0, "mlups gauges not set: {phi} {mu}");
         // The sweeps accrued as spans nested under "step".
         assert!(sim.telemetry().node_secs("step/phi_sweep").unwrap() > 0.0);
@@ -412,7 +403,7 @@ mod tests {
         quiet.set_telemetry(Telemetry::disabled());
         quiet.init_directional(3);
         quiet.step_n(1);
-        assert!(quiet.last_sweep_mlups().is_none());
+        assert!(quiet.telemetry().metrics_snapshot().gauges.is_empty());
     }
 
     #[test]

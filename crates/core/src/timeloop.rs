@@ -269,10 +269,6 @@ pub struct DistributedSim<'r> {
     window: Option<f64>,
     window_shifts: usize,
     telemetry: Telemetry,
-    /// Tree totals at the last `reset_timings`, subtracted from the derived
-    /// view so `timings` restarts from zero.
-    timings_base: StepTimings,
-    steps_base: usize,
     /// Comm-stats snapshot at the end of the previous step (per-step deltas).
     prev_stats: CommStats,
     prev_window_shifts: usize,
@@ -327,8 +323,6 @@ impl<'r> DistributedSim<'r> {
             timings: StepTimings::default(),
             window: None,
             window_shifts: 0,
-            timings_base: StepTimings::default(),
-            steps_base: 0,
             prev_stats: CommStats::default(),
             prev_window_shifts: 0,
             step_records: None,
@@ -339,9 +333,8 @@ impl<'r> DistributedSim<'r> {
             rebalance: None,
             autotune: None,
         };
-        kernel_backend::warn_once_if_degraded(sim.rank.rank());
         // Expose the resolved SIMD backend in telemetry so "SIMD" rows can
-        // be audited (the silent-fallback satellite fix).
+        // be audited.
         sim.telemetry.counter_add(
             &format!("kernel/backend/{}", kernel_backend::active_simd_backend()),
             1,
@@ -1040,7 +1033,7 @@ impl<'r> DistributedSim<'r> {
             );
             (fp != self.placement.as_slice()).then(|| fp.to_vec())
         } else if before > p.threshold {
-            let plan = plan_rebalance(&weights, &self.placement, self.n_ranks, p.strategy, p.slack);
+            let plan = plan_rebalance(&weights, &self.placement, self.n_ranks, p.slack);
             (!plan.is_empty()).then_some(plan.placement)
         } else {
             None
@@ -1219,8 +1212,8 @@ impl<'r> DistributedSim<'r> {
     /// bridge per-step comm-stats deltas into the metrics registry, and
     /// append a [`StepRecord`] when recording is on.
     fn finish_step_accounting(&mut self, wall: Duration) {
-        let mut t = self.derive_timings().saturating_sub(self.timings_base);
-        t.steps = self.step - self.steps_base;
+        let mut t = self.derive_timings();
+        t.steps = self.step;
         let prev = std::mem::replace(&mut self.timings, t);
 
         if !self.telemetry.is_enabled() && self.step_records.is_none() {
@@ -1238,22 +1231,26 @@ impl<'r> DistributedSim<'r> {
         self.telemetry.gauge_set("step_mlups", mlups);
 
         let stats = self.rank.stats();
-        self.telemetry.counter_add(
-            "comm/bytes_sent",
-            stats.bytes_sent - self.prev_stats.bytes_sent,
-        );
-        self.telemetry.counter_add(
-            "comm/bytes_received",
-            stats.bytes_received - self.prev_stats.bytes_received,
-        );
-        self.telemetry.counter_add(
-            "comm/messages_sent",
-            stats.messages_sent - self.prev_stats.messages_sent,
-        );
-        self.telemetry.counter_add(
-            "comm/messages_received",
-            stats.messages_received - self.prev_stats.messages_received,
-        );
+        // One batch, so a live sampler never sees bytes without their
+        // messages.
+        self.telemetry.counters_add(&[
+            (
+                "comm/bytes_sent",
+                stats.bytes_sent - self.prev_stats.bytes_sent,
+            ),
+            (
+                "comm/bytes_received",
+                stats.bytes_received - self.prev_stats.bytes_received,
+            ),
+            (
+                "comm/messages_sent",
+                stats.messages_sent - self.prev_stats.messages_sent,
+            ),
+            (
+                "comm/messages_received",
+                stats.messages_received - self.prev_stats.messages_received,
+            ),
+        ]);
         let wait_delta = stats
             .recv_wait_hist
             .delta_since(&self.prev_stats.recv_wait_hist);
@@ -1392,14 +1389,6 @@ impl<'r> DistributedSim<'r> {
         }
     }
 
-    /// Reset accumulated timings (e.g. after warmup). The telemetry tree
-    /// keeps accruing; only the derived [`StepTimings`] view restarts.
-    pub fn reset_timings(&mut self) {
-        self.timings_base = self.derive_timings();
-        self.steps_base = self.step;
-        self.timings = StepTimings::default();
-    }
-
     /// Current simulation time.
     pub fn time(&self) -> f64 {
         self.time
@@ -1433,7 +1422,6 @@ impl<'r> DistributedSim<'r> {
     pub fn set_progress(&mut self, time: f64, step: usize, window_shifts: usize) {
         self.time = time;
         self.step = step;
-        self.steps_base = self.steps_base.min(step);
         self.window_shifts = window_shifts;
         self.prev_window_shifts = window_shifts;
         // A progress jump (restore / rollback) invalidates the health

@@ -364,6 +364,62 @@ fn simd_isa_instantiations_are_bit_exact() {
     }
 }
 
+/// The AoS layout ablation kernel (Sec. 5.1.1) runs the arithmetic of the
+/// SoA cellwise kernel at rung 4 and only loads its cells differently, so
+/// it is bit-identical to it — under every ISA, hence across ISAs.
+#[test]
+fn aos_variant_matches_soa_cellwise() {
+    use eutectica_core::kernels::simd_phi::phi_sweep_cellwise_aos;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+    let dims = GridDims::cube(8);
+    let mut s = BlockState::new(dims, [0, 0, 2]);
+    for z in 0..dims.tz() {
+        for y in 0..dims.ty() {
+            for x in 0..dims.tx() {
+                let raw: [f64; 4] = core::array::from_fn(|_| rng.random_range(0.0..1.0));
+                s.phi_src.set_cell(x, y, z, project_to_simplex(raw));
+                s.mu_src.set_cell(
+                    x,
+                    y,
+                    z,
+                    [rng.random_range(-0.2..0.2), rng.random_range(-0.2..0.2)],
+                );
+            }
+        }
+    }
+    let params = ModelParams::ag_al_cu();
+    let aos = s.phi_src.to_aos();
+    let mut first: Option<Vec<u64>> = None;
+    for isa in isas() {
+        // SoA cellwise (T(z) + staggered buffer, no shortcuts).
+        let mut c = cfg(
+            PhiVariant::SimdCellwise,
+            MuVariant::SimdFourCell,
+            true,
+            true,
+            false,
+        );
+        c.isa = isa;
+        let mut soa = s.clone();
+        phi_sweep(&params, &mut soa, 1.0, c);
+        let mut out = s.phi_dst.clone();
+        phi_sweep_cellwise_aos(&params, &aos, &s.mu_src, &mut out, 2, 1.0, isa);
+        for comp in 0..4 {
+            for (x, y, z) in dims.interior_iter() {
+                let a = soa.phi_dst.at(comp, x, y, z);
+                let b = out.at(comp, x, y, z);
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{isa:?} phi[{comp}]@({x},{y},{z}): {a} vs {b}"
+                );
+            }
+        }
+        let bits: Vec<u64> = out.raw().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(first.get_or_insert_with(|| bits.clone()), &bits, "{isa:?}");
+    }
+}
+
 /// Bitwise equality of the evolved source fields (post-swap).
 fn bits_equal(a: &BlockState, b: &BlockState) -> bool {
     for c in 0..4 {

@@ -196,17 +196,6 @@ impl TriMesh {
         Ok(())
     }
 
-    /// Write Wavefront OBJ.
-    pub fn write_obj(&self, w: &mut impl Write) -> std::io::Result<()> {
-        for v in &self.vertices {
-            writeln!(w, "v {} {} {}", v[0], v[1], v[2])?;
-        }
-        for t in &self.triangles {
-            writeln!(w, "f {} {} {}", t[0] + 1, t[1] + 1, t[2] + 1)?;
-        }
-        Ok(())
-    }
-
     /// Serialize to a byte payload (for the gather step of the hierarchical
     /// reduction over ranks).
     pub fn to_bytes(&self) -> bytes::Bytes {
@@ -349,15 +338,10 @@ mod tests {
     }
 
     #[test]
-    fn stl_and_obj_have_expected_sizes() {
+    fn stl_has_expected_size() {
         let m = unit_tetrahedron();
         let mut stl = Vec::new();
         m.write_stl(&mut stl).unwrap();
         assert_eq!(stl.len(), 80 + 4 + 4 * 50);
-        let mut obj = Vec::new();
-        m.write_obj(&mut obj).unwrap();
-        let text = String::from_utf8(obj).unwrap();
-        assert_eq!(text.lines().filter(|l| l.starts_with("v ")).count(), 4);
-        assert_eq!(text.lines().filter(|l| l.starts_with("f ")).count(), 4);
     }
 }

@@ -39,7 +39,7 @@ impl Default for ReduceOptions {
 }
 
 /// Stitch `b` into `a` (append + weld) and coarsen the result.
-pub fn stitch_and_coarsen(a: &mut TriMesh, b: &TriMesh, opts: &ReduceOptions) {
+fn stitch_and_coarsen(a: &mut TriMesh, b: &TriMesh, opts: &ReduceOptions) {
     a.append(b);
     a.weld(opts.weld_eps);
     simplify(a, opts.simplify, |_| false);

@@ -625,7 +625,7 @@ impl InSituObserver {
 
 /// Telemetry counters/gauges as one `{"type":"metrics"}` frame, read via
 /// the torn-read-safe [`Telemetry::sample`] cut.
-pub fn metrics_frame(tel: &Telemetry, step: usize, time: f64) -> String {
+fn metrics_frame(tel: &Telemetry, step: usize, time: f64) -> String {
     let snap = tel.sample().metrics;
     let mut counters = JsonObject::new();
     for (k, v) in &snap.counters {

@@ -95,7 +95,7 @@ pub fn all_machines() -> [MachineProfile; 3] {
 /// Ghost-message volumes per step for a block of `b` cells per rank:
 /// the φ field sends 4 components, µ sends 2; both exchange one ghost layer
 /// per face per step (Algorithm 1).
-pub fn halo_bytes_per_face(block: [usize; 3]) -> [usize; 3] {
+fn halo_bytes_per_face(block: [usize; 3]) -> [usize; 3] {
     let f = 8; // f64 on the wire
     let comps = 4 + 2;
     [

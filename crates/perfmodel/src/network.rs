@@ -67,7 +67,7 @@ impl Topology {
     }
 
     /// Effective bandwidth derate ∈ (0, 1] for halo traffic at `ranks`.
-    pub fn bandwidth_derate(&self, ranks: usize) -> f64 {
+    fn bandwidth_derate(&self, ranks: usize) -> f64 {
         let remote = self.remote_fraction(ranks);
         match self {
             Topology::PrunedFatTree { pruning, .. } => 1.0 / (1.0 + remote * (pruning - 1.0)),
@@ -77,7 +77,7 @@ impl Topology {
     }
 
     /// Latency multiplier (average extra hops) at `ranks`.
-    pub fn latency_factor(&self, ranks: usize) -> f64 {
+    fn latency_factor(&self, ranks: usize) -> f64 {
         match self {
             Topology::PrunedFatTree { island_ranks, .. } => {
                 if ranks <= *island_ranks {

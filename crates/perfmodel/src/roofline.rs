@@ -9,7 +9,7 @@
 //! 80 GiB/s : 680 B/LUP = 126.3 MLUP/s."
 
 use eutectica_core::metrics::FlopCount;
-use eutectica_simd::SimdF64x4;
+use eutectica_simd::{IsaGeneric, SimdF64x4};
 use std::time::Instant;
 
 /// Measured machine characteristics.
@@ -47,46 +47,37 @@ pub fn measure_stream_bandwidth() -> f64 {
 /// Returns FLOP/s (each FMA counts as 2 FLOPs × 4 lanes).
 ///
 /// Dispatched at runtime exactly like the kernels it is compared with
-/// (`eutectica_core::kernels`): the AVX2+FMA instantiation inside a
-/// `#[target_feature]` wrapper when the host has it, the portable one
-/// otherwise. The compile-time `eutectica_simd::F64x4` alias would be the
-/// scalar backend in a default build — a libm `fma` call per lane, some
-/// 40x below what the dispatched kernels actually run on.
+/// (`eutectica_core::kernels`): the AVX2+FMA instantiation when the host
+/// has it, the portable one — a libm `fma` call per lane, some 40x slower —
+/// otherwise.
 pub fn measure_peak_flops() -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    if eutectica_simd::avx2_available() {
-        // SAFETY: `avx2_available()` verified AVX2+FMA at runtime.
-        return unsafe { fma_chains_avx2() };
-    }
-    fma_chains::<eutectica_simd::scalar::F64x4>()
+    eutectica_simd::dispatch(true, FmaChains)
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-fn fma_chains_avx2() -> f64 {
-    fma_chains::<eutectica_simd::avx2::F64x4>()
-}
+struct FmaChains;
 
-/// `#[inline(always)]` so the chains are code-generated inside the
-/// `#[target_feature]` wrapper (see `eutectica_core::kernels::simd_common`).
-#[inline(always)]
-fn fma_chains<V: SimdF64x4>() -> f64 {
-    let iters: u64 = 4_000_000;
-    let mut acc = [V::splat(0.0); 8];
-    let x = V::splat(1.000000001);
-    let y = V::splat(1e-9);
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t = Instant::now();
-        for _ in 0..iters {
-            for a in acc.iter_mut() {
-                *a = x.mul_add(*a, y);
+impl IsaGeneric for FmaChains {
+    type Output = f64;
+
+    #[inline(always)]
+    fn run<V: SimdF64x4>(self) -> f64 {
+        let iters: u64 = 4_000_000;
+        let mut acc = [V::splat(0.0); 8];
+        let x = V::splat(1.000000001);
+        let y = V::splat(1e-9);
+        let mut best = f64::INFINITY;
+        for _ in 0..3 {
+            let t = Instant::now();
+            for _ in 0..iters {
+                for a in acc.iter_mut() {
+                    *a = x.mul_add(*a, y);
+                }
             }
+            std::hint::black_box(&acc);
+            best = best.min(t.elapsed().as_secs_f64());
         }
-        std::hint::black_box(&acc);
-        best = best.min(t.elapsed().as_secs_f64());
+        (iters * 8 * 2 * 4) as f64 / best
     }
-    (iters * 8 * 2 * 4) as f64 / best
 }
 
 /// Result of the roofline analysis for one kernel.
@@ -171,7 +162,7 @@ mod tests {
         let pf = measure_peak_flops();
         assert!(pf > 1e9, "peak {pf} implausibly low");
         // The probe is dispatched like the kernels: on an AVX2+FMA host it
-        // must not read the scalar backend's libm-`fma` rate (< 1 GFLOP/s).
+        // must not read the portable backend's libm-`fma` rate (< 1 GFLOP/s).
         if eutectica_simd::avx2_available() {
             assert!(pf > 5e9, "peak {pf} is not an AVX2 FMA rate");
         }

@@ -219,7 +219,7 @@ impl Precision {
 /// Validate header-supplied grid dimensions against `budget` (bytes of
 /// in-memory [`BlockState`] they would allocate) *before* any allocation.
 /// All arithmetic is checked, so `u64::MAX`-style values fail cleanly.
-pub fn validate_dims(
+fn validate_dims(
     nx: u64,
     ny: u64,
     nz: u64,
@@ -621,7 +621,7 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// Same policy with the jitter stream re-seeded.
-    pub fn with_seed(mut self, seed: u64) -> Self {
+    fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
     }
@@ -644,7 +644,7 @@ fn splitmix64(mut x: u64) -> u64 {
 /// scaled by a seeded uniform draw. Pure — `(policy, attempt)` fully
 /// determines the delay, so the whole schedule is reproducible and
 /// unit-testable without sleeping.
-pub fn retry_delay(policy: RetryPolicy, attempt: u32) -> Duration {
+fn retry_delay(policy: RetryPolicy, attempt: u32) -> Duration {
     let base = policy.backoff.as_secs_f64() * 2f64.powi(attempt.min(20) as i32);
     let base = base.min(MAX_BACKOFF.as_secs_f64());
     let j = policy.jitter.clamp(0.0, 1.0);
@@ -658,7 +658,7 @@ pub fn retry_delay(policy: RetryPolicy, attempt: u32) -> Duration {
 /// and deterministic seeded jitter (see [`retry_delay`]). Non-I/O errors
 /// (corruption, incompatibility) are returned immediately — retrying cannot
 /// fix them.
-pub fn retry_io<T>(
+fn retry_io<T>(
     policy: RetryPolicy,
     mut f: impl FnMut() -> Result<T, CkptError>,
 ) -> Result<T, CkptError> {
@@ -679,7 +679,7 @@ pub fn retry_io<T>(
 /// [`atomic_write`] wrapped in [`retry_io`]. The tmp+rename sequence is
 /// idempotent, so re-running the whole write after a transient failure is
 /// safe — a reader never observes a torn final file.
-pub fn atomic_write_retry(path: &Path, bytes: &[u8], policy: RetryPolicy) -> Result<(), CkptError> {
+fn atomic_write_retry(path: &Path, bytes: &[u8], policy: RetryPolicy) -> Result<(), CkptError> {
     retry_io(policy, || atomic_write(path, bytes))
 }
 

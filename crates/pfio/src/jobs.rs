@@ -22,7 +22,7 @@ use eutectica_core::state::BlockState;
 use crate::ckpt::{self, CkptError, Manifest, Precision};
 
 /// The checkpoint namespace of campaign job `job` under the campaign root.
-pub fn job_root(root: &Path, job: u32) -> PathBuf {
+fn job_root(root: &Path, job: u32) -> PathBuf {
     root.join(format!("job_{job:05}"))
 }
 

@@ -25,66 +25,10 @@ pub mod jobs;
 pub mod replica;
 pub mod resilient;
 
-use std::io::{Read, Write};
+use std::io::Write;
 
-use eutectica_blockgrid::decomp::{Decomposition, DomainSpec};
 use eutectica_core::state::BlockState;
 use eutectica_core::{N_COMP, N_PHASES};
-
-/// Magic bytes of a block-structure file.
-const BS_MAGIC: &[u8; 8] = b"EUTECBS1";
-
-/// Persist the block structure. waLBerla's "initialization can be executed
-/// independently of the actual simulation. The resulting block structure is
-/// then stored in a file to be loaded by the simulation at runtime"
-/// (Sec. 3.1). The decomposition is deterministic from the domain spec, so
-/// the file stores the spec and the loader rebuilds the block graph.
-pub fn write_block_structure(w: &mut impl Write, spec: &DomainSpec) -> std::io::Result<()> {
-    w.write_all(BS_MAGIC)?;
-    for v in spec.cells.iter().chain(spec.blocks.iter()) {
-        w.write_all(&(*v as u64).to_le_bytes())?;
-    }
-    for p in spec.periodic {
-        w.write_all(&[p as u8])?;
-    }
-    Ok(())
-}
-
-/// Load a block structure written by [`write_block_structure`] and rebuild
-/// the full decomposition (block descriptors + neighbor topology).
-pub fn read_block_structure(r: &mut impl Read) -> std::io::Result<Decomposition> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != BS_MAGIC {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "not a eutectica block-structure file",
-        ));
-    }
-    let mut buf = [0u8; 8];
-    let mut read_u64 = |r: &mut dyn Read| -> std::io::Result<u64> {
-        r.read_exact(&mut buf)?;
-        Ok(u64::from_le_bytes(buf))
-    };
-    let cells = [
-        read_u64(r)? as usize,
-        read_u64(r)? as usize,
-        read_u64(r)? as usize,
-    ];
-    let blocks = [
-        read_u64(r)? as usize,
-        read_u64(r)? as usize,
-        read_u64(r)? as usize,
-    ];
-    let mut pb = [0u8; 3];
-    r.read_exact(&mut pb)?;
-    let spec = DomainSpec {
-        cells,
-        blocks,
-        periodic: [pb[0] != 0, pb[1] != 0, pb[2] != 0],
-    };
-    Ok(Decomposition::new(spec))
-}
 
 /// Checkpoint-cadence planning: "Writing a checkpoint can take a
 /// significant amount of time compared to a simulation time step, therefore
@@ -205,22 +149,6 @@ mod tests {
         let framing = block_file_size(GridDims::new(1, 1, 1, 1), Precision::F32) - 6 * 4;
         let payload = block_file_size(GridDims::new(10, 10, 10, 1), Precision::F32) - framing;
         assert_eq!(payload, 1000 * 6 * 4);
-    }
-
-    #[test]
-    fn block_structure_roundtrip() {
-        let spec = DomainSpec::directional([48, 24, 96], [4, 2, 3]);
-        let mut buf = Vec::new();
-        write_block_structure(&mut buf, &spec).unwrap();
-        let d = read_block_structure(&mut buf.as_slice()).unwrap();
-        assert_eq!(d.spec, spec);
-        let direct = Decomposition::new(spec);
-        assert_eq!(d.blocks().len(), direct.blocks().len());
-        for (a, b) in d.blocks().iter().zip(direct.blocks()) {
-            assert_eq!(a, b);
-        }
-        // Garbage is rejected.
-        assert!(read_block_structure(&mut &b"NOTABS.."[..]).is_err());
     }
 
     #[test]

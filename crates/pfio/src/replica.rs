@@ -35,7 +35,7 @@ fn fetch_tag(nb: usize, id: usize) -> Tag {
 
 /// The buddy of `r` in the alive ring: the next alive rank, cyclically.
 /// With a single alive rank the buddy is `r` itself (no redundancy left).
-pub fn buddy_of(alive: &[usize], r: usize) -> usize {
+fn buddy_of(alive: &[usize], r: usize) -> usize {
     let i = alive
         .iter()
         .position(|&a| a == r)

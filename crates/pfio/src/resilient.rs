@@ -23,7 +23,7 @@
 //! to the newest checkpoint set that restores cleanly **and** itself scans
 //! healthy (poisoned sets — written after the corruption — are skipped in
 //! descending step order), applies the configured remediation (simplex
-//! re-projection, optional dt-reduction for K steps), and keeps running.
+//! re-projection), and keeps running.
 //! After [`RecoveryPolicy::max_rollbacks`] in-flight rollbacks the attempt
 //! escalates to a full restart via a typed [`RankFailure`]; only when every
 //! attempt is exhausted does the driver give up with
@@ -341,20 +341,6 @@ impl Cadence {
     }
 }
 
-/// Temporary time-step reduction applied after an in-flight rollback.
-///
-/// Breaks bit-identity with an uninjected run (the recovered trajectory
-/// integrates with a different dt for a while), so it is off by default —
-/// enable it when corruption correlates with stiffness rather than with
-/// radiation-style bit upsets.
-#[derive(Clone, Copy, Debug)]
-pub struct DtReduction {
-    /// Multiply dt by this factor (0 < factor < 1) right after rollback.
-    pub factor: f64,
-    /// Restore the original dt after this many post-rollback steps.
-    pub steps: usize,
-}
-
 /// Silent-corruption recovery policy of [`run_resilient`].
 #[derive(Clone, Debug, Default)]
 pub struct RecoveryPolicy {
@@ -371,20 +357,17 @@ pub struct RecoveryPolicy {
     /// Re-project φ onto the Gibbs simplex after each rollback (a no-op on
     /// valid restored states, so bit-identity is preserved).
     pub project_simplex: bool,
-    /// Optional dt-reduction remediation after each rollback.
-    pub dt_reduction: Option<DtReduction>,
 }
 
 impl RecoveryPolicy {
     /// Recovery with health scans enabled and default remediation
-    /// (simplex re-projection, 3 rollbacks per attempt, no dt-reduction).
+    /// (simplex re-projection, 3 rollbacks per attempt).
     pub fn with_health(health: HealthConfig) -> Self {
         Self {
             health: Some(health),
             field_fault_plans: Vec::new(),
             max_rollbacks: 3,
             project_simplex: true,
-            dt_reduction: None,
         }
     }
 }
@@ -968,7 +951,6 @@ where
             let mut sched = cadence.scheduler();
             let mut rollbacks = 0usize;
             let mut shrinks = 0usize;
-            let mut dt_restore: Option<(usize, f64)> = None;
             let mut replica = match &shrink_cfg {
                 Some(sp) if sp.source == ShrinkSource::Buddy => Some(ReplicaStore::new(budget)),
                 _ => None,
@@ -1016,12 +998,6 @@ where
                     continue;
                 }
                 let one_step = || -> Result<(), RankFailure> {
-                    if let Some((until, dt0)) = dt_restore {
-                        if sim.step_index() >= until {
-                            sim.params.dt = dt0;
-                            dt_restore = None;
-                        }
-                    }
                     rank.fault_step(sim.step_index() as u64);
                     let t0 = Instant::now();
                     sim.step();
@@ -1060,12 +1036,6 @@ where
                                     h.simplex_tol
                                 });
                             sim.project_phi_to_simplex(tol);
-                        }
-                        if let Some(dr) = recovery.dt_reduction {
-                            if dt_restore.is_none() {
-                                dt_restore = Some((sim.step_index() + dr.steps, sim.params.dt));
-                            }
-                            sim.params.dt *= dr.factor;
                         }
                         return Ok(());
                     }

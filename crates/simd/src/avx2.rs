@@ -1,20 +1,18 @@
 //! AVX2 + FMA backend.
 //!
-//! Compiled on every x86-64 target. When the build itself targets AVX2+FMA
-//! (e.g. `-C target-cpu=native`) this type is also the crate-level
-//! [`crate::F64x4`] alias; otherwise it is reached through the runtime
-//! dispatch layer, whose `#[target_feature(enable = "avx2,fma")]` kernel
-//! wrappers (gated by [`crate::avx2_available`]) give LLVM the features for
-//! real 256-bit codegen. Outside such wrappers the intrinsics are still
-//! legal — LLVM legalizes them to narrower operations with identical
-//! semantics — so compiling this module featureless is safe, just slower.
+//! Compiled on every x86-64 target and reached through [`crate::dispatch`],
+//! whose `#[target_feature]` wrapper (gated by
+//! [`crate::avx2_available`]) gives LLVM the features for real 256-bit
+//! codegen. Outside that wrapper the intrinsics are still legal — LLVM
+//! legalizes them to narrower operations with identical semantics — so
+//! using this type featureless (as the equivalence tests below do) is safe,
+//! just slower.
 //!
 //! Each operation documents the instruction(s) it maps to. The
 //! backend-equivalence tests at the bottom verify bit-exact agreement with
 //! the [`crate::scalar`] reference for every operation (the scalar backend
 //! deliberately mirrors AVX2 summation order and FMA rounding).
 
-#[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::*;
 use core::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 

@@ -4,23 +4,23 @@
 //! SC'15 paper describes in Sec. 3.3: a common API over the machine's vector
 //! extensions so the explicitly vectorized φ- and µ-kernels stay portable.
 //! The paper's layer covered SSE2/SSE4/AVX/AVX2 and Blue Gene/Q QPX; ours
-//! provides
+//! provides two concrete backends with the same inherent API,
 //!
-//! * an **AVX2 + FMA backend** ([`avx2`]), compiled on every x86-64 target
-//!   and selected either at compile time (when the build targets a CPU with
-//!   those extensions, e.g. `-C target-cpu=native`) or at *runtime* through
-//!   the [`SimdF64x4`] trait plus [`avx2_available`] feature detection, and
-//! * a **portable scalar backend** ([`scalar`]) used on other targets or when
-//!   the `force-scalar` feature is enabled (used by the optimization-ladder
-//!   benchmarks to isolate the benefit of explicit vectorization).
+//! * [`avx2::F64x4`], AVX2 + FMA intrinsics, compiled on every x86-64
+//!   target, and
+//! * [`scalar::F64x4`], the portable reference the AVX2 backend is tested
+//!   against bit for bit (same summation order, same FMA rounding),
 //!
-//! All operations are provided on the 4-lane vector type [`F64x4`] and its
-//! comparison-mask companion [`Mask4`] — and, backend-generically, through
-//! the [`SimdF64x4`] / [`SimdMask4`] traits, which let callers write a
-//! kernel once and instantiate it per ISA for runtime dispatch. Like the
-//! paper's API, not every function maps to a single instruction on every
-//! ISA: lane permutes are one `vpermpd` on AVX2 but shuffles in the scalar
-//! backend; the API hides the difference.
+//! the [`SimdF64x4`] / [`SimdMask4`] traits over both, so a kernel is
+//! written once as `fn kernel<V: SimdF64x4>(..)`, and **one** way to pick
+//! the instantiation: [`dispatch`], at runtime, from [`avx2_available`].
+//! There is no compile-time alias and no cargo feature — a build never has
+//! to target AVX2 to run AVX2 code, and cannot be configured to mislabel
+//! the portable backend as "SIMD".
+//!
+//! Like the paper's API, not every function maps to a single instruction on
+//! every ISA: lane permutes are one `vpermpd` on AVX2 but shuffles in the
+//! scalar backend; the API hides the difference.
 //!
 //! The width of 4 doubles is not arbitrary: the paper vectorizes the φ-kernel
 //! *cellwise*, mapping the **four phase-field components of one cell** to the
@@ -30,7 +30,7 @@
 //! # Example
 //!
 //! ```
-//! use eutectica_simd::F64x4;
+//! use eutectica_simd::scalar::F64x4;
 //!
 //! let phi = F64x4::from_array([0.1, 0.2, 0.3, 0.4]);
 //! let sum = phi.hsum_splat();              // Σφ broadcast to all lanes
@@ -46,86 +46,20 @@ pub mod vector;
 
 pub use vector::{SimdF64x4, SimdMask4};
 
-// The AVX2 backend is compiled on every x86-64 build (not only when the
-// build *targets* AVX2): its intrinsics are legal to compile without the
-// target feature, and the runtime-dispatch layer in `eutectica-core`
-// instantiates the kernels with it inside `#[target_feature]` wrappers
-// gated by `avx2_available()`. `force-scalar` only removes it from the
-// *selectable* backends, so the forced-fallback build still type-checks.
+// Compiled on every x86-64 build, not only when the build *targets* AVX2:
+// the intrinsics are legal to compile without the target feature, and
+// [`dispatch`] instantiates kernels with them under `#[target_feature]`.
 #[cfg(target_arch = "x86_64")]
 pub mod avx2;
 
-#[cfg(all(
-    target_arch = "x86_64",
-    target_feature = "avx2",
-    target_feature = "fma",
-    not(feature = "force-scalar")
-))]
-pub use avx2::{F64x4, Mask4};
-
-#[cfg(not(all(
-    target_arch = "x86_64",
-    target_feature = "avx2",
-    target_feature = "fma",
-    not(feature = "force-scalar")
-)))]
-pub use scalar::{F64x4, Mask4};
-
-/// Number of lanes in [`F64x4`].
-pub const LANES: usize = 4;
-
-/// Name of the backend selected at compile time (`"avx2"` or `"scalar"`).
-///
-/// Reported by the benchmark harness so figure outputs record which ISA the
-/// measurements were taken with.
-pub const BACKEND: &str = {
-    #[cfg(all(
-        target_arch = "x86_64",
-        target_feature = "avx2",
-        target_feature = "fma",
-        not(feature = "force-scalar")
-    ))]
-    {
-        "avx2"
-    }
-    #[cfg(not(all(
-        target_arch = "x86_64",
-        target_feature = "avx2",
-        target_feature = "fma",
-        not(feature = "force-scalar")
-    )))]
-    {
-        "scalar"
-    }
-};
-
-/// True when the AVX2 + FMA backend may be *selected* at runtime: the host
-/// CPU supports both extensions and the `force-scalar` feature is off.
+/// True when the host CPU supports AVX2 + FMA.
 ///
 /// This is a runtime check (`is_x86_feature_detected!`), independent of the
 /// features the binary was compiled with — a build without
 /// `-C target-cpu=native` still returns true on an AVX2-capable host, which
-/// is exactly the case the runtime-dispatched kernels exist for.
+/// is exactly the case [`dispatch`] exists for.
 #[inline]
 pub fn avx2_available() -> bool {
-    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-    {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    }
-    #[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
-    {
-        false
-    }
-}
-
-/// True when the host CPU itself supports AVX2 + FMA, *ignoring* the
-/// `force-scalar` feature. Together with [`avx2_available`] this
-/// distinguishes "the host can't" from "the build refuses": a true here
-/// with a false there means the binary is deliberately degraded, which the
-/// solver surfaces as a one-time rank-0 warning instead of silently
-/// benchmarking scalar code under a "SIMD" label.
-#[inline]
-pub fn host_has_avx2() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
@@ -136,15 +70,49 @@ pub fn host_has_avx2() -> bool {
     }
 }
 
-/// Name of the best backend selectable at *runtime* on this host
-/// (`"avx2"` or `"scalar"`), as opposed to the compile-time [`BACKEND`].
+/// A computation written once over the vector backend `V`, to be
+/// instantiated per ISA by [`dispatch`].
+pub trait IsaGeneric {
+    /// What the computation returns.
+    type Output;
+
+    /// Run with backend `V`.
+    ///
+    /// Implementations must be `#[inline(always)]`, and so must every
+    /// generic fn they call that touches a `V`; nothing that touches a `V`
+    /// may be a closure (a `core::array::from_fn(|a| …)` callback is one).
+    /// The AVX2 instantiation only becomes AVX2 machine code when the whole
+    /// body is inlined into [`dispatch`]'s `#[target_feature]` wrapper: a
+    /// closure is its own LLVM function that neither inherits the wrapper's
+    /// features nor accepts `#[inline(always)]`, and left out of line it
+    /// turns every intrinsic into a real call with operands through memory
+    /// (2–20x slower, measured, and still bit-identical, so no test
+    /// notices). `.github/scripts/kernel-codegen.sh` checks the release
+    /// binaries for both symptoms.
+    fn run<V: SimdF64x4>(self) -> Self::Output;
+}
+
+/// Run `kernel` with the best backend allowed: the AVX2 + FMA instantiation
+/// when `allow_avx2` and the host has both extensions, else the portable
+/// one. The two are bit-identical, so the choice only affects speed.
+///
+/// This is the only place in the workspace that enables a target feature,
+/// and therefore the only place that has to pair it with the runtime check.
 #[inline]
-pub fn runtime_backend() -> &'static str {
-    if avx2_available() {
-        "avx2"
-    } else {
-        "scalar"
+pub fn dispatch<K: IsaGeneric>(allow_avx2: bool, kernel: K) -> K::Output {
+    if allow_avx2 && avx2_available() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `avx2_available()` just verified AVX2 and FMA on this CPU,
+        // the only requirement of `avx2_entry`.
+        return unsafe { avx2_entry(kernel) };
     }
+    kernel.run::<scalar::F64x4>()
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+fn avx2_entry<K: IsaGeneric>(kernel: K) -> K::Output {
+    kernel.run::<avx2::F64x4>()
 }
 
 /// Scalar fast inverse square root (Lomont's method, double precision).
@@ -188,21 +156,30 @@ mod tests {
         }
     }
 
+    /// Arithmetic, FMA, compare/select, horizontal, permute and rsqrt ops
+    /// in one expression.
+    struct Mix([f64; 4], [f64; 4]);
+
+    impl IsaGeneric for Mix {
+        type Output = [f64; 4];
+
+        #[inline(always)]
+        fn run<V: SimdF64x4>(self) -> [f64; 4] {
+            let (a, b) = (V::from_array(self.0), V::from_array(self.1));
+            let m = a.gt(b);
+            let v = m.select(a.mul_add(b, V::splat(1.0)), (a + b).hsum_splat());
+            (v.rsqrt_fast(2) * v.abs().sqrt())
+                .permute::<3, 0, 1, 2>()
+                .to_array()
+        }
+    }
+
     #[test]
-    fn backend_is_reported() {
-        assert!(BACKEND == "avx2" || BACKEND == "scalar");
-        assert!(runtime_backend() == "avx2" || runtime_backend() == "scalar");
-        // The compile-time backend is never better than what the host
-        // supports at runtime (avx2 alias implies an avx2-capable host,
-        // unless force-scalar hides it).
-        if BACKEND == "avx2" {
-            assert!(avx2_available());
-        }
-        #[cfg(feature = "force-scalar")]
-        {
-            assert_eq!(BACKEND, "scalar");
-            assert!(!avx2_available());
-            assert_eq!(runtime_backend(), "scalar");
-        }
+    fn dispatch_is_bit_identical_with_and_without_avx2() {
+        let (a, b) = ([1.0, 2.5, 3.5, 0.25], [0.5, 4.0, 3.5, 1.0]);
+        let portable = dispatch(false, Mix(a, b));
+        let best = dispatch(true, Mix(a, b));
+        assert_eq!(portable.map(f64::to_bits), best.map(f64::to_bits));
+        assert!(portable.iter().all(|x| x.is_finite() && *x > 0.0));
     }
 }

@@ -3,10 +3,8 @@
 //! [`SimdF64x4`] abstracts the 4-wide f64 vector API over the concrete
 //! backends ([`crate::scalar::F64x4`] and, on x86-64, [`crate::avx2::F64x4`])
 //! so the explicitly vectorized kernels in `eutectica-core` can be written
-//! once and *instantiated per ISA*. The monomorphic instantiations are then
-//! selected at runtime (feature detection + autotuning) instead of at
-//! compile time — the compile-time `cfg(target_feature)` alias remains as
-//! the default instantiation.
+//! once and *instantiated per ISA* by [`crate::dispatch`], which selects
+//! the monomorphic instantiation at runtime (feature detection).
 //!
 //! Both backends implement every operation with identical semantics (same
 //! summation order, same FMA rounding — asserted bit-for-bit by the

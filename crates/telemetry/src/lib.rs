@@ -37,8 +37,7 @@
 //! handle ([`Telemetry::disabled`]) makes [`Telemetry::span`] and every
 //! metric update a branch-and-return — no clock read, no allocation, no
 //! thread-local access — so instrumented code paths stay numerically and
-//! (near) temporally identical to uninstrumented ones. Building with the
-//! `off` feature compiles all of it out entirely.
+//! (near) temporally identical to uninstrumented ones.
 
 mod json;
 mod metrics;
@@ -224,7 +223,7 @@ impl Telemetry {
     /// Whether this handle records anything at all.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        !cfg!(feature = "off") && self.inner.enabled
+        self.inner.enabled
     }
 
     /// Rank this collector was created for.
@@ -270,7 +269,7 @@ impl Telemetry {
     }
 
     /// The membership epoch currently stamped onto samples.
-    pub fn membership_epoch(&self) -> u64 {
+    fn membership_epoch(&self) -> u64 {
         self.inner.membership_epoch.load(Ordering::SeqCst)
     }
 
@@ -365,20 +364,6 @@ impl Telemetry {
         Lane {
             tel: self.clone(),
             prefix: prefix.to_string(),
-        }
-    }
-
-    /// Record one observation into the named log2-bucket histogram.
-    #[inline]
-    pub fn hist_record(&self, name: &str, value: u64) {
-        if self.is_enabled() {
-            let shard = self.shard();
-            lock(&shard.state)
-                .metrics
-                .histograms
-                .entry(name.to_string())
-                .or_default()
-                .record(value);
         }
     }
 
@@ -542,7 +527,7 @@ pub struct Lane {
 
 impl Lane {
     /// The full metric name this lane records `name` under.
-    pub fn scoped(&self, name: &str) -> String {
+    fn scoped(&self, name: &str) -> String {
         format!("{}/{}", self.prefix, name)
     }
 
@@ -554,11 +539,6 @@ impl Lane {
     /// [`Telemetry::gauge_set`] under this lane's prefix.
     pub fn gauge_set(&self, name: &str, value: f64) {
         self.tel.gauge_set(&self.scoped(name), value);
-    }
-
-    /// [`Telemetry::hist_record`] under this lane's prefix.
-    pub fn hist_record(&self, name: &str, value: u64) {
-        self.tel.hist_record(&self.scoped(name), value);
     }
 }
 
@@ -706,7 +686,6 @@ impl TimingTreeSnapshot {
 mod tests {
     use super::*;
 
-    #[cfg(not(feature = "off"))]
     #[test]
     fn lanes_prefix_metric_names() {
         let tel = Telemetry::new(0);
@@ -720,9 +699,6 @@ mod tests {
         assert_eq!(lane.scoped("rollbacks"), "campaign/job/3/rollbacks");
     }
 
-    // Asserts enabled-mode collection; meaningless when spans are compiled
-    // out with the `off` feature.
-    #[cfg(not(feature = "off"))]
     #[test]
     fn spans_nest_and_accumulate() {
         let tel = Telemetry::new(0);
@@ -775,7 +751,6 @@ mod tests {
         assert!(tel.metrics_snapshot().counters.is_empty());
     }
 
-    #[cfg(not(feature = "off"))]
     #[test]
     fn metrics_registry_accumulates() {
         let tel = Telemetry::new(0);
@@ -783,9 +758,11 @@ mod tests {
         tel.counter_add("bytes", 5);
         tel.gauge_set("mlups", 1.5);
         tel.gauge_set("mlups", 2.5);
-        tel.hist_record("wait_ns", 0);
-        tel.hist_record("wait_ns", 1);
-        tel.hist_record("wait_ns", 1000);
+        let mut waits = Histogram::default();
+        for ns in [0, 1, 1000] {
+            waits.record(ns);
+        }
+        tel.hist_merge("wait_ns", &waits);
         let m = tel.metrics_snapshot();
         assert_eq!(m.counters["bytes"], 15);
         assert_eq!(m.gauges["mlups"], 2.5);
@@ -794,7 +771,6 @@ mod tests {
         assert_eq!(h.sum(), 1001);
     }
 
-    #[cfg(not(feature = "off"))]
     #[test]
     fn spans_and_metrics_from_worker_threads_merge() {
         let tel = Telemetry::new(3);
@@ -808,7 +784,9 @@ mod tests {
                         let t = tel.clone();
                         let _g = t.span_cat("phi_slab", "compute");
                         t.counter_add("cells", 7);
-                        t.hist_record("slab_ns", 42);
+                        let mut slab = Histogram::default();
+                        slab.record(42);
+                        t.hist_merge("slab_ns", &slab);
                     });
                 }
             });
@@ -835,7 +813,6 @@ mod tests {
         );
     }
 
-    #[cfg(not(feature = "off"))]
     #[test]
     fn gauge_merge_prefers_the_building_thread() {
         let tel = Telemetry::new(0);
@@ -852,7 +829,6 @@ mod tests {
         assert_send_sync::<Telemetry>();
     }
 
-    #[cfg(not(feature = "off"))]
     #[test]
     fn sample_matches_individual_snapshots_when_quiescent() {
         let tel = Telemetry::new(0);
@@ -873,7 +849,6 @@ mod tests {
     /// `ping - pong ∈ {0, 1}`. A sampler using the all-locks-at-once cut
     /// must never observe anything else; the one-shard-at-a-time
     /// `metrics_snapshot` can (that is the torn read this guards against).
-    #[cfg(not(feature = "off"))]
     #[test]
     fn sample_sees_a_consistent_cross_shard_cut() {
         use std::sync::atomic::AtomicU64;
@@ -923,7 +898,6 @@ mod tests {
     /// membership epoch *before* recording any post-recovery counter, so a
     /// sample whose counters include post-recovery pongs must carry the new
     /// epoch — counters can never be attributed to the pre-recovery epoch.
-    #[cfg(not(feature = "off"))]
     #[test]
     fn samples_tag_counters_with_the_membership_epoch_across_recovery() {
         use std::sync::atomic::AtomicU64;
@@ -972,7 +946,6 @@ mod tests {
 
     /// `counters_add` batches updates under one lock: a sampler never sees
     /// half the batch, even within a single shard.
-    #[cfg(not(feature = "off"))]
     #[test]
     fn batched_counters_are_atomic_under_sampling() {
         let tel = Telemetry::new(0);

@@ -38,12 +38,12 @@ impl Histogram {
 
     /// Bucket index a value falls into (0 for 0, else `floor(log2(v)) + 1`).
     #[inline]
-    pub fn bucket_of(value: u64) -> usize {
+    fn bucket_of(value: u64) -> usize {
         (64 - value.leading_zeros()) as usize
     }
 
     /// Inclusive lower edge of bucket `i`.
-    pub fn bucket_floor(i: usize) -> u64 {
+    fn bucket_floor(i: usize) -> u64 {
         if i == 0 {
             0
         } else {

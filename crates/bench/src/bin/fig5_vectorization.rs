@@ -3,14 +3,14 @@
 //! cellwise, cellwise-with-shortcuts and four-cell strategies in the
 //! interface, liquid and solid scenarios.
 //!
-//! `--backend <name>` pins the ISA instantiation the strategies run on
-//! (e.g. `simd-portable` to quantify the benefit of explicit AVX2
-//! vectorization, or `simd-avx2` to *require* it — a typed error on hosts
-//! without AVX2+FMA instead of a silent scalar fallback).
+//! `--isa <auto|portable|avx2>` pins the ISA instantiation the strategies
+//! run on (`portable` to quantify the benefit of explicit AVX2
+//! vectorization, `avx2` to *require* it — a typed error on hosts without
+//! AVX2+FMA instead of a silent scalar fallback).
 
-use eutectica_bench::{backend_isa_from_args, f2, phi_mlups, ResultTable};
+use eutectica_bench::{f2, isa_from_args, phi_mlups, ResultTable};
 use eutectica_blockgrid::GridDims;
-use eutectica_core::kernels::{backend, KernelConfig, MuVariant, PhiVariant};
+use eutectica_core::kernels::{KernelConfig, MuVariant, PhiVariant, SimdIsa};
 use eutectica_core::params::ModelParams;
 use eutectica_core::regions::Scenario;
 
@@ -18,15 +18,15 @@ fn main() {
     let params = ModelParams::ag_al_cu();
     let dims = GridDims::cube(60);
     let reps = 5;
-    let isa = backend_isa_from_args();
+    let isa = isa_from_args();
     println!(
         "Fig. 5 — phi-kernel vectorization strategies, block 60^3, SIMD backend: {}",
         isa.resolved_name()
     );
-    if isa.resolved_name() != backend::active_simd_backend() {
+    if isa.resolved_name() != SimdIsa::Auto.resolved_name() {
         println!(
-            "(host's best backend is {}; pinned by --backend)",
-            backend::active_simd_backend()
+            "(host's best backend is {}; pinned by --isa)",
+            SimdIsa::Auto.resolved_name()
         );
     }
     println!();

@@ -2,17 +2,11 @@
 //! µ-kernel (right), run in interface/liquid/solid blocks of 60³ cells:
 //! general-purpose code → basic implementation → +SIMD → +T(z) → +staggered
 //! buffer → +shortcuts.
-
 //!
-//! `--backend <name>` pins the ISA instantiation of the explicitly
-//! vectorized rungs (`simd`, `simd-avx2`, `simd-portable`); `--autotune`
-//! appends the per-block autotuner's chosen-variant summary and its step
-//! rate against the best hardcoded rung.
+//! `--isa <auto|portable|avx2>` pins the ISA instantiation of the
+//! explicitly vectorized rungs.
 
-use eutectica_bench::{
-    arg_flag, autotune_step_report, backend_isa_from_args, f2, mu_mlups, phi_mlups, threads_arg,
-    ResultTable,
-};
+use eutectica_bench::{f2, isa_from_args, mu_mlups, phi_mlups, ResultTable};
 use eutectica_blockgrid::GridDims;
 use eutectica_core::kernels::OptLevel;
 use eutectica_core::params::ModelParams;
@@ -21,7 +15,7 @@ use eutectica_core::regions::Scenario;
 fn main() {
     let params = ModelParams::ag_al_cu();
     let dims = GridDims::cube(60);
-    let isa = backend_isa_from_args();
+    let isa = isa_from_args();
     println!(
         "Fig. 6 — optimization ladder, block 60^3, SIMD backend: {}",
         isa.resolved_name()
@@ -54,9 +48,4 @@ fn main() {
     }
     println!("Expected shape (paper): every rung improves; staggered buffer ~2x on mu;");
     println!("shortcuts fastest in liquid (phi) and solid (mu).");
-
-    if arg_flag("--autotune") {
-        println!();
-        autotune_step_report(true, threads_arg()).print();
-    }
 }

@@ -17,26 +17,17 @@ use eutectica_perfmodel::machines::{intranode_scaling, supermuc};
 
 fn main() {
     let params = ModelParams::ag_al_cu();
-    // The paper's rung: no shortcuts. `--backend` pins the ISA of its SIMD
-    // kernels (`simd-avx2` errors on an incapable host instead of silently
+    // The paper's rung: no shortcuts. `--isa` pins the ISA of its SIMD
+    // kernels (`avx2` errors on an incapable host instead of silently
     // measuring scalar code).
     let mut cfg = OptLevel::SimdTzBuf.config();
-    cfg.isa = eutectica_bench::backend_isa_from_args();
+    cfg.isa = eutectica_bench::isa_from_args();
     let threads = eutectica_bench::threads_arg();
-    let autotune = eutectica_bench::arg_flag("--autotune");
     println!(
         "Fig. 7 — intranode scaling of the mu-kernel (no shortcuts), SIMD backend: {}",
         cfg.isa.resolved_name()
     );
     println!();
-
-    // Per-block autotuning: tune, report the chosen variants, and measure
-    // the tuned step rate against the best hardcoded rung.
-    if autotune {
-        eutectica_bench::autotune_step_report(eutectica_bench::arg_flag("--quick"), threads)
-            .print();
-        println!();
-    }
 
     if let Some(every) = eutectica_bench::arg_parsed("--observe-every") {
         println!("observed 2-rank run (20^3 blocks, {threads} sweep thread(s)):");

@@ -202,7 +202,7 @@ pub fn arg_parsed<T: std::str::FromStr>(flag: &str) -> Option<T> {
 }
 
 /// True when the bare switch `--flag` is among the process arguments.
-pub fn arg_flag(flag: &str) -> bool {
+fn arg_flag(flag: &str) -> bool {
     std::env::args().skip(1).any(|a| a == flag)
 }
 
@@ -234,20 +234,27 @@ pub fn rebalance_policy_from_args() -> Option<eutectica_blockgrid::rebalance::Re
     ))
 }
 
-/// The SIMD instantiation selected by `--backend <name>` (a registry name
-/// `family[+tz][+buf][+sc]`, see `eutectica_core::kernels::backend`;
-/// default `simd` = resolved at runtime). Exits with the typed registry
-/// error on failure — `simd-avx2` on a host without AVX2+FMA is a hard
-/// error here, never a silent fallback.
-pub fn backend_isa_from_args() -> eutectica_core::kernels::SimdIsa {
-    let name = arg_value("--backend").unwrap_or_else(|| "simd".into());
-    match eutectica_core::kernels::backend::resolve(&name) {
-        Ok(cfg) => cfg.isa,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
+/// The SIMD instantiation selected by `--isa <auto|portable|avx2>` (default
+/// `auto` = resolved at runtime). Exits with code 2 and the typed
+/// [`IsaError`](eutectica_core::kernels::IsaError) on anything else —
+/// `avx2` on a host without AVX2+FMA is a hard error here, never a silent
+/// fallback — and on the two retired flags, which the other `arg_*` lookups
+/// would ignore: an old command line must not quietly measure something
+/// else.
+pub fn isa_from_args() -> eutectica_core::kernels::SimdIsa {
+    let fail = |msg: &dyn std::fmt::Display| -> ! {
+        eprintln!("error: {msg}");
+        std::process::exit(2)
+    };
+    for arg in std::env::args().skip(1) {
+        match arg.split('=').next().and_then(|f| f.strip_prefix("--")) {
+            Some("backend") => fail(&"--backend is retired: use --isa <auto|portable|avx2>"),
+            Some("autotune") => fail(&"--autotune is retired: the kernel choice is fixed"),
+            _ => {}
         }
     }
+    let name = arg_value("--isa").unwrap_or_else(|| "auto".into());
+    eutectica_core::kernels::SimdIsa::parse(&name).unwrap_or_else(|e| fail(&e))
 }
 
 /// Run a distributed simulation with the in-situ observability plane
@@ -336,133 +343,6 @@ pub fn run_observed(
         );
     }
     records
-}
-
-/// Result of an autotuned step benchmark: the per-block chosen-variant
-/// census plus the measured step rate of the tuned run against the best
-/// hardcoded ladder rung on the identical workload.
-pub struct AutotuneReport {
-    /// Step MLUP/s of the autotuned run (measured after every block
-    /// pinned its winner).
-    pub tuned_mlups: f64,
-    /// Step MLUP/s with the best hardcoded rung pinned globally.
-    pub pinned_mlups: f64,
-    /// Label of that hardcoded rung.
-    pub pinned_label: &'static str,
-    /// `variant name → blocks pinned to it`.
-    pub summary: Vec<(String, usize)>,
-    /// Per-block view: `(block id, variant, pinned?)`.
-    pub per_block: Vec<(usize, String, bool)>,
-    /// Steps the warmup took until every block pinned.
-    pub tune_steps: usize,
-    /// Pin events observed.
-    pub pins: u64,
-}
-
-impl AutotuneReport {
-    /// Print the rank-0 chosen-variant summary (the lines the CI autotune
-    /// smoke job asserts on).
-    pub fn print(&self) {
-        println!(
-            "autotune chosen variants ({} pins in {} steps):",
-            self.pins, self.tune_steps
-        );
-        for (name, count) in &self.summary {
-            println!("  {count:>3} block(s) -> {name}");
-        }
-        for (id, name, pinned) in &self.per_block {
-            println!(
-                "  block {id}: {name}{}",
-                if *pinned { "" } else { " (still warming up)" }
-            );
-        }
-        println!(
-            "autotuned step rate: {:.2} MLUP/s vs {:.2} MLUP/s pinned '{}'",
-            self.tuned_mlups, self.pinned_mlups, self.pinned_label
-        );
-    }
-}
-
-/// Run the autotuned step benchmark: a single-rank distributed simulation
-/// over a planar-front column (front + liquid blocks, so different regions
-/// can pin different variants), tuned with the bit-exact candidate policy,
-/// then timed and compared against the best hardcoded rung on the same
-/// workload.
-pub fn autotune_step_report(quick: bool, threads: usize) -> AutotuneReport {
-    use eutectica_core::kernels::backend::AutotunePolicy;
-    use eutectica_core::kernels::OptLevel;
-    use eutectica_core::timeloop::{DistributedSim, OverlapOptions};
-
-    let domain = if quick { [16, 16, 32] } else { [24, 24, 48] };
-    let blocks = [1, 1, 4];
-    let measure_steps = if quick { 6 } else { 12 };
-    let best = OptLevel::SimdTzBufShortcuts;
-    let updates = (domain[0] * domain[1] * domain[2] * measure_steps) as f64;
-    let make_decomp = || {
-        eutectica_blockgrid::decomp::Decomposition::new(
-            eutectica_blockgrid::decomp::DomainSpec::directional(domain, blocks),
-        )
-    };
-
-    let params = ModelParams::ag_al_cu();
-    let decomp = make_decomp();
-    let (mut tuned, _) = eutectica_comm::Universe::run_with_stats(1, move |rank| {
-        let mut sim = DistributedSim::new(
-            &rank,
-            params.clone(),
-            decomp.clone(),
-            best.config(),
-            OverlapOptions::default(),
-        );
-        sim.set_threads(threads);
-        sim.init_blocks(|b| eutectica_core::init::init_planar_front(b, 0, 6));
-        sim.set_autotune_policy(Some(AutotunePolicy::bit_exact()));
-        let mut tune_steps = 0usize;
-        while !sim.autotuner().unwrap().all_pinned() && tune_steps < 512 {
-            sim.step();
-            tune_steps += 1;
-        }
-        let t = Instant::now();
-        sim.step_n(measure_steps);
-        let wall = t.elapsed().as_secs_f64().max(1e-9);
-        let tuner = sim.autotuner().unwrap();
-        (
-            wall,
-            tuner.pinned_summary().into_iter().collect::<Vec<_>>(),
-            tuner.per_block(),
-            tune_steps,
-            tuner.stats().pins,
-        )
-    });
-    let (tuned_wall, summary, per_block, tune_steps, pins) = tuned.remove(0);
-
-    let params = ModelParams::ag_al_cu();
-    let decomp = make_decomp();
-    let (pinned, _) = eutectica_comm::Universe::run_with_stats(1, move |rank| {
-        let mut sim = DistributedSim::new(
-            &rank,
-            params.clone(),
-            decomp.clone(),
-            best.config(),
-            OverlapOptions::default(),
-        );
-        sim.set_threads(threads);
-        sim.init_blocks(|b| eutectica_core::init::init_planar_front(b, 0, 6));
-        sim.step_n(2); // same warm caches as the tuned leg's measured phase
-        let t = Instant::now();
-        sim.step_n(measure_steps);
-        t.elapsed().as_secs_f64().max(1e-9)
-    });
-
-    AutotuneReport {
-        tuned_mlups: updates / tuned_wall / 1e6,
-        pinned_mlups: updates / pinned[0] / 1e6,
-        pinned_label: best.label(),
-        summary,
-        per_block,
-        tune_steps,
-        pins,
-    }
 }
 
 /// Run a fully instrumented distributed simulation and write observability

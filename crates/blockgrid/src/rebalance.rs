@@ -129,16 +129,6 @@ impl CostModel {
         self.entries.insert(block, entry);
     }
 
-    /// Replace `block`'s cold-start prior, keeping any measurement. Lets a
-    /// caller with better rate knowledge (e.g. a kernel autotuner's warmup
-    /// measurements) re-seed stale priors before a planning epoch; a no-op
-    /// for untracked blocks.
-    pub fn set_prior(&mut self, block: usize, prior: f64) {
-        if let Some(e) = self.entries.get_mut(&block) {
-            e.prior = prior;
-        }
-    }
-
     /// Fold a new measurement (sweep seconds per step) into the EWMA.
     pub fn observe(&mut self, block: usize, seconds: f64) {
         if let Some(e) = self.entries.get_mut(&block) {
@@ -147,11 +137,6 @@ impl CostModel {
                 None => seconds,
             });
         }
-    }
-
-    /// Current entry for `block`, if tracked.
-    pub fn entry(&self, block: usize) -> Option<&CostEntry> {
-        self.entries.get(&block)
     }
 
     /// Snapshot of all tracked blocks as `(id, measured, prior)`, ascending
@@ -386,19 +371,18 @@ mod tests {
     fn ewma_and_migration_of_entries() {
         let mut m = CostModel::new(0.5);
         m.track(3, 2.0);
-        assert_eq!(m.entry(3).unwrap().measured, None);
+        assert_eq!(m.snapshot(), vec![(3, None, 2.0)]);
         m.observe(3, 4.0);
-        assert_eq!(m.entry(3).unwrap().measured, Some(4.0));
+        assert_eq!(m.snapshot(), vec![(3, Some(4.0), 2.0)]);
         m.observe(3, 2.0);
-        assert_eq!(m.entry(3).unwrap().measured, Some(3.0));
+        assert_eq!(m.snapshot(), vec![(3, Some(3.0), 2.0)]);
         // Observation of an untracked block is ignored (stale timing after
         // the block migrated away must not resurrect it).
         m.observe(7, 1.0);
-        assert!(m.entry(7).is_none());
+        assert_eq!(m.snapshot().len(), 1);
         let e = m.untrack(3).unwrap();
         let mut m2 = CostModel::new(0.5);
         m2.adopt(3, e);
-        assert_eq!(m2.entry(3).unwrap().measured, Some(3.0));
         assert_eq!(m2.snapshot(), vec![(3, Some(3.0), 2.0)]);
     }
 

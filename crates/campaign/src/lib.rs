@@ -12,8 +12,8 @@
 //!   densely keyed job list ([`JobSpec`]) — every rank derives it without
 //!   communicating ([`spec`]).
 //! - [`sched::plan`] assigns jobs to ranks with the same LPT placement
-//!   idiom the block rebalancer uses, keyed by estimated cost from the
-//!   autotuner's per-region kernel rates ([`sched`]).
+//!   idiom the block rebalancer uses, keyed by estimated cost from
+//!   per-region kernel rates ([`sched`]).
 //! - [`run_campaign`] steps each rank's resident jobs round-robin through
 //!   the existing [`eutectica_core::solver::Simulation`] machinery and
 //!   streams per-job progress to a collector rank on job-keyed comm tags

@@ -78,8 +78,8 @@ pub struct CampaignOpts {
     /// (up to `max_shrinks` deaths); `None` escalates the comm error.
     pub shrink: Option<ShrinkPolicy>,
     /// Per-region kernel rates (interface/liquid/solid MLUP/s) keying the
-    /// scheduler's cost estimates — autotuner measurements or the
-    /// defaults.
+    /// scheduler's cost estimates (default:
+    /// [`eutectica_core::regions::DEFAULT_REGION_RATES`]).
     pub rates: [f64; 3],
     /// Observability bus for `{"type":"job"}` frames (collector only).
     pub bus: Option<Arc<FrameBus>>,

@@ -2,9 +2,9 @@
 //!
 //! The scheduler is the LPT placement idiom from the block rebalancer,
 //! lifted from blocks to whole jobs: each job's weight is its *estimated
-//! cost* — step budget × per-step cost from the autotuner's per-region
-//! kernel rates (interface / liquid / solid MLUP/s) applied to an analytic
-//! region census of the directional initial condition. The estimate only
+//! cost* — step budget × per-step cost from per-region kernel rates
+//! (interface / liquid / solid MLUP/s) applied to an analytic region census
+//! of the directional initial condition. The estimate only
 //! has to be a pure function of the job spec: [`plan`] is then replicated
 //! arithmetic, so every rank derives the identical assignment, and the
 //! rank-0 broadcast in the runner is a *confirmation* of a shared decision
@@ -17,8 +17,7 @@ use crate::spec::JobSpec;
 
 /// Estimated relative cost of one job: steps × per-step cost of its
 /// domain under the given per-region rates (`[interface, liquid, solid]`
-/// MLUP/s, e.g. `eutectica_core::regions::DEFAULT_REGION_RATES` or live
-/// autotuner measurements).
+/// MLUP/s, e.g. `eutectica_core::regions::DEFAULT_REGION_RATES`).
 ///
 /// The region census is analytic, not measured: the directional initial
 /// condition fills the bottom quarter (≥2 layers) with Voronoi solid,

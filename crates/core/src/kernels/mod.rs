@@ -26,9 +26,11 @@
 //! [`phi_sweep`], [`phi_sweep_prepare`], [`phi_sweep_range`], [`mu_sweep`]
 //! and [`mu_sweep_range`] are the only public way into a sweep; each takes
 //! the [`KernelConfig`] whole. The kernel files below keep one
-//! `pub(super)` entry per kernel with the same `cfg` parameter, and the
-//! expansion of its three flags into const generics is written once
-//! (`with_flags!`).
+//! `pub(super)` entry per kernel; the explicit-SIMD ones take the same `cfg`
+//! parameter, and the expansion of its three flags into const generics is
+//! written once (`with_flags!`). The flags are rungs 3–5 of the ladder and
+//! build on rung 2: the reference and scalar kernels ignore them, as they
+//! ignore `isa`.
 //!
 //! The explicitly vectorized variants are generic over the ISA backend
 //! `V: SimdF64x4` and instantiated at **runtime** by
@@ -36,9 +38,8 @@
 //! `#[target_feature]` + feature-detection construct: [`SimdIsa`] (a field
 //! of [`KernelConfig`]) says whether the AVX2+FMA instantiation is allowed,
 //! the host says whether it is possible. Both instantiations produce
-//! bit-identical results, so the selection — including the autotuner's
-//! mid-run switches — never changes physics. [`backend`] names the whole
-//! ladder in a registry that resolves to a [`KernelConfig`].
+//! bit-identical results, so the selection never changes physics.
+//! [`SimdIsa::parse`] is the selection's only text form.
 //!
 //! For the AVX2 instantiation to be AVX2 machine code, the complete kernel
 //! body has to inline into `dispatch`'s wrapper; see
@@ -47,7 +48,6 @@
 //! closure — use `simd_common::per_phase!` / `per_comp!` for arrays) and
 //! `.github/scripts/kernel-codegen.sh` for the check.
 
-pub mod backend;
 pub mod reference;
 pub mod scalar_mu;
 pub mod scalar_phi;
@@ -134,13 +134,57 @@ pub enum SimdIsa {
     /// Portable backend (scalar emulation of the 4-lane ops).
     Portable,
     /// AVX2+FMA backend. Falls back to the (bit-identical) portable
-    /// instantiation when the host lacks the features; the [`backend`]
-    /// registry reports a typed [`backend::BackendError::Unavailable`]
-    /// instead of falling back.
+    /// instantiation when the host lacks the features; [`SimdIsa::parse`]
+    /// reports a typed [`IsaError::Unavailable`] instead of falling back.
     Avx2,
 }
 
+/// Why a name did not select a [`SimdIsa`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum IsaError {
+    /// The name is not one of `auto`, `portable`, `avx2`.
+    Unknown {
+        /// The offending name.
+        name: String,
+    },
+    /// `avx2` was asked for on a host without AVX2+FMA.
+    Unavailable,
+}
+
+impl std::fmt::Display for IsaError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            IsaError::Unknown { name } => {
+                write!(f, "unknown ISA '{name}' (expected auto, portable or avx2)")
+            }
+            IsaError::Unavailable => write!(f, "ISA 'avx2' unavailable: host CPU lacks AVX2+FMA"),
+        }
+    }
+}
+
+impl std::error::Error for IsaError {}
+
 impl SimdIsa {
+    /// The selection named `auto`, `portable` or `avx2`. Availability is
+    /// checked here: `avx2` on a host without AVX2+FMA is a typed
+    /// [`IsaError::Unavailable`], never a silent fallback.
+    pub fn parse(name: &str) -> Result<SimdIsa, IsaError> {
+        Self::parse_on(name, eutectica_simd::avx2_available())
+    }
+
+    /// [`SimdIsa::parse`] for a host that has (`avx2`) or lacks AVX2+FMA.
+    fn parse_on(name: &str, avx2: bool) -> Result<SimdIsa, IsaError> {
+        match name {
+            "auto" => Ok(SimdIsa::Auto),
+            "portable" => Ok(SimdIsa::Portable),
+            "avx2" if avx2 => Ok(SimdIsa::Avx2),
+            "avx2" => Err(IsaError::Unavailable),
+            _ => Err(IsaError::Unknown {
+                name: name.to_string(),
+            }),
+        }
+    }
+
     /// Whether this selection lets [`eutectica_simd::dispatch`] pick the
     /// AVX2+FMA instantiation when the host has it.
     #[inline]
@@ -169,7 +213,9 @@ pub struct KernelConfig {
     /// ISA instantiation for the explicit-SIMD variants (ignored by the
     /// reference and scalar variants).
     pub isa: SimdIsa,
-    /// Precompute temperature-dependent terms once per z-slice.
+    /// Precompute temperature-dependent terms once per z-slice. Like the
+    /// two flags below, a rung on top of the explicit-SIMD variants
+    /// (ignored by the reference and scalar variants).
     pub tz_precompute: bool,
     /// Buffer staggered face values and reuse them (3 instead of 6 face
     /// evaluations per cell).
@@ -367,7 +413,7 @@ pub fn phi_sweep_range(
     };
     match cfg.phi {
         PhiVariant::Reference => reference::phi_sweep_reference_range(params, state, time, z0, z1),
-        PhiVariant::Scalar => scalar_phi::phi_sweep_scalar_range(params, state, time, cfg, z0, z1),
+        PhiVariant::Scalar => scalar_phi::phi_sweep_scalar_range(params, state, time, z0, z1),
         PhiVariant::SimdCellwise => dispatch(cfg.isa.allows_avx2(), PhiCellwise(args)),
         PhiVariant::SimdFourCell => dispatch(cfg.isa.allows_avx2(), PhiFourCell(args)),
     }
@@ -410,9 +456,7 @@ pub fn mu_sweep_range(
         MuVariant::Reference => {
             reference::mu_sweep_reference_range(params, state, time, part, z0, z1)
         }
-        MuVariant::Scalar => {
-            scalar_mu::mu_sweep_scalar_range(params, state, time, cfg, part, z0, z1)
-        }
+        MuVariant::Scalar => scalar_mu::mu_sweep_scalar_range(params, state, time, part, z0, z1),
         MuVariant::SimdFourCell => dispatch(cfg.isa.allows_avx2(), MuFourCell(args, part)),
     }
 }
@@ -462,17 +506,6 @@ impl IsaGeneric for MuFourCell<'_> {
     }
 }
 
-/// The scalar rung with the given flags, for the kernel files' unit tests.
-#[cfg(test)]
-pub(crate) fn scalar_rung(tz: bool, stag: bool, sc: bool) -> KernelConfig {
-    KernelConfig {
-        tz_precompute: tz,
-        staggered_buffer: stag,
-        shortcuts: sc,
-        ..OptLevel::Basic.config()
-    }
-}
-
 /// Gather the 4 phase values of linear cell `i` from SoA component slices.
 #[inline(always)]
 pub(crate) fn get4(c: &[&[f64]; 4], i: usize) -> [f64; 4] {
@@ -503,6 +536,46 @@ mod tests {
         assert!(l[4].config().staggered_buffer && !l[4].config().shortcuts);
         assert!(l[5].config().shortcuts);
         assert_eq!(KernelConfig::default(), l[5].config());
+    }
+
+    #[test]
+    fn avx2_availability_matches_runtime_detection() {
+        match SimdIsa::parse("avx2") {
+            Ok(isa) => assert!(eutectica_simd::avx2_available() && isa == SimdIsa::Avx2),
+            Err(e) => assert!(!eutectica_simd::avx2_available() && e == IsaError::Unavailable),
+        }
+    }
+
+    /// The "never silently degrade" contract on both kinds of host, from
+    /// one build.
+    #[test]
+    fn avx2_is_unavailable_exactly_on_a_host_without_avx2() {
+        assert_eq!(SimdIsa::parse_on("avx2", false), Err(IsaError::Unavailable));
+        assert!(IsaError::Unavailable.to_string().contains("AVX2"));
+        assert_eq!(SimdIsa::parse_on("avx2", true), Ok(SimdIsa::Avx2));
+        for avx2 in [false, true] {
+            assert_eq!(SimdIsa::parse_on("auto", avx2), Ok(SimdIsa::Auto));
+            assert_eq!(SimdIsa::parse_on("portable", avx2), Ok(SimdIsa::Portable));
+        }
+    }
+
+    #[test]
+    fn unknown_names_are_typed_errors() {
+        for bad in [
+            "",
+            "simd",
+            "simd-avx2",
+            "AVX2",
+            "avx2+tz",
+            "reference",
+            "scalar+tz",
+        ] {
+            for avx2 in [false, true] {
+                let err = SimdIsa::parse_on(bad, avx2).unwrap_err();
+                assert_eq!(err, IsaError::Unknown { name: bad.into() });
+                assert!(err.to_string().contains("auto, portable or avx2"));
+            }
+        }
     }
 
     /// The face slots a skipped bulk group leaves in the staggered buffer

@@ -1,40 +1,112 @@
-//! Specialized scalar µ-kernel (ladder rung 1 + scalar forms of rungs 3–5).
+//! Specialized scalar µ-kernel (optimization-ladder rung 1).
 //!
 //! The µ-update (Eq. 3) evaluates, at staggered faces, the gradient flux
 //! M(φ)∇µ (D3C7) and the anti-trapping current J_at (D3C19, Eq. 4), plus the
 //! local phase-change source and temperature drift. "The computationally
 //! most intensive part of equation (3) is the calculation of the divergence
-//! of v_buf := (M∇µ − J_at)" — with `staggered_buffer`, half of those face
-//! values are buffered and reused exactly as in Fig. 3.
+//! of v_buf := (M∇µ − J_at)". The T(z), staggered-buffer and shortcut rungs
+//! of Fig. 6 build on the explicit-SIMD kernel only, so this kernel ignores
+//! those three [`crate::kernels::KernelConfig`] flags.
 //!
 //! The sweep supports the Algorithm-2 split ([`MuPart`]): `LocalOnly`
 //! updates with everything except J_at (local φ dependency only), and
 //! `NeighborOnly` adds −∇·J_at afterwards, once the φ_dst ghost layers have
 //! arrived.
 
-use crate::kernels::{get2, get4, with_flags, KernelConfig, MuPart};
+use crate::kernels::{get2, get4, MuPart};
 use crate::model::{
     jat_face_flux, mu_cell_update, mu_face_flux_gradient, phase_change_source, susceptibility,
     temp_drift,
 };
 use crate::params::ModelParams;
 use crate::state::BlockState;
-use crate::temperature::{SliceCtx, SliceTable};
+use crate::temperature::SliceCtx;
 use crate::{N_COMP, N_PHASES};
 
 /// Scalar µ-sweep of the z-slices `z0..z1` (see
 /// [`crate::kernels::scalar_phi::phi_sweep_scalar_range`] for the
-/// coordinate convention and the bit-exactness argument).
+/// coordinate convention and the slab-partition argument).
 pub(super) fn mu_sweep_scalar_range(
     params: &ModelParams,
     state: &mut BlockState,
     time: f64,
-    cfg: KernelConfig,
     part: MuPart,
     z0: usize,
     z1: usize,
 ) {
-    with_flags!(cfg, sweep[](params, state, time, part, z0, z1))
+    let dims = state.dims;
+    let g = dims.ghost;
+    let (nx, ny, nz) = (dims.nx, dims.ny, dims.nz);
+    debug_assert!(g <= z0 && z0 <= z1 && z1 <= g + nz);
+    let (sy, sz) = (dims.sy(), dims.sz());
+    let origin_z = state.origin[2] as isize;
+    let dt = params.dt;
+
+    let cx = SweepCtx::new(params, sy, sz, part);
+    let accumulate = part == MuPart::NeighborOnly;
+
+    // `black_box` keeps the per-cell temperature recomputation of this rung
+    // from being hoisted by loop-invariant code motion (see scalar_phi.rs).
+    let temp_of = |z: usize| -> f64 {
+        let gz = origin_z as f64 + z as f64 - g as f64;
+        std::hint::black_box(params.temperature(gz, time))
+    };
+    let zface_ctx =
+        |z: usize| -> SliceCtx { SliceCtx::at(params, 0.5 * (temp_of(z) + temp_of(z + 1))) };
+
+    let BlockState {
+        phi_src,
+        phi_dst,
+        mu_src,
+        mu_dst,
+        ..
+    } = state;
+    let ps = phi_src.comps();
+    let pd = phi_dst.comps();
+    let ms = mu_src.comps();
+    let md = mu_dst.comps_mut();
+
+    let face = |ctx_face: &SliceCtx, il: usize, ir: usize, axis: usize| {
+        cx.face_flux::<false>(&ps, &pd, &ms, ctx_face, il, ir, axis)
+    };
+
+    for z in z0..z1 {
+        for y in g..g + ny {
+            for x in g..g + nx {
+                let i = dims.idx(x, y, z);
+                let ctx = SliceCtx::at(params, temp_of(z));
+                let (czl, czh) = (zface_ctx(z - 1), zface_ctx(z));
+
+                let f_xl = face(&ctx, i - 1, i, 0);
+                let f_yl = face(&ctx, i - sy, i, 1);
+                let f_zl = face(&czl, i - sz, i, 2);
+                let f_xh = face(&ctx, i, i + 1, 0);
+                let f_yh = face(&ctx, i, i + sy, 1);
+                let f_zh = face(&czh, i, i + sz, 2);
+
+                let div = [
+                    (f_xh[0] - f_xl[0] + f_yh[0] - f_yl[0] + f_zh[0] - f_zl[0]) * cx.inv_dx,
+                    (f_xh[1] - f_xl[1] + f_yh[1] - f_yl[1] + f_zh[1] - f_zl[1]) * cx.inv_dx,
+                ];
+
+                let phi_old = get4(&ps, i);
+                let chi = susceptibility(&ctx, phi_old);
+
+                if accumulate {
+                    md[0][i] += dt * div[0] / chi[0];
+                    md[1][i] += dt * div[1] / chi[1];
+                    continue;
+                }
+
+                let mu = get2(&ms, i);
+                let source = phase_change_source(&ctx, phi_old, get4(&pd, i), mu, cx.inv_dt);
+                let drift = temp_drift(&cx.dc_dt, phi_old, params.dtemp_dt());
+                let out = mu_cell_update(mu, div, source, drift, chi, dt);
+                md[0][i] = out[0];
+                md[1][i] = out[1];
+            }
+        }
+    }
 }
 
 /// Everything a face-flux evaluation needs, bundled to keep signatures sane.
@@ -166,186 +238,10 @@ impl SweepCtx<'_> {
     }
 }
 
-fn sweep<const TZ: bool, const STAG: bool, const SC: bool>(
-    params: &ModelParams,
-    state: &mut BlockState,
-    time: f64,
-    part: MuPart,
-    z0: usize,
-    z1: usize,
-) {
-    let dims = state.dims;
-    let g = dims.ghost;
-    let (nx, ny, nz) = (dims.nx, dims.ny, dims.nz);
-    debug_assert!(g <= z0 && z0 <= z1 && z1 <= g + nz);
-    let (sy, sz) = (dims.sy(), dims.sz());
-    let origin_z = state.origin[2] as isize;
-    let dt = params.dt;
-
-    let cx = SweepCtx::new(params, sy, sz, part);
-    let with_local_terms = part != MuPart::NeighborOnly;
-    let accumulate = part == MuPart::NeighborOnly;
-
-    let table = if TZ {
-        Some(SliceTable::build(params, origin_z, dims.tz(), g, time))
-    } else {
-        None
-    };
-    // `black_box` keeps the per-cell recomputation of the unoptimized rungs
-    // from being hoisted by loop-invariant code motion (see scalar_phi.rs).
-    let temp_of = |z: usize| -> f64 {
-        let gz = origin_z as f64 + z as f64 - g as f64;
-        if TZ {
-            params.temperature(gz, time)
-        } else {
-            std::hint::black_box(params.temperature(gz, time))
-        }
-    };
-    let zface_ctx =
-        |z: usize| -> SliceCtx { SliceCtx::at(params, 0.5 * (temp_of(z) + temp_of(z + 1))) };
-
-    let BlockState {
-        phi_src,
-        phi_dst,
-        mu_src,
-        mu_dst,
-        ..
-    } = state;
-    let ps = phi_src.comps();
-    let pd = phi_dst.comps();
-    let ms = mu_src.comps();
-    let md = mu_dst.comps_mut();
-
-    // Staggered buffers for the combined face flux.
-    let mut zbuf = vec![[0.0f64; N_COMP]; if STAG { nx * ny } else { 0 }];
-    let mut ybuf = vec![[0.0f64; N_COMP]; if STAG { nx } else { 0 }];
-
-    if STAG && z0 < z1 {
-        let ctx_zlow = if TZ {
-            table.as_ref().unwrap().zface[z0 - 1]
-        } else {
-            zface_ctx(z0 - 1)
-        };
-        for y in 0..ny {
-            for x in 0..nx {
-                let i = dims.idx(x + g, y + g, z0);
-                zbuf[y * nx + x] = cx.face_flux::<SC>(&ps, &pd, &ms, &ctx_zlow, i - sz, i, 2);
-            }
-        }
-    }
-
-    for z in z0..z1 {
-        let (ctx_z, ctx_zf_low, ctx_zf_high) = if TZ {
-            let t = table.as_ref().unwrap();
-            (t.cell[z], t.zface[z - 1], t.zface[z])
-        } else {
-            // Recomputed per cell below; placeholders here.
-            (
-                SliceCtx::at(params, 0.0),
-                SliceCtx::at(params, 0.0),
-                SliceCtx::at(params, 0.0),
-            )
-        };
-        if STAG {
-            let ctx_yf = if TZ {
-                ctx_z
-            } else {
-                SliceCtx::at(params, temp_of(z))
-            };
-            for x in 0..nx {
-                let i = dims.idx(x + g, g, z);
-                ybuf[x] = cx.face_flux::<SC>(&ps, &pd, &ms, &ctx_yf, i - sy, i, 1);
-            }
-        }
-        for y in g..g + ny {
-            let mut xprev = [0.0f64; N_COMP];
-            if STAG {
-                let i = dims.idx(g, y, z);
-                let ctx_xf = if TZ {
-                    ctx_z
-                } else {
-                    SliceCtx::at(params, temp_of(z))
-                };
-                xprev = cx.face_flux::<SC>(&ps, &pd, &ms, &ctx_xf, i - 1, i, 0);
-            }
-            for x in g..g + nx {
-                let i = dims.idx(x, y, z);
-                // Temperature contexts: per-slice from the table (TZ) or
-                // recomputed redundantly per cell (the unoptimized rungs).
-                let (ctx, czl, czh) = if TZ {
-                    (ctx_z, ctx_zf_low, ctx_zf_high)
-                } else {
-                    (
-                        SliceCtx::at(params, temp_of(z)),
-                        zface_ctx(z - 1),
-                        zface_ctx(z),
-                    )
-                };
-
-                let (f_xl, f_yl, f_zl) = if STAG {
-                    (xprev, ybuf[x - g], zbuf[(y - g) * nx + (x - g)])
-                } else {
-                    (
-                        cx.face_flux::<SC>(&ps, &pd, &ms, &ctx, i - 1, i, 0),
-                        cx.face_flux::<SC>(&ps, &pd, &ms, &ctx, i - sy, i, 1),
-                        cx.face_flux::<SC>(&ps, &pd, &ms, &czl, i - sz, i, 2),
-                    )
-                };
-                let f_xh = cx.face_flux::<SC>(&ps, &pd, &ms, &ctx, i, i + 1, 0);
-                let f_yh = cx.face_flux::<SC>(&ps, &pd, &ms, &ctx, i, i + sy, 1);
-                let f_zh = cx.face_flux::<SC>(&ps, &pd, &ms, &czh, i, i + sz, 2);
-                if STAG {
-                    xprev = f_xh;
-                    ybuf[x - g] = f_yh;
-                    zbuf[(y - g) * nx + (x - g)] = f_zh;
-                }
-
-                let div = [
-                    (f_xh[0] - f_xl[0] + f_yh[0] - f_yl[0] + f_zh[0] - f_zl[0]) * cx.inv_dx,
-                    (f_xh[1] - f_xl[1] + f_yh[1] - f_yl[1] + f_zh[1] - f_zl[1]) * cx.inv_dx,
-                ];
-
-                let phi_old = get4(&ps, i);
-                let chi = susceptibility(&ctx, phi_old);
-
-                if accumulate {
-                    md[0][i] += dt * div[0] / chi[0];
-                    md[1][i] += dt * div[1] / chi[1];
-                    continue;
-                }
-
-                let mu = get2(&ms, i);
-                let (source, drift) = if with_local_terms {
-                    let phi_new = get4(&pd, i);
-                    let src = if SC
-                        && phi_new[0] == phi_old[0]
-                        && phi_new[1] == phi_old[1]
-                        && phi_new[2] == phi_old[2]
-                        && phi_new[3] == phi_old[3]
-                    {
-                        // Shortcut: no interface motion → ∂h/∂t = 0 exactly.
-                        [0.0; N_COMP]
-                    } else {
-                        phase_change_source(&ctx, phi_old, phi_new, mu, cx.inv_dt)
-                    };
-                    let drift = temp_drift(&cx.dc_dt, phi_old, params.dtemp_dt());
-                    (src, drift)
-                } else {
-                    ([0.0; N_COMP], [0.0; N_COMP])
-                };
-
-                let out = mu_cell_update(mu, div, source, drift, chi, dt);
-                md[0][i] = out[0];
-                md[1][i] = out[1];
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::{mu_sweep, scalar_rung as scalar};
+    use crate::kernels::{mu_sweep, OptLevel};
     use eutectica_blockgrid::GridDims;
 
     /// Random valid state with φ_dst slightly evolved from φ_src (as after a
@@ -388,29 +284,10 @@ mod tests {
     }
 
     #[test]
-    fn flag_combinations_are_bit_exact() {
-        let base = random_state(3, 6);
-        let p = ModelParams::ag_al_cu();
-        let mut reference = base.clone();
-        let plain = scalar(false, false, false);
-        mu_sweep(&p, &mut reference, 2.0, plain, MuPart::Full);
-        for tz in [false, true] {
-            for stag in [false, true] {
-                for sc in [false, true] {
-                    let mut s = base.clone();
-                    mu_sweep(&p, &mut s, 2.0, scalar(tz, stag, sc), MuPart::Full);
-                    let d = max_mu_diff(&reference, &s);
-                    assert_eq!(d, 0.0, "flags ({tz},{stag},{sc}) diverged by {d:e}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn split_parts_compose_to_full() {
         let base = random_state(5, 6);
         let p = ModelParams::ag_al_cu();
-        let cfg = scalar(true, true, false);
+        let cfg = OptLevel::Basic.config();
         let mut full = base.clone();
         mu_sweep(&p, &mut full, 1.0, cfg, MuPart::Full);
         let mut split = base.clone();
@@ -429,7 +306,7 @@ mod tests {
         let dims = GridDims::cube(5);
         let mut s = BlockState::new(dims, [0, 0, 0]);
         s.sync_dst_from_src();
-        mu_sweep(&p, &mut s, 0.0, scalar(true, true, false), MuPart::Full);
+        mu_sweep(&p, &mut s, 0.0, OptLevel::Basic.config(), MuPart::Full);
         for (x, y, z) in dims.interior_iter() {
             let mu = s.mu_dst.cell(x, y, z);
             assert!(
@@ -449,7 +326,7 @@ mod tests {
         let dims = GridDims::cube(4);
         let mut s = BlockState::new(dims, [0, 0, 0]);
         s.sync_dst_from_src();
-        mu_sweep(&p, &mut s, 0.0, scalar(true, false, false), MuPart::Full);
+        mu_sweep(&p, &mut s, 0.0, OptLevel::Basic.config(), MuPart::Full);
         let mu = s.mu_dst.cell(2, 2, 2);
         assert!(
             mu[0] > 0.0 && mu[1] > 0.0,
@@ -473,7 +350,7 @@ mod tests {
                 &p,
                 &mut s,
                 step as f64 * p.dt,
-                scalar(true, true, false),
+                OptLevel::Basic.config(),
                 MuPart::Full,
             );
             s.mu_src.swap(&mut s.mu_dst);
@@ -533,7 +410,7 @@ mod tests {
             t
         };
         let before = total(&s, false);
-        mu_sweep(&p, &mut s, 0.0, scalar(true, true, false), MuPart::Full);
+        mu_sweep(&p, &mut s, 0.0, OptLevel::Basic.config(), MuPart::Full);
         let after = total(&s, true);
         for i in 0..2 {
             assert!(

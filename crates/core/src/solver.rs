@@ -50,7 +50,7 @@ impl Simulation {
         state.sync_dst_from_src();
         let telemetry = Telemetry::new(0);
         telemetry.counter_add(
-            &format!("kernel/backend/{}", kernels::backend::active_simd_backend()),
+            &format!("kernel/backend/{}", kernels::SimdIsa::Auto.resolved_name()),
             1,
         );
         Ok(Self {

@@ -38,8 +38,7 @@ use eutectica_telemetry::{StepRecord, Telemetry};
 
 use crate::exchange::{ExchangePlan, FieldSel, Phase};
 use crate::health::{self, HealthMonitor, HealthReport, ScanStats};
-use crate::kernels::backend::{self as kernel_backend, AutotunePolicy, Autotuner};
-use crate::kernels::{KernelConfig, MuPart};
+use crate::kernels::{KernelConfig, MuPart, SimdIsa};
 use crate::metrics;
 use crate::params::ModelParams;
 use crate::state::{BlockState, PHI_LIQUID};
@@ -204,35 +203,6 @@ impl RebalanceState {
     }
 }
 
-/// Live state of the kernel autotuner (tuner + per-step sweep-seconds
-/// accumulator, aligned with `local_ids` like the rebalancer's window).
-struct AutotuneState {
-    tuner: Autotuner,
-    /// Sweep seconds accumulated per local block in the current step.
-    acc: Vec<f64>,
-}
-
-impl AutotuneState {
-    /// A fresh tuner with every local block entering warmup.
-    fn new(policy: AutotunePolicy, local_ids: &[usize], blocks: &[BlockState]) -> Self {
-        let mut at = Self {
-            tuner: Autotuner::new(policy),
-            acc: vec![0.0; local_ids.len()],
-        };
-        for (&id, b) in local_ids.iter().zip(blocks) {
-            at.track(id, b);
-        }
-        at
-    }
-
-    /// Start (or restart) tuning block `id` from its current contents.
-    fn track(&mut self, id: usize, b: &BlockState) {
-        let counts = crate::regions::classify_block(b);
-        let class = kernel_backend::dominant_region_class(&counts);
-        self.tuner.track(id, class, b.dims.interior_volume() as u64);
-    }
-}
-
 /// Which kernel [`DistributedSim::sweep_blocks`] runs.
 #[derive(Copy, Clone)]
 enum Sweep {
@@ -285,8 +255,6 @@ pub struct DistributedSim<'r> {
     exchange: ExchangePlan,
     /// Dynamic load rebalancing (cost model + migration), when attached.
     rebalance: Option<RebalanceState>,
-    /// Per-block kernel-variant autotuning, when attached.
-    autotune: Option<AutotuneState>,
 }
 
 impl<'r> DistributedSim<'r> {
@@ -331,12 +299,11 @@ impl<'r> DistributedSim<'r> {
             placement,
             exchange,
             rebalance: None,
-            autotune: None,
         };
         // Expose the resolved SIMD backend in telemetry so "SIMD" rows can
         // be audited.
         sim.telemetry.counter_add(
-            &format!("kernel/backend/{}", kernel_backend::active_simd_backend()),
+            &format!("kernel/backend/{}", SimdIsa::Auto.resolved_name()),
             1,
         );
         sim
@@ -473,7 +440,6 @@ impl<'r> DistributedSim<'r> {
             self.inject_field_faults();
             self.step_inner();
             self.health_scan_if_due(wall);
-            self.autotune_step_end();
             self.maybe_rebalance();
         }
         self.finish_step_accounting(wall.elapsed());
@@ -492,15 +458,10 @@ impl<'r> DistributedSim<'r> {
     /// broadcast → p2p migration).
     ///
     /// Each currently-local block gets a cold-start cost prior from its
-    /// region composition ([`crate::regions::classify_block`]). The
-    /// per-region rates come from the attached autotuner's warmup
-    /// measurements when available — machine-measured, not guessed — and
-    /// fall back to the paper-ordered hardcoded
-    /// [`crate::regions::DEFAULT_REGION_RATES`] otherwise; attach *after*
-    /// `init_blocks` (and ideally after the autotuner) for informative
-    /// priors. Measured sweep times take over from the first check onward,
-    /// and the priors of still-unmeasured blocks are refreshed from the
-    /// autotuner at every check.
+    /// region composition ([`crate::regions::classify_block`]) weighted by
+    /// [`crate::regions::DEFAULT_REGION_RATES`]; attach *after*
+    /// `init_blocks` for informative priors. Measured sweep times take over
+    /// from the first check onward.
     ///
     /// Rebalancing is **placement-invariant**: a rebalanced run produces
     /// bit-identical fields to an unbalanced run of the same scenario. It
@@ -508,7 +469,7 @@ impl<'r> DistributedSim<'r> {
     /// and checkpoint/restore (`restore_local` iterates the post-migration
     /// `local_block_ids`).
     pub fn set_rebalance_policy(&mut self, policy: Option<RebalancePolicy>) {
-        let rates = self.region_rates();
+        let rates = crate::regions::DEFAULT_REGION_RATES;
         self.rebalance = policy.map(|policy| {
             let mut cost = CostModel::new(policy.alpha);
             for (li, &id) in self.local_ids.iter().enumerate() {
@@ -529,48 +490,6 @@ impl<'r> DistributedSim<'r> {
     /// Counters of the attached rebalancer, if any.
     pub fn rebalance_stats(&self) -> Option<&RebalanceStats> {
         self.rebalance.as_ref().map(|rb| &rb.stats)
-    }
-
-    /// Attach (or detach, with `None`) the per-block kernel autotuner.
-    ///
-    /// The autotuner is **rank-local** (variant choice affects no
-    /// communication), so ranks may attach different policies or none at
-    /// all, and different ranks may pin different winners. While a block is
-    /// warming up or pinned, its sweeps run the autotuner's variant instead
-    /// of the global [`DistributedSim::cfg`]. With the default
-    /// [`AutotunePolicy::bit_exact`] candidates every variant is
-    /// bit-identical, so an autotuned run produces bit-identical fields to
-    /// an untuned one.
-    pub fn set_autotune_policy(&mut self, policy: Option<AutotunePolicy>) {
-        self.autotune =
-            policy.map(|policy| AutotuneState::new(policy, &self.local_ids, &self.blocks));
-    }
-
-    /// The attached autotuner, if any.
-    pub fn autotuner(&self) -> Option<&Autotuner> {
-        self.autotune.as_ref().map(|at| &at.tuner)
-    }
-
-    /// Per-region kernel rates for cold-start cost priors: the autotuner's
-    /// machine-measured MLUP/s when available, hardcoded defaults
-    /// otherwise.
-    fn region_rates(&self) -> [f64; 3] {
-        match &self.autotune {
-            Some(at) => at
-                .tuner
-                .region_rates_or(crate::regions::DEFAULT_REGION_RATES),
-            None => crate::regions::DEFAULT_REGION_RATES,
-        }
-    }
-
-    /// The kernel configuration local block `li` runs this step: the
-    /// autotuner's current variant when tuning, the global `cfg` otherwise.
-    #[inline]
-    fn cfg_for(&self, li: usize) -> KernelConfig {
-        match &self.autotune {
-            Some(at) => at.tuner.config_for(self.local_ids[li]).unwrap_or(self.cfg),
-            None => self.cfg,
-        }
     }
 
     /// Current block→rank placement (identical on every rank; index =
@@ -807,17 +726,16 @@ impl<'r> DistributedSim<'r> {
     }
 
     /// Run `sweep` over every local block inside one `span` compute span.
-    /// The per-block sequence — the autotuner's variant choice, the cost
-    /// clock, the pooled kernel, the cost accounting — lives here only.
+    /// The per-block sequence — the cost clock, the pooled kernel, the cost
+    /// accounting — lives here only.
     fn sweep_blocks(&mut self, span: &'static str, sweep: Sweep) {
         let _g = self.telemetry.span_cat(span, "compute");
         for li in 0..self.blocks.len() {
-            let cfg = self.cfg_for(li);
             let t0 = self.sweep_stamp();
             let (p, b, tel) = (&self.params, &mut self.blocks[li], &self.telemetry);
             match sweep {
-                Sweep::Phi => self.pool.phi_sweep(p, b, self.time, cfg, tel),
-                Sweep::Mu(part) => self.pool.mu_sweep(p, b, self.time, cfg, part, tel),
+                Sweep::Phi => self.pool.phi_sweep(p, b, self.time, self.cfg, tel),
+                Sweep::Mu(part) => self.pool.mu_sweep(p, b, self.time, self.cfg, part, tel),
             }
             self.note_sweep_time(li, t0);
         }
@@ -834,9 +752,7 @@ impl<'r> DistributedSim<'r> {
     /// run on pool workers, where the rank thread's CPU time is blind, so
     /// they fall back to wall time.
     fn sweep_stamp(&self) -> Option<SweepStamp> {
-        if self.rebalance.is_none() && self.autotune.is_none() {
-            return None;
-        }
+        self.rebalance.as_ref()?;
         if self.pool.threads() == 1 {
             if let Some(t) = thread_cpu_seconds() {
                 return Some(SweepStamp::Cpu(t));
@@ -855,46 +771,6 @@ impl<'r> DistributedSim<'r> {
         };
         if let Some(rb) = self.rebalance.as_mut() {
             rb.acc[li] += elapsed;
-        }
-        if let Some(at) = self.autotune.as_mut() {
-            at.acc[li] += elapsed;
-        }
-    }
-
-    /// End-of-step autotune bookkeeping: feed each local block's measured
-    /// sweep seconds to the tuner (advancing warmups and pinning winners),
-    /// and re-check dominant region classes at the policy cadence. Runs
-    /// *before* `maybe_rebalance` so warmup measurements can seed the
-    /// rebalancer's priors within the same step.
-    fn autotune_step_end(&mut self) {
-        let Some(at) = self.autotune.as_mut() else {
-            return;
-        };
-        let mut pinned = Vec::new();
-        for (li, &id) in self.local_ids.iter().enumerate() {
-            let secs = std::mem::replace(&mut at.acc[li], 0.0);
-            if let Some(winner) = at.tuner.observe(id, secs) {
-                pinned.push(winner);
-            }
-        }
-        let recheck = at.tuner.policy().recheck_every;
-        if recheck > 0 && self.step % recheck == 0 {
-            let mut retunes = 0u64;
-            for (li, &id) in self.local_ids.iter().enumerate() {
-                let counts = crate::regions::classify_block(&self.blocks[li]);
-                let class = kernel_backend::dominant_region_class(&counts);
-                if at.tuner.note_region_class(id, class) {
-                    retunes += 1;
-                }
-            }
-            if retunes > 0 {
-                self.telemetry.counter_add("autotune/retunes", retunes);
-            }
-        }
-        for winner in pinned {
-            self.telemetry.counter_add("autotune/pins", 1);
-            self.telemetry
-                .counter_add(&format!("autotune/variant/{winner}"), 1);
         }
     }
 
@@ -938,25 +814,6 @@ impl<'r> DistributedSim<'r> {
                 rb.acc_steps = 0;
             }
             rb.stats.checks += 1;
-        }
-        // Refresh the priors of still-unmeasured blocks from the
-        // autotuner's machine-measured region rates (the cold-start-prior
-        // satellite fix): the first rebalance epoch plans from measured
-        // rates, not the hardcoded per-machine guesses.
-        if self
-            .autotune
-            .as_ref()
-            .is_some_and(|at| at.tuner.has_region_rates())
-        {
-            let rates = self.region_rates();
-            let rb = self.rebalance.as_mut().unwrap();
-            for (li, &id) in self.local_ids.iter().enumerate() {
-                if rb.cost.entry(id).is_some_and(|e| e.measured.is_none()) {
-                    let counts = crate::regions::classify_block(&self.blocks[li]);
-                    rb.cost
-                        .set_prior(id, crate::regions::block_weight(&counts, rates));
-                }
-            }
         }
         self.telemetry.counter_add("rebalance/checks", 1);
         let payload = {
@@ -1107,9 +964,6 @@ impl<'r> DistributedSim<'r> {
             self.telemetry
                 .counter_add("rebalance/bytes_sent", bytes.len() as u64);
             self.rank.isend(dst, mig_tag(id), Bytes::from(bytes));
-            if let Some(at) = self.autotune.as_mut() {
-                at.tuner.untrack(id);
-            }
             departing.push(li);
         }
         // Post receives for arrivals in ascending id order (deterministic).
@@ -1139,19 +993,10 @@ impl<'r> DistributedSim<'r> {
                 rb.cost.adopt(id, entry);
                 rb.stats.blocks_received += 1;
             }
-            // An arrived block re-enters warmup on its new rank: the
-            // fastest variant is machine-local (cache topology, ISA), so
-            // the old owner's pin does not transfer.
-            if let Some(at) = self.autotune.as_mut() {
-                at.track(id, &self.blocks[pos]);
-            }
         }
         if let Some(rb) = self.rebalance.as_mut() {
             rb.reset_window(self.local_ids.len());
             rb.stats.rebalances += 1;
-        }
-        if let Some(at) = self.autotune.as_mut() {
-            at.acc = vec![0.0; self.local_ids.len()];
         }
         self.rebuild_exchange_plan();
         self.telemetry.counter_add("rebalance/migrations", 1);
@@ -1189,11 +1034,6 @@ impl<'r> DistributedSim<'r> {
         self.rebuild_exchange_plan();
         if let Some(rb) = &mut self.rebalance {
             rb.reset_window(self.local_ids.len());
-        }
-        if let Some(at) = &mut self.autotune {
-            // Blocks are rebuilt empty here; like the rebalancer, expect a
-            // policy re-attach after the restore for fresh tuning state.
-            *at = AutotuneState::new(at.tuner.policy().clone(), &self.local_ids, &self.blocks);
         }
     }
 
@@ -1731,73 +1571,6 @@ mod tests {
             }
             for c in 0..N_COMP {
                 assert_eq!(a.mu_src.comp(c), b.mu_src.comp(c), "mu[{c}] rank {r}");
-            }
-        }
-    }
-
-    /// An autotuned run is bit-identical to the plain (pinned-default) run:
-    /// the bit-exact candidate family guarantees the tuner's mid-run variant
-    /// walk cannot change physics. Also checks the warmup actually finishes
-    /// (every block pinned, summary non-empty, measurements recorded).
-    #[test]
-    fn autotune_run_is_bit_identical_to_pinned() {
-        let params = ModelParams::ag_al_cu();
-        let spec = DomainSpec::directional([8, 8, 16], [1, 1, 2]);
-        // Enough steps for the longest warmup walk: |candidates| × (skip 1
-        // + warmup 3) is at most 8 × 4 = 32 on an AVX2 host.
-        let steps = 40;
-        let plain = run_steps(
-            params.clone(),
-            Decomposition::new(spec),
-            1,
-            steps,
-            KernelConfig::default(),
-            OverlapOptions::default(),
-            init_fn,
-        );
-        let (mut tuned, _) = {
-            let params = params.clone();
-            eutectica_comm::Universe::run_with_stats(1, move |rank| {
-                let mut sim = DistributedSim::new(
-                    &rank,
-                    params.clone(),
-                    Decomposition::new(spec),
-                    KernelConfig::default(),
-                    OverlapOptions::default(),
-                );
-                sim.init_blocks(init_fn);
-                sim.set_autotune_policy(Some(kernel_backend::AutotunePolicy::bit_exact()));
-                sim.step_n(steps);
-                let tuner = sim.autotuner().unwrap();
-                assert!(tuner.all_pinned(), "warmup did not finish in {steps} steps");
-                let summary = tuner.pinned_summary();
-                assert!(!summary.is_empty(), "no chosen-variant summary");
-                assert_eq!(summary.values().sum::<usize>(), 2, "both blocks pinned");
-                assert_eq!(tuner.stats().pins, 2);
-                assert!(tuner.has_region_rates(), "no warmup-fed region rates");
-                (std::mem::take(&mut sim.blocks), sim.timings)
-            })
-        };
-        let (blocks, _) = tuned.remove(0);
-        for (bi, b) in blocks.iter().enumerate() {
-            let a = &plain[0].0[bi];
-            for c in 0..N_PHASES {
-                for (x, y, z) in b.dims.interior_iter() {
-                    assert_eq!(
-                        a.phi_src.at(c, x, y, z).to_bits(),
-                        b.phi_src.at(c, x, y, z).to_bits(),
-                        "autotuned phi[{c}] block {bi} at ({x},{y},{z})"
-                    );
-                }
-            }
-            for c in 0..N_COMP {
-                for (x, y, z) in b.dims.interior_iter() {
-                    assert_eq!(
-                        a.mu_src.at(c, x, y, z).to_bits(),
-                        b.mu_src.at(c, x, y, z).to_bits(),
-                        "autotuned mu[{c}] block {bi} at ({x},{y},{z})"
-                    );
-                }
             }
         }
     }

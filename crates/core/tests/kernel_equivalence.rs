@@ -2,15 +2,16 @@
 //! the maintenance effort for the various kernels, a regularly running test
 //! suite checks all kernel versions for equivalence."
 //!
-//! Within one implementation (scalar or SIMD), the T(z) / staggered-buffer /
+//! Within the explicit-SIMD implementation, the T(z) / staggered-buffer /
 //! shortcut flags must be **bit-exact** (they only reorganize identical
-//! arithmetic or skip exactly-zero terms). Across implementations (reference
-//! ↔ scalar ↔ SIMD), FMA contraction and summation order differ, so
-//! equivalence holds to tight floating-point tolerance.
+//! arithmetic or skip exactly-zero terms); the reference and scalar rungs
+//! ignore them. Across implementations (reference ↔ scalar ↔ SIMD), FMA
+//! contraction and summation order differ, so equivalence holds to tight
+//! floating-point tolerance.
 
 use eutectica_blockgrid::GridDims;
 use eutectica_core::kernels::{
-    mu_sweep, phi_sweep, KernelConfig, MuPart, MuVariant, PhiVariant, SimdIsa,
+    mu_sweep, phi_sweep, KernelConfig, MuPart, MuVariant, OptLevel, PhiVariant, SimdIsa,
 };
 use eutectica_core::params::ModelParams;
 use eutectica_core::regions::{build_scenario, Scenario};
@@ -100,7 +101,6 @@ fn phi_all_variants_agree() {
         );
         let variants = [
             (PhiVariant::Reference, false, false, false),
-            (PhiVariant::Scalar, true, true, true),
             (PhiVariant::SimdCellwise, false, false, false),
             (PhiVariant::SimdCellwise, true, true, true),
             (PhiVariant::SimdFourCell, false, false, false),
@@ -138,7 +138,6 @@ fn mu_all_variants_agree() {
         );
         let variants = [
             (MuVariant::Reference, false, false, false),
-            (MuVariant::Scalar, true, true, true),
             (MuVariant::SimdFourCell, false, false, false),
             (MuVariant::SimdFourCell, true, false, false),
             (MuVariant::SimdFourCell, true, true, false),
@@ -285,50 +284,89 @@ fn disabled_anti_trapping_changes_results_near_front_only() {
 }
 
 // ---------------------------------------------------------------------------
-// Backend registry + autotuner equivalence (PR 8).
+// The ladder as a whole, and the ISA switch.
 
-use eutectica_core::kernels::backend::{self, AutotunePolicy, BackendError};
-
-/// Every resolvable registry backend agrees with `reference` on the full
-/// φ+µ step, to the suite's stated 1e-11 cross-implementation tolerance
-/// (bit-exact within the `simd-*` family is pinned separately below).
+/// Every rung of the ladder, under every ISA selectable here, agrees with
+/// the reference rung on the full φ+µ step, to the suite's stated 1e-11
+/// cross-implementation tolerance (bit-exactness among the SIMD rungs is
+/// pinned separately below).
 #[test]
 fn registry_backends_agree_with_reference() {
     let params = ModelParams::ag_al_cu();
     let dims = GridDims::cube(10);
-    let reference = backend::resolve("reference").unwrap();
+    let reference = OptLevel::Reference.config();
     for (name, base) in states(dims) {
         let (z0, z1) = dims.interior_z_range();
         let mut oracle = base.clone();
         phi_sweep_range(&params, &mut oracle, 1.5, reference, z0, z1);
         mu_sweep_range(&params, &mut oracle, 1.5, reference, MuPart::Full, z0, z1);
-        for bname in backend::registry_names() {
-            let b = match backend::resolve(&bname) {
-                Ok(b) => b,
-                Err(BackendError::Unavailable { .. }) => {
-                    // Only simd-avx2 may be unavailable, and only when the
-                    // runtime detection says so.
-                    assert!(bname.starts_with("simd-avx2"));
-                    assert!(!eutectica_simd::avx2_available());
-                    continue;
-                }
-                Err(e) => panic!("{bname}: {e}"),
-            };
-            let mut s = base.clone();
-            phi_sweep_range(&params, &mut s, 1.5, b, z0, z1);
-            mu_sweep_range(&params, &mut s, 1.5, b, MuPart::Full, z0, z1);
-            let (dp, dm) = (max_phi_diff(&oracle, &s), max_mu_diff(&oracle, &s));
-            assert!(
-                dp < 1e-11 && dm < 1e-11,
-                "{name}: backend {bname} differs from reference by φ {dp:e} / µ {dm:e}"
-            );
+        for rung in OptLevel::LADDER {
+            for isa in isas() {
+                let c = KernelConfig {
+                    isa,
+                    ..rung.config()
+                };
+                let mut s = base.clone();
+                phi_sweep_range(&params, &mut s, 1.5, c, z0, z1);
+                mu_sweep_range(&params, &mut s, 1.5, c, MuPart::Full, z0, z1);
+                let (dp, dm) = (max_phi_diff(&oracle, &s), max_mu_diff(&oracle, &s));
+                assert!(
+                    dp < 1e-11 && dm < 1e-11,
+                    "{name}: rung {rung:?} on {isa:?} differs from reference by φ {dp:e} / µ {dm:e}"
+                );
+            }
+        }
+    }
+}
+
+/// The T(z) / staggered-buffer / shortcut flags are rungs on top of the
+/// explicit-SIMD kernels: the scalar rung computes the `OptLevel::Basic`
+/// result bit for bit whatever they say — on a block that is not a multiple
+/// of 4, as a whole and cut into three z-slabs.
+#[test]
+fn scalar_rung_ignores_the_simd_toggles() {
+    let params = ModelParams::ag_al_cu();
+    let dims = GridDims::new(10, 7, 9, 1);
+    let (z0, z1) = dims.interior_z_range();
+    let cut = |t: usize| z0 + (z1 - z0) * t / 3;
+    for (name, base) in states(dims) {
+        let mut want = base.clone();
+        phi_sweep(&params, &mut want, 0.6, OptLevel::Basic.config());
+        mu_sweep(
+            &params,
+            &mut want,
+            0.6,
+            OptLevel::Basic.config(),
+            MuPart::Full,
+        );
+        for flags in 0..8u8 {
+            let (tz, stag, sc) = (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+            let c = cfg(PhiVariant::Scalar, MuVariant::Scalar, tz, stag, sc);
+            let what = format!("{name}: scalar (tz={tz},stag={stag},sc={sc})");
+            let mut whole = base.clone();
+            phi_sweep(&params, &mut whole, 0.6, c);
+            mu_sweep(&params, &mut whole, 0.6, c, MuPart::Full);
+            if let Some(d) = first_bit_diff(&want, &whole, &[]) {
+                panic!("{what}: {d}");
+            }
+            let mut slabbed = base.clone();
+            for t in (0..3).rev() {
+                phi_sweep_range(&params, &mut slabbed, 0.6, c, cut(t), cut(t + 1));
+            }
+            for t in 0..3 {
+                let (a, b) = (cut(t), cut(t + 1));
+                mu_sweep_range(&params, &mut slabbed, 0.6, c, MuPart::Full, a, b);
+            }
+            if let Some(d) = first_bit_diff(&want, &slabbed, &[]) {
+                panic!("{what}, 3 slabs: {d}");
+            }
         }
     }
 }
 
 /// The runtime-detected AVX2 instantiation and the forced portable
 /// fallback are bit-identical — the property that makes `SimdIsa::Auto`
-/// (and the autotuner's ISA switching) invisible to physics.
+/// invisible to physics.
 #[test]
 fn simd_isa_instantiations_are_bit_exact() {
     if !eutectica_simd::avx2_available() {
@@ -439,17 +477,31 @@ fn bits_equal(a: &BlockState, b: &BlockState) -> bool {
     true
 }
 
-/// Run `schedule.len()` φ+µ steps, picking the kernel variant per step from
-/// the autotune candidate list — the autotuner's warmup walk, condensed.
+/// The four explicit-SIMD rungs under every ISA selectable here.
+fn simd_rungs() -> Vec<KernelConfig> {
+    let mut v = Vec::new();
+    for isa in isas() {
+        for rung in &OptLevel::LADDER[2..] {
+            v.push(KernelConfig {
+                isa,
+                ..rung.config()
+            });
+        }
+    }
+    v
+}
+
+/// Run `schedule.len()` φ+µ steps, picking the kernel configuration per step
+/// from `rungs`.
 fn run_schedule(
     params: &ModelParams,
     base: &BlockState,
-    policy: &AutotunePolicy,
+    rungs: &[KernelConfig],
     schedule: &[usize],
 ) -> BlockState {
     let mut s = base.clone();
     for &i in schedule {
-        let c = policy.candidates[i % policy.candidates.len()].cfg;
+        let c = rungs[i % rungs.len()];
         phi_sweep(params, &mut s, 0.5, c);
         mu_sweep(params, &mut s, 0.5, c, MuPart::Full);
         s.swap();
@@ -460,25 +512,25 @@ fn run_schedule(
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
 
-    /// Property: any mid-run switching schedule over the bit-exact
-    /// candidate set evolves bit-identically to pinning any single
-    /// candidate for the whole run — the autotuner cannot change physics.
+    /// Property: any mid-run switching schedule over the SIMD rungs × the
+    /// available ISAs evolves bit-identically to pinning any single one of
+    /// them for the whole run — the rung and the ISA cannot change physics.
     #[test]
-    fn autotuner_variant_switches_are_bit_identical(
+    fn simd_rung_switches_are_bit_identical(
         schedule in proptest::collection::vec(0usize..8, 1..5),
         seed in 0u64..3,
     ) {
         let params = ModelParams::ag_al_cu();
-        let policy = AutotunePolicy::bit_exact();
+        let rungs = simd_rungs();
         let base = random_state(900 + seed, GridDims::cube(8));
-        let switched = run_schedule(&params, &base, &policy, &schedule);
-        for pin in 0..policy.candidates.len() {
-            let pinned = run_schedule(&params, &base, &policy, &vec![pin; schedule.len()]);
+        let switched = run_schedule(&params, &base, &rungs, &schedule);
+        for (pin, cfg) in rungs.iter().enumerate() {
+            let pinned = run_schedule(&params, &base, &rungs, &vec![pin; schedule.len()]);
             proptest::prop_assert!(
                 bits_equal(&switched, &pinned),
-                "schedule {:?} differs from pinning '{}'",
+                "schedule {:?} differs from pinning {:?}",
                 schedule,
-                policy.candidates[pin].name
+                cfg
             );
         }
     }

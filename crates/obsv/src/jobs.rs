@@ -6,7 +6,7 @@
 //! step count, owner rank, rollback count, and — once done — its field
 //! checksum, interleaved with the usual observable/metrics frames.
 
-use crate::json::Value;
+use crate::json::{parse_frame, JsonError};
 use eutectica_telemetry::JsonObject;
 
 /// Progress of one campaign job, as streamed to the collector rank and
@@ -53,29 +53,21 @@ impl JobRecord {
     }
 
     /// Parse a wire frame back into a record (smoke clients / tests).
-    pub fn from_json(line: &str) -> Result<Self, String> {
-        let v = crate::json::parse(line)?;
-        if v.str("type") != Some("job") {
-            return Err("not a job frame".into());
-        }
-        let int = |k: &str| -> Result<u64, String> {
-            v.get(k)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("missing field '{k}'"))
-        };
-        let checksum = v
-            .str("checksum")
-            .ok_or("missing field 'checksum'")
-            .and_then(|s| u64::from_str_radix(s, 16).map_err(|_| "bad checksum hex"))?;
+    pub fn from_json(line: &str) -> Result<Self, JsonError> {
+        let v = parse_frame(line, "job")?;
+        let field = "checksum";
+        let checksum = u64::from_str_radix(v.req_str(field)?, 16)
+            .map_err(|_| JsonError::BadValue { field })?;
         Ok(Self {
-            job: int("job")? as u32,
+            job: u32::try_from(v.req_u64("job")?)
+                .map_err(|_| JsonError::BadValue { field: "job" })?,
             label: v.str("label").unwrap_or_default().to_string(),
-            rank: int("rank")?,
-            round: int("round")?,
-            step: int("step")?,
-            steps_total: int("steps_total")?,
-            rollbacks: int("rollbacks")?,
-            status: v.str("status").ok_or("missing field 'status'")?.to_string(),
+            rank: v.req_u64("rank")?,
+            round: v.req_u64("round")?,
+            step: v.req_u64("step")?,
+            steps_total: v.req_u64("steps_total")?,
+            rollbacks: v.req_u64("rollbacks")?,
+            status: v.req_str("status")?.to_string(),
             checksum,
         })
     }
@@ -105,7 +97,27 @@ mod tests {
         // Checksums above 2^53 survive the hex-string encoding exactly.
         assert_eq!(back.checksum, 0xdead_beef_0123_4567);
         // Other frame types are rejected.
-        assert!(JobRecord::from_json("{\"type\":\"metrics\"}").is_err());
-        assert!(JobRecord::from_json("{\"type\":\"job\"}").is_err());
+        assert_eq!(
+            JobRecord::from_json("{\"type\":\"metrics\"}"),
+            Err(JsonError::WrongType { frame: "job" })
+        );
+        assert_eq!(
+            JobRecord::from_json("{\"type\":\"job\"}"),
+            Err(JsonError::Missing { field: "checksum" })
+        );
+        // Integer fields hold non-negative integral numbers, nothing else.
+        for value in ["-3", "1.5", "\"48\""] {
+            let poked = line.replace("\"step\":48", &format!("\"step\":{value}"));
+            assert_ne!(poked, line);
+            assert_eq!(
+                JobRecord::from_json(&poked),
+                Err(JsonError::BadValue { field: "step" }),
+                "{value}"
+            );
+        }
+        assert_eq!(
+            JobRecord::from_json(&line.replace("deadbeef", "deadbeeg")),
+            Err(JsonError::BadValue { field: "checksum" })
+        );
     }
 }

@@ -7,6 +7,52 @@
 //! including surrogate pairs.
 
 use std::collections::BTreeMap;
+use std::fmt;
+
+/// Why a text is not the JSON document or frame a decoder asked for.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum JsonError {
+    /// Not a JSON document: `what` went wrong at byte `at`.
+    Syntax {
+        /// Byte offset into the text.
+        at: usize,
+        /// What the parser expected or rejected there.
+        what: &'static str,
+    },
+    /// Nested deeper than the parser's depth cap.
+    Depth,
+    /// The `type` member is not `frame`.
+    WrongType {
+        /// The frame type the decoder wanted.
+        frame: &'static str,
+    },
+    /// A required member is absent.
+    Missing {
+        /// The member's key.
+        field: &'static str,
+    },
+    /// A member is present but is not the kind of value the frame defines
+    /// (wrong JSON type, or a negative / fractional number in an integer
+    /// field).
+    BadValue {
+        /// The member's key.
+        field: &'static str,
+    },
+}
+
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JsonError::Syntax { at, what } => write!(f, "invalid JSON at byte {at}: {what}"),
+            JsonError::Depth => write!(f, "JSON nested deeper than {MAX_DEPTH} levels"),
+            JsonError::WrongType { frame } => write!(f, "frame type is not '{frame}'"),
+            JsonError::Missing { field } => write!(f, "missing field '{field}'"),
+            JsonError::BadValue { field } => write!(f, "field '{field}' has an invalid value"),
+        }
+    }
+}
+
+impl std::error::Error for JsonError {}
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -66,20 +112,47 @@ impl Value {
         }
     }
 
-    /// Convenience: `self.get(key)?.as_f64()`.
-    pub fn num(&self, key: &str) -> Option<f64> {
-        self.get(key)?.as_f64()
-    }
-
     /// Convenience: `self.get(key)?.as_str()`.
     pub fn str(&self, key: &str) -> Option<&str> {
         self.get(key)?.as_str()
+    }
+
+    /// Required member `field` read through `as_kind`: absent is
+    /// [`JsonError::Missing`], present but rejected by `as_kind` is
+    /// [`JsonError::BadValue`].
+    fn req<'a, T>(
+        &'a self,
+        field: &'static str,
+        as_kind: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Result<T, JsonError> {
+        let v = self.get(field).ok_or(JsonError::Missing { field })?;
+        as_kind(v).ok_or(JsonError::BadValue { field })
+    }
+
+    /// Required number member.
+    pub(crate) fn req_num(&self, field: &'static str) -> Result<f64, JsonError> {
+        self.req(field, Value::as_f64)
+    }
+
+    /// Required non-negative integral number member.
+    pub(crate) fn req_u64(&self, field: &'static str) -> Result<u64, JsonError> {
+        self.req(field, Value::as_u64)
+    }
+
+    /// Required array member.
+    pub(crate) fn req_arr(&self, field: &'static str) -> Result<&[Value], JsonError> {
+        self.req(field, Value::as_arr)
+    }
+
+    /// Required string member.
+    pub(crate) fn req_str(&self, field: &'static str) -> Result<&str, JsonError> {
+        self.req(field, Value::as_str)
     }
 }
 
 /// Parse one JSON document; trailing whitespace is allowed, trailing
 /// garbage is an error.
-pub fn parse(text: &str) -> Result<Value, String> {
+pub fn parse(text: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
@@ -88,7 +161,16 @@ pub fn parse(text: &str) -> Result<Value, String> {
     let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
+        return Err(p.syntax("trailing data"));
+    }
+    Ok(v)
+}
+
+/// [`parse`] one wire frame and require its `type` member to be `frame`.
+pub(crate) fn parse_frame(line: &str, frame: &'static str) -> Result<Value, JsonError> {
+    let v = parse(line)?;
+    if v.str("type") != Some(frame) {
+        return Err(JsonError::WrongType { frame });
     }
     Ok(v)
 }
@@ -104,6 +186,11 @@ struct Parser<'a> {
 }
 
 impl Parser<'_> {
+    /// A syntax error at the current position.
+    fn syntax(&self, what: &'static str) -> JsonError {
+        JsonError::Syntax { at: self.pos, what }
+    }
+
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
@@ -118,32 +205,27 @@ impl Parser<'_> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn expect(&mut self, b: u8, what: &'static str) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
+            Err(self.syntax(what))
         }
     }
 
-    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
+    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, JsonError> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
         } else {
-            Err(format!("invalid literal at byte {}", self.pos))
+            Err(self.syntax("invalid literal"))
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Value, String> {
+    fn value(&mut self, depth: usize) -> Result<Value, JsonError> {
         if depth > MAX_DEPTH {
-            return Err("nesting too deep".into());
+            return Err(JsonError::Depth);
         }
         match self.peek() {
             Some(b'{') => self.object(depth),
@@ -153,12 +235,12 @@ impl Parser<'_> {
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'n') => self.literal("null", Value::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
+            _ => Err(self.syntax("expected a value")),
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Value, String> {
-        self.expect(b'{')?;
+    fn object(&mut self, depth: usize) -> Result<Value, JsonError> {
+        self.expect(b'{', "expected '{'")?;
         let mut map = BTreeMap::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -169,7 +251,7 @@ impl Parser<'_> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.expect(b':', "expected ':'")?;
             self.skip_ws();
             let val = self.value(depth + 1)?;
             map.insert(key, val);
@@ -180,13 +262,13 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Value::Obj(map));
                 }
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
+                _ => return Err(self.syntax("expected ',' or '}'")),
             }
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Value, String> {
-        self.expect(b'[')?;
+    fn array(&mut self, depth: usize) -> Result<Value, JsonError> {
+        self.expect(b'[', "expected '['")?;
         let mut out = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -203,24 +285,24 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Value::Arr(out));
                 }
-                other => return Err(format!("expected ',' or ']', found {other:?}")),
+                _ => return Err(self.syntax("expected ',' or ']'")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
+    fn string(&mut self) -> Result<String, JsonError> {
+        self.expect(b'"', "expected '\"'")?;
         let mut out = String::new();
         loop {
             match self.peek() {
-                None => return Err("unterminated string".into()),
+                None => return Err(self.syntax("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
+                    let esc = self.peek().ok_or(self.syntax("unterminated escape"))?;
                     self.pos += 1;
                     match esc {
                         b'"' => out.push('"'),
@@ -236,28 +318,28 @@ impl Parser<'_> {
                             let cp = if (0xd800..0xdc00).contains(&hi) {
                                 // Surrogate pair: require \uXXXX for the low half.
                                 if self.peek() != Some(b'\\') {
-                                    return Err("lone high surrogate".into());
+                                    return Err(self.syntax("lone high surrogate"));
                                 }
                                 self.pos += 1;
-                                self.expect(b'u')?;
+                                self.expect(b'u', "lone high surrogate")?;
                                 let lo = self.hex4()?;
                                 if !(0xdc00..0xe000).contains(&lo) {
-                                    return Err("invalid low surrogate".into());
+                                    return Err(self.syntax("invalid low surrogate"));
                                 }
                                 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00)
                             } else {
                                 hi
                             };
-                            out.push(char::from_u32(cp).ok_or("invalid codepoint")?);
+                            out.push(char::from_u32(cp).ok_or(self.syntax("invalid codepoint"))?);
                         }
-                        other => return Err(format!("invalid escape '\\{}'", other as char)),
+                        _ => return Err(self.syntax("invalid escape")),
                     }
                 }
                 Some(_) => {
                     // Consume one UTF-8 scalar (input is a &str, so this is safe).
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().unwrap();
+                    let s = std::str::from_utf8(rest).map_err(|_| self.syntax("invalid UTF-8"))?;
+                    let c = s.chars().next().expect("peek saw a byte");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -265,18 +347,18 @@ impl Parser<'_> {
         }
     }
 
-    fn hex4(&mut self) -> Result<u32, String> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err("truncated \\u escape".into());
-        }
-        let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| "invalid \\u escape")?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| "invalid \\u escape")?;
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let v = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .and_then(|hex| std::str::from_utf8(hex).ok())
+            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+            .ok_or(self.syntax("invalid \\u escape"))?;
         self.pos += 4;
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Value, String> {
+    fn number(&mut self) -> Result<Value, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -287,10 +369,14 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        s.parse::<f64>()
+        std::str::from_utf8(&self.bytes[start..self.pos])
+            .ok()
+            .and_then(|s| s.parse::<f64>().ok())
             .map(Value::Num)
-            .map_err(|_| format!("invalid number '{s}'"))
+            .ok_or(JsonError::Syntax {
+                at: start,
+                what: "invalid number",
+            })
     }
 }
 
@@ -303,7 +389,7 @@ mod tests {
         let v = parse(r#"{"type":"observable","step":40,"front_mean":12.5,"ok":true}"#).unwrap();
         assert_eq!(v.str("type"), Some("observable"));
         assert_eq!(v.get("step").unwrap().as_u64(), Some(40));
-        assert_eq!(v.num("front_mean"), Some(12.5));
+        assert_eq!(v.req_num("front_mean"), Ok(12.5));
         assert_eq!(v.get("ok"), Some(&Value::Bool(true)));
     }
 
@@ -327,7 +413,7 @@ mod tests {
             .finish();
         let v = parse(&line).unwrap();
         assert_eq!(v.str("name"), Some("tricky \"quote\"\nline"));
-        assert_eq!(v.num("x"), Some(-0.125));
+        assert_eq!(v.req_num("x"), Ok(-0.125));
         assert_eq!(v.get("arr").unwrap().as_arr().unwrap().len(), 3);
     }
 
@@ -336,7 +422,36 @@ mod tests {
         assert!(parse("{").is_err());
         assert!(parse("{}x").is_err());
         assert!(parse(r#"{"a":}"#).is_err());
-        assert!(parse(&("[".repeat(100) + &"]".repeat(100))).is_err()); // depth cap
+        assert_eq!(
+            parse(&("[".repeat(100) + &"]".repeat(100))),
+            Err(JsonError::Depth)
+        );
         assert!(parse("").is_err());
+        let err = parse(r#"{"a" 1}"#).unwrap_err();
+        assert_eq!(
+            err,
+            JsonError::Syntax {
+                at: 5,
+                what: "expected ':'"
+            }
+        );
+        assert_eq!(err.to_string(), "invalid JSON at byte 5: expected ':'");
+    }
+
+    #[test]
+    fn required_members_tell_missing_from_bad() {
+        let v = parse(r#"{"n":-3,"x":1.5,"s":"a","a":[1]}"#).unwrap();
+        assert_eq!(v.req_num("n"), Ok(-3.0));
+        assert_eq!(v.req_u64("n"), Err(JsonError::BadValue { field: "n" }));
+        assert_eq!(v.req_u64("x"), Err(JsonError::BadValue { field: "x" }));
+        assert_eq!(v.req_u64("s"), Err(JsonError::BadValue { field: "s" }));
+        assert_eq!(v.req_u64("gone"), Err(JsonError::Missing { field: "gone" }));
+        assert_eq!(v.req_str("s"), Ok("a"));
+        assert_eq!(v.req_arr("a").map(<[Value]>::len), Ok(1));
+        assert_eq!(v.req_arr("s"), Err(JsonError::BadValue { field: "s" }));
+        assert_eq!(
+            parse_frame(r#"{"type":"job"}"#, "slice"),
+            Err(JsonError::WrongType { frame: "slice" })
+        );
     }
 }

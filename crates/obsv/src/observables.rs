@@ -39,7 +39,7 @@ use eutectica_core::{LIQ, N_PHASES};
 use eutectica_telemetry::{JsonObject, Telemetry};
 
 use crate::bus::FrameBus;
-use crate::json::Value;
+use crate::json::{parse_frame, JsonError, Value};
 use crate::slices::{gather_slice, SliceField};
 
 /// Number of solid phases (census targets).
@@ -152,46 +152,45 @@ impl ObservableRecord {
     }
 
     /// Parse a wire frame back into a record (the smoke client / tests).
-    pub fn from_json(line: &str) -> Result<Self, String> {
-        let v = crate::json::parse(line)?;
-        if v.str("type") != Some("observable") {
-            return Err("not an observable frame".into());
-        }
-        let num = |k: &str| v.num(k).ok_or_else(|| format!("missing field '{k}'"));
-        let int = |k: &str| -> Result<u64, String> { num(k).map(|x| x as u64) };
-        let arr = |k: &str| -> Result<&[Value], String> {
-            v.get(k)
-                .and_then(Value::as_arr)
-                .ok_or_else(|| format!("missing array '{k}'"))
-        };
+    pub fn from_json(line: &str) -> Result<Self, JsonError> {
+        let v = parse_frame(line, "observable")?;
         let mut phase_fractions = [0.0; N_PHASES];
-        for (i, x) in arr("phase_fractions")?.iter().take(N_PHASES).enumerate() {
-            phase_fractions[i] = x.as_f64().unwrap_or(0.0);
-        }
+        fill(&mut phase_fractions, &v, "phase_fractions", Value::as_f64)?;
         let mut lamella_count = [0u64; N_SOLID];
+        fill(&mut lamella_count, &v, "lamella_count", Value::as_u64)?;
         let mut lamellar_spacing = [0.0; N_SOLID];
-        for (i, x) in arr("lamella_count")?.iter().take(N_SOLID).enumerate() {
-            lamella_count[i] = x.as_u64().unwrap_or(0);
-        }
-        for (i, x) in arr("lamellar_spacing")?.iter().take(N_SOLID).enumerate() {
-            lamellar_spacing[i] = x.as_f64().unwrap_or(0.0);
-        }
+        fill(&mut lamellar_spacing, &v, "lamellar_spacing", Value::as_f64)?;
         Ok(Self {
-            step: int("step")? as usize,
-            time: num("time")?,
-            front_mean: num("front_mean")?,
-            front_rms: num("front_rms")?,
-            front_velocity: num("front_velocity")?,
-            solid_fraction: num("solid_fraction")?,
+            step: v.req_u64("step")? as usize,
+            time: v.req_num("time")?,
+            front_mean: v.req_num("front_mean")?,
+            front_rms: v.req_num("front_rms")?,
+            front_velocity: v.req_num("front_velocity")?,
+            solid_fraction: v.req_num("solid_fraction")?,
             phase_fractions,
             lamella_count,
             lamellar_spacing,
-            census_z: int("census_z")? as usize,
-            undercooling: num("undercooling")?,
-            interface_density: num("interface_density")?,
-            window_shifts: int("window_shifts")? as usize,
+            census_z: v.req_u64("census_z")? as usize,
+            undercooling: v.req_num("undercooling")?,
+            interface_density: v.req_num("interface_density")?,
+            window_shifts: v.req_u64("window_shifts")? as usize,
         })
     }
+}
+
+/// Decode the leading elements of the required array member `field` into
+/// `out` (a shorter array leaves the rest of `out` as it is); an element
+/// `as_kind` rejects is [`JsonError::BadValue`].
+fn fill<T>(
+    out: &mut [T],
+    v: &Value,
+    field: &'static str,
+    as_kind: fn(&Value) -> Option<T>,
+) -> Result<(), JsonError> {
+    for (slot, x) in out.iter_mut().zip(v.req_arr(field)?) {
+        *slot = as_kind(x).ok_or(JsonError::BadValue { field })?;
+    }
+    Ok(())
 }
 
 /// One shrink-recovery event: a rank death absorbed in-flight by the
@@ -239,30 +238,24 @@ impl RecoveryRecord {
     }
 
     /// Parse a wire frame back into a record (the smoke client / tests).
-    pub fn from_json(line: &str) -> Result<Self, String> {
-        let v = crate::json::parse(line)?;
-        if v.str("type") != Some("recovery") {
-            return Err("not a recovery frame".into());
-        }
-        let num = |k: &str| v.num(k).ok_or_else(|| format!("missing field '{k}'"));
-        let int = |k: &str| -> Result<u64, String> { num(k).map(|x| x as u64) };
+    pub fn from_json(line: &str) -> Result<Self, JsonError> {
+        let v = parse_frame(line, "recovery")?;
+        let field = "dead_ranks";
         let dead_ranks = v
-            .get("dead_ranks")
-            .and_then(Value::as_arr)
-            .ok_or("missing array 'dead_ranks'")?
+            .req_arr(field)?
             .iter()
-            .filter_map(Value::as_u64)
-            .collect();
+            .map(|x| x.as_u64().ok_or(JsonError::BadValue { field }))
+            .collect::<Result<_, _>>()?;
         Ok(Self {
-            step: int("step")? as usize,
-            epoch: int("epoch")?,
+            step: v.req_u64("step")? as usize,
+            epoch: v.req_u64("epoch")?,
             dead_ranks,
-            survivors: int("survivors")?,
-            blocks_rehomed: int("blocks_rehomed")?,
-            bytes_moved: int("bytes_moved")?,
+            survivors: v.req_u64("survivors")?,
+            blocks_rehomed: v.req_u64("blocks_rehomed")?,
+            bytes_moved: v.req_u64("bytes_moved")?,
             source: v.str("source").unwrap_or_default().to_string(),
-            restored_step: int("restored_step")? as usize,
-            recovery_secs: num("recovery_secs")?,
+            restored_step: v.req_u64("restored_step")? as usize,
+            recovery_secs: v.req_num("recovery_secs")?,
         })
     }
 }
@@ -745,8 +738,25 @@ mod tests {
             interface_density: 0.33,
             window_shifts: 5,
         };
-        let back = ObservableRecord::from_json(&rec.to_json()).unwrap();
+        let line = rec.to_json();
+        let back = ObservableRecord::from_json(&line).unwrap();
         assert_eq!(back, rec);
+
+        // An integer field holds a non-negative integral number, an array
+        // its element type — nothing is coerced.
+        let bad = |field| Err(JsonError::BadValue { field });
+        for value in ["-3", "1.5", "\"40\""] {
+            let poked = line.replace("\"step\":40", &format!("\"step\":{value}"));
+            assert_ne!(poked, line);
+            assert_eq!(ObservableRecord::from_json(&poked), bad("step"), "{value}");
+        }
+        let poked = line.replace("\"lamella_count\":[3,", "\"lamella_count\":[\"3\",");
+        assert_ne!(poked, line);
+        assert_eq!(ObservableRecord::from_json(&poked), bad("lamella_count"));
+        assert_eq!(
+            ObservableRecord::from_json(&line.replace("\"census_z\"", "\"z\"")),
+            Err(JsonError::Missing { field: "census_z" })
+        );
     }
 
     #[test]
@@ -812,6 +822,18 @@ mod tests {
         assert!(line.starts_with("{\"type\":\"recovery\""), "{line}");
         let back = RecoveryRecord::from_json(&line).expect("parse");
         assert_eq!(back, rec);
-        assert!(RecoveryRecord::from_json("{\"type\":\"metrics\"}").is_err());
+        assert_eq!(
+            RecoveryRecord::from_json("{\"type\":\"metrics\"}"),
+            Err(JsonError::WrongType { frame: "recovery" })
+        );
+        let bad = |field| Err(JsonError::BadValue { field });
+        for value in ["-3", "1.5", "\"2\""] {
+            let poked = line.replace("\"epoch\":2", &format!("\"epoch\":{value}"));
+            assert_ne!(poked, line);
+            assert_eq!(RecoveryRecord::from_json(&poked), bad("epoch"), "{value}");
+        }
+        let poked = line.replace("\"dead_ranks\":[1,3]", "\"dead_ranks\":[1,null]");
+        assert_ne!(poked, line);
+        assert_eq!(RecoveryRecord::from_json(&poked), bad("dead_ranks"));
     }
 }

@@ -417,13 +417,11 @@ fn membership_round(
     trigger: &CommError,
 ) -> Result<Vec<usize>, CampaignError> {
     let Some(policy) = &opts.shrink else {
-        return Err(CampaignError::Comm(format!(
-            "rank death without a shrink policy: {trigger}"
-        )));
+        return Err(CampaignError::Comm(trigger.clone()));
     };
     loop {
         match catch_comm(|| rank.recover_membership()) {
-            Ok(Ok(Some(change))) => {
+            Ok(Some(change)) => {
                 *deaths += change.newly_dead.len();
                 opts.telemetry.set_epoch(change.epoch);
                 if *deaths > policy.max_shrinks {
@@ -434,13 +432,11 @@ fn membership_round(
                 }
                 return Ok(change.alive);
             }
-            Ok(Ok(None)) => {
-                return Err(CampaignError::Comm(format!(
-                    "comm failure without a membership change: {trigger}"
-                )));
-            }
+            // A comm failure with every peer alive: nothing to shrink away
+            // from.
+            Ok(None) => return Err(CampaignError::Comm(trigger.clone())),
             // A further death raced the round; run another one.
-            Ok(Err(_)) | Err(_) => continue,
+            Err(_) => continue,
         }
     }
 }

@@ -11,6 +11,7 @@
 
 use std::fmt;
 
+use eutectica_comm::CommError;
 use eutectica_core::params::ModelParams;
 
 /// Error type of campaign validation, expansion, and execution.
@@ -37,8 +38,9 @@ pub enum CampaignError {
         reason: String,
     },
     /// A communication failure that shrink recovery was not allowed (or
-    /// able) to absorb.
-    Comm(String),
+    /// able) to absorb: a death without a shrink policy, or a failure with
+    /// no death to shrink away from.
+    Comm(CommError),
     /// More ranks died than the shrink budget covers.
     ShrinkExhausted {
         /// Deaths the policy allowed.
@@ -75,7 +77,14 @@ impl fmt::Display for CampaignError {
     }
 }
 
-impl std::error::Error for CampaignError {}
+impl std::error::Error for CampaignError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            Self::Comm(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 /// A parameter-sweep campaign over small directional-solidification runs.
 #[derive(Clone, Debug)]

@@ -21,6 +21,11 @@
 //! ghost layers along it, so the order of a phase's transfers cannot change
 //! the result. Regions do not depend on the component count, so φ and µ
 //! share them; the four fields differ in their tag range only.
+//!
+//! The plan also knows what its messages weigh: the wire bytes one phase of
+//! one field sends and receives ([`ExchangePlan::wire_bytes`]), from which
+//! the time loop keeps its per-field traffic counters. The transport only
+//! counts totals.
 
 use bytes::Bytes;
 use eutectica_blockgrid::decomp::Decomposition;
@@ -30,6 +35,7 @@ use eutectica_blockgrid::Face;
 use eutectica_comm::Rank;
 
 use crate::state::BlockState;
+use crate::{N_COMP, N_PHASES};
 
 /// Which field a ghost exchange operates on.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -42,21 +48,31 @@ pub(crate) enum FieldSel {
 
 impl FieldSel {
     /// In tag-range order.
-    const ALL: [FieldSel; 4] = [
+    pub(crate) const ALL: [FieldSel; 4] = [
         FieldSel::PhiSrc,
         FieldSel::PhiDst,
         FieldSel::MuSrc,
         FieldSel::MuDst,
     ];
 
-    /// Name used in per-field traffic accounting.
-    pub(crate) fn name(self) -> &'static str {
+    /// Telemetry counters of this field's ghost traffic: bytes sent, bytes
+    /// received.
+    pub(crate) fn counters(self) -> [&'static str; 2] {
         match self {
-            FieldSel::PhiSrc => "phi_src",
-            FieldSel::PhiDst => "phi_dst",
-            FieldSel::MuSrc => "mu_src",
-            FieldSel::MuDst => "mu_dst",
+            FieldSel::PhiSrc => ["comm/phi_src/bytes_sent", "comm/phi_src/bytes_received"],
+            FieldSel::PhiDst => ["comm/phi_dst/bytes_sent", "comm/phi_dst/bytes_received"],
+            FieldSel::MuSrc => ["comm/mu_src/bytes_sent", "comm/mu_src/bytes_received"],
+            FieldSel::MuDst => ["comm/mu_dst/bytes_sent", "comm/mu_dst/bytes_received"],
         }
+    }
+
+    /// Wire bytes per ghost cell: one f64 per component.
+    fn bytes_per_cell(self) -> u64 {
+        let components = match self {
+            FieldSel::PhiSrc | FieldSel::PhiDst => N_PHASES,
+            FieldSel::MuSrc | FieldSel::MuDst => N_COMP,
+        };
+        (components * std::mem::size_of::<f64>()) as u64
     }
 }
 
@@ -110,6 +126,8 @@ struct PhasePlan {
     local: Vec<LocalCopy>,
     sends: Vec<RemoteFace>,
     recvs: Vec<RemoteFace>,
+    /// Cells of all remote faces: `[sent, received]`.
+    remote_cells: [u64; 2],
 }
 
 /// Every ghost transfer of one rank, per [`Phase`]. Valid for the placement
@@ -163,6 +181,8 @@ impl ExchangePlan {
                             recv: regions(&blocks[dst], face.opposite()).1,
                         });
                     } else {
+                        plan.remote_cells[0] += send.volume() as u64;
+                        plan.remote_cells[1] += recv.volume() as u64;
                         // A message is tagged by its sender's block and face.
                         plan.sends.push(RemoteFace {
                             block: li,
@@ -191,11 +211,13 @@ impl ExchangePlan {
         4 * self.tags_per_field
     }
 
-    /// The field whose exchange uses `tag`; `None` above the ghost tag space.
-    pub(crate) fn field_of_tag(&self, tag: u32) -> Option<FieldSel> {
-        FieldSel::ALL
-            .get((tag / self.tags_per_field) as usize)
-            .copied()
+    /// Wire bytes `[sent, received]` of one `phase` of the `field` exchange:
+    /// the payload lengths [`ghost::pack_region_bytes`] produces for its
+    /// remote faces.
+    pub(crate) fn wire_bytes(&self, field: FieldSel, phase: Phase) -> [u64; 2] {
+        self.phases[phase.index()]
+            .remote_cells
+            .map(|cells| cells * field.bytes_per_cell())
     }
 
     fn first_tag(&self, field: FieldSel) -> u32 {

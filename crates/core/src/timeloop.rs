@@ -19,7 +19,7 @@
 //!   split µ-kernel, whose per-slice temperature values are computed twice —
 //!   the overhead that makes φ-hiding a net loss in the paper's Fig. 8.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -31,9 +31,7 @@ use eutectica_blockgrid::rebalance::{
     blend_weights, plan_rebalance, CostEntry, CostModel, RebalancePolicy,
 };
 use eutectica_blockgrid::Face;
-use eutectica_comm::{
-    user_tag, CommStats, FaultPhase, Rank, TagStats, COLLECTIVE_TAG, MEMBERSHIP_TAG,
-};
+use eutectica_comm::{CommStats, FaultPhase, Rank};
 use eutectica_telemetry::{StepRecord, Telemetry};
 
 use crate::exchange::{ExchangePlan, FieldSel, Phase};
@@ -241,6 +239,9 @@ pub struct DistributedSim<'r> {
     telemetry: Telemetry,
     /// Comm-stats snapshot at the end of the previous step (per-step deltas).
     prev_stats: CommStats,
+    /// Ghost wire bytes `[sent, received]` per field (in [`FieldSel::ALL`]
+    /// order) since the previous step's accounting, from the exchange plan.
+    ghost_bytes: [[u64; 2]; 4],
     prev_window_shifts: usize,
     step_records: Option<Vec<StepRecord>>,
     /// Intra-rank z-slab work sharing for the sweeps (1 thread = serial).
@@ -292,6 +293,7 @@ impl<'r> DistributedSim<'r> {
             window: None,
             window_shifts: 0,
             prev_stats: CommStats::default(),
+            ghost_bytes: [[0; 2]; 4],
             prev_window_shifts: 0,
             step_records: None,
             pool: SweepPool::new(1),
@@ -1049,7 +1051,8 @@ impl<'r> DistributedSim<'r> {
     }
 
     /// Fold the telemetry tree back into the legacy [`StepTimings`] view,
-    /// bridge per-step comm-stats deltas into the metrics registry, and
+    /// bridge per-step comm-stats deltas and the exchange plan's per-field
+    /// ghost bytes into the metrics registry, and
     /// append a [`StepRecord`] when recording is on.
     fn finish_step_accounting(&mut self, wall: Duration) {
         let mut t = self.derive_timings();
@@ -1096,15 +1099,14 @@ impl<'r> DistributedSim<'r> {
             .delta_since(&self.prev_stats.recv_wait_hist);
         self.telemetry.hist_merge("comm/recv_wait_ns", &wait_delta);
 
-        let (mut ghost_sent, mut ghost_recv) = (0u64, 0u64);
-        for (field, ts) in self.field_traffic_delta(&stats) {
-            ghost_sent += ts.bytes_sent;
-            ghost_recv += ts.bytes_received;
+        let ghost_bytes = std::mem::take(&mut self.ghost_bytes);
+        for (field, [sent, received]) in FieldSel::ALL.into_iter().zip(ghost_bytes) {
+            let [sent_name, received_name] = field.counters();
             self.telemetry
-                .counter_add(&format!("comm/{field}/bytes_sent"), ts.bytes_sent);
-            self.telemetry
-                .counter_add(&format!("comm/{field}/bytes_received"), ts.bytes_received);
+                .counters_add(&[(sent_name, sent), (received_name, received)]);
         }
+        let ghost_sent = ghost_bytes.iter().map(|b| b[0]).sum();
+        let ghost_recv = ghost_bytes.iter().map(|b| b[1]).sum();
 
         if self.step_records.is_some() {
             let rec = StepRecord {
@@ -1153,57 +1155,6 @@ impl<'r> DistributedSim<'r> {
             }
         }
         t
-    }
-
-    /// Per-field ghost traffic deltas since the previous step, keyed by
-    /// field name (collective tags excluded).
-    fn field_traffic_delta(&self, cur: &CommStats) -> BTreeMap<&'static str, TagStats> {
-        let mut map: BTreeMap<&'static str, TagStats> = BTreeMap::new();
-        for (tag, ts) in &cur.per_tag {
-            let Some(field) = self.field_of_tag(*tag) else {
-                continue;
-            };
-            let p = self
-                .prev_stats
-                .per_tag
-                .get(tag)
-                .copied()
-                .unwrap_or_default();
-            let e = map.entry(field).or_default();
-            e.bytes_sent += ts.bytes_sent - p.bytes_sent;
-            e.messages_sent += ts.messages_sent - p.messages_sent;
-            e.bytes_received += ts.bytes_received - p.bytes_received;
-            e.messages_received += ts.messages_received - p.messages_received;
-        }
-        map
-    }
-
-    /// Cumulative per-field ghost traffic of this rank (decoded from the
-    /// per-tag breakdown in [`CommStats`]).
-    pub fn comm_field_traffic(&self) -> BTreeMap<&'static str, TagStats> {
-        let mut map: BTreeMap<&'static str, TagStats> = BTreeMap::new();
-        for (tag, ts) in &self.rank.stats().per_tag {
-            let Some(field) = self.field_of_tag(*tag) else {
-                continue;
-            };
-            let e = map.entry(field).or_default();
-            e.bytes_sent += ts.bytes_sent;
-            e.messages_sent += ts.messages_sent;
-            e.bytes_received += ts.bytes_received;
-            e.messages_received += ts.messages_received;
-        }
-        map
-    }
-
-    fn field_of_tag(&self, tag: u32) -> Option<&'static str> {
-        if tag & (COLLECTIVE_TAG | MEMBERSHIP_TAG) != 0 {
-            return None;
-        }
-        // Wire tags carry the membership-epoch stamp in their high bits;
-        // strip it to recover the application tag.
-        self.exchange
-            .field_of_tag(user_tag(tag))
-            .map(FieldSel::name)
     }
 
     /// Run `n` steps.
@@ -1284,6 +1235,7 @@ impl<'r> DistributedSim<'r> {
     fn post(&mut self, field: FieldSel, phase: Phase) -> Pending {
         self.exchange
             .post(&mut self.blocks, field, phase, self.rank);
+        self.ghost_bytes[field as usize][0] += self.exchange.wire_bytes(field, phase)[0];
         Pending { field, phase }
     }
 
@@ -1291,6 +1243,7 @@ impl<'r> DistributedSim<'r> {
     fn finish(&mut self, p: Pending) {
         self.exchange
             .finish(&mut self.blocks, p.field, p.phase, self.rank);
+        self.ghost_bytes[p.field as usize][1] += self.exchange.wire_bytes(p.field, p.phase)[1];
     }
 
     fn exchange_axis(&mut self, field: FieldSel, axis: usize) {

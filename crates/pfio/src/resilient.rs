@@ -757,24 +757,15 @@ fn recover_and_rehome(
     let step = sim.step_index();
     // 1. Membership round: agree on the survivor set, install the next
     // epoch, fence stale pre-death messages.
-    let change = match sim.comm_rank().recover_membership() {
-        Ok(Some(c)) => c,
-        Ok(None) => {
-            // The failure was not a death (e.g. a timeout with every peer
-            // alive) — there is nothing to shrink away from.
-            return Err(RankFailure::ShrinkRecovery {
-                step,
-                detail: format!("comm failure without a membership change: {trigger}"),
-            });
-        }
-        Err(e) => {
-            // A death raced the round; re-raise through the comm panic so
-            // the caller's catch_comm retries with the larger dead set.
-            std::panic::panic_any(CommPanic {
-                rank: sim.comm_rank().rank(),
-                err: e,
-            })
-        }
+    // A death racing the round fails it like any comm operation, so the
+    // caller's catch_comm retries with the larger dead set.
+    let Some(change) = sim.comm_rank().recover_membership() else {
+        // The failure was not a death (e.g. a timeout with every peer
+        // alive) — there is nothing to shrink away from.
+        return Err(RankFailure::ShrinkRecovery {
+            step,
+            detail: format!("comm failure without a membership change: {trigger}"),
+        });
     };
     tel.set_epoch(change.epoch);
     tel.gauge_set("membership/epoch", change.epoch as f64);
@@ -1108,103 +1099,66 @@ where
             })
         };
 
-        if opts.shrink.is_some() {
-            // Shrink mode: deaths are survivable, so run under the
-            // surviving harness and accept an attempt where every block is
-            // accounted for by the survivors.
-            let out = Universe::run_surviving(n_ranks, ucfg, rank_main);
-            let mut oks: Vec<(usize, RankOutcome)> = Vec::new();
-            let mut errs: Vec<RankFailure> = Vec::new();
-            for (r, res) in out.results.into_iter().enumerate() {
-                match res {
-                    Some(Ok(o)) => oks.push((r, o)),
-                    Some(Err(e)) => errs.push(e),
-                    // A dead rank simply has no result; its blocks must
-                    // resurface on a survivor for the coverage check below.
-                    None => {}
-                }
+        // Shrink mode survives deaths, so an attempt succeeds when every
+        // block is accounted for by the survivors. In classic mode any death
+        // fails the attempt as a whole.
+        let out = Universe::run_surviving(n_ranks, ucfg, rank_main);
+        let lost_ranks = opts.shrink.is_none() && !out.dead.is_empty();
+        let mut oks: Vec<(usize, RankOutcome)> = Vec::new();
+        let mut errs: Vec<RankFailure> = Vec::new();
+        for (r, res) in out.results.into_iter().enumerate() {
+            match res {
+                Some(Ok(o)) => oks.push((r, o)),
+                Some(Err(e)) => errs.push(e),
+                // A dead rank simply has no result; in shrink mode its
+                // blocks must resurface on a survivor for the coverage
+                // check below.
+                None => {}
             }
-            let mut ids: Vec<usize> = oks
-                .iter()
-                .flat_map(|(_, o)| o.blocks.iter().map(|(id, _)| *id))
-                .collect();
-            ids.sort_unstable();
-            let covered = ids.iter().copied().eq(0..nb_total);
-            if errs.is_empty() && covered && !oks.is_empty() {
-                let time = oks[0].1.time;
-                let rollbacks = oks.iter().map(|(_, o)| o.rollbacks).max().unwrap_or(0);
-                let restore_skips = oks.iter().map(|(_, o)| o.restore_skips).max().unwrap_or(0);
-                let shrinks = oks.iter().map(|(_, o)| o.shrinks).max().unwrap_or(0);
-                let survivors: Vec<usize> = oks.iter().map(|(r, _)| *r).collect();
-                let shrink_cost = ShrinkCost {
-                    blocks_rehomed: oks
-                        .iter()
-                        .map(|(_, o)| o.cost.blocks_rehomed)
-                        .max()
-                        .unwrap_or(0),
-                    bytes_moved: oks.iter().map(|(_, o)| o.cost.bytes_moved).sum(),
-                    recovery_secs: oks
-                        .iter()
-                        .map(|(_, o)| o.cost.recovery_secs)
-                        .fold(0.0, f64::max),
-                };
-                let mut tagged: Vec<(usize, BlockState)> =
-                    oks.into_iter().flat_map(|(_, o)| o.blocks).collect();
-                tagged.sort_by_key(|(id, _)| *id);
-                return Ok(ResilientOutcome {
-                    blocks: tagged.into_iter().map(|(_, b)| b).collect(),
-                    time,
-                    attempts: attempt + 1,
-                    failures,
-                    rollbacks,
-                    restore_skips,
-                    shrinks,
-                    survivors,
-                    shrink_cost,
-                });
-            }
-            if errs.is_empty() {
-                failures.push(AttemptFailure::Universe(UniverseError { dead: out.dead }));
-            } else {
-                failures.push(AttemptFailure::Ranks(errs));
-            }
+        }
+        let mut ids: Vec<usize> = oks
+            .iter()
+            .flat_map(|(_, o)| o.blocks.iter().map(|(id, _)| *id))
+            .collect();
+        ids.sort_unstable();
+        let covered = ids.iter().copied().eq(0..nb_total);
+        if !lost_ranks && errs.is_empty() && covered && !oks.is_empty() {
+            let time = oks[0].1.time;
+            let rollbacks = oks.iter().map(|(_, o)| o.rollbacks).max().unwrap_or(0);
+            let restore_skips = oks.iter().map(|(_, o)| o.restore_skips).max().unwrap_or(0);
+            let shrinks = oks.iter().map(|(_, o)| o.shrinks).max().unwrap_or(0);
+            let survivors: Vec<usize> = oks.iter().map(|(r, _)| *r).collect();
+            let shrink_cost = ShrinkCost {
+                blocks_rehomed: oks
+                    .iter()
+                    .map(|(_, o)| o.cost.blocks_rehomed)
+                    .max()
+                    .unwrap_or(0),
+                bytes_moved: oks.iter().map(|(_, o)| o.cost.bytes_moved).sum(),
+                recovery_secs: oks
+                    .iter()
+                    .map(|(_, o)| o.cost.recovery_secs)
+                    .fold(0.0, f64::max),
+            };
+            let mut tagged: Vec<(usize, BlockState)> =
+                oks.into_iter().flat_map(|(_, o)| o.blocks).collect();
+            tagged.sort_by_key(|(id, _)| *id);
+            return Ok(ResilientOutcome {
+                blocks: tagged.into_iter().map(|(_, b)| b).collect(),
+                time,
+                attempts: attempt + 1,
+                failures,
+                rollbacks,
+                restore_skips,
+                shrinks,
+                survivors,
+                shrink_cost,
+            });
+        }
+        if lost_ranks || errs.is_empty() {
+            failures.push(AttemptFailure::Universe(UniverseError { dead: out.dead }));
         } else {
-            let run: Result<Vec<RankResult>, UniverseError> =
-                Universe::run_checked(n_ranks, ucfg, rank_main);
-            match run {
-                Ok(per_rank) => {
-                    let mut oks: Vec<RankOutcome> = Vec::new();
-                    let mut errs: Vec<RankFailure> = Vec::new();
-                    for r in per_rank {
-                        match r {
-                            Ok(o) => oks.push(o),
-                            Err(e) => errs.push(e),
-                        }
-                    }
-                    if errs.is_empty() {
-                        let time = oks[0].time;
-                        let rollbacks = oks.iter().map(|o| o.rollbacks).max().unwrap_or(0);
-                        let restore_skips = oks.iter().map(|o| o.restore_skips).max().unwrap_or(0);
-                        let shrinks = oks.iter().map(|o| o.shrinks).max().unwrap_or(0);
-                        let mut tagged: Vec<(usize, BlockState)> =
-                            oks.into_iter().flat_map(|o| o.blocks).collect();
-                        tagged.sort_by_key(|(id, _)| *id);
-                        return Ok(ResilientOutcome {
-                            blocks: tagged.into_iter().map(|(_, b)| b).collect(),
-                            time,
-                            attempts: attempt + 1,
-                            failures,
-                            rollbacks,
-                            restore_skips,
-                            shrinks,
-                            survivors: (0..n_ranks).collect(),
-                            shrink_cost: ShrinkCost::default(),
-                        });
-                    }
-                    failures.push(AttemptFailure::Ranks(errs));
-                }
-                Err(e) => failures.push(AttemptFailure::Universe(e)),
-            }
+            failures.push(AttemptFailure::Ranks(errs));
         }
     }
     Err(ResilientError::Exhausted {

@@ -5,12 +5,13 @@
 //!   `overlap_equivalence` pattern to the observability axis.
 //! * Cross-rank timing-tree reduction has a deterministic structure,
 //!   independent of the rank count.
-//! * The ghost-exchange byte counters agree exactly with the analytic
-//!   `ghost::send_region` face volumes × 8 bytes per f64.
+//! * The per-field ghost-exchange byte counters agree exactly with the
+//!   analytic `ghost::send_region` face volumes × 8 bytes per f64, and add
+//!   up to the transport's totals.
 
 use eutectica_blockgrid::decomp::{Decomposition, DomainSpec};
 use eutectica_blockgrid::{ghost, Face, GridDims};
-use eutectica_comm::{CommStats, TagStats, Universe};
+use eutectica_comm::{CommStats, Universe};
 use eutectica_core::init;
 use eutectica_core::kernels::KernelConfig;
 use eutectica_core::params::ModelParams;
@@ -154,6 +155,41 @@ fn reduction_structure_is_deterministic_across_rank_counts() {
     assert_eq!(count("step/bc"), 2 * STEPS as u64);
 }
 
+/// Each rank's comm totals after init and after `STEPS` steps of `spec`,
+/// and its telemetry counters at the end.
+fn run_traffic(
+    n_ranks: usize,
+    spec: DomainSpec,
+    overlap: OverlapOptions,
+) -> Vec<(CommStats, CommStats, BTreeMap<String, u64>)> {
+    let params = ModelParams::ag_al_cu();
+    Universe::run(n_ranks, move |rank| {
+        let mut sim = DistributedSim::new(
+            &rank,
+            params.clone(),
+            Decomposition::new(spec),
+            KernelConfig::default(),
+            overlap,
+        );
+        sim.init_blocks(|b| init::init_planar_front(b, 0, 3));
+        let after_init = rank.stats();
+        sim.step_n(STEPS);
+        let counters = sim.telemetry().metrics_snapshot().counters;
+        (after_init, rank.stats(), counters)
+    })
+}
+
+/// The per-field ghost byte counter `comm/<field>/bytes_<dir>`; 0 when the
+/// field never moved a byte.
+fn field_bytes(counters: &BTreeMap<String, u64>, field: &str, dir: &str) -> u64 {
+    counters
+        .get(&format!("comm/{field}/bytes_{dir}"))
+        .copied()
+        .unwrap_or(0)
+}
+
+const FIELDS: [&str; 4] = ["phi_src", "phi_dst", "mu_src", "mu_dst"];
+
 /// One rank's traffic for `[16,8,8]` split `[2,1,1]`: only the two x faces
 /// cross the rank boundary (y is periodic onto the same block, z is a
 /// physical boundary), so every exchanged field contributes exactly two
@@ -165,28 +201,10 @@ fn ghost_byte_counters_match_analytic_face_sizes() {
     let mu_msg = ghost::message_bytes(dims, Face::XLow, N_COMP);
     let mu_msg_plain = ghost::message_bytes_plain(dims, Face::XLow, N_COMP);
     assert_eq!(phi_msg, ghost::message_bytes(dims, Face::XHigh, N_PHASES));
-
-    let run =
-        |overlap: OverlapOptions| -> Vec<(CommStats, CommStats, BTreeMap<&'static str, TagStats>)> {
-            let params = ModelParams::ag_al_cu();
-            Universe::run(2, move |rank| {
-                let decomp = Decomposition::new(DomainSpec::directional([16, 8, 8], [2, 1, 1]));
-                let mut sim = DistributedSim::new(
-                    &rank,
-                    params.clone(),
-                    decomp,
-                    KernelConfig::default(),
-                    overlap,
-                );
-                sim.init_blocks(|b| init::init_planar_front(b, 0, 3));
-                let after_init = rank.stats();
-                sim.step_n(STEPS);
-                (after_init, rank.stats(), sim.comm_field_traffic())
-            })
-        };
+    let spec = DomainSpec::directional([16, 8, 8], [2, 1, 1]);
 
     // Default path: φ_dst and µ_dst exchanged sequenced every step.
-    for (after_init, after_steps, fields) in run(OverlapOptions::default()) {
+    for (after_init, after_steps, counters) in run_traffic(2, spec, OverlapOptions::default()) {
         // Init refreshes φ_src and µ_src once: two faces each.
         assert_eq!(after_init.bytes_sent, 2 * (phi_msg + mu_msg));
         assert_eq!(after_init.bytes_received, 2 * (phi_msg + mu_msg));
@@ -199,11 +217,16 @@ fn ghost_byte_counters_match_analytic_face_sizes() {
         assert_eq!(after_steps.messages_sent, 4 + STEPS as u64 * 4);
         assert_eq!(after_steps.bytes_received, after_steps.bytes_sent);
         // Per-field attribution.
-        assert_eq!(fields["phi_src"].bytes_sent, 2 * phi_msg);
-        assert_eq!(fields["mu_src"].bytes_sent, 2 * mu_msg);
-        assert_eq!(fields["phi_dst"].bytes_sent, STEPS as u64 * 2 * phi_msg);
-        assert_eq!(fields["mu_dst"].bytes_sent, STEPS as u64 * 2 * mu_msg);
-        assert_eq!(fields["phi_dst"].messages_sent, STEPS as u64 * 2);
+        assert_eq!(field_bytes(&counters, "phi_src", "sent"), 2 * phi_msg);
+        assert_eq!(field_bytes(&counters, "mu_src", "sent"), 2 * mu_msg);
+        assert_eq!(
+            field_bytes(&counters, "phi_dst", "sent"),
+            STEPS as u64 * 2 * phi_msg
+        );
+        assert_eq!(
+            field_bytes(&counters, "mu_dst", "sent"),
+            STEPS as u64 * 2 * mu_msg
+        );
     }
 
     // µ-hiding swaps the sequenced µ_dst exchange for a plain (face-only)
@@ -215,23 +238,106 @@ fn ghost_byte_counters_match_analytic_face_sizes() {
         ghost::message_bytes_plain(dims, Face::ZLow, N_COMP)
             < ghost::message_bytes(dims, Face::ZLow, N_COMP)
     );
-    for (after_init, after_steps, fields) in run(OverlapOptions {
+    let hide_mu = OverlapOptions {
         hide_mu: true,
         hide_phi: false,
-    }) {
+    };
+    for (after_init, after_steps, counters) in run_traffic(2, spec, hide_mu) {
         let per_step = 2 * (phi_msg + mu_msg_plain);
         assert_eq!(
             after_steps.bytes_sent - after_init.bytes_sent,
             STEPS as u64 * per_step
         );
         assert_eq!(
-            fields["mu_src"].bytes_sent,
+            field_bytes(&counters, "mu_src", "sent"),
             2 * mu_msg + STEPS as u64 * 2 * mu_msg_plain
         );
         assert!(
-            !fields.contains_key("mu_dst"),
+            !counters.contains_key("comm/mu_dst/bytes_sent"),
             "mu_dst exchange should be deferred"
         );
+    }
+}
+
+/// Remote faces on the y and z axes: `[16,16,16]` in `[2,2,2]` blocks puts
+/// the z faces across the rank boundary on 2 ranks, and the y and z faces
+/// on 4. There a sequenced message also carries the ghosts of the axes
+/// exchanged before it, so sequenced and plain regions differ. Each
+/// per-field counter must equal the analytic sum over the rank's remote
+/// faces, and the fields must add up to the transport's totals: no
+/// collective in this run carries bytes.
+#[test]
+fn ghost_byte_counters_match_analytic_sums_on_y_and_z_faces() {
+    let spec = DomainSpec::directional([16, 16, 16], [2, 2, 2]);
+    let decomp = Decomposition::new(spec);
+    let dims = decomp.block(0).dims(1);
+    let steps = STEPS as u64;
+    for n_ranks in [2, 4] {
+        // `[sent, received]` bytes of one exchange over every remote face
+        // of `rank`, with `nc` components, sequenced or plain regions.
+        let remote = |rank: usize, nc: usize, plain: bool| -> [u64; 2] {
+            let bytes = |face| {
+                if plain {
+                    ghost::message_bytes_plain(dims, face, nc)
+                } else {
+                    ghost::message_bytes(dims, face, nc)
+                }
+            };
+            let mut sum = [0, 0];
+            for id in decomp.blocks_of_rank(rank, n_ranks) {
+                for face in Face::ALL {
+                    let Some(nb) = decomp.block(id).neighbors[face as usize] else {
+                        continue;
+                    };
+                    if decomp.rank_of(nb, n_ranks) != rank {
+                        sum[0] += bytes(face);
+                        sum[1] += bytes(face.opposite());
+                    }
+                }
+            }
+            sum
+        };
+        for hide_mu in [false, true] {
+            let overlap = OverlapOptions {
+                hide_mu,
+                hide_phi: false,
+            };
+            for (rank, (_, after_steps, counters)) in
+                run_traffic(n_ranks, spec, overlap).iter().enumerate()
+            {
+                let phi = remote(rank, N_PHASES, false);
+                let mu = remote(rank, N_COMP, false);
+                let mu_plain = remote(rank, N_COMP, true);
+                assert!(mu_plain[0] < mu[0], "no remote y or z face on rank {rank}");
+                // Init refreshes φ_src and µ_src sequenced; each step moves
+                // φ_dst sequenced and either µ_dst sequenced or µ_src plain.
+                let want = |field: &str, d: usize| match (field, hide_mu) {
+                    ("phi_src", _) => phi[d],
+                    ("phi_dst", _) => steps * phi[d],
+                    ("mu_src", false) => mu[d],
+                    ("mu_src", true) => mu[d] + steps * mu_plain[d],
+                    ("mu_dst", false) => steps * mu[d],
+                    _ => 0,
+                };
+                for field in FIELDS {
+                    for (d, dir) in ["sent", "received"].into_iter().enumerate() {
+                        assert_eq!(
+                            field_bytes(counters, field, dir),
+                            want(field, d),
+                            "{n_ranks} ranks, rank {rank}, {overlap:?}: {field} bytes {dir}"
+                        );
+                    }
+                }
+                let total = |dir| -> u64 {
+                    FIELDS
+                        .iter()
+                        .map(|field| field_bytes(counters, field, dir))
+                        .sum()
+                };
+                assert_eq!(total("sent"), after_steps.bytes_sent);
+                assert_eq!(total("received"), after_steps.bytes_received);
+            }
+        }
     }
 }
 

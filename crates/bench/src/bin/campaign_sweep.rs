@@ -25,7 +25,6 @@ use eutectica_campaign::{run_campaign, CampaignOpts, CampaignSpec};
 use eutectica_comm::{FaultPlan, Universe, UniverseCfg};
 use eutectica_core::params::ModelParams;
 use eutectica_obsv::{FrameBus, JobRecord};
-use eutectica_pfio::resilient::{ShrinkPolicy, ShrinkSource};
 
 fn decode_ndjson(path: &str) -> ! {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
@@ -86,7 +85,7 @@ fn main() {
         ckpt_root: Some(ckpt_root.clone()),
         ckpt_every: 4,
         keep_sets: 2,
-        shrink: Some(ShrinkPolicy::new(ShrinkSource::Disk)),
+        shrink: true,
         bus: Some(Arc::clone(&bus)),
         ..CampaignOpts::default()
     };

@@ -560,7 +560,7 @@ pub fn rebalance_demo(every: usize, threshold: f64, threads: usize, steps: usize
 pub fn shrink_demo_from_args(threads: usize) {
     use eutectica_core::timeloop::OverlapOptions;
     use eutectica_pfio::resilient::{
-        run_resilient, Cadence, ResilientOpts, ShrinkPolicy, ShrinkSource,
+        run_resilient, CheckpointCadence, ResilientOpts, ShrinkSource,
     };
 
     let Some(kill_rank) = arg_parsed::<usize>("--kill-rank") else {
@@ -583,13 +583,13 @@ pub fn shrink_demo_from_args(threads: usize) {
     let root = std::env::temp_dir().join(format!("eut_shrink_demo_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let mut opts = ResilientOpts::new(root.clone());
-    opts.cadence = Cadence::EverySteps(4);
+    opts.cadence = CheckpointCadence::fixed(4);
     opts.ranks = vec![n_ranks];
     opts.threads = threads;
     opts.fault_plans = vec![eutectica_comm::FaultPlan::new(42).kill(kill_rank, kill_step)];
     if survive {
         opts.max_attempts = 1; // the kill must be absorbed in-flight
-        opts.shrink = Some(ShrinkPolicy::new(source));
+        opts.shrink = Some(source);
     } else {
         opts.max_attempts = 2; // classic path: tear down, restore, re-run
     }

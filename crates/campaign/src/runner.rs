@@ -44,7 +44,7 @@ use eutectica_core::{N_COMP, N_PHASES};
 use eutectica_obsv::{FrameBus, JobRecord};
 use eutectica_pfio::ckpt::{Precision, DEFAULT_BYTE_BUDGET};
 use eutectica_pfio::jobs as jobckpt;
-use eutectica_pfio::resilient::{RecoveryPolicy, ShrinkPolicy};
+use eutectica_pfio::resilient::{RecoveryPolicy, MAX_SHRINKS};
 use eutectica_telemetry::Telemetry;
 
 use crate::sched::{self, Schedule};
@@ -74,9 +74,10 @@ pub struct CampaignOpts {
     pub recovery: RecoveryPolicy,
     /// Deterministic per-job fault injection for tests/chaos drills.
     pub job_faults: BTreeMap<u32, FieldFaultPlan>,
-    /// Rank-death survival: `Some` adopts dead ranks' jobs onto survivors
-    /// (up to `max_shrinks` deaths); `None` escalates the comm error.
-    pub shrink: Option<ShrinkPolicy>,
+    /// Rank-death survival: `true` adopts dead ranks' jobs onto survivors
+    /// (up to [`MAX_SHRINKS`] deaths) from their job checkpoints; `false`
+    /// escalates the comm error.
+    pub shrink: bool,
     /// Per-region kernel rates (interface/liquid/solid MLUP/s) keying the
     /// scheduler's cost estimates (default:
     /// [`eutectica_core::regions::DEFAULT_REGION_RATES`]).
@@ -97,7 +98,7 @@ impl Default for CampaignOpts {
             keep_sets: 2,
             recovery: RecoveryPolicy::default(),
             job_faults: BTreeMap::new(),
-            shrink: None,
+            shrink: false,
             rates: eutectica_core::regions::DEFAULT_REGION_RATES,
             bus: None,
             telemetry: Telemetry::disabled(),
@@ -407,7 +408,7 @@ pub fn run_campaign(
     })
 }
 
-/// One membership round under the shrink policy: agree on survivors,
+/// One membership round under `CampaignOpts::shrink`: agree on survivors,
 /// enforce the death budget. Retries internally when another death races
 /// the round itself.
 fn membership_round(
@@ -416,17 +417,17 @@ fn membership_round(
     deaths: &mut usize,
     trigger: &CommError,
 ) -> Result<Vec<usize>, CampaignError> {
-    let Some(policy) = &opts.shrink else {
+    if !opts.shrink {
         return Err(CampaignError::Comm(trigger.clone()));
-    };
+    }
     loop {
         match catch_comm(|| rank.recover_membership()) {
             Ok(Some(change)) => {
                 *deaths += change.newly_dead.len();
                 opts.telemetry.set_epoch(change.epoch);
-                if *deaths > policy.max_shrinks {
+                if *deaths > MAX_SHRINKS {
                     return Err(CampaignError::ShrinkExhausted {
-                        budget: policy.max_shrinks,
+                        budget: MAX_SHRINKS,
                         deaths: *deaths,
                     });
                 }
@@ -589,8 +590,6 @@ fn step_slice(
                     step: s,
                     global: stats.counts(),
                     local: stats,
-                    front: None,
-                    front_ok: true,
                 };
                 m.record(report);
                 unhealthy = m.take_unhealthy();

@@ -38,8 +38,8 @@ pub enum CampaignError {
         reason: String,
     },
     /// A communication failure that shrink recovery was not allowed (or
-    /// able) to absorb: a death without a shrink policy, or a failure with
-    /// no death to shrink away from.
+    /// able) to absorb: a death with `CampaignOpts::shrink` off, or a
+    /// failure with no death to shrink away from.
     Comm(CommError),
     /// More ranks died than the shrink budget covers.
     ShrinkExhausted {

@@ -9,6 +9,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::Mutex;
 
+use crate::universe::POLL;
 use crate::{
     CommError, FaultPhase, Rank, Tag, COLLECTIVE_TAG, EPOCH_MASK, EPOCH_SHIFT, MEMBERSHIP_TAG,
 };
@@ -226,7 +227,6 @@ impl FaultBarrier {
         failure: &FailureState,
         membership: &MembershipState,
         timeout: Duration,
-        poll: Duration,
     ) -> Result<(), CommError> {
         let fenced = membership.fenced();
         let unfenced_death = || {
@@ -254,7 +254,7 @@ impl FaultBarrier {
         while st.1 == gen {
             let (guard, _) = self
                 .cvar
-                .wait_timeout(st, poll)
+                .wait_timeout(st, POLL)
                 .unwrap_or_else(|e| e.into_inner());
             st = guard;
             if st.1 != gen {

@@ -12,6 +12,7 @@ use eutectica_telemetry::{ReducedTree, TimingTreeSnapshot};
 use parking_lot::Mutex;
 
 use crate::membership::{DeathScope, FailureState, FaultBarrier, MembershipState};
+use crate::universe::POLL;
 use crate::{
     CommError, CommPanic, CommStats, FaultPhase, FaultPlan, Tag, COLLECTIVE_TAG, MAX_USER_TAG,
     POISON_TAG,
@@ -73,7 +74,6 @@ pub struct Rank {
     pub(crate) failure: Arc<FailureState>,
     pub(crate) membership: Arc<MembershipState>,
     pub(crate) timeout: Duration,
-    pub(crate) poll: Duration,
     /// Fail point-to-point receives on *any* unfenced death, not just the
     /// awaited source — prompt entry into a membership round for every
     /// survivor (the shrink driver enables this).
@@ -109,12 +109,6 @@ impl Rank {
     #[inline]
     pub fn size(&self) -> usize {
         self.size
-    }
-
-    /// The configured per-operation timeout of this universe.
-    #[inline]
-    pub fn op_timeout(&self) -> Duration {
-        self.timeout
     }
 
     /// Current membership epoch (0 until the first shrink).
@@ -297,7 +291,7 @@ impl Rank {
                             waited: now - start,
                         });
                     }
-                    let wait = deadline.map_or(self.poll, |d| self.poll.min(d - now));
+                    let wait = deadline.map_or(POLL, |d| POLL.min(d - now));
                     match self.rx.recv_timeout(wait) {
                         Ok(msg) => msg,
                         Err(RecvTimeoutError::Timeout) => continue,
@@ -321,7 +315,7 @@ impl Rank {
     pub fn barrier(&self) {
         if let Err(e) = self
             .barrier
-            .wait(&self.failure, &self.membership, self.timeout, self.poll)
+            .wait(&self.failure, &self.membership, self.timeout)
         {
             self.fail(e);
         }

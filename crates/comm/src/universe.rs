@@ -17,6 +17,10 @@ use crate::{CommPanic, CommStats, CommSummary, FaultPlan, Rank, POISON_TAG};
 /// Panic payload captured from a dead rank thread.
 type PanicPayload = Box<dyn std::any::Any + Send>;
 
+/// Poll interval at which blocked operations re-check the failure state;
+/// bounds the detection latency of a peer death.
+pub(crate) const POLL: Duration = Duration::from_millis(2);
+
 /// Execution parameters of a [`Universe`]: failure-detection timeouts and an
 /// optional fault-injection plan.
 #[derive(Clone, Debug)]
@@ -25,9 +29,6 @@ pub struct UniverseCfg {
     /// calls fail with [`CommError::Timeout`](crate::CommError::Timeout)
     /// instead of waiting longer.
     pub timeout: Duration,
-    /// Poll interval at which blocked operations re-check the failure
-    /// state; bounds the detection latency of a peer death.
-    pub poll: Duration,
     /// Deterministic fault-injection plan, if any.
     pub faults: Option<FaultPlan>,
     /// Abort point-to-point receives on *any* unfenced death instead of only
@@ -42,7 +43,6 @@ impl Default for UniverseCfg {
     fn default() -> Self {
         Self {
             timeout: Duration::from_secs(300),
-            poll: Duration::from_millis(2),
             faults: None,
             fail_fast_on_death: false,
         }
@@ -197,7 +197,6 @@ impl Universe {
                 failure: Arc::clone(&failure),
                 membership: Arc::clone(&membership),
                 timeout: cfg.timeout,
-                poll: cfg.poll,
                 fail_fast: cfg.fail_fast_on_death,
                 faults: faults.clone(),
                 fault_counters: RefCell::new(HashMap::new()),

@@ -13,9 +13,7 @@
 //!   component within `[−tol, 1 + tol]` (the contract established by
 //!   [`crate::simplex::project_to_simplex`]),
 //! * µ lies inside physically plausible bounds derived from the parabolic
-//!   thermodynamics (`TernarySystem::mu_plausible_bounds`),
-//! * optionally, the solidification front advances no faster than a
-//!   configured number of cells per step (interface-velocity sanity).
+//!   thermodynamics (`TernarySystem::mu_plausible_bounds`).
 //!
 //! Per-rank [`ScanStats`] are reduced into a cross-rank [`HealthReport`]
 //! via `Rank::allreduce_u64s` by the timeloop; `pfio::resilient` reacts to
@@ -48,7 +46,8 @@ use std::sync::Mutex;
 /// Default scan cadence (steps between invariant scans).
 pub const DEFAULT_SCAN_EVERY: usize = 4;
 
-/// Default tolerance on the Gibbs-simplex invariants.
+/// Tolerance on the Gibbs-simplex invariants: |Σφ − 1| and the
+/// per-component box `[−tol, 1 + tol]`.
 pub const DEFAULT_SIMPLEX_TOL: f64 = 1e-6;
 
 /// Configuration of the periodic invariant scans.
@@ -56,24 +55,16 @@ pub const DEFAULT_SIMPLEX_TOL: f64 = 1e-6;
 pub struct HealthConfig {
     /// Scan cadence: scan after every `every`-th step (0 disables scans).
     pub every: usize,
-    /// Tolerance on |Σφ − 1| and on the per-component box `[−tol, 1+tol]`.
-    pub simplex_tol: f64,
     /// Plausible per-component µ bounds (inclusive), usually derived from
     /// the thermodynamics via [`HealthConfig::for_params`].
     pub mu_bounds: [(f64, f64); N_COMP],
-    /// Maximum plausible front displacement in cells per step. Checked only
-    /// when finite (the default is `INFINITY` = disabled, because the
-    /// front estimator jumps legitimately while the first solid nucleates).
-    pub max_front_speed: f64,
 }
 
 impl HealthConfig {
     /// Scan configuration derived from the model parameters: default
-    /// cadence and simplex tolerance, µ bounds from
-    /// `TernarySystem::mu_plausible_bounds` over the temperature range the
-    /// frozen-T ansatz can produce across a generous 1024-cell column,
-    /// doubled in half-width for slack. Front-speed sanity is off by
-    /// default; enable it by setting [`HealthConfig::max_front_speed`].
+    /// cadence, µ bounds from `TernarySystem::mu_plausible_bounds` over the
+    /// temperature range the frozen-T ansatz can produce across a generous
+    /// 1024-cell column, doubled in half-width for slack.
     pub fn for_params(params: &ModelParams) -> Self {
         let span = params.grad_g.abs() * 1024.0 * params.dx + 0.5;
         let (t_lo, t_hi) = (params.t0 - span, params.t0 + span);
@@ -86,9 +77,7 @@ impl HealthConfig {
         }
         Self {
             every: DEFAULT_SCAN_EVERY,
-            simplex_tol: DEFAULT_SIMPLEX_TOL,
             mu_bounds,
-            max_front_speed: f64::INFINITY,
         }
     }
 
@@ -191,9 +180,10 @@ impl ScanStats {
 }
 
 /// Whether one φ cell is finite, and whether it lies on the Gibbs simplex
-/// within `tol`.
+/// within [`DEFAULT_SIMPLEX_TOL`].
 #[inline(always)]
-fn phi_verdict(cell: [f64; N_PHASES], tol: f64) -> (bool, bool) {
+fn phi_verdict(cell: [f64; N_PHASES]) -> (bool, bool) {
+    let tol = DEFAULT_SIMPLEX_TOL;
     let mut sum = 0.0;
     let mut finite = true;
     let mut boxed = true;
@@ -220,9 +210,8 @@ fn scan_block_range(
     let g = d.ghost;
     let phi = state.phi_src.comps();
     let mu = state.mu_src.comps();
-    let tol = cfg.simplex_tol;
     let (const_from, const_val) = state.phi_src.const_zone();
-    let phi_checked_below = match phi_verdict(const_val, tol) {
+    let phi_checked_below = match phi_verdict(const_val) {
         (true, true) => const_from,
         _ => usize::MAX,
     };
@@ -235,8 +224,7 @@ fn scan_block_range(
                 let cell = [g + i, y, z];
                 s.cells += 1;
                 if z < phi_checked_below {
-                    let (finite, on_simplex) =
-                        phi_verdict(core::array::from_fn(|c| phi[c][idx]), tol);
+                    let (finite, on_simplex) = phi_verdict(core::array::from_fn(|c| phi[c][idx]));
                     if !finite {
                         s.phi_nonfinite += 1;
                         s.record(block, cell, BadKind::PhiNonFinite);
@@ -441,17 +429,12 @@ pub struct HealthReport {
     /// Violation counters summed over all ranks, in [`ScanStats::counts`]
     /// order.
     pub global: [u64; 4],
-    /// Global front position and measured speed (cells/step), when the
-    /// interface-velocity check is enabled and has a previous sample.
-    pub front: Option<(f64, f64)>,
-    /// False when the front moved faster than `max_front_speed`.
-    pub front_ok: bool,
 }
 
 impl HealthReport {
-    /// True when no rank saw any violation and the front speed is sane.
+    /// True when no rank saw any violation.
     pub fn is_healthy(&self) -> bool {
-        self.global.iter().sum::<u64>() == 0 && self.front_ok
+        self.total_violations() == 0
     }
 
     /// Total violations across all ranks.
@@ -467,9 +450,6 @@ impl HealthReport {
             if n > 0 {
                 parts.push(format!("{name}={n}"));
             }
-        }
-        if !self.front_ok {
-            parts.push("front_speed".into());
         }
         if let Some(bad) = self.local.first_bad {
             parts.push(format!(
@@ -500,7 +480,6 @@ pub struct HealthMonitor {
     /// Total faults injected so far.
     pub injected: u64,
     pending_unhealthy: Option<HealthReport>,
-    prev_front: Option<(usize, f64)>,
 }
 
 impl HealthMonitor {
@@ -512,7 +491,6 @@ impl HealthMonitor {
             fired: Vec::new(),
             injected: 0,
             pending_unhealthy: None,
-            prev_front: None,
         }
     }
 
@@ -549,29 +527,14 @@ impl HealthMonitor {
 
     /// Record a completed scan's report.
     pub fn record(&mut self, report: HealthReport) {
-        if let Some((pos, _)) = report.front {
-            self.prev_front = Some((report.step, pos));
-        }
         if !report.is_healthy() {
             self.pending_unhealthy = Some(report);
         }
     }
 
-    /// Previous front sample `(step, position)` for speed estimation.
-    pub fn front_sample(&self) -> Option<(usize, f64)> {
-        self.prev_front
-    }
-
-    /// Seed the front tracker without a full report (used right after a
-    /// restore so the first post-rollback scan has a valid baseline).
-    pub fn set_front_sample(&mut self, step: usize, pos: f64) {
-        self.prev_front = Some((step, pos));
-    }
-
-    /// Forget rolling state that is invalidated by a progress jump
-    /// (restore / rollback): the front baseline and any pending verdicts.
+    /// Forget a pending verdict, which a progress jump (restore / rollback)
+    /// invalidates.
     pub fn on_progress_reset(&mut self) {
-        self.prev_front = None;
         self.pending_unhealthy = None;
     }
 }
@@ -746,8 +709,6 @@ mod tests {
             step: 3,
             local: ScanStats::default(),
             global: [1, 0, 0, 0],
-            front: None,
-            front_ok: true,
         };
         m.record(unhealthy);
         assert!(m.take_unhealthy().is_some());
@@ -756,13 +717,15 @@ mod tests {
             step: 6,
             local: ScanStats::default(),
             global: [0; 4],
-            front: Some((12.0, 0.1)),
-            front_ok: true,
         };
         m.record(healthy);
         assert!(m.take_unhealthy().is_none());
-        assert_eq!(m.front_sample(), Some((6, 12.0)));
+        m.record(HealthReport {
+            step: 9,
+            local: ScanStats::default(),
+            global: [0, 0, 1, 0],
+        });
         m.on_progress_reset();
-        assert_eq!(m.front_sample(), None);
+        assert!(m.take_unhealthy().is_none(), "a rollback drops the verdict");
     }
 }

@@ -133,7 +133,7 @@ impl<V: SimdF64x4> SliceCtxV<V> {
 /// [`crate::simplex::project_to_simplex`] with compare/select instead of
 /// branches.
 #[inline(always)]
-pub fn project_simplex_lanes<V: SimdF64x4>(phi: [V; N_PHASES]) -> [V; N_PHASES] {
+pub fn simplex_project_lanes<V: SimdF64x4>(phi: [V; N_PHASES]) -> [V; N_PHASES] {
     // Sorting network (descending) across the four phase registers.
     #[inline(always)]
     fn cswap<V: SimdF64x4>(a: V, b: V) -> (V, V) {
@@ -251,7 +251,7 @@ mod tests {
         // Transpose into per-phase lanes.
         let phi: [V; 4] =
             core::array::from_fn(|a| V::from_array(core::array::from_fn(|c| cells[c][a])));
-        let out = project_simplex_lanes(phi);
+        let out = simplex_project_lanes(phi);
         for (c, cell) in cells.iter().enumerate() {
             let want = crate::simplex::project_to_simplex(*cell);
             for a in 0..4 {

@@ -19,8 +19,8 @@
 //! [`phi_sweep_cellwise_aos`] itself).
 
 use crate::kernels::simd_common::{
-    cells_eq_mask, gamma_cols, gather_cell4, load_cells4, matvec, per_phase, project_simplex_lanes,
-    scatter_cell4, RecomputedSlices, SliceCtxV,
+    cells_eq_mask, gamma_cols, gather_cell4, load_cells4, matvec, per_phase, scatter_cell4,
+    simplex_project_lanes, RecomputedSlices, SliceCtxV,
 };
 use crate::kernels::{with_flags, KernelConfig, SimdIsa};
 use crate::params::ModelParams;
@@ -634,7 +634,7 @@ fn fourcell<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
                 }
                 mean *= V::splat(0.25);
                 let raw: [V; N_PHASES] = per_phase!(|a| pc[a] - rate * (vdf[a] - mean));
-                let out = project_simplex_lanes(raw);
+                let out = simplex_project_lanes(raw);
                 for a in 0..N_PHASES {
                     out[a].store(pd[a], i);
                 }

@@ -96,8 +96,11 @@ impl SweepPool {
             let (tx, rx) = channel::<Task>();
             senders.push(tx);
             handles.push(
+                // The rank threads' 8 MiB: unoptimized kernels keep their
+                // SIMD temporaries on the stack and overflow the default.
                 std::thread::Builder::new()
                     .name(format!("sweep-{w}"))
+                    .stack_size(8 << 20)
                     .spawn(move || worker_loop(rx))
                     .expect("failed to spawn sweep-pool worker"),
             );
@@ -302,6 +305,30 @@ mod tests {
             ran.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(ran.load(Ordering::Relaxed), 5);
+    }
+
+    /// A 4 MiB stack frame: more than a default 2 MiB thread has. Out of
+    /// line, so only the thread that calls it needs the room.
+    #[inline(never)]
+    fn four_mib_frame() -> u8 {
+        let buf = std::hint::black_box([1u8; 4 << 20]);
+        buf[buf.len() - 1]
+    }
+
+    #[test]
+    fn workers_get_the_rank_threads_stack() {
+        let pool = SweepPool::new(2);
+        let on_worker = AtomicUsize::new(0);
+        pool.run(2, &|_| {
+            if std::thread::current()
+                .name()
+                .is_some_and(|n| n.starts_with("sweep-"))
+            {
+                assert_eq!(four_mib_frame(), 1);
+                on_worker.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        assert_eq!(on_worker.load(Ordering::Relaxed), 1);
     }
 
     #[test]

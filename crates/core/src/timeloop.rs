@@ -536,7 +536,7 @@ impl<'r> DistributedSim<'r> {
             return;
         }
         let t0 = Instant::now();
-        let Some(report) = self.do_health_scan() else {
+        let Some(report) = self.health_scan_now() else {
             return;
         };
         let scan = t0.elapsed();
@@ -557,20 +557,10 @@ impl<'r> DistributedSim<'r> {
 
     /// Scan all local blocks and reduce across ranks, regardless of
     /// cadence. Collective — every rank must call it at the same point.
-    /// Returns `None` when no monitor is attached. Updates the monitor's
-    /// front baseline but leaves any pending unhealthy verdict untouched
-    /// (the recovery driver uses this to validate freshly restored state).
+    /// Returns `None` when no monitor is attached. Leaves the monitor
+    /// untouched (the recovery driver uses this to validate freshly
+    /// restored state).
     pub fn health_scan_now(&mut self) -> Option<HealthReport> {
-        let report = self.do_health_scan()?;
-        if let Some(h) = &mut self.health {
-            if let Some((pos, _)) = report.front {
-                h.set_front_sample(report.step, pos);
-            }
-        }
-        Some(report)
-    }
-
-    fn do_health_scan(&mut self) -> Option<HealthReport> {
         let cfg = self.health.as_ref()?.cfg;
         let _g = self.telemetry.span_cat("health_scan", "health");
         // Fault-injection window: a rank can be killed *inside* the
@@ -582,38 +572,22 @@ impl<'r> DistributedSim<'r> {
             local.merge(&s);
         }
         let summed = self.rank.allreduce_u64s(&local.counts());
-        let global = [summed[0], summed[1], summed[2], summed[3]];
-        let (front, front_ok) = if cfg.max_front_speed.is_finite() {
-            let pos = self
-                .rank
-                .allreduce_f64(self.local_front(), eutectica_comm::ReduceOp::Max);
-            match self.health.as_ref().and_then(|h| h.front_sample()) {
-                Some((s0, p0)) if self.step > s0 => {
-                    let speed = (pos - p0) / (self.step - s0) as f64;
-                    (Some((pos, speed)), speed.abs() <= cfg.max_front_speed)
-                }
-                _ => (Some((pos, 0.0)), true),
-            }
-        } else {
-            (None, true)
-        };
         Some(HealthReport {
             step: self.step,
             local,
-            global,
-            front,
-            front_ok,
+            global: [summed[0], summed[1], summed[2], summed[3]],
         })
     }
 
     /// Remediation: re-project interior φ cells that violate the Gibbs
-    /// simplex beyond `tol` onto it, mirror src into dst, and refresh
-    /// ghosts. Collective (ghost refresh). Cells already on the simplex
-    /// within `tol` are left bit-untouched (the projection's `(1−Σφ)/4`
-    /// shift is a roundoff-sized non-zero even on valid cells, so an
-    /// unconditional re-projection would break bit-identical recovery).
+    /// simplex beyond [`health::DEFAULT_SIMPLEX_TOL`] onto it, mirror src
+    /// into dst, and refresh ghosts. Collective (ghost refresh). Cells
+    /// already on the simplex within that tolerance are left bit-untouched
+    /// (the projection's `(1−Σφ)/4` shift is a roundoff-sized non-zero even
+    /// on valid cells, so an unconditional re-projection would break
+    /// bit-identical recovery).
     /// Returns the number of cells whose value changed on this rank.
-    pub fn project_phi_to_simplex(&mut self, tol: f64) -> u64 {
+    pub fn project_phi_to_simplex(&mut self) -> u64 {
         let mut changed = 0u64;
         {
             let _g = self.telemetry.span_cat("simplex_reproject", "health");
@@ -621,7 +595,7 @@ impl<'r> DistributedSim<'r> {
                 let mut block_changed = 0u64;
                 for (x, y, z) in b.dims.interior_iter() {
                     let p = b.phi_src.cell(x, y, z);
-                    if crate::simplex::on_simplex(p, tol) {
+                    if crate::simplex::on_simplex(p, health::DEFAULT_SIMPLEX_TOL) {
                         continue;
                     }
                     let q = crate::simplex::project_to_simplex(p);
@@ -1216,7 +1190,7 @@ impl<'r> DistributedSim<'r> {
         self.window_shifts = window_shifts;
         self.prev_window_shifts = window_shifts;
         // A progress jump (restore / rollback) invalidates the health
-        // monitor's rolling state: the front baseline and pending verdicts.
+        // monitor's pending verdict.
         if let Some(h) = &mut self.health {
             h.on_progress_reset();
         }

@@ -16,33 +16,21 @@ use crate::TriMesh;
 use eutectica_comm::Rank;
 
 /// Options for the hierarchical reduction.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ReduceOptions {
     /// Per-merge simplification settings. `protect_open_boundary` should
-    /// stay `true` until the final merge so stitching keeps working.
+    /// stay `true` so the open borders still match when stitched.
     pub simplify: SimplifyOptions,
-    /// Welding tolerance when stitching two halves.
-    pub weld_eps: f64,
-    /// Run a final, unprotected simplification pass on the fully stitched
-    /// mesh (the domain boundary is then the only open border left).
-    pub final_pass: bool,
 }
 
-impl Default for ReduceOptions {
-    fn default() -> Self {
-        Self {
-            simplify: SimplifyOptions::default(),
-            weld_eps: 1e-9,
-            final_pass: false,
-        }
-    }
-}
+/// Welding tolerance when stitching two halves.
+const WELD_EPS: f64 = 1e-9;
 
 /// Stitch `b` into `a` (append + weld) and coarsen the result.
 fn stitch_and_coarsen(a: &mut TriMesh, b: &TriMesh, opts: &ReduceOptions) {
     a.append(b);
-    a.weld(opts.weld_eps);
-    simplify(a, opts.simplify, |_| false);
+    a.weld(WELD_EPS);
+    simplify(a, opts.simplify);
 }
 
 /// Binary-tree reduction of a list of per-block meshes into one mesh.
@@ -52,7 +40,7 @@ pub fn reduce_local(mut meshes: Vec<TriMesh>, opts: &ReduceOptions) -> TriMesh {
     }
     // Coarsen each local mesh first (boundary-protected).
     for m in &mut meshes {
-        simplify(m, opts.simplify, |_| false);
+        simplify(m, opts.simplify);
     }
     // Pairwise rounds.
     while meshes.len() > 1 {
@@ -66,11 +54,7 @@ pub fn reduce_local(mut meshes: Vec<TriMesh>, opts: &ReduceOptions) -> TriMesh {
         }
         meshes = next;
     }
-    let mut out = meshes.pop().unwrap();
-    if opts.final_pass {
-        simplify(&mut out, opts.simplify, |_| false);
-    }
-    out
+    meshes.pop().unwrap()
 }
 
 /// Message tag for mesh-reduction traffic.
@@ -83,7 +67,7 @@ const MESH_TAG: u32 = 0x00E5;
 /// `p − 2^r`; receivers stitch and coarsen — exactly half of the previous
 /// participants per round, log₂(P) rounds.
 pub fn reduce_over_ranks(rank: &Rank, mut local: TriMesh, opts: &ReduceOptions) -> Option<TriMesh> {
-    simplify(&mut local, opts.simplify, |_| false);
+    simplify(&mut local, opts.simplify);
     let p = rank.rank();
     let size = rank.size();
     let mut stride = 1;
@@ -99,14 +83,7 @@ pub fn reduce_over_ranks(rank: &Rank, mut local: TriMesh, opts: &ReduceOptions) 
         }
         stride *= 2;
     }
-    if p == 0 {
-        if opts.final_pass {
-            simplify(&mut local, opts.simplify, |_| false);
-        }
-        Some(local)
-    } else {
-        None
-    }
+    (p == 0).then_some(local)
 }
 
 #[cfg(test)]
@@ -153,7 +130,6 @@ mod tests {
                 max_error: 5e-3,
                 protect_open_boundary: true,
             },
-            ..Default::default()
         };
         let out = reduce_local(meshes, &opts);
         assert_eq!(out.open_edge_count(), 0, "reduced mesh not watertight");

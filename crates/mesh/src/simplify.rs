@@ -137,13 +137,9 @@ impl Default for SimplifyOptions {
 }
 
 /// Simplify `mesh` in place by QEM edge collapse; returns the number of
-/// collapses performed. Vertices for which `protect` returns true (plus, by
-/// default, open-boundary vertices) are never moved or removed.
-pub fn simplify(
-    mesh: &mut TriMesh,
-    opts: SimplifyOptions,
-    protect: impl Fn(&[f64; 3]) -> bool,
-) -> usize {
+/// collapses performed. Open-boundary vertices (under
+/// [`SimplifyOptions::protect_open_boundary`]) are never moved or removed.
+pub fn simplify(mesh: &mut TriMesh, opts: SimplifyOptions) -> usize {
     let nv = mesh.vertices.len();
     if nv == 0 || mesh.triangles.is_empty() {
         return 0;
@@ -175,13 +171,8 @@ pub fn simplify(
         }
     }
 
-    // Protected vertices: user predicate + open-boundary vertices.
+    // Protected vertices: open-boundary vertices.
     let mut protected = vec![false; nv];
-    for (i, v) in mesh.vertices.iter().enumerate() {
-        if protect(v) {
-            protected[i] = true;
-        }
-    }
     if opts.protect_open_boundary {
         let mut edge_count: std::collections::HashMap<(u32, u32), u32> =
             std::collections::HashMap::new();
@@ -473,7 +464,6 @@ mod tests {
                 max_error: 1.0,
                 protect_open_boundary: true,
             },
-            |_| false,
         );
         assert!(n > 0, "no collapses performed");
         assert!(
@@ -500,7 +490,6 @@ mod tests {
                 max_error: 1e-12, // essentially only exactly-coplanar collapses
                 protect_open_boundary: true,
             },
-            |_| false,
         );
         // A curved surface has almost no zero-error collapses.
         assert!(
@@ -508,34 +497,6 @@ mod tests {
             "over-simplified: {before} -> {}",
             m.num_triangles()
         );
-    }
-
-    #[test]
-    fn protected_vertices_survive() {
-        let mut m = sphere_mesh(20, 6.0);
-        // Protect the x < 10 hemisphere.
-        let protected_before: Vec<[f64; 3]> =
-            m.vertices.iter().copied().filter(|v| v[0] < 10.0).collect();
-        simplify(
-            &mut m,
-            SimplifyOptions {
-                target_triangles: 10,
-                max_error: f64::INFINITY,
-                protect_open_boundary: false,
-            },
-            |v| v[0] < 10.0,
-        );
-        let remaining: std::collections::HashSet<[u64; 3]> = m
-            .vertices
-            .iter()
-            .map(|v| [v[0].to_bits(), v[1].to_bits(), v[2].to_bits()])
-            .collect();
-        for v in protected_before {
-            assert!(
-                remaining.contains(&[v[0].to_bits(), v[1].to_bits(), v[2].to_bits()]),
-                "protected vertex {v:?} removed"
-            );
-        }
     }
 
     #[test]
@@ -561,7 +522,7 @@ mod tests {
             .filter(|v| v[0] == 0.0 || v[1] == 0.0 || v[0] == n as f64 || v[1] == n as f64)
             .map(|v| [v[0].to_bits(), v[1].to_bits()])
             .collect();
-        simplify(&mut m, SimplifyOptions::default(), |_| false);
+        simplify(&mut m, SimplifyOptions::default());
         // Interior of a flat sheet collapses to almost nothing, but every
         // rim vertex survives.
         let rim_after: HashSet<[u64; 2]> = m

@@ -112,7 +112,6 @@ proptest! {
                 max_error: 1e-3,
                 protect_open_boundary: true,
             },
-            |_| false,
         );
         prop_assert!(mesh.num_triangles() <= before);
         prop_assert!(mesh.open_edge_count() <= open_before, "new cracks appeared");

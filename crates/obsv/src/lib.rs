@@ -31,6 +31,6 @@ pub mod slices;
 
 pub use bus::{BusStats, FrameBus, Subscription};
 pub use jobs::JobRecord;
-pub use observables::{InSituObserver, ObservableRecord, ObservablesConfig, RecoveryRecord};
+pub use observables::{InSituObserver, ObservableRecord, ObservablesConfig};
 pub use server::LiveServer;
 pub use slices::{gather_slice, SliceField, SliceFrame};

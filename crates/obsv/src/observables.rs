@@ -45,44 +45,28 @@ use crate::slices::{gather_slice, SliceField};
 /// Number of solid phases (census targets).
 const N_SOLID: usize = 3;
 
-/// What to observe, and how often.
+/// Fields streamed as slice frames with every observation.
+const SLICE_FIELDS: [SliceField; 2] = [SliceField::Phi(0), SliceField::Mu(0)];
+
+/// Downsampling stride of streamed slice frames.
+const SLICE_DOWNSAMPLE: usize = 2;
+
+/// The census cross-section sits this many cells below the mean front.
+const LAMELLA_OFFSET: f64 = 4.0;
+
+/// How often to observe. Each observation publishes one observable frame,
+/// one slice frame per entry of [`SLICE_FIELDS`] and one telemetry
+/// `metrics` frame.
 #[derive(Clone, Debug)]
 pub struct ObservablesConfig {
     /// Observation cadence in time-loop steps (0 disables everything).
     pub every: usize,
-    /// Emit streamed field-slice frames every `slice_every`-th observation
-    /// (0 disables slice frames; the lamella census is unaffected).
-    pub slice_every: usize,
-    /// Fields streamed as slice frames.
-    pub slice_fields: Vec<SliceField>,
-    /// Downsampling stride of streamed slice frames.
-    pub slice_downsample: usize,
-    /// The census cross-section sits this many cells below the mean front.
-    pub lamella_offset: usize,
-    /// Also publish telemetry counter/gauge frames with each observation.
-    pub metrics: bool,
-}
-
-impl Default for ObservablesConfig {
-    fn default() -> Self {
-        Self {
-            every: 20,
-            slice_every: 1,
-            slice_fields: vec![SliceField::Phi(0), SliceField::Mu(0)],
-            slice_downsample: 2,
-            lamella_offset: 4,
-            metrics: true,
-        }
-    }
 }
 
 impl ObservablesConfig {
-    /// Config observing every `every` steps, defaults elsewhere.
+    /// Config observing every `every` steps.
     pub fn with_every(every: usize) -> Self {
-        Self {
-            every,
-            ..Self::default()
-        }
+        Self { every }
     }
 }
 
@@ -193,73 +177,6 @@ fn fill<T>(
     Ok(())
 }
 
-/// One shrink-recovery event: a rank death absorbed in-flight by the
-/// membership-epoch protocol. Published on the live NDJSON plane as a
-/// `{"type":"recovery"}` frame so dashboards can annotate the perf and
-/// physics trajectories with the exact step a shrink happened.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RecoveryRecord {
-    /// Step at which the death was detected.
-    pub step: usize,
-    /// Membership epoch installed by the recovery round.
-    pub epoch: u64,
-    /// Ranks newly declared dead in this round.
-    pub dead_ranks: Vec<u64>,
-    /// Surviving rank count after the shrink.
-    pub survivors: u64,
-    /// Blocks re-homed off the dead ranks.
-    pub blocks_rehomed: u64,
-    /// Replica frame bytes moved over the wire (0 for disk restores).
-    pub bytes_moved: u64,
-    /// Lost-state source: `"disk"` or `"buddy"`.
-    pub source: String,
-    /// Step the survivors resumed from.
-    pub restored_step: usize,
-    /// Wall-clock cost of the recovery in seconds.
-    pub recovery_secs: f64,
-}
-
-impl RecoveryRecord {
-    /// NDJSON wire form: `{"type":"recovery",...}`.
-    pub fn to_json(&self) -> String {
-        let dead: Vec<String> = self.dead_ranks.iter().map(|r| r.to_string()).collect();
-        JsonObject::new()
-            .str_field("type", "recovery")
-            .int_field("step", self.step as u64)
-            .int_field("epoch", self.epoch)
-            .raw_field("dead_ranks", &format!("[{}]", dead.join(",")))
-            .int_field("survivors", self.survivors)
-            .int_field("blocks_rehomed", self.blocks_rehomed)
-            .int_field("bytes_moved", self.bytes_moved)
-            .str_field("source", &self.source)
-            .int_field("restored_step", self.restored_step as u64)
-            .num_field("recovery_secs", self.recovery_secs)
-            .finish()
-    }
-
-    /// Parse a wire frame back into a record (the smoke client / tests).
-    pub fn from_json(line: &str) -> Result<Self, JsonError> {
-        let v = parse_frame(line, "recovery")?;
-        let field = "dead_ranks";
-        let dead_ranks = v
-            .req_arr(field)?
-            .iter()
-            .map(|x| x.as_u64().ok_or(JsonError::BadValue { field }))
-            .collect::<Result<_, _>>()?;
-        Ok(Self {
-            step: v.req_u64("step")? as usize,
-            epoch: v.req_u64("epoch")?,
-            dead_ranks,
-            survivors: v.req_u64("survivors")?,
-            blocks_rehomed: v.req_u64("blocks_rehomed")?,
-            bytes_moved: v.req_u64("bytes_moved")?,
-            source: v.str("source").unwrap_or_default().to_string(),
-            restored_step: v.req_u64("restored_step")? as usize,
-            recovery_secs: v.req_num("recovery_secs")?,
-        })
-    }
-}
-
 /// Rank-local partial sums, reduced to rank 0 in one gather.
 struct Partials {
     /// Smallest block origin z (lab frame) — the domain bottom.
@@ -357,7 +274,6 @@ pub struct InSituObserver {
     cfg: ObservablesConfig,
     /// (time, lab-frame front) at the previous observation.
     prev_front: Option<(f64, f64)>,
-    observations: u64,
     out: Option<std::io::BufWriter<std::fs::File>>,
     bus: Option<Arc<FrameBus>>,
     records: Vec<ObservableRecord>,
@@ -369,7 +285,6 @@ impl InSituObserver {
         Self {
             cfg,
             prev_front: None,
-            observations: 0,
             out: None,
             bus: None,
             records: Vec::new(),
@@ -387,11 +302,6 @@ impl InSituObserver {
     pub fn with_bus(mut self, bus: Arc<FrameBus>) -> Self {
         self.bus = Some(bus);
         self
-    }
-
-    /// The config in use.
-    pub fn config(&self) -> &ObservablesConfig {
-        &self.cfg
     }
 
     /// Records accumulated on this rank (rank 0 only; empty elsewhere).
@@ -433,7 +343,7 @@ impl InSituObserver {
                 let front = t.min_origin_z + t.col_solid.iter().sum::<f64>() / ncols;
                 let lo = t.min_origin_z;
                 let hi = t.min_origin_z + (domain_cells[2] - 1) as f64;
-                (front - self.cfg.lamella_offset as f64).clamp(lo, hi)
+                (front - LAMELLA_OFFSET).clamp(lo, hi)
             });
             let bytes = rank.broadcast(0, f64s_to_bytes(&[z]));
             bytes_to_f64s(&bytes)[0].round() as usize
@@ -467,25 +377,20 @@ impl InSituObserver {
             }
         }
 
-        // 4. Streamed slice frames (cadenced separately).
-        self.observations += 1;
-        let slices_due =
-            self.cfg.slice_every != 0 && self.observations % self.cfg.slice_every as u64 == 0;
+        // 4. Streamed slice frames.
         let mut slice_frames = Vec::new();
-        if slices_due {
-            for &field in &self.cfg.slice_fields {
-                let frame = gather_slice(
-                    rank,
-                    &sim.blocks,
-                    domain_cells,
-                    field,
-                    sim.step_index(),
-                    sim.time(),
-                    census_z,
-                    self.cfg.slice_downsample.max(1),
-                );
-                slice_frames.extend(frame);
-            }
+        for field in SLICE_FIELDS {
+            let frame = gather_slice(
+                rank,
+                &sim.blocks,
+                domain_cells,
+                field,
+                sim.step_index(),
+                sim.time(),
+                census_z,
+                SLICE_DOWNSAMPLE,
+            );
+            slice_frames.extend(frame);
         }
 
         // 5. Rank 0 finalizes and emits; other ranks are done.
@@ -519,9 +424,7 @@ impl InSituObserver {
         let front = total.min_origin_z + total.col_solid.iter().sum::<f64>() / ncols;
         let lo = total.min_origin_z;
         let hi = total.min_origin_z + (domain_cells[2] - 1) as f64;
-        let census_z = (front - self.cfg.lamella_offset as f64)
-            .clamp(lo, hi)
-            .round() as usize;
+        let census_z = (front - LAMELLA_OFFSET).clamp(lo, hi).round() as usize;
 
         let mut lamella_count = [0u64; N_SOLID];
         let mut lamellar_spacing = [0.0; N_SOLID];
@@ -541,26 +444,20 @@ impl InSituObserver {
             }
         }
 
-        self.observations += 1;
-        let slices_due =
-            self.cfg.slice_every != 0 && self.observations % self.cfg.slice_every as u64 == 0;
-        let mut slice_frames = Vec::new();
-        if slices_due {
-            for &field in &self.cfg.slice_fields {
-                let ds = self.cfg.slice_downsample.max(1);
-                let data = crate::slices::slice_local(blocks, domain_cells, field, census_z, ds);
-                slice_frames.push(crate::slices::SliceFrame {
-                    field,
-                    step: sim.steps(),
-                    time: sim.time(),
-                    z: census_z,
-                    downsample: ds,
-                    w: domain_cells[0].div_ceil(ds),
-                    h: domain_cells[1].div_ceil(ds),
-                    data,
-                });
-            }
-        }
+        let ds = SLICE_DOWNSAMPLE;
+        let slice_frames: Vec<_> = SLICE_FIELDS
+            .into_iter()
+            .map(|field| crate::slices::SliceFrame {
+                field,
+                step: sim.steps(),
+                time: sim.time(),
+                z: census_z,
+                downsample: ds,
+                w: domain_cells[0].div_ceil(ds),
+                h: domain_cells[1].div_ceil(ds),
+                data: crate::slices::slice_local(blocks, domain_cells, field, census_z, ds),
+            })
+            .collect();
 
         let record = finalize_common(
             &total,
@@ -593,9 +490,7 @@ impl InSituObserver {
         for s in slices {
             frames.push(s.to_json());
         }
-        if self.cfg.metrics {
-            frames.push(metrics_frame(tel, record.step, record.time));
-        }
+        frames.push(metrics_frame(tel, record.step, record.time));
         for f in &frames {
             if let Some(out) = &mut self.out {
                 let _ = writeln!(out, "{f}");
@@ -803,37 +698,5 @@ mod tests {
         assert!(obs.due(40));
         let off = InSituObserver::new(ObservablesConfig::with_every(0));
         assert!(!off.due(20));
-    }
-
-    #[test]
-    fn recovery_record_round_trips_through_ndjson() {
-        let rec = RecoveryRecord {
-            step: 6,
-            epoch: 2,
-            dead_ranks: vec![1, 3],
-            survivors: 2,
-            blocks_rehomed: 3,
-            bytes_moved: 269_346,
-            source: "buddy".into(),
-            restored_step: 4,
-            recovery_secs: 0.0025,
-        };
-        let line = rec.to_json();
-        assert!(line.starts_with("{\"type\":\"recovery\""), "{line}");
-        let back = RecoveryRecord::from_json(&line).expect("parse");
-        assert_eq!(back, rec);
-        assert_eq!(
-            RecoveryRecord::from_json("{\"type\":\"metrics\"}"),
-            Err(JsonError::WrongType { frame: "recovery" })
-        );
-        let bad = |field| Err(JsonError::BadValue { field });
-        for value in ["-3", "1.5", "\"2\""] {
-            let poked = line.replace("\"epoch\":2", &format!("\"epoch\":{value}"));
-            assert_ne!(poked, line);
-            assert_eq!(RecoveryRecord::from_json(&poked), bad("epoch"), "{value}");
-        }
-        let poked = line.replace("\"dead_ranks\":[1,3]", "\"dead_ranks\":[1,null]");
-        assert_ne!(poked, line);
-        assert_eq!(RecoveryRecord::from_json(&poked), bad("dead_ranks"));
     }
 }

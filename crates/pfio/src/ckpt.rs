@@ -593,19 +593,19 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), CkptError> {
 /// Bounded-backoff retry for transient checkpoint I/O (overloaded parallel
 /// filesystems routinely fail writes transiently at scale).
 #[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
+struct RetryPolicy {
     /// Total attempts (≥ 1; 1 = no retry).
-    pub attempts: u32,
+    attempts: u32,
     /// Delay before the first retry; doubles per retry, capped at 500 ms.
-    pub backoff: Duration,
+    backoff: Duration,
     /// Fraction of each delay that is randomized (0 = pure exponential,
     /// 1 = anywhere in `(0, delay]`). Seeded jitter spreads N ranks
     /// hammering a shared filesystem so they don't retry in lockstep.
-    pub jitter: f64,
+    jitter: f64,
     /// Seed of the deterministic jitter stream; derive it from something
     /// rank- or block-unique (e.g. the global block id) so peers draw
     /// different schedules while reruns stay reproducible.
-    pub seed: u64,
+    seed: u64,
 }
 
 impl Default for RetryPolicy {

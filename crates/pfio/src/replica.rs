@@ -22,6 +22,8 @@ use eutectica_comm::Tag;
 use eutectica_core::migrate;
 use eutectica_core::timeloop::DistributedSim;
 
+use crate::ckpt::DEFAULT_BYTE_BUDGET;
+
 /// Tag space: block capture frames ride above the ghost-exchange
 /// (`[0, 24·nb)`) and migration (`[24·nb, 25·nb)`) ranges.
 fn capture_tag(nb: usize, id: usize) -> Tag {
@@ -110,10 +112,10 @@ pub struct ReplicaRestoreReport {
 }
 
 /// One rank's share of the buddy-replica plane: its own blocks' frames
-/// plus its predecessor's, refreshed at every capture.
-#[derive(Debug)]
+/// plus its predecessor's, refreshed at every capture. Frames decode under
+/// the checkpoint reader's [`DEFAULT_BYTE_BUDGET`].
+#[derive(Debug, Default)]
 pub struct ReplicaStore {
-    byte_budget: u64,
     /// Frames by global block id: this rank's own blocks plus the blocks
     /// of the rank whose buddy this rank is.
     frames: BTreeMap<usize, Vec<u8>>,
@@ -125,18 +127,6 @@ pub struct ReplicaStore {
 }
 
 impl ReplicaStore {
-    /// Empty store; `byte_budget` caps per-frame decode allocations like
-    /// the checkpoint reader's budget.
-    pub fn new(byte_budget: u64) -> Self {
-        Self {
-            byte_budget,
-            frames: BTreeMap::new(),
-            placement: Vec::new(),
-            alive: Vec::new(),
-            meta: None,
-        }
-    }
-
     /// Progress metadata of the last capture, if any.
     pub fn meta(&self) -> Option<ReplicaMeta> {
         self.meta
@@ -258,7 +248,7 @@ impl ReplicaStore {
                 b
             };
             let expected = sim.decomp().block(id).dims(1);
-            let (fid, st, _entry) = migrate::decode_block(&buf, expected, self.byte_budget)
+            let (fid, st, _entry) = migrate::decode_block(&buf, expected, DEFAULT_BYTE_BUDGET)
                 .map_err(|e| ReplicaError::Decode {
                     id,
                     detail: e.to_string(),

@@ -22,8 +22,8 @@
 //! `HealthReport`; on an unhealthy verdict every rank rolls back in-flight
 //! to the newest checkpoint set that restores cleanly **and** itself scans
 //! healthy (poisoned sets — written after the corruption — are skipped in
-//! descending step order), applies the configured remediation (simplex
-//! re-projection), and keeps running.
+//! descending step order), re-projects φ onto the Gibbs simplex, and keeps
+//! running.
 //! After [`RecoveryPolicy::max_rollbacks`] in-flight rollbacks the attempt
 //! escalates to a full restart via a typed [`RankFailure`]; only when every
 //! attempt is exhausted does the driver give up with
@@ -35,12 +35,13 @@
 //! invalid (manifest-less) set that restores skip, and a corrupt newest set
 //! is retried with the *previous* one instead of killing the rank.
 //!
-//! Checkpoint cadence follows Sec. 3.2: [`CheckpointCadence`] measures the
-//! step and checkpoint wall times at runtime and re-plans the write
+//! Checkpoint cadence follows Sec. 3.2: [`CheckpointCadence::new`] measures
+//! the step and checkpoint wall times at runtime and re-plans the write
 //! interval through [`crate::checkpoint_interval`] so measured overhead
-//! stays within the configured budget. The measurements feed an allreduce,
-//! so every rank agrees on the interval and the collective checkpoint
-//! writes stay in lockstep.
+//! stays within the configured budget ([`CheckpointCadence::fixed`] keeps a
+//! set interval instead). The measurements feed an allreduce, so every rank
+//! agrees on the interval and the collective checkpoint writes stay in
+//! lockstep.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -320,27 +321,6 @@ impl CheckpointCadence {
 // Resilient driver
 // ---------------------------------------------------------------------------
 
-/// Checkpoint cadence policy of [`run_resilient`].
-#[derive(Clone, Debug)]
-pub enum Cadence {
-    /// Write every `n` steps.
-    EverySteps(usize),
-    /// Measure step/checkpoint cost and keep overhead under the budget.
-    Auto {
-        /// Fraction of runtime allowed for checkpointing (e.g. 0.01).
-        overhead_budget: f64,
-    },
-}
-
-impl Cadence {
-    fn scheduler(&self) -> CheckpointCadence {
-        match self {
-            Cadence::EverySteps(n) => CheckpointCadence::fixed(*n),
-            Cadence::Auto { overhead_budget } => CheckpointCadence::new(*overhead_budget),
-        }
-    }
-}
-
 /// Silent-corruption recovery policy of [`run_resilient`].
 #[derive(Clone, Debug, Default)]
 pub struct RecoveryPolicy {
@@ -354,23 +334,25 @@ pub struct RecoveryPolicy {
     /// In-flight rollbacks allowed per attempt before escalating to a full
     /// restart ([`RankFailure::RollbackExhausted`]).
     pub max_rollbacks: usize,
-    /// Re-project φ onto the Gibbs simplex after each rollback (a no-op on
-    /// valid restored states, so bit-identity is preserved).
-    pub project_simplex: bool,
 }
 
 impl RecoveryPolicy {
-    /// Recovery with health scans enabled and default remediation
-    /// (simplex re-projection, 3 rollbacks per attempt).
+    /// Recovery with health scans enabled and 3 rollbacks per attempt. Every
+    /// rollback re-projects φ onto the Gibbs simplex (a no-op on valid
+    /// restored states, so bit-identity is preserved).
     pub fn with_health(health: HealthConfig) -> Self {
         Self {
             health: Some(health),
             field_fault_plans: Vec::new(),
             max_rollbacks: 3,
-            project_simplex: true,
         }
     }
 }
+
+/// Rank deaths survived in place per attempt under shrink-and-continue; one
+/// more escalates with [`RankFailure::ShrinkExhausted`]. A death *during*
+/// recovery counts against the same budget.
+pub const MAX_SHRINKS: usize = 1;
 
 /// Where shrink recovery re-sources the lost (and rolled-back) block state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -381,30 +363,6 @@ pub enum ShrinkSource {
     /// Restore from in-RAM buddy replicas captured at checkpoint cadence —
     /// no disk round-trip (see [`crate::replica`]).
     Buddy,
-}
-
-/// Shrink-and-continue policy: survive rank deaths in-flight by fencing the
-/// dead rank behind a membership epoch, re-homing its blocks onto the
-/// survivors and resuming from the newest consistent state — instead of
-/// tearing the universe down for a full restart.
-#[derive(Clone, Debug)]
-pub struct ShrinkPolicy {
-    /// Rank deaths survived in place per attempt; one more escalates with
-    /// [`RankFailure::ShrinkExhausted`]. A death *during* recovery burns an
-    /// additional unit of this budget.
-    pub max_shrinks: usize,
-    /// Where lost block state is restored from.
-    pub source: ShrinkSource,
-}
-
-impl ShrinkPolicy {
-    /// Survive one rank death per attempt from the given source.
-    pub fn new(source: ShrinkSource) -> Self {
-        Self {
-            max_shrinks: 1,
-            source,
-        }
-    }
 }
 
 /// Typed per-rank failure inside a [`run_resilient`] attempt — distinguishes
@@ -433,7 +391,7 @@ pub enum RankFailure {
         /// The unhealthy report.
         detail: String,
     },
-    /// The shrink budget ([`ShrinkPolicy::max_shrinks`]) was exhausted —
+    /// The shrink budget ([`MAX_SHRINKS`]) was exhausted —
     /// one rank death too many, or a second death inside the recovery
     /// window with no budget left.
     ShrinkExhausted {
@@ -516,8 +474,9 @@ pub struct ResilientOpts {
     pub ckpt_root: PathBuf,
     /// Checkpoint precision ([`Precision::F64`] for bit-identical resume).
     pub precision: Precision,
-    /// Checkpoint cadence.
-    pub cadence: Cadence,
+    /// Checkpoint cadence: [`CheckpointCadence::fixed`] or the measured
+    /// [`CheckpointCadence::new`]; every attempt starts from this state.
+    pub cadence: CheckpointCadence,
     /// Rank count per attempt; attempts beyond the end reuse the last entry
     /// (restore re-decomposes, so counts may differ between attempts).
     pub ranks: Vec<usize>,
@@ -527,14 +486,11 @@ pub struct ResilientOpts {
     pub fault_plans: Vec<FaultPlan>,
     /// Give up after this many attempts.
     pub max_attempts: usize,
-    /// Per-operation comm timeout (bounds failure-detection latency).
-    pub op_timeout: Duration,
-    /// Byte budget for checkpoint-header validation on restore.
-    pub byte_budget: u64,
     /// Silent-corruption defense (health scans, in-flight rollback).
     pub recovery: RecoveryPolicy,
-    /// Keep only the newest `k` valid checkpoint sets on disk (rank 0
-    /// prunes after each successful write). `None` retains everything.
+    /// Keep only the newest `k` valid checkpoint sets on disk (the lowest
+    /// alive rank prunes after each successful write). `None` retains
+    /// everything.
     pub retain_sets: Option<usize>,
     /// Intra-rank sweep/scan threads per rank (PR 3 hybrid layer).
     pub threads: usize,
@@ -542,10 +498,13 @@ pub struct ResilientOpts {
     /// every attempt. Composes with rollback: a restore lands the fields
     /// onto whatever placement the rebalancer has migrated the blocks to.
     pub rebalance: Option<RebalancePolicy>,
-    /// Shrink-and-continue rank-failure survival. `None` keeps the classic
+    /// Shrink-and-continue: survive up to [`MAX_SHRINKS`] rank deaths
+    /// in-flight by fencing the dead rank behind a membership epoch,
+    /// re-homing its blocks onto the survivors and restoring the newest
+    /// consistent state from this source. `None` keeps the classic
     /// behavior: a rank death tears the attempt down and the next attempt
     /// restarts from the newest checkpoint.
-    pub shrink: Option<ShrinkPolicy>,
+    pub shrink: Option<ShrinkSource>,
 }
 
 impl ResilientOpts {
@@ -556,12 +515,10 @@ impl ResilientOpts {
         Self {
             ckpt_root,
             precision: Precision::F64,
-            cadence: Cadence::EverySteps(10),
+            cadence: CheckpointCadence::fixed(10),
             ranks: vec![1],
             fault_plans: Vec::new(),
             max_attempts: 3,
-            op_timeout: Duration::from_secs(300),
-            byte_budget: DEFAULT_BYTE_BUDGET,
             recovery: RecoveryPolicy::default(),
             retain_sets: None,
             threads: 1,
@@ -665,7 +622,6 @@ enum RestoreBest {
 fn restore_best(
     sim: &mut DistributedSim<'_>,
     root: &Path,
-    budget: u64,
     validate: bool,
     skips: &mut usize,
 ) -> Result<RestoreBest, RankFailure> {
@@ -687,7 +643,7 @@ fn restore_best(
             };
         };
         saw_any = true;
-        match sim.restore_from_set(&dir, budget) {
+        match sim.restore_from_set(&dir, DEFAULT_BYTE_BUDGET) {
             Ok(()) => {
                 if validate {
                     if let Some(report) = sim.health_scan_now() {
@@ -744,9 +700,8 @@ struct RankOutcome {
 fn recover_and_rehome(
     sim: &mut DistributedSim<'_>,
     replica: Option<&ReplicaStore>,
-    policy: &ShrinkPolicy,
+    source: ShrinkSource,
     root: &Path,
-    budget: u64,
     validate: bool,
     restore_skips: &mut usize,
     trigger: &CommError,
@@ -774,7 +729,7 @@ fn recover_and_rehome(
     // before this round converges is fenced by the same round and raises
     // no further comm failure, so it has to be charged here.
     let deaths = sim.comm_rank().size() - change.alive.len();
-    if deaths > policy.max_shrinks {
+    if deaths > MAX_SHRINKS {
         return Err(RankFailure::ShrinkExhausted {
             shrinks: deaths,
             step,
@@ -810,8 +765,8 @@ fn recover_and_rehome(
     let rehomed = plan.moves.len();
     sim.adopt_placement(plan.placement);
     // 4. Restore a consistent global state at the shrunken rank count.
-    match policy.source {
-        ShrinkSource::Disk => match restore_best(sim, root, budget, validate, restore_skips)? {
+    match source {
+        ShrinkSource::Disk => match restore_best(sim, root, validate, restore_skips)? {
             RestoreBest::Restored(s) => {
                 sim.telemetry().gauge_set("shrink/restored_step", s as f64);
             }
@@ -885,7 +840,7 @@ where
             .get(attempt)
             .unwrap_or_else(|| opts.ranks.last().unwrap());
 
-        let mut ucfg = UniverseCfg::with_timeout(opts.op_timeout);
+        let mut ucfg = UniverseCfg::default();
         if let Some(plan) = opts.fault_plans.get(attempt) {
             ucfg = ucfg.with_faults(plan.clone());
         }
@@ -900,7 +855,6 @@ where
         let init = Arc::clone(&init);
         let root = opts.ckpt_root.clone();
         let precision = opts.precision;
-        let budget = opts.byte_budget;
         let cadence = opts.cadence.clone();
         let recovery = opts.recovery.clone();
         let field_plan = recovery
@@ -911,7 +865,7 @@ where
         let retain = opts.retain_sets;
         let threads = opts.threads;
         let rebalance = opts.rebalance.clone();
-        let shrink_cfg = opts.shrink.clone();
+        let shrink = opts.shrink;
 
         type RankResult = Result<RankOutcome, RankFailure>;
         let rank_main = move |rank: Rank| -> RankResult {
@@ -930,7 +884,7 @@ where
                 ));
             }
             let mut restore_skips = 0usize;
-            match restore_best(&mut sim, &root, budget, validate, &mut restore_skips)? {
+            match restore_best(&mut sim, &root, validate, &mut restore_skips)? {
                 RestoreBest::Restored(step) => {
                     sim.telemetry().gauge_set("ckpt/resumed_step", step as f64);
                 }
@@ -939,22 +893,17 @@ where
             // Attach after init/restore: the policy's cold-start priors
             // classify the actual block contents.
             sim.set_rebalance_policy(rebalance.clone());
-            let mut sched = cadence.scheduler();
+            let mut sched = cadence.clone();
             let mut rollbacks = 0usize;
             let mut shrinks = 0usize;
-            let mut replica = match &shrink_cfg {
-                Some(sp) if sp.source == ShrinkSource::Buddy => Some(ReplicaStore::new(budget)),
-                _ => None,
-            };
+            let mut replica = (shrink == Some(ShrinkSource::Buddy)).then(ReplicaStore::default);
             let mut pending_failure: Option<CommError> = None;
             while sim.step_index() < target_steps {
                 if let Some(err) = pending_failure.take() {
-                    let sp = shrink_cfg
-                        .as_ref()
-                        .expect("comm failures are only caught in shrink mode");
+                    let source = shrink.expect("comm failures are only caught in shrink mode");
                     shrinks += 1;
                     sim.telemetry().counter_add("shrink/deaths_detected", 1);
-                    if shrinks > sp.max_shrinks {
+                    if shrinks > MAX_SHRINKS {
                         return Err(RankFailure::ShrinkExhausted {
                             shrinks,
                             step: sim.step_index(),
@@ -965,9 +914,8 @@ where
                         recover_and_rehome(
                             &mut sim,
                             replica.as_ref(),
-                            sp,
+                            source,
                             &root,
-                            budget,
                             validate,
                             &mut restore_skips,
                             &err,
@@ -1007,7 +955,7 @@ where
                                 detail,
                             });
                         }
-                        match restore_best(&mut sim, &root, budget, validate, &mut restore_skips)? {
+                        match restore_best(&mut sim, &root, validate, &mut restore_skips)? {
                             RestoreBest::Restored(step) => {
                                 sim.telemetry()
                                     .gauge_set("health/rollback_to_step", step as f64);
@@ -1019,15 +967,7 @@ where
                                 });
                             }
                         }
-                        if recovery.project_simplex {
-                            let tol = recovery
-                                .health
-                                .as_ref()
-                                .map_or(eutectica_core::health::DEFAULT_SIMPLEX_TOL, |h| {
-                                    h.simplex_tol
-                                });
-                            sim.project_phi_to_simplex(tol);
-                        }
+                        sim.project_phi_to_simplex();
                         return Ok(());
                     }
                     if sim.step_index() < target_steps && sched.due(sim.step_index()) {
@@ -1035,10 +975,14 @@ where
                         match sim.write_checkpoint_set(&root, precision) {
                             Ok(_) => {
                                 sched.observe_checkpoint(&rank, t0.elapsed(), sim.step_index());
-                                if let (Some(keep), 0) = (retain, rank.rank()) {
-                                    // Collectives serialize rank 0 against
-                                    // restores, so pruning cannot race a
-                                    // set being read.
+                                if let Some(keep) =
+                                    retain.filter(|_| rank.alive_ranks()[0] == rank.rank())
+                                {
+                                    // One rank prunes (the lowest alive, so
+                                    // a shrink that kills rank 0 does not
+                                    // stop it), and collectives serialize
+                                    // it against restores, so pruning
+                                    // cannot race a set being read.
                                     if let Ok(n) = ckpt::prune_checkpoint_sets(&root, keep, None) {
                                         sim.telemetry().counter_add("ckpt/sets_pruned", n as u64);
                                     }
@@ -1068,7 +1012,7 @@ where
                 match catch_comm(one_step) {
                     Ok(Ok(())) => {}
                     Ok(Err(rf)) => return Err(rf),
-                    Err(err) => match &shrink_cfg {
+                    Err(err) => match shrink {
                         Some(_) => pending_failure = Some(err),
                         // Classic mode keeps the PR 2 contract: the comm
                         // failure unwinds this rank and the attempt tears

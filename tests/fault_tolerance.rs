@@ -19,8 +19,8 @@ use eutectica_core::timeloop::{DistributedSim, OverlapOptions};
 use eutectica_core::{N_COMP, N_PHASES};
 use eutectica_pfio::ckpt::Precision;
 use eutectica_pfio::resilient::{
-    run_resilient, AttemptFailure, Cadence, CheckpointCadence, RankFailure, RecoveryPolicy,
-    ResilientError, ResilientOpts, ResilientOutcome, ShrinkPolicy, ShrinkSource, SimCheckpointExt,
+    run_resilient, AttemptFailure, CheckpointCadence, RankFailure, RecoveryPolicy, ResilientError,
+    ResilientOpts, ResilientOutcome, ShrinkSource, SimCheckpointExt,
 };
 
 /// Run `f` on a helper thread and panic if it neither returns nor panics
@@ -99,7 +99,7 @@ fn run_case(
 ) -> ResilientOutcome {
     let root = tmp_root(tag);
     let mut opts = ResilientOpts::new(root.clone());
-    opts.cadence = Cadence::EverySteps(4);
+    opts.cadence = CheckpointCadence::fixed(4);
     opts.ranks = ranks;
     opts.fault_plans = fault_plans;
     let out = run_resilient(
@@ -185,7 +185,7 @@ fn rank_death_during_health_scan_is_a_typed_error_not_a_hang() {
         let spec = DomainSpec::directional([16, 16, 12], [2, 2, 1]);
         let root = tmp_root("phase_hs");
         let mut opts = ResilientOpts::new(root.clone());
-        opts.cadence = Cadence::EverySteps(4);
+        opts.cadence = CheckpointCadence::fixed(4);
         opts.ranks = vec![2];
         let mut health = HealthConfig::for_params(&ModelParams::ag_al_cu());
         health.every = 3;
@@ -218,7 +218,7 @@ fn rank_death_during_migration_epoch_is_a_typed_error_not_a_hang() {
         let spec = DomainSpec::directional([16, 16, 12], [2, 2, 1]);
         let root = tmp_root("phase_mig");
         let mut opts = ResilientOpts::new(root.clone());
-        opts.cadence = Cadence::EverySteps(4);
+        opts.cadence = CheckpointCadence::fixed(4);
         opts.ranks = vec![2];
         // Static placement is [0,0,1,1]; the forced swap at step 2 opens a
         // migration epoch for every block.
@@ -245,8 +245,8 @@ fn rank_death_during_migration_epoch_is_a_typed_error_not_a_hang() {
 
 /// The tentpole property: a run that loses a rank mid-flight and
 /// shrink-continues on the survivors is bit-identical to the uninterrupted
-/// run — across kill steps, fault seeds, and both lost-state sources (disk
-/// checkpoint set, buddy RAM replicas). Since bit-identity is placement-
+/// run — across killed ranks (rank 0 included), kill steps, fault seeds, and
+/// both lost-state sources (disk checkpoint set, buddy RAM replicas). Since bit-identity is placement-
 /// and rank-count-invariant (pinned by the restore tests above), this also
 /// certifies equality with a clean restart from the same checkpoint at the
 /// survivor rank count.
@@ -257,9 +257,15 @@ fn shrink_and_continue_is_bit_identical_to_the_clean_run() {
     let clean = run_case("shrink_clean", spec, steps, vec![3], Vec::new());
     assert_eq!(clean.attempts, 1);
 
+    let cases = [
+        (1usize, [0usize, 2], 5u64, 6u64),
+        (1, [0, 2], 9, 10),
+        (0, [1, 2], 5, 6),
+        (0, [1, 2], 9, 10),
+    ];
     for source in [ShrinkSource::Disk, ShrinkSource::Buddy] {
-        for (seed, kill_step) in [(5u64, 6u64), (9, 10)] {
-            let tag = format!("shrink_{source:?}_{seed}_{kill_step}").to_lowercase();
+        for (kill_rank, survivors, seed, kill_step) in cases {
+            let tag = format!("shrink_{source:?}_r{kill_rank}_{seed}_{kill_step}").to_lowercase();
             let name = tag.clone();
             let inner_name = tag.clone();
             let clean_time = clean.time;
@@ -267,11 +273,11 @@ fn shrink_and_continue_is_bit_identical_to_the_clean_run() {
             let out = with_watchdog(180, &name, move || {
                 let root = tmp_root(&tag);
                 let mut opts = ResilientOpts::new(root.clone());
-                opts.cadence = Cadence::EverySteps(4);
+                opts.cadence = CheckpointCadence::fixed(4);
                 opts.ranks = vec![3];
                 opts.max_attempts = 1; // recovery must happen *within* the attempt
-                opts.fault_plans = vec![FaultPlan::new(seed).kill(1, kill_step)];
-                opts.shrink = Some(ShrinkPolicy::new(source));
+                opts.fault_plans = vec![FaultPlan::new(seed).kill(kill_rank, kill_step)];
+                opts.shrink = Some(source);
                 let out = run_resilient(
                     ModelParams::ag_al_cu(),
                     spec,
@@ -287,7 +293,10 @@ fn shrink_and_continue_is_bit_identical_to_the_clean_run() {
             });
             assert_eq!(out.attempts, 1, "{name}: no restart allowed");
             assert_eq!(out.shrinks, 1, "{name}: exactly one death absorbed");
-            assert_eq!(out.survivors, vec![0, 2], "{name}: rank 1 was killed");
+            assert_eq!(
+                out.survivors, survivors,
+                "{name}: rank {kill_rank} was killed"
+            );
             assert_eq!(clean_time.to_bits(), out.time.to_bits(), "{name}: time");
             assert_eq!(
                 clean_fp,
@@ -296,6 +305,48 @@ fn shrink_and_continue_is_bit_identical_to_the_clean_run() {
             );
         }
     }
+}
+
+/// Checkpoint retention must outlive rank 0: after a shrink that kills it,
+/// the lowest surviving rank takes over pruning, so the root never holds
+/// more than `retain_sets` sets.
+#[test]
+fn retention_survives_the_death_of_rank_0() {
+    let out_root = with_watchdog(180, "retention after rank-0 death", || {
+        let spec = DomainSpec::directional([16, 16, 12], [2, 2, 1]);
+        let root = tmp_root("retain_r0");
+        let mut opts = ResilientOpts::new(root.clone());
+        opts.cadence = CheckpointCadence::fixed(4);
+        opts.ranks = vec![3];
+        opts.max_attempts = 1;
+        opts.retain_sets = Some(2);
+        opts.fault_plans = vec![FaultPlan::new(6).kill(0, 6)];
+        opts.shrink = Some(ShrinkSource::Disk);
+        let out = run_resilient(
+            ModelParams::ag_al_cu(),
+            spec,
+            KernelConfig::default(),
+            OverlapOptions::default(),
+            26,
+            opts,
+            init,
+        )
+        .expect("the run must shrink-continue past rank 0's death");
+        (out, root)
+    });
+    let (out, root) = out_root;
+    assert_eq!(out.survivors, vec![1, 2], "rank 0 was killed");
+    let sets: Vec<String> = std::fs::read_dir(&root)
+        .expect("checkpoint root")
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("step_"))
+        .collect();
+    let _ = std::fs::remove_dir_all(&root);
+    assert!(
+        sets.len() <= 2,
+        "retention stopped with rank 0: {} sets left ({sets:?})",
+        sets.len()
+    );
 }
 
 /// A second death injected *inside* the membership-recovery round, with a
@@ -307,14 +358,14 @@ fn second_death_inside_recovery_escalates_with_a_typed_error() {
         let spec = DomainSpec::directional([16, 16, 12], [2, 2, 1]);
         let root = tmp_root("shrink_double");
         let mut opts = ResilientOpts::new(root.clone());
-        opts.cadence = Cadence::EverySteps(4);
+        opts.cadence = CheckpointCadence::fixed(4);
         opts.ranks = vec![3];
         opts.max_attempts = 1;
         opts.fault_plans =
             vec![FaultPlan::new(13)
                 .kill(1, 6)
                 .kill_in_phase(2, FaultPhase::Recovery, 0)];
-        opts.shrink = Some(ShrinkPolicy::new(ShrinkSource::Disk)); // max_shrinks = 1
+        opts.shrink = Some(ShrinkSource::Disk); // MAX_SHRINKS = 1
         let err = run_resilient(
             ModelParams::ag_al_cu(),
             spec,
@@ -419,8 +470,8 @@ fn auto_cadence_keeps_checkpoint_overhead_within_budget() {
     );
 }
 
-/// Campaign shrink-and-continue: a rank killed mid-campaign under a
-/// [`ShrinkPolicy`] must not take its jobs down with it — the survivors
+/// Campaign shrink-and-continue: a rank killed mid-campaign with
+/// `CampaignOpts::shrink` on must not take its jobs down with it — the survivors
 /// deterministically adopt the dead rank's jobs from their per-job
 /// checkpoint namespaces and the whole fleet completes with checksums
 /// bit-equal to an undisturbed campaign.
@@ -435,7 +486,7 @@ fn campaign_survives_a_rank_death_with_all_job_checksums_intact() {
         ckpt_root: Some(root),
         ckpt_every: 2,
         keep_sets: 3,
-        shrink: Some(ShrinkPolicy::new(ShrinkSource::Disk)),
+        shrink: true,
         ..CampaignOpts::default()
     };
 

@@ -21,7 +21,7 @@ use eutectica_core::timeloop::{DistributedSim, OverlapOptions};
 use eutectica_core::{N_COMP, N_PHASES};
 use eutectica_pfio::ckpt;
 use eutectica_pfio::resilient::{
-    run_resilient, AttemptFailure, Cadence, RankFailure, RecoveryPolicy, ResilientOpts,
+    run_resilient, AttemptFailure, CheckpointCadence, RankFailure, RecoveryPolicy, ResilientOpts,
     ResilientOutcome,
 };
 use proptest::prelude::*;
@@ -65,7 +65,7 @@ fn spec() -> DomainSpec {
 /// Options with health scans at `scan_every` and checkpoints at `cadence`.
 fn recovery_opts(root: PathBuf, cadence: usize, scan_every: usize) -> ResilientOpts {
     let mut opts = ResilientOpts::new(root);
-    opts.cadence = Cadence::EverySteps(cadence);
+    opts.cadence = CheckpointCadence::fixed(cadence);
     opts.recovery = RecoveryPolicy::with_health(
         HealthConfig::for_params(&ModelParams::ag_al_cu()).with_every(scan_every),
     );

@@ -23,7 +23,7 @@ use eutectica_core::params::ModelParams;
 use eutectica_core::state::{BlockState, PHI_LIQUID};
 use eutectica_core::timeloop::{DistributedSim, OverlapOptions};
 use eutectica_core::{LIQ, N_COMP, N_PHASES};
-use eutectica_pfio::resilient::{run_resilient, Cadence, ResilientOpts};
+use eutectica_pfio::resilient::{run_resilient, CheckpointCadence, ResilientOpts};
 
 const DOMAIN: [usize; 3] = [16, 16, 16];
 const BLOCKS: [usize; 3] = [2, 2, 2];
@@ -404,7 +404,7 @@ fn kill_and_restore_continues_bit_identically() {
             ));
             let _ = std::fs::remove_dir_all(&root);
             let mut opts = ResilientOpts::new(root.clone());
-            opts.cadence = Cadence::EverySteps(4);
+            opts.cadence = CheckpointCadence::fixed(4);
             opts.ranks = vec![2];
             opts.threads = threads;
             // Rank 1 dies at step 14, two steps past the set of step 12.

@@ -164,9 +164,9 @@ fn observability_plane_is_bit_inert_threaded() {
 
 #[test]
 fn sim_level_drop_counters_are_exact() {
-    // One frame per observation (no slices, no metrics frames), bus
-    // capacity 2, and a subscriber that never drains: of the 6 published
-    // frames exactly 2 queue and exactly 4 drop — counted precisely.
+    // Four frames per observation (observable, 2 slices, metrics), bus
+    // capacity 2, and a subscriber that never drains: of the 24 published
+    // frames exactly 2 queue and exactly 22 drop — counted precisely.
     eutectica_comm::Universe::run(1, |rank| {
         let params = ModelParams::ag_al_cu();
         let decomp = Decomposition::new(DomainSpec::directional(CELLS, [1, 1, 1]));
@@ -180,24 +180,20 @@ fn sim_level_drop_counters_are_exact() {
         sim.init_blocks(init);
         let bus = Arc::new(FrameBus::new(2));
         let sub = bus.subscribe();
-        let cfg = ObservablesConfig {
-            every: 2,
-            slice_every: 0,
-            slice_fields: vec![],
-            slice_downsample: 2,
-            lamella_offset: 4,
-            metrics: false,
-        };
-        let mut observer = InSituObserver::new(cfg).with_bus(bus.clone());
+        let mut observer =
+            InSituObserver::new(ObservablesConfig::with_every(2)).with_bus(bus.clone());
         sim.step_n_with(STEPS, |sim| {
             observer.observe_distributed(sim);
         });
         let stats = bus.stats();
-        assert_eq!(stats.published, 6, "observations at steps 2,4,..,12");
+        assert_eq!(
+            stats.published, 24,
+            "observations at steps 2,4,..,12, each an observable, 2 slices and metrics"
+        );
         assert_eq!(stats.sent, 2, "bounded queue holds exactly its capacity");
-        assert_eq!(stats.dropped, 4, "every overflow frame counted");
+        assert_eq!(stats.dropped, 22, "every overflow frame counted");
         assert_eq!(sub.sent(), 2);
-        assert_eq!(sub.dropped(), 4);
+        assert_eq!(sub.dropped(), 22);
     });
 }
 

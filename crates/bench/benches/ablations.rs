@@ -111,7 +111,7 @@ fn anti_trapping_cost(c: &mut Criterion) {
 /// cell for the cellwise φ-kernel). The paper measured "no notable
 /// differences" thanks to the kernel's high arithmetic intensity.
 fn phi_layout(c: &mut Criterion) {
-    use eutectica_core::kernels::simd_phi::phi_sweep_cellwise_aos;
+    use eutectica_core::kernels::phi_sweep_cellwise_aos;
     let params = ModelParams::ag_al_cu();
     let dims = GridDims::cube(32);
     // Rung 4, the configuration the AoS kernel implements.

@@ -26,7 +26,7 @@ use crate::field::SoaField;
 use crate::GridDims;
 
 /// Magic bytes of an encoded field.
-pub const FIELD_MAGIC: [u8; 8] = *b"EUTFLD01";
+const FIELD_MAGIC: [u8; 8] = *b"EUTFLD01";
 
 /// Default cap on the allocation implied by a decoded field header (4 GiB);
 /// the decoders reject larger headers *before* allocating.
@@ -101,7 +101,7 @@ const LAYOUT_SOA: u8 = 0;
 /// Typed decode failure.
 #[derive(Debug)]
 pub enum CodecError {
-    /// The bytes do not start with [`FIELD_MAGIC`].
+    /// The bytes do not start with the field magic `EUTFLD01`.
     BadMagic,
     /// The input ended before the structure was complete.
     Truncated {

@@ -44,7 +44,7 @@ use crate::{N_COMP, N_PHASES};
 use std::sync::Mutex;
 
 /// Default scan cadence (steps between invariant scans).
-pub const DEFAULT_SCAN_EVERY: usize = 4;
+const DEFAULT_SCAN_EVERY: usize = 4;
 
 /// Tolerance on the Gibbs-simplex invariants: |Σφ − 1| and the
 /// per-component box `[−tol, 1 + tol]`.

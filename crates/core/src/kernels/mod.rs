@@ -6,7 +6,7 @@
 //! | rung | paper label | here |
 //! |------|-------------|------|
 //! | 0 | "general purpose C code" | [`PhiVariant::Reference`] / [`MuVariant::Reference`]: runtime-N/K code with per-cell indirect calls |
-//! | 1 | "basic waLBerla implementation" | specialized scalar N=4/K=2 kernels |
+//! | 1 | "basic waLBerla implementation" | [`PhiVariant::Scalar`] / [`MuVariant::Scalar`]: one specialized N=4/K=2 scalar φ and µ cell update (`basic.rs`), also the four-cell kernels' remainder path |
 //! | 2 | "with SIMD intrinsics" | explicit vectorization: cellwise φ (4 phases = 4 lanes), four-cell µ |
 //! | 3 | "with T(z) optimization" | per-slice precomputation of temperature-dependent terms |
 //! | 4 | "with staggered buffer" | staggered face values buffered and reused (halves face work) |
@@ -25,12 +25,13 @@
 //!
 //! [`phi_sweep`], [`phi_sweep_prepare`], [`phi_sweep_range`], [`mu_sweep`]
 //! and [`mu_sweep_range`] are the only public way into a sweep; each takes
-//! the [`KernelConfig`] whole. The kernel files below keep one
-//! `pub(super)` entry per kernel; the explicit-SIMD ones take the same `cfg`
-//! parameter, and the expansion of its three flags into const generics is
-//! written once (`with_flags!`). The flags are rungs 3–5 of the ladder and
-//! build on rung 2: the reference and scalar kernels ignore them, as they
-//! ignore `isa`.
+//! the [`KernelConfig`] whole. The kernel files below are private modules
+//! with one `pub(super)` entry per kernel ([`phi_sweep_cellwise_aos`], the
+//! layout ablation, is the one item re-exported); the explicit-SIMD ones
+//! take the same `cfg` parameter, and the expansion of its three flags into
+//! const generics is written once (`with_flags!`). The flags are rungs 3–5
+//! of the ladder and build on rung 2: the reference and basic kernels
+//! ignore them, as they ignore `isa`.
 //!
 //! The explicitly vectorized variants are generic over the ISA backend
 //! `V: SimdF64x4` and instantiated at **runtime** by
@@ -48,16 +49,21 @@
 //! closure — use `simd_common::per_phase!` / `per_comp!` for arrays) and
 //! `.github/scripts/kernel-codegen.sh` for the check.
 
-pub mod reference;
-pub mod scalar_mu;
-pub mod scalar_phi;
-pub mod simd_common;
-pub mod simd_mu;
-pub mod simd_phi;
+mod basic;
+mod reference;
+mod simd_common;
+mod simd_mu;
+mod simd_phi;
+
+pub(crate) use reference::{
+    gather19, ref_mu_cell_faces, ref_phi_cell_faces, GeneralModel, Scratch,
+};
+pub use simd_phi::phi_sweep_cellwise_aos;
 
 use crate::params::ModelParams;
 use crate::state::BlockState;
 use crate::N_PHASES;
+use basic::SweepCtx;
 use eutectica_simd::{dispatch, IsaGeneric, SimdF64x4};
 
 /// `with_flags!(cfg, kernel[lead..](args..))` calls
@@ -413,7 +419,7 @@ pub fn phi_sweep_range(
     };
     match cfg.phi {
         PhiVariant::Reference => reference::phi_sweep_reference_range(params, state, time, z0, z1),
-        PhiVariant::Scalar => scalar_phi::phi_sweep_scalar_range(params, state, time, z0, z1),
+        PhiVariant::Scalar => basic::phi_sweep_basic_range(params, state, time, z0, z1),
         PhiVariant::SimdCellwise => dispatch(cfg.isa.allows_avx2(), PhiCellwise(args)),
         PhiVariant::SimdFourCell => dispatch(cfg.isa.allows_avx2(), PhiFourCell(args)),
     }
@@ -444,6 +450,7 @@ pub fn mu_sweep_range(
     z0: usize,
     z1: usize,
 ) {
+    let cx = SweepCtx::new(params, state.dims.sy(), state.dims.sz(), part);
     let args = SweepArgs {
         params,
         state,
@@ -456,8 +463,8 @@ pub fn mu_sweep_range(
         MuVariant::Reference => {
             reference::mu_sweep_reference_range(params, state, time, part, z0, z1)
         }
-        MuVariant::Scalar => scalar_mu::mu_sweep_scalar_range(params, state, time, part, z0, z1),
-        MuVariant::SimdFourCell => dispatch(cfg.isa.allows_avx2(), MuFourCell(args, part)),
+        MuVariant::Scalar => basic::mu_sweep_basic_range(params, state, time, &cx, z0, z1),
+        MuVariant::SimdFourCell => dispatch(cfg.isa.allows_avx2(), MuFourCell(args, &cx)),
     }
 }
 
@@ -474,7 +481,7 @@ struct SweepArgs<'a> {
 
 struct PhiCellwise<'a>(SweepArgs<'a>);
 struct PhiFourCell<'a>(SweepArgs<'a>);
-struct MuFourCell<'a>(SweepArgs<'a>, MuPart);
+struct MuFourCell<'a>(SweepArgs<'a>, &'a SweepCtx);
 
 impl IsaGeneric for PhiCellwise<'_> {
     type Output = ();
@@ -501,8 +508,8 @@ impl IsaGeneric for MuFourCell<'_> {
 
     #[inline(always)]
     fn run<V: SimdF64x4>(self) {
-        let (a, part) = (self.0, self.1);
-        simd_mu::mu_sweep_fourcell_range::<V>(a.params, a.state, a.time, a.cfg, part, a.z0, a.z1);
+        let (a, cx) = (self.0, self.1);
+        simd_mu::mu_sweep_fourcell_range::<V>(a.params, a.state, a.time, a.cfg, cx, a.z0, a.z1);
     }
 }
 

@@ -28,13 +28,13 @@ use crate::{LIQ, N_COMP, N_PHASES};
 
 /// Per-cell functions dispatched dynamically — the "function pointers at
 /// cell level" of the original code.
-pub trait CellFn<R: Real>: Sync {
+pub(crate) trait CellFn<R: Real>: Sync {
     /// Evaluate into `out` (length N).
     fn eval(&self, phi: &[R], out: &mut [R]);
 }
 
 /// Moelans interpolation h_α = φ_α²/Σφ² as a dispatchable cell function.
-pub struct MoelansInterp;
+pub(crate) struct MoelansInterp;
 
 impl<R: Real> CellFn<R> for MoelansInterp {
     fn eval(&self, phi: &[R], out: &mut [R]) {
@@ -50,11 +50,11 @@ impl<R: Real> CellFn<R> for MoelansInterp {
 }
 
 /// Multi-obstacle potential derivative ∂ω̂/∂φ_α = Σ_β γ_αβ φ_β.
-pub struct ObstacleDeriv {
+pub(crate) struct ObstacleDeriv {
     /// Surface-energy matrix, row-major, n×n.
-    pub gamma: Vec<f64>,
+    pub(crate) gamma: Vec<f64>,
     /// Number of phases.
-    pub n: usize,
+    pub(crate) n: usize,
 }
 
 impl<R: Real> CellFn<R> for ObstacleDeriv {
@@ -70,57 +70,55 @@ impl<R: Real> CellFn<R> for ObstacleDeriv {
 }
 
 /// Runtime description of the model for the general-purpose kernel.
-pub struct GeneralModel<R: Real> {
+pub(crate) struct GeneralModel<R: Real> {
     /// Number of phases (runtime value).
-    pub n: usize,
+    pub(crate) n: usize,
     /// Number of chemical potentials (runtime value).
-    pub k: usize,
+    pub(crate) k: usize,
     /// γ_αβ, row-major n×n.
-    pub gamma: Vec<f64>,
+    pub(crate) gamma: Vec<f64>,
     /// Parabolic curvatures k_i at T_eu, n×k.
-    pub curvature: Vec<f64>,
+    pub(crate) curvature: Vec<f64>,
     /// Relative curvature temperature slopes κ_i, n×k.
-    pub dk_dt: Vec<f64>,
+    pub(crate) dk_dt: Vec<f64>,
     /// Diffusivities D_α, n.
-    pub diffusivity: Vec<f64>,
+    pub(crate) diffusivity: Vec<f64>,
     /// dc_eq/dT slopes, n×k.
-    pub dc_dt: Vec<f64>,
-    /// Eutectic concentrations, n×k.
-    pub c_eu: Vec<f64>,
+    pub(crate) dc_dt: Vec<f64>,
     /// Grand-potential latent coefficients, n.
-    pub latent: Vec<f64>,
+    pub(crate) latent: Vec<f64>,
     /// Eutectic temperature.
-    pub t_eu: f64,
+    pub(crate) t_eu: f64,
     /// Dynamically dispatched interpolation function.
-    pub interp: Box<dyn CellFn<R>>,
+    pub(crate) interp: Box<dyn CellFn<R>>,
     /// Dynamically dispatched obstacle derivative.
-    pub obstacle: Box<dyn CellFn<R>>,
+    pub(crate) obstacle: Box<dyn CellFn<R>>,
     /// Precomputed temperature-dependent coefficients (the T(z)
     /// optimization). When set, coefficient lookups are free constants, so
     /// FLOP counting on this model yields the per-cell cost of the
     /// *amortized* kernels — the quantity the paper reports (1384
     /// FLOP/cell). `None` = recompute per cell (the general-purpose code).
-    pub frozen: Option<FrozenCoeffs>,
+    pub(crate) frozen: Option<FrozenCoeffs>,
 }
 
 /// Temperature-dependent coefficients evaluated once per slice.
 #[derive(Clone, Debug)]
-pub struct FrozenCoeffs {
+pub(crate) struct FrozenCoeffs {
     /// c^eq_α,i(T), n×k.
-    pub c_eq: Vec<f64>,
+    pub(crate) c_eq: Vec<f64>,
     /// 1/(2k_i(T)), n×k.
-    pub inv2k: Vec<f64>,
+    pub(crate) inv2k: Vec<f64>,
     /// 1/(4k_i(T)), n×k.
-    pub inv4k: Vec<f64>,
+    pub(crate) inv4k: Vec<f64>,
     /// D_α/(2k_i(T)), n×k.
-    pub mob: Vec<f64>,
+    pub(crate) mob: Vec<f64>,
     /// X_α(T), n.
-    pub offset: Vec<f64>,
+    pub(crate) offset: Vec<f64>,
 }
 
 impl<R: Real> GeneralModel<R> {
     /// Build from the specialized parameter struct.
-    pub fn from_params(p: &ModelParams) -> Self {
+    pub(crate) fn from_params(p: &ModelParams) -> Self {
         let n = N_PHASES;
         let k = N_COMP;
         let mut gamma = vec![0.0; n * n];
@@ -146,7 +144,6 @@ impl<R: Real> GeneralModel<R> {
             dk_dt: flat(&|a, i| p.sys.phases[a].dk_dt[i]),
             diffusivity: (0..n).map(|a| p.sys.phases[a].diffusivity).collect(),
             dc_dt: flat(&|a, i| p.sys.dc_dt(a)[i]),
-            c_eu: flat(&|a, i| p.sys.phases[a].c_eu[i]),
             latent: (0..n).map(|a| p.sys.phases[a].latent).collect(),
             t_eu: p.sys.t_eu,
             interp: Box::new(MoelansInterp),
@@ -157,7 +154,7 @@ impl<R: Real> GeneralModel<R> {
 
     /// Freeze all temperature-dependent coefficients at temperature `t`
     /// (per-slice precomputation; see [`GeneralModel::frozen`]).
-    pub fn freeze_at(&mut self, p: &ModelParams, t: f64) {
+    pub(crate) fn freeze_at(&mut self, p: &ModelParams, t: f64) {
         let (n, k) = (self.n, self.k);
         let mut f = FrozenCoeffs {
             c_eq: vec![0.0; n * k],
@@ -241,7 +238,7 @@ impl<R: Real> GeneralModel<R> {
 }
 
 /// Scratch buffers reused across cells (the original code hoists these too).
-pub struct Scratch<R: Real> {
+pub(crate) struct Scratch<R: Real> {
     h_old: Vec<R>,
     h_new: Vec<R>,
     psi: Vec<R>,
@@ -253,7 +250,7 @@ pub struct Scratch<R: Real> {
 
 impl<R: Real> Scratch<R> {
     /// Allocate for `n` phases.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         let z = R::from_f64(0.0);
         Self {
             h_old: vec![z; n],
@@ -287,7 +284,7 @@ fn ref_phi_cell<R: Real>(
 /// the previous cells). Used by the FLOP accounting to count exactly what
 /// the optimized kernels execute per cell.
 #[allow(clippy::too_many_arguments)]
-pub fn ref_phi_cell_faces<R: Real>(
+pub(crate) fn ref_phi_cell_faces<R: Real>(
     model: &GeneralModel<R>,
     p: &ModelParams,
     stencil: &[Vec<R>; 7],
@@ -447,7 +444,7 @@ fn ref_mu_cell<R: Real>(
 /// Like [`ref_mu_cell`], but with `buffered = true` only the three "high"
 /// faces are evaluated (staggered-buffer accounting).
 #[allow(clippy::too_many_arguments)]
-pub fn ref_mu_cell_faces<R: Real>(
+pub(crate) fn ref_mu_cell_faces<R: Real>(
     model: &GeneralModel<R>,
     p: &ModelParams,
     phi19: &[Vec<R>],
@@ -626,10 +623,10 @@ fn trans_axes(axis: usize) -> (usize, usize) {
 /// Number of entries in the `phi19` gather layout (7 + 6×4 = 31 slots;
 /// diagonal cells are stored once per referencing neighbor for simplicity —
 /// the *distinct* cells form the D3C19 stencil).
-pub const GATHER19_LEN: usize = 31;
+pub(crate) const GATHER19_LEN: usize = 31;
 
 /// Gather the φ values needed by [`ref_mu_cell`] around linear index `i`.
-pub fn gather19<R: Real>(
+pub(crate) fn gather19<R: Real>(
     comps: &[&[f64]; N_PHASES],
     i: usize,
     sy: usize,
@@ -671,7 +668,7 @@ pub fn gather19<R: Real>(
 /// Range-restricted reference φ-sweep (Algorithm 1, line 1) in the
 /// general-purpose style, for z-slab work-sharing (the plain triple loop
 /// has no cross-slice state, so any sub-range is exact).
-pub fn phi_sweep_reference_range(
+pub(crate) fn phi_sweep_reference_range(
     params: &ModelParams,
     state: &mut BlockState,
     time: f64,
@@ -734,7 +731,7 @@ pub fn phi_sweep_reference_range(
 ///
 /// Only [`MuPart::Full`] is provided: the general code predates the
 /// communication-hiding split (Sec. 3.3).
-pub fn mu_sweep_reference_range(
+pub(crate) fn mu_sweep_reference_range(
     params: &ModelParams,
     state: &mut BlockState,
     time: f64,

@@ -66,13 +66,13 @@ const _: () = assert!(N_PHASES == 4 && N_COMP == 2);
 /// SoA field; the paper measured it to be negligible thanks to the kernel's
 /// high arithmetic intensity (Sec. 5.1.1).
 #[inline(always)]
-pub fn gather_cell4<V: SimdF64x4>(comps: &[&[f64]; N_PHASES], i: usize) -> V {
+pub(crate) fn gather_cell4<V: SimdF64x4>(comps: &[&[f64]; N_PHASES], i: usize) -> V {
     V::from_array([comps[0][i], comps[1][i], comps[2][i], comps[3][i]])
 }
 
 /// Scatter a phase vector back to the SoA planes.
 #[inline(always)]
-pub fn scatter_cell4<V: SimdF64x4>(comps: &mut [&mut [f64]; N_PHASES], i: usize, v: V) {
+pub(crate) fn scatter_cell4<V: SimdF64x4>(comps: &mut [&mut [f64]; N_PHASES], i: usize, v: V) {
     let a = v.to_array();
     comps[0][i] = a[0];
     comps[1][i] = a[1];
@@ -85,7 +85,7 @@ pub fn scatter_cell4<V: SimdF64x4>(comps: &mut [&mut [f64]; N_PHASES], i: usize,
 /// (`vpermpd`) — the "various permute or rotate operations" the cellwise
 /// strategy pays for (Sec. 5.1.1).
 #[inline(always)]
-pub fn matvec<V: SimdF64x4>(cols: &[V; N_PHASES], v: V) -> V {
+pub(crate) fn matvec<V: SimdF64x4>(cols: &[V; N_PHASES], v: V) -> V {
     let r = cols[0] * v.broadcast_lane::<0>();
     let r = cols[1].mul_add(v.broadcast_lane::<1>(), r);
     let r = cols[2].mul_add(v.broadcast_lane::<2>(), r);
@@ -94,30 +94,30 @@ pub fn matvec<V: SimdF64x4>(cols: &[V; N_PHASES], v: V) -> V {
 
 /// γ matrix as column vectors (symmetric, so columns = rows).
 #[inline(always)]
-pub fn gamma_cols<V: SimdF64x4>(gamma: &[[f64; N_PHASES]; N_PHASES]) -> [V; N_PHASES] {
+pub(crate) fn gamma_cols<V: SimdF64x4>(gamma: &[[f64; N_PHASES]; N_PHASES]) -> [V; N_PHASES] {
     per_phase!(|b| V::from_array(per_phase!(|a| gamma[a][b])))
 }
 
 /// Per-slice thermodynamic constants in lane-per-phase layout for the
 /// cellwise φ-kernel.
 #[derive(Copy, Clone, Debug)]
-pub struct SliceCtxV<V: SimdF64x4> {
+pub(crate) struct SliceCtxV<V: SimdF64x4> {
     /// c^eq_α per component, lane α = phase.
-    pub c_eq: [V; N_COMP],
+    pub(crate) c_eq: [V; N_COMP],
     /// Grand-potential offsets X_α, lane α = phase.
-    pub offset: V,
+    pub(crate) offset: V,
     /// 1/(4k_α,i(T)) per component, lane α = phase.
-    pub inv4k: [V; N_COMP],
+    pub(crate) inv4k: [V; N_COMP],
     /// T·ε.
-    pub pref_grad: f64,
+    pub(crate) pref_grad: f64,
     /// 16T/(π²ε).
-    pub pref_obst: f64,
+    pub(crate) pref_obst: f64,
 }
 
 impl<V: SimdF64x4> SliceCtxV<V> {
     /// Convert a scalar slice context.
     #[inline(always)]
-    pub fn from_ctx(ctx: &SliceCtx) -> Self {
+    pub(crate) fn from_ctx(ctx: &SliceCtx) -> Self {
         Self {
             c_eq: per_comp!(|i| V::from_array(per_phase!(|a| ctx.c_eq[a][i]))),
             offset: V::from_array(ctx.offset),
@@ -133,7 +133,7 @@ impl<V: SimdF64x4> SliceCtxV<V> {
 /// [`crate::simplex::project_to_simplex`] with compare/select instead of
 /// branches.
 #[inline(always)]
-pub fn simplex_project_lanes<V: SimdF64x4>(phi: [V; N_PHASES]) -> [V; N_PHASES] {
+pub(crate) fn simplex_project_lanes<V: SimdF64x4>(phi: [V; N_PHASES]) -> [V; N_PHASES] {
     // Sorting network (descending) across the four phase registers.
     #[inline(always)]
     fn cswap<V: SimdF64x4>(a: V, b: V) -> (V, V) {
@@ -178,37 +178,39 @@ pub(crate) fn cells_eq_mask<V: SimdF64x4>(a: &[V; N_PHASES], b: &[V; N_PHASES]) 
 
 /// Slice contexts recomputed from the temperature on every call — what the
 /// rungs below "T(z)" do per cell / per group instead of reading a
-/// [`crate::temperature::SliceTable`]. `black_box` keeps the recomputation
-/// from being hoisted (see `scalar_phi.rs`).
+/// [`crate::temperature::SliceTable`]. The `black_box` models the original
+/// code's per-cell temperature lookup, which the compiler cannot hoist out
+/// of the loop: without it LLVM's loop-invariant code motion would silently
+/// apply the T(z) optimization to rung 1 (`basic.rs`) too.
 #[derive(Copy, Clone)]
 pub(crate) struct RecomputedSlices<'a> {
     /// Model parameters.
-    pub params: &'a ModelParams,
+    pub(crate) params: &'a ModelParams,
     /// Global z of the block's first interior slice.
-    pub origin_z: isize,
+    pub(crate) origin_z: isize,
     /// Ghost width.
-    pub ghost: usize,
+    pub(crate) ghost: usize,
     /// Simulation time.
-    pub time: f64,
+    pub(crate) time: f64,
 }
 
 impl RecomputedSlices<'_> {
     /// Temperature of total slice `z`.
     #[inline(always)]
-    pub fn temperature(&self, z: usize) -> f64 {
+    pub(crate) fn temperature(&self, z: usize) -> f64 {
         let gz = self.origin_z as f64 + z as f64 - self.ghost as f64;
         std::hint::black_box(self.params.temperature(gz, self.time))
     }
 
     /// Cell-centred context of total slice `z`.
     #[inline(always)]
-    pub fn cell(&self, z: usize) -> SliceCtx {
+    pub(crate) fn cell(&self, z: usize) -> SliceCtx {
         SliceCtx::at(self.params, self.temperature(z))
     }
 
     /// Context of the z-face between total slices `z` and `z + 1`.
     #[inline(always)]
-    pub fn zface(&self, z: usize) -> SliceCtx {
+    pub(crate) fn zface(&self, z: usize) -> SliceCtx {
         SliceCtx::at(
             self.params,
             0.5 * (self.temperature(z) + self.temperature(z + 1)),

@@ -21,12 +21,11 @@
 //! The kernel is generic over the ISA backend `V:`[`SimdF64x4`] and
 //! instantiated per ISA by [`super::mu_sweep_range`].
 
-use crate::kernels::scalar_mu::SweepCtx;
+use crate::kernels::basic::{mu_cell, SweepCtx};
 use crate::kernels::simd_common::{
     cells_eq_mask, load_cells4, per_comp, per_phase, RecomputedSlices,
 };
-use crate::kernels::{get2, get4, pure_phase_of, with_flags, KernelConfig, MuPart};
-use crate::model::{mu_cell_update, phase_change_source, susceptibility, temp_drift};
+use crate::kernels::{pure_phase_of, with_flags, KernelConfig};
 use crate::params::ModelParams;
 use crate::state::BlockState;
 use crate::temperature::{SliceCtx, SliceTable};
@@ -34,19 +33,19 @@ use crate::{LIQ, N_COMP, N_PHASES};
 use eutectica_simd::{SimdF64x4, SimdMask4};
 
 /// Four-cell µ-sweep of the z-slices `z0..z1` (see
-/// [`crate::kernels::scalar_phi::phi_sweep_scalar_range`] for the
-/// coordinate convention and the bit-exactness argument).
+/// [`crate::kernels::phi_sweep_range`] for the coordinate convention and
+/// the bit-exactness argument); `cx` carries the [`crate::kernels::MuPart`].
 #[inline(always)]
 pub(super) fn mu_sweep_fourcell_range<V: SimdF64x4>(
     params: &ModelParams,
     state: &mut BlockState,
     time: f64,
     cfg: KernelConfig,
-    part: MuPart,
+    cx: &SweepCtx,
     z0: usize,
     z1: usize,
 ) {
-    with_flags!(cfg, sweep[V](params, state, time, part, z0, z1))
+    with_flags!(cfg, sweep[V](params, state, time, cx, z0, z1))
 }
 
 /// `[carry, v0, v1, v2]` — slide a face-flux vector one lane to reuse the
@@ -286,7 +285,7 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
     params: &ModelParams,
     state: &mut BlockState,
     time: f64,
-    part: MuPart,
+    scx: &SweepCtx,
     z0: usize,
     z1: usize,
 ) {
@@ -296,23 +295,21 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
     debug_assert!(g <= z0 && z0 <= z1 && z1 <= g + nz);
     let (sy, sz) = (dims.sy(), dims.sz());
     let origin_z = state.origin[2] as isize;
-    let dt = params.dt;
-    let dtv = V::splat(dt);
+    let dtv = V::splat(scx.dt);
 
+    // `scx` splatted; the scalar remainder cells (nx not a multiple of 4)
+    // take `scx` itself.
     let cx = VCtx::<V> {
-        inv_dx: V::splat(1.0 / params.dx),
-        inv_dt: V::splat(1.0 / params.dt),
-        dc_dt: params.dc_dt_coeffs(),
-        atc_pref: params.atc_prefactor(),
+        inv_dx: V::splat(scx.inv_dx),
+        inv_dt: V::splat(scx.inv_dt),
+        dc_dt: scx.dc_dt,
+        atc_pref: scx.atc_pref,
         sy,
         sz,
-        with_grad: part != MuPart::NeighborOnly,
-        with_jat: params.enable_atc && part != MuPart::LocalOnly,
+        with_grad: scx.with_grad,
+        with_jat: scx.with_jat,
     };
-    // Scalar context for the remainder cells (nx not a multiple of 4).
-    let scx = SweepCtx::new(params, sy, sz, part);
-    let with_local_terms = part != MuPart::NeighborOnly;
-    let accumulate = part == MuPart::NeighborOnly;
+    let accumulate = scx.accumulate;
 
     let table = if TZ {
         Some(SliceTable::build(params, origin_z, dims.tz(), g, time))
@@ -348,7 +345,7 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
     let ps = phi_src.comps();
     let pd = phi_dst.comps();
     let ms = mu_src.comps();
-    let md = mu_dst.comps_mut();
+    let mut md = mu_dst.comps_mut();
 
     let ngx = nx / 4; // vector groups per row
     let mut zbuf = vec![[V::zero(); N_COMP]; if STAG { ngx * ny } else { 0 }];
@@ -372,7 +369,7 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
 
     // Per-phase constant splats for the temperature-independent slopes.
     let dcdt_v: [[V; N_COMP]; N_PHASES] = per_phase!(|a| per_comp!(|i| V::splat(cx.dc_dt[a][i])));
-    let dtdt = V::splat(params.dtemp_dt());
+    let dtdt = V::splat(scx.dtemp_dt);
 
     // Contexts are used by reference: a `SliceCtx` is 39 doubles, and a
     // by-value copy per group costs more than a single-phase group update.
@@ -498,41 +495,39 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
                 let mu = [V::load(ms[0], i), V::load(ms[1], i)];
                 let mut source = [V::zero(); N_COMP];
                 let mut drift = [V::zero(); N_COMP];
-                if with_local_terms {
-                    // In a constant slab φ_dst is φ_src: no phase change.
-                    let pn = match slab_pure {
-                        Some(_) => pc,
-                        None => load_cells4::<V>(&pd, i),
-                    };
-                    let unchanged = SC && cells_eq_mask(&pn, &pc).all();
-                    if !unchanged {
-                        let mut s_new = V::zero();
-                        for p in &pn {
-                            s_new = p.mul_add(*p, s_new);
+                // In a constant slab φ_dst is φ_src: no phase change.
+                let pn = match slab_pure {
+                    Some(_) => pc,
+                    None => load_cells4::<V>(&pd, i),
+                };
+                let unchanged = SC && cells_eq_mask(&pn, &pc).all();
+                if !unchanged {
+                    let mut s_new = V::zero();
+                    for p in &pn {
+                        s_new = p.mul_add(*p, s_new);
+                    }
+                    let inv_s_new = V::splat(1.0) / s_new;
+                    for a in 0..N_PHASES {
+                        let h_new = pn[a] * pn[a] * inv_s_new;
+                        let dh = (h_new - h_old[a]) * cx.inv_dt;
+                        for i_c in 0..N_COMP {
+                            let c_a =
+                                V::splat(ctx.c_eq[a][i_c]) + mu[i_c] * V::splat(ctx.inv2k[a][i_c]);
+                            source[i_c] -= c_a * dh;
                         }
-                        let inv_s_new = V::splat(1.0) / s_new;
+                    }
+                }
+                for i_c in 0..N_COMP {
+                    let dcdt = if let Some(p) = pure {
+                        dcdt_v[p][i_c]
+                    } else {
+                        let mut dcdt = V::zero();
                         for a in 0..N_PHASES {
-                            let h_new = pn[a] * pn[a] * inv_s_new;
-                            let dh = (h_new - h_old[a]) * cx.inv_dt;
-                            for i_c in 0..N_COMP {
-                                let c_a = V::splat(ctx.c_eq[a][i_c])
-                                    + mu[i_c] * V::splat(ctx.inv2k[a][i_c]);
-                                source[i_c] -= c_a * dh;
-                            }
+                            dcdt = h_old[a].mul_add(dcdt_v[a][i_c], dcdt);
                         }
-                    }
-                    for i_c in 0..N_COMP {
-                        let dcdt = if let Some(p) = pure {
-                            dcdt_v[p][i_c]
-                        } else {
-                            let mut dcdt = V::zero();
-                            for a in 0..N_PHASES {
-                                dcdt = h_old[a].mul_add(dcdt_v[a][i_c], dcdt);
-                            }
-                            dcdt
-                        };
-                        drift[i_c] = -(dcdt * dtdt);
-                    }
+                        dcdt
+                    };
+                    drift[i_c] = -(dcdt * dtdt);
                 }
 
                 for i_c in 0..N_COMP {
@@ -541,9 +536,8 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
                 }
             }
 
-            // Scalar remainder (right edge of the row).
+            // Scalar remainder (right edge of the row): rung 1's cell update.
             for x in (g + 4 * ngx)..(g + nx) {
-                let i = dims.idx(x, y, z);
                 let fresh;
                 let (ctx, czl, czh) = if TZ {
                     (ctx_z, ctx_zf_low, ctx_zf_high)
@@ -555,34 +549,8 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
                     );
                     (&fresh.0, &fresh.1, &fresh.2)
                 };
-                let f_xl = scx.face_flux::<SC>(&ps, &pd, &ms, ctx, i - 1, i, 0);
-                let f_xh = scx.face_flux::<SC>(&ps, &pd, &ms, ctx, i, i + 1, 0);
-                let f_yl = scx.face_flux::<SC>(&ps, &pd, &ms, ctx, i - sy, i, 1);
-                let f_yh = scx.face_flux::<SC>(&ps, &pd, &ms, ctx, i, i + sy, 1);
-                let f_zl = scx.face_flux::<SC>(&ps, &pd, &ms, czl, i - sz, i, 2);
-                let f_zh = scx.face_flux::<SC>(&ps, &pd, &ms, czh, i, i + sz, 2);
-                let div = [
-                    (f_xh[0] - f_xl[0] + f_yh[0] - f_yl[0] + f_zh[0] - f_zl[0]) / params.dx,
-                    (f_xh[1] - f_xl[1] + f_yh[1] - f_yl[1] + f_zh[1] - f_zl[1]) / params.dx,
-                ];
-                let phi_old = get4(&ps, i);
-                let chi = susceptibility(ctx, phi_old);
-                if accumulate {
-                    md[0][i] += dt * div[0] / chi[0];
-                    md[1][i] += dt * div[1] / chi[1];
-                    continue;
-                }
-                let mu = get2(&ms, i);
-                let (source, drift) = if with_local_terms {
-                    let phi_new = get4(&pd, i);
-                    let src = phase_change_source(ctx, phi_old, phi_new, mu, 1.0 / params.dt);
-                    (src, temp_drift(&cx.dc_dt, phi_old, params.dtemp_dt()))
-                } else {
-                    ([0.0; N_COMP], [0.0; N_COMP])
-                };
-                let out = mu_cell_update(mu, div, source, drift, chi, dt);
-                md[0][i] = out[0];
-                md[1][i] = out[1];
+                let i = dims.idx(x, y, z);
+                mu_cell::<SC>(scx, ctx, czl, czh, &ps, &pd, &ms, &mut md, i);
             }
         }
     }

@@ -18,6 +18,7 @@
 //! [`super::phi_sweep_range`] (and, for the AoS layout ablation, from
 //! [`phi_sweep_cellwise_aos`] itself).
 
+use crate::kernels::basic::phi_cell;
 use crate::kernels::simd_common::{
     cells_eq_mask, gamma_cols, gather_cell4, load_cells4, matvec, per_phase, scatter_cell4,
     simplex_project_lanes, RecomputedSlices, SliceCtxV,
@@ -41,8 +42,8 @@ fn gamma_is_uniform(params: &ModelParams) -> bool {
 }
 
 /// Cellwise sweep of the z-slices `z0..z1` (see
-/// [`crate::kernels::scalar_phi::phi_sweep_scalar_range`] for the
-/// coordinate convention and the bit-exactness argument).
+/// [`crate::kernels::phi_sweep_range`] for the coordinate convention and
+/// the bit-exactness argument).
 #[inline(always)]
 pub(super) fn phi_sweep_cellwise_range<V: SimdF64x4>(
     params: &ModelParams,
@@ -437,7 +438,7 @@ fn fourcell<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
     } = state;
     let ps = phi_src.comps();
     let ms = mu_src.comps();
-    let pd = phi_dst.comps_mut();
+    let mut pd = phi_dst.comps_mut();
 
     // Staggered face buffers, one entry per four-cell group (lanes = cells).
     let ngx = nx / 4;
@@ -641,11 +642,10 @@ fn fourcell<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
                 x += 4;
                 gx_i += 1;
             }
-            // Scalar remainder (recomputes its faces unbuffered; no vector
-            // group reads these cells' buffer slots, so STAG needs no
-            // plumbing here).
+            // Scalar remainder: rung 1's cell update (it recomputes its faces
+            // unbuffered; no vector group reads these cells' buffer slots,
+            // so STAG needs no plumbing here).
             while x < nx {
-                let i = row + x;
                 let fresh;
                 let ctx = if TZ {
                     ctx_z
@@ -653,35 +653,7 @@ fn fourcell<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
                     fresh = recomputed.cell(z);
                     &fresh
                 };
-                let pc = crate::kernels::get4(&ps, i);
-                let xm = crate::kernels::get4(&ps, i - 1);
-                let xp = crate::kernels::get4(&ps, i + 1);
-                let ym = crate::kernels::get4(&ps, i - sy);
-                let yp = crate::kernels::get4(&ps, i + sy);
-                let zm = crate::kernels::get4(&ps, i - sz);
-                let zp = crate::kernels::get4(&ps, i + sz);
-                let grads = crate::model::central_gradients(xm, xp, ym, yp, zm, zp, 0.5 * inv_dx_s);
-                let faces = [
-                    crate::model::phi_face_flux(&params.gamma, xm, pc, inv_dx_s),
-                    crate::model::phi_face_flux(&params.gamma, pc, xp, inv_dx_s),
-                    crate::model::phi_face_flux(&params.gamma, ym, pc, inv_dx_s),
-                    crate::model::phi_face_flux(&params.gamma, pc, yp, inv_dx_s),
-                    crate::model::phi_face_flux(&params.gamma, zm, pc, inv_dx_s),
-                    crate::model::phi_face_flux(&params.gamma, pc, zp, inv_dx_s),
-                ];
-                let mu = crate::kernels::get2(&ms, i);
-                let out = crate::model::phi_cell_update(
-                    params,
-                    ctx,
-                    pc,
-                    &grads,
-                    &faces,
-                    mu,
-                    SC && crate::model::is_pure(pc),
-                );
-                for c in 0..N_PHASES {
-                    pd[c][i] = out[c];
-                }
+                phi_cell::<SC>(params, ctx, &ps, &ms, &mut pd, row + x, sy, sz, inv_dx_s);
                 x += 1;
             }
         }

@@ -14,9 +14,7 @@ use core::ops::{Add, Div, Mul, Sub};
 use core::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use crate::kernels::reference::{
-    gather19, ref_mu_cell_faces, ref_phi_cell_faces, GeneralModel, Scratch,
-};
+use crate::kernels::{gather19, ref_mu_cell_faces, ref_phi_cell_faces, GeneralModel, Scratch};
 use crate::params::ModelParams;
 use crate::{N_COMP, N_PHASES};
 

@@ -33,7 +33,7 @@ use crate::state::BlockState;
 use crate::{N_COMP, N_PHASES};
 
 /// Magic bytes of a migrated block.
-pub const MIG_MAGIC: [u8; 8] = *b"EUTMIG01";
+const MIG_MAGIC: [u8; 8] = *b"EUTMIG01";
 
 /// Header bytes before the first field payload.
 const HEADER_LEN: usize = 8 + 8 + 3 * 8 + 1 + 8 + 8;
@@ -41,7 +41,7 @@ const HEADER_LEN: usize = 8 + 8 + 3 * 8 + 1 + 8 + 8;
 /// Typed decode failure for a migration payload.
 #[derive(Debug)]
 pub enum MigrateError {
-    /// The bytes do not start with [`MIG_MAGIC`].
+    /// The bytes do not start with the migration magic `EUTMIG01`.
     BadMagic,
     /// The input ended before the structure was complete.
     Truncated,

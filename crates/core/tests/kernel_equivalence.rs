@@ -291,7 +291,7 @@ fn disabled_anti_trapping_changes_results_near_front_only() {
 /// cross-implementation tolerance (bit-exactness among the SIMD rungs is
 /// pinned separately below).
 #[test]
-fn registry_backends_agree_with_reference() {
+fn every_rung_agrees_with_reference() {
     let params = ModelParams::ag_al_cu();
     let dims = GridDims::cube(10);
     let reference = OptLevel::Reference.config();
@@ -364,6 +364,80 @@ fn scalar_rung_ignores_the_simd_toggles() {
     }
 }
 
+/// The four-cell kernels' remainder cells (the x = 4..7 tail of a 7-wide
+/// row) run rung 1's scalar cell updates: bit for bit `OptLevel::Basic`
+/// there, under every ISA × tz × stag × sc and at a `dx` other than 1. Both
+/// µ runs read Basic's φ_dst, so no vector-cell φ difference reaches the
+/// remainder's J_at.
+#[test]
+fn fourcell_remainders_are_the_basic_rung() {
+    let dims = GridDims::new(7, 5, 5, 1);
+    let g = dims.ghost;
+    let tail: Vec<_> = dims.interior_iter().filter(|c| c.0 >= g + 4).collect();
+    for dx in [1.0, 0.9] {
+        let params = ModelParams {
+            dx,
+            ..ModelParams::ag_al_cu()
+        };
+        params.validate().unwrap();
+        let basic = OptLevel::Basic.config();
+        for (name, base) in states(dims) {
+            let mut want_phi = base.clone();
+            phi_sweep(&params, &mut want_phi, 0.6, basic);
+            let mu_of = |c: KernelConfig, part: MuPart| {
+                let mut s = want_phi.clone();
+                if part == MuPart::NeighborOnly {
+                    mu_sweep(&params, &mut s, 0.6, c, MuPart::LocalOnly);
+                }
+                mu_sweep(&params, &mut s, 0.6, c, part);
+                s
+            };
+            let parts = [MuPart::Full, MuPart::LocalOnly, MuPart::NeighborOnly];
+            let want_mu = parts.map(|part| mu_of(basic, part));
+            for isa in isas() {
+                for flags in 0..8u8 {
+                    let (tz, stag, sc) = (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+                    let mut c = cfg(
+                        PhiVariant::SimdFourCell,
+                        MuVariant::SimdFourCell,
+                        tz,
+                        stag,
+                        sc,
+                    );
+                    c.isa = isa;
+                    let what = format!("{name} dx={dx} {isa:?} (tz={tz},stag={stag},sc={sc})");
+                    let mut s = base.clone();
+                    phi_sweep(&params, &mut s, 0.6, c);
+                    for &(x, y, z) in &tail {
+                        for a in 0..4 {
+                            let (p, q) =
+                                (want_phi.phi_dst.at(a, x, y, z), s.phi_dst.at(a, x, y, z));
+                            assert_eq!(
+                                p.to_bits(),
+                                q.to_bits(),
+                                "{what}: phi[{a}]@({x},{y},{z}): {p:e} vs {q:e}"
+                            );
+                        }
+                    }
+                    for (part, want) in parts.iter().zip(&want_mu) {
+                        let s = mu_of(c, *part);
+                        for &(x, y, z) in &tail {
+                            for i in 0..2 {
+                                let (p, q) = (want.mu_dst.at(i, x, y, z), s.mu_dst.at(i, x, y, z));
+                                assert_eq!(
+                                    p.to_bits(),
+                                    q.to_bits(),
+                                    "{what} {part:?}: mu[{i}]@({x},{y},{z}): {p:e} vs {q:e}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The runtime-detected AVX2 instantiation and the forced portable
 /// fallback are bit-identical — the property that makes `SimdIsa::Auto`
 /// invisible to physics.
@@ -407,7 +481,7 @@ fn simd_isa_instantiations_are_bit_exact() {
 /// it is bit-identical to it — under every ISA, hence across ISAs.
 #[test]
 fn aos_variant_matches_soa_cellwise() {
-    use eutectica_core::kernels::simd_phi::phi_sweep_cellwise_aos;
+    use eutectica_core::kernels::phi_sweep_cellwise_aos;
     let mut rng = rand::rngs::StdRng::seed_from_u64(12);
     let dims = GridDims::cube(8);
     let mut s = BlockState::new(dims, [0, 0, 2]);

@@ -32,16 +32,16 @@ use eutectica_core::state::BlockState;
 use eutectica_core::{N_COMP, N_PHASES};
 
 /// Magic bytes of a v2 (checkpoint-set) block file.
-pub const BLOCK_MAGIC: &[u8; 8] = b"EUTECKP2";
+const BLOCK_MAGIC: &[u8; 8] = b"EUTECKP2";
 /// Magic bytes of the retired CRC-less single-block format; recognised only
 /// so that a leftover file is named for what it is.
 const LEGACY_BLOCK_MAGIC: &[u8; 8] = b"EUTECKP1";
 /// Magic bytes of a checkpoint-set manifest.
-pub const MANIFEST_MAGIC: &[u8; 8] = b"EUTECMF1";
+const MANIFEST_MAGIC: &[u8; 8] = b"EUTECMF1";
 /// Format version written into block files and manifests.
-pub const FORMAT_VERSION: u32 = 1;
+const FORMAT_VERSION: u32 = 1;
 /// Manifest file name inside a checkpoint-set directory.
-pub const MANIFEST_FILE: &str = "manifest.eckm";
+const MANIFEST_FILE: &str = "manifest.eckm";
 /// Default cap on the in-memory size implied by a block file's header
 /// (4 GiB); [`decode_block`] rejects headers over budget *before*
 /// allocating.

@@ -138,7 +138,7 @@ pub fn label_3d(mask: &[bool], dims: [usize; 3], periodic: [bool; 3]) -> Labels 
 }
 
 /// Label 4-connected components of a 2-D mask (`nx × ny`, x fastest).
-pub fn label_2d(mask: &[bool], dims: [usize; 2], periodic: [bool; 2]) -> Labels {
+pub(crate) fn label_2d(mask: &[bool], dims: [usize; 2], periodic: [bool; 2]) -> Labels {
     label_3d(
         mask,
         [dims[0], dims[1], 1],

@@ -13,7 +13,7 @@ use eutectica_core::state::BlockState;
 
 /// Shape class of one lamella cross-section.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ShapeClass {
+pub(crate) enum ShapeClass {
     /// Closed loop enclosing another phase.
     Ring,
     /// Branched or bent structure joining several lamellae.

@@ -105,7 +105,7 @@ pub fn assign_contiguous_weighted(weights: &[f64], n_ranks: usize) -> Vec<usize>
 /// `(weights, n_ranks)`: repeated calls — and calls on different ranks —
 /// produce the identical vector, which the dynamic rebalancer relies on to
 /// broadcast only the decision, not the data.
-pub fn assign_lpt(weights: &[f64], n_ranks: usize) -> Vec<usize> {
+pub(crate) fn assign_lpt(weights: &[f64], n_ranks: usize) -> Vec<usize> {
     assert!(n_ranks >= 1);
     let mut order: Vec<usize> = (0..weights.len()).collect();
     order.sort_by(|&a, &b| weights[b].total_cmp(&weights[a]));
@@ -124,13 +124,13 @@ pub fn assign_lpt(weights: &[f64], n_ranks: usize) -> Vec<usize> {
     assignment
 }
 
-/// [`assign_lpt`] over an explicit set of target ranks instead of the
+/// `assign_lpt` over an explicit set of target ranks instead of the
 /// contiguous range `0..n_ranks` — the placement primitive for workloads
 /// scheduled onto a *shrunken* universe (campaign job adoption after a
 /// rank death) or onto any non-contiguous rank subset. `ranks` must be
 /// non-empty; the returned vector holds actual rank ids from `ranks`.
 ///
-/// Determinism matches [`assign_lpt`]: equal weights break ties by
+/// Determinism matches `assign_lpt`: equal weights break ties by
 /// ascending item index, equal loads by the earliest entry of `ranks`, so
 /// every caller computing this from the same `(weights, ranks)` pair gets
 /// the identical placement without communicating.

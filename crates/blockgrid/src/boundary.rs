@@ -41,7 +41,7 @@ impl<const NC: usize> BoundarySpec<NC> {
 
     /// Condition on one face.
     #[inline]
-    pub fn face(&self, f: Face) -> Bc<NC> {
+    pub(crate) fn face(&self, f: Face) -> Bc<NC> {
         self.faces[f as usize]
     }
 

@@ -144,12 +144,6 @@ impl<const NC: usize> SoaField<NC> {
         self.dims
     }
 
-    /// Number of components.
-    #[inline(always)]
-    pub fn components(&self) -> usize {
-        NC
-    }
-
     /// Immutable slice of component `c`.
     #[inline(always)]
     pub fn comp(&self, c: usize) -> &[f64] {
@@ -321,7 +315,7 @@ pub struct AosField<const NC: usize> {
 
 impl<const NC: usize> AosField<NC> {
     /// Allocate with every cell set to `init`.
-    pub fn new(dims: GridDims, init: [f64; NC]) -> Self {
+    pub(crate) fn new(dims: GridDims, init: [f64; NC]) -> Self {
         let vol = dims.volume();
         let mut data = Vec::with_capacity(NC * vol);
         for _ in 0..vol {
@@ -337,29 +331,17 @@ impl<const NC: usize> AosField<NC> {
     }
 
     /// All components at total coordinates.
+    #[cfg(test)]
     #[inline(always)]
-    pub fn cell(&self, x: usize, y: usize, z: usize) -> [f64; NC] {
+    pub(crate) fn cell(&self, x: usize, y: usize, z: usize) -> [f64; NC] {
         let i = self.dims.idx(x, y, z) * NC;
         core::array::from_fn(|c| self.data[i + c])
-    }
-
-    /// Set all components at total coordinates.
-    #[inline(always)]
-    pub fn set_cell(&mut self, x: usize, y: usize, z: usize, v: [f64; NC]) {
-        let i = self.dims.idx(x, y, z) * NC;
-        self.data[i..i + NC].copy_from_slice(&v);
     }
 
     /// Raw storage; cell `i`'s components live at `[i*NC, (i+1)*NC)`.
     #[inline(always)]
     pub fn raw(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Mutable raw storage.
-    #[inline(always)]
-    pub fn raw_mut(&mut self) -> &mut [f64] {
-        &mut self.data
     }
 
     /// Convert to a SoA copy.

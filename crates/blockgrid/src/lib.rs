@@ -172,13 +172,13 @@ impl Face {
 
     /// Axis of this face (0 = x, 1 = y, 2 = z).
     #[inline]
-    pub fn axis(self) -> usize {
+    fn axis(self) -> usize {
         (self as usize) / 2
     }
 
     /// True for the +side face of its axis.
     #[inline]
-    pub fn is_high(self) -> bool {
+    fn is_high(self) -> bool {
         (self as usize) % 2 == 1
     }
 
@@ -190,7 +190,7 @@ impl Face {
 
     /// Unit offset of the neighboring block in block coordinates.
     #[inline]
-    pub fn offset(self) -> [isize; 3] {
+    fn offset(self) -> [isize; 3] {
         let mut o = [0isize; 3];
         o[self.axis()] = if self.is_high() { 1 } else { -1 };
         o

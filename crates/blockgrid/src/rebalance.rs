@@ -15,7 +15,7 @@
 //!   scale so they can be balanced together;
 //! * [`RebalancePolicy`] — when to check, when to act, how to assign;
 //! * [`plan_rebalance`] — the target assignment from
-//!   [`crate::balance::assign_lpt`], post-processed by a
+//!   `crate::balance::assign_lpt`, post-processed by a
 //!   migration-minimizing diff against the current placement.
 //!
 //! The communication half (gather → decide → broadcast → p2p migration) lives

@@ -10,14 +10,14 @@
 //!
 //! - [`CampaignSpec`] expands the parameter grid into a deterministic,
 //!   densely keyed job list ([`JobSpec`]) — every rank derives it without
-//!   communicating ([`spec`]).
+//!   communicating (`spec`).
 //! - [`sched::plan`] assigns jobs to ranks with the same LPT placement
 //!   idiom the block rebalancer uses, keyed by estimated cost from
-//!   per-region kernel rates ([`sched`]).
+//!   per-region kernel rates (`sched`).
 //! - [`run_campaign`] steps each rank's resident jobs round-robin through
 //!   the existing [`eutectica_core::solver::Simulation`] machinery and
 //!   streams per-job progress to a collector rank on job-keyed comm tags
-//!   above the ghost/epoch tag space ([`runner`]).
+//!   above the ghost/epoch tag space (`runner`).
 //!
 //! Jobs are *isolated*: each owns its checkpoint namespace, health
 //! monitor, fault plan, and rollback budget, so a NaN rollback or failure
@@ -29,13 +29,12 @@
 
 #![deny(missing_docs)]
 
-pub mod runner;
-pub mod sched;
-pub mod spec;
+mod runner;
+mod sched;
+mod spec;
 
 pub use runner::{
-    field_checksum, run_campaign, standalone_sim, CampaignOpts, CampaignReport, FleetSummary,
-    JobStatus, LocalJobResult,
+    field_checksum, run_campaign, standalone_sim, CampaignOpts, CampaignReport, JobStatus,
 };
-pub use sched::{estimated_cost, plan, Schedule};
+pub use sched::plan;
 pub use spec::{CampaignError, CampaignSpec, JobSpec};

@@ -25,7 +25,7 @@ use crate::spec::JobSpec;
 /// grain-boundary walls proportional to the fill perimeter, and the rest
 /// as bulk. Zero-step jobs get a small positive epsilon so LPT still
 /// spreads them.
-pub fn estimated_cost(job: &JobSpec, rates_mlups: [f64; 3]) -> f64 {
+pub(crate) fn estimated_cost(job: &JobSpec, rates_mlups: [f64; 3]) -> f64 {
     let [nx, ny, nz] = job.dims;
     let fill = (nz / 4).max(2).min(nz);
     let front_layers = 2.min(nz - fill.min(nz));
@@ -57,7 +57,7 @@ pub struct Schedule {
 
 impl Schedule {
     /// Job keys owned by `rank`, ascending.
-    pub fn jobs_of(&self, rank: usize) -> Vec<u32> {
+    pub(crate) fn jobs_of(&self, rank: usize) -> Vec<u32> {
         self.assignment
             .iter()
             .enumerate()
@@ -68,7 +68,7 @@ impl Schedule {
 
     /// Wire encoding of the assignment (u32 LE per job) for the rank-0
     /// scheduler broadcast.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         self.assignment
             .iter()
             .flat_map(|&r| (r as u32).to_le_bytes())
@@ -77,7 +77,7 @@ impl Schedule {
 
     /// Decode a broadcast assignment; `costs` are recomputed by the
     /// receiver (pure function of the job list).
-    pub fn decode(bytes: &[u8], costs: Vec<f64>) -> Self {
+    pub(crate) fn decode(bytes: &[u8], costs: Vec<f64>) -> Self {
         let assignment = bytes
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes(c.try_into().unwrap()) as usize)

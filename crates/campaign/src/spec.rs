@@ -218,7 +218,7 @@ impl JobSpec {
     }
 
     /// Human-readable point label, e.g. `v0.0200_g0.0010_c0_s42`.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         format!(
             "v{:.4}_g{:.4}_c{}_s{}",
             self.v, self.g, self.comp_index, self.seed

@@ -48,8 +48,8 @@
 //! | `faults`     | [`FaultPlan`], [`FaultPhase`], per-message fault decisions  |
 //! | `membership` | failure state, epochs, the fault-aware barrier, [`Rank::recover_membership`] |
 //! | `rank`       | [`Rank`]: point-to-point operations and collectives        |
-//! | `stats`      | [`CommStats`], [`CommSummary`]                             |
-//! | `universe`   | [`Universe`], [`UniverseCfg`], [`SurvivalOutcome`]         |
+//! | `stats`      | [`CommStats`], `CommSummary`                               |
+//! | `universe`   | [`Universe`], [`UniverseCfg`], `SurvivalOutcome`           |
 //!
 //! The unit tests share one `tests` module, in sections per module.
 //!
@@ -85,10 +85,9 @@ mod universe;
 
 pub use error::{catch_comm, CommError, CommPanic, UniverseError};
 pub use faults::{FaultPhase, FaultPlan};
-pub use membership::MembershipChange;
-pub use rank::{Rank, RecvRequest, ReduceOp};
-pub use stats::{CommStats, CommSummary};
-pub use universe::{SurvivalOutcome, Universe, UniverseCfg};
+pub use rank::{Rank, ReduceOp};
+pub use stats::CommStats;
+pub use universe::{Universe, UniverseCfg};
 
 use bytes::Bytes;
 
@@ -117,7 +116,7 @@ const EPOCH_MASK: Tag = 0x3F << EPOCH_SHIFT;
 
 /// Exclusive upper bound on user tags: bits 24 and above are reserved for
 /// the epoch stamp, the membership protocol and collectives.
-pub const MAX_USER_TAG: Tag = 1 << EPOCH_SHIFT;
+const MAX_USER_TAG: Tag = 1 << EPOCH_SHIFT;
 
 /// Strip the epoch stamp off a wire tag, recovering the tag the application
 /// passed to [`Rank::send`] (collective/membership bits are preserved so
@@ -131,7 +130,7 @@ fn user_tag(tag: Tag) -> Tag {
 /// ghost-exchange tags (`4·6·n_blocks`, a few thousand at most) and the
 /// migration tags just beyond them, and below the epoch stamp so campaign
 /// traffic is still fenced across membership epochs like any user message.
-pub const CAMPAIGN_TAG_BASE: Tag = 1 << 20;
+const CAMPAIGN_TAG_BASE: Tag = 1 << 20;
 
 /// Tag carrying progress/result traffic for campaign job `job`. Job keys
 /// are dense indices from `CampaignSpec` expansion, so the tag doubles as

@@ -299,7 +299,7 @@ impl Rank {
     ///    store is then purged of dead-source and stale-epoch entries
     ///    (counted in [`CommStats::fenced_messages`](crate::CommStats::fenced_messages)).
     ///
-    /// Every blocking wait inside the round uses a [`DeathScope`] floored at
+    /// Every blocking wait inside the round uses a `DeathScope` floored at
     /// the snapshot: the deaths being fenced are expected, but a *new* death
     /// during recovery fails the round like any operation, with a typed
     /// [`CommError::RankDead`] — never a hang. The snapshot-keyed heartbeat

@@ -39,7 +39,7 @@ pub struct CommStats {
 impl CommStats {
     /// Accumulate another rank's statistics into this one (for
     /// Universe-level totals).
-    pub fn merge(&mut self, other: &CommStats) {
+    pub(crate) fn merge(&mut self, other: &CommStats) {
         self.bytes_sent += other.bytes_sent;
         self.messages_sent += other.messages_sent;
         self.bytes_received += other.bytes_received;

@@ -4,6 +4,7 @@
 use std::time::{Duration, Instant};
 
 use super::*;
+use crate::membership::MembershipChange;
 
 // ----- wire tags and payload helpers -----
 

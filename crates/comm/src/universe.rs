@@ -12,7 +12,8 @@ use parking_lot::Mutex;
 
 use crate::membership::{FailureState, FaultBarrier, MembershipState};
 use crate::rank::Message;
-use crate::{CommPanic, CommStats, CommSummary, FaultPlan, Rank, POISON_TAG};
+use crate::stats::CommSummary;
+use crate::{CommPanic, CommStats, FaultPlan, Rank, POISON_TAG};
 
 /// Panic payload captured from a dead rank thread.
 type PanicPayload = Box<dyn std::any::Any + Send>;
@@ -101,7 +102,7 @@ impl Universe {
     }
 
     /// Like [`Universe::run`], but additionally collects every rank's final
-    /// [`CommStats`] into an aggregated [`CommSummary`].
+    /// [`CommStats`] into an aggregated `CommSummary`.
     pub fn run_with_stats<T, F>(n: usize, f: F) -> (Vec<T>, CommSummary)
     where
         T: Send + 'static,

@@ -48,7 +48,7 @@ const DEFAULT_SCAN_EVERY: usize = 4;
 
 /// Tolerance on the Gibbs-simplex invariants: |Σφ − 1| and the
 /// per-component box `[−tol, 1 + tol]`.
-pub const DEFAULT_SIMPLEX_TOL: f64 = 1e-6;
+pub(crate) const DEFAULT_SIMPLEX_TOL: f64 = 1e-6;
 
 /// Configuration of the periodic invariant scans.
 #[derive(Clone, Copy, Debug)]
@@ -158,7 +158,7 @@ impl ScanStats {
     /// Accumulate `other` into `self`. Counter sums are order-independent
     /// and `first_bad` keeps the smallest (block, z, y, x) key, so merging
     /// slab partials yields the same result at any thread count.
-    pub fn merge(&mut self, other: &ScanStats) {
+    pub(crate) fn merge(&mut self, other: &ScanStats) {
         self.cells += other.cells;
         self.phi_nonfinite += other.phi_nonfinite;
         self.phi_off_simplex += other.phi_off_simplex;
@@ -263,7 +263,7 @@ pub fn scan_block(state: &BlockState, cfg: &HealthConfig, block: u64) -> ScanSta
 /// Scan one block with z-slab work sharing across `pool`. The merge is
 /// deterministic (see [`ScanStats::merge`]), so the result is identical to
 /// [`scan_block`] at any thread count.
-pub fn scan_block_pooled(
+pub(crate) fn scan_block_pooled(
     pool: &SweepPool,
     state: &BlockState,
     cfg: &HealthConfig,
@@ -381,11 +381,6 @@ impl FieldFaultPlan {
     pub fn faults(&self) -> &[FieldFault] {
         &self.faults
     }
-
-    /// True if the plan schedules nothing.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
 }
 
 /// Apply one fault to a block's source fields; returns `(old, new)` values
@@ -438,7 +433,7 @@ impl HealthReport {
     }
 
     /// Total violations across all ranks.
-    pub fn total_violations(&self) -> u64 {
+    pub(crate) fn total_violations(&self) -> u64 {
         self.global.iter().sum()
     }
 

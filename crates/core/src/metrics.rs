@@ -6,7 +6,7 @@
 //! analysis of Sec. 5.1.1 additionally needs the exact number of floating
 //! point operations per cell update (the paper: 1384 FLOPs for a µ-cell) and
 //! the bytes moved per update (≤ 680 B under the 50 %-cache-reuse
-//! assumption); [`Counting`] measures the former by running the generic
+//! assumption); `Counting` measures the former by running the generic
 //! reference kernel on an instrumented scalar type, [`mu_bytes_per_cell`]
 //! derives the latter from the field layout.
 
@@ -20,7 +20,7 @@ use crate::{N_COMP, N_PHASES};
 
 /// Abstraction over f64 used by the reference kernel so the identical code
 /// path can run on [`Counting`] for FLOP measurement.
-pub trait Real:
+pub(crate) trait Real:
     Copy
     + PartialOrd
     + Add<Output = Self>
@@ -108,7 +108,7 @@ impl FlopCount {
 
 /// Instrumented scalar that tallies every arithmetic operation.
 #[derive(Copy, Clone, Debug, PartialEq, PartialOrd)]
-pub struct Counting(pub f64);
+pub(crate) struct Counting(pub f64);
 
 impl Real for Counting {
     #[inline]
@@ -308,7 +308,7 @@ pub fn phi_bytes_per_cell() -> usize {
 }
 
 /// Million lattice-cell updates per second.
-pub fn mlups(cells: usize, steps: usize, seconds: f64) -> f64 {
+pub(crate) fn mlups(cells: usize, steps: usize, seconds: f64) -> f64 {
     (cells as f64 * steps as f64) / seconds / 1e6
 }
 

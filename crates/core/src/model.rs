@@ -42,7 +42,7 @@ use crate::{LIQ, N_COMP, N_PHASES};
 /// Gradient of each phase at a cell from central differences:
 /// `grads[α] = (∂x, ∂y, ∂z) φ_α`.
 #[inline(always)]
-pub fn central_gradients(
+pub(crate) fn central_gradients(
     xm: [f64; N_PHASES],
     xp: [f64; N_PHASES],
     ym: [f64; N_PHASES],
@@ -177,7 +177,7 @@ fn driving_force(ctx: &SliceCtx, phi: [f64; N_PHASES], mu: [f64; N_COMP]) -> [f6
 /// gradients, and the chemical potential. Returns the projected new φ.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub fn phi_cell_update(
+pub(crate) fn phi_cell_update(
     params: &ModelParams,
     ctx: &SliceCtx,
     phi: [f64; N_PHASES],
@@ -213,7 +213,7 @@ pub fn phi_cell_update(
 /// the same phase — then ∂φ/∂t = 0 exactly (obstacle clipping) and the
 /// φ-kernel may skip the cell entirely (bulk shortcut).
 #[inline(always)]
-pub fn is_bulk(phi: [f64; N_PHASES], neighbors: &[[f64; N_PHASES]; 6]) -> bool {
+pub(crate) fn is_bulk(phi: [f64; N_PHASES], neighbors: &[[f64; N_PHASES]; 6]) -> bool {
     let mut pure = usize::MAX;
     for a in 0..N_PHASES {
         if phi[a] == 1.0 {
@@ -229,14 +229,14 @@ pub fn is_bulk(phi: [f64; N_PHASES], neighbors: &[[f64; N_PHASES]; 6]) -> bool {
 
 /// True if the cell is pure in any phase (driving force is exactly zero).
 #[inline(always)]
-pub fn is_pure(phi: [f64; N_PHASES]) -> bool {
+pub(crate) fn is_pure(phi: [f64; N_PHASES]) -> bool {
     phi.contains(&1.0)
 }
 
 /// Gradient-flux part of the µ-equation at a staggered face: M(φF)·∇µ·ê_d
 /// with M = Σ_α φF_α D_α χ_α (diagonal per component).
 #[inline(always)]
-pub fn mu_face_flux_gradient(
+pub(crate) fn mu_face_flux_gradient(
     ctx_face: &SliceCtx,
     phi_l: [f64; N_PHASES],
     phi_r: [f64; N_PHASES],
@@ -275,7 +275,7 @@ pub fn mu_face_flux_gradient(
 /// * per-solid: φ_α = 0 or |∇φ_α| = 0 → that term is 0.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub fn jat_face_flux(
+pub(crate) fn jat_face_flux(
     ctx_face: &SliceCtx,
     prefactor: f64,
     phi_f: &[f64; N_PHASES],
@@ -312,7 +312,7 @@ pub fn jat_face_flux(
 
 /// Diagonal susceptibility χ(φ) = Σ_α h_α(φ)/(2k_α).
 #[inline(always)]
-pub fn susceptibility(ctx: &SliceCtx, phi: [f64; N_PHASES]) -> [f64; N_COMP] {
+pub(crate) fn susceptibility(ctx: &SliceCtx, phi: [f64; N_PHASES]) -> [f64; N_COMP] {
     let h = interp_h(phi);
     let mut out = [0.0; N_COMP];
     for a in 0..N_PHASES {
@@ -324,7 +324,7 @@ pub fn susceptibility(ctx: &SliceCtx, phi: [f64; N_PHASES]) -> [f64; N_COMP] {
 
 /// Source term −Σ_α c_α(µ,T) ∂h_α/∂t from the φ evolution.
 #[inline(always)]
-pub fn phase_change_source(
+pub(crate) fn phase_change_source(
     ctx: &SliceCtx,
     phi_old: [f64; N_PHASES],
     phi_new: [f64; N_PHASES],
@@ -345,7 +345,7 @@ pub fn phase_change_source(
 
 /// Temperature-drift term −(∂c/∂T)(∂T/∂t) with ∂c/∂T = Σ_α h_α s_α.
 #[inline(always)]
-pub fn temp_drift(
+pub(crate) fn temp_drift(
     dc_dt: &[[f64; N_COMP]; N_PHASES],
     phi: [f64; N_PHASES],
     dtemp_dt: f64,
@@ -361,7 +361,7 @@ pub fn temp_drift(
 
 /// Complete µ-update of one cell: `µ_new = µ + dt (div + source + drift)/χ`.
 #[inline(always)]
-pub fn mu_cell_update(
+pub(crate) fn mu_cell_update(
     mu: [f64; N_COMP],
     div: [f64; N_COMP],
     source: [f64; N_COMP],

@@ -126,7 +126,7 @@ impl ModelParams {
 
     /// ∂T/∂t of the frozen profile (spatially constant): −G·v.
     #[inline(always)]
-    pub fn dtemp_dt(&self) -> f64 {
+    pub(crate) fn dtemp_dt(&self) -> f64 {
         -self.grad_g * self.vel_v
     }
 
@@ -210,18 +210,18 @@ impl ModelParams {
 
     /// Scaled obstacle-potential prefactor 16/π².
     #[inline(always)]
-    pub fn obstacle_scale() -> f64 {
+    pub(crate) fn obstacle_scale() -> f64 {
         16.0 / (core::f64::consts::PI * core::f64::consts::PI)
     }
 
     /// Anti-trapping prefactor π ε / 4 (Eq. 4).
     #[inline(always)]
-    pub fn atc_prefactor(&self) -> f64 {
+    pub(crate) fn atc_prefactor(&self) -> f64 {
         core::f64::consts::PI * self.eps / 4.0
     }
 
     /// Per-phase dc^eq/dT slopes (temperature-independent).
-    pub fn dc_dt_coeffs(&self) -> [[f64; N_COMP]; N_PHASES] {
+    pub(crate) fn dc_dt_coeffs(&self) -> [[f64; N_COMP]; N_PHASES] {
         core::array::from_fn(|a| self.sys.dc_dt(a))
     }
 }

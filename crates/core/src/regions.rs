@@ -17,7 +17,7 @@ use eutectica_blockgrid::GridDims;
 
 /// Region of a single cell per the paper's Sec. 2 definitions.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum CellRegion {
+pub(crate) enum CellRegion {
     /// Pure solid cell with all neighbors equal (some B_α, α ≠ ℓ).
     SolidBulk,
     /// Pure liquid cell with all neighbors equal (B_ℓ).
@@ -67,7 +67,8 @@ pub struct RegionCounts {
 
 impl RegionCounts {
     /// Total classified cells.
-    pub fn total(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn total(&self) -> usize {
         self.solid_bulk + self.liquid_bulk + self.solid_interface + self.front
     }
 }

@@ -19,7 +19,7 @@ use std::time::Instant;
 
 /// Moving-window configuration.
 #[derive(Copy, Clone, Debug)]
-pub struct MovingWindow {
+pub(crate) struct MovingWindow {
     /// Shift when the front passes this fraction of the domain height.
     pub trigger_fraction: f64,
 }
@@ -87,14 +87,15 @@ impl Simulation {
     }
 
     /// Threads the sweeps run on (1 = serial).
-    pub fn threads(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn threads(&self) -> usize {
         self.pool.threads()
     }
 
     /// The simulation's telemetry collector. Each step records a
     /// `phi_sweep` / `mu_sweep` span and sets the `phi_sweep_mlups` /
     /// `mu_sweep_mlups` gauges (million lattice-cell updates per second,
-    /// from [`crate::metrics::mlups`]).
+    /// from `crate::metrics::mlups`).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
@@ -187,18 +188,6 @@ impl Simulation {
     pub fn step_n(&mut self, n: usize) {
         for _ in 0..n {
             self.step();
-        }
-    }
-
-    /// Execute `n` steps, calling `hook` after each completed step — the
-    /// single-block analogue of the distributed timeloop's in-situ hook,
-    /// used by the campaign runner to interleave health scans, checkpoint
-    /// cadence, and progress frames with a job's stepping. The hook sees
-    /// the post-step state read-only; it cannot perturb the trajectory.
-    pub fn step_n_with(&mut self, n: usize, mut hook: impl FnMut(&Simulation)) {
-        for _ in 0..n {
-            self.step();
-            hook(self);
         }
     }
 

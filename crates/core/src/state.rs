@@ -87,7 +87,7 @@ impl BlockState {
     /// fraction `1 − φ_ℓ` exceeds 5 % — the solidification front — scanning
     /// down from the top. Slabs in a constant zone of `φ_src` with
     /// `φ_ℓ = 1` hold no solid, so the scan starts below them.
-    pub fn front_slab(&self) -> Option<usize> {
+    pub(crate) fn front_slab(&self) -> Option<usize> {
         let d = self.dims;
         let g = d.ghost;
         let (const_from, val) = self.phi_src.const_zone();

@@ -113,13 +113,13 @@ impl SweepPool {
     }
 
     /// Total participants (workers + the calling thread).
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.threads
     }
 
     /// Run `f(0), …, f(jobs-1)` across the pool, caller participating.
     /// Returns once every job has completed; re-raises job panics here.
-    pub fn run(&self, jobs: usize, f: &(dyn Fn(usize) + Sync)) {
+    pub(crate) fn run(&self, jobs: usize, f: &(dyn Fn(usize) + Sync)) {
         if jobs == 0 {
             return;
         }

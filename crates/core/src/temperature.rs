@@ -14,10 +14,9 @@
 
 use crate::params::ModelParams;
 use crate::{LIQ, N_COMP, N_PHASES};
-use eutectica_thermo::SliceThermo;
 
 /// Per-phase, per-component coefficient table type.
-pub type Coeffs = [[f64; N_COMP]; N_PHASES];
+pub(crate) type Coeffs = [[f64; N_COMP]; N_PHASES];
 
 /// Temperature-dependent quantities of one x-y-slice.
 #[derive(Copy, Clone, Debug)]
@@ -43,17 +42,28 @@ pub struct SliceCtx {
 impl SliceCtx {
     /// Evaluate at temperature `t`.
     pub fn at(params: &ModelParams, t: f64) -> Self {
-        let th = SliceThermo::at(&params.sys, t);
-        Self {
+        let sys = &params.sys;
+        let mut ctx = Self {
             t,
-            c_eq: th.c_eq,
-            offset: th.offset,
-            inv4k: th.inv4k,
-            inv2k: th.inv2k,
-            mob: th.mob,
+            c_eq: [[0.0; N_COMP]; N_PHASES],
+            offset: [0.0; N_PHASES],
+            inv4k: [[0.0; N_COMP]; N_PHASES],
+            inv2k: [[0.0; N_COMP]; N_PHASES],
+            mob: [[0.0; N_COMP]; N_PHASES],
             pref_grad: t * params.eps,
             pref_obst: ModelParams::obstacle_scale() * t / params.eps,
+        };
+        for (a, ph) in sys.phases.iter().enumerate() {
+            ctx.c_eq[a] = ph.c_eq(t, sys.t_eu);
+            ctx.offset[a] = ph.offset(t, sys.t_eu);
+            let k = ph.curvature_at(t, sys.t_eu);
+            for i in 0..N_COMP {
+                ctx.inv4k[a][i] = 1.0 / (4.0 * k[i]);
+                ctx.inv2k[a][i] = 1.0 / (2.0 * k[i]);
+                ctx.mob[a][i] = ph.diffusivity * ctx.inv2k[a][i];
+            }
         }
+        ctx
     }
 
     /// Grand potential ψ_α(µ) at this slice's temperature.
@@ -75,7 +85,7 @@ impl SliceCtx {
 
     /// Difference c^ℓ(µ) − c^α(µ) entering the anti-trapping current.
     #[inline(always)]
-    pub fn c_liq_minus_c(&self, alpha: usize, mu: [f64; N_COMP]) -> [f64; N_COMP] {
+    pub(crate) fn c_liq_minus_c(&self, alpha: usize, mu: [f64; N_COMP]) -> [f64; N_COMP] {
         [
             (self.c_eq[LIQ][0] - self.c_eq[alpha][0])
                 + mu[0] * (self.inv2k[LIQ][0] - self.inv2k[alpha][0]),
@@ -91,7 +101,7 @@ impl SliceCtx {
 /// two adjacent slice temperatures; both cells adjacent to a face use the
 /// identical face context so the staggered-buffer variant (which evaluates
 /// each face once) is bit-exact with the unbuffered variant.
-pub struct SliceTable {
+pub(crate) struct SliceTable {
     /// Cell context per total z coordinate.
     pub cell: Vec<SliceCtx>,
     /// Face context between total z and z+1 (index z).
@@ -101,7 +111,7 @@ pub struct SliceTable {
 impl SliceTable {
     /// Build for `tz` total slices whose first slice has global z
     /// `origin_z − ghost` at simulation time `time`.
-    pub fn build(
+    pub(crate) fn build(
         params: &ModelParams,
         origin_z: isize,
         tz: usize,
@@ -152,6 +162,20 @@ mod tests {
             assert!((ctx.inv2k[a][0] - chi[0]).abs() < 1e-15);
             let mob = p.sys.mobility(a, 0.98);
             assert!((ctx.mob[a][1] - mob[1]).abs() < 1e-15);
+        }
+        // Below, at and above the eutectic temperature, at equilibrium and
+        // off it.
+        for t in [0.93, 1.0, 1.05] {
+            let ctx = SliceCtx::at(&p, t);
+            for a in 0..N_PHASES {
+                for mu in [[0.0, 0.0], [0.4, -0.1]] {
+                    let direct = p.sys.grand_potential(a, mu, t);
+                    assert!((direct - ctx.grand_potential(a, mu)).abs() < 1e-14);
+                    let (cd, cp) = (p.sys.c_of_mu(a, mu, t), ctx.c_of_mu(a, mu));
+                    assert!((cd[0] - cp[0]).abs() < 1e-14);
+                    assert!((cd[1] - cp[1]).abs() < 1e-14);
+                }
+            }
         }
     }
 

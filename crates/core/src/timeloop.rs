@@ -321,11 +321,6 @@ impl<'r> DistributedSim<'r> {
         }
     }
 
-    /// Intra-rank sweep threads currently in use (1 = serial).
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-
     /// This rank's telemetry collector (enabled by default; spans inside
     /// [`DistributedSim::step`] accrue here).
     pub fn telemetry(&self) -> &Telemetry {
@@ -580,7 +575,7 @@ impl<'r> DistributedSim<'r> {
     }
 
     /// Remediation: re-project interior φ cells that violate the Gibbs
-    /// simplex beyond [`health::DEFAULT_SIMPLEX_TOL`] onto it, mirror src
+    /// simplex beyond `health::DEFAULT_SIMPLEX_TOL` onto it, mirror src
     /// into dst, and refresh ghosts. Collective (ghost refresh). Cells
     /// already on the simplex within that tolerance are left bit-untouched
     /// (the projection's `(1−Σφ)/4` shift is a roundoff-sized non-zero even

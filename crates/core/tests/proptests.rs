@@ -87,6 +87,25 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The per-slice table agrees with direct evaluation for every (µ, T).
+    #[test]
+    fn slice_matches_direct(
+        mu in prop::array::uniform2(-2.0..2.0f64),
+        t in 0.85..1.15f64,
+        a in 0usize..4,
+    ) {
+        let params = ModelParams::ag_al_cu();
+        let (s, ctx) = (&params.sys, SliceCtx::at(&params, t));
+        prop_assert!((ctx.grand_potential(a, mu) - s.grand_potential(a, mu, t)).abs() < 1e-12);
+        let c1 = ctx.c_of_mu(a, mu);
+        let c2 = s.c_of_mu(a, mu, t);
+        prop_assert!((c1[0] - c2[0]).abs() < 1e-12 && (c1[1] - c2[1]).abs() < 1e-12);
+    }
+}
+
 /// Build a random valid block state from a proptest-provided seed.
 fn state_from_seed(seed: u64, n: usize) -> BlockState {
     use rand::{Rng, SeedableRng};

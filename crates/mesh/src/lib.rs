@@ -44,7 +44,7 @@ pub struct TriMesh {
 
 impl TriMesh {
     /// Empty mesh.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self::default()
     }
 
@@ -59,7 +59,7 @@ impl TriMesh {
     }
 
     /// Append another mesh (no welding).
-    pub fn append(&mut self, other: &TriMesh) {
+    fn append(&mut self, other: &TriMesh) {
         let off = self.vertices.len() as u32;
         self.vertices.extend_from_slice(&other.vertices);
         self.triangles.extend(
@@ -71,7 +71,8 @@ impl TriMesh {
     }
 
     /// Total surface area.
-    pub fn area(&self) -> f64 {
+    #[cfg(test)]
+    fn area(&self) -> f64 {
         self.triangles
             .iter()
             .map(|t| {
@@ -86,7 +87,8 @@ impl TriMesh {
     }
 
     /// Signed volume enclosed by the mesh (meaningful for closed surfaces).
-    pub fn signed_volume(&self) -> f64 {
+    #[cfg(test)]
+    fn signed_volume(&self) -> f64 {
         self.triangles
             .iter()
             .map(|t| {
@@ -154,7 +156,8 @@ impl TriMesh {
     }
 
     /// Euler characteristic V − E + F (2 for a welded sphere-like mesh).
-    pub fn euler_characteristic(&self) -> i64 {
+    #[cfg(test)]
+    fn euler_characteristic(&self) -> i64 {
         let mut edges = std::collections::HashSet::new();
         for t in &self.triangles {
             for (a, b) in [(t[0], t[1]), (t[1], t[2]), (t[2], t[0])] {
@@ -248,11 +251,11 @@ impl TriMesh {
     }
 }
 
-pub(crate) fn sub(a: [f64; 3], b: [f64; 3]) -> [f64; 3] {
+fn sub(a: [f64; 3], b: [f64; 3]) -> [f64; 3] {
     [a[0] - b[0], a[1] - b[1], a[2] - b[2]]
 }
 
-pub(crate) fn cross(a: [f64; 3], b: [f64; 3]) -> [f64; 3] {
+fn cross(a: [f64; 3], b: [f64; 3]) -> [f64; 3] {
     [
         a[1] * b[2] - a[2] * b[1],
         a[2] * b[0] - a[0] * b[2],
@@ -260,11 +263,11 @@ pub(crate) fn cross(a: [f64; 3], b: [f64; 3]) -> [f64; 3] {
     ]
 }
 
-pub(crate) fn dot(a: [f64; 3], b: [f64; 3]) -> f64 {
+fn dot(a: [f64; 3], b: [f64; 3]) -> f64 {
     a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 }
 
-pub(crate) fn normalize(v: [f64; 3]) -> [f64; 3] {
+fn normalize(v: [f64; 3]) -> [f64; 3] {
     let n = dot(v, v).sqrt();
     if n == 0.0 {
         [0.0; 3]

@@ -70,13 +70,8 @@ impl FrameBus {
         }
     }
 
-    /// Per-subscriber queue capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Attach a new subscriber; frames published from now on are delivered
-    /// to (or dropped for) it until the [`Subscription`] is dropped.
+    /// to (or dropped for) it until the `Subscription` is dropped.
     pub fn subscribe(self: &Arc<Self>) -> Subscription {
         let (tx, rx) = std::sync::mpsc::sync_channel(self.capacity);
         let counters = Arc::new(SubCounters::default());
@@ -154,7 +149,7 @@ pub struct Subscription {
 impl Subscription {
     /// Next frame, waiting up to `timeout`. `None` on timeout; once the
     /// publisher side is gone and the queue drained, also `None`.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Arc<str>> {
+    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Option<Arc<str>> {
         self.rx.recv_timeout(timeout).ok()
     }
 

@@ -113,7 +113,7 @@ impl Value {
     }
 
     /// Convenience: `self.get(key)?.as_str()`.
-    pub fn str(&self, key: &str) -> Option<&str> {
+    pub(crate) fn str(&self, key: &str) -> Option<&str> {
         self.get(key)?.as_str()
     }
 
@@ -130,6 +130,7 @@ impl Value {
     }
 
     /// Required number member.
+    #[cfg(test)]
     pub(crate) fn req_num(&self, field: &'static str) -> Result<f64, JsonError> {
         self.req(field, Value::as_f64)
     }
@@ -140,6 +141,7 @@ impl Value {
     }
 
     /// Required array member.
+    #[cfg(test)]
     pub(crate) fn req_arr(&self, field: &'static str) -> Result<&[Value], JsonError> {
         self.req(field, Value::as_arr)
     }

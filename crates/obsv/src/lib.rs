@@ -4,14 +4,14 @@
 //! This crate turns the running solver into something that *serves
 //! traffic*, with two pillars:
 //!
-//! 1. **In-situ observables** ([`observables`]) — a cadenced collective
+//! 1. **In-situ observables** (`observables`) — a cadenced collective
 //!    reducer computing front position/velocity/roughness, phase
 //!    fractions, a lamella census with spacing estimate, undercooling,
 //!    and interface density from the live distributed state, emitted as
 //!    typed [`ObservableRecord`]s.
-//! 2. **Subscription endpoint** ([`server`], [`bus`]) — a dependency-free
+//! 2. **Subscription endpoint** (`server`, `bus`) — a dependency-free
 //!    TCP/HTTP server on rank 0 streaming newline-delimited JSON metrics
-//!    and downsampled 2-D field slices ([`slices`]) to N concurrent
+//!    and downsampled 2-D field slices (`slices`) to N concurrent
 //!    subscribers over bounded-lag broadcast channels. Slow consumers
 //!    drop frames (counted exactly), they never stall the sweep.
 //!
@@ -22,15 +22,14 @@
 
 #![deny(missing_docs)]
 
-pub mod bus;
-pub mod jobs;
+mod bus;
+mod jobs;
 pub mod json;
-pub mod observables;
-pub mod server;
-pub mod slices;
+mod observables;
+mod server;
+mod slices;
 
-pub use bus::{BusStats, FrameBus, Subscription};
+pub use bus::FrameBus;
 pub use jobs::JobRecord;
 pub use observables::{InSituObserver, ObservableRecord, ObservablesConfig};
 pub use server::LiveServer;
-pub use slices::{gather_slice, SliceField, SliceFrame};

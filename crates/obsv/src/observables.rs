@@ -39,6 +39,7 @@ use eutectica_core::{LIQ, N_PHASES};
 use eutectica_telemetry::{JsonObject, Telemetry};
 
 use crate::bus::FrameBus;
+#[cfg(test)]
 use crate::json::{parse_frame, JsonError, Value};
 use crate::slices::{gather_slice, SliceField};
 
@@ -55,7 +56,7 @@ const SLICE_DOWNSAMPLE: usize = 2;
 const LAMELLA_OFFSET: f64 = 4.0;
 
 /// How often to observe. Each observation publishes one observable frame,
-/// one slice frame per entry of [`SLICE_FIELDS`] and one telemetry
+/// one slice frame per entry of `SLICE_FIELDS` and one telemetry
 /// `metrics` frame.
 #[derive(Clone, Debug)]
 pub struct ObservablesConfig {
@@ -105,7 +106,7 @@ pub struct ObservableRecord {
 
 impl ObservableRecord {
     /// NDJSON wire form: `{"type":"observable",...}`.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let arr_f = |v: &[f64]| {
             let items: Vec<String> = v
                 .iter()
@@ -136,7 +137,8 @@ impl ObservableRecord {
     }
 
     /// Parse a wire frame back into a record (the smoke client / tests).
-    pub fn from_json(line: &str) -> Result<Self, JsonError> {
+    #[cfg(test)]
+    pub(crate) fn from_json(line: &str) -> Result<Self, JsonError> {
         let v = parse_frame(line, "observable")?;
         let mut phase_fractions = [0.0; N_PHASES];
         fill(&mut phase_fractions, &v, "phase_fractions", Value::as_f64)?;
@@ -165,6 +167,7 @@ impl ObservableRecord {
 /// Decode the leading elements of the required array member `field` into
 /// `out` (a shorter array leaves the rest of `out` as it is); an element
 /// `as_kind` rejects is [`JsonError::BadValue`].
+#[cfg(test)]
 fn fill<T>(
     out: &mut [T],
     v: &Value,

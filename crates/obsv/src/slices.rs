@@ -17,7 +17,7 @@ use eutectica_telemetry::JsonObject;
 
 /// Which field a slice samples.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum SliceField {
+pub(crate) enum SliceField {
     /// Order parameter of one phase (0..N_PHASES).
     Phi(usize),
     /// Chemical potential of one component (0..N_COMP).
@@ -26,7 +26,7 @@ pub enum SliceField {
 
 impl SliceField {
     /// Wire name, e.g. `"phi0"` / `"mu1"`.
-    pub fn name(self) -> String {
+    pub(crate) fn name(self) -> String {
         match self {
             SliceField::Phi(p) => format!("phi{p}"),
             SliceField::Mu(c) => format!("mu{c}"),
@@ -43,7 +43,7 @@ impl SliceField {
 
 /// One assembled cross-section, ready for the wire.
 #[derive(Clone, Debug)]
-pub struct SliceFrame {
+pub(crate) struct SliceFrame {
     /// Field sampled.
     pub field: SliceField,
     /// Time-loop step the slice was taken at.
@@ -64,7 +64,7 @@ pub struct SliceFrame {
 
 impl SliceFrame {
     /// NDJSON wire form: `{"type":"slice","field":...,"data":[...]}`.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut data = String::with_capacity(self.data.len() * 8 + 2);
         data.push('[');
         for (i, v) in self.data.iter().enumerate() {
@@ -134,7 +134,7 @@ fn extract_local(
 /// Single-process cross-section: extract the full downsampled plane from
 /// locally held blocks (the examples path — no communication). Returns
 /// `w × h` row-major values.
-pub fn slice_local(
+pub(crate) fn slice_local(
     blocks: &[BlockState],
     domain_cells: [usize; 3],
     field: SliceField,
@@ -158,7 +158,7 @@ pub fn slice_local(
 /// elsewhere. Cells nobody owns (impossible for a valid decomposition)
 /// would remain 0.
 #[allow(clippy::too_many_arguments)] // a collective: all call sites pass the full tuple
-pub fn gather_slice(
+pub(crate) fn gather_slice(
     rank: &Rank,
     blocks: &[BlockState],
     domain_cells: [usize; 3],

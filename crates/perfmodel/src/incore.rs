@@ -7,7 +7,7 @@
 //! the number of additions and multiplication as well as latencies for
 //! division operations." IACA is proprietary and discontinued; this module
 //! reproduces the same style of bound analytically from the exact
-//! instruction mix measured with [`eutectica_core::metrics::Counting`]
+//! instruction mix measured with `eutectica_core::metrics::Counting`
 //! (DESIGN.md substitution 2).
 //!
 //! Port model (per cycle, 4-wide vectors):

@@ -26,6 +26,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use eutectica_blockgrid::codec::crc32;
 use eutectica_blockgrid::decomp::DomainSpec;
 use eutectica_blockgrid::GridDims;
 use eutectica_core::state::BlockState;
@@ -50,16 +51,6 @@ pub const DEFAULT_BYTE_BUDGET: u64 = 4 << 30;
 /// In-memory bytes per cell of a [`BlockState`]: φ and µ each in src + dst
 /// buffers of f64.
 const MEM_BYTES_PER_CELL: u64 = ((N_PHASES + N_COMP) * 2 * 8) as u64;
-
-/// CRC32 (IEEE 802.3, the zlib polynomial) of `data`.
-///
-/// Delegates to the single shared implementation in
-/// [`eutectica_blockgrid::codec`] so checkpoints and migration payloads are
-/// guaranteed to use the same checksum (re-exported here for the existing
-/// checkpoint-format callers).
-pub fn crc32(data: &[u8]) -> u32 {
-    eutectica_blockgrid::codec::crc32(data)
-}
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -190,7 +181,7 @@ pub enum Precision {
 
 impl Precision {
     /// Payload bytes per value.
-    pub fn bytes(self) -> usize {
+    pub(crate) fn bytes(self) -> usize {
         match self {
             Precision::F32 => 4,
             Precision::F64 => 8,
@@ -684,7 +675,7 @@ fn atomic_write_retry(path: &Path, bytes: &[u8], policy: RetryPolicy) -> Result<
 }
 
 /// Directory of the checkpoint set for `step` under `root`.
-pub fn set_dir(root: &Path, step: u64) -> PathBuf {
+pub(crate) fn set_dir(root: &Path, step: u64) -> PathBuf {
     root.join(format!("step_{step:010}"))
 }
 
@@ -694,7 +685,7 @@ pub fn block_file_name(id: u64) -> String {
 }
 
 /// Atomically write one block file into `dir`; returns its manifest entry.
-pub fn write_block_file(
+pub(crate) fn write_block_file(
     dir: &Path,
     state: &BlockState,
     id: u64,
@@ -719,7 +710,7 @@ pub fn write_block_file(
 }
 
 /// Atomically write the manifest into `dir`, completing the set.
-pub fn write_manifest_file(dir: &Path, m: &Manifest) -> Result<(), CkptError> {
+pub(crate) fn write_manifest_file(dir: &Path, m: &Manifest) -> Result<(), CkptError> {
     atomic_write_retry(
         &dir.join(MANIFEST_FILE),
         &encode_manifest(m),
@@ -728,14 +719,14 @@ pub fn write_manifest_file(dir: &Path, m: &Manifest) -> Result<(), CkptError> {
 }
 
 /// Read and verify the manifest of the set in `dir`.
-pub fn read_manifest_file(dir: &Path) -> Result<Manifest, CkptError> {
+pub(crate) fn read_manifest_file(dir: &Path) -> Result<Manifest, CkptError> {
     decode_manifest(&fs::read(dir.join(MANIFEST_FILE))?)
 }
 
 /// Read block `id` from the set in `dir`, verifying file size and CRC
 /// against the manifest before decoding (`budget` caps the allocation its
 /// header may imply).
-pub fn read_block_from_set(
+pub(crate) fn read_block_from_set(
     dir: &Path,
     manifest: &Manifest,
     id: u64,
@@ -785,7 +776,7 @@ pub fn find_latest_checkpoint(root: &Path) -> Result<Option<(u64, PathBuf)>, Ckp
 /// driver's "skip a poisoned/corrupt set and retry with the previous one"
 /// path. Pruned (deleted) and partial (manifest-less) directories are
 /// skipped just like torn sets.
-pub fn find_latest_checkpoint_at_or_below(
+pub(crate) fn find_latest_checkpoint_at_or_below(
     root: &Path,
     step_limit: Option<u64>,
 ) -> Result<Option<(u64, PathBuf)>, CkptError> {

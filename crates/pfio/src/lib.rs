@@ -11,7 +11,7 @@
 //!
 //! Fault tolerance lives in four submodules: [`ckpt`] defines multi-block
 //! *checkpoint sets* (per-block files + CRC-verified manifest, atomic
-//! writes, OOM-hardened readers), [`replica`] mirrors block state into
+//! writes, OOM-hardened readers), `replica` mirrors block state into
 //! buddy ranks' RAM for diskless shrink recovery, [`resilient`] wires
 //! both into `DistributedSim` with an auto-cadence scheduler, the
 //! [`resilient::run_resilient`] restart driver and its shrink-and-continue
@@ -22,7 +22,7 @@
 
 pub mod ckpt;
 pub mod jobs;
-pub mod replica;
+mod replica;
 pub mod resilient;
 
 use std::io::Write;

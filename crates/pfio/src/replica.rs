@@ -48,7 +48,7 @@ fn buddy_of(alive: &[usize], r: usize) -> usize {
 /// Progress metadata of the captured state, mirroring a checkpoint
 /// manifest's step/time/window fields.
 #[derive(Clone, Copy, Debug)]
-pub struct ReplicaMeta {
+pub(crate) struct ReplicaMeta {
     /// Step index at capture.
     pub step: u64,
     /// Simulation time at capture.
@@ -59,7 +59,7 @@ pub struct ReplicaMeta {
 
 /// Why a buddy restore failed.
 #[derive(Debug)]
-pub enum ReplicaError {
+pub(crate) enum ReplicaError {
     /// No capture has been taken yet.
     NoCapture,
     /// Both the block's capture-time owner and its buddy are dead.
@@ -103,7 +103,7 @@ impl std::error::Error for ReplicaError {}
 /// What a [`ReplicaStore::restore`] did, for telemetry and rank-0 summary
 /// lines.
 #[derive(Clone, Copy, Debug)]
-pub struct ReplicaRestoreReport {
+pub(crate) struct ReplicaRestoreReport {
     /// Step the simulation was reset to.
     pub step: u64,
     /// Frame bytes this rank sent or received over the wire (local frame
@@ -115,7 +115,7 @@ pub struct ReplicaRestoreReport {
 /// plus its predecessor's, refreshed at every capture. Frames decode under
 /// the checkpoint reader's [`DEFAULT_BYTE_BUDGET`].
 #[derive(Debug, Default)]
-pub struct ReplicaStore {
+pub(crate) struct ReplicaStore {
     /// Frames by global block id: this rank's own blocks plus the blocks
     /// of the rank whose buddy this rank is.
     frames: BTreeMap<usize, Vec<u8>>,
@@ -127,13 +127,8 @@ pub struct ReplicaStore {
 }
 
 impl ReplicaStore {
-    /// Progress metadata of the last capture, if any.
-    pub fn meta(&self) -> Option<ReplicaMeta> {
-        self.meta
-    }
-
     /// Total frame bytes currently held in this rank's RAM.
-    pub fn bytes_held(&self) -> u64 {
+    pub(crate) fn bytes_held(&self) -> u64 {
         self.frames.values().map(|f| f.len() as u64).sum()
     }
 
@@ -142,7 +137,7 @@ impl ReplicaStore {
     /// ranks must call this together (checkpoint cadence is collective, so
     /// the call sites line up). Comm failures surface through the
     /// panicking comm layer — run under `catch_comm` to get typed errors.
-    pub fn capture(&mut self, sim: &DistributedSim<'_>) {
+    pub(crate) fn capture(&mut self, sim: &DistributedSim<'_>) {
         let rank = sim.comm_rank();
         let me = rank.rank();
         let alive = rank.alive_ranks();
@@ -204,7 +199,7 @@ impl ReplicaStore {
     /// disk restore, progress is reset to the capture point and ghosts are
     /// refreshed. Call after `adopt_placement`, on every survivor, with
     /// membership already recovered.
-    pub fn restore(
+    pub(crate) fn restore(
         &self,
         sim: &mut DistributedSim<'_>,
     ) -> Result<ReplicaRestoreReport, ReplicaError> {

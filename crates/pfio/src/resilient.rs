@@ -361,7 +361,7 @@ pub enum ShrinkSource {
     /// `EUTECKP2` files are rank-count-agnostic).
     Disk,
     /// Restore from in-RAM buddy replicas captured at checkpoint cadence —
-    /// no disk round-trip (see [`crate::replica`]).
+    /// no disk round-trip (see `crate::replica`).
     Buddy,
 }
 

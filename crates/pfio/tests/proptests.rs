@@ -1,13 +1,14 @@
 //! Property-based tests of the checkpoint formats (block files at both
 //! precisions and the checkpoint-set manifest).
 
+use eutectica_blockgrid::codec::crc32;
 use eutectica_blockgrid::decomp::DomainSpec;
 use eutectica_blockgrid::GridDims;
 use eutectica_core::simplex::project_to_simplex;
 use eutectica_core::state::BlockState;
 use eutectica_pfio::ckpt::{
-    block_file_size, crc32, decode_block, decode_manifest, encode_block, encode_manifest,
-    BlockEntry, Manifest, Precision, DEFAULT_BYTE_BUDGET,
+    block_file_size, decode_block, decode_manifest, encode_block, encode_manifest, BlockEntry,
+    Manifest, Precision, DEFAULT_BYTE_BUDGET,
 };
 use proptest::prelude::*;
 

@@ -13,6 +13,7 @@
 //! the [`crate::scalar`] reference for every operation (the scalar backend
 //! deliberately mirrors AVX2 summation order and FMA rounding).
 
+use crate::{SimdF64x4, SimdMask4};
 use core::arch::x86_64::*;
 use core::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
@@ -33,28 +34,30 @@ impl Default for F64x4 {
     }
 }
 
-impl F64x4 {
+impl SimdF64x4 for F64x4 {
+    type Mask = Mask4;
+
     /// All lanes set to `v` (`vbroadcastsd`).
     #[inline(always)]
-    pub fn splat(v: f64) -> Self {
+    fn splat(v: f64) -> Self {
         Self(unsafe { _mm256_set1_pd(v) })
     }
 
     /// All lanes zero (`vxorpd`).
     #[inline(always)]
-    pub fn zero() -> Self {
+    fn zero() -> Self {
         Self(unsafe { _mm256_setzero_pd() })
     }
 
     /// Construct from an array, lane i = `a[i]`.
     #[inline(always)]
-    pub fn from_array(a: [f64; 4]) -> Self {
+    fn from_array(a: [f64; 4]) -> Self {
         Self(unsafe { _mm256_loadu_pd(a.as_ptr()) })
     }
 
     /// Extract all lanes.
     #[inline(always)]
-    pub fn to_array(self) -> [f64; 4] {
+    fn to_array(self) -> [f64; 4] {
         let mut out = [0.0; 4];
         unsafe { _mm256_storeu_pd(out.as_mut_ptr(), self.0) };
         out
@@ -62,27 +65,27 @@ impl F64x4 {
 
     /// Load 4 consecutive doubles from `slice[offset..offset+4]` (`vmovupd`).
     #[inline(always)]
-    pub fn load(slice: &[f64], offset: usize) -> Self {
+    fn load(slice: &[f64], offset: usize) -> Self {
         assert!(offset + 4 <= slice.len());
         Self(unsafe { _mm256_loadu_pd(slice.as_ptr().add(offset)) })
     }
 
     /// Store 4 consecutive doubles to `slice[offset..offset+4]` (`vmovupd`).
     #[inline(always)]
-    pub fn store(self, slice: &mut [f64], offset: usize) {
+    fn store(self, slice: &mut [f64], offset: usize) {
         assert!(offset + 4 <= slice.len());
         unsafe { _mm256_storeu_pd(slice.as_mut_ptr().add(offset), self.0) };
     }
 
     /// Extract lane `i` (0..4).
     #[inline(always)]
-    pub fn extract(self, i: usize) -> f64 {
+    fn extract(self, i: usize) -> f64 {
         self.to_array()[i]
     }
 
     /// Replace lane `i` with `v`, returning the new vector.
     #[inline(always)]
-    pub fn replace(self, i: usize, v: f64) -> Self {
+    fn replace(self, i: usize, v: f64) -> Self {
         let mut a = self.to_array();
         a[i] = v;
         Self::from_array(a)
@@ -90,51 +93,51 @@ impl F64x4 {
 
     /// Fused multiply-add `self * b + c` (`vfmadd213pd`, single rounding).
     #[inline(always)]
-    pub fn mul_add(self, b: Self, c: Self) -> Self {
+    fn mul_add(self, b: Self, c: Self) -> Self {
         Self(unsafe { _mm256_fmadd_pd(self.0, b.0, c.0) })
     }
 
     /// Fused multiply-subtract `self * b - c` (`vfmsub213pd`).
     #[inline(always)]
-    pub fn mul_sub(self, b: Self, c: Self) -> Self {
+    fn mul_sub(self, b: Self, c: Self) -> Self {
         Self(unsafe { _mm256_fmsub_pd(self.0, b.0, c.0) })
     }
 
     /// Lanewise square root (`vsqrtpd`).
     #[inline(always)]
-    pub fn sqrt(self) -> Self {
+    fn sqrt(self) -> Self {
         Self(unsafe { _mm256_sqrt_pd(self.0) })
     }
 
     /// Lanewise absolute value (`vandpd` with sign-bit mask).
     #[inline(always)]
-    pub fn abs(self) -> Self {
+    fn abs(self) -> Self {
         let mask = unsafe { _mm256_castsi256_pd(_mm256_set1_epi64x(0x7FFF_FFFF_FFFF_FFFF)) };
         Self(unsafe { _mm256_and_pd(self.0, mask) })
     }
 
     /// Lanewise minimum (`vminpd`).
     #[inline(always)]
-    pub fn min(self, o: Self) -> Self {
+    fn min(self, o: Self) -> Self {
         Self(unsafe { _mm256_min_pd(self.0, o.0) })
     }
 
     /// Lanewise maximum (`vmaxpd`).
     #[inline(always)]
-    pub fn max(self, o: Self) -> Self {
+    fn max(self, o: Self) -> Self {
         Self(unsafe { _mm256_max_pd(self.0, o.0) })
     }
 
     /// Exact lanewise reciprocal square root (`vsqrtpd` + `vdivpd`).
     #[inline(always)]
-    pub fn rsqrt(self) -> Self {
+    fn rsqrt(self) -> Self {
         Self::splat(1.0) / self.sqrt()
     }
 
     /// Fast lanewise reciprocal square root: Lomont bit trick done with
     /// integer SIMD (`vpsrlq` + `vpsubq`) followed by `iters` Newton steps.
     #[inline(always)]
-    pub fn rsqrt_fast(self, iters: u32) -> Self {
+    fn rsqrt_fast(self, iters: u32) -> Self {
         unsafe {
             let magic = _mm256_set1_epi64x(0x5FE6_EB50_C7B5_37A9u64 as i64);
             let i = _mm256_castpd_si256(self.0);
@@ -151,7 +154,7 @@ impl F64x4 {
 
     /// Horizontal sum: `(l0+l2) + (l1+l3)` (`vextractf128` + adds).
     #[inline(always)]
-    pub fn hsum(self) -> f64 {
+    fn hsum(self) -> f64 {
         unsafe {
             let hi = _mm256_extractf128_pd::<1>(self.0);
             let lo = _mm256_castpd256_pd128(self.0);
@@ -163,7 +166,7 @@ impl F64x4 {
 
     /// Horizontal sum broadcast to all lanes.
     #[inline(always)]
-    pub fn hsum_splat(self) -> Self {
+    fn hsum_splat(self) -> Self {
         unsafe {
             // [l0+l2, l1+l3, l2+l0, l3+l1]
             let swapped = _mm256_permute2f128_pd::<0x01>(self.0, self.0);
@@ -176,7 +179,7 @@ impl F64x4 {
 
     /// Broadcast lane `I` to all lanes (`vpermpd`).
     #[inline(always)]
-    pub fn broadcast_lane<const I: usize>(self) -> Self {
+    fn broadcast_lane<const I: usize>(self) -> Self {
         unsafe {
             match I {
                 0 => Self(_mm256_permute4x64_pd::<0b00_00_00_00>(self.0)),
@@ -194,82 +197,84 @@ impl F64x4 {
     /// sequences. The hot kernels only use [`Self::broadcast_lane`] and
     /// [`Self::rotate_lanes_left`], which map to a single `vpermpd`.
     #[inline(always)]
-    pub fn permute<const A: usize, const B: usize, const C: usize, const D: usize>(self) -> Self {
+    fn permute<const A: usize, const B: usize, const C: usize, const D: usize>(self) -> Self {
         let a = self.to_array();
         Self::from_array([a[A], a[B], a[C], a[D]])
     }
 
     /// Rotate lanes left by one: `[l1, l2, l3, l0]` (`vpermpd` imm 0x39).
     #[inline(always)]
-    pub fn rotate_lanes_left(self) -> Self {
+    fn rotate_lanes_left(self) -> Self {
         Self(unsafe { _mm256_permute4x64_pd::<0b00_11_10_01>(self.0) })
     }
 
     /// Lanewise `self < o` (`vcmppd` LT_OQ).
     #[inline(always)]
-    pub fn lt(self, o: Self) -> Mask4 {
+    fn lt(self, o: Self) -> Mask4 {
         Mask4(unsafe { _mm256_cmp_pd::<_CMP_LT_OQ>(self.0, o.0) })
     }
 
     /// Lanewise `self <= o` (`vcmppd` LE_OQ).
     #[inline(always)]
-    pub fn le(self, o: Self) -> Mask4 {
+    fn le(self, o: Self) -> Mask4 {
         Mask4(unsafe { _mm256_cmp_pd::<_CMP_LE_OQ>(self.0, o.0) })
     }
 
     /// Lanewise `self == o` (`vcmppd` EQ_OQ).
     #[inline(always)]
-    pub fn eq(self, o: Self) -> Mask4 {
+    fn eq(self, o: Self) -> Mask4 {
         Mask4(unsafe { _mm256_cmp_pd::<_CMP_EQ_OQ>(self.0, o.0) })
     }
 
     /// Lanewise `self > o`.
     #[inline(always)]
-    pub fn gt(self, o: Self) -> Mask4 {
+    fn gt(self, o: Self) -> Mask4 {
         Mask4(unsafe { _mm256_cmp_pd::<_CMP_GT_OQ>(self.0, o.0) })
     }
 
     /// Lanewise `self >= o`.
     #[inline(always)]
-    pub fn ge(self, o: Self) -> Mask4 {
+    fn ge(self, o: Self) -> Mask4 {
         Mask4(unsafe { _mm256_cmp_pd::<_CMP_GE_OQ>(self.0, o.0) })
     }
 }
 
-impl Mask4 {
+impl SimdMask4 for Mask4 {
+    type Vector = F64x4;
+
     /// True if any lane is set (`vmovmskpd` != 0).
     #[inline(always)]
-    pub fn any(self) -> bool {
+    fn any(self) -> bool {
         self.bitmask() != 0
     }
 
     /// True if all lanes are set (`vmovmskpd` == 0b1111).
     #[inline(always)]
-    pub fn all(self) -> bool {
+    fn all(self) -> bool {
         self.bitmask() == 0b1111
     }
 
     /// Lanewise select: lane i = if mask { a } else { b } (`vblendvpd`).
     #[inline(always)]
-    pub fn select(self, a: F64x4, b: F64x4) -> F64x4 {
+    fn select(self, a: F64x4, b: F64x4) -> F64x4 {
         F64x4(unsafe { _mm256_blendv_pd(b.0, a.0, self.0) })
     }
 
     /// Lanewise logical and (`vandpd`).
     #[inline(always)]
-    pub fn and(self, o: Self) -> Self {
+    fn and(self, o: Self) -> Self {
         Mask4(unsafe { _mm256_and_pd(self.0, o.0) })
     }
 
     /// Lanewise logical or (`vorpd`).
     #[inline(always)]
-    pub fn or(self, o: Self) -> Self {
+    fn or(self, o: Self) -> Self {
         Mask4(unsafe { _mm256_or_pd(self.0, o.0) })
     }
 
     /// Bitmask of set lanes (bit i = lane i), `vmovmskpd`.
     #[inline(always)]
-    pub fn bitmask(self) -> u8 {
+    fn bitmask(self) -> u8 {
         (unsafe { _mm256_movemask_pd(self.0) }) as u8 & 0b1111
     }
 }
@@ -355,6 +360,7 @@ impl Add<f64> for F64x4 {
 mod tests {
     use super::F64x4 as V;
     use crate::scalar::F64x4 as S;
+    use crate::{SimdF64x4, SimdMask4};
 
     const CASES: [[f64; 4]; 6] = [
         [1.0, 2.0, 3.0, 4.0],
@@ -420,7 +426,34 @@ mod tests {
                 va.permute::<3, 1, 0, 2>().to_array(),
                 sa.permute::<3, 1, 0, 2>().to_array()
             );
+            for i in 0..4 {
+                assert_eq!(va.extract(i).to_bits(), sa.extract(i).to_bits());
+                assert_bits_eq(
+                    va.replace(i, -0.0).to_array(),
+                    sa.replace(i, -0.0).to_array(),
+                );
+            }
+            // load / store at every in-range offset of a 6-slot slice.
+            let data = [a[3], a[0], a[1], a[2], a[3], a[0]];
+            for off in 0..=2 {
+                assert_bits_eq(
+                    V::load(&data, off).to_array(),
+                    S::load(&data, off).to_array(),
+                );
+                let (mut vo, mut so) = ([f64::NAN; 6], [f64::NAN; 6]);
+                va.store(&mut vo, off);
+                sa.store(&mut so, off);
+                assert_eq!(vo.map(f64::to_bits), so.map(f64::to_bits));
+            }
         }
+        assert_bits_eq(V::zero().to_array(), S::zero().to_array());
+        assert_bits_eq(V::default().to_array(), S::default().to_array());
+        // Both backends refuse a range that runs off the end of the slice.
+        let panics = |f: fn()| std::panic::catch_unwind(f).is_err();
+        assert!(panics(|| _ = V::load(&[1.0; 6], 3)));
+        assert!(panics(|| _ = S::load(&[1.0; 6], 3)));
+        assert!(panics(|| V::splat(1.0).store(&mut [0.0; 6], 3)));
+        assert!(panics(|| S::splat(1.0).store(&mut [0.0; 6], 3)));
     }
 
     #[test]
@@ -453,6 +486,10 @@ mod tests {
             assert_eq!(m.select(va, vb).to_array(), sm.select(sa, sb).to_array());
             assert_eq!(m.any(), sm.any());
             assert_eq!(m.all(), sm.all());
+            for (n, sn) in [(va.ge(vb), sa.ge(sb)), (va.eq(vb), sa.eq(sb))] {
+                assert_eq!(m.and(n).bitmask(), sm.and(sn).bitmask());
+                assert_eq!(m.or(n).bitmask(), sm.or(sn).bitmask());
+            }
         }
     }
 

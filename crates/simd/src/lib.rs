@@ -4,16 +4,17 @@
 //! SC'15 paper describes in Sec. 3.3: a common API over the machine's vector
 //! extensions so the explicitly vectorized φ- and µ-kernels stay portable.
 //! The paper's layer covered SSE2/SSE4/AVX/AVX2 and Blue Gene/Q QPX; ours
-//! provides two concrete backends with the same inherent API,
+//! provides the [`SimdF64x4`] / [`SimdMask4`] traits, implemented directly
+//! by two backends,
 //!
 //! * [`avx2::F64x4`], AVX2 + FMA intrinsics, compiled on every x86-64
 //!   target, and
 //! * [`scalar::F64x4`], the portable reference the AVX2 backend is tested
 //!   against bit for bit (same summation order, same FMA rounding),
 //!
-//! the [`SimdF64x4`] / [`SimdMask4`] traits over both, so a kernel is
-//! written once as `fn kernel<V: SimdF64x4>(..)`, and **one** way to pick
-//! the instantiation: [`dispatch`], at runtime, from [`avx2_available`].
+//! so a kernel is written once as `fn kernel<V: SimdF64x4>(..)`, and
+//! **one** way to pick the instantiation: [`dispatch`], at runtime, from
+//! [`avx2_available`].
 //! There is no compile-time alias and no cargo feature — a build never has
 //! to target AVX2 to run AVX2 code, and cannot be configured to mislabel
 //! the portable backend as "SIMD".
@@ -30,7 +31,7 @@
 //! # Example
 //!
 //! ```
-//! use eutectica_simd::scalar::F64x4;
+//! use eutectica_simd::{scalar::F64x4, SimdF64x4};
 //!
 //! let phi = F64x4::from_array([0.1, 0.2, 0.3, 0.4]);
 //! let sum = phi.hsum_splat();              // Σφ broadcast to all lanes
@@ -42,7 +43,7 @@
 #![deny(missing_docs)]
 
 pub mod scalar;
-pub mod vector;
+mod vector;
 
 pub use vector::{SimdF64x4, SimdMask4};
 
@@ -122,7 +123,7 @@ fn avx2_entry<K: IsaGeneric>(kernel: K) -> K::Output {
 /// square root algorithm [20]" (Lomont). `iters` Newton–Raphson refinements
 /// are applied; 2 give ≈1e-5 relative error, 4 reach near machine precision.
 #[inline(always)]
-pub fn rsqrt_fast_scalar(x: f64, iters: u32) -> f64 {
+fn rsqrt_fast_scalar(x: f64, iters: u32) -> f64 {
     debug_assert!(x > 0.0);
     let i = x.to_bits();
     // Double-precision magic constant from Lomont's report.

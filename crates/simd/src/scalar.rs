@@ -4,6 +4,7 @@
 //! operation; the backend-equivalence test suite checks the two agree
 //! bit-for-bit (up to documented FMA contraction differences).
 
+use crate::{SimdF64x4, SimdMask4};
 use core::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// Four f64 lanes, portable implementation.
@@ -15,37 +16,40 @@ pub struct F64x4(pub(crate) [f64; 4]);
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct Mask4(pub(crate) [bool; 4]);
 
-impl F64x4 {
+impl SimdF64x4 for F64x4 {
+    type Mask = Mask4;
+
     /// All lanes set to `v`.
     #[inline(always)]
-    pub fn splat(v: f64) -> Self {
+    fn splat(v: f64) -> Self {
         Self([v; 4])
     }
 
     /// All lanes zero.
     #[inline(always)]
-    pub fn zero() -> Self {
+    fn zero() -> Self {
         Self([0.0; 4])
     }
 
     /// Construct from an array, lane i = `a[i]`.
     #[inline(always)]
-    pub fn from_array(a: [f64; 4]) -> Self {
+    fn from_array(a: [f64; 4]) -> Self {
         Self(a)
     }
 
     /// Extract all lanes.
     #[inline(always)]
-    pub fn to_array(self) -> [f64; 4] {
+    fn to_array(self) -> [f64; 4] {
         self.0
     }
 
     /// Load 4 consecutive doubles from `slice[offset..offset+4]`.
     ///
     /// # Panics
-    /// Panics (in debug builds) if the range is out of bounds.
+    /// Panics if the range is out of bounds, in every build profile (slice
+    /// indexing), as the AVX2 backend's `assert!` does.
     #[inline(always)]
-    pub fn load(slice: &[f64], offset: usize) -> Self {
+    fn load(slice: &[f64], offset: usize) -> Self {
         Self([
             slice[offset],
             slice[offset + 1],
@@ -56,26 +60,26 @@ impl F64x4 {
 
     /// Store 4 consecutive doubles to `slice[offset..offset+4]`.
     #[inline(always)]
-    pub fn store(self, slice: &mut [f64], offset: usize) {
+    fn store(self, slice: &mut [f64], offset: usize) {
         slice[offset..offset + 4].copy_from_slice(&self.0);
     }
 
     /// Extract lane `i` (0..4).
     #[inline(always)]
-    pub fn extract(self, i: usize) -> f64 {
+    fn extract(self, i: usize) -> f64 {
         self.0[i]
     }
 
     /// Replace lane `i` with `v`, returning the new vector.
     #[inline(always)]
-    pub fn replace(mut self, i: usize, v: f64) -> Self {
+    fn replace(mut self, i: usize, v: f64) -> Self {
         self.0[i] = v;
         self
     }
 
     /// Fused multiply-add: `self * b + c`, one rounding in the AVX2 backend.
     #[inline(always)]
-    pub fn mul_add(self, b: Self, c: Self) -> Self {
+    fn mul_add(self, b: Self, c: Self) -> Self {
         Self([
             self.0[0].mul_add(b.0[0], c.0[0]),
             self.0[1].mul_add(b.0[1], c.0[1]),
@@ -86,7 +90,7 @@ impl F64x4 {
 
     /// Fused multiply-subtract: `self * b - c`.
     #[inline(always)]
-    pub fn mul_sub(self, b: Self, c: Self) -> Self {
+    fn mul_sub(self, b: Self, c: Self) -> Self {
         Self([
             self.0[0].mul_add(b.0[0], -c.0[0]),
             self.0[1].mul_add(b.0[1], -c.0[1]),
@@ -97,19 +101,19 @@ impl F64x4 {
 
     /// Lanewise square root.
     #[inline(always)]
-    pub fn sqrt(self) -> Self {
+    fn sqrt(self) -> Self {
         Self(self.0.map(f64::sqrt))
     }
 
     /// Lanewise absolute value.
     #[inline(always)]
-    pub fn abs(self) -> Self {
+    fn abs(self) -> Self {
         Self(self.0.map(f64::abs))
     }
 
     /// Lanewise minimum.
     #[inline(always)]
-    pub fn min(self, o: Self) -> Self {
+    fn min(self, o: Self) -> Self {
         Self([
             self.0[0].min(o.0[0]),
             self.0[1].min(o.0[1]),
@@ -120,7 +124,7 @@ impl F64x4 {
 
     /// Lanewise maximum.
     #[inline(always)]
-    pub fn max(self, o: Self) -> Self {
+    fn max(self, o: Self) -> Self {
         Self([
             self.0[0].max(o.0[0]),
             self.0[1].max(o.0[1]),
@@ -131,14 +135,14 @@ impl F64x4 {
 
     /// Exact lanewise reciprocal square root (`1/sqrt(x)`).
     #[inline(always)]
-    pub fn rsqrt(self) -> Self {
+    fn rsqrt(self) -> Self {
         Self(self.0.map(|x| 1.0 / x.sqrt()))
     }
 
     /// Fast lanewise reciprocal square root (Lomont bit trick + `iters`
-    /// Newton refinements). See [`crate::rsqrt_fast_scalar`].
+    /// Newton refinements). See `crate::rsqrt_fast_scalar`.
     #[inline(always)]
-    pub fn rsqrt_fast(self, iters: u32) -> Self {
+    fn rsqrt_fast(self, iters: u32) -> Self {
         Self(self.0.map(|x| crate::rsqrt_fast_scalar(x, iters)))
     }
 
@@ -146,37 +150,37 @@ impl F64x4 {
     ///
     /// Summation order matches the AVX2 backend: `(l0+l2) + (l1+l3)`.
     #[inline(always)]
-    pub fn hsum(self) -> f64 {
+    fn hsum(self) -> f64 {
         (self.0[0] + self.0[2]) + (self.0[1] + self.0[3])
     }
 
     /// Horizontal sum broadcast to all lanes.
     #[inline(always)]
-    pub fn hsum_splat(self) -> Self {
+    fn hsum_splat(self) -> Self {
         Self::splat(self.hsum())
     }
 
     /// Broadcast lane `I` to all lanes (one `vpermpd` on AVX2).
     #[inline(always)]
-    pub fn broadcast_lane<const I: usize>(self) -> Self {
+    fn broadcast_lane<const I: usize>(self) -> Self {
         Self::splat(self.0[I])
     }
 
     /// Arbitrary lane permutation: result lane i = `self[[A,B,C,D][i]]`.
     #[inline(always)]
-    pub fn permute<const A: usize, const B: usize, const C: usize, const D: usize>(self) -> Self {
+    fn permute<const A: usize, const B: usize, const C: usize, const D: usize>(self) -> Self {
         Self([self.0[A], self.0[B], self.0[C], self.0[D]])
     }
 
     /// Rotate lanes left by one: `[l1, l2, l3, l0]`.
     #[inline(always)]
-    pub fn rotate_lanes_left(self) -> Self {
+    fn rotate_lanes_left(self) -> Self {
         self.permute::<1, 2, 3, 0>()
     }
 
     /// Lanewise `self < o`.
     #[inline(always)]
-    pub fn lt(self, o: Self) -> Mask4 {
+    fn lt(self, o: Self) -> Mask4 {
         Mask4([
             self.0[0] < o.0[0],
             self.0[1] < o.0[1],
@@ -187,7 +191,7 @@ impl F64x4 {
 
     /// Lanewise `self <= o`.
     #[inline(always)]
-    pub fn le(self, o: Self) -> Mask4 {
+    fn le(self, o: Self) -> Mask4 {
         Mask4([
             self.0[0] <= o.0[0],
             self.0[1] <= o.0[1],
@@ -198,7 +202,7 @@ impl F64x4 {
 
     /// Lanewise `self == o` (IEEE: `-0.0 == 0.0`, NaN equals nothing).
     #[inline(always)]
-    pub fn eq(self, o: Self) -> Mask4 {
+    fn eq(self, o: Self) -> Mask4 {
         Mask4([
             self.0[0] == o.0[0],
             self.0[1] == o.0[1],
@@ -209,33 +213,35 @@ impl F64x4 {
 
     /// Lanewise `self > o`.
     #[inline(always)]
-    pub fn gt(self, o: Self) -> Mask4 {
+    fn gt(self, o: Self) -> Mask4 {
         o.lt(self)
     }
 
     /// Lanewise `self >= o`.
     #[inline(always)]
-    pub fn ge(self, o: Self) -> Mask4 {
+    fn ge(self, o: Self) -> Mask4 {
         o.le(self)
     }
 }
 
-impl Mask4 {
+impl SimdMask4 for Mask4 {
+    type Vector = F64x4;
+
     /// True if any lane is set.
     #[inline(always)]
-    pub fn any(self) -> bool {
+    fn any(self) -> bool {
         self.0[0] | self.0[1] | self.0[2] | self.0[3]
     }
 
     /// True if all lanes are set.
     #[inline(always)]
-    pub fn all(self) -> bool {
+    fn all(self) -> bool {
         self.0[0] & self.0[1] & self.0[2] & self.0[3]
     }
 
     /// Lanewise select: lane i = if mask { a } else { b }.
     #[inline(always)]
-    pub fn select(self, a: F64x4, b: F64x4) -> F64x4 {
+    fn select(self, a: F64x4, b: F64x4) -> F64x4 {
         F64x4([
             if self.0[0] { a.0[0] } else { b.0[0] },
             if self.0[1] { a.0[1] } else { b.0[1] },
@@ -246,7 +252,7 @@ impl Mask4 {
 
     /// Lanewise logical and.
     #[inline(always)]
-    pub fn and(self, o: Self) -> Self {
+    fn and(self, o: Self) -> Self {
         Mask4([
             self.0[0] & o.0[0],
             self.0[1] & o.0[1],
@@ -257,7 +263,7 @@ impl Mask4 {
 
     /// Lanewise logical or.
     #[inline(always)]
-    pub fn or(self, o: Self) -> Self {
+    fn or(self, o: Self) -> Self {
         Mask4([
             self.0[0] | o.0[0],
             self.0[1] | o.0[1],
@@ -268,7 +274,7 @@ impl Mask4 {
 
     /// Bitmask of set lanes (bit i = lane i), like `vmovmskpd`.
     #[inline(always)]
-    pub fn bitmask(self) -> u8 {
+    fn bitmask(self) -> u8 {
         (self.0[0] as u8) | (self.0[1] as u8) << 1 | (self.0[2] as u8) << 2 | (self.0[3] as u8) << 3
     }
 }

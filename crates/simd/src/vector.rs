@@ -1,10 +1,11 @@
 //! Backend-generic vector traits.
 //!
-//! [`SimdF64x4`] abstracts the 4-wide f64 vector API over the concrete
-//! backends ([`crate::scalar::F64x4`] and, on x86-64, [`crate::avx2::F64x4`])
-//! so the explicitly vectorized kernels in `eutectica-core` can be written
-//! once and *instantiated per ISA* by [`crate::dispatch`], which selects
-//! the monomorphic instantiation at runtime (feature detection).
+//! [`SimdF64x4`] is the 4-wide f64 vector API; the backends
+//! ([`crate::scalar::F64x4`] and, on x86-64, [`crate::avx2::F64x4`]) implement
+//! it directly, with no inherent API of their own, so the explicitly
+//! vectorized kernels in `eutectica-core` can be written once and
+//! *instantiated per ISA* by [`crate::dispatch`], which selects the
+//! monomorphic instantiation at runtime (feature detection).
 //!
 //! Both backends implement every operation with identical semantics (same
 //! summation order, same FMA rounding — asserted bit-for-bit by the
@@ -35,8 +36,9 @@ pub trait SimdMask4: Copy + Send + Sync + 'static {
 
 /// Four f64 lanes, generic over the ISA backend.
 ///
-/// Mirrors the inherent API of the concrete backend types one-to-one; see
-/// [`crate::scalar::F64x4`] for the reference semantics of each operation.
+/// See the [`crate::scalar::F64x4`] impl for the reference semantics of
+/// each operation and the [`crate::avx2::F64x4`] impl for the instruction
+/// each maps to.
 pub trait SimdF64x4:
     Copy
     + Send
@@ -111,156 +113,6 @@ pub trait SimdF64x4:
     /// Lanewise `self >= o`.
     fn ge(self, o: Self) -> Self::Mask;
 }
-
-/// Forward the trait to a backend's identical inherent API.
-macro_rules! forward_simd_impl {
-    ($vec:ty, $mask:ty) => {
-        impl SimdMask4 for $mask {
-            type Vector = $vec;
-
-            #[inline(always)]
-            fn any(self) -> bool {
-                <$mask>::any(self)
-            }
-            #[inline(always)]
-            fn all(self) -> bool {
-                <$mask>::all(self)
-            }
-            #[inline(always)]
-            fn select(self, a: $vec, b: $vec) -> $vec {
-                <$mask>::select(self, a, b)
-            }
-            #[inline(always)]
-            fn and(self, o: Self) -> Self {
-                <$mask>::and(self, o)
-            }
-            #[inline(always)]
-            fn or(self, o: Self) -> Self {
-                <$mask>::or(self, o)
-            }
-            #[inline(always)]
-            fn bitmask(self) -> u8 {
-                <$mask>::bitmask(self)
-            }
-        }
-
-        impl SimdF64x4 for $vec {
-            type Mask = $mask;
-
-            #[inline(always)]
-            fn splat(v: f64) -> Self {
-                <$vec>::splat(v)
-            }
-            #[inline(always)]
-            fn zero() -> Self {
-                <$vec>::zero()
-            }
-            #[inline(always)]
-            fn from_array(a: [f64; 4]) -> Self {
-                <$vec>::from_array(a)
-            }
-            #[inline(always)]
-            fn to_array(self) -> [f64; 4] {
-                <$vec>::to_array(self)
-            }
-            #[inline(always)]
-            fn load(slice: &[f64], offset: usize) -> Self {
-                <$vec>::load(slice, offset)
-            }
-            #[inline(always)]
-            fn store(self, slice: &mut [f64], offset: usize) {
-                <$vec>::store(self, slice, offset)
-            }
-            #[inline(always)]
-            fn extract(self, i: usize) -> f64 {
-                <$vec>::extract(self, i)
-            }
-            #[inline(always)]
-            fn replace(self, i: usize, v: f64) -> Self {
-                <$vec>::replace(self, i, v)
-            }
-            #[inline(always)]
-            fn mul_add(self, b: Self, c: Self) -> Self {
-                <$vec>::mul_add(self, b, c)
-            }
-            #[inline(always)]
-            fn mul_sub(self, b: Self, c: Self) -> Self {
-                <$vec>::mul_sub(self, b, c)
-            }
-            #[inline(always)]
-            fn sqrt(self) -> Self {
-                <$vec>::sqrt(self)
-            }
-            #[inline(always)]
-            fn abs(self) -> Self {
-                <$vec>::abs(self)
-            }
-            #[inline(always)]
-            fn min(self, o: Self) -> Self {
-                <$vec>::min(self, o)
-            }
-            #[inline(always)]
-            fn max(self, o: Self) -> Self {
-                <$vec>::max(self, o)
-            }
-            #[inline(always)]
-            fn rsqrt(self) -> Self {
-                <$vec>::rsqrt(self)
-            }
-            #[inline(always)]
-            fn rsqrt_fast(self, iters: u32) -> Self {
-                <$vec>::rsqrt_fast(self, iters)
-            }
-            #[inline(always)]
-            fn hsum(self) -> f64 {
-                <$vec>::hsum(self)
-            }
-            #[inline(always)]
-            fn hsum_splat(self) -> Self {
-                <$vec>::hsum_splat(self)
-            }
-            #[inline(always)]
-            fn broadcast_lane<const I: usize>(self) -> Self {
-                <$vec>::broadcast_lane::<I>(self)
-            }
-            #[inline(always)]
-            fn permute<const A: usize, const B: usize, const C: usize, const D: usize>(
-                self,
-            ) -> Self {
-                <$vec>::permute::<A, B, C, D>(self)
-            }
-            #[inline(always)]
-            fn rotate_lanes_left(self) -> Self {
-                <$vec>::rotate_lanes_left(self)
-            }
-            #[inline(always)]
-            fn lt(self, o: Self) -> Self::Mask {
-                <$vec>::lt(self, o)
-            }
-            #[inline(always)]
-            fn le(self, o: Self) -> Self::Mask {
-                <$vec>::le(self, o)
-            }
-            #[inline(always)]
-            fn eq(self, o: Self) -> Self::Mask {
-                <$vec>::eq(self, o)
-            }
-            #[inline(always)]
-            fn gt(self, o: Self) -> Self::Mask {
-                <$vec>::gt(self, o)
-            }
-            #[inline(always)]
-            fn ge(self, o: Self) -> Self::Mask {
-                <$vec>::ge(self, o)
-            }
-        }
-    };
-}
-
-forward_simd_impl!(crate::scalar::F64x4, crate::scalar::Mask4);
-
-#[cfg(target_arch = "x86_64")]
-forward_simd_impl!(crate::avx2::F64x4, crate::avx2::Mask4);
 
 #[cfg(test)]
 mod tests {

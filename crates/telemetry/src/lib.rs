@@ -45,11 +45,12 @@ mod reduce;
 mod trace;
 
 pub use json::{escape, JsonObject};
-pub use metrics::{Histogram, MetricsSnapshot, HIST_BUCKETS};
-pub use reduce::{reduce_snapshots, reduce_with, ReducedRow, ReducedTree};
-pub use trace::{
-    epoch, lane_tid, write_chrome_trace, write_jsonl, StepRecord, TraceEvent, LANE_STRIDE,
-};
+pub use metrics::Histogram;
+pub use reduce::{reduce_with, ReducedTree};
+pub use trace::{epoch, lane_tid, write_chrome_trace, write_jsonl, StepRecord};
+
+use metrics::MetricsSnapshot;
+use trace::TraceEvent;
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -224,11 +225,6 @@ impl Telemetry {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.inner.enabled
-    }
-
-    /// Rank this collector was created for.
-    pub fn rank(&self) -> usize {
-        self.inner.rank
     }
 
     /// The calling thread's shard, created on first use.
@@ -415,13 +411,20 @@ impl Telemetry {
     /// — which take per-shard locks one at a time, twice, and can tear
     /// cross-shard or tree-vs-metrics invariants when workers write
     /// mid-merge — this holds *all* shard locks simultaneously while
-    /// merging. Locks are taken in lane order; writers only ever hold their
-    /// own single shard lock, so no ordering deadlock is possible. Writers
-    /// block for the duration of one merge (microseconds at live-export
-    /// cadence).
+    /// merging. It also holds the shard registry until every listed shard
+    /// is locked: a thread registering its first shard in between could
+    /// otherwise write there, then on into a listed shard, and the cut
+    /// would see the second write without the first. Locks are taken
+    /// registry first, then in lane order; a writer takes the registry only
+    /// while it holds no shard lock, and then at most its own shard lock,
+    /// so no ordering deadlock is possible. Writers block for the duration
+    /// of one merge (microseconds at live-export cadence).
     pub fn sample(&self) -> TelemetrySample {
-        let shards = self.shards_by_lane();
+        let registry = lock(&self.inner.shards);
+        let mut shards = registry.clone();
+        shards.sort_by_key(|s| s.lane);
         let guards: Vec<_> = shards.iter().map(|s| lock(&s.state)).collect();
+        drop(registry);
         // Read the epoch while every shard lock is held: a recovery driver
         // bumps it before resuming metric writes, so a sample can never pair
         // post-recovery counters with the pre-recovery epoch.
@@ -537,7 +540,8 @@ impl Lane {
     }
 
     /// [`Telemetry::gauge_set`] under this lane's prefix.
-    pub fn gauge_set(&self, name: &str, value: f64) {
+    #[cfg(test)]
+    fn gauge_set(&self, name: &str, value: f64) {
         self.tel.gauge_set(&self.scoped(name), value);
     }
 }
@@ -630,7 +634,7 @@ pub struct TimingTreeSnapshot {
 
 impl TimingTreeSnapshot {
     /// Compact wire form for cross-rank gathers (exact f64 round-trip).
-    pub fn serialize(&self) -> Vec<u8> {
+    fn serialize(&self) -> Vec<u8> {
         let mut out = String::new();
         for r in &self.rows {
             out.push_str(&format!(
@@ -646,7 +650,7 @@ impl TimingTreeSnapshot {
     }
 
     /// Inverse of [`TimingTreeSnapshot::serialize`].
-    pub fn deserialize(bytes: &[u8]) -> Self {
+    fn deserialize(bytes: &[u8]) -> Self {
         let text = String::from_utf8_lossy(bytes);
         let rows = text
             .lines()
@@ -662,23 +666,6 @@ impl TimingTreeSnapshot {
             })
             .collect();
         Self { rows }
-    }
-
-    /// Single-rank human-readable report.
-    pub fn report(&self) -> String {
-        let mut out = String::from("timing tree (single rank)\n");
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{:indent$}{:<w$} {:>8} calls  {:>12.6} s\n",
-                "",
-                r.path.rsplit('/').next().unwrap_or(&r.path),
-                r.count,
-                r.total_secs,
-                indent = 2 * r.depth,
-                w = 28usize.saturating_sub(2 * r.depth),
-            ));
-        }
-        out
     }
 }
 

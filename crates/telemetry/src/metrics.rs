@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 /// Number of histogram buckets; bucket `i` covers `[2^(i-1), 2^i)` with
 /// bucket 0 reserved for exact zeros. 2^39 ns ≈ 9 minutes, ample for any
 /// latency this code measures.
-pub const HIST_BUCKETS: usize = 40;
+pub(crate) const HIST_BUCKETS: usize = 40;
 
 /// Fixed-size log2-bucket histogram of `u64` observations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -57,17 +57,9 @@ impl Histogram {
     }
 
     /// Saturating sum of all observations.
-    pub fn sum(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn sum(&self) -> u64 {
         self.sum
-    }
-
-    /// Mean observation, or 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
     }
 
     /// Add all of `other`'s observations into `self`.
@@ -92,7 +84,7 @@ impl Histogram {
     }
 
     /// Non-empty buckets as `(lower_edge, count)` pairs, ascending.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
         self.buckets
             .iter()
             .enumerate()

@@ -36,7 +36,7 @@ pub struct ReducedTree {
 
 /// Reduce already-gathered snapshots (deterministic in the rank order of
 /// `snaps`; row order never depends on timing values).
-pub fn reduce_snapshots(snaps: &[TimingTreeSnapshot]) -> ReducedTree {
+pub(crate) fn reduce_snapshots(snaps: &[TimingTreeSnapshot]) -> ReducedTree {
     // Row order: rank 0's depth-first order first, then any paths only
     // other ranks saw, sorted.
     let mut order: Vec<&TimingRow> = Vec::new();

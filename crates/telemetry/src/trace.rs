@@ -15,7 +15,7 @@ static EPOCH: OnceLock<Instant> = OnceLock::new();
 /// Trace lanes per rank: lane ids are `rank * LANE_STRIDE + thread_lane`,
 /// so a rank and its sweep-pool workers group together and sort in order.
 /// 256 intra-rank lanes is far beyond any plausible `--threads` value.
-pub const LANE_STRIDE: u32 = 256;
+pub(crate) const LANE_STRIDE: u32 = 256;
 
 /// Chrome-trace `tid` for a given rank and intra-rank thread lane
 /// (lane 0 is the rank thread itself, 1.. are sweep-pool workers).
@@ -46,7 +46,7 @@ pub struct TraceEvent {
 
 impl TraceEvent {
     /// Serialize as one complete (`"ph":"X"`) trace event object.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         JsonObject::new()
             .str_field("name", &self.name)
             .str_field("cat", &self.cat)

@@ -40,7 +40,7 @@ use serde::{Deserialize, Serialize};
 pub const N_PHASES: usize = 4;
 
 /// Number of independent chemical potentials / concentrations (K − 1 = 2).
-pub const N_COMP: usize = 2;
+const N_COMP: usize = 2;
 
 /// Index of the liquid phase in all per-phase arrays.
 pub const LIQUID: usize = 3;
@@ -327,77 +327,6 @@ fn det3(m: [[f64; 3]; 3]) -> f64 {
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
 }
 
-/// Per-z-slice precomputed thermodynamic quantities.
-///
-/// The paper's "T(z) optimization" (Sec. 3.3): with the frozen-temperature
-/// ansatz T depends only on z and t, so every temperature-dependent quantity
-/// can be evaluated once per x-y-slice instead of once per cell. This struct
-/// is that precomputation; the optimized kernels take one per slice while the
-/// unoptimized rungs recompute the same values per cell.
-#[derive(Copy, Clone, Debug)]
-pub struct SliceThermo {
-    /// Temperature of this slice.
-    pub t: f64,
-    /// c^eq_α(T) per phase.
-    pub c_eq: [[f64; N_COMP]; N_PHASES],
-    /// Grand-potential offsets X_α(T).
-    pub offset: [f64; N_PHASES],
-    /// 1/(4 k_i(T)) per phase (grand-potential coefficients).
-    pub inv4k: [[f64; N_COMP]; N_PHASES],
-    /// 1/(2 k_i(T)) per phase (susceptibilities).
-    pub inv2k: [[f64; N_COMP]; N_PHASES],
-    /// D_α χ_α(T) per phase (mobility coefficients).
-    pub mob: [[f64; N_COMP]; N_PHASES],
-}
-
-impl SliceThermo {
-    /// Evaluate all temperature-dependent quantities at temperature `t`.
-    pub fn at(sys: &TernarySystem, t: f64) -> Self {
-        let mut c_eq = [[0.0; N_COMP]; N_PHASES];
-        let mut offset = [0.0; N_PHASES];
-        let mut inv4k = [[0.0; N_COMP]; N_PHASES];
-        let mut inv2k = [[0.0; N_COMP]; N_PHASES];
-        let mut mob = [[0.0; N_COMP]; N_PHASES];
-        for a in 0..N_PHASES {
-            let ph = &sys.phases[a];
-            c_eq[a] = ph.c_eq(t, sys.t_eu);
-            offset[a] = ph.offset(t, sys.t_eu);
-            let k = ph.curvature_at(t, sys.t_eu);
-            for i in 0..N_COMP {
-                inv4k[a][i] = 1.0 / (4.0 * k[i]);
-                inv2k[a][i] = 1.0 / (2.0 * k[i]);
-                mob[a][i] = ph.diffusivity * inv2k[a][i];
-            }
-        }
-        Self {
-            t,
-            c_eq,
-            offset,
-            inv4k,
-            inv2k,
-            mob,
-        }
-    }
-
-    /// Grand potential of phase `alpha` at chemical potential `mu` using the
-    /// precomputed slice data (must equal [`TernarySystem::grand_potential`]).
-    #[inline(always)]
-    pub fn grand_potential(&self, _sys: &TernarySystem, alpha: usize, mu: [f64; N_COMP]) -> f64 {
-        -(mu[0] * mu[0] * self.inv4k[alpha][0] + mu[1] * mu[1] * self.inv4k[alpha][1])
-            - (mu[0] * self.c_eq[alpha][0] + mu[1] * self.c_eq[alpha][1])
-            + self.offset[alpha]
-    }
-
-    /// Phase concentration using precomputed c_eq.
-    #[inline(always)]
-    pub fn c_of_mu(&self, _sys: &TernarySystem, alpha: usize, mu: [f64; N_COMP]) -> [f64; N_COMP] {
-        [
-            self.c_eq[alpha][0] + mu[0] * self.inv2k[alpha][0],
-            self.c_eq[alpha][1] + mu[1] * self.inv2k[alpha][1],
-        ]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -540,25 +469,6 @@ mod tests {
         let wider = s.mu_plausible_bounds(0.9, 1.1, 0.5);
         for i in 0..N_COMP {
             assert!(wider[i].0 <= b[i].0 && wider[i].1 >= b[i].1);
-        }
-    }
-
-    #[test]
-    fn slice_precompute_matches_direct_evaluation() {
-        let s = sys();
-        for &t in &[0.93, 1.0, 1.05] {
-            let slice = SliceThermo::at(&s, t);
-            for a in 0..N_PHASES {
-                for &mu in &[[0.0, 0.0], [0.4, -0.1]] {
-                    let direct = s.grand_potential(a, mu, t);
-                    let pre = slice.grand_potential(&s, a, mu);
-                    assert!((direct - pre).abs() < 1e-14);
-                    let cd = s.c_of_mu(a, mu, t);
-                    let cp = slice.c_of_mu(&s, a, mu);
-                    assert!((cd[0] - cp[0]).abs() < 1e-14);
-                    assert!((cd[1] - cp[1]).abs() < 1e-14);
-                }
-            }
         }
     }
 

@@ -1,6 +1,6 @@
 //! Property-based tests of the thermodynamic identities.
 
-use eutectica_thermo::{SliceThermo, TernarySystem, LIQUID, N_PHASES};
+use eutectica_thermo::{TernarySystem, LIQUID, N_PHASES};
 use proptest::prelude::*;
 
 fn arb_mu() -> impl Strategy<Value = [f64; 2]> {
@@ -71,16 +71,5 @@ proptest! {
                 s.grand_potential(a, [0.0; 2], 1.0 + dt) > s.grand_potential(LIQUID, [0.0; 2], 1.0 + dt)
             );
         }
-    }
-
-    /// The slice precompute agrees with direct evaluation for every (µ, T).
-    #[test]
-    fn slice_matches_direct(mu in arb_mu(), t in arb_t(), a in 0usize..N_PHASES) {
-        let s = TernarySystem::ag_al_cu();
-        let slice = SliceThermo::at(&s, t);
-        prop_assert!((slice.grand_potential(&s, a, mu) - s.grand_potential(a, mu, t)).abs() < 1e-12);
-        let c1 = slice.c_of_mu(&s, a, mu);
-        let c2 = s.c_of_mu(a, mu, t);
-        prop_assert!((c1[0] - c2[0]).abs() < 1e-12 && (c1[1] - c2[1]).abs() < 1e-12);
     }
 }

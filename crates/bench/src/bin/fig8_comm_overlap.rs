@@ -25,7 +25,8 @@ fn pack_unpack_time<const NC: usize>(dims: GridDims) -> f64 {
     let mut target = field.clone();
     time_median(9, || {
         for face in Face::ALL {
-            let wire = ghost::pack_region_bytes(&field, ghost::send_region(dims, face));
+            let mut wire = Vec::new();
+            ghost::pack_region_bytes(&field, ghost::send_region(dims, face), &mut wire);
             let ghosts = ghost::recv_region(dims, face.opposite());
             ghost::unpack_region_bytes(&mut target, ghosts, &wire);
         }

@@ -488,9 +488,10 @@ pub fn rebalance_demo(every: usize, threshold: f64, threads: usize, steps: usize
     use eutectica_core::kernels::OptLevel;
     use eutectica_core::timeloop::{run_distributed, OverlapOptions};
 
-    // Block ids are x-fastest, so the contiguous static placement hands
-    // rank 0 the entire bottom z-layer — which is exactly where the
-    // solidification front sits. The three other ranks hold pure liquid.
+    // The static placement gives each rank one z-column, which balances a
+    // planar front by itself. The demo lays the ranks out by z-layer
+    // instead: rank 0 holds the entire bottom layer — exactly where the
+    // solidification front sits — and the three other ranks pure liquid.
     let domain = [32, 32, 16];
     let blocks = [2, 2, 4];
     let n_ranks = 4;
@@ -508,6 +509,8 @@ pub fn rebalance_demo(every: usize, threshold: f64, threads: usize, steps: usize
             cfg,
             OverlapOptions::default(),
             move |sim| {
+                // Block ids are x-fastest: id / 4 is the z-layer.
+                sim.adopt_placement((0..16).map(|id| id / 4).collect());
                 sim.set_threads(threads);
                 sim.init_blocks(|b| eutectica_core::init::init_planar_front(b, 0, 2));
                 sim.set_rebalance_policy(Some(policy.clone()));
@@ -523,7 +526,7 @@ pub fn rebalance_demo(every: usize, threshold: f64, threads: usize, steps: usize
         tail.iter().sum::<f64>() / tail.len() as f64
     };
     // Static run: threshold = infinity means the checks only *measure* the
-    // imbalance of the untouched contiguous placement, never migrate.
+    // imbalance of the untouched layered placement, never migrate.
     let static_out = run(RebalancePolicy::new(every, f64::INFINITY));
     let static_imb = settled(&static_out[0].imbalance_history);
     let mut policy = RebalancePolicy::new(every, threshold);

@@ -25,9 +25,10 @@ pub fn imbalance(weights: &[f64], assignment: &[usize], n_ranks: usize) -> f64 {
     per_rank.iter().fold(0.0f64, |m, &v| m.max(v)) / avg
 }
 
-/// Even contiguous partition by block *count* (waLBerla's default static
-/// assignment for uniform work, matching
-/// [`crate::decomp::Decomposition::blocks_of_rank`]).
+/// Even contiguous partition by block *count* in id order (waLBerla's
+/// default static assignment for uniform work). It matches
+/// [`crate::decomp::Decomposition::blocks_of_rank`] only for a single
+/// lateral column of blocks, where column order is id order.
 pub fn assign_contiguous_uniform(n_blocks: usize, n_ranks: usize) -> Vec<usize> {
     (0..n_blocks)
         .map(|id| (id * n_ranks + n_ranks - 1) / n_blocks)

@@ -150,23 +150,38 @@ impl Decomposition {
         &self.blocks[id]
     }
 
-    /// Rank owning block `id` when distributing over `n_ranks` processes:
-    /// contiguous, balanced slabs of consecutive ids (waLBerla's default
-    /// static load balancing for uniform work).
+    /// Rank owning block `id` when distributing over `n_ranks` processes.
+    ///
+    /// The blocks are taken in column order — z fastest, then x, then y —
+    /// and that order is cut into `n_ranks` contiguous chunks whose block
+    /// counts differ by at most one (waLBerla's default static assignment
+    /// for uniform work, over whole z-columns). When `n_ranks` divides the
+    /// number of lateral columns every rank owns whole columns, and so the
+    /// same number of blocks at every height: per-rank cost follows a
+    /// directional-solidification front wherever it lies, with no weights.
+    /// With a single z-layer or a single column the column order is the id
+    /// order.
     pub fn rank_of(&self, id: usize, n_ranks: usize) -> usize {
         let nb = self.blocks.len();
         assert!(n_ranks > 0 && n_ranks <= nb, "need 1..=#blocks ranks");
-        // Inverse of the [start, end) mapping used in `blocks_of_rank`.
-        (id * n_ranks + n_ranks - 1) / nb
+        // Inverse of chunk `r` = column positions `[r·nb/n, (r+1)·nb/n)`.
+        (self.column_position(id) * n_ranks + n_ranks - 1) / nb
     }
 
-    /// Ids of the blocks owned by `rank`.
+    /// Ids of the blocks owned by `rank` (see [`Decomposition::rank_of`]),
+    /// ascending.
     pub fn blocks_of_rank(&self, rank: usize, n_ranks: usize) -> Vec<usize> {
-        let nb = self.blocks.len();
-        assert!(rank < n_ranks && n_ranks <= nb);
-        let start = rank * nb / n_ranks;
-        let end = (rank + 1) * nb / n_ranks;
-        (start..end).collect()
+        assert!(rank < n_ranks);
+        (0..self.blocks.len())
+            .filter(|&id| self.rank_of(id, n_ranks) == rank)
+            .collect()
+    }
+
+    /// Position of block `id` in column order: z fastest, then x, then y.
+    fn column_position(&self, id: usize) -> usize {
+        let [x, y, z] = self.blocks[id].coords;
+        let nb = self.spec.blocks;
+        (y * nb[0] + x) * nb[2] + z
     }
 }
 
@@ -243,6 +258,49 @@ mod tests {
                 .collect();
             let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
             assert!(max - min <= 1, "unbalanced: {sizes:?}");
+        }
+    }
+
+    #[test]
+    fn column_placement_is_balanced_per_layer() {
+        for blocks in [[2, 2, 8], [4, 1, 4], [3, 2, 2], [1, 1, 8]] {
+            let d = Decomposition::new(DomainSpec::directional(blocks.map(|b| 4 * b), blocks));
+            let nb = d.blocks().len();
+            let columns = blocks[0] * blocks[1];
+            for n in 1..=nb {
+                let mut owner = vec![None; nb];
+                for r in 0..n {
+                    let ids = d.blocks_of_rank(r, n);
+                    assert!(
+                        ids.windows(2).all(|w| w[0] < w[1]),
+                        "{blocks:?}/{n}: not ascending"
+                    );
+                    for id in ids {
+                        assert_eq!(owner[id], None, "{blocks:?}/{n}: block {id} owned twice");
+                        assert_eq!(d.rank_of(id, n), r, "{blocks:?}/{n}: rank_of disagrees");
+                        owner[id] = Some(r);
+                    }
+                }
+                assert!(
+                    owner.iter().all(Option::is_some),
+                    "{blocks:?}/{n}: block unowned"
+                );
+                let sizes: Vec<usize> = (0..n).map(|r| d.blocks_of_rank(r, n).len()).collect();
+                let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+                assert!(max - min <= 1, "{blocks:?}/{n}: unbalanced {sizes:?}");
+                if columns % n == 0 {
+                    for z in 0..blocks[2] {
+                        let mut per_rank = vec![0; n];
+                        for b in d.blocks().iter().filter(|b| b.coords[2] == z) {
+                            per_rank[d.rank_of(b.id, n)] += 1;
+                        }
+                        assert!(
+                            per_rank.iter().all(|&c| c == columns / n),
+                            "{blocks:?}/{n}: z-layer {z} split {per_rank:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 

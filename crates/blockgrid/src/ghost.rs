@@ -4,8 +4,8 @@
 //! the *full* (ghost-inclusive) extent along axes that were already
 //! exchanged and the interior extent along axes that have not been yet:
 //! after the z exchange, every edge and corner ghost holds correct data,
-//! which the D3C19 stencil of the µ-sweep requires — with only six messages
-//! per block instead of 26.
+//! which the D3C19 stencil of the µ-sweep requires — with only six face
+//! transfers per block instead of 26.
 //!
 //! Packing copies the sender's interior boundary slab into a contiguous
 //! buffer (the "packing and unpacking [of] messages which cannot be
@@ -353,19 +353,25 @@ pub fn unpack_region<const NC: usize>(field: &mut SoaField<NC>, r: Region, data:
     }
 }
 
-/// Pack a region straight into its wire form: the little-endian bytes of
-/// the doubles [`pack_region`] would produce, in one pass and one
-/// allocation.
-pub fn pack_region_bytes<const NC: usize>(field: &SoaField<NC>, r: Region) -> Vec<u8> {
+/// Append a region's wire form to `out`: the little-endian bytes of the
+/// doubles [`pack_region`] would produce, in one pass. Several regions
+/// appended to one buffer make one message; reserve its length first and
+/// nothing reallocates.
+pub fn pack_region_bytes<const NC: usize>(field: &SoaField<NC>, r: Region, out: &mut Vec<u8>) {
     let s = field.raw();
-    let mut out: Vec<[u8; 8]> = Vec::with_capacity(r.volume() * NC);
+    out.reserve(r.volume() * NC * std::mem::size_of::<f64>());
     match row_len(r) {
-        1 => for_each_row_of(NC, field.dims(), r, |r| out.push(s[r.src].to_le_bytes())),
+        1 => for_each_row_of(NC, field.dims(), r, |r| {
+            out.extend_from_slice(&s[r.src].to_le_bytes())
+        }),
         n => for_each_row_of(NC, field.dims(), r, |r| {
-            out.extend(s[r.src..r.src + n].iter().map(|v| v.to_le_bytes()))
+            let at = out.len();
+            out.resize(at + 8 * n, 0);
+            for (b, v) in out[at..].chunks_exact_mut(8).zip(&s[r.src..r.src + n]) {
+                b.copy_from_slice(&v.to_le_bytes());
+            }
         }),
     }
-    out.into_flattened()
 }
 
 /// Unpack a wire payload produced by [`pack_region_bytes`] into a region,

@@ -132,7 +132,11 @@ fn mutate(ops: &mut Ops, f: &mut SoaField<3>, peer: &mut SoaField<3>) {
             pack_region(peer, send, &mut staged);
             unpack_region(f, recv, &staged);
         }
-        13 => unpack_region_bytes(f, recv, &pack_region_bytes(peer, send)),
+        13 => {
+            let mut wire = Vec::new();
+            pack_region_bytes(peer, send, &mut wire);
+            unpack_region_bytes(f, recv, &wire);
+        }
         14 => BoundarySpec::uniform(ops.bc()).apply(f),
         _ => {
             let mut spec = BoundarySpec::uniform(Bc::Comm);
@@ -217,11 +221,14 @@ proptest! {
         copy_region(&src, send, &mut copied, recv);
         prop_assert_eq!(bits(&copied), bits(&want));
 
-        let wire = pack_region_bytes(&src, send);
+        // Appending keeps what the buffer held.
+        let mut wire = vec![0xa5; 3];
+        pack_region_bytes(&src, send, &mut wire);
         let staged_wire: Vec<u8> = staged.iter().flat_map(|v| v.to_le_bytes()).collect();
-        prop_assert_eq!(&wire, &staged_wire);
+        prop_assert_eq!(&wire[..3], &[0xa5; 3]);
+        prop_assert_eq!(&wire[3..], &staged_wire[..]);
         let mut unpacked = dst.clone();
-        unpack_region_bytes(&mut unpacked, recv, &wire);
+        unpack_region_bytes(&mut unpacked, recv, &wire[3..]);
         prop_assert_eq!(bits(&unpacked), bits(&want));
 
         // A block that is its own neighbor: sender and receiver coincide.

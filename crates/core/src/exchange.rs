@@ -9,18 +9,23 @@
 //! * a face shared by two blocks of this rank is one strided region→region
 //!   copy between the two fields (waLBerla's `communicateLocal`), with no
 //!   staging buffer and no allocation;
-//! * a face shared with another rank is packed in one pass from the field
-//!   into its wire buffer and unpacked in one pass from the received payload
-//!   into the ghost cells.
+//! * the faces a phase shares with one other rank travel as one message
+//!   (waLBerla's per-neighbour buffer): each face is packed in one pass from
+//!   the field into the peer's frame and unpacked in one pass from the
+//!   received frame into the ghost cells.
 //!
 //! The plan holds one list set per exchange phase: the sequenced x, y and z
 //! phases (each covering the ghosts filled by the phases before it, so edges
-//! and corners arrive with six messages per block) and the plain phase (all
-//! six faces, face ghosts only, mutually independent). Within a phase every
-//! transfer reads only interior layers along its own axis and writes only
-//! ghost layers along it, so the order of a phase's transfers cannot change
-//! the result. Regions do not depend on the component count, so φ and µ
-//! share them; the four fields differ in their tag range only.
+//! and corners arrive with six face transfers per block) and the plain
+//! phase (all six faces, face ghosts only, mutually independent). Within a
+//! phase every transfer reads only interior layers along its own axis and
+//! writes only ghost layers along it, so the order of a phase's transfers
+//! cannot change the result. Regions do not depend on the component count,
+//! so φ and µ share them; the four fields differ in their tag range only.
+//!
+//! A frame is tagged by (field, phase) and lists its faces in the sender's
+//! (block id, face) order, which both ends derive from global ids alone: the
+//! receiver knows each face's offset in the frame without any header.
 //!
 //! The plan also knows what its messages weigh: the wire bytes one phase of
 //! one field sends and receives ([`ExchangePlan::wire_bytes`]), from which
@@ -36,6 +41,9 @@ use eutectica_comm::Rank;
 
 use crate::state::BlockState;
 use crate::{N_COMP, N_PHASES};
+
+/// Wire bytes per value.
+const F64: usize = std::mem::size_of::<f64>();
 
 /// Which field a ghost exchange operates on.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -72,7 +80,7 @@ impl FieldSel {
             FieldSel::PhiSrc | FieldSel::PhiDst => N_PHASES,
             FieldSel::MuSrc | FieldSel::MuDst => N_COMP,
         };
-        (components * std::mem::size_of::<f64>()) as u64
+        (components * F64) as u64
     }
 }
 
@@ -112,29 +120,53 @@ struct LocalCopy {
     recv: Region,
 }
 
-/// One direction of a face shared with another rank. `tag` lacks the
-/// field's offset.
+/// One direction of a face shared with another rank.
 struct RemoteFace {
     block: usize,
     region: Region,
+}
+
+/// One message of a phase: every face shared with `peer`, in the sender's
+/// (block id, face) order.
+struct Frame {
     peer: usize,
-    tag: u32,
+    faces: Vec<RemoteFace>,
+    /// Cells of all `faces`.
+    cells: usize,
+}
+
+impl Frame {
+    /// Group `(peer, sender tag, local block, region)` entries into one
+    /// frame per peer, faces in sender-tag order.
+    fn group(mut faces: Vec<(usize, usize, usize, Region)>) -> Vec<Frame> {
+        faces.sort_unstable_by_key(|&(peer, tag, ..)| (peer, tag));
+        faces
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|peer_faces| Frame {
+                peer: peer_faces[0].0,
+                faces: peer_faces
+                    .iter()
+                    .map(|&(_, _, block, region)| RemoteFace { block, region })
+                    .collect(),
+                cells: peer_faces.iter().map(|f| f.3.volume()).sum(),
+            })
+            .collect()
+    }
 }
 
 #[derive(Default)]
 struct PhasePlan {
     local: Vec<LocalCopy>,
-    sends: Vec<RemoteFace>,
-    recvs: Vec<RemoteFace>,
-    /// Cells of all remote faces: `[sent, received]`.
-    remote_cells: [u64; 2],
+    sends: Vec<Frame>,
+    recvs: Vec<Frame>,
 }
 
 /// Every ghost transfer of one rank, per [`Phase`]. Valid for the placement
 /// and local block order it was built from.
 pub(crate) struct ExchangePlan {
     phases: [PhasePlan; 4],
-    /// Width of one field's tag range: six faces per block of the domain.
+    /// Width of one field's tag range: six faces per block of the domain
+    /// (of which the frames use one tag per phase).
     tags_per_field: u32,
 }
 
@@ -165,6 +197,8 @@ impl ExchangePlan {
                     ghost::recv_region_plain(block.dims, face),
                 ),
             };
+            // Remote faces keyed by (peer, the sending block's id · 6 + face).
+            let (mut sends, mut recvs) = (Vec::new(), Vec::new());
             for (li, &id) in local_ids.iter().enumerate() {
                 for &face in phase.faces() {
                     let Some(nb) = decomp.block(id).neighbors[face as usize] else {
@@ -181,24 +215,13 @@ impl ExchangePlan {
                             recv: regions(&blocks[dst], face.opposite()).1,
                         });
                     } else {
-                        plan.remote_cells[0] += send.volume() as u64;
-                        plan.remote_cells[1] += recv.volume() as u64;
-                        // A message is tagged by its sender's block and face.
-                        plan.sends.push(RemoteFace {
-                            block: li,
-                            region: send,
-                            peer,
-                            tag: (id * 6 + face as usize) as u32,
-                        });
-                        plan.recvs.push(RemoteFace {
-                            block: li,
-                            region: recv,
-                            peer,
-                            tag: (nb * 6 + face.opposite() as usize) as u32,
-                        });
+                        sends.push((peer, id * 6 + face as usize, li, send));
+                        recvs.push((peer, nb * 6 + face.opposite() as usize, li, recv));
                     }
                 }
             }
+            plan.sends = Frame::group(sends);
+            plan.recvs = Frame::group(recvs);
         }
         Self {
             phases,
@@ -212,19 +235,20 @@ impl ExchangePlan {
     }
 
     /// Wire bytes `[sent, received]` of one `phase` of the `field` exchange:
-    /// the payload lengths [`ghost::pack_region_bytes`] produces for its
-    /// remote faces.
+    /// the lengths of its frames.
     pub(crate) fn wire_bytes(&self, field: FieldSel, phase: Phase) -> [u64; 2] {
-        self.phases[phase.index()]
-            .remote_cells
-            .map(|cells| cells * field.bytes_per_cell())
+        let plan = &self.phases[phase.index()];
+        [&plan.sends, &plan.recvs].map(|frames| {
+            frames.iter().map(|f| f.cells as u64).sum::<u64>() * field.bytes_per_cell()
+        })
     }
 
-    fn first_tag(&self, field: FieldSel) -> u32 {
-        field as u32 * self.tags_per_field
+    /// The tag of `field`'s frames in `phase`.
+    fn tag(&self, field: FieldSel, phase: Phase) -> u32 {
+        field as u32 * self.tags_per_field + phase.index() as u32
     }
 
-    /// Start `phase` for `field`: send every remote face, then apply the
+    /// Start `phase` for `field`: send one frame per peer, then apply the
     /// same-rank copies. Complete it with [`ExchangePlan::finish`].
     pub(crate) fn post(
         &self,
@@ -241,8 +265,8 @@ impl ExchangePlan {
         }
     }
 
-    /// Complete a posted `phase`: receive every remote face into its ghost
-    /// cells.
+    /// Complete a posted `phase`: receive each peer's frame into the ghost
+    /// cells of its faces.
     pub(crate) fn finish(
         &self,
         blocks: &mut [BlockState],
@@ -267,10 +291,12 @@ impl ExchangePlan {
         rank: &Rank,
     ) {
         let plan = &self.phases[phase.index()];
-        let tag0 = self.first_tag(field);
-        for f in &plan.sends {
-            let wire = ghost::pack_region_bytes(field_of(&mut blocks[f.block]), f.region);
-            rank.isend(f.peer, tag0 + f.tag, Bytes::from(wire));
+        for frame in &plan.sends {
+            let mut wire = Vec::with_capacity(frame.cells * NC * F64);
+            for f in &frame.faces {
+                ghost::pack_region_bytes(field_of(&mut blocks[f.block]), f.region, &mut wire);
+            }
+            rank.isend(frame.peer, self.tag(field, phase), Bytes::from(wire));
         }
         for c in &plan.local {
             if c.src == c.dst {
@@ -290,10 +316,23 @@ impl ExchangePlan {
         phase: Phase,
         rank: &Rank,
     ) {
-        let tag0 = self.first_tag(field);
-        for f in &self.phases[phase.index()].recvs {
-            let wire = rank.wait(rank.irecv(f.peer, tag0 + f.tag));
-            ghost::unpack_region_bytes(field_of(&mut blocks[f.block]), f.region, &wire);
+        for frame in &self.phases[phase.index()].recvs {
+            let wire = rank.wait(rank.irecv(frame.peer, self.tag(field, phase)));
+            assert_eq!(
+                wire.len(),
+                frame.cells * NC * F64,
+                "ghost message length mismatch"
+            );
+            let mut at = 0;
+            for f in &frame.faces {
+                let len = f.region.volume() * NC * F64;
+                ghost::unpack_region_bytes(
+                    field_of(&mut blocks[f.block]),
+                    f.region,
+                    &wire[at..at + len],
+                );
+                at += len;
+            }
         }
     }
 }
@@ -307,5 +346,61 @@ fn pair_mut<T>(items: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) {
     } else {
         let (lo, hi) = items.split_at_mut(a);
         (&mut hi[0], &mut lo[b])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eutectica_blockgrid::decomp::DomainSpec;
+    use eutectica_comm::Universe;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// A frame one value short or one value long is refused with the length
+    /// message before a single ghost cell is written.
+    #[test]
+    fn frame_of_wrong_length_is_refused_before_any_ghost_write() {
+        // One block per rank: both x faces of each block go to the other rank.
+        let decomp = Decomposition::new(DomainSpec::directional([16, 8, 8], [2, 1, 1]));
+        let (field, phase) = (FieldSel::PhiSrc, Phase::Axis(0));
+        Universe::run(2, move |rank| {
+            let my = rank.rank();
+            let desc = decomp.block(my);
+            let mut blocks = vec![BlockState::new(desc.dims(1), desc.origin)];
+            let plan = ExchangePlan::build(&decomp, &[0, 1], &[my], &blocks, my);
+            let len = plan.wire_bytes(field, phase)[1] as usize;
+            assert_eq!(plan.phases[phase.index()].recvs[0].faces.len(), 2);
+            if my == 1 {
+                for wrong in [len - F64, len + F64] {
+                    rank.isend(0, plan.tag(field, phase), Bytes::from(vec![0u8; wrong]));
+                }
+                return;
+            }
+            for (i, v) in blocks[0].phi_src.raw_mut().iter_mut().enumerate() {
+                *v = i as f64 + 0.5;
+            }
+            let before = blocks[0].phi_src.raw().to_vec();
+            for what in ["short", "long"] {
+                let err = catch_unwind(AssertUnwindSafe(|| {
+                    plan.finish(&mut blocks, field, phase, &rank)
+                }))
+                .expect_err("a frame of the wrong length must be refused");
+                let msg = err
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .unwrap_or_default();
+                assert!(
+                    msg.contains("ghost message length mismatch"),
+                    "{what}: {msg}"
+                );
+                let unchanged = blocks[0]
+                    .phi_src
+                    .raw()
+                    .iter()
+                    .zip(&before)
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(unchanged, "{what}: a ghost cell was written");
+            }
+        });
     }
 }

@@ -114,8 +114,8 @@ fn local_faces_allocate_nothing() {
 #[test]
 fn remote_faces_allocate_one_buffer_per_message() {
     Universe::run(2, |rank| {
-        // Rank r owns the two blocks of z-layer r: x faces are same-rank
-        // copies, y faces in-field copies, z faces messages.
+        // Rank r owns the z-column of blocks at x = r: z faces are
+        // same-rank copies, y faces in-field copies, x faces messages.
         let mut sim = warmed_up(&rank, [2, 1, 2]);
         // µ carries the fewest components, so its faces are the smallest.
         let smallest = Face::ALL
@@ -134,9 +134,10 @@ fn remote_faces_allocate_one_buffer_per_message() {
         let (_, payloads) = allocs();
         let sent = rank.stats().messages_sent - sent_before;
         let received = rank.stats().messages_received - received_before;
-        // Two blocks × one remote z face × (φ + µ), both ways.
-        assert_eq!(sent, 4 * ROUNDS);
-        assert_eq!(received, 4 * ROUNDS);
+        // Two blocks × two remote x faces, all to one peer: one frame each
+        // for φ and µ, both ways.
+        assert_eq!(sent, 2 * ROUNDS);
+        assert_eq!(received, 2 * ROUNDS);
         assert_eq!(payloads - payloads_before, sent, "payload buffers");
     });
 }

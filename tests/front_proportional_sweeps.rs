@@ -292,6 +292,9 @@ fn migrated_blocks_are_bit_identical() {
         for threads in THREADS {
             // `execute_migration`: every block changes rank after step 8
             // and goes back after step 16.
+            let decomp = Decomposition::new(spec);
+            let static_rank: Vec<usize> = (0..8).map(|id| decomp.rank_of(id, 2)).collect();
+            let swapped: Vec<usize> = static_rank.iter().map(|&r| 1 - r).collect();
             let what = format!("migration {isa:?} threads={threads}");
             let out = eutectica_core::timeloop::run_distributed(
                 params.clone(),
@@ -304,8 +307,8 @@ fn migrated_blocks_are_bit_identical() {
                     sim.init_blocks(stepped_front);
                     sim.set_rebalance_policy(Some(
                         RebalancePolicy::new(0, f64::INFINITY)
-                            .with_forced_plan(8, vec![1, 1, 1, 1, 0, 0, 0, 0])
-                            .with_forced_plan(16, vec![0, 0, 0, 0, 1, 1, 1, 1]),
+                            .with_forced_plan(8, swapped.clone())
+                            .with_forced_plan(16, static_rank.clone()),
                     ));
                     sim.step_n(STEPS);
                     let ids = sim.local_block_ids().to_vec();

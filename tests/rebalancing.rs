@@ -130,11 +130,14 @@ fn adversarial_forced_plans_migrate_every_block_bit_identically() {
     for overlap in OverlapOptions::ALL {
         for threads in [1usize, 3] {
             let base = baseline(2, threads, overlap);
-            // Static placement is [0,0,1,1]; after step 2 swap the ranks
-            // wholesale, after step 4 swap back. Every block migrates twice.
+            // After step 2 swap the ranks of the static placement wholesale,
+            // after step 4 swap back. Every block migrates twice.
+            let decomp = Decomposition::new(DomainSpec::directional(DOMAIN, BLOCKS));
+            let static_rank: Vec<usize> = (0..4).map(|id| decomp.rank_of(id, 2)).collect();
+            let swapped: Vec<usize> = static_rank.iter().map(|&r| 1 - r).collect();
             let policy = RebalancePolicy::new(0, f64::INFINITY)
-                .with_forced_plan(2, vec![1, 1, 0, 0])
-                .with_forced_plan(4, vec![0, 0, 1, 1]);
+                .with_forced_plan(2, swapped)
+                .with_forced_plan(4, static_rank);
             let (moved, stats) = rebalanced(2, threads, overlap, policy);
             let migrated: BTreeSet<usize> = stats
                 .iter()

@@ -192,8 +192,8 @@ const FIELDS: [&str; 4] = ["phi_src", "phi_dst", "mu_src", "mu_dst"];
 
 /// One rank's traffic for `[16,8,8]` split `[2,1,1]`: only the two x faces
 /// cross the rank boundary (y is periodic onto the same block, z is a
-/// physical boundary), so every exchanged field contributes exactly two
-/// messages of the analytic `send_region` volume.
+/// physical boundary), so every exchanged field contributes two faces of the
+/// analytic `send_region` volume — one message, as both go to the same peer.
 #[test]
 fn ghost_byte_counters_match_analytic_face_sizes() {
     let dims = GridDims::new(8, 8, 8, 1); // one block per rank
@@ -214,7 +214,7 @@ fn ghost_byte_counters_match_analytic_face_sizes() {
             after_steps.bytes_sent - after_init.bytes_sent,
             STEPS as u64 * per_step
         );
-        assert_eq!(after_steps.messages_sent, 4 + STEPS as u64 * 4);
+        assert_eq!(after_steps.messages_sent, 2 + STEPS as u64 * 2);
         assert_eq!(after_steps.bytes_received, after_steps.bytes_sent);
         // Per-field attribution.
         assert_eq!(field_bytes(&counters, "phi_src", "sent"), 2 * phi_msg);
@@ -260,9 +260,10 @@ fn ghost_byte_counters_match_analytic_face_sizes() {
 }
 
 /// Remote faces on the y and z axes: `[16,16,16]` in `[2,2,2]` blocks puts
-/// the z faces across the rank boundary on 2 ranks, and the y and z faces
-/// on 4. There a sequenced message also carries the ghosts of the axes
-/// exchanged before it, so sequenced and plain regions differ. Each
+/// the y faces across the rank boundary on 2 ranks (each rank owns two
+/// z-columns), the x and y faces on 4 (one column each) and all faces on 8.
+/// There a sequenced message also carries the ghosts of the axes exchanged
+/// before it, so sequenced and plain regions differ. Each
 /// per-field counter must equal the analytic sum over the rank's remote
 /// faces, and the fields must add up to the transport's totals: no
 /// collective in this run carries bytes.
@@ -272,7 +273,7 @@ fn ghost_byte_counters_match_analytic_sums_on_y_and_z_faces() {
     let decomp = Decomposition::new(spec);
     let dims = decomp.block(0).dims(1);
     let steps = STEPS as u64;
-    for n_ranks in [2, 4] {
+    for n_ranks in [2, 4, 8] {
         // `[sent, received]` bytes of one exchange over every remote face
         // of `rank`, with `nc` components, sequenced or plain regions.
         let remote = |rank: usize, nc: usize, plain: bool| -> [u64; 2] {

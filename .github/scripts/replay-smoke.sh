@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # replay-smoke guard: the constant-slab summary of `SoaField` must be kept by
-# the public calls themselves, not by `Simulation::step`. The traced leg of
-# the benchmark's solidify_1block workload replays Algorithm 1 through
+# the public calls themselves, not by the stage list that `Simulation::step`
+# runs (`core::stages`, shared with `DistributedSim`). The traced leg of the
+# benchmark's solidify_1block workload replays Algorithm 1 through
 # `kernels::phi_sweep`, `bc_*.apply`, `kernels::mu_sweep`, `swap`,
-# `shift_window_up` and `apply_bc_src` directly and must land on the bits of
-# `Simulation::step_n`; a 2-s run has to report that check as passed and no
-# failed check or operation. Reads benchmark/ only.
+# `shift_window_up` and `apply_bc_src` directly, shifting one slab at a time
+# while `front_position` is above the trigger, and must land on the bits of
+# `Simulation::step_n`, whose one-block form finds the front over the whole
+# plane and shifts as many slabs at once. A 2-s run has to report that check
+# as passed and no failed check or operation. Reads benchmark/ only.
 #
 # usage: replay-smoke.sh
 set -euo pipefail

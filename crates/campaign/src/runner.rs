@@ -24,18 +24,20 @@
 //! # Isolation guarantees
 //!
 //! Each job owns its checkpoint namespace (`<root>/job_<key>/`), health
-//! monitor, fault plan, and rollback budget. A NaN rollback, a failed
-//! job, or an adopted orphan never touches a sibling's `Simulation` —
-//! the bit-identity property tests pin this.
+//! monitor, fault plan, and rollback budget. The monitor and plan ride on
+//! the job's own `Simulation`, whose stage list injects the faults and
+//! runs the scans; the runner only reacts to its unhealthy reports. A NaN
+//! rollback, a failed job, or an adopted orphan never touches a sibling's
+//! `Simulation` — the bit-identity property tests pin this.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use bytes::Bytes;
 use eutectica_blockgrid::balance::assign_lpt_over;
 use eutectica_comm::{campaign_tag, catch_comm, CommError, Rank};
-use eutectica_core::health::{self, FieldFaultPlan, HealthMonitor, HealthReport};
+use eutectica_core::health::{FieldFault, FieldFaultPlan, HealthMonitor, HealthReport};
 use eutectica_core::init;
 use eutectica_core::solver::Simulation;
 use eutectica_core::state::BlockState;
@@ -72,7 +74,9 @@ pub struct CampaignOpts {
     /// `field_fault_plans` are ignored — use [`CampaignOpts::job_faults`]
     /// to target a specific job.
     pub recovery: RecoveryPolicy,
-    /// Deterministic per-job fault injection for tests/chaos drills.
+    /// Deterministic per-job fault injection for tests/chaos drills, keyed
+    /// by job: each fault lands on the job's one block, whatever its
+    /// `block` field says.
     pub job_faults: BTreeMap<u32, FieldFaultPlan>,
     /// Rank-death survival: `true` adopts dead ranks' jobs onto survivors
     /// (up to [`MAX_SHRINKS`] deaths) from their job checkpoints; `false`
@@ -165,7 +169,6 @@ pub fn field_checksum(state: &BlockState) -> u64 {
 struct ResidentJob {
     spec: JobSpec,
     sim: Simulation,
-    monitor: Option<HealthMonitor>,
     rollbacks: u64,
     status: JobStatus,
     checksum: u64,
@@ -478,22 +481,8 @@ fn adopt_orphans(
             // checkpoint-less orphan restarts from init on the identical
             // trajectory.
             if let Some(root) = &opts.ckpt_root {
-                match jobckpt::restore_job_latest(root, key, DEFAULT_BYTE_BUDGET) {
-                    Ok(Some(restore)) => {
-                        r.sim.state = restore.state;
-                        r.sim.state.apply_bc_src();
-                        r.sim.set_progress(
-                            restore.progress.time,
-                            restore.progress.step as usize,
-                            restore.progress.window_shifts as usize,
-                        );
-                        if let Some(m) = &mut r.monitor {
-                            m.on_progress_reset();
-                        }
-                        r.finish_if_due();
-                    }
-                    Ok(None) => {}
-                    Err(e) => return Err(CampaignError::Ckpt(e.to_string())),
+                if resume_latest(root, key, &mut r.sim)? {
+                    r.finish_if_due();
                 }
             }
             opts.telemetry.counter_add("campaign/jobs_adopted", 1);
@@ -530,20 +519,20 @@ pub fn standalone_sim(spec: &JobSpec) -> Result<Simulation, CampaignError> {
     Ok(sim)
 }
 
-/// Build a freshly initialized resident job.
+/// Build a freshly initialized resident job, its health monitor (with the
+/// job's fault plan) attached to its `Simulation`.
 fn make_resident(spec: &JobSpec, opts: &CampaignOpts) -> Result<ResidentJob, CampaignError> {
-    let sim = standalone_sim(spec)?;
-    let monitor = opts.recovery.health.map(|cfg| {
+    let mut sim = standalone_sim(spec)?;
+    sim.set_health_monitor(opts.recovery.health.map(|cfg| {
         let m = HealthMonitor::new(cfg);
         match opts.job_faults.get(&spec.key) {
-            Some(plan) => m.with_faults(plan.clone()),
+            Some(plan) => m.with_faults(on_job_block(plan)),
             None => m,
         }
-    });
+    }));
     let mut job = ResidentJob {
         spec: spec.clone(),
         sim,
-        monitor,
         rollbacks: 0,
         status: JobStatus::Active,
         checksum: 0,
@@ -552,8 +541,20 @@ fn make_resident(spec: &JobSpec, opts: &CampaignOpts) -> Result<ResidentJob, Cam
     Ok(job)
 }
 
-/// Advance one job by one round-robin slice, interleaving fault injection,
-/// health scans with per-job rollback, and checkpoint cadence.
+/// `plan` with every fault aimed at the job's one block, global id 0 of its
+/// `Simulation`: job fault plans are keyed by job, so a fault's `block`
+/// field selects nothing.
+fn on_job_block(plan: &FieldFaultPlan) -> FieldFaultPlan {
+    plan.faults()
+        .iter()
+        .fold(FieldFaultPlan::new(plan.seed), |p, f| {
+            p.inject(FieldFault { block: 0, ..*f })
+        })
+}
+
+/// Advance one job by one round-robin slice: steps (whose stage list
+/// injects the job's faults and runs its health scans), per-job rollback on
+/// an unhealthy report, and checkpoint cadence.
 fn step_slice(
     key: u32,
     job: &mut ResidentJob,
@@ -570,36 +571,15 @@ fn step_slice(
         if job.sim.steps() >= job.spec.steps {
             break;
         }
-        // Fault injection scheduled for the step about to run.
-        if let Some(m) = &mut job.monitor {
-            for f in m.due_faults(job.sim.steps() as u64) {
-                health::apply_fault(&mut job.sim.state, &f);
-                lane.counter_add("faults_injected", 1);
-            }
-        }
         job.sim.step();
         stepped += 1;
         lane.counter_add("steps", 1);
-        let s = job.sim.steps();
-        // Health scan (job-local; a single-block job needs no collective).
-        let mut unhealthy = None;
-        if let Some(m) = &mut job.monitor {
-            if m.due(s) {
-                let stats = health::scan_block(&job.sim.state, &m.cfg, u64::from(key));
-                let report = HealthReport {
-                    step: s,
-                    global: stats.counts(),
-                    local: stats,
-                };
-                m.record(report);
-                unhealthy = m.take_unhealthy();
-            }
-        }
-        if let Some(bad) = unhealthy {
+        if let Some(bad) = job.sim.take_unhealthy_report() {
             rollback_job(key, job, opts, &bad)?;
             lane.counter_add("rollbacks", 1);
             continue;
         }
+        let s = job.sim.steps();
         // Checkpoint cadence — after the scan, so a caught corruption is
         // rolled back instead of persisted.
         if opts.ckpt_every > 0 && s % opts.ckpt_every == 0 {
@@ -631,42 +611,37 @@ fn rollback_job(
     opts: &CampaignOpts,
     report: &HealthReport,
 ) -> Result<(), CampaignError> {
-    if job.rollbacks >= opts.recovery.max_rollbacks as u64 {
-        job.status = JobStatus::Failed(format!(
-            "rollback budget exhausted ({}): {}",
-            opts.recovery.max_rollbacks,
-            report.describe()
-        ));
-        return Ok(());
-    }
-    let Some(root) = &opts.ckpt_root else {
-        job.status = JobStatus::Failed(format!(
-            "unhealthy with no checkpoint root: {}",
-            report.describe()
-        ));
-        return Ok(());
-    };
-    match jobckpt::restore_job_latest(root, key, DEFAULT_BYTE_BUDGET) {
-        Ok(Some(restore)) => {
-            job.sim.state = restore.state;
-            job.sim.state.apply_bc_src();
-            job.sim.set_progress(
-                restore.progress.time,
-                restore.progress.step as usize,
-                restore.progress.window_shifts as usize,
-            );
-            if let Some(m) = &mut job.monitor {
-                m.on_progress_reset();
-            }
+    let why = report.describe();
+    let failure = if job.rollbacks >= opts.recovery.max_rollbacks as u64 {
+        let budget = opts.recovery.max_rollbacks;
+        format!("rollback budget exhausted ({budget})")
+    } else if let Some(root) = &opts.ckpt_root {
+        if resume_latest(root, key, &mut job.sim)? {
             job.rollbacks += 1;
-            Ok(())
+            return Ok(());
         }
-        Ok(None) => {
-            job.status = JobStatus::Failed(format!("no rollback target: {}", report.describe()));
-            Ok(())
-        }
-        Err(e) => Err(CampaignError::Ckpt(e.to_string())),
-    }
+        "no rollback target".to_string()
+    } else {
+        "unhealthy with no checkpoint root".to_string()
+    };
+    job.status = JobStatus::Failed(format!("job {key}: {failure}: {why}"));
+    Ok(())
+}
+
+/// Resume `sim` from job `key`'s newest usable checkpoint set under
+/// `root` — the one path of both rollback and orphan adoption. `false`
+/// when the namespace holds none.
+fn resume_latest(root: &Path, key: u32, sim: &mut Simulation) -> Result<bool, CampaignError> {
+    let restore = jobckpt::restore_job_latest(root, key, DEFAULT_BYTE_BUDGET)
+        .map_err(|e| CampaignError::Ckpt(e.to_string()))?;
+    let Some(restore) = restore else {
+        return Ok(false);
+    };
+    sim.state = restore.state;
+    sim.state.apply_bc_src();
+    let p = restore.progress;
+    sim.set_progress(p.time, p.step as usize, p.window_shifts as usize);
+    Ok(true)
 }
 
 /// Collector-side: fold one round's progress frames into the fleet view,

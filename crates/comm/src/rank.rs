@@ -33,7 +33,8 @@ pub struct RecvRequest {
     tag: Tag,
 }
 
-/// Reduction operators for [`Rank::allreduce_f64`].
+/// Reduction operators for [`Rank::allreduce_f64`] and
+/// [`Rank::allreduce_f64s`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ReduceOp {
     /// Sum of contributions.
@@ -353,12 +354,16 @@ impl Rank {
 
     /// All-reduce a single f64 over all ranks.
     pub fn allreduce_f64(&self, value: f64, op: ReduceOp) -> f64 {
-        let decode = |b: &[u8]| f64::from_le_bytes(b[..8].try_into().unwrap());
-        let encode = |v: f64| Bytes::copy_from_slice(&v.to_le_bytes());
-        let out = self.allreduce_bytes(1, "allreduce", encode(value), |acc, b| {
-            encode(op.apply(decode(&acc), decode(&b)))
-        });
-        decode(&out)
+        self.allreduce_f64s(&[value], op)[0]
+    }
+
+    /// Element-wise all-reduce of an f64 vector over all ranks — the
+    /// moving window's per-slab solid sums. Every rank must pass a slice
+    /// of the same length; the root folds in rank order, so every rank
+    /// gets the identical result.
+    pub fn allreduce_f64s(&self, values: &[f64], op: ReduceOp) -> Vec<f64> {
+        let (to, from) = (f64::to_le_bytes, f64::from_le_bytes);
+        self.allreduce_elems(1, "allreduce", values, to, from, |a, b| op.apply(a, b))
     }
 
     /// Element-wise sum all-reduce of a `u64` vector over all ranks — the
@@ -366,26 +371,34 @@ impl Rank {
     /// (violation counters per invariant class). Every rank must pass a
     /// slice of the same length; sums wrap on overflow.
     pub fn allreduce_u64s(&self, values: &[u64]) -> Vec<u64> {
-        let decode = |b: &[u8]| -> Vec<u64> {
-            assert_eq!(b.len(), values.len() * 8, "allreduce_u64s length mismatch");
-            b.chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+        let (to, from) = (u64::to_le_bytes, u64::from_le_bytes);
+        self.allreduce_elems(4, "allreduce_u64s", values, to, from, u64::wrapping_add)
+    }
+
+    /// Element-wise all-reduce of `values`, each on the wire as `W`
+    /// little-endian bytes, folded with `fold`.
+    fn allreduce_elems<T: Copy, const W: usize>(
+        &self,
+        tag: Tag,
+        op: &'static str,
+        values: &[T],
+        to: fn(T) -> [u8; W],
+        from: fn([u8; W]) -> T,
+        fold: impl Fn(T, T) -> T,
+    ) -> Vec<T> {
+        let decode = |b: &[u8]| -> Vec<T> {
+            assert_eq!(b.len(), values.len() * W, "{op} length mismatch");
+            b.chunks_exact(W)
+                .map(|c| from(c.try_into().unwrap()))
                 .collect()
         };
-        let encode = |vals: &[u64]| {
-            Bytes::from(
-                vals.iter()
-                    .flat_map(|v| v.to_le_bytes())
-                    .collect::<Vec<u8>>(),
-            )
-        };
-        let out = self.allreduce_bytes(4, "allreduce_u64s", encode(values), |acc, b| {
-            let sum: Vec<u64> = decode(&acc)
-                .into_iter()
-                .zip(decode(&b))
-                .map(|(a, b)| a.wrapping_add(b))
+        let encode =
+            |vals: &[T]| Bytes::from(vals.iter().flat_map(|&v| to(v)).collect::<Vec<u8>>());
+        let out = self.allreduce_bytes(tag, op, encode(values), |acc, b| {
+            let folded: Vec<T> = (decode(&acc).into_iter().zip(decode(&b)))
+                .map(|(a, b)| fold(a, b))
                 .collect();
-            encode(&sum)
+            encode(&folded)
         });
         decode(&out)
     }

@@ -16,8 +16,9 @@
 //!   thermodynamics (`TernarySystem::mu_plausible_bounds`).
 //!
 //! Per-rank [`ScanStats`] are reduced into a cross-rank [`HealthReport`]
-//! via `Rank::allreduce_u64s` by the timeloop; `pfio::resilient` reacts to
-//! unhealthy reports with in-flight rollback (see its `RecoveryPolicy`).
+//! via `Rank::allreduce_u64s` by the timeloop (the identity for a
+//! one-block `Simulation`); `pfio::resilient` and the campaign runner react
+//! to unhealthy reports with in-flight rollback (see `RecoveryPolicy`).
 //!
 //! # What a scan can and cannot see
 //!
@@ -32,7 +33,7 @@
 //!
 //! [`FieldFaultPlan`] is the numerical-fault analogue of `comm::FaultPlan`:
 //! a seed-deterministic plan of bit-flips / NaN writes into φ/µ storage at
-//! chosen (step, block, cell) coordinates, injected by the timeloop just
+//! chosen (step, block, cell) coordinates, injected by the stage list just
 //! before the step consumes the source fields. Each fault fires exactly
 //! once — a rollback past the injection step does *not* re-inject, modeling
 //! a transient upset rather than a stuck bit.
@@ -414,7 +415,7 @@ pub fn apply_fault(state: &mut BlockState, fault: &FieldFault) -> (f64, f64) {
     }
 }
 
-/// Cross-rank health verdict of one scan, produced by the timeloop.
+/// Cross-rank health verdict of one scan, produced by the stage list.
 #[derive(Clone, Debug)]
 pub struct HealthReport {
     /// Step count at scan time (completed steps).
@@ -465,15 +466,15 @@ impl HealthReport {
 }
 
 /// Per-simulation health state: scan configuration, the (fire-once) fault
-/// plan, and the rolling scan results. Owned by `timeloop::DistributedSim`.
+/// plan, and the rolling scan results. Attached to a `DistributedSim` or a
+/// `Simulation`, whose shared stage list (`crate::stages`) injects the
+/// faults and runs the scans.
 #[derive(Clone, Debug)]
 pub struct HealthMonitor {
     /// Scan configuration.
     pub cfg: HealthConfig,
     plan: FieldFaultPlan,
     fired: Vec<bool>,
-    /// Total faults injected so far.
-    pub injected: u64,
     pending_unhealthy: Option<HealthReport>,
 }
 
@@ -484,7 +485,6 @@ impl HealthMonitor {
             cfg,
             plan: FieldFaultPlan::default(),
             fired: Vec::new(),
-            injected: 0,
             pending_unhealthy: None,
         }
     }
@@ -497,19 +497,19 @@ impl HealthMonitor {
     }
 
     /// True when a scan is due after completing step number `step`.
-    pub fn due(&self, step: usize) -> bool {
+    pub(crate) fn due(&self, step: usize) -> bool {
         self.cfg.every > 0 && step > 0 && step % self.cfg.every == 0
     }
 
     /// Take the unhealthy report produced by the latest scan, if any —
     /// consumed by the recovery driver; healthy scans leave `None` here.
-    pub fn take_unhealthy(&mut self) -> Option<HealthReport> {
+    pub(crate) fn take_unhealthy(&mut self) -> Option<HealthReport> {
         self.pending_unhealthy.take()
     }
 
     /// Faults scheduled for `step` that have not fired yet; marks them
     /// fired (transient-upset semantics: rollback does not re-inject).
-    pub fn due_faults(&mut self, step: u64) -> Vec<FieldFault> {
+    pub(crate) fn due_faults(&mut self, step: u64) -> Vec<FieldFault> {
         let mut due = Vec::new();
         for (i, f) in self.plan.faults().iter().enumerate() {
             if f.step == step && !self.fired[i] {
@@ -521,7 +521,7 @@ impl HealthMonitor {
     }
 
     /// Record a completed scan's report.
-    pub fn record(&mut self, report: HealthReport) {
+    pub(crate) fn record(&mut self, report: HealthReport) {
         if !report.is_healthy() {
             self.pending_unhealthy = Some(report);
         }
@@ -529,7 +529,7 @@ impl HealthMonitor {
 
     /// Forget a pending verdict, which a progress jump (restore / rollback)
     /// invalidates.
-    pub fn on_progress_reset(&mut self) {
+    pub(crate) fn on_progress_reset(&mut self) {
         self.pending_unhealthy = None;
     }
 }

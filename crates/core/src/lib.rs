@@ -32,9 +32,14 @@
 //! * [`sweep_pool`] — intra-rank work-sharing: a persistent thread pool
 //!   partitioning each block's interior into z-slabs (the OpenMP half of
 //!   the paper's hybrid MPI × OpenMP parallelization).
-//! * [`timeloop`] — Algorithms 1 & 2 (with/without communication hiding),
-//!   ghost exchange through `eutectica-comm`, moving-window advance.
-//! * [`solver`] — a high-level single-process façade for applications.
+//! * `stages` — the one stage list of a time step (faults, sweeps,
+//!   exchanges and boundary handling, swap, moving window, health scan),
+//!   shared by the two front ends below.
+//! * [`timeloop`] — Algorithms 1 & 2 (with/without communication hiding)
+//!   over blocks and ranks: ghost exchange through `eutectica-comm`,
+//!   rebalancing, per-step accounting.
+//! * [`solver`] — a high-level single-process façade for applications: the
+//!   one-block form of the stage list.
 //!
 //! # Quickstart
 //!
@@ -65,6 +70,7 @@ pub mod params;
 pub mod regions;
 pub mod simplex;
 pub mod solver;
+mod stages;
 pub mod state;
 pub mod sweep_pool;
 pub mod temperature;

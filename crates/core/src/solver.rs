@@ -1,28 +1,21 @@
 //! High-level single-process simulation façade.
 //!
-//! [`Simulation`] owns one block covering the whole domain and runs
-//! Algorithm 1 with boundary handling in place of ghost communication
-//! (periodic side walls wrap locally). For distributed runs over blocks and
-//! ranks, use [`crate::timeloop`] instead; the two produce identical fields
-//! (pinned by the `domain_decomposition` integration test).
+//! [`Simulation`] owns one block covering the whole domain and runs the
+//! one-block form of the shared stage list (`crate::stages`): periodic side
+//! walls stand in for the ghost exchange. [`crate::timeloop`] runs the same
+//! list over blocks and ranks, bit-identically, window included (pinned by
+//! `timeloop::tests::local_face_copies_match_single_block_solver`).
 
+use crate::health::{HealthMonitor, HealthReport};
 use crate::init;
-use crate::kernels::{self, KernelConfig, MuPart};
-use crate::metrics;
+use crate::kernels::KernelConfig;
 use crate::params::{ModelParams, ParamError};
-use crate::state::BlockState;
+use crate::stages::{OneBlock, Stepper};
+use crate::state::{front_rise, BlockState};
 use crate::sweep_pool::SweepPool;
 use crate::{LIQ, N_COMP, N_PHASES};
 use eutectica_blockgrid::GridDims;
 use eutectica_telemetry::Telemetry;
-use std::time::Instant;
-
-/// Moving-window configuration.
-#[derive(Copy, Clone, Debug)]
-pub(crate) struct MovingWindow {
-    /// Shift when the front passes this fraction of the domain height.
-    pub trigger_fraction: f64,
-}
 
 /// A single-process phase-field simulation.
 pub struct Simulation {
@@ -32,12 +25,7 @@ pub struct Simulation {
     pub state: BlockState,
     /// Kernel configuration (defaults to the fully optimized rung).
     pub cfg: KernelConfig,
-    time: f64,
-    step: usize,
-    window: Option<MovingWindow>,
-    window_shifts: usize,
-    telemetry: Telemetry,
-    pool: SweepPool,
+    stepper: Stepper,
 }
 
 impl Simulation {
@@ -48,21 +36,11 @@ impl Simulation {
         let mut state = BlockState::new(dims, [0, 0, 0]);
         state.apply_bc_src();
         state.sync_dst_from_src();
-        let telemetry = Telemetry::new(0);
-        telemetry.counter_add(
-            &format!("kernel/backend/{}", kernels::SimdIsa::Auto.resolved_name()),
-            1,
-        );
         Ok(Self {
             params,
             state,
             cfg: KernelConfig::default(),
-            time: 0.0,
-            step: 0,
-            window: None,
-            window_shifts: 0,
-            telemetry,
-            pool: SweepPool::new(1),
+            stepper: Stepper::new(0),
         })
     }
 
@@ -74,7 +52,7 @@ impl Simulation {
     /// plain serial stepping (a one-thread pool spawns nothing and runs the
     /// serial kernels inline).
     pub fn set_threads(&mut self, threads: usize) {
-        self.pool = SweepPool::new(threads);
+        self.stepper.set_threads(threads);
     }
 
     /// Exchange this simulation's sweep pool with `pool`, so several
@@ -83,13 +61,13 @@ impl Simulation {
     /// OS threads: swap the shared pool in before stepping a job and swap
     /// it back out afterwards.
     pub fn swap_pool(&mut self, pool: &mut SweepPool) {
-        std::mem::swap(&mut self.pool, pool);
+        std::mem::swap(&mut self.stepper.pool, pool);
     }
 
     /// Threads the sweeps run on (1 = serial).
     #[cfg(test)]
     pub(crate) fn threads(&self) -> usize {
-        self.pool.threads()
+        self.stepper.pool.threads()
     }
 
     /// The simulation's telemetry collector. Each step records a
@@ -97,12 +75,26 @@ impl Simulation {
     /// `mu_sweep_mlups` gauges (million lattice-cell updates per second,
     /// from `crate::metrics::mlups`).
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        &self.stepper.telemetry
     }
 
     /// Replace the telemetry collector (e.g. [`Telemetry::disabled`]).
     pub fn set_telemetry(&mut self, tel: Telemetry) {
-        self.telemetry = tel;
+        self.stepper.telemetry = tel;
+    }
+
+    /// Attach (or detach, with `None`) the silent-corruption monitor: its
+    /// faults are injected into the block (global id 0) before the step
+    /// they name, and its invariant scan runs after every step its cadence
+    /// selects.
+    pub fn set_health_monitor(&mut self, monitor: Option<HealthMonitor>) {
+        self.stepper.health = monitor;
+    }
+
+    /// Take the unhealthy report produced by the most recent scan, if any
+    /// (consumed once — the recovery driver's trigger).
+    pub fn take_unhealthy_report(&mut self) -> Option<HealthReport> {
+        self.stepper.health.as_mut()?.take_unhealthy()
     }
 
     /// Initialize with Voronoi solid nuclei at the bottom (Fig. 2 setup).
@@ -125,63 +117,22 @@ impl Simulation {
 
     /// Enable the moving-window technique (Sec. 3.3).
     pub fn enable_moving_window(&mut self, trigger_fraction: f64) {
-        assert!((0.0..1.0).contains(&trigger_fraction));
-        self.window = Some(MovingWindow { trigger_fraction });
+        let d = self.state.dims;
+        self.stepper
+            .enable_window(trigger_fraction, [d.nx, d.ny, d.nz]);
     }
 
     /// Execute one time step (Algorithm 1).
     pub fn step(&mut self) {
-        let _step = self.telemetry.span("step");
-        let cells = self.state.dims.interior_volume();
-        {
-            let _g = self.telemetry.span_cat("phi_sweep", "compute");
-            let t = Instant::now();
-            self.pool.phi_sweep(
-                &self.params,
-                &mut self.state,
-                self.time,
-                self.cfg,
-                &self.telemetry,
-            );
-            self.telemetry.gauge_set(
-                "phi_sweep_mlups",
-                metrics::mlups(cells, 1, t.elapsed().as_secs_f64().max(1e-12)),
-            );
-        }
-        self.state.bc_phi.apply(&mut self.state.phi_dst);
-        {
-            let _g = self.telemetry.span_cat("mu_sweep", "compute");
-            let t = Instant::now();
-            self.pool.mu_sweep(
-                &self.params,
-                &mut self.state,
-                self.time,
-                self.cfg,
-                MuPart::Full,
-                &self.telemetry,
-            );
-            self.telemetry.gauge_set(
-                "mu_sweep_mlups",
-                metrics::mlups(cells, 1, t.elapsed().as_secs_f64().max(1e-12)),
-            );
-        }
-        self.state.bc_mu.apply(&mut self.state.mu_dst);
-        self.state.swap();
-        self.time += self.params.dt;
-        self.step += 1;
-
-        if let Some(w) = self.window {
-            let local_trigger = self.state.dims.nz as f64 * w.trigger_fraction;
-            while self.front_position() - self.state.origin[2] as f64 > local_trigger {
-                self.state.shift_window_up();
-                self.window_shifts += 1;
-                self.state.apply_bc_src();
-                // Destination ghosts are refreshed at the next step's
-                // boundary handling; keep them consistent for safety.
-                self.state.bc_phi.apply(&mut self.state.phi_dst);
-                self.state.bc_mu.apply(&mut self.state.mu_dst);
-            }
-        }
+        let _step = self.stepper.telemetry.span("step");
+        self.stepper.step(
+            &mut OneBlock,
+            std::slice::from_mut(&mut self.state),
+            &[0],
+            &self.params,
+            self.cfg,
+            None,
+        );
     }
 
     /// Execute `n` steps.
@@ -192,27 +143,26 @@ impl Simulation {
     }
 
     /// Jump the progress counters to a restored checkpoint's position
-    /// (mirrors `DistributedSim::set_progress`). The caller is responsible
-    /// for having replaced [`Simulation::state`] with the matching fields.
+    /// (mirrors `DistributedSim::set_progress`, and likewise drops the
+    /// health monitor's pending verdict). The caller is responsible for
+    /// having replaced [`Simulation::state`] with the matching fields.
     pub fn set_progress(&mut self, time: f64, step: usize, window_shifts: usize) {
-        self.time = time;
-        self.step = step;
-        self.window_shifts = window_shifts;
+        self.stepper.set_progress(time, step, window_shifts);
     }
 
     /// Current simulation time.
     pub fn time(&self) -> f64 {
-        self.time
+        self.stepper.time
     }
 
     /// Number of executed steps.
     pub fn steps(&self) -> usize {
-        self.step
+        self.stepper.step
     }
 
     /// Number of moving-window shifts so far.
     pub fn window_shifts(&self) -> usize {
-        self.window_shifts
+        self.stepper.window_shifts
     }
 
     /// Mean solid fraction (1 − φ_ℓ) over the interior.
@@ -238,15 +188,14 @@ impl Simulation {
         s.map(|v| v / d.interior_volume() as f64)
     }
 
-    /// Global z of the highest slice containing solid (the solidification
-    /// front position); the block origin offset is included, so this grows
+    /// Global z of the solidification front (the highest slice more than
+    /// 5 % solid); the block origin offset is included, so this grows
     /// monotonically under the moving window.
     pub fn front_position(&self) -> f64 {
-        let rise = self
-            .state
-            .front_slab()
-            .map_or(0, |z| z - self.state.dims.ghost);
-        (self.state.origin[2] + rise) as f64
+        let d = self.state.dims;
+        let mut sums = vec![0.0; d.nz];
+        self.state.add_slab_solids(&mut sums);
+        (self.state.origin[2] + front_rise(&sums, (d.nx * d.ny) as f64)) as f64
     }
 
     /// Mean chemical potential over the interior.

@@ -35,6 +35,14 @@ pub struct BlockState {
 /// φ value of pure liquid.
 pub const PHI_LIQUID: [f64; N_PHASES] = [0.0, 0.0, 0.0, 1.0];
 
+/// The solidification front, in interior slabs above the window's bottom:
+/// the highest slab whose solid, summed over a plane of `plane` cells
+/// (`sums`, from [`BlockState::add_slab_solids`]), exceeds 5 % of it; 0
+/// when none does.
+pub(crate) fn front_rise(sums: &[f64], plane: f64) -> usize {
+    sums.iter().rposition(|&s| s / plane > 0.05).unwrap_or(0)
+}
+
 impl BlockState {
     /// Liquid-filled block at eutectic chemical potential (µ = 0), with the
     /// paper's directional boundary conditions: periodic side walls, Neumann
@@ -83,11 +91,11 @@ impl BlockState {
         self.origin[2] += 1;
     }
 
-    /// The highest interior z-slab (padded coordinate) whose mean solid
-    /// fraction `1 − φ_ℓ` exceeds 5 % — the solidification front — scanning
-    /// down from the top. Slabs in a constant zone of `φ_src` with
-    /// `φ_ℓ = 1` hold no solid, so the scan starts below them.
-    pub(crate) fn front_slab(&self) -> Option<usize> {
+    /// Add each interior slab's solid `Σ (1 − φ_ℓ)` to `sums` (index =
+    /// interior z): the block's share of a front search over a plane of
+    /// blocks (see [`front_rise`]). Slabs in a constant zone of `φ_src`
+    /// with `φ_ℓ = 1` hold no solid and are skipped.
+    pub(crate) fn add_slab_solids(&self, sums: &mut [f64]) {
         let d = self.dims;
         let g = d.ghost;
         let (const_from, val) = self.phi_src.const_zone();
@@ -96,15 +104,15 @@ impl BlockState {
         } else {
             g + d.nz
         };
-        (g..top).rev().find(|&z| {
+        for z in g..top {
             let mut solid = 0.0;
             for y in g..g + d.ny {
                 for x in g..g + d.nx {
                     solid += 1.0 - self.phi_src.at(LIQ, x, y, z);
                 }
             }
-            solid / (d.nx * d.ny) as f64 > 0.05
-        })
+            sums[z - g] += solid;
+        }
     }
 
     /// Copy src fields into dst (so untouched dst ghost/boundary data is

@@ -1,10 +1,12 @@
 //! Distributed time loop: Algorithms 1 and 2 over blocks and ranks.
 //!
-//! Each rank owns a contiguous set of blocks from the static decomposition.
-//! Every time step runs the φ- and µ-sweeps on all local blocks with ghost
-//! layers exchanged through `eutectica-comm` (local block pairs copy
-//! directly; remote pairs send serialized face messages), following the
-//! rank's precomputed exchange plan (`exchange.rs`).
+//! Each rank owns a set of blocks from the decomposition. [`DistributedSim`]
+//! runs the ranked form of the shared stage list (`crate::stages`): ghost
+//! layers are exchanged through `eutectica-comm` along the rank's exchange
+//! plan (`exchange.rs`; local block pairs copy directly, remote pairs send
+//! one frame per peer), and the window's front search and the health
+//! scan's counters are reduced across ranks. The rebalance check and the
+//! per-step accounting ([`StepTimings`], [`StepRecord`]s) follow the list.
 //!
 //! The four communication-hiding combinations of Fig. 8 are supported via
 //! [`OverlapOptions`]:
@@ -31,16 +33,16 @@ use eutectica_blockgrid::rebalance::{
     blend_weights, plan_rebalance, CostEntry, CostModel, RebalancePolicy,
 };
 use eutectica_blockgrid::Face;
-use eutectica_comm::{CommStats, FaultPhase, Rank};
+use eutectica_comm::{CommStats, FaultPhase, Rank, ReduceOp};
 use eutectica_telemetry::{StepRecord, Telemetry};
 
 use crate::exchange::{ExchangePlan, FieldSel, Phase};
-use crate::health::{self, HealthMonitor, HealthReport, ScanStats};
-use crate::kernels::{KernelConfig, MuPart, SimdIsa};
+use crate::health::{self, HealthMonitor, HealthReport};
+use crate::kernels::KernelConfig;
 use crate::metrics;
 use crate::params::ModelParams;
+use crate::stages::{Stepper, Transport};
 use crate::state::{BlockState, PHI_LIQUID};
-use crate::sweep_pool::SweepPool;
 use crate::{N_COMP, N_PHASES};
 
 /// Which ghost exchanges to overlap with computation.
@@ -143,43 +145,6 @@ pub struct RebalanceStats {
     pub imbalance_history: Vec<f64>,
 }
 
-/// A cost-clock reading taken before a block sweep.
-enum SweepStamp {
-    /// Per-thread CPU seconds (serial sweeps on Linux).
-    Cpu(f64),
-    /// Wall clock (threaded sweeps, or no thread-CPU clock available).
-    Wall(Instant),
-}
-
-/// Per-thread CPU seconds via `clock_gettime(CLOCK_THREAD_CPUTIME_ID)`,
-/// issued as a raw syscall — the workspace deliberately has no libc
-/// dependency. `None` where the syscall is unavailable.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn thread_cpu_seconds() -> Option<f64> {
-    let mut ts = [0i64; 2]; // struct timespec { tv_sec, tv_nsec }
-    let ret: i64;
-    // SAFETY: SYS_clock_gettime (228) with CLOCK_THREAD_CPUTIME_ID (3)
-    // writes exactly 16 bytes into `ts` and touches no other memory; rcx
-    // and r11 are the registers the syscall instruction itself clobbers.
-    unsafe {
-        core::arch::asm!(
-            "syscall",
-            inlateout("rax") 228i64 => ret,
-            in("rdi") 3i64,
-            in("rsi") ts.as_mut_ptr(),
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack),
-        );
-    }
-    (ret == 0).then(|| ts[0] as f64 + ts[1] as f64 * 1e-9)
-}
-
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-fn thread_cpu_seconds() -> Option<f64> {
-    None
-}
-
 /// Live state of the dynamic rebalancer (policy + cost model + per-window
 /// sweep-time accumulator).
 struct RebalanceState {
@@ -201,19 +166,52 @@ impl RebalanceState {
     }
 }
 
-/// Which kernel [`DistributedSim::sweep_blocks`] runs.
-#[derive(Copy, Clone)]
-enum Sweep {
-    Phi,
-    Mu(MuPart),
+/// The ranked form of the stage list's transport: ghost exchange along this
+/// rank's exchange plan, with the chosen overlap, and reductions across
+/// ranks.
+struct Net<'r> {
+    rank: &'r Rank,
+    /// Ghost transfers of this rank under the current placement; rebuilt
+    /// wherever the placement or the local blocks change.
+    plan: ExchangePlan,
+    overlap: OverlapOptions,
+    /// Ghost wire bytes `[sent, received]` per field (in [`FieldSel::ALL`]
+    /// order) since the previous step's accounting, from the exchange plan.
+    ghost_bytes: [[u64; 2]; 4],
 }
 
-/// A posted exchange phase awaiting completion. Same-rank transfers are
-/// applied at post time and receives are matched by (peer, tag) from the
-/// plan at completion, so nothing else is kept.
-struct Pending {
-    field: FieldSel,
-    phase: Phase,
+impl Transport for Net<'_> {
+    fn overlap(&self) -> OverlapOptions {
+        self.overlap
+    }
+
+    /// Remote faces are sent and same-rank faces copied.
+    fn post(&mut self, blocks: &mut [BlockState], field: FieldSel, phase: Phase) {
+        self.plan.post(blocks, field, phase, self.rank);
+        self.ghost_bytes[field as usize][0] += self.plan.wire_bytes(field, phase)[0];
+    }
+
+    fn finish(&mut self, blocks: &mut [BlockState], field: FieldSel, phase: Phase) {
+        self.plan.finish(blocks, field, phase, self.rank);
+        self.ghost_bytes[field as usize][1] += self.plan.wire_bytes(field, phase)[1];
+    }
+
+    fn barrier(&self) {
+        self.rank.barrier();
+    }
+
+    fn sum_f64s(&self, sums: &mut [f64]) {
+        let total = self.rank.allreduce_f64s(sums, ReduceOp::Sum);
+        sums.copy_from_slice(&total);
+    }
+
+    fn sum_counts(&self, counts: [u64; 4]) -> [u64; 4] {
+        // Fault-injection window: a rank can be killed *inside* the
+        // collective scan, exercising death during its reductions.
+        self.rank.fault_phase(FaultPhase::HealthScan);
+        let s = self.rank.allreduce_u64s(&counts);
+        [s[0], s[1], s[2], s[3]]
+    }
 }
 
 /// One rank's share of a distributed simulation.
@@ -222,38 +220,25 @@ pub struct DistributedSim<'r> {
     pub params: ModelParams,
     /// Kernel configuration.
     pub cfg: KernelConfig,
-    /// Overlap options.
-    pub overlap: OverlapOptions,
     rank: &'r Rank,
     decomp: Decomposition,
     n_ranks: usize,
     local_ids: Vec<usize>,
     /// Local block states, aligned with `local_ids`.
     pub blocks: Vec<BlockState>,
-    time: f64,
-    step: usize,
     /// Accumulated timings (derived from the telemetry timing tree).
     pub timings: StepTimings,
-    window: Option<f64>,
-    window_shifts: usize,
-    telemetry: Telemetry,
+    /// The stage list: progress counters, window, telemetry, sweep pool,
+    /// health monitor.
+    stepper: Stepper,
+    /// The stage list's transport over this rank.
+    net: Net<'r>,
     /// Comm-stats snapshot at the end of the previous step (per-step deltas).
     prev_stats: CommStats,
-    /// Ghost wire bytes `[sent, received]` per field (in [`FieldSel::ALL`]
-    /// order) since the previous step's accounting, from the exchange plan.
-    ghost_bytes: [[u64; 2]; 4],
-    prev_window_shifts: usize,
     step_records: Option<Vec<StepRecord>>,
-    /// Intra-rank z-slab work sharing for the sweeps (1 thread = serial).
-    pool: SweepPool,
-    /// Silent-corruption defense: periodic invariant scans + fault injection.
-    health: Option<HealthMonitor>,
     /// Current block→rank placement, identical on every rank. Starts as the
     /// static decomposition mapping; migrations rewrite it collectively.
     placement: Vec<usize>,
-    /// Ghost transfers of this rank under `placement`; rebuilt wherever
-    /// `placement` or `local_ids` change.
-    exchange: ExchangePlan,
     /// Dynamic load rebalancing (cost model + migration), when attached.
     rebalance: Option<RebalanceState>,
 }
@@ -276,39 +261,28 @@ impl<'r> DistributedSim<'r> {
         let placement: Vec<usize> = (0..decomp.blocks().len())
             .map(|id| decomp.rank_of(id, n_ranks))
             .collect();
-        let exchange = ExchangePlan::build(&decomp, &placement, &local_ids, &blocks, rank.rank());
-        let sim = Self {
+        let plan = ExchangePlan::build(&decomp, &placement, &local_ids, &blocks, rank.rank());
+        Self {
             params,
             cfg,
-            overlap,
-            telemetry: Telemetry::new(rank.rank()),
             rank,
             decomp,
             n_ranks,
             local_ids,
             blocks,
-            time: 0.0,
-            step: 0,
             timings: StepTimings::default(),
-            window: None,
-            window_shifts: 0,
+            stepper: Stepper::new(rank.rank()),
+            net: Net {
+                rank,
+                plan,
+                overlap,
+                ghost_bytes: [[0; 2]; 4],
+            },
             prev_stats: CommStats::default(),
-            ghost_bytes: [[0; 2]; 4],
-            prev_window_shifts: 0,
             step_records: None,
-            pool: SweepPool::new(1),
-            health: None,
             placement,
-            exchange,
             rebalance: None,
-        };
-        // Expose the resolved SIMD backend in telemetry so "SIMD" rows can
-        // be audited.
-        sim.telemetry.counter_add(
-            &format!("kernel/backend/{}", SimdIsa::Auto.resolved_name()),
-            1,
-        );
-        sim
+        }
     }
 
     /// Share each block's sweeps across `threads` intra-rank worker threads
@@ -316,22 +290,20 @@ impl<'r> DistributedSim<'r> {
     /// at any thread count; `1` restores the serial path with no pool
     /// overhead.
     pub fn set_threads(&mut self, threads: usize) {
-        if threads.max(1) != self.pool.threads() {
-            self.pool = SweepPool::new(threads);
-        }
+        self.stepper.set_threads(threads);
     }
 
     /// This rank's telemetry collector (enabled by default; spans inside
     /// [`DistributedSim::step`] accrue here).
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        &self.stepper.telemetry
     }
 
     /// Replace the telemetry collector — pass [`Telemetry::disabled`] to
     /// make every span a no-op, or a trace-enabled collector to buffer
     /// Chrome trace events.
     pub fn set_telemetry(&mut self, tel: Telemetry) {
-        self.telemetry = tel;
+        self.stepper.telemetry = tel;
     }
 
     /// Start (or stop) recording one [`StepRecord`] per step.
@@ -351,56 +323,17 @@ impl<'r> DistributedSim<'r> {
     /// Requires a decomposition with a single block layer in z (the window
     /// shifts within each block; blocks never exchange interior slabs).
     pub fn enable_moving_window(&mut self, trigger_fraction: f64) {
-        assert!((0.0..1.0).contains(&trigger_fraction));
         assert_eq!(
             self.decomp.spec.blocks[2], 1,
             "moving window requires a single block layer in z"
         );
-        self.window = Some(trigger_fraction);
+        self.stepper
+            .enable_window(trigger_fraction, self.decomp.spec.cells);
     }
 
     /// Number of moving-window shifts so far.
     pub fn window_shifts(&self) -> usize {
-        self.window_shifts
-    }
-
-    /// Highest global z with ≥ 5 % solid in any local block slice.
-    fn local_front(&self) -> f64 {
-        let best = self
-            .blocks
-            .iter()
-            .filter_map(|b| Some(b.origin[2] + b.front_slab()? - b.dims.ghost))
-            .max();
-        match best {
-            Some(z) => z as f64,
-            None => self.blocks.first().map_or(0.0, |b| b.origin[2] as f64),
-        }
-    }
-
-    /// Collective window advance: all ranks agree on the front position and
-    /// shift the same number of slices.
-    fn maybe_shift_window(&mut self) {
-        let Some(frac) = self.window else { return };
-        let front = self
-            .rank
-            .allreduce_f64(self.local_front(), eutectica_comm::ReduceOp::Max);
-        let Some(b0) = self.blocks.first() else {
-            return;
-        };
-        let local_trigger = b0.dims.nz as f64 * frac;
-        let over = front - b0.origin[2] as f64 - local_trigger;
-        if over <= 0.0 {
-            return;
-        }
-        let shifts = over.ceil() as usize;
-        let _g = self.telemetry.span_cat("window_shift", "window");
-        for _ in 0..shifts {
-            for b in &mut self.blocks {
-                b.shift_window_up();
-            }
-            self.window_shifts += 1;
-        }
-        self.refresh_src_ghosts();
+        self.stepper.window_shifts
     }
 
     /// Initialize every local block with `f` and refresh all source ghosts.
@@ -414,39 +347,37 @@ impl<'r> DistributedSim<'r> {
     /// Exchange + boundary-handle the source fields (after init or window
     /// shifts).
     pub fn refresh_src_ghosts(&mut self) {
-        let _g = self.telemetry.span_cat("refresh_src_ghosts", "comm");
-        self.exchange_sequenced(FieldSel::PhiSrc);
-        self.exchange_sequenced(FieldSel::MuSrc);
-        for b in &mut self.blocks {
-            b.apply_bc_src();
-            // Keep dst consistent too (read by the first µ-sweep's J_at).
-            b.bc_phi.apply(&mut b.phi_dst);
-            b.bc_mu.apply(&mut b.mu_dst);
-        }
-        self.rank.barrier();
+        self.stepper.refresh(&mut self.net, &mut self.blocks);
     }
 
-    /// Execute one time step. When a [`HealthMonitor`] is attached, any
+    /// Execute one time step: the stage list, then the rebalance check and
+    /// the step's accounting. When a [`HealthMonitor`] is attached, any
     /// faults its plan schedules for this step are injected into the source
     /// fields first, and an invariant scan (collective: all ranks scan at
     /// the same cadence) runs after the step completes.
     pub fn step(&mut self) {
-        let wall = Instant::now();
+        let (wall, shifts) = (Instant::now(), self.stepper.window_shifts);
         {
-            let _step = self.telemetry.span("step");
-            self.inject_field_faults();
-            self.step_inner();
-            self.health_scan_if_due(wall);
+            let _step = self.telemetry().span("step");
+            let costs = self.rebalance.as_mut().map(|rb| rb.acc.as_mut_slice());
+            self.stepper.step(
+                &mut self.net,
+                &mut self.blocks,
+                &self.local_ids,
+                &self.params,
+                self.cfg,
+                costs,
+            );
             self.maybe_rebalance();
         }
-        self.finish_step_accounting(wall.elapsed());
+        self.finish_step_accounting(wall.elapsed(), shifts);
     }
 
     /// Attach (or detach, with `None`) the silent-corruption monitor. All
     /// ranks of a distributed run must use the same scan configuration —
     /// the scan's cross-rank reduction is collective.
     pub fn set_health_monitor(&mut self, monitor: Option<HealthMonitor>) {
-        self.health = monitor;
+        self.stepper.health = monitor;
     }
 
     /// Attach (or detach, with `None`) the dynamic load rebalancer. Every
@@ -499,55 +430,7 @@ impl<'r> DistributedSim<'r> {
     /// Take the unhealthy report produced by the most recent scan, if any
     /// (consumed once — the recovery driver's trigger).
     pub fn take_unhealthy_report(&mut self) -> Option<HealthReport> {
-        self.health.as_mut().and_then(|h| h.take_unhealthy())
-    }
-
-    /// Apply scheduled field faults for the upcoming step (fire-once).
-    fn inject_field_faults(&mut self) {
-        let Some(mut h) = self.health.take() else {
-            return;
-        };
-        let due = h.due_faults(self.step as u64);
-        let mut injected = 0u64;
-        for f in &due {
-            if let Some(li) = self.local_ids.iter().position(|&id| id as u64 == f.block) {
-                health::apply_fault(&mut self.blocks[li], f);
-                injected += 1;
-            }
-        }
-        if injected > 0 {
-            h.injected += injected;
-            self.telemetry
-                .counter_add("health/injected_faults", injected);
-        }
-        self.health = Some(h);
-    }
-
-    /// Run the periodic invariant scan when due; records the report (and a
-    /// pending unhealthy verdict) on the monitor.
-    fn health_scan_if_due(&mut self, step_start: Instant) {
-        let due = self.health.as_ref().is_some_and(|h| h.due(self.step));
-        if !due {
-            return;
-        }
-        let t0 = Instant::now();
-        let Some(report) = self.health_scan_now() else {
-            return;
-        };
-        let scan = t0.elapsed();
-        self.telemetry.counter_add("health/scans", 1);
-        self.telemetry
-            .counter_add("health/scan_wall_ns", scan.as_nanos() as u64);
-        self.telemetry
-            .counter_add("health/violations", report.total_violations());
-        let total = step_start.elapsed().as_secs_f64();
-        if total > 0.0 {
-            self.telemetry
-                .gauge_set("health/scan_frac", scan.as_secs_f64() / total);
-        }
-        if let Some(h) = &mut self.health {
-            h.record(report);
-        }
+        self.stepper.health.as_mut()?.take_unhealthy()
     }
 
     /// Scan all local blocks and reduce across ranks, regardless of
@@ -555,23 +438,8 @@ impl<'r> DistributedSim<'r> {
     /// Returns `None` when no monitor is attached. Leaves the monitor
     /// untouched (the recovery driver uses this to validate freshly
     /// restored state).
-    pub fn health_scan_now(&mut self) -> Option<HealthReport> {
-        let cfg = self.health.as_ref()?.cfg;
-        let _g = self.telemetry.span_cat("health_scan", "health");
-        // Fault-injection window: a rank can be killed *inside* the
-        // collective scan, exercising death during its reductions.
-        self.rank.fault_phase(FaultPhase::HealthScan);
-        let mut local = ScanStats::default();
-        for (li, b) in self.blocks.iter().enumerate() {
-            let s = health::scan_block_pooled(&self.pool, b, &cfg, self.local_ids[li] as u64);
-            local.merge(&s);
-        }
-        let summed = self.rank.allreduce_u64s(&local.counts());
-        Some(HealthReport {
-            step: self.step,
-            local,
-            global: [summed[0], summed[1], summed[2], summed[3]],
-        })
+    pub fn health_scan_now(&self) -> Option<HealthReport> {
+        self.stepper.scan(&self.net, &self.blocks, &self.local_ids)
     }
 
     /// Remediation: re-project interior φ cells that violate the Gibbs
@@ -585,7 +453,10 @@ impl<'r> DistributedSim<'r> {
     pub fn project_phi_to_simplex(&mut self) -> u64 {
         let mut changed = 0u64;
         {
-            let _g = self.telemetry.span_cat("simplex_reproject", "health");
+            let _g = self
+                .stepper
+                .telemetry
+                .span_cat("simplex_reproject", "health");
             for b in &mut self.blocks {
                 let mut block_changed = 0u64;
                 for (x, y, z) in b.dims.interior_iter() {
@@ -609,142 +480,6 @@ impl<'r> DistributedSim<'r> {
         changed
     }
 
-    fn step_inner(&mut self) {
-        let ov = self.overlap;
-
-        // --- φ-sweep, optionally hiding the µ_src exchange behind it.
-        let mu_pending = if ov.hide_mu {
-            let _g = self.telemetry.span_cat("mu_comm", "comm");
-            Some(self.post(FieldSel::MuSrc, Phase::Plain))
-        } else {
-            None
-        };
-
-        self.sweep_blocks("phi_sweep", Sweep::Phi);
-
-        if let Some(p) = mu_pending {
-            // No BC reapplication needed: the hidden exchange unpacks only
-            // comm faces, and the physical-ghost values applied to µ at the
-            // end of the previous step depend only on interior cells the
-            // exchange never touches.
-            let _g = self.telemetry.span_cat("mu_comm", "comm");
-            self.finish(p);
-        }
-
-        // --- φ_dst exchange then boundary handling (the BC fill reads
-        // ghost columns, so the sequenced exchange must complete first),
-        // optionally split around the local µ-sweep.
-        if ov.hide_phi {
-            // Post the x-phase, run the local µ-sweep, then finish x and do
-            // the dependent y/z phases synchronously.
-            let p = {
-                let _g = self.telemetry.span_cat("phi_comm", "comm");
-                self.post(FieldSel::PhiDst, Phase::Axis(0))
-            };
-
-            self.sweep_blocks("mu_sweep_local", Sweep::Mu(MuPart::LocalOnly));
-
-            {
-                let _g = self.telemetry.span_cat("phi_comm", "comm");
-                self.finish(p);
-                self.exchange_axis(FieldSel::PhiDst, 1);
-                self.exchange_axis(FieldSel::PhiDst, 2);
-            }
-            {
-                let _g = self.telemetry.span_cat("bc", "bc");
-                for b in &mut self.blocks {
-                    b.bc_phi.apply(&mut b.phi_dst);
-                }
-            }
-
-            self.sweep_blocks("mu_sweep_neighbor", Sweep::Mu(MuPart::NeighborOnly));
-        } else {
-            {
-                let _g = self.telemetry.span_cat("phi_comm", "comm");
-                self.exchange_sequenced(FieldSel::PhiDst);
-            }
-            {
-                let _g = self.telemetry.span_cat("bc", "bc");
-                for b in &mut self.blocks {
-                    b.bc_phi.apply(&mut b.phi_dst);
-                }
-            }
-
-            self.sweep_blocks("mu_sweep", Sweep::Mu(MuPart::Full));
-        }
-
-        // --- µ_dst exchange, unless deferred to the next step's hidden
-        // µ_src exchange (it fills only comm faces, which the hidden
-        // exchange overwrites anyway). The physical-face BCs applied here
-        // stay valid across that deferral.
-        if !ov.hide_mu {
-            let _g = self.telemetry.span_cat("mu_comm", "comm");
-            self.exchange_sequenced(FieldSel::MuDst);
-        }
-        {
-            let _g = self.telemetry.span_cat("bc", "bc");
-            for b in &mut self.blocks {
-                b.bc_mu.apply(&mut b.mu_dst);
-            }
-        }
-
-        for b in &mut self.blocks {
-            b.swap();
-        }
-        self.time += self.params.dt;
-        self.step += 1;
-        self.maybe_shift_window();
-    }
-
-    /// Run `sweep` over every local block inside one `span` compute span.
-    /// The per-block sequence — the cost clock, the pooled kernel, the cost
-    /// accounting — lives here only.
-    fn sweep_blocks(&mut self, span: &'static str, sweep: Sweep) {
-        let _g = self.telemetry.span_cat(span, "compute");
-        for li in 0..self.blocks.len() {
-            let t0 = self.sweep_stamp();
-            let (p, b, tel) = (&self.params, &mut self.blocks[li], &self.telemetry);
-            match sweep {
-                Sweep::Phi => self.pool.phi_sweep(p, b, self.time, self.cfg, tel),
-                Sweep::Mu(part) => self.pool.mu_sweep(p, b, self.time, self.cfg, part, tel),
-            }
-            self.note_sweep_time(li, t0);
-        }
-    }
-
-    /// Take a cost-clock reading before a block sweep (`None` without a
-    /// rebalancer — measurement is free when disabled).
-    ///
-    /// With serial sweeps the clock is per-thread CPU time where available:
-    /// on oversubscribed machines (many rank threads per core — every test
-    /// box) wall time charges a block for the time the OS spent running
-    /// *other* ranks, which is exactly the load the balancer is trying to
-    /// move; CPU time measures only the block's own work. Threaded sweeps
-    /// run on pool workers, where the rank thread's CPU time is blind, so
-    /// they fall back to wall time.
-    fn sweep_stamp(&self) -> Option<SweepStamp> {
-        self.rebalance.as_ref()?;
-        if self.pool.threads() == 1 {
-            if let Some(t) = thread_cpu_seconds() {
-                return Some(SweepStamp::Cpu(t));
-            }
-        }
-        Some(SweepStamp::Wall(Instant::now()))
-    }
-
-    /// Accrue the elapsed sweep time of local block `li` into the
-    /// rebalancer's measurement window (no-op without a rebalancer).
-    fn note_sweep_time(&mut self, li: usize, t0: Option<SweepStamp>) {
-        let Some(t0) = t0 else { return };
-        let elapsed = match t0 {
-            SweepStamp::Cpu(t) => thread_cpu_seconds().map_or(0.0, |t1| (t1 - t).max(0.0)),
-            SweepStamp::Wall(t) => t.elapsed().as_secs_f64(),
-        };
-        if let Some(rb) = self.rebalance.as_mut() {
-            rb.acc[li] += elapsed;
-        }
-    }
-
     /// Collective rebalance check + in-flight migration, when due.
     ///
     /// Protocol (every rank executes the same sequence — deadlock-free,
@@ -764,14 +499,14 @@ impl<'r> DistributedSim<'r> {
                 return;
             };
             rb.acc_steps += 1;
-            let forced = rb.policy.forced_at(self.step as u64).is_some();
-            let periodic = rb.policy.every > 0 && self.step % rb.policy.every == 0;
+            let forced = rb.policy.forced_at(self.stepper.step as u64).is_some();
+            let periodic = rb.policy.every > 0 && self.stepper.step % rb.policy.every == 0;
             forced || periodic
         };
         if !due {
             return;
         }
-        let _g = self.telemetry.span_cat("rebalance", "rebalance");
+        let _g = self.telemetry().span_cat("rebalance", "rebalance");
         {
             let rb = self.rebalance.as_mut().unwrap();
             if rb.acc_steps > 0 {
@@ -786,7 +521,7 @@ impl<'r> DistributedSim<'r> {
             }
             rb.stats.checks += 1;
         }
-        self.telemetry.counter_add("rebalance/checks", 1);
+        self.telemetry().counter_add("rebalance/checks", 1);
         let payload = {
             let snap = self.rebalance.as_ref().unwrap().cost.snapshot();
             let mut out = Vec::with_capacity(snap.len() * 25);
@@ -814,9 +549,10 @@ impl<'r> DistributedSim<'r> {
             rb.stats.last_imbalance_after = after;
             rb.stats.imbalance_history.push(before);
         }
-        self.telemetry
+        self.telemetry()
             .gauge_set("rebalance/imbalance_before", before);
-        self.telemetry.gauge_set("rebalance/imbalance_after", after);
+        self.telemetry()
+            .gauge_set("rebalance/imbalance_after", after);
         if decision[16] == 1 {
             let nb = self.placement.len();
             let mut newp = Vec::with_capacity(nb);
@@ -849,23 +585,24 @@ impl<'r> DistributedSim<'r> {
         let weights = blend_weights(&entries, nb);
         let before = imbalance(&weights, &self.placement, self.n_ranks);
         let p = &self.rebalance.as_ref().unwrap().policy;
-        let new_placement: Option<Vec<usize>> = if let Some(fp) = p.forced_at(self.step as u64) {
-            assert_eq!(fp.len(), nb, "forced plan length must equal block count");
-            assert!(
-                fp.iter().all(|&r| r < self.n_ranks),
-                "forced plan rank out of range"
-            );
-            assert!(
-                (0..self.n_ranks).all(|r| fp.contains(&r)),
-                "forced plan must keep every rank non-empty"
-            );
-            (fp != self.placement.as_slice()).then(|| fp.to_vec())
-        } else if before > p.threshold {
-            let plan = plan_rebalance(&weights, &self.placement, self.n_ranks, p.slack);
-            (!plan.is_empty()).then_some(plan.placement)
-        } else {
-            None
-        };
+        let new_placement: Option<Vec<usize>> =
+            if let Some(fp) = p.forced_at(self.stepper.step as u64) {
+                assert_eq!(fp.len(), nb, "forced plan length must equal block count");
+                assert!(
+                    fp.iter().all(|&r| r < self.n_ranks),
+                    "forced plan rank out of range"
+                );
+                assert!(
+                    (0..self.n_ranks).all(|r| fp.contains(&r)),
+                    "forced plan must keep every rank non-empty"
+                );
+                (fp != self.placement.as_slice()).then(|| fp.to_vec())
+            } else if before > p.threshold {
+                let plan = plan_rebalance(&weights, &self.placement, self.n_ranks, p.slack);
+                (!plan.is_empty()).then_some(plan.placement)
+            } else {
+                None
+            };
         let after = new_placement
             .as_ref()
             .map_or(before, |np| imbalance(&weights, np, self.n_ranks));
@@ -901,14 +638,14 @@ impl<'r> DistributedSim<'r> {
     /// step's hidden exchange overwrites them (from senders resolved via
     /// the *new* placement on every rank) before any kernel reads them.
     fn execute_migration(&mut self, new_placement: Vec<usize>) {
-        let _g = self.telemetry.span_cat("migration", "rebalance");
+        let _g = self.telemetry().span_cat("migration", "rebalance");
         // Fault-injection window: a rank can be killed *inside* the
         // migration epoch, between the plan broadcast and the p2p shipping.
         self.rank.fault_phase(FaultPhase::Migration);
         let my = self.rank.rank();
         let nb = new_placement.len();
         // Migration tags sit just above the ghost-exchange tag space.
-        let first_mig_tag = self.exchange.tag_space();
+        let first_mig_tag = self.net.plan.tag_space();
         let mig_tag = |id: usize| first_mig_tag + id as u32;
         let old = std::mem::replace(&mut self.placement, new_placement);
         let mut departing = Vec::new();
@@ -932,7 +669,7 @@ impl<'r> DistributedSim<'r> {
                 rb.stats.bytes_sent += bytes.len() as u64;
                 rb.stats.migrated_away.insert(id);
             }
-            self.telemetry
+            self.telemetry()
                 .counter_add("rebalance/bytes_sent", bytes.len() as u64);
             self.rank.isend(dst, mig_tag(id), Bytes::from(bytes));
             departing.push(li);
@@ -970,7 +707,7 @@ impl<'r> DistributedSim<'r> {
             rb.stats.rebalances += 1;
         }
         self.rebuild_exchange_plan();
-        self.telemetry.counter_add("rebalance/migrations", 1);
+        self.telemetry().counter_add("rebalance/migrations", 1);
         // Fence the migration epoch: no ghost message of the next step can
         // race a straggling migration payload, and migration tags can be
         // reused by later epochs.
@@ -1010,7 +747,7 @@ impl<'r> DistributedSim<'r> {
 
     /// Re-plan the ghost exchange after `placement` / `local_ids` changed.
     fn rebuild_exchange_plan(&mut self) {
-        self.exchange = ExchangePlan::build(
+        self.net.plan = ExchangePlan::build(
             &self.decomp,
             &self.placement,
             &self.local_ids,
@@ -1023,12 +760,12 @@ impl<'r> DistributedSim<'r> {
     /// bridge per-step comm-stats deltas and the exchange plan's per-field
     /// ghost bytes into the metrics registry, and
     /// append a [`StepRecord`] when recording is on.
-    fn finish_step_accounting(&mut self, wall: Duration) {
+    fn finish_step_accounting(&mut self, wall: Duration, shifts_before: usize) {
         let mut t = self.derive_timings();
-        t.steps = self.step;
+        t.steps = self.stepper.step;
         let prev = std::mem::replace(&mut self.timings, t);
 
-        if !self.telemetry.is_enabled() && self.step_records.is_none() {
+        if !self.stepper.telemetry.is_enabled() && self.step_records.is_none() {
             return;
         }
         let d = t.saturating_sub(prev);
@@ -1039,40 +776,32 @@ impl<'r> DistributedSim<'r> {
             .map(|b| b.dims.interior_volume() as u64)
             .sum();
         let mlups = metrics::mlups(interior_cells as usize, 1, wall.as_secs_f64().max(1e-12));
-        self.telemetry.counter_add("cells_updated", interior_cells);
-        self.telemetry.gauge_set("step_mlups", mlups);
+        let tel = &self.stepper.telemetry;
+        tel.counter_add("cells_updated", interior_cells);
+        tel.gauge_set("step_mlups", mlups);
 
-        let stats = self.rank.stats();
+        let (stats, p) = (self.rank.stats(), &self.prev_stats);
         // One batch, so a live sampler never sees bytes without their
         // messages.
-        self.telemetry.counters_add(&[
-            (
-                "comm/bytes_sent",
-                stats.bytes_sent - self.prev_stats.bytes_sent,
-            ),
+        tel.counters_add(&[
+            ("comm/bytes_sent", stats.bytes_sent - p.bytes_sent),
             (
                 "comm/bytes_received",
-                stats.bytes_received - self.prev_stats.bytes_received,
+                stats.bytes_received - p.bytes_received,
             ),
-            (
-                "comm/messages_sent",
-                stats.messages_sent - self.prev_stats.messages_sent,
-            ),
+            ("comm/messages_sent", stats.messages_sent - p.messages_sent),
             (
                 "comm/messages_received",
-                stats.messages_received - self.prev_stats.messages_received,
+                stats.messages_received - p.messages_received,
             ),
         ]);
-        let wait_delta = stats
-            .recv_wait_hist
-            .delta_since(&self.prev_stats.recv_wait_hist);
-        self.telemetry.hist_merge("comm/recv_wait_ns", &wait_delta);
+        let wait_delta = stats.recv_wait_hist.delta_since(&p.recv_wait_hist);
+        tel.hist_merge("comm/recv_wait_ns", &wait_delta);
 
-        let ghost_bytes = std::mem::take(&mut self.ghost_bytes);
+        let ghost_bytes = std::mem::take(&mut self.net.ghost_bytes);
         for (field, [sent, received]) in FieldSel::ALL.into_iter().zip(ghost_bytes) {
             let [sent_name, received_name] = field.counters();
-            self.telemetry
-                .counters_add(&[(sent_name, sent), (received_name, received)]);
+            tel.counters_add(&[(sent_name, sent), (received_name, received)]);
         }
         let ghost_sent = ghost_bytes.iter().map(|b| b[0]).sum();
         let ghost_recv = ghost_bytes.iter().map(|b| b[1]).sum();
@@ -1080,7 +809,7 @@ impl<'r> DistributedSim<'r> {
         if self.step_records.is_some() {
             let rec = StepRecord {
                 rank: self.rank.rank(),
-                step: self.step - 1,
+                step: self.stepper.step - 1,
                 wall_ms: wall.as_secs_f64() * 1e3,
                 mlups,
                 cells_updated: interior_cells,
@@ -1092,24 +821,23 @@ impl<'r> DistributedSim<'r> {
                 ghost_bytes_received: ghost_recv,
                 recv_wait_ms: stats
                     .recv_wait_time
-                    .saturating_sub(self.prev_stats.recv_wait_time)
+                    .saturating_sub(p.recv_wait_time)
                     .as_secs_f64()
                     * 1e3,
                 recv_wait_hist: wait_delta,
-                window_shifts: (self.window_shifts - self.prev_window_shifts) as u64,
+                window_shifts: (self.stepper.window_shifts - shifts_before) as u64,
             };
             if let Some(recs) = &mut self.step_records {
                 recs.push(rec);
             }
         }
         self.prev_stats = stats;
-        self.prev_window_shifts = self.window_shifts;
     }
 
     /// Fold the timing tree into [`StepTimings`] buckets by leaf span name
     /// (cumulative since construction; `steps` is filled by the caller).
     fn derive_timings(&self) -> StepTimings {
-        let snap = self.telemetry.tree_snapshot();
+        let snap = self.telemetry().tree_snapshot();
         let mut t = StepTimings::default();
         for r in &snap.rows {
             let leaf = r.path.rsplit('/').next().unwrap_or(&r.path);
@@ -1151,12 +879,12 @@ impl<'r> DistributedSim<'r> {
 
     /// Current simulation time.
     pub fn time(&self) -> f64 {
-        self.time
+        self.stepper.time
     }
 
     /// Number of completed time steps.
     pub fn step_index(&self) -> usize {
-        self.step
+        self.stepper.step
     }
 
     /// The communicator rank this simulation runs on.
@@ -1180,49 +908,14 @@ impl<'r> DistributedSim<'r> {
     /// Field contents and block origins must be restored separately (see
     /// `eutectica-pfio`'s checkpoint sets).
     pub fn set_progress(&mut self, time: f64, step: usize, window_shifts: usize) {
-        self.time = time;
-        self.step = step;
-        self.window_shifts = window_shifts;
-        self.prev_window_shifts = window_shifts;
-        // A progress jump (restore / rollback) invalidates the health
+        // A progress jump (restore / rollback) also invalidates the health
         // monitor's pending verdict.
-        if let Some(h) = &mut self.health {
-            h.on_progress_reset();
-        }
+        self.stepper.set_progress(time, step, window_shifts);
         // Likewise, sweep times measured before the jump describe blocks
         // whose contents just changed — drop the open measurement window
         // (the EWMA itself survives; it converges again within a few steps).
         if let Some(rb) = &mut self.rebalance {
             rb.reset_window(self.local_ids.len());
-        }
-    }
-
-    // ----- ghost exchange plumbing -----
-
-    /// Start `phase` of the `field` exchange: remote faces are sent and
-    /// same-rank faces copied; complete it with [`Self::finish`].
-    fn post(&mut self, field: FieldSel, phase: Phase) -> Pending {
-        self.exchange
-            .post(&mut self.blocks, field, phase, self.rank);
-        self.ghost_bytes[field as usize][0] += self.exchange.wire_bytes(field, phase)[0];
-        Pending { field, phase }
-    }
-
-    /// Receive the remote faces of a posted phase into their ghost cells.
-    fn finish(&mut self, p: Pending) {
-        self.exchange
-            .finish(&mut self.blocks, p.field, p.phase, self.rank);
-        self.ghost_bytes[p.field as usize][1] += self.exchange.wire_bytes(p.field, p.phase)[1];
-    }
-
-    fn exchange_axis(&mut self, field: FieldSel, axis: usize) {
-        let p = self.post(field, Phase::Axis(axis));
-        self.finish(p);
-    }
-
-    fn exchange_sequenced(&mut self, field: FieldSel) {
-        for axis in 0..3 {
-            self.exchange_axis(field, axis);
         }
     }
 }
@@ -1293,52 +986,26 @@ mod tests {
         crate::init::init_directional_block(b, &seeds, 4);
     }
 
-    /// `steps` plain steps from `init`; every rank's final blocks + timings.
+    /// `steps` steps from `init`, with the moving window at `window` when
+    /// given; every rank's final blocks + window shifts.
     fn run_steps(
         params: ModelParams,
         decomp: Decomposition,
         n_ranks: usize,
         steps: usize,
-        cfg: KernelConfig,
         overlap: OverlapOptions,
+        window: Option<f64>,
         init: fn(&mut BlockState),
-    ) -> Vec<(Vec<BlockState>, StepTimings)> {
+    ) -> Vec<(Vec<BlockState>, usize)> {
+        let cfg = KernelConfig::default();
         run_distributed(params, decomp, n_ranks, cfg, overlap, move |sim| {
+            if let Some(trigger) = window {
+                sim.enable_moving_window(trigger);
+            }
             sim.init_blocks(init);
             sim.step_n(steps);
-            (std::mem::take(&mut sim.blocks), sim.timings)
+            (std::mem::take(&mut sim.blocks), sim.window_shifts())
         })
-    }
-
-    /// Single-rank single-block distributed run must match the Simulation
-    /// façade exactly.
-    #[test]
-    fn matches_single_block_solver() {
-        let params = ModelParams::ag_al_cu();
-        let spec = DomainSpec::directional([16, 16, 16], [1, 1, 1]);
-        let out = run_steps(
-            params.clone(),
-            Decomposition::new(spec),
-            1,
-            5,
-            KernelConfig::default(),
-            OverlapOptions::default(),
-            init_fn,
-        );
-        let mut sim = crate::solver::Simulation::new(params, [16, 16, 16]).unwrap();
-        init_fn(&mut sim.state);
-        sim.step_n(5);
-        let dist = &out[0].0[0];
-        for c in 0..N_PHASES {
-            for (x, y, z) in dist.dims.interior_iter() {
-                let a = dist.phi_src.at(c, x, y, z);
-                let b = sim.state.phi_src.at(c, x, y, z);
-                assert!(
-                    (a - b).abs() < 1e-14,
-                    "phi[{c}] mismatch at ({x},{y},{z}): {a} vs {b}"
-                );
-            }
-        }
     }
 
     /// Bitwise comparison of distributed blocks against the matching
@@ -1348,7 +1015,11 @@ mod tests {
         for b in blocks {
             for (x, y, z) in b.dims.interior_iter() {
                 let [gx, gy, gz] = [x, y, z].map(|v| v - b.dims.ghost + g);
-                let at = (gx + b.origin[0], gy + b.origin[1], gz + b.origin[2]);
+                let at = (
+                    gx + b.origin[0],
+                    gy + b.origin[1],
+                    gz + b.origin[2] - single.origin[2],
+                );
                 for c in 0..N_PHASES {
                     assert_eq!(
                         b.phi_src.at(c, x, y, z).to_bits(),
@@ -1377,7 +1048,10 @@ mod tests {
     /// The plan-driven exchange reproduces the single-block solver bit for
     /// bit: eight blocks on one rank (every face a two-field copy, z open)
     /// and one block that is its own x/y neighbor (every face an in-field
-    /// copy), with the µ exchange sequenced and hidden (plain).
+    /// copy), with the µ exchange sequenced and hidden (plain). With the
+    /// moving window on, every lateral layout — one block, and 2×2 and 2×1
+    /// columns on one rank and spread over two — shifts at the same steps
+    /// as the single block: the front is found over the whole plane.
     #[test]
     fn local_face_copies_match_single_block_solver() {
         let params = ModelParams::ag_al_cu();
@@ -1391,15 +1065,45 @@ mod tests {
                     Decomposition::new(DomainSpec::directional(cells, blocks)),
                     1,
                     steps,
-                    KernelConfig::default(),
                     OverlapOptions {
                         hide_mu,
                         hide_phi: false,
                     },
+                    None,
                     init_fn,
                 );
                 let what = format!("blocks {blocks:?}, hide_mu {hide_mu}");
                 assert_blocks_equal_single_block(&out[0].0, &single, &what);
+            }
+        }
+
+        // Strong undercooling, a low trigger: the front climbs through the
+        // window in 3 shifts.
+        let (mut params, cells, trigger, steps) = (params, [16, 16, 20], 0.25, 400);
+        params.t0 = 0.9;
+        params.grad_g = 0.0;
+        let mut sim = crate::solver::Simulation::new(params.clone(), cells).unwrap();
+        init_fn(&mut sim.state);
+        sim.enable_moving_window(trigger);
+        sim.step_n(steps);
+        assert!(sim.window_shifts() >= 3, "{} shifts", sim.window_shifts());
+        for blocks in [[1, 1, 1], [2, 2, 1], [2, 1, 1]] {
+            // A rank owns at least one block, so one block runs on one rank.
+            for n_ranks in 1..=blocks.iter().product::<usize>().min(2) {
+                let out = run_steps(
+                    params.clone(),
+                    Decomposition::new(DomainSpec::directional(cells, blocks)),
+                    n_ranks,
+                    steps,
+                    OverlapOptions::default(),
+                    Some(trigger),
+                    init_fn,
+                );
+                for (r, (blocks_r, shifts)) in out.iter().enumerate() {
+                    let what = format!("window, blocks {blocks:?}, rank {r} of {n_ranks}");
+                    assert_eq!(*shifts, sim.window_shifts(), "{what}: shifts");
+                    assert_blocks_equal_single_block(blocks_r, &sim.state, &what);
+                }
             }
         }
     }
@@ -1474,8 +1178,8 @@ mod tests {
                 Decomposition::new(spec),
                 n_ranks,
                 4,
-                KernelConfig::default(),
                 OverlapOptions::default(),
+                None,
                 init_fn,
             )
         };
@@ -1510,8 +1214,8 @@ mod tests {
                     Decomposition::new(spec),
                     2,
                     4,
-                    KernelConfig::default(),
                     ov,
+                    None,
                     |b| {
                         let seeds =
                             crate::init::VoronoiSeeds::generate([8, 8], 3, [0.34, 0.33, 0.33], 2);

@@ -12,12 +12,13 @@ use std::path::PathBuf;
 use eutectica_blockgrid::decomp::{Decomposition, DomainSpec};
 use eutectica_comm::Universe;
 use eutectica_core::health::{
-    FaultKind, FieldFault, FieldFaultPlan, FieldTarget, HealthConfig, HealthMonitor,
+    FaultKind, FieldFault, FieldFaultPlan, FieldTarget, HealthConfig, HealthMonitor, HealthReport,
 };
 use eutectica_core::kernels::KernelConfig;
 use eutectica_core::params::ModelParams;
+use eutectica_core::solver::Simulation;
 use eutectica_core::state::BlockState;
-use eutectica_core::timeloop::{DistributedSim, OverlapOptions};
+use eutectica_core::timeloop::{run_distributed, DistributedSim, OverlapOptions};
 use eutectica_core::{N_COMP, N_PHASES};
 use eutectica_pfio::ckpt;
 use eutectica_pfio::resilient::{
@@ -485,4 +486,82 @@ proptest! {
             "fault {:?} (threads {}) missed its cadence window", fault, threads
         );
     }
+}
+
+/// Step until the attached monitor reports unhealthy (at most 8 steps).
+fn first_unhealthy(mut step: impl FnMut() -> Option<HealthReport>) -> Option<HealthReport> {
+    (0..8).find_map(|_| step())
+}
+
+/// `Simulation` runs the ranked form's health stage on its one block: a NaN
+/// injected before step 3 is reported by the scan after step 4, with the
+/// same global counts as a one-rank `DistributedSim` on a single block.
+#[test]
+fn one_block_health_stage_matches_the_ranked_form() {
+    let params = ModelParams::ag_al_cu();
+    let cells = [16, 16, 16];
+    let plan = FieldFaultPlan::new(1).inject(FieldFault {
+        step: 3,
+        block: 0,
+        cell: [2, 3, 4],
+        target: FieldTarget::Mu(0),
+        kind: FaultKind::Nan,
+    });
+    let monitor =
+        HealthMonitor::new(HealthConfig::for_params(&params).with_every(2)).with_faults(plan);
+
+    let mut sim = Simulation::new(params.clone(), cells).unwrap();
+    init(&mut sim.state);
+    sim.set_health_monitor(Some(monitor.clone()));
+    let single = first_unhealthy(|| {
+        sim.step();
+        sim.take_unhealthy_report()
+    })
+    .expect("the NaN is reported");
+
+    let decomp = Decomposition::new(DomainSpec::directional(cells, [1, 1, 1]));
+    let cfg = KernelConfig::default();
+    let ranked = run_distributed(
+        params,
+        decomp,
+        1,
+        cfg,
+        OverlapOptions::default(),
+        move |d| {
+            d.init_blocks(init);
+            d.set_health_monitor(Some(monitor.clone()));
+            first_unhealthy(|| {
+                d.step();
+                d.take_unhealthy_report()
+            })
+        },
+    );
+    let ranked = ranked[0].clone().expect("the NaN is reported");
+    assert_eq!(single.step, 4);
+    assert!(!single.is_healthy());
+    assert_eq!((single.step, single.global), (ranked.step, ranked.global));
+}
+
+/// A healthy `Simulation` scanned after every step stays bit-identical to
+/// the same run without a monitor.
+#[test]
+fn healthy_one_block_scans_leave_the_fields_untouched() {
+    let params = ModelParams::ag_al_cu();
+    let run = |monitor: Option<HealthMonitor>| {
+        let mut sim = Simulation::new(params.clone(), [16, 16, 16]).unwrap();
+        init(&mut sim.state);
+        sim.set_health_monitor(monitor);
+        sim.step_n(6);
+        assert!(sim.take_unhealthy_report().is_none());
+        sim
+    };
+    let plain = run(None);
+    let every_step = HealthConfig::for_params(&params).with_every(1);
+    let scanned = run(Some(HealthMonitor::new(every_step)));
+    let counters = scanned.telemetry().metrics_snapshot().counters;
+    assert_eq!(counters["health/scans"], 6);
+    assert_eq!(
+        fingerprint(std::slice::from_ref(&plain.state)),
+        fingerprint(std::slice::from_ref(&scanned.state))
+    );
 }

@@ -259,15 +259,11 @@ pub fn decode_soa<const NC: usize>(bytes: &[u8], budget: u64) -> Result<SoaField
             found: actual,
         });
     }
-    let mut f = SoaField::new(dims, [0.0; NC]);
-    for (v, chunk) in f
-        .raw_mut()
-        .iter_mut()
-        .zip(bytes[HEADER_LEN..expected_len - 4].chunks_exact(8))
-    {
-        *v = f64::from_le_bytes(chunk.try_into().unwrap());
-    }
-    Ok(f)
+    let data = bytes[HEADER_LEN..expected_len - 4]
+        .chunks_exact(8)
+        .map(|chunk| f64::from_le_bytes(chunk.try_into().unwrap()))
+        .collect();
+    Ok(SoaField::from_raw(dims, data))
 }
 
 #[cfg(test)]

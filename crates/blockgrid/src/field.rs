@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// way the zone grows, and the region writers of [`crate::ghost`] and
 /// [`crate::boundary`] (same crate) maintain it through
 /// `SoaField::raw_and_zone`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct SoaField<const NC: usize> {
     dims: GridDims,
     data: Vec<f64>,
@@ -45,6 +45,27 @@ pub(crate) fn same_bits<const NC: usize>(a: [f64; NC], b: [f64; NC]) -> bool {
     a.map(f64::to_bits) == b.map(f64::to_bits)
 }
 
+impl<const NC: usize> Clone for SoaField<NC> {
+    fn clone(&self) -> Self {
+        Self {
+            dims: self.dims,
+            data: self.data.clone(),
+            const_from: self.const_from,
+            const_val: self.const_val,
+        }
+    }
+
+    /// Copy `source` into this field's own buffer: no allocation when the
+    /// buffer already holds `source`'s volume (the src → dst sync of a
+    /// block).
+    fn clone_from(&mut self, source: &Self) {
+        self.dims = source.dims;
+        self.data.clone_from(&source.data);
+        self.const_from = source.const_from;
+        self.const_val = source.const_val;
+    }
+}
+
 impl<const NC: usize> SoaField<NC> {
     /// Allocate with every component of every cell set to `init[c]`. The
     /// whole field is one constant zone.
@@ -59,6 +80,19 @@ impl<const NC: usize> SoaField<NC> {
             data,
             const_from: 0,
             const_val: init,
+        }
+    }
+
+    /// Wrap `data` (component-major, `NC * dims.volume()` values) without
+    /// copying it. Nothing is known about its contents: the constant zone is
+    /// empty until [`SoaField::tighten`] finds one.
+    pub fn from_raw(dims: GridDims, data: Vec<f64>) -> Self {
+        assert_eq!(data.len(), NC * dims.volume(), "field data length");
+        Self {
+            dims,
+            data,
+            const_from: dims.tz(),
+            const_val: [0.0; NC],
         }
     }
 
@@ -397,6 +431,42 @@ mod tests {
         assert_eq!(f.comp(1), back.comp(1));
         let (x, y, z) = (1, 2, 1);
         assert_eq!(f.cell(x, y, z), aos.cell(x, y, z));
+    }
+
+    /// Bitwise equality of data and summary.
+    fn identical<const NC: usize>(a: &SoaField<NC>, b: &SoaField<NC>) -> bool {
+        let bits = |f: &SoaField<NC>| f.raw().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        a.dims == b.dims
+            && bits(a) == bits(b)
+            && a.const_from == b.const_from
+            && same_bits(a.const_val, b.const_val)
+    }
+
+    #[test]
+    fn clone_from_copies_in_place_and_matches_clone() {
+        let d = GridDims::new(3, 2, 4, 1);
+        let mut src = SoaField::<2>::new(d, [0.5, -0.0]);
+        src.set_cell(2, 1, 2, [f64::NAN, 7.0]);
+        let (from, val) = src.const_zone();
+        assert!((1..d.tz()).contains(&from), "a partial zone: {from}");
+
+        // Equal dims: the buffer is reused, the summary copied.
+        let mut dst = SoaField::<2>::new(d, [9.0, 9.0]);
+        let ptr = dst.raw().as_ptr();
+        dst.clone_from(&src);
+        assert_eq!(dst.raw().as_ptr(), ptr, "buffer reallocated");
+        assert_eq!(dst.const_zone().0, from);
+        assert!(same_bits(dst.const_zone().1, val));
+        assert!(identical(&dst, &src.clone()));
+
+        // Different dims: the copy takes the source's size and geometry.
+        for other in [GridDims::cube(1), GridDims::new(5, 4, 6, 1)] {
+            let mut dst = SoaField::<2>::new(other, [1.0, 1.0]);
+            dst.clone_from(&src);
+            assert_eq!(dst.raw().len(), src.raw().len());
+            assert!(identical(&dst, &src.clone()));
+            assert!(dst.summary_holds());
+        }
     }
 
     #[test]

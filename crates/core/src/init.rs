@@ -13,7 +13,7 @@
 use rand::{Rng, SeedableRng};
 
 use crate::state::{BlockState, PHI_LIQUID};
-use crate::{LIQ, N_PHASES};
+use crate::{LIQ, N_COMP, N_PHASES};
 
 /// Columnar Voronoi seed set over a periodic x-y domain.
 #[derive(Clone, Debug)]
@@ -104,55 +104,49 @@ impl VoronoiSeeds {
 /// Voronoi solid columns below `fill_height` (global z), liquid above, µ at
 /// the eutectic equilibrium (0).
 pub fn init_directional_block(state: &mut BlockState, seeds: &VoronoiSeeds, fill_height: usize) {
-    let dims = state.dims;
-    let g = dims.ghost;
-    let origin = state.origin;
-    for z in 0..dims.nz {
-        let gz = origin[2] + z;
-        for y in 0..dims.ny {
-            for x in 0..dims.nx {
-                let phi = if gz < fill_height {
-                    let ph = seeds.phase_at((origin[0] + x) as f64, (origin[1] + y) as f64);
-                    let mut v = [0.0; N_PHASES];
-                    v[ph] = 1.0;
-                    v
-                } else {
-                    PHI_LIQUID
-                };
-                state.phi_src.set_cell(x + g, y + g, z + g, phi);
-                state.mu_src.set_cell(x + g, y + g, z + g, [0.0; 2]);
-            }
-        }
-    }
-    state.sync_dst_from_src();
-    state.apply_bc_src();
-    state.bc_phi.apply(&mut state.phi_dst);
-    state.bc_mu.apply(&mut state.mu_dst);
+    let [ox, oy, _] = state.origin;
+    init_solid_below(state, fill_height, |x, y| {
+        seeds.phase_at((ox + x) as f64, (oy + y) as f64)
+    });
 }
 
 /// Planar solid front of one phase below `height` (global z).
 pub fn init_planar_front(state: &mut BlockState, phase: usize, height: usize) {
     assert!(phase < LIQ);
-    let dims = state.dims;
-    let g = dims.ghost;
-    for z in 0..dims.nz {
-        let gz = state.origin[2] + z;
-        for y in 0..dims.ny {
-            for x in 0..dims.nx {
-                let mut phi = PHI_LIQUID;
-                if gz < height {
-                    phi = [0.0; N_PHASES];
-                    phi[phase] = 1.0;
+    init_solid_below(state, height, |_, _| phase);
+}
+
+/// Make `state` liquid at µ = 0 with solid `phase_of(x, y)` (interior
+/// coordinates) in every cell below global height `height`, then apply the
+/// boundary conditions to src and copy src into dst. On a block as
+/// [`BlockState::new`] leaves it, only the solid cells are written.
+fn init_solid_below(
+    state: &mut BlockState,
+    height: usize,
+    phase_of: impl Fn(usize, usize) -> usize,
+) {
+    let d = state.dims;
+    let g = d.ghost;
+    // Free on a fresh block, whose fields are one constant zone each.
+    state.phi_src.extend_const_zone(0, PHI_LIQUID);
+    state.mu_src.extend_const_zone(0, [0.0; N_COMP]);
+    let solid_slabs = height.saturating_sub(state.origin[2]).min(d.nz);
+    if solid_slabs > 0 {
+        let phases: Vec<usize> = (0..d.nx * d.ny)
+            .map(|i| phase_of(i % d.nx, i / d.nx))
+            .collect();
+        for z in 0..solid_slabs {
+            for y in 0..d.ny {
+                for x in 0..d.nx {
+                    let mut phi = [0.0; N_PHASES];
+                    phi[phases[y * d.nx + x]] = 1.0;
+                    state.phi_src.set_cell(x + g, y + g, z + g, phi);
                 }
-                state.phi_src.set_cell(x + g, y + g, z + g, phi);
-                state.mu_src.set_cell(x + g, y + g, z + g, [0.0; 2]);
             }
         }
     }
-    state.sync_dst_from_src();
     state.apply_bc_src();
-    state.bc_phi.apply(&mut state.phi_dst);
-    state.bc_mu.apply(&mut state.mu_dst);
+    state.sync_dst_from_src();
 }
 
 /// Number of seeds that gives the paper-like lamella spacing: roughly one

@@ -172,11 +172,7 @@ pub fn decode_block(
     let (s, e) = next(bytes)?;
     let mu_dst = codec::decode_soa::<N_COMP>(&bytes[s..e], budget)?;
     check(mu_dst.dims())?;
-    let mut state = BlockState::new(expected, origin);
-    state.phi_src = phi_src;
-    state.phi_dst = phi_dst;
-    state.mu_src = mu_src;
-    state.mu_dst = mu_dst;
+    let state = BlockState::from_fields(origin, [phi_src, phi_dst], [mu_src, mu_dst]);
     Ok((id, state, entry))
 }
 

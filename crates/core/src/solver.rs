@@ -33,12 +33,9 @@ impl Simulation {
     pub fn new(params: ModelParams, cells: [usize; 3]) -> Result<Self, ParamError> {
         params.validate()?;
         let dims = GridDims::new(cells[0], cells[1], cells[2], 1);
-        let mut state = BlockState::new(dims, [0, 0, 0]);
-        state.apply_bc_src();
-        state.sync_dst_from_src();
         Ok(Self {
             params,
-            state,
+            state: BlockState::new(dims, [0, 0, 0]),
             cfg: KernelConfig::default(),
             stepper: Stepper::new(0),
         })
@@ -80,7 +77,7 @@ impl Simulation {
 
     /// Replace the telemetry collector (e.g. [`Telemetry::disabled`]).
     pub fn set_telemetry(&mut self, tel: Telemetry) {
-        self.stepper.telemetry = tel;
+        self.stepper.set_telemetry(tel);
     }
 
     /// Attach (or detach, with `None`) the silent-corruption monitor: its
@@ -342,6 +339,24 @@ mod tests {
         quiet.init_directional(3);
         quiet.step_n(1);
         assert!(quiet.telemetry().metrics_snapshot().gauges.is_empty());
+    }
+
+    #[test]
+    fn telemetry_names_the_backend_the_sweeps_run_on() {
+        use crate::kernels::SimdIsa;
+        let backends = |isa: SimdIsa| {
+            let mut sim = Simulation::new(ModelParams::ag_al_cu(), [8, 8, 8]).unwrap();
+            sim.cfg.isa = isa;
+            sim.step_n(2);
+            let counters = sim.telemetry().metrics_snapshot().counters;
+            counters
+                .into_iter()
+                .filter_map(|(k, n)| Some((k.strip_prefix("kernel/backend/")?.to_string(), n)))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(backends(SimdIsa::Portable), [("portable".to_string(), 1)]);
+        let host = SimdIsa::Auto.resolved_name().to_string();
+        assert_eq!(backends(SimdIsa::Auto), [(host, 1)]);
     }
 
     #[test]

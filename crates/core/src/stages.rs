@@ -20,7 +20,7 @@ use eutectica_telemetry::Telemetry;
 
 use crate::exchange::{FieldSel, Phase};
 use crate::health::{self, HealthMonitor, HealthReport, ScanStats};
-use crate::kernels::{KernelConfig, MuPart, SimdIsa};
+use crate::kernels::{KernelConfig, MuPart};
 use crate::metrics;
 use crate::params::ModelParams;
 use crate::state::{front_rise, BlockState};
@@ -112,6 +112,9 @@ pub(crate) struct Stepper {
     pub(crate) window_shifts: usize,
     window: Option<Window>,
     pub(crate) telemetry: Telemetry,
+    /// The SIMD backend last counted in `telemetry` as
+    /// `kernel/backend/<name>`: the one the sweeps run on.
+    backend: Option<&'static str>,
     /// Intra-rank z-slab work sharing for the sweeps (1 thread = serial).
     pub(crate) pool: SweepPool,
     /// Silent-corruption defense: periodic invariant scans + fault injection.
@@ -121,20 +124,32 @@ pub(crate) struct Stepper {
 impl Stepper {
     /// A stepper at time 0 reporting to a telemetry collector for `rank`.
     pub(crate) fn new(rank: usize) -> Self {
-        let telemetry = Telemetry::new(rank);
-        // Expose the resolved SIMD backend so "SIMD" rows can be audited.
-        telemetry.counter_add(
-            &format!("kernel/backend/{}", SimdIsa::Auto.resolved_name()),
-            1,
-        );
         Self {
             time: 0.0,
             step: 0,
             window_shifts: 0,
             window: None,
-            telemetry,
+            telemetry: Telemetry::new(rank),
+            backend: None,
             pool: SweepPool::new(1),
             health: None,
+        }
+    }
+
+    /// Report to `tel` from now on; the next step counts its backend there.
+    pub(crate) fn set_telemetry(&mut self, tel: Telemetry) {
+        self.telemetry = tel;
+        self.backend = None;
+    }
+
+    /// Count the SIMD backend `cfg` resolves to on this host, so "SIMD" rows
+    /// can be audited: once per collector, and again whenever it changes.
+    fn count_backend(&mut self, cfg: KernelConfig) {
+        let name = cfg.isa.resolved_name();
+        if self.backend != Some(name) {
+            self.telemetry
+                .counter_add(&format!("kernel/backend/{name}"), 1);
+            self.backend = Some(name);
         }
     }
 
@@ -180,6 +195,7 @@ impl Stepper {
         mut costs: Option<&mut [f64]>,
     ) {
         let start = Instant::now();
+        self.count_backend(cfg);
         self.inject_faults(blocks, ids);
         let ov = net.overlap();
         let tel = &self.telemetry;

@@ -46,9 +46,42 @@ pub(crate) fn front_rise(sums: &[f64], plane: f64) -> usize {
 impl BlockState {
     /// Liquid-filled block at eutectic chemical potential (µ = 0), with the
     /// paper's directional boundary conditions: periodic side walls, Neumann
-    /// at the bottom (grown solid), Dirichlet fresh liquid at the top.
+    /// at the bottom (grown solid), Dirichlet fresh liquid at the top. The
+    /// fields are constant, so the boundary conditions hold already and dst
+    /// equals src.
     pub fn new(dims: GridDims, origin: [usize; 3]) -> Self {
+        Self::from_fields(
+            origin,
+            [
+                SoaField::new(dims, PHI_LIQUID),
+                SoaField::new(dims, PHI_LIQUID),
+            ],
+            [
+                SoaField::new(dims, [0.0; N_COMP]),
+                SoaField::new(dims, [0.0; N_COMP]),
+            ],
+        )
+    }
+
+    /// A block that owns the given `[src, dst]` pairs of φ and µ, with the
+    /// boundary conditions of [`BlockState::new`]. The fields are taken as
+    /// they are: nothing is copied or filled.
+    ///
+    /// # Panics
+    /// Panics if the four fields differ in geometry.
+    pub fn from_fields(
+        origin: [usize; 3],
+        [phi_src, phi_dst]: [SoaField<N_PHASES>; 2],
+        [mu_src, mu_dst]: [SoaField<N_COMP>; 2],
+    ) -> Self {
         use eutectica_blockgrid::Face;
+        let dims = phi_src.dims();
+        assert!(
+            [phi_dst.dims(), mu_src.dims(), mu_dst.dims()]
+                .iter()
+                .all(|&d| d == dims),
+            "a block's four fields share one geometry"
+        );
         let bc_phi = BoundarySpec::uniform(Bc::Periodic)
             .with_face(Face::ZLow, Bc::Neumann)
             .with_face(Face::ZHigh, Bc::Dirichlet(PHI_LIQUID));
@@ -58,10 +91,10 @@ impl BlockState {
         Self {
             dims,
             origin,
-            phi_src: SoaField::new(dims, PHI_LIQUID),
-            phi_dst: SoaField::new(dims, PHI_LIQUID),
-            mu_src: SoaField::new(dims, [0.0; N_COMP]),
-            mu_dst: SoaField::new(dims, [0.0; N_COMP]),
+            phi_src,
+            phi_dst,
+            mu_src,
+            mu_dst,
             bc_phi,
             bc_mu,
         }
@@ -115,11 +148,12 @@ impl BlockState {
         }
     }
 
-    /// Copy src fields into dst (so untouched dst ghost/boundary data is
-    /// consistent before the first step).
+    /// Copy the src fields, ghosts and constant-slab summaries included,
+    /// into the dst fields' own buffers, so that dst data no sweep writes
+    /// (ghosts, boundary layers) agrees with src. Allocates nothing.
     pub fn sync_dst_from_src(&mut self) {
-        self.phi_dst = self.phi_src.clone();
-        self.mu_dst = self.mu_src.clone();
+        self.phi_dst.clone_from(&self.phi_src);
+        self.mu_dst.clone_from(&self.mu_src);
     }
 }
 

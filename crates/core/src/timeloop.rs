@@ -303,7 +303,7 @@ impl<'r> DistributedSim<'r> {
     /// make every span a no-op, or a trace-enabled collector to buffer
     /// Chrome trace events.
     pub fn set_telemetry(&mut self, tel: Telemetry) {
-        self.stepper.telemetry = tel;
+        self.stepper.set_telemetry(tel);
     }
 
     /// Start (or stop) recording one [`StepRecord`] per step.

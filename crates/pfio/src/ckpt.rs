@@ -28,8 +28,9 @@ use std::time::Duration;
 
 use eutectica_blockgrid::codec::crc32;
 use eutectica_blockgrid::decomp::DomainSpec;
+use eutectica_blockgrid::field::SoaField;
 use eutectica_blockgrid::GridDims;
-use eutectica_core::state::BlockState;
+use eutectica_core::state::{BlockState, PHI_LIQUID};
 use eutectica_core::{N_COMP, N_PHASES};
 
 /// Magic bytes of a v2 (checkpoint-set) block file.
@@ -401,28 +402,42 @@ pub fn decode_block(bytes: &[u8], budget: u64) -> Result<DecodedBlock, CkptError
         return Err(CkptError::Truncated { what });
     }
 
-    let mut state = BlockState::new(dims, origin);
-    let read_comp = |r: &mut Reader<'_>, comp: &mut [f64]| -> Result<(), CkptError> {
-        for z in dims.ghost..dims.ghost + dims.nz {
-            for y in dims.ghost..dims.ghost + dims.ny {
-                let row = dims.idx(dims.ghost, y, z);
-                for v in comp[row..row + dims.nx].iter_mut() {
-                    *v = match precision {
-                        Precision::F32 => f32::from_le_bytes(r.take(4)?.try_into().unwrap()) as f64,
-                        Precision::F64 => f64::from_le_bytes(r.take(8)?.try_into().unwrap()),
-                    };
+    // Each src field is built in one pass over its storage: ghost cells
+    // get the liquid fill of `BlockState::new`, interior rows come from
+    // the file (which stores them in the same component-major order).
+    let mut read_field = |fill: &[f64]| {
+        let g = dims.ghost;
+        let interior = |i: usize, n: usize| (g..g + n).contains(&i);
+        let mut data = Vec::with_capacity(fill.len() * dims.volume());
+        for &v in fill {
+            for z in 0..dims.tz() {
+                for y in 0..dims.ty() {
+                    if !(interior(z, dims.nz) && interior(y, dims.ny)) {
+                        data.resize(data.len() + dims.tx(), v);
+                        continue;
+                    }
+                    data.resize(data.len() + g, v);
+                    let row = r.take(dims.nx * precision.bytes())?;
+                    match precision {
+                        Precision::F32 => data.extend(
+                            row.chunks_exact(4)
+                                .map(|b| f32::from_le_bytes(b.try_into().unwrap()) as f64),
+                        ),
+                        Precision::F64 => data.extend(
+                            row.chunks_exact(8)
+                                .map(|b| f64::from_le_bytes(b.try_into().unwrap())),
+                        ),
+                    }
+                    data.resize(data.len() + g, v);
                 }
             }
         }
-        Ok(())
+        Ok::<_, CkptError>(data)
     };
-    for c in 0..N_PHASES {
-        read_comp(&mut r, state.phi_src.comp_mut(c))?;
-    }
-    for c in 0..N_COMP {
-        read_comp(&mut r, state.mu_src.comp_mut(c))?;
-    }
-    state.sync_dst_from_src();
+    let phi_src = SoaField::from_raw(dims, read_field(&PHI_LIQUID)?);
+    let mu_src = SoaField::from_raw(dims, read_field(&[0.0; N_COMP])?);
+    let state =
+        BlockState::from_fields(origin, [phi_src.clone(), phi_src], [mu_src.clone(), mu_src]);
     Ok(DecodedBlock {
         id,
         time,

@@ -10,8 +10,8 @@
 //! the scarcest resource precisely when everyone is recovering at once.
 //!
 //! Restore applies frames exactly the way a disk restore applies
-//! checkpoint blocks (origin + source fields, then `sync_dst_from_src`,
-//! then a collective ghost refresh), so a buddy-restored run is
+//! checkpoint blocks (origin + source fields, dst a copy of src, then a
+//! collective ghost refresh), so a buddy-restored run is
 //! bit-identical to one restored from the equivalent checkpoint set.
 
 use std::collections::BTreeMap;

@@ -225,12 +225,14 @@ fn restore_local(
                 ),
             });
         }
-        // Keep this block's boundary conditions; take fields and the
-        // (possibly window-shifted) origin from the file.
-        b.origin = dec.state.origin;
-        b.phi_src = dec.state.phi_src;
-        b.mu_src = dec.state.mu_src;
-        b.sync_dst_from_src();
+        // Keep this block's boundary conditions; take the (possibly
+        // window-shifted) origin and the four fields, dst already synced,
+        // from the file.
+        *b = BlockState {
+            bc_phi: b.bc_phi,
+            bc_mu: b.bc_mu,
+            ..dec.state
+        };
     }
     sim.set_progress(
         manifest.time,

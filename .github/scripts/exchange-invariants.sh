@@ -16,18 +16,23 @@
 #                       = 425984
 #   blockgrid.ghost.bytes_per_step = every face of every block, local or
 #                       remote (placement-independent) = 1629184
+# and its "final-state digest" line must print 72f99f653f39fc8c: what the
+# program printed for this command before the four-x-cell φ-kernel replaced
+# the lanes-per-phase one, which that change had to reproduce bit for bit.
+# A change that moves a bit of the exchanged state fails here; re-pin only
+# for a change meant to move bits, and say why in CHANGES.md.
 #
 # usage: exchange-invariants.sh
 set -euo pipefail
 
-result=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml \
-    --bin perf_ledger -- one --workload exchange_smallblocks --seed 1 --seconds 2 --trace 1 |
-    tail -n 1)
+output=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml \
+    --bin perf_ledger -- one --workload exchange_smallblocks --seed 1 --seconds 2 --trace 1)
 
-python3 - "$result" <<'PY'
-import json, sys
+python3 - "$output" <<'PY'
+import json, re, sys
 
-result = json.loads(sys.argv[1])
+output = sys.argv[1]
+result = json.loads(output.splitlines()[-1])
 metrics = result["metrics"]
 want = {
     "comm.msgs_per_step": 4,
@@ -36,12 +41,16 @@ want = {
     "comm.failed": 0,
 }
 bad = [f"failed = {result['failed']} (want 0)"] if result["failed"] != 0 else []
+digest = re.search(r"final-state digest ([0-9a-f]{16})", output)
+digest = digest.group(1) if digest else "missing"
+if digest != "72f99f653f39fc8c":
+    bad.append(f"final-state digest = {digest} (want 72f99f653f39fc8c)")
 for name, value in want.items():
     got = metrics[name]["value"]
     if got != value:
         bad.append(f"{name} = {got} (want {value})")
 for line in bad:
     print(f"exchange-invariants: {line}")
-print(f"exchange-invariants: {len(want) + 1 - len(bad)} of {len(want) + 1} counts as pinned")
+print(f"exchange-invariants: {len(want) + 2 - len(bad)} of {len(want) + 2} counts as pinned")
 sys.exit(1 if bad else 0)
 PY

@@ -4,6 +4,11 @@
 # `eutectica_simd::dispatch` — one generic fn, so every dispatched kernel
 # (cellwise / four-cell φ, four-cell µ, the AoS layout ablation, the
 # peak-FLOP probe, the rsqrt ablation) is an instance of that one symbol.
+# The cellwise φ-kernel runs four x-cells per vector through one
+# `simd_phi::window` body, instantiated for full windows and for a row's
+# partial last window; both, and the lane loads/stores and the lane
+# projection they call, are `#[inline(always)]` generics with explicit
+# arguments, so they too must inline whole into the wrapper.
 #
 # A closure (and so every `core::array::from_fn` callback) is its own LLVM
 # function and does not inherit the wrapper's features. Left out of line, it

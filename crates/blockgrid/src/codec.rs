@@ -200,10 +200,24 @@ pub fn validate_field_dims(
     ))
 }
 
+/// Bytes [`encode_soa`] produces for a field of `NC` components over `dims`.
+pub fn encoded_len<const NC: usize>(dims: GridDims) -> usize {
+    HEADER_LEN + NC * dims.volume() * 8 + 4
+}
+
 /// Encode a SoA field — full buffer including ghost layers, bit-exact.
 pub fn encode_soa<const NC: usize>(f: &SoaField<NC>) -> Vec<u8> {
+    let mut out = Vec::with_capacity(encoded_len::<NC>(f.dims()));
+    encode_soa_into(f, &mut out);
+    out
+}
+
+/// Append [`encode_soa`]'s bytes to `out`, so a frame of several fields is
+/// written in place instead of copied from per-field buffers.
+pub fn encode_soa_into<const NC: usize>(f: &SoaField<NC>, out: &mut Vec<u8>) {
     let (dims, raw) = (f.dims(), f.raw());
-    let mut out = Vec::with_capacity(HEADER_LEN + raw.len() * 8 + 4);
+    let start = out.len();
+    out.reserve(encoded_len::<NC>(dims));
     out.extend_from_slice(&FIELD_MAGIC);
     out.push(LAYOUT_SOA);
     out.push(NC as u8);
@@ -213,9 +227,8 @@ pub fn encode_soa<const NC: usize>(f: &SoaField<NC>) -> Vec<u8> {
     for &v in raw {
         out.extend_from_slice(&v.to_le_bytes());
     }
-    let crc = crc32(&out);
+    let crc = crc32(&out[start..]);
     out.extend_from_slice(&crc.to_le_bytes());
-    out
 }
 
 /// Decode a SoA field, validating dimensions against `budget` before

@@ -7,7 +7,7 @@
 //! |------|-------------|------|
 //! | 0 | "general purpose C code" | [`PhiVariant::Reference`] / [`MuVariant::Reference`]: runtime-N/K code with per-cell indirect calls |
 //! | 1 | "basic waLBerla implementation" | [`PhiVariant::Scalar`] / [`MuVariant::Scalar`]: one specialized N=4/K=2 scalar φ and µ cell update (`basic.rs`), also the four-cell kernels' remainder path |
-//! | 2 | "with SIMD intrinsics" | explicit vectorization: cellwise φ (4 phases = 4 lanes), four-cell µ |
+//! | 2 | "with SIMD intrinsics" | explicit vectorization: cellwise φ (per-cell shortcuts, run four x-cells per vector), four-cell µ |
 //! | 3 | "with T(z) optimization" | per-slice precomputation of temperature-dependent terms |
 //! | 4 | "with staggered buffer" | staggered face values buffered and reused (halves face work) |
 //! | 5 | "with shortcuts" | region-dependent term skipping (bulk / pure / solid checks) |
@@ -93,8 +93,9 @@ pub enum PhiVariant {
     Reference,
     /// Specialized scalar N=4 kernel.
     Scalar,
-    /// Explicit SIMD, one cell at a time: the 4 phases fill the 4 lanes.
-    /// Allows branching per cell (the paper's fastest strategy).
+    /// Explicit SIMD with per-cell shortcuts (the paper's fastest
+    /// strategy, which fills the 4 lanes with the 4 phases of a cell). Runs
+    /// four x-cells per vector, each lane bit-identical to that form.
     SimdCellwise,
     /// Explicit SIMD, four cells at a time (lanes = cells). Can only take
     /// shortcuts if the condition holds for all four cells.

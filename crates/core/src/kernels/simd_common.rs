@@ -61,15 +61,6 @@ pub(crate) use per_comp;
 
 const _: () = assert!(N_PHASES == 4 && N_COMP == 2);
 
-/// Gather the 4 phase values of one cell from the SoA planes into a vector
-/// (lane α = φ_α). This is the cost of running the cellwise φ-kernel on a
-/// SoA field; the paper measured it to be negligible thanks to the kernel's
-/// high arithmetic intensity (Sec. 5.1.1).
-#[inline(always)]
-pub(crate) fn gather_cell4<V: SimdF64x4>(comps: &[&[f64]; N_PHASES], i: usize) -> V {
-    V::from_array([comps[0][i], comps[1][i], comps[2][i], comps[3][i]])
-}
-
 /// Scatter a phase vector back to the SoA planes.
 #[inline(always)]
 pub(crate) fn scatter_cell4<V: SimdF64x4>(comps: &mut [&mut [f64]; N_PHASES], i: usize, v: V) {
@@ -129,15 +120,20 @@ impl<V: SimdF64x4> SliceCtxV<V> {
 }
 
 /// Lane-parallel Gibbs-simplex projection for four independent cells:
-/// `phi[α]` holds phase α of all four cells. Mirrors
-/// [`crate::simplex::project_to_simplex`] with compare/select instead of
-/// branches.
+/// `phi[α]` holds phase α of all four cells. Each lane runs the op sequence
+/// of [`crate::simplex::project_to_simplex`] and returns its bits: the swap
+/// is the scalar `u[i] < u[j]` as `lt` + `select` (a NaN or a ±0 tie never
+/// swaps), the divisions by 1, 2 and 4 are the exact identity, ×½ and ×¼,
+/// and the division by 3 stays a division. The closing `max(0)` agrees with
+/// `f64::max` on both backends because `φ + λ` is never −0.0 (λ never is)
+/// and a NaN lane yields the second operand, 0.
 #[inline(always)]
 pub(crate) fn simplex_project_lanes<V: SimdF64x4>(phi: [V; N_PHASES]) -> [V; N_PHASES] {
     // Sorting network (descending) across the four phase registers.
     #[inline(always)]
     fn cswap<V: SimdF64x4>(a: V, b: V) -> (V, V) {
-        (a.max(b), a.min(b))
+        let swap = a.lt(b);
+        (swap.select(b, a), swap.select(a, b))
     }
     let [p0, p1, p2, p3] = phi;
     let (u0, u1) = cswap(p0, p1);
@@ -145,18 +141,22 @@ pub(crate) fn simplex_project_lanes<V: SimdF64x4>(phi: [V; N_PHASES]) -> [V; N_P
     let (u0, u2) = cswap(u0, u2);
     let (u1, u3) = cswap(u1, u3);
     let (u1, u2) = cswap(u1, u2);
-    let sorted = [u0, u1, u2, u3];
 
     let one = V::splat(1.0);
     let zero = V::zero();
-    let mut cumsum = zero;
-    let mut lambda = zero;
-    for (j, u) in sorted.iter().enumerate() {
-        cumsum += *u;
-        let l = (one - cumsum) * V::splat(1.0 / (j as f64 + 1.0));
-        let mask = (*u + l).gt(zero);
-        lambda = mask.select(l, lambda);
-    }
+    // ρ = the last j with u_j + (1 − Σ_{k≤j} u_k)/(j+1) > 0, and λ its shift.
+    let mut cumsum = zero + u0;
+    let l = one - cumsum;
+    let mut lambda = (u0 + l).gt(zero).select(l, zero);
+    cumsum += u1;
+    let l = (one - cumsum) * V::splat(0.5);
+    lambda = (u1 + l).gt(zero).select(l, lambda);
+    cumsum += u2;
+    let l = (one - cumsum) / V::splat(3.0);
+    lambda = (u2 + l).gt(zero).select(l, lambda);
+    cumsum += u3;
+    let l = (one - cumsum) * V::splat(0.25);
+    lambda = (u3 + l).gt(zero).select(l, lambda);
     per_phase!(|a| (phi[a] + lambda).max(zero))
 }
 
@@ -165,6 +165,51 @@ pub(crate) fn simplex_project_lanes<V: SimdF64x4>(phi: [V; N_PHASES]) -> [V; N_P
 #[inline(always)]
 pub(crate) fn load_cells4<V: SimdF64x4>(comps: &[&[f64]; N_PHASES], i: usize) -> [V; N_PHASES] {
     per_phase!(|a| V::load(comps[a], i))
+}
+
+/// Lanes `i..i + 4` of `s` for a window of `n` (1..=4) cells of a row:
+/// `FULL` (n = 4) is the contiguous load; otherwise lane k reads
+/// `s[i + min(k, n − 1)]`, so the lanes past the row repeat its last cell
+/// instead of reading past it.
+#[inline(always)]
+pub(crate) fn load_lanes_n<V: SimdF64x4, const FULL: bool>(s: &[f64], i: usize, n: usize) -> V {
+    if FULL {
+        V::load(s, i)
+    } else {
+        let last = n - 1;
+        V::from_array([
+            s[i],
+            s[i + last.min(1)],
+            s[i + last.min(2)],
+            s[i + last.min(3)],
+        ])
+    }
+}
+
+/// [`load_cells4`] for a window of `n` cells; see [`load_lanes_n`].
+#[inline(always)]
+pub(crate) fn load_cells_n<V: SimdF64x4, const FULL: bool>(
+    comps: &[&[f64]; N_PHASES],
+    i: usize,
+    n: usize,
+) -> [V; N_PHASES] {
+    per_phase!(|a| load_lanes_n::<V, FULL>(comps[a], i, n))
+}
+
+/// Store the first `n` lanes of `v` to `s[i..i + n]` (contiguous if `FULL`).
+#[inline(always)]
+pub(crate) fn store_lanes_n<V: SimdF64x4, const FULL: bool>(
+    v: V,
+    s: &mut [f64],
+    i: usize,
+    n: usize,
+) {
+    if FULL {
+        v.store(s, i)
+    } else {
+        let lanes = v.to_array();
+        s[i..i + n].copy_from_slice(&lanes[..n]);
+    }
 }
 
 /// Lanes (= cells) in which every phase of `a` equals the same phase of `b`.
@@ -244,25 +289,54 @@ mod tests {
     }
 
     fn check_lane_projection<V: SimdF64x4>() {
+        let below_one = f64::from_bits(1.0f64.to_bits() - 1);
+        let above_one = f64::from_bits(1.0f64.to_bits() + 1);
+        let tiny = f64::from_bits(1);
         let cells = [
             [1.2, -0.1, -0.05, -0.05],
             [0.25, 0.25, 0.25, 0.25],
             [0.9, 0.4, -0.2, 0.1],
             [0.0, 1.0, 0.0, 0.0],
+            // Ties, in every position of the sorting network.
+            [0.3, 0.3, 0.2, 0.2],
+            [0.5, 0.1, 0.5, 0.1],
+            [-0.2, 0.7, 0.7, -0.2],
+            [0.4, 0.4, 0.4, 0.1],
+            // Signed zeros, alone and tied with +0.0.
+            [-0.0, 1.0, 0.0, -0.0],
+            [1.0, -0.0, -0.0, -0.0],
+            [-0.0, 0.0, -0.0, 0.0],
+            [0.6, -0.0, 0.4, 0.0],
+            // NaN: never swapped, never a shift, clipped to 0.
+            [f64::NAN, 0.5, 0.5, 0.0],
+            [0.2, f64::NAN, 0.3, f64::NAN],
+            [f64::NAN; 4],
+            [f64::INFINITY, 0.0, 0.0, 0.0],
+            // One ulp off a corner.
+            [below_one, 0.0, 0.0, 0.0],
+            [0.0, 0.0, above_one, 0.0],
+            [below_one, tiny, 0.0, 0.0],
+            [0.0, -tiny, 0.0, 1.0],
+            // Three phases kept, where ×(1/3) and ÷3 round differently.
+            [0.57, -0.22, 0.69, 0.47],
         ];
-        // Transpose into per-phase lanes.
-        let phi: [V; 4] =
-            core::array::from_fn(|a| V::from_array(core::array::from_fn(|c| cells[c][a])));
-        let out = simplex_project_lanes(phi);
-        for (c, cell) in cells.iter().enumerate() {
-            let want = crate::simplex::project_to_simplex(*cell);
-            for a in 0..4 {
-                assert!(
-                    (out[a].extract(c) - want[a]).abs() < 1e-14,
-                    "cell {c} phase {a}: {} vs {}",
-                    out[a].extract(c),
-                    want[a]
-                );
+        for chunk in cells.chunks(4) {
+            // Transpose into per-phase lanes.
+            let phi: [V; 4] = core::array::from_fn(|a| {
+                V::from_array(core::array::from_fn(|c| chunk[c.min(chunk.len() - 1)][a]))
+            });
+            let out = simplex_project_lanes(phi);
+            for (c, cell) in chunk.iter().enumerate() {
+                let want = crate::simplex::project_to_simplex(*cell);
+                for a in 0..4 {
+                    assert_eq!(
+                        out[a].extract(c).to_bits(),
+                        want[a].to_bits(),
+                        "{cell:?} phase {a}: {} vs {}",
+                        out[a].extract(c),
+                        want[a]
+                    );
+                }
             }
         }
     }

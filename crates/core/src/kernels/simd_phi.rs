@@ -1,17 +1,25 @@
 //! Explicitly vectorized φ-kernels (ladder rung 2+).
 //!
-//! Two strategies, exactly as compared in Fig. 5:
+//! Two strategies, as compared in Fig. 5:
 //!
-//! * **cellwise** ([`phi_sweep_cellwise_range`]): "a SIMD vector
-//!   [represents] the four phases of a cell. With this technique, the field
-//!   is still updated cellwise, such that branching on a cell-by-cell basis
-//!   becomes possible" — pays for lane permutes (matrix–vector products need
-//!   broadcasts) but can take per-cell shortcuts and keeps more
-//!   intermediates in registers. The paper's fastest variant.
+//! * **cellwise** ([`phi_sweep_cellwise_range`], production): the paper's
+//!   fastest variant puts "the four phases of a cell" in one SIMD vector "such
+//!   that branching on a cell-by-cell basis becomes possible". Here it runs
+//!   *four x-cells per vector* instead: one vector holds one phase of four
+//!   neighbouring cells, loaded contiguously from the SoA planes, and every
+//!   lane runs the op sequence of the lanes-per-phase form bit for bit.
+//!   Horizontal sums over the phases become `(v0+v2)+(v1+v3)` across the
+//!   four phase registers (the association of `hsum_splat`), Γ·v is
+//!   `γ(Σv − v_α)` or `matvec`'s FMA chain, and the per-cell branches (bulk
+//!   skip, pure-cell drive skip) become lane masks. So the kernel keeps the
+//!   per-cell shortcuts without per-cell gathers, horizontal sums, scatters
+//!   or a scalar projection. The lanes-per-phase form itself lives on as the
+//!   AoS layout ablation [`phi_sweep_cellwise_aos`], which
+//!   `tests/kernel_equivalence.rs` pins bit for bit against this kernel.
 //! * **four-cell** ([`phi_sweep_fourcell_range`]): "unroll the innermost
-//!   loop, updating four cells in one iteration" — contiguous SoA loads, no
-//!   permutes, but "can only take these shortcuts if the condition is true
-//!   for all four cells".
+//!   loop, updating four cells in one iteration" — contiguous SoA loads, its
+//!   own (FMA-contracted) arithmetic, and "can only take these shortcuts if
+//!   the condition is true for all four cells".
 //!
 //! Every kernel is generic over the ISA backend `V:`[`SimdF64x4`] and
 //! instantiated per ISA by [`eutectica_simd::dispatch`], from
@@ -20,13 +28,13 @@
 
 use crate::kernels::basic::phi_cell;
 use crate::kernels::simd_common::{
-    cells_eq_mask, gamma_cols, gather_cell4, load_cells4, matvec, per_phase, scatter_cell4,
-    simplex_project_lanes, RecomputedSlices, SliceCtxV,
+    cells_eq_mask, gamma_cols, load_cells4, load_cells_n, load_lanes_n, matvec, per_phase,
+    scatter_cell4, simplex_project_lanes, store_lanes_n, RecomputedSlices, SliceCtxV,
 };
 use crate::kernels::{with_flags, KernelConfig, SimdIsa};
 use crate::params::ModelParams;
 use crate::state::BlockState;
-use crate::temperature::SliceTable;
+use crate::temperature::{SliceCtx, SliceTable};
 use crate::N_PHASES;
 use eutectica_blockgrid::field::{AosField, SoaField};
 use eutectica_simd::{IsaGeneric, SimdF64x4, SimdMask4};
@@ -60,8 +68,8 @@ pub(super) fn phi_sweep_cellwise_range<V: SimdF64x4>(
     }
 }
 
-/// Γ·v for the cellwise kernel: uniform-γ fast path (one horizontal sum)
-/// or the general 4×4 matrix–vector product.
+/// Γ·v for the lanes-per-phase kernel: uniform-γ fast path (one horizontal
+/// sum) or the general 4×4 matrix–vector product.
 #[inline(always)]
 fn gamma_apply<V: SimdF64x4, const UG: bool>(gcols: &[V; N_PHASES], gu: V, v: V) -> V {
     if UG {
@@ -87,54 +95,80 @@ fn face_flux_v<V: SimdF64x4, const UG: bool>(
     (pf * s1 - g * s2) * V::splat(-2.0)
 }
 
-/// Face flux between the cells at linear indices `il` and `ir`, gathered
-/// from the SoA planes (the staggered-buffer prefill).
+/// `hsum_splat` across the four phase registers: `(v0+v2)+(v1+v3)` per lane.
 #[inline(always)]
-fn face_at<V: SimdF64x4, const UG: bool>(
-    gcols: &[V; N_PHASES],
-    gu: V,
-    ps: &[&[f64]; N_PHASES],
-    il: usize,
-    ir: usize,
-    inv_dx: V,
-) -> V {
-    face_flux_v::<V, UG>(
-        gcols,
-        gu,
-        gather_cell4(ps, il),
-        gather_cell4(ps, ir),
-        inv_dx,
-    )
+fn hsum4<V: SimdF64x4>(v: &[V; N_PHASES]) -> V {
+    (v[0] + v[2]) + (v[1] + v[3])
 }
 
-/// The per-cell bulk predicate (centre pure ∧ all six neighbours equal to it
-/// in every phase) evaluated for the four consecutive x-cells starting at
-/// `i` with contiguous SoA loads, *before* any per-cell gather. Returns the
-/// centre cells when all four are bulk.
-#[inline(always)]
-fn bulk_group<V: SimdF64x4>(
-    ps: &[&[f64]; N_PHASES],
-    i: usize,
+/// What every window of one cellwise sweep reads: the source planes, the
+/// constants splatted once, and the slice contexts below T(z).
+struct Sweep<'a, V: SimdF64x4> {
+    ps: [&'a [f64]; N_PHASES],
+    ms: [&'a [f64]; 2],
+    recomputed: RecomputedSlices<'a>,
+    /// γ_αβ splatted (for the non-uniform Γ·v).
+    gamma: [[V; N_PHASES]; N_PHASES],
+    /// γ (uniform Γ·v).
+    gu: V,
+    inv_dx: V,
+    inv_2dx: V,
+    rate: V,
+    /// Lane 0 set: selects a window's left x-face from the carry.
+    lane0: V::Mask,
     sy: usize,
     sz: usize,
-) -> Option<[V; N_PHASES]> {
-    let one = V::splat(1.0);
-    let pc = load_cells4::<V>(ps, i);
-    let pure = pc[0]
-        .ge(one)
-        .or(pc[1].ge(one))
-        .or(pc[2].ge(one))
-        .or(pc[3].ge(one));
-    if !pure.all() {
-        return None;
+}
+
+/// [`gamma_apply`] for four cells (`v[β]` = phase β, lanes = cells), each
+/// lane the op sequence of the lanes-per-phase form.
+#[inline(always)]
+fn gamma4<V: SimdF64x4, const UG: bool>(k: &Sweep<V>, v: &[V; N_PHASES]) -> [V; N_PHASES] {
+    if UG {
+        let s = hsum4(v);
+        per_phase!(|a| k.gu * (s - v[a]))
+    } else {
+        per_phase!(|a| {
+            let r = k.gamma[a][0] * v[0];
+            let r = k.gamma[a][1].mul_add(v[1], r);
+            let r = k.gamma[a][2].mul_add(v[2], r);
+            k.gamma[a][3].mul_add(v[3], r)
+        })
     }
-    let same = cells_eq_mask(&load_cells4::<V>(ps, i - 1), &pc)
-        .and(cells_eq_mask(&load_cells4::<V>(ps, i + 1), &pc))
-        .and(cells_eq_mask(&load_cells4::<V>(ps, i - sy), &pc))
-        .and(cells_eq_mask(&load_cells4::<V>(ps, i + sy), &pc))
-        .and(cells_eq_mask(&load_cells4::<V>(ps, i - sz), &pc))
-        .and(cells_eq_mask(&load_cells4::<V>(ps, i + sz), &pc));
-    same.all().then_some(pc)
+}
+
+/// [`face_flux_v`] for four cell pairs (lanes = cells, one vector per
+/// phase).
+#[inline(always)]
+fn face4<V: SimdF64x4, const UG: bool>(
+    k: &Sweep<V>,
+    l: &[V; N_PHASES],
+    r: &[V; N_PHASES],
+) -> [V; N_PHASES] {
+    let half = V::splat(0.5);
+    let pf: [V; N_PHASES] = per_phase!(|a| (l[a] + r[a]) * half);
+    let g: [V; N_PHASES] = per_phase!(|a| (r[a] - l[a]) * k.inv_dx);
+    let s1 = gamma4::<V, UG>(k, &per_phase!(|a| pf[a] * g[a]));
+    let s2 = gamma4::<V, UG>(k, &per_phase!(|a| pf[a] * pf[a]));
+    per_phase!(|a| (pf[a] * s1[a] - g[a] * s2[a]) * V::splat(-2.0))
+}
+
+/// Faces between the cells at `i − off` and `i` for the `n` cells of a
+/// window (the staggered-buffer prefill).
+#[inline(always)]
+fn low_face4<V: SimdF64x4, const UG: bool>(
+    k: &Sweep<V>,
+    i: usize,
+    off: usize,
+    n: usize,
+) -> [V; N_PHASES] {
+    let ps = &k.ps;
+    if n == 4 {
+        face4::<V, UG>(k, &load_cells4(ps, i - off), &load_cells4(ps, i))
+    } else {
+        let l = load_cells_n::<V, false>(ps, i - off, n);
+        face4::<V, UG>(k, &l, &load_cells_n::<V, false>(ps, i, n))
+    }
 }
 
 #[inline(always)]
@@ -149,28 +183,12 @@ fn cellwise<V: SimdF64x4, const UG: bool, const TZ: bool, const STAG: bool, cons
     let g = dims.ghost;
     let (nx, ny, nz) = (dims.nx, dims.ny, dims.nz);
     debug_assert!(g <= z0 && z0 <= z1 && z1 <= g + nz);
-    let (sy, sz) = (dims.sy(), dims.sz());
     let inv_dx_s = 1.0 / params.dx;
-    let inv_dx = V::splat(inv_dx_s);
-    let inv_2dx = V::splat(0.5 * inv_dx_s);
-    let gcols = gamma_cols::<V>(&params.gamma);
-    let gu = V::splat(params.gamma[0][1]);
-    let rate = V::splat(params.dt / (params.tau * params.eps));
-    let quarter = V::splat(0.25);
-    let two = V::splat(2.0);
-    let one = V::splat(1.0);
     let origin_z = state.origin[2] as isize;
-
     let table = if TZ {
         Some(SliceTable::build(params, origin_z, dims.tz(), g, time))
     } else {
         None
-    };
-    let recomputed = RecomputedSlices {
-        params,
-        origin_z,
-        ghost: g,
-        time,
     };
 
     let BlockState {
@@ -179,168 +197,266 @@ fn cellwise<V: SimdF64x4, const UG: bool, const TZ: bool, const STAG: bool, cons
         phi_dst,
         ..
     } = state;
-    let ps = phi_src.comps();
-    let ms = mu_src.comps();
+    let k = Sweep {
+        ps: phi_src.comps(),
+        ms: mu_src.comps(),
+        recomputed: RecomputedSlices {
+            params,
+            origin_z,
+            ghost: g,
+            time,
+        },
+        gamma: per_phase!(|a| per_phase!(|b| V::splat(params.gamma[a][b]))),
+        gu: V::splat(params.gamma[0][1]),
+        inv_dx: V::splat(inv_dx_s),
+        inv_2dx: V::splat(0.5 * inv_dx_s),
+        rate: V::splat(params.dt / (params.tau * params.eps)),
+        lane0: V::from_array([1.0, 0.0, 0.0, 0.0]).gt(V::zero()),
+        sy: dims.sy(),
+        sz: dims.sz(),
+    };
     // Cut off at the slab bound: whatever `φ_dst` is known to hold above
     // (`kernels::phi_sweep_prepare`) is out of this sweep's reach.
     let mut pd = phi_dst.comps_mut_below(z1);
 
-    let mut zbuf = vec![V::zero(); if STAG { nx * ny } else { 0 }];
-    let mut ybuf = vec![V::zero(); if STAG { nx } else { 0 }];
+    // Windows of four x-cells from the row start; the last one of a row
+    // holds the `nx % 4` remaining cells when that is not zero.
+    let ngx = nx.div_ceil(4);
+    // Staggered face buffers, one entry per window (lanes = cells).
+    let mut zbuf = vec![[V::zero(); N_PHASES]; if STAG { ngx * ny } else { 0 }];
+    let mut ybuf = vec![[V::zero(); N_PHASES]; if STAG { ngx } else { 0 }];
+    let (mut no_y, mut no_z) = ([V::zero(); N_PHASES], [V::zero(); N_PHASES]);
 
     if STAG && z0 < z1 {
         for y in 0..ny {
-            for x in 0..nx {
-                let i = dims.idx(x + g, y + g, z0);
-                zbuf[y * nx + x] = face_at::<V, UG>(&gcols, gu, &ps, i - sz, i, inv_dx);
+            for w in 0..ngx {
+                let i = dims.idx(g + 4 * w, y + g, z0);
+                zbuf[y * ngx + w] = low_face4::<V, UG>(&k, i, k.sz, (nx - 4 * w).min(4));
             }
         }
     }
 
+    let untabulated = k.recomputed.cell(g); // never read
     for z in z0..z1 {
         let ctx_z = if TZ {
-            SliceCtxV::from_ctx(&table.as_ref().unwrap().cell[z])
+            &table.as_ref().unwrap().cell[z]
         } else {
-            SliceCtxV::<V>::from_ctx(&recomputed.cell(g)) // placeholder; recomputed per cell
+            &untabulated
         };
         if STAG {
-            for x in 0..nx {
-                let i = dims.idx(x + g, g, z);
-                ybuf[x] = face_at::<V, UG>(&gcols, gu, &ps, i - sy, i, inv_dx);
+            for (w, yb) in ybuf.iter_mut().enumerate() {
+                let i = dims.idx(g + 4 * w, g, z);
+                *yb = low_face4::<V, UG>(&k, i, k.sy, (nx - 4 * w).min(4));
             }
         }
         for y in g..g + ny {
-            let mut xprev = if STAG {
-                let i = dims.idx(g, y, z);
-                face_at::<V, UG>(&gcols, gu, &ps, i - 1, i, inv_dx)
-            } else {
-                V::zero()
-            };
-            let mut x0 = g;
-            while x0 < g + nx {
-                let n = (g + nx - x0).min(4);
-                // Bulk shortcut at vector granularity: test four cells with
-                // contiguous loads before paying for any per-cell gather.
-                // Same predicate, same stores and same zeroed face slots
-                // as four per-cell skips below.
-                if SC && n == 4 {
-                    let i = dims.idx(x0, y, z);
-                    if let Some(pc) = bulk_group::<V>(&ps, i, sy, sz) {
-                        for a in 0..N_PHASES {
-                            pc[a].store(pd[a], i);
-                        }
-                        if STAG {
-                            let (bx, bz) = (x0 - g, (y - g) * nx + (x0 - g));
-                            xprev = V::zero();
-                            for k in 0..4 {
-                                ybuf[bx + k] = V::zero();
-                                zbuf[bz + k] = V::zero();
-                            }
-                        }
-                        x0 += 4;
-                        continue;
-                    }
+            let row = dims.idx(g, y, z);
+            let mut carry = [V::zero(); N_PHASES];
+            for w in 0..ngx {
+                let (yb, zb) = if STAG {
+                    (&mut ybuf[w], &mut zbuf[(y - g) * ngx + w])
+                } else {
+                    (&mut no_y, &mut no_z)
+                };
+                let win = Window {
+                    i: row + 4 * w,
+                    n: (nx - 4 * w).min(4),
+                    row_start: w == 0,
+                    z,
+                };
+                let bufs = (&mut carry, yb, zb);
+                if win.n == 4 {
+                    window::<V, UG, TZ, STAG, SC, true>(&k, ctx_z, &mut pd, win, bufs);
+                } else {
+                    window::<V, UG, TZ, STAG, SC, false>(&k, ctx_z, &mut pd, win, bufs);
                 }
-                for x in x0..x0 + n {
-                    let i = dims.idx(x, y, z);
-                    let pc = gather_cell4::<V>(&ps, i);
-                    let xm = gather_cell4::<V>(&ps, i - 1);
-                    let xp = gather_cell4::<V>(&ps, i + 1);
-                    let ym = gather_cell4::<V>(&ps, i - sy);
-                    let yp = gather_cell4::<V>(&ps, i + sy);
-                    let zm = gather_cell4::<V>(&ps, i - sz);
-                    let zp = gather_cell4::<V>(&ps, i + sz);
-
-                    let pure_mask = pc.ge(one);
-                    if SC && pure_mask.any() {
-                        // Bulk shortcut: the cell is pure; if all six neighbors
-                        // equal it exactly, ∂φ/∂t = 0.
-                        let same = xm
-                            .eq(pc)
-                            .and(xp.eq(pc))
-                            .and(ym.eq(pc))
-                            .and(yp.eq(pc))
-                            .and(zm.eq(pc))
-                            .and(zp.eq(pc));
-                        if same.all() {
-                            scatter_cell4(&mut pd, i, pc);
-                            if STAG {
-                                xprev = V::zero();
-                                ybuf[x - g] = V::zero();
-                                zbuf[(y - g) * nx + (x - g)] = V::zero();
-                            }
-                            continue;
-                        }
-                    }
-
-                    let fresh;
-                    let ctx = if TZ {
-                        &ctx_z
-                    } else {
-                        fresh = SliceCtxV::<V>::from_ctx(&recomputed.cell(z));
-                        &fresh
-                    };
-
-                    // Reuse the already-gathered cell vectors for every face.
-                    let (f_xl, f_yl, f_zl) = if STAG {
-                        (xprev, ybuf[x - g], zbuf[(y - g) * nx + (x - g)])
-                    } else {
-                        (
-                            face_flux_v::<V, UG>(&gcols, gu, xm, pc, inv_dx),
-                            face_flux_v::<V, UG>(&gcols, gu, ym, pc, inv_dx),
-                            face_flux_v::<V, UG>(&gcols, gu, zm, pc, inv_dx),
-                        )
-                    };
-                    let f_xh = face_flux_v::<V, UG>(&gcols, gu, pc, xp, inv_dx);
-                    let f_yh = face_flux_v::<V, UG>(&gcols, gu, pc, yp, inv_dx);
-                    let f_zh = face_flux_v::<V, UG>(&gcols, gu, pc, zp, inv_dx);
-                    if STAG {
-                        xprev = f_xh;
-                        ybuf[x - g] = f_yh;
-                        zbuf[(y - g) * nx + (x - g)] = f_zh;
-                    }
-
-                    // Central gradients (lanes = phases).
-                    let gx = (xp - xm) * inv_2dx;
-                    let gy = (yp - ym) * inv_2dx;
-                    let gz = (zp - zm) * inv_2dx;
-
-                    // ∂a/∂φ = 2[φ (Γ m) − Σ_axis g_axis (Γ (φ g_axis))].
-                    let m = gx.mul_add(gx, gy.mul_add(gy, gz * gz));
-                    let t2 = gx * gamma_apply::<V, UG>(&gcols, gu, pc * gx)
-                        + gy * gamma_apply::<V, UG>(&gcols, gu, pc * gy)
-                        + gz * gamma_apply::<V, UG>(&gcols, gu, pc * gz);
-                    let da = (pc * gamma_apply::<V, UG>(&gcols, gu, m) - t2) * two;
-
-                    let div = (f_xh - f_xl + f_yh - f_yl + f_zh - f_zl) * inv_dx;
-                    let obst = gamma_apply::<V, UG>(&gcols, gu, pc);
-
-                    // Driving force, skipped for pure cells with shortcuts.
-                    let drive = if SC && pure_mask.any() {
-                        V::zero()
-                    } else {
-                        let phi2 = pc * pc;
-                        let inv_s = one / phi2.hsum_splat();
-                        let mu0 = V::splat(ms[0][i]);
-                        let mu1 = V::splat(ms[1][i]);
-                        let psi = -(mu0 * mu0 * ctx.inv4k[0] + mu1 * mu1 * ctx.inv4k[1])
-                            - (mu0 * ctx.c_eq[0] + mu1 * ctx.c_eq[1])
-                            + ctx.offset;
-                        let psi_bar = (phi2 * psi).hsum_splat() * inv_s;
-                        two * pc * inv_s * (psi - psi_bar)
-                    };
-
-                    let vdf = V::splat(ctx.pref_grad) * (da - div)
-                        + V::splat(ctx.pref_obst) * obst
-                        + drive;
-                    let mean = vdf.hsum_splat() * quarter;
-                    let raw = pc - rate * (vdf - mean);
-                    let out = crate::simplex::project_to_simplex(raw.to_array());
-                    scatter_cell4(&mut pd, i, V::from_array(out));
-                }
-                x0 += n;
             }
         }
+    }
+}
+
+/// Where a window of the cellwise sweep sits.
+#[derive(Copy, Clone)]
+struct Window {
+    /// Linear index of its first cell.
+    i: usize,
+    /// Cells of the row in it (1..=4); lanes `n..` repeat the last one.
+    n: usize,
+    /// First window of its row: its left x-face is computed, not carried.
+    row_start: bool,
+    /// Total z of its slice.
+    z: usize,
+}
+
+/// One window of the cellwise sweep: four x-cells, lanes = cells, each lane
+/// the op sequence of the lanes-per-phase cell update. `FULL` windows load
+/// and store contiguously; the row's partial last window (`FULL = false`)
+/// reads its lanes past the row as copies of the last cell and stores only
+/// its `n` cells. `(carry, yb, zb)` are the staggered face buffers: the
+/// carry's lane 0 is the x-face left of lane 0, `yb` / `zb` the faces below
+/// in y / z; the window leaves its own high faces there, zero in bulk lanes.
+#[inline(always)]
+fn window<
+    V: SimdF64x4,
+    const UG: bool,
+    const TZ: bool,
+    const STAG: bool,
+    const SC: bool,
+    const FULL: bool,
+>(
+    k: &Sweep<V>,
+    ctx_z: &SliceCtx,
+    pd: &mut [&mut [f64]; N_PHASES],
+    win: Window,
+    (carry, yb, zb): (&mut [V; N_PHASES], &mut [V; N_PHASES], &mut [V; N_PHASES]),
+) {
+    let Window { i, n, row_start, z } = win;
+    let (ps, sy, sz) = (&k.ps, k.sy, k.sz);
+    let zero = V::zero();
+    let one = V::splat(1.0);
+    let two = V::splat(2.0);
+    let pc = load_cells_n::<V, FULL>(ps, i, n);
+    let xm = load_cells_n::<V, FULL>(ps, i - 1, n);
+    let xp = load_cells_n::<V, FULL>(ps, i + 1, n);
+    let ym = load_cells_n::<V, FULL>(ps, i - sy, n);
+    let yp = load_cells_n::<V, FULL>(ps, i + sy, n);
+    let zm = load_cells_n::<V, FULL>(ps, i - sz, n);
+    let zp = load_cells_n::<V, FULL>(ps, i + sz, n);
+
+    // Cells with a pure phase, and (shortcuts) the bulk cells among them:
+    // all six neighbours equal the cell, so ∂φ/∂t = 0 and φ_src is stored.
+    let pure = pc[0]
+        .ge(one)
+        .or(pc[1].ge(one))
+        .or(pc[2].ge(one))
+        .or(pc[3].ge(one));
+    let bulk = if SC {
+        pure.and(cells_eq_mask(&xm, &pc))
+            .and(cells_eq_mask(&xp, &pc))
+            .and(cells_eq_mask(&ym, &pc))
+            .and(cells_eq_mask(&yp, &pc))
+            .and(cells_eq_mask(&zm, &pc))
+            .and(cells_eq_mask(&zp, &pc))
+    } else {
+        pure // never read without shortcuts
+    };
+    if SC && bulk.all() {
+        for a in 0..N_PHASES {
+            store_lanes_n::<V, FULL>(pc[a], pd[a], i, n);
+        }
+        if STAG {
+            *carry = [zero; N_PHASES];
+            *yb = [zero; N_PHASES];
+            *zb = [zero; N_PHASES];
+        }
+        return;
+    }
+
+    let fresh;
+    let ctx = if TZ {
+        ctx_z
+    } else {
+        // Rebuilt once per cell, as the rungs below T(z) do.
+        let mut c = k.recomputed.cell(z);
+        for _ in 1..n {
+            c = std::hint::black_box(k.recomputed.cell(z));
+        }
+        fresh = c;
+        &fresh
+    };
+
+    let f_xh = face4::<V, UG>(k, &pc, &xp);
+    let f_yh = face4::<V, UG>(k, &pc, &yp);
+    let f_zh = face4::<V, UG>(k, &pc, &zp);
+    let (f_xl, f_yl, f_zl) = if STAG {
+        // A bulk cell leaves +0 faces, as the all-bulk early-out does.
+        // Computed, they would be ±0 (faces between equal cells), and the
+        // sign of a zero face never reaches φ_dst; zeroing keeps the
+        // buffers independent of which path a cell took. Lane j's left
+        // x-face is lane j − 1's right one, lane 0's comes from the carry.
+        let kept: [[V; N_PHASES]; 3] = if SC {
+            [
+                per_phase!(|a| bulk.select(zero, f_xh[a])),
+                per_phase!(|a| bulk.select(zero, f_yh[a])),
+                per_phase!(|a| bulk.select(zero, f_zh[a])),
+            ]
+        } else {
+            [f_xh, f_yh, f_zh]
+        };
+        let left = if row_start {
+            face4::<V, UG>(k, &xm, &pc)
+        } else {
+            *carry
+        };
+        let shifted: [V; N_PHASES] = per_phase!(|a| kept[0][a].permute::<3, 0, 1, 2>());
+        let f_xl: [V; N_PHASES] = per_phase!(|a| k.lane0.select(left[a], shifted[a]));
+        let low = (f_xl, *yb, *zb);
+        *carry = shifted;
+        *yb = kept[1];
+        *zb = kept[2];
+        low
+    } else {
+        (
+            face4::<V, UG>(k, &xm, &pc),
+            face4::<V, UG>(k, &ym, &pc),
+            face4::<V, UG>(k, &zm, &pc),
+        )
+    };
+
+    // Central gradients, one vector per phase.
+    let gx: [V; N_PHASES] = per_phase!(|a| (xp[a] - xm[a]) * k.inv_2dx);
+    let gy: [V; N_PHASES] = per_phase!(|a| (yp[a] - ym[a]) * k.inv_2dx);
+    let gz: [V; N_PHASES] = per_phase!(|a| (zp[a] - zm[a]) * k.inv_2dx);
+
+    // ∂a/∂φ = 2[φ (Γ m) − Σ_axis g_axis (Γ (φ g_axis))].
+    let m: [V; N_PHASES] =
+        per_phase!(|a| gx[a].mul_add(gx[a], gy[a].mul_add(gy[a], gz[a] * gz[a])));
+    let gm = gamma4::<V, UG>(k, &m);
+    let tx = gamma4::<V, UG>(k, &per_phase!(|a| pc[a] * gx[a]));
+    let ty = gamma4::<V, UG>(k, &per_phase!(|a| pc[a] * gy[a]));
+    let tz = gamma4::<V, UG>(k, &per_phase!(|a| pc[a] * gz[a]));
+    let obst = gamma4::<V, UG>(k, &pc);
+
+    // Driving force, zero in pure cells with shortcuts.
+    let drive: [V; N_PHASES] = if SC && pure.all() {
+        [zero; N_PHASES]
+    } else {
+        let phi2: [V; N_PHASES] = per_phase!(|a| pc[a] * pc[a]);
+        let inv_s = one / hsum4(&phi2);
+        let mu0 = load_lanes_n::<V, FULL>(k.ms[0], i, n);
+        let mu1 = load_lanes_n::<V, FULL>(k.ms[1], i, n);
+        let psi: [V; N_PHASES] = per_phase!(|a| -(mu0 * mu0 * V::splat(ctx.inv4k[a][0])
+            + mu1 * mu1 * V::splat(ctx.inv4k[a][1]))
+            - (mu0 * V::splat(ctx.c_eq[a][0]) + mu1 * V::splat(ctx.c_eq[a][1]))
+            + V::splat(ctx.offset[a]));
+        let psi_bar = hsum4(&per_phase!(|a| phi2[a] * psi[a])) * inv_s;
+        per_phase!(|a| {
+            let d = two * pc[a] * inv_s * (psi[a] - psi_bar);
+            if SC {
+                pure.select(zero, d)
+            } else {
+                d
+            }
+        })
+    };
+
+    let pref_grad = V::splat(ctx.pref_grad);
+    let pref_obst = V::splat(ctx.pref_obst);
+    let vdf: [V; N_PHASES] = per_phase!(|a| {
+        let t2 = gx[a] * tx[a] + gy[a] * ty[a] + gz[a] * tz[a];
+        let da = (pc[a] * gm[a] - t2) * two;
+        let div = (f_xh[a] - f_xl[a] + f_yh[a] - f_yl[a] + f_zh[a] - f_zl[a]) * k.inv_dx;
+        pref_grad * (da - div) + pref_obst * obst[a] + drive[a]
+    });
+    let mean = hsum4(&vdf) * V::splat(0.25);
+    let out = simplex_project_lanes(per_phase!(|a| pc[a] - k.rate * (vdf[a] - mean)));
+    for a in 0..N_PHASES {
+        let v = if SC {
+            bulk.select(pc[a], out[a])
+        } else {
+            out[a]
+        };
+        store_lanes_n::<V, FULL>(v, pd[a], i, n);
     }
 }
 

@@ -26,6 +26,7 @@
 //! ```
 
 use eutectica_blockgrid::codec::{self, CodecError};
+use eutectica_blockgrid::field::SoaField;
 use eutectica_blockgrid::rebalance::CostEntry;
 use eutectica_blockgrid::GridDims;
 
@@ -80,15 +81,14 @@ impl From<CodecError> for MigrateError {
 }
 
 /// Serialize a block for migration: header + all four field buffers
-/// (ghosts included) through the bit-exact codec.
+/// (ghosts included) through the bit-exact codec, encoded straight into
+/// the one frame-sized buffer.
 pub fn encode_block(state: &BlockState, id: u64, entry: &CostEntry) -> Vec<u8> {
-    let fields = [
-        codec::encode_soa(&state.phi_src),
-        codec::encode_soa(&state.phi_dst),
-        codec::encode_soa(&state.mu_src),
-        codec::encode_soa(&state.mu_dst),
-    ];
-    let body: usize = fields.iter().map(|f| 8 + f.len()).sum();
+    let body = 4 * 8
+        + codec::encoded_len::<N_PHASES>(state.phi_src.dims())
+        + codec::encoded_len::<N_PHASES>(state.phi_dst.dims())
+        + codec::encoded_len::<N_COMP>(state.mu_src.dims())
+        + codec::encoded_len::<N_COMP>(state.mu_dst.dims());
     let mut out = Vec::with_capacity(HEADER_LEN + body);
     out.extend_from_slice(&MIG_MAGIC);
     out.extend_from_slice(&id.to_le_bytes());
@@ -98,11 +98,83 @@ pub fn encode_block(state: &BlockState, id: u64, entry: &CostEntry) -> Vec<u8> {
     out.push(entry.measured.is_some() as u8);
     out.extend_from_slice(&entry.measured.unwrap_or(0.0).to_le_bytes());
     out.extend_from_slice(&entry.prior.to_le_bytes());
-    for f in &fields {
-        out.extend_from_slice(&(f.len() as u64).to_le_bytes());
-        out.extend_from_slice(f);
-    }
+    put_field(&mut out, &state.phi_src);
+    put_field(&mut out, &state.phi_dst);
+    put_field(&mut out, &state.mu_src);
+    put_field(&mut out, &state.mu_dst);
     out
+}
+
+/// Append one field record: its encoded length, then its encoding.
+fn put_field<const NC: usize>(out: &mut Vec<u8>, f: &SoaField<NC>) {
+    out.extend_from_slice(&(codec::encoded_len::<NC>(f.dims()) as u64).to_le_bytes());
+    codec::encode_soa_into(f, out);
+}
+
+/// A frame's header and its four field records, in wire order.
+struct Frame<'a> {
+    id: u64,
+    origin: [usize; 3],
+    entry: CostEntry,
+    /// phi_src, phi_dst, mu_src, mu_dst.
+    fields: [&'a [u8]; 4],
+}
+
+fn parse_frame(bytes: &[u8]) -> Result<Frame<'_>, MigrateError> {
+    if bytes.len() < HEADER_LEN {
+        return Err(MigrateError::Truncated);
+    }
+    if bytes[..8] != MIG_MAGIC {
+        return Err(MigrateError::BadMagic);
+    }
+    let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
+    let f64_at = |o: usize| f64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
+    let origin = [
+        u64_at(16) as usize,
+        u64_at(24) as usize,
+        u64_at(32) as usize,
+    ];
+    let entry = CostEntry {
+        measured: (bytes[40] != 0).then_some(f64_at(41)),
+        prior: f64_at(49),
+    };
+    let mut fields = [&bytes[..0]; 4];
+    let mut off = HEADER_LEN;
+    for f in &mut fields {
+        if bytes.len() < off + 8 {
+            return Err(MigrateError::Truncated);
+        }
+        let len = u64_at(off) as usize;
+        let start = off + 8;
+        let end = start.checked_add(len).ok_or(MigrateError::Truncated)?;
+        if bytes.len() < end {
+            return Err(MigrateError::Truncated);
+        }
+        *f = &bytes[start..end];
+        off = end;
+    }
+    Ok(Frame {
+        id: u64_at(8),
+        origin,
+        entry,
+        fields,
+    })
+}
+
+/// Decode one field record and require the receiver's dimensions.
+fn field<const NC: usize>(
+    bytes: &[u8],
+    expected: GridDims,
+    budget: u64,
+) -> Result<SoaField<NC>, MigrateError> {
+    let f = codec::decode_soa::<NC>(bytes, budget)?;
+    if f.dims() != expected {
+        return Err(MigrateError::DimsMismatch {
+            expected,
+            found: f.dims(),
+        });
+    }
+    Ok(f)
 }
 
 /// Deserialize a migrated block. `expected` is the receiver's idea of the
@@ -116,64 +188,44 @@ pub fn decode_block(
     expected: GridDims,
     budget: u64,
 ) -> Result<(u64, BlockState, CostEntry), MigrateError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(MigrateError::Truncated);
+    let Frame {
+        id,
+        origin,
+        entry,
+        fields: [ps, pd, ms, md],
+    } = parse_frame(bytes)?;
+    let phi = [field(ps, expected, budget)?, field(pd, expected, budget)?];
+    let mu = [field(ms, expected, budget)?, field(md, expected, budget)?];
+    Ok((id, BlockState::from_fields(origin, phi, mu), entry))
+}
+
+/// Decode only a frame's source fields, for a restore that rebuilds dst
+/// from src: the dst records must have the length of an `expected`-sized
+/// field but are neither CRC-checked nor converted.
+///
+/// Returns `(block id, origin, φ_src, µ_src)`.
+pub fn decode_block_src(
+    bytes: &[u8],
+    expected: GridDims,
+    budget: u64,
+) -> Result<(u64, [usize; 3], SoaField<N_PHASES>, SoaField<N_COMP>), MigrateError> {
+    let Frame {
+        id,
+        origin,
+        fields: [ps, pd, ms, md],
+        ..
+    } = parse_frame(bytes)?;
+    if pd.len() != codec::encoded_len::<N_PHASES>(expected)
+        || md.len() != codec::encoded_len::<N_COMP>(expected)
+    {
+        return Err(CodecError::Truncated { what: "payload" }.into());
     }
-    if bytes[..8] != MIG_MAGIC {
-        return Err(MigrateError::BadMagic);
-    }
-    let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
-    let f64_at = |o: usize| f64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
-    let id = u64_at(8);
-    let origin = [
-        u64_at(16) as usize,
-        u64_at(24) as usize,
-        u64_at(32) as usize,
-    ];
-    let has_measured = bytes[40] != 0;
-    let measured = f64_at(41);
-    let prior = f64_at(49);
-    let entry = CostEntry {
-        measured: has_measured.then_some(measured),
-        prior,
-    };
-    let mut off = HEADER_LEN;
-    let mut next = |bytes: &[u8]| -> Result<(usize, usize), MigrateError> {
-        if bytes.len() < off + 8 {
-            return Err(MigrateError::Truncated);
-        }
-        let len = u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap()) as usize;
-        let start = off + 8;
-        let end = start.checked_add(len).ok_or(MigrateError::Truncated)?;
-        if bytes.len() < end {
-            return Err(MigrateError::Truncated);
-        }
-        off = end;
-        Ok((start, end))
-    };
-    let check = |dims: GridDims| -> Result<(), MigrateError> {
-        if dims != expected {
-            return Err(MigrateError::DimsMismatch {
-                expected,
-                found: dims,
-            });
-        }
-        Ok(())
-    };
-    let (s, e) = next(bytes)?;
-    let phi_src = codec::decode_soa::<N_PHASES>(&bytes[s..e], budget)?;
-    check(phi_src.dims())?;
-    let (s, e) = next(bytes)?;
-    let phi_dst = codec::decode_soa::<N_PHASES>(&bytes[s..e], budget)?;
-    check(phi_dst.dims())?;
-    let (s, e) = next(bytes)?;
-    let mu_src = codec::decode_soa::<N_COMP>(&bytes[s..e], budget)?;
-    check(mu_src.dims())?;
-    let (s, e) = next(bytes)?;
-    let mu_dst = codec::decode_soa::<N_COMP>(&bytes[s..e], budget)?;
-    check(mu_dst.dims())?;
-    let state = BlockState::from_fields(origin, [phi_src, phi_dst], [mu_src, mu_dst]);
-    Ok((id, state, entry))
+    Ok((
+        id,
+        origin,
+        field(ps, expected, budget)?,
+        field(ms, expected, budget)?,
+    ))
 }
 
 #[cfg(test)]
@@ -247,5 +299,31 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
         assert!(decode_block(&bytes, dims, u64::MAX).is_err());
+    }
+
+    #[test]
+    fn source_decode_skips_dst_checksums_but_not_lengths() {
+        let dims = GridDims::new(3, 4, 2, 1);
+        let st = scrambled_block(dims, 7);
+        let entry = CostEntry {
+            measured: None,
+            prior: 0.0,
+        };
+        let mut bytes = encode_block(&st, 4, &entry);
+        // A flipped bit in φ_dst's payload fails the full decode's CRC and
+        // goes unread by the source decode.
+        let phi_len = codec::encoded_len::<N_PHASES>(dims);
+        let in_phi_dst = HEADER_LEN + 8 + phi_len + 8 + phi_len / 2;
+        bytes[in_phi_dst] ^= 0x04;
+        assert!(decode_block(&bytes, dims, u64::MAX).is_err());
+        let (id, origin, phi_src, mu_src) = decode_block_src(&bytes, dims, u64::MAX).unwrap();
+        assert_eq!((id, origin), (4, st.origin));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(phi_src.raw()), bits(st.phi_src.raw()));
+        assert_eq!(bits(mu_src.raw()), bits(st.mu_src.raw()));
+        // A dst record of another field's length is refused.
+        assert!(decode_block_src(&bytes[..bytes.len() - 1], dims, u64::MAX).is_err());
+        let other = encode_block(&scrambled_block(GridDims::new(3, 4, 3, 1), 7), 4, &entry);
+        assert!(decode_block_src(&other, dims, u64::MAX).is_err());
     }
 }

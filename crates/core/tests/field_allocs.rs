@@ -11,7 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use eutectica_blockgrid::codec::DEFAULT_FIELD_BYTE_BUDGET;
+use eutectica_blockgrid::codec::{self, DEFAULT_FIELD_BYTE_BUDGET};
 use eutectica_blockgrid::decomp::{Decomposition, DomainSpec};
 use eutectica_blockgrid::rebalance::CostEntry;
 use eutectica_blockgrid::GridDims;
@@ -54,11 +54,15 @@ struct Fields {
     live: u64,
     /// Most field-sized bytes alive at once.
     peak: u64,
+    /// Allocations of at least a µ field's size, field-sized or not.
+    large: u64,
+    /// Bytes of those.
+    large_bytes: u64,
 }
 
 thread_local! {
     static FIELDS: Cell<Fields> = const {
-        Cell::new(Fields { allocs: 0, live: 0, peak: 0 })
+        Cell::new(Fields { allocs: 0, live: 0, peak: 0, large: 0, large_bytes: 0 })
     };
 }
 
@@ -67,15 +71,19 @@ fn is_field(size: usize) -> bool {
 }
 
 fn note_alloc(size: usize) {
-    if !is_field(size) {
+    if size < MU_BYTES {
         return;
     }
     // Unavailable while a thread is torn down; those are not measured.
     let _ = FIELDS.try_with(|f| {
         let mut v = f.get();
-        v.allocs += 1;
-        v.live += size as u64;
-        v.peak = v.peak.max(v.live);
+        v.large += 1;
+        v.large_bytes += size as u64;
+        if is_field(size) {
+            v.allocs += 1;
+            v.live += size as u64;
+            v.peak = v.peak.max(v.live);
+        }
         f.set(v);
     });
 }
@@ -136,6 +144,19 @@ fn measured<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     let out = f();
     let after = FIELDS.with(Cell::get);
     (out, after.allocs - before.allocs, after.peak - before.live)
+}
+
+/// Run `f` and return its result with the allocations of at least a µ
+/// field's size it made (field-sized or not) and their total bytes.
+fn measured_large<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let before = FIELDS.with(Cell::get);
+    let out = f();
+    let after = FIELDS.with(Cell::get);
+    (
+        out,
+        after.large - before.large,
+        after.large_bytes - before.large_bytes,
+    )
 }
 
 fn seeds() -> VoronoiSeeds {
@@ -280,4 +301,52 @@ fn migration_decode_allocates_each_field_once() {
     let (id, st, _) = decoded;
     assert_eq!(id, 11);
     assert!(same_fields(&st, &b), "migration is bit-exact, dst included");
+}
+
+#[test]
+fn migration_encode_allocates_one_frame() {
+    let b = evolved_block();
+    let entry = CostEntry {
+        measured: None,
+        prior: 2.0,
+    };
+    let (frame, large, bytes) = measured_large(|| migrate::encode_block(&b, 5, &entry));
+    assert_eq!(
+        (large, bytes),
+        (1, frame.len() as u64),
+        "one frame-sized buffer"
+    );
+    assert_eq!(frame.capacity(), frame.len());
+    // The wire bytes: the block header, then each field's length and its
+    // stand-alone codec encoding.
+    let fields = [
+        codec::encode_soa(&b.phi_src),
+        codec::encode_soa(&b.phi_dst),
+        codec::encode_soa(&b.mu_src),
+        codec::encode_soa(&b.mu_dst),
+    ];
+    let body: usize = fields.iter().map(|f| 8 + f.len()).sum();
+    let mut want = frame[..frame.len() - body].to_vec();
+    for f in &fields {
+        want.extend_from_slice(&(f.len() as u64).to_le_bytes());
+        want.extend_from_slice(f);
+    }
+    assert_eq!(frame, want);
+}
+
+#[test]
+fn replica_restore_decodes_only_the_source_fields() {
+    let b = evolved_block();
+    let entry = CostEntry {
+        measured: None,
+        prior: 0.0,
+    };
+    let frame = migrate::encode_block(&b, 8, &entry);
+    let (decoded, allocs, peak) =
+        measured(|| migrate::decode_block_src(&frame, b.dims, DEFAULT_FIELD_BYTE_BUDGET).unwrap());
+    assert_eq!((allocs, peak), (2, (PHI_BYTES + MU_BYTES) as u64));
+    let (id, origin, phi_src, mu_src) = decoded;
+    assert_eq!((id, origin), (8, b.origin));
+    assert_eq!(phi_src.raw(), b.phi_src.raw());
+    assert_eq!(mu_src.raw(), b.mu_src.raw());
 }

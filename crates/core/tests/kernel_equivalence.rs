@@ -161,39 +161,81 @@ fn mu_all_variants_agree() {
     }
 }
 
+/// Surface energies that differ per phase pair (symmetric, zero diagonal):
+/// the φ-kernel's general Γ·v instead of its uniform-γ path.
+fn non_uniform_gamma() -> ModelParams {
+    let mut p = ModelParams::ag_al_cu();
+    let g = p.gamma[0][1];
+    for (a, b, f) in [
+        (0, 1, 0.8),
+        (0, 2, 1.1),
+        (0, 3, 1.3),
+        (1, 2, 0.9),
+        (1, 3, 1.2),
+        (2, 3, 1.05),
+    ] {
+        p.gamma[a][b] = g * f;
+        p.gamma[b][a] = g * f;
+    }
+    p
+}
+
+/// The cellwise kernel's cases: cube(8), rows whose length is not a multiple
+/// of its four-cell window (down to blocks narrower than one window), and a
+/// non-uniform γ.
+fn cellwise_cases() -> Vec<(&'static str, ModelParams, GridDims)> {
+    let mut v = vec![("uniform γ", ModelParams::ag_al_cu(), GridDims::cube(8))];
+    for nx in [3, 5, 7, 10] {
+        v.push((
+            "uniform γ",
+            ModelParams::ag_al_cu(),
+            GridDims::new(nx, 6, 5, 1),
+        ));
+    }
+    v.push(("non-uniform γ", non_uniform_gamma(), GridDims::cube(8)));
+    v.push((
+        "non-uniform γ",
+        non_uniform_gamma(),
+        GridDims::new(7, 6, 5, 1),
+    ));
+    v
+}
+
 #[test]
 fn simd_cellwise_flags_are_bit_exact() {
-    let params = ModelParams::ag_al_cu();
-    let dims = GridDims::cube(8);
-    for (name, base) in states(dims) {
-        let mut oracle = base.clone();
-        phi_sweep(
-            &params,
-            &mut oracle,
-            0.7,
-            cfg(
-                PhiVariant::SimdCellwise,
-                MuVariant::Scalar,
-                false,
-                false,
-                false,
-            ),
-        );
-        for tz in [false, true] {
-            for stag in [false, true] {
-                for sc in [false, true] {
-                    let mut s = base.clone();
-                    phi_sweep(
-                        &params,
-                        &mut s,
-                        0.7,
-                        cfg(PhiVariant::SimdCellwise, MuVariant::Scalar, tz, stag, sc),
-                    );
-                    let d = max_phi_diff(&oracle, &s);
-                    assert_eq!(
-                        d, 0.0,
-                        "{name}: cellwise flags ({tz},{stag},{sc}) not bit-exact: {d:e}"
-                    );
+    for (gamma, params, dims) in cellwise_cases() {
+        for (name, base) in states(dims) {
+            let mut oracle = base.clone();
+            phi_sweep(
+                &params,
+                &mut oracle,
+                0.7,
+                cfg(
+                    PhiVariant::SimdCellwise,
+                    MuVariant::Scalar,
+                    false,
+                    false,
+                    false,
+                ),
+            );
+            for tz in [false, true] {
+                for stag in [false, true] {
+                    for sc in [false, true] {
+                        let mut s = base.clone();
+                        phi_sweep(
+                            &params,
+                            &mut s,
+                            0.7,
+                            cfg(PhiVariant::SimdCellwise, MuVariant::Scalar, tz, stag, sc),
+                        );
+                        let d = max_phi_diff(&oracle, &s);
+                        assert_eq!(
+                            d, 0.0,
+                            "{name} ({gamma}, nx={}): cellwise flags ({tz},{stag},{sc}) \
+                             not bit-exact: {d:e}",
+                            dims.nx
+                        );
+                    }
                 }
             }
         }
@@ -481,29 +523,35 @@ fn simd_isa_instantiations_are_bit_exact() {
 /// it is bit-identical to it — under every ISA, hence across ISAs.
 #[test]
 fn aos_variant_matches_soa_cellwise() {
-    use eutectica_core::kernels::phi_sweep_cellwise_aos;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(12);
-    let dims = GridDims::cube(8);
-    let mut s = BlockState::new(dims, [0, 0, 2]);
-    for z in 0..dims.tz() {
-        for y in 0..dims.ty() {
-            for x in 0..dims.tx() {
-                let raw: [f64; 4] = core::array::from_fn(|_| rng.random_range(0.0..1.0));
-                s.phi_src.set_cell(x, y, z, project_to_simplex(raw));
-                s.mu_src.set_cell(
-                    x,
-                    y,
-                    z,
-                    [rng.random_range(-0.2..0.2), rng.random_range(-0.2..0.2)],
-                );
+    for (gamma, params, dims) in cellwise_cases() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+        let mut s = BlockState::new(dims, [0, 0, 2]);
+        for z in 0..dims.tz() {
+            for y in 0..dims.ty() {
+                for x in 0..dims.tx() {
+                    let raw: [f64; 4] = core::array::from_fn(|_| rng.random_range(0.0..1.0));
+                    s.phi_src.set_cell(x, y, z, project_to_simplex(raw));
+                    s.mu_src.set_cell(
+                        x,
+                        y,
+                        z,
+                        [rng.random_range(-0.2..0.2), rng.random_range(-0.2..0.2)],
+                    );
+                }
             }
         }
+        assert_aos_matches_soa(&format!("{gamma}, nx={}", dims.nx), &params, &s);
     }
-    let params = ModelParams::ag_al_cu();
+}
+
+/// The AoS ablation kernel and the SoA cellwise kernel (T(z) + staggered
+/// buffer, no shortcuts) give the same φ_dst bits on `s`, under every ISA.
+fn assert_aos_matches_soa(what: &str, params: &ModelParams, s: &BlockState) {
+    use eutectica_core::kernels::phi_sweep_cellwise_aos;
+    let dims = s.dims;
     let aos = s.phi_src.to_aos();
     let mut first: Option<Vec<u64>> = None;
     for isa in isas() {
-        // SoA cellwise (T(z) + staggered buffer, no shortcuts).
         let mut c = cfg(
             PhiVariant::SimdCellwise,
             MuVariant::SimdFourCell,
@@ -513,9 +561,17 @@ fn aos_variant_matches_soa_cellwise() {
         );
         c.isa = isa;
         let mut soa = s.clone();
-        phi_sweep(&params, &mut soa, 1.0, c);
+        phi_sweep(params, &mut soa, 1.0, c);
         let mut out = s.phi_dst.clone();
-        phi_sweep_cellwise_aos(&params, &aos, &s.mu_src, &mut out, 2, 1.0, isa);
+        phi_sweep_cellwise_aos(
+            params,
+            &aos,
+            &s.mu_src,
+            &mut out,
+            s.origin[2] as isize,
+            1.0,
+            isa,
+        );
         for comp in 0..4 {
             for (x, y, z) in dims.interior_iter() {
                 let a = soa.phi_dst.at(comp, x, y, z);
@@ -523,12 +579,16 @@ fn aos_variant_matches_soa_cellwise() {
                 assert_eq!(
                     a.to_bits(),
                     b.to_bits(),
-                    "{isa:?} phi[{comp}]@({x},{y},{z}): {a} vs {b}"
+                    "{what}: {isa:?} phi[{comp}]@({x},{y},{z}): {a} vs {b}"
                 );
             }
         }
         let bits: Vec<u64> = out.raw().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(first.get_or_insert_with(|| bits.clone()), &bits, "{isa:?}");
+        assert_eq!(
+            first.get_or_insert_with(|| bits.clone()),
+            &bits,
+            "{what}: {isa:?}"
+        );
     }
 }
 
@@ -823,6 +883,39 @@ fn bulk_runs_ending_anywhere_in_a_group_are_bit_exact() {
             roughen(&mut s, 60 + k as u64, r.0 + 1..r.1 + 1, 3..4, 3..4);
         }
         assert_shortcuts_bit_exact(&format!("nx={nx} rough-row={rough:?}"), &s, &[]);
+    }
+}
+
+/// Windows of four x-cells that mix bulk and non-bulk lanes, on rows of
+/// every length class: a −0.0 pure cell and a one-ulp-below-1 cell on the
+/// two sides of a window boundary (interior x = 3 | 4), the row's last cell
+/// in the partial window, and an interface cell. Shortcuts must not move a
+/// bit, and the shortcut-free sweep must equal the AoS ablation.
+#[test]
+fn mixed_bulk_windows_on_every_row_length_are_bit_exact() {
+    let below_one = f64::from_bits(1.0f64.to_bits() - 1);
+    for nx in [3, 5, 7, 10, 12] {
+        let dims = GridDims::new(nx, 5, 5, 1);
+        let mut s = bulk_state(dims, 36);
+        let (row, slab) = (2, 3);
+        // Total x = interior x + 1.
+        let neg_zero = (4.min(nx), row, slab);
+        set_phi(&mut s, neg_zero, [-0.0, 0.0, 0.0, 1.0]);
+        if nx > 4 {
+            set_phi(&mut s, (5, row, slab), [0.0, 0.0, 0.0, below_one]);
+        }
+        set_phi(&mut s, (nx, row + 1, slab), [0.0, 0.0, 0.0, below_one]);
+        // A −0.0 cell whose neighbours are all pure, so it is bulk itself.
+        let bulk_neg_zero = (1, row - 1, slab);
+        set_phi(&mut s, bulk_neg_zero, [0.0, -0.0, 0.0, 1.0]);
+        roughen(&mut s, 80, 1..2, row..row + 1, slab + 1..slab + 2);
+        assert_shortcuts_bit_exact(&format!("mixed nx={nx}"), &s, &[neg_zero, bulk_neg_zero]);
+        for (gamma, params) in [
+            ("uniform γ", ModelParams::ag_al_cu()),
+            ("non-uniform γ", non_uniform_gamma()),
+        ] {
+            assert_aos_matches_soa(&format!("mixed {gamma}, nx={nx}"), &params, &s);
+        }
     }
 }
 

@@ -230,23 +230,24 @@ impl ReplicaStore {
         let ids: Vec<usize> = sim.local_block_ids().to_vec();
         for (li, id) in ids.into_iter().enumerate() {
             let holder = self.holder(sim, id)?;
-            let buf = if holder == me {
-                Bytes::from(
-                    self.frames
-                        .get(&id)
-                        .ok_or(ReplicaError::MissingFrame { id })?
-                        .clone(),
-                )
+            let received;
+            let frame: &[u8] = if holder == me {
+                self.frames
+                    .get(&id)
+                    .ok_or(ReplicaError::MissingFrame { id })?
             } else {
-                let b = sim.comm_rank().recv(holder, fetch_tag(nb, id));
-                bytes_moved += b.len() as u64;
-                b
+                received = sim.comm_rank().recv(holder, fetch_tag(nb, id));
+                bytes_moved += received.len() as u64;
+                &received
             };
             let expected = sim.decomp().block(id).dims(1);
-            let (fid, st, _entry) = migrate::decode_block(&buf, expected, DEFAULT_BYTE_BUDGET)
-                .map_err(|e| ReplicaError::Decode {
-                    id,
-                    detail: e.to_string(),
+            // dst is rebuilt from src below, so only the src fields are decoded.
+            let (fid, origin, phi_src, mu_src) =
+                migrate::decode_block_src(frame, expected, DEFAULT_BYTE_BUDGET).map_err(|e| {
+                    ReplicaError::Decode {
+                        id,
+                        detail: e.to_string(),
+                    }
                 })?;
             if fid as usize != id {
                 return Err(ReplicaError::Decode {
@@ -257,9 +258,9 @@ impl ReplicaStore {
             // Mirror the disk restore exactly: keep this block's BCs, take
             // the origin and source fields from the frame.
             let b = &mut sim.blocks[li];
-            b.origin = st.origin;
-            b.phi_src = st.phi_src;
-            b.mu_src = st.mu_src;
+            b.origin = origin;
+            b.phi_src = phi_src;
+            b.mu_src = mu_src;
             b.sync_dst_from_src();
         }
         sim.set_progress(meta.time, meta.step as usize, meta.window_shifts as usize);

@@ -26,9 +26,11 @@
 //! Each job owns its checkpoint namespace (`<root>/job_<key>/`), health
 //! monitor, fault plan, and rollback budget. The monitor and plan ride on
 //! the job's own `Simulation`, whose stage list injects the faults and
-//! runs the scans; the runner only reacts to its unhealthy reports. A NaN
-//! rollback, a failed job, or an adopted orphan never touches a sibling's
-//! `Simulation` — the bit-identity property tests pin this.
+//! runs the scans; the namespace and budget ride on the job's
+//! [`StepRecovery`], the same rollback-and-checkpoint path the ranks of
+//! `run_resilient` run after every step. A NaN rollback, a failed job, or
+//! an adopted orphan never touches a sibling's `Simulation` — the
+//! bit-identity property tests pin this.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -37,16 +39,15 @@ use std::sync::Arc;
 use bytes::Bytes;
 use eutectica_blockgrid::balance::assign_lpt_over;
 use eutectica_comm::{campaign_tag, catch_comm, CommError, Rank};
-use eutectica_core::health::{FieldFault, FieldFaultPlan, HealthMonitor, HealthReport};
+use eutectica_core::health::{FieldFault, FieldFaultPlan, HealthMonitor};
 use eutectica_core::init;
 use eutectica_core::solver::Simulation;
 use eutectica_core::state::BlockState;
 use eutectica_core::sweep_pool::SweepPool;
 use eutectica_core::{N_COMP, N_PHASES};
 use eutectica_obsv::{FrameBus, JobRecord};
-use eutectica_pfio::ckpt::{Precision, DEFAULT_BYTE_BUDGET};
-use eutectica_pfio::jobs as jobckpt;
-use eutectica_pfio::resilient::{RecoveryPolicy, MAX_SHRINKS};
+use eutectica_pfio::ckpt::Precision;
+use eutectica_pfio::resilient::{AfterStep, RecoveryPolicy, StepRecovery, MAX_SHRINKS};
 use eutectica_telemetry::Telemetry;
 
 use crate::sched::{self, Schedule};
@@ -169,7 +170,8 @@ pub fn field_checksum(state: &BlockState) -> u64 {
 struct ResidentJob {
     spec: JobSpec,
     sim: Simulation,
-    rollbacks: u64,
+    /// The job's checkpoint namespace, retention and rollback budget.
+    recovery: StepRecovery,
     status: JobStatus,
     checksum: u64,
 }
@@ -236,7 +238,7 @@ fn encode_progress(key: u32, round: u64, job: &ResidentJob) -> Bytes {
     b.extend_from_slice(&(job.sim.steps() as u64).to_le_bytes());
     b.extend_from_slice(&(job.spec.steps as u64).to_le_bytes());
     b.push(job.status.wire());
-    b.extend_from_slice(&job.rollbacks.to_le_bytes());
+    b.extend_from_slice(&(job.recovery.rollbacks as u64).to_le_bytes());
     b.extend_from_slice(&job.checksum.to_le_bytes());
     Bytes::from(b)
 }
@@ -325,7 +327,7 @@ pub fn run_campaign(
         let outcome = catch_comm(|| -> Result<u64, CampaignError> {
             // 1. Round-robin: one slice per resident active job.
             for (key, job) in residents.iter_mut() {
-                step_slice(*key, job, opts, &mut pool)?;
+                step_slice(*key, job, opts, &mut pool);
             }
             // 2. Job-keyed progress streaming to the collector.
             let collector = alive[0];
@@ -385,7 +387,7 @@ pub fn run_campaign(
             key,
             steps: j.sim.steps(),
             time: j.sim.time(),
-            rollbacks: j.rollbacks,
+            rollbacks: j.recovery.rollbacks as u64,
             checksum: j.checksum,
             status: j.status,
             state: j.sim.state,
@@ -477,13 +479,13 @@ fn adopt_orphans(
         schedule.assignment[key as usize] = owner;
         if owner == me {
             let mut r = make_resident(&jobs[key as usize], opts)?;
-            // Resume from the orphan's own namespace when it has one; a
-            // checkpoint-less orphan restarts from init on the identical
-            // trajectory.
-            if let Some(root) = &opts.ckpt_root {
-                if resume_latest(root, key, &mut r.sim)? {
-                    r.finish_if_due();
-                }
+            // Resume from the orphan's own namespace when it has a usable
+            // set; an orphan without one restarts from init on the
+            // identical trajectory.
+            match r.recovery.resume(&mut r.sim) {
+                Ok(Some(_)) => r.finish_if_due(),
+                Ok(None) => {}
+                Err(_) => r = make_resident(&jobs[key as usize], opts)?,
             }
             opts.telemetry.counter_add("campaign/jobs_adopted", 1);
             residents.insert(key, r);
@@ -530,10 +532,21 @@ fn make_resident(spec: &JobSpec, opts: &CampaignOpts) -> Result<ResidentJob, Cam
             None => m,
         }
     }));
+    let recovery = StepRecovery {
+        root: opts
+            .ckpt_root
+            .as_deref()
+            .map(|root| job_root(root, spec.key)),
+        precision: Precision::F64,
+        keep: Some(opts.keep_sets.max(1)),
+        max_rollbacks: opts.recovery.max_rollbacks,
+        rollbacks: 0,
+        restore_skips: 0,
+    };
     let mut job = ResidentJob {
         spec: spec.clone(),
         sim,
-        rollbacks: 0,
+        recovery,
         status: JobStatus::Active,
         checksum: 0,
     };
@@ -552,96 +565,41 @@ fn on_job_block(plan: &FieldFaultPlan) -> FieldFaultPlan {
         })
 }
 
+/// The checkpoint namespace of job `key` under the campaign root.
+fn job_root(root: &Path, key: u32) -> PathBuf {
+    root.join(format!("job_{key:05}"))
+}
+
 /// Advance one job by one round-robin slice: steps (whose stage list
-/// injects the job's faults and runs its health scans), per-job rollback on
-/// an unhealthy report, and checkpoint cadence.
-fn step_slice(
-    key: u32,
-    job: &mut ResidentJob,
-    opts: &CampaignOpts,
-    pool: &mut SweepPool,
-) -> Result<(), CampaignError> {
+/// injects the job's faults and runs its health scans), each followed by
+/// the job's own rollback-and-checkpoint step. Checkpoints land at
+/// multiples of `ckpt_every`.
+fn step_slice(key: u32, job: &mut ResidentJob, opts: &CampaignOpts, pool: &mut SweepPool) {
     if job.status != JobStatus::Active {
-        return Ok(());
+        return;
     }
     let lane = opts.telemetry.lane(&format!("campaign/job/{key}"));
     job.sim.swap_pool(pool);
     let mut stepped = 0;
-    while stepped < opts.slice_steps && job.status == JobStatus::Active {
-        if job.sim.steps() >= job.spec.steps {
-            break;
-        }
+    while stepped < opts.slice_steps && job.sim.steps() < job.spec.steps {
         job.sim.step();
         stepped += 1;
         lane.counter_add("steps", 1);
-        if let Some(bad) = job.sim.take_unhealthy_report() {
-            rollback_job(key, job, opts, &bad)?;
-            lane.counter_add("rollbacks", 1);
-            continue;
-        }
         let s = job.sim.steps();
-        // Checkpoint cadence — after the scan, so a caught corruption is
-        // rolled back instead of persisted.
-        if opts.ckpt_every > 0 && s % opts.ckpt_every == 0 {
-            if let Some(root) = &opts.ckpt_root {
-                let progress = jobckpt::JobProgress {
-                    step: s as u64,
-                    time: job.sim.time(),
-                    window_shifts: job.sim.window_shifts() as u64,
-                };
-                jobckpt::write_job_checkpoint(root, key, &job.sim.state, progress, Precision::F64)
-                    .map_err(|e| CampaignError::Ckpt(e.to_string()))?;
-                jobckpt::prune_job_checkpoints(root, key, opts.keep_sets.max(1))
-                    .map_err(|e| CampaignError::Ckpt(e.to_string()))?;
-                lane.counter_add("checkpoints", 1);
+        let due = opts.ckpt_every > 0 && s % opts.ckpt_every == 0;
+        match job.recovery.after_step(&mut job.sim, due) {
+            Ok(AfterStep::Continued) => {}
+            Ok(AfterStep::RolledBack) => lane.counter_add("rollbacks", 1),
+            Ok(AfterStep::Checkpointed(_)) => lane.counter_add("checkpoints", 1),
+            Ok(AfterStep::WriteFailed) => lane.counter_add("checkpoint_failures", 1),
+            Err(failure) => {
+                job.status = JobStatus::Failed(format!("job {key}: {failure}"));
+                break;
             }
         }
     }
     job.finish_if_due();
     job.sim.swap_pool(pool);
-    Ok(())
-}
-
-/// Roll one job back to its newest healthy checkpoint, consuming a unit of
-/// its (and only its) rollback budget; exhaustion or a missing target
-/// fails the job without touching siblings.
-fn rollback_job(
-    key: u32,
-    job: &mut ResidentJob,
-    opts: &CampaignOpts,
-    report: &HealthReport,
-) -> Result<(), CampaignError> {
-    let why = report.describe();
-    let failure = if job.rollbacks >= opts.recovery.max_rollbacks as u64 {
-        let budget = opts.recovery.max_rollbacks;
-        format!("rollback budget exhausted ({budget})")
-    } else if let Some(root) = &opts.ckpt_root {
-        if resume_latest(root, key, &mut job.sim)? {
-            job.rollbacks += 1;
-            return Ok(());
-        }
-        "no rollback target".to_string()
-    } else {
-        "unhealthy with no checkpoint root".to_string()
-    };
-    job.status = JobStatus::Failed(format!("job {key}: {failure}: {why}"));
-    Ok(())
-}
-
-/// Resume `sim` from job `key`'s newest usable checkpoint set under
-/// `root` — the one path of both rollback and orphan adoption. `false`
-/// when the namespace holds none.
-fn resume_latest(root: &Path, key: u32, sim: &mut Simulation) -> Result<bool, CampaignError> {
-    let restore = jobckpt::restore_job_latest(root, key, DEFAULT_BYTE_BUDGET)
-        .map_err(|e| CampaignError::Ckpt(e.to_string()))?;
-    let Some(restore) = restore else {
-        return Ok(false);
-    };
-    sim.state = restore.state;
-    sim.state.apply_bc_src();
-    let p = restore.progress;
-    sim.set_progress(p.time, p.step as usize, p.window_shifts as usize);
-    Ok(true)
 }
 
 /// Collector-side: fold one round's progress frames into the fleet view,

@@ -48,8 +48,6 @@ pub enum CampaignError {
         /// Deaths observed.
         deaths: usize,
     },
-    /// A per-job checkpoint write or restore failed.
-    Ckpt(String),
 }
 
 impl fmt::Display for CampaignError {
@@ -72,7 +70,6 @@ impl fmt::Display for CampaignError {
                 f,
                 "shrink budget exhausted: {deaths} rank deaths, budget {budget}"
             ),
-            Self::Ckpt(e) => write!(f, "job checkpoint failure: {e}"),
         }
     }
 }

@@ -190,6 +190,139 @@ fn rollback_recovery_is_bit_exact_and_leaves_siblings_untouched() {
     let _ = std::fs::remove_dir_all(&root_b);
 }
 
+/// A set written between the fault and the scan that catches it holds the
+/// corruption: a rollback must skip it for the older clean set.
+#[test]
+fn rollback_skips_a_poisoned_set_for_the_clean_one_below() {
+    let spec = spec_4();
+    let health = HealthConfig::for_params(&spec.base).with_every(4);
+    let base_opts = |root: PathBuf| {
+        let mut opts = CampaignOpts {
+            slice_steps: 3,
+            ckpt_root: Some(root),
+            ckpt_every: 2,
+            keep_sets: 3,
+            ..CampaignOpts::default()
+        };
+        opts.recovery.health = Some(health);
+        opts.recovery.max_rollbacks = 2;
+        opts
+    };
+
+    let root_a = tmp_root("poison_clean");
+    let (clean, _) = run_fleet(spec.clone(), 1, base_opts(root_a.clone()));
+
+    // Job 2's µ₀ goes NaN before step 6. Sets land at steps 2, 4 and 6 and
+    // the scans run at 4 and 8, so the step-6 set is poisoned and the
+    // step-8 scan rolls back past it to step 4.
+    let root_b = tmp_root("poison_fault");
+    let mut opts = base_opts(root_b.clone());
+    opts.job_faults.insert(
+        2,
+        FieldFaultPlan::new(11).inject(FieldFault {
+            step: 5,
+            block: 2,
+            cell: [3, 2, 1],
+            target: FieldTarget::Mu(0),
+            kind: FaultKind::Nan,
+        }),
+    );
+    let (faulted, _) = run_fleet(spec.clone(), 1, opts);
+    assert_eq!(faulted.len(), clean.len());
+    for (key, (sum, status, rollbacks)) in &faulted {
+        assert_eq!(*status, JobStatus::Done, "job {key}");
+        assert_eq!(*rollbacks, u64::from(*key == 2), "job {key}");
+        assert_eq!(
+            *sum, clean[key].0,
+            "job {key} diverged from the undisturbed campaign"
+        );
+    }
+
+    let _ = std::fs::remove_dir_all(&root_a);
+    let _ = std::fs::remove_dir_all(&root_b);
+}
+
+/// splitmix64: the test's seed-derived choices.
+fn mix(seed: u64, i: u64) -> u64 {
+    let mut x = seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i + 1);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+/// The campaign twin of `field_faults.rs`'s seeded chaos case: the seed
+/// (`EUTECTICA_CHAOS_SEED`, default 1) picks the job, the fault step, its
+/// cell and target, and scan and checkpoint cadences that need not divide
+/// each other. The faulted job recovers onto the undisturbed trajectory
+/// when a clean set precedes the fault, and fails with "no rollback
+/// target" exactly when none does; its siblings never notice.
+#[test]
+fn chaos_seeded_job_fault_recovers_or_has_no_rollback_target() {
+    let seed: u64 = std::env::var("EUTECTICA_CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(1);
+    let spec = spec_4();
+    let steps = spec.steps as u64;
+    let scan_every = 2 + mix(seed, 0) % 4;
+    let ckpt_every = 2 + mix(seed, 1) % 4;
+    let key = (mix(seed, 2) % 4) as u32;
+    // A scan at or before the last step follows the fault.
+    let fault_step = 1 + mix(seed, 3) % (steps - scan_every);
+    let health = HealthConfig::for_params(&spec.base).with_every(scan_every as usize);
+    let base_opts = |root: PathBuf| {
+        let mut opts = CampaignOpts {
+            slice_steps: 3,
+            ckpt_root: Some(root),
+            ckpt_every: ckpt_every as usize,
+            // At most two poisoned sets precede the catching scan, so the
+            // newest clean set is never pruned.
+            keep_sets: 3,
+            ..CampaignOpts::default()
+        };
+        opts.recovery.health = Some(health);
+        opts.recovery.max_rollbacks = 1;
+        opts
+    };
+    let what = format!(
+        "seed {seed}: job {key}, fault before step {}, scans every {scan_every}, \
+         checkpoints every {ckpt_every}",
+        fault_step + 1
+    );
+
+    let root_a = tmp_root("chaos_clean");
+    let (clean, _) = run_fleet(spec.clone(), 2, base_opts(root_a.clone()));
+
+    let root_b = tmp_root("chaos_fault");
+    let mut opts = base_opts(root_b.clone());
+    let plan = FieldFaultPlan::random_fault(seed, fault_step, 1, [8, 8, 12], FaultKind::Nan);
+    opts.job_faults.insert(key, plan);
+    let (faulted, _) = run_fleet(spec.clone(), 2, opts);
+
+    // The set written at a multiple of `ckpt_every` up to the fault step
+    // holds the state before the fault.
+    let clean_set_precedes = ckpt_every <= fault_step;
+    for (k, (sum, status, rollbacks)) in &faulted {
+        if *k != key {
+            assert_eq!(*status, JobStatus::Done, "{what}: sibling {k}");
+            assert_eq!(*sum, clean[k].0, "{what}: sibling {k} perturbed");
+        } else if clean_set_precedes {
+            assert_eq!(*status, JobStatus::Done, "{what}");
+            assert_eq!(*rollbacks, 1, "{what}");
+            assert_eq!(*sum, clean[k].0, "{what}: recovered job diverged");
+        } else {
+            let prefix = format!("job {key}: no rollback target");
+            assert!(
+                matches!(status, JobStatus::Failed(reason) if reason.starts_with(&prefix)),
+                "{what}: expected a no-rollback-target failure, got {status:?}"
+            );
+        }
+    }
+
+    let _ = std::fs::remove_dir_all(&root_a);
+    let _ = std::fs::remove_dir_all(&root_b);
+}
+
 /// Exhausting one job's rollback budget fails that job only: the rest of
 /// the fleet completes byte-equal to the undisturbed campaign.
 #[test]

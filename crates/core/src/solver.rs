@@ -94,6 +94,22 @@ impl Simulation {
         self.stepper.health.as_mut()?.take_unhealthy()
     }
 
+    /// Scan the block regardless of cadence (recovery validates a freshly
+    /// restored set with it). `None` without a monitor; leaves the monitor
+    /// untouched.
+    pub fn health_scan_now(&self) -> Option<HealthReport> {
+        self.stepper
+            .scan(&OneBlock, std::slice::from_ref(&self.state), &[0])
+    }
+
+    /// Remediation after a rollback: re-project φ cells off the Gibbs
+    /// simplex onto it and refresh the ghosts; valid cells stay
+    /// bit-untouched. Returns the number of cells changed.
+    pub fn project_phi_to_simplex(&mut self) -> u64 {
+        self.stepper
+            .project_phi(&mut OneBlock, std::slice::from_mut(&mut self.state))
+    }
+
     /// Initialize with Voronoi solid nuclei at the bottom (Fig. 2 setup).
     pub fn init_directional(&mut self, seed: u64) {
         let d = self.state.dims;

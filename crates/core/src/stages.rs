@@ -301,6 +301,40 @@ impl Stepper {
         })
     }
 
+    /// Remediation: re-project interior φ cells that violate the Gibbs
+    /// simplex beyond `health::DEFAULT_SIMPLEX_TOL` onto it, mirror src into
+    /// dst, and refresh ghosts (collective in the ranked form). Cells already
+    /// on the simplex within that tolerance are left bit-untouched: the
+    /// projection's `(1−Σφ)/4` shift is a roundoff-sized non-zero even on
+    /// valid cells, so an unconditional re-projection would break
+    /// bit-identical recovery. Returns the number of cells changed here.
+    pub(crate) fn project_phi<T: Transport>(&self, net: &mut T, blocks: &mut [BlockState]) -> u64 {
+        let mut changed = 0u64;
+        {
+            let _g = self.telemetry.span_cat("simplex_reproject", "health");
+            for b in blocks.iter_mut() {
+                let mut block_changed = 0u64;
+                for (x, y, z) in b.dims.interior_iter() {
+                    let p = b.phi_src.cell(x, y, z);
+                    if crate::simplex::on_simplex(p, health::DEFAULT_SIMPLEX_TOL) {
+                        continue;
+                    }
+                    let q = crate::simplex::project_to_simplex(p);
+                    if q != p {
+                        b.phi_src.set_cell(x, y, z, q);
+                        block_changed += 1;
+                    }
+                }
+                if block_changed > 0 {
+                    b.sync_dst_from_src();
+                }
+                changed += block_changed;
+            }
+        }
+        self.refresh(net, blocks);
+        changed
+    }
+
     /// Apply the monitor's faults scheduled for the upcoming step to the
     /// blocks they name (fire-once).
     fn inject_faults(&mut self, blocks: &mut [BlockState], ids: &[usize]) {

@@ -37,7 +37,7 @@ use eutectica_comm::{CommStats, FaultPhase, Rank, ReduceOp};
 use eutectica_telemetry::{StepRecord, Telemetry};
 
 use crate::exchange::{ExchangePlan, FieldSel, Phase};
-use crate::health::{self, HealthMonitor, HealthReport};
+use crate::health::{HealthMonitor, HealthReport};
 use crate::kernels::KernelConfig;
 use crate::metrics;
 use crate::params::ModelParams;
@@ -443,41 +443,11 @@ impl<'r> DistributedSim<'r> {
     }
 
     /// Remediation: re-project interior φ cells that violate the Gibbs
-    /// simplex beyond `health::DEFAULT_SIMPLEX_TOL` onto it, mirror src
-    /// into dst, and refresh ghosts. Collective (ghost refresh). Cells
-    /// already on the simplex within that tolerance are left bit-untouched
-    /// (the projection's `(1−Σφ)/4` shift is a roundoff-sized non-zero even
-    /// on valid cells, so an unconditional re-projection would break
-    /// bit-identical recovery).
-    /// Returns the number of cells whose value changed on this rank.
+    /// simplex onto it, mirror src into dst, and refresh ghosts. Collective
+    /// (ghost refresh). Valid cells are left bit-untouched. Returns the
+    /// number of cells whose value changed on this rank.
     pub fn project_phi_to_simplex(&mut self) -> u64 {
-        let mut changed = 0u64;
-        {
-            let _g = self
-                .stepper
-                .telemetry
-                .span_cat("simplex_reproject", "health");
-            for b in &mut self.blocks {
-                let mut block_changed = 0u64;
-                for (x, y, z) in b.dims.interior_iter() {
-                    let p = b.phi_src.cell(x, y, z);
-                    if crate::simplex::on_simplex(p, health::DEFAULT_SIMPLEX_TOL) {
-                        continue;
-                    }
-                    let q = crate::simplex::project_to_simplex(p);
-                    if q != p {
-                        b.phi_src.set_cell(x, y, z, q);
-                        block_changed += 1;
-                    }
-                }
-                if block_changed > 0 {
-                    b.sync_dst_from_src();
-                }
-                changed += block_changed;
-            }
-        }
-        self.refresh_src_ghosts();
-        changed
+        self.stepper.project_phi(&mut self.net, &mut self.blocks)
     }
 
     /// Collective rebalance check + in-flight migration, when due.

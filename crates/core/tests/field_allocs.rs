@@ -25,7 +25,7 @@ use eutectica_core::state::BlockState;
 use eutectica_core::timeloop::{DistributedSim, OverlapOptions};
 use eutectica_core::{N_COMP, N_PHASES};
 use eutectica_pfio::ckpt::{self, Precision, DEFAULT_BYTE_BUDGET};
-use eutectica_pfio::jobs::{restore_job_latest, write_job_checkpoint, JobProgress};
+use eutectica_pfio::resilient::SimCheckpointExt;
 use eutectica_telemetry::Telemetry;
 
 /// Interior cells of every block in these tests.
@@ -265,18 +265,16 @@ fn checkpoint_decode_and_job_restore_allocate_each_field_once() {
     // A campaign job's rollback: the resident block is replaced by the
     // restored one, whose fields are the only ones allocated.
     let root = std::env::temp_dir().join(format!("eut_field_allocs_{}", std::process::id()));
-    let progress = JobProgress {
-        step: 40,
-        time: 2.0,
-        window_shifts: 1,
-    };
-    write_job_checkpoint(&root, 3, &b, progress, Precision::F64).unwrap();
+    let mut job = Simulation::new(ModelParams::ag_al_cu(), CELLS).unwrap();
+    job.state = b.clone();
+    job.set_progress(2.0, 40, 1);
+    job.write_checkpoint_set(&root, Precision::F64).unwrap();
+    let dir = ckpt::find_latest_checkpoint(&root).unwrap().unwrap().1;
     let mut resident = Simulation::new(ModelParams::ag_al_cu(), CELLS).unwrap();
     let ((), allocs, peak) = measured(|| {
-        let restore = restore_job_latest(&root, 3, DEFAULT_BYTE_BUDGET)
-            .unwrap()
+        resident
+            .restore_from_set(&dir, DEFAULT_BYTE_BUDGET)
             .unwrap();
-        resident.state = restore.state;
     });
     std::fs::remove_dir_all(&root).unwrap();
     assert_eq!((allocs, peak), (4, BLOCK_BYTES), "job restore");

@@ -31,7 +31,8 @@ use std::io::Write as _;
 use std::sync::Arc;
 
 use eutectica_analysis::ccl::label_3d;
-use eutectica_comm::{bytes_to_f64s, f64s_to_bytes};
+use eutectica_comm::{bytes_to_f64s, f64s_to_bytes, Rank};
+use eutectica_core::params::ModelParams;
 use eutectica_core::solver::Simulation;
 use eutectica_core::state::BlockState;
 use eutectica_core::timeloop::DistributedSim;
@@ -322,22 +323,56 @@ impl InSituObserver {
     /// all ranks). Cheap no-op on non-observation steps. Returns the new
     /// record on rank 0.
     pub fn observe_distributed(&mut self, sim: &DistributedSim) -> Option<ObservableRecord> {
-        if !self.due(sim.step_index()) {
+        self.observe(&View {
+            rank: Some(sim.comm_rank()),
+            blocks: &sim.blocks,
+            domain_cells: sim.decomp().spec.cells,
+            params: &sim.params,
+            step: sim.step_index(),
+            time: sim.time(),
+            window_shifts: sim.window_shifts(),
+            telemetry: sim.telemetry(),
+        })
+    }
+
+    /// Observe a single-process [`Simulation`] (the examples path). Same
+    /// record, no communication.
+    pub fn observe_single(&mut self, sim: &Simulation) -> Option<ObservableRecord> {
+        let d = sim.state.dims;
+        self.observe(&View {
+            rank: None,
+            blocks: std::slice::from_ref(&sim.state),
+            domain_cells: [d.nx, d.ny, d.nz],
+            params: &sim.params,
+            step: sim.steps(),
+            time: sim.time(),
+            window_shifts: sim.window_shifts(),
+            telemetry: sim.telemetry(),
+        })
+    }
+
+    /// The one observe body: reduce, fix the census plane, census and
+    /// stream slices, and (on rank 0) finalize and emit.
+    fn observe(&mut self, v: &View) -> Option<ObservableRecord> {
+        if !self.due(v.step) {
             return None;
         }
-        let rank = sim.comm_rank();
-        let domain_cells = sim.decomp().spec.cells;
-        let local = Partials::compute(&sim.blocks, domain_cells);
+        let domain_cells = v.domain_cells;
+        let local = Partials::compute(v.blocks, domain_cells);
 
         // 1. Reduce partials to rank 0.
-        let pieces = rank.gather(0, f64s_to_bytes(&local.to_f64s()));
-        let reduced = pieces.map(|pieces| {
-            let mut total = Partials::empty(domain_cells);
-            for piece in &pieces {
-                total.merge_f64s(&bytes_to_f64s(piece));
-            }
-            total
-        });
+        let reduced = match v.rank {
+            None => Some(local),
+            Some(rank) => rank
+                .gather(0, f64s_to_bytes(&local.to_f64s()))
+                .map(|pieces| {
+                    let mut total = Partials::empty(domain_cells);
+                    for piece in &pieces {
+                        total.merge_f64s(&bytes_to_f64s(piece));
+                    }
+                    total
+                }),
+        };
 
         // 2. Rank 0 fixes the census plane; everyone learns it.
         let census_z = {
@@ -348,8 +383,23 @@ impl InSituObserver {
                 let hi = t.min_origin_z + (domain_cells[2] - 1) as f64;
                 (front - LAMELLA_OFFSET).clamp(lo, hi)
             });
-            let bytes = rank.broadcast(0, f64s_to_bytes(&[z]));
-            bytes_to_f64s(&bytes)[0].round() as usize
+            let z = match v.rank {
+                None => z,
+                Some(rank) => bytes_to_f64s(&rank.broadcast(0, f64s_to_bytes(&[z])))[0],
+            };
+            z.round() as usize
+        };
+        let slice = |field, ds| {
+            gather_slice(
+                v.rank,
+                v.blocks,
+                domain_cells,
+                field,
+                v.step,
+                v.time,
+                census_z,
+                ds,
+            )
         };
 
         // 3. Full-resolution census slices of the solid phases.
@@ -360,17 +410,7 @@ impl InSituObserver {
             .zip(lamellar_spacing.iter_mut())
             .enumerate()
         {
-            let frame = gather_slice(
-                rank,
-                &sim.blocks,
-                domain_cells,
-                SliceField::Phi(ph),
-                sim.step_index(),
-                sim.time(),
-                census_z,
-                1,
-            );
-            if let Some(frame) = frame {
+            if let Some(frame) = slice(SliceField::Phi(ph), 1) {
                 let mask: Vec<bool> = frame.data.iter().map(|&v| v > 0.5).collect();
                 let labels = label_3d(&mask, [frame.w, frame.h, 1], [true, true, false]);
                 *count = labels.count as u64;
@@ -381,101 +421,22 @@ impl InSituObserver {
         }
 
         // 4. Streamed slice frames.
-        let mut slice_frames = Vec::new();
-        for field in SLICE_FIELDS {
-            let frame = gather_slice(
-                rank,
-                &sim.blocks,
-                domain_cells,
-                field,
-                sim.step_index(),
-                sim.time(),
-                census_z,
-                SLICE_DOWNSAMPLE,
-            );
-            slice_frames.extend(frame);
-        }
+        let slice_frames: Vec<_> = SLICE_FIELDS
+            .into_iter()
+            .filter_map(|field| slice(field, SLICE_DOWNSAMPLE))
+            .collect();
 
         // 5. Rank 0 finalizes and emits; other ranks are done.
         let total = reduced?;
         let record = finalize(
             &total,
-            domain_cells,
-            sim,
+            v,
             census_z,
             lamella_count,
             lamellar_spacing,
             &mut self.prev_front,
         );
-        self.emit(&record, &slice_frames, sim.telemetry());
-        self.records.push(record.clone());
-        Some(record)
-    }
-
-    /// Observe a single-process [`Simulation`] (the examples path). Same
-    /// record, no communication.
-    pub fn observe_single(&mut self, sim: &Simulation) -> Option<ObservableRecord> {
-        if !self.due(sim.steps()) {
-            return None;
-        }
-        let d = sim.state.dims;
-        let domain_cells = [d.nx, d.ny, d.nz];
-        let blocks = std::slice::from_ref(&sim.state);
-        let total = Partials::compute(blocks, domain_cells);
-
-        let ncols = total.col_solid.len().max(1) as f64;
-        let front = total.min_origin_z + total.col_solid.iter().sum::<f64>() / ncols;
-        let lo = total.min_origin_z;
-        let hi = total.min_origin_z + (domain_cells[2] - 1) as f64;
-        let census_z = (front - LAMELLA_OFFSET).clamp(lo, hi).round() as usize;
-
-        let mut lamella_count = [0u64; N_SOLID];
-        let mut lamellar_spacing = [0.0; N_SOLID];
-        for ph in 0..N_SOLID {
-            let frame =
-                crate::slices::slice_local(blocks, domain_cells, SliceField::Phi(ph), census_z, 1);
-            let mask: Vec<bool> = frame.iter().map(|&v| v > 0.5).collect();
-            let labels = label_3d(
-                &mask,
-                [domain_cells[0], domain_cells[1], 1],
-                [true, true, false],
-            );
-            lamella_count[ph] = labels.count as u64;
-            if labels.count > 0 {
-                lamellar_spacing[ph] =
-                    ((domain_cells[0] * domain_cells[1]) as f64 / labels.count as f64).sqrt();
-            }
-        }
-
-        let ds = SLICE_DOWNSAMPLE;
-        let slice_frames: Vec<_> = SLICE_FIELDS
-            .into_iter()
-            .map(|field| crate::slices::SliceFrame {
-                field,
-                step: sim.steps(),
-                time: sim.time(),
-                z: census_z,
-                downsample: ds,
-                w: domain_cells[0].div_ceil(ds),
-                h: domain_cells[1].div_ceil(ds),
-                data: crate::slices::slice_local(blocks, domain_cells, field, census_z, ds),
-            })
-            .collect();
-
-        let record = finalize_common(
-            &total,
-            domain_cells,
-            &sim.params,
-            sim.params.sys.t_eu,
-            sim.steps(),
-            sim.time(),
-            sim.window_shifts(),
-            census_z,
-            lamella_count,
-            lamellar_spacing,
-            &mut self.prev_front,
-        );
-        self.emit(&record, &slice_frames, sim.telemetry());
+        self.emit(&record, &slice_frames, v.telemetry);
         self.records.push(record.clone());
         Some(record)
     }
@@ -535,46 +496,30 @@ fn metrics_frame(tel: &Telemetry, step: usize, time: f64) -> String {
         .finish()
 }
 
-/// Distributed finalize: pull scalar context off the sim, defer to
-/// [`finalize_common`].
-fn finalize(
-    total: &Partials,
+/// What one observation reads: the blocks, the rank they live on (`None`
+/// for a single-process `Simulation`, whose gathers and broadcast are
+/// then identities) and the record's scalar context.
+struct View<'a> {
+    rank: Option<&'a Rank>,
+    blocks: &'a [BlockState],
     domain_cells: [usize; 3],
-    sim: &DistributedSim,
-    census_z: usize,
-    lamella_count: [u64; N_SOLID],
-    lamellar_spacing: [f64; N_SOLID],
-    prev_front: &mut Option<(f64, f64)>,
-) -> ObservableRecord {
-    finalize_common(
-        total,
-        domain_cells,
-        &sim.params,
-        sim.params.sys.t_eu,
-        sim.step_index(),
-        sim.time(),
-        sim.window_shifts(),
-        census_z,
-        lamella_count,
-        lamellar_spacing,
-        prev_front,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn finalize_common(
-    total: &Partials,
-    domain_cells: [usize; 3],
-    params: &eutectica_core::params::ModelParams,
-    t_eu: f64,
+    params: &'a ModelParams,
     step: usize,
     time: f64,
     window_shifts: usize,
+    telemetry: &'a Telemetry,
+}
+
+/// Build the record from the reduced partials (rank 0).
+fn finalize(
+    total: &Partials,
+    v: &View,
     census_z: usize,
     lamella_count: [u64; N_SOLID],
     lamellar_spacing: [f64; N_SOLID],
     prev_front: &mut Option<(f64, f64)>,
 ) -> ObservableRecord {
+    let time = v.time;
     let ncols = total.col_solid.len().max(1) as f64;
     let mean_content = total.col_solid.iter().sum::<f64>() / ncols;
     let front_mean = total.min_origin_z + mean_content;
@@ -596,9 +541,8 @@ fn finalize_common(
     for (f, s) in phase_fractions.iter_mut().zip(&total.phase_sums) {
         *f = s / cells;
     }
-    let _ = domain_cells;
     ObservableRecord {
-        step,
+        step: v.step,
         time,
         front_mean,
         front_rms,
@@ -608,16 +552,15 @@ fn finalize_common(
         lamella_count,
         lamellar_spacing,
         census_z,
-        undercooling: t_eu - params.temperature(front_mean, time),
+        undercooling: v.params.sys.t_eu - v.params.temperature(front_mean, time),
         interface_density: total.interface_total / cells,
-        window_shifts,
+        window_shifts: v.window_shifts,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eutectica_core::params::ModelParams;
 
     #[test]
     fn record_json_round_trips() {
@@ -666,15 +609,20 @@ mod tests {
         // due() requires step > 0; fake one observation by stepping 0 times
         // is not possible, so drive via the partials directly.
         let d = sim.state.dims;
-        let total = Partials::compute(std::slice::from_ref(&sim.state), [d.nx, d.ny, d.nz]);
-        let rec = finalize_common(
+        let view = View {
+            rank: None,
+            blocks: std::slice::from_ref(&sim.state),
+            domain_cells: [d.nx, d.ny, d.nz],
+            params: &sim.params,
+            step: 0,
+            time: 0.0,
+            window_shifts: 0,
+            telemetry: sim.telemetry(),
+        };
+        let total = Partials::compute(view.blocks, view.domain_cells);
+        let rec = finalize(
             &total,
-            [d.nx, d.ny, d.nz],
-            &sim.params,
-            sim.params.sys.t_eu,
-            0,
-            0.0,
-            0,
+            &view,
             6,
             [1, 0, 0],
             [12.0, 0.0, 0.0],

@@ -131,35 +131,16 @@ fn extract_local(
     out
 }
 
-/// Single-process cross-section: extract the full downsampled plane from
-/// locally held blocks (the examples path — no communication). Returns
-/// `w × h` row-major values.
-pub(crate) fn slice_local(
-    blocks: &[BlockState],
-    domain_cells: [usize; 3],
-    field: SliceField,
-    z: usize,
-    ds: usize,
-) -> Vec<f64> {
-    assert!(ds >= 1, "downsample stride must be >= 1");
-    let w = ds_extent(domain_cells[0], ds);
-    let h = ds_extent(domain_cells[1], ds);
-    let mut data = vec![0.0f64; w * h];
-    for (idx, v) in extract_local(blocks, domain_cells, field, z, ds) {
-        data[idx as usize] = v;
-    }
-    data
-}
-
-/// Collectively gather one cross-section to rank 0.
+/// Gather one cross-section to rank 0.
 ///
-/// Every rank must call this with identical `(field, z, ds)` arguments
-/// (it performs one `gather`). Returns `Some(frame)` on rank 0, `None`
-/// elsewhere. Cells nobody owns (impossible for a valid decomposition)
-/// would remain 0.
+/// With a rank this is a collective: every rank must call it with
+/// identical `(field, z, ds)` arguments (it performs one `gather`), and it
+/// returns `Some(frame)` on rank 0, `None` elsewhere. Without one (a
+/// single-process simulation) the local blocks are the whole domain.
+/// Cells nobody owns (impossible for a valid decomposition) would remain 0.
 #[allow(clippy::too_many_arguments)] // a collective: all call sites pass the full tuple
 pub(crate) fn gather_slice(
-    rank: &Rank,
+    rank: Option<&Rank>,
     blocks: &[BlockState],
     domain_cells: [usize; 3],
     field: SliceField,
@@ -170,23 +151,35 @@ pub(crate) fn gather_slice(
 ) -> Option<SliceFrame> {
     assert!(ds >= 1, "downsample stride must be >= 1");
     let local = extract_local(blocks, domain_cells, field, z, ds);
-    // Encode (idx, value) pairs as f64s — indices up to 2^32 are exact.
-    let mut flat = Vec::with_capacity(local.len() * 2);
-    for (idx, v) in &local {
-        flat.push(*idx as f64);
-        flat.push(*v);
-    }
-    let pieces = rank.gather(0, f64s_to_bytes(&flat))?;
-
+    // Rank 0 receives every rank's (idx, value) pairs as f64s — indices up
+    // to 2^32 are exact. Without a rank the local pairs are all there is.
+    let pieces = match rank {
+        None => None,
+        Some(rank) => {
+            let mut flat = Vec::with_capacity(local.len() * 2);
+            for &(idx, v) in &local {
+                flat.extend([idx as f64, v]);
+            }
+            Some(rank.gather(0, f64s_to_bytes(&flat))?)
+        }
+    };
     let w = ds_extent(domain_cells[0], ds);
     let h = ds_extent(domain_cells[1], ds);
     let mut data = vec![0.0f64; w * h];
-    for piece in pieces {
-        let vals = bytes_to_f64s(&piece);
-        for pair in vals.chunks_exact(2) {
-            let idx = pair[0] as usize;
-            if idx < data.len() {
-                data[idx] = pair[1];
+    match pieces {
+        None => {
+            for (idx, v) in local {
+                data[idx as usize] = v;
+            }
+        }
+        Some(pieces) => {
+            for piece in pieces {
+                for pair in bytes_to_f64s(&piece).chunks_exact(2) {
+                    let idx = pair[0] as usize;
+                    if idx < data.len() {
+                        data[idx] = pair[1];
+                    }
+                }
             }
         }
     }

@@ -15,13 +15,15 @@
 //! buddy ranks' RAM for diskless shrink recovery, [`resilient`] wires
 //! both into `DistributedSim` with an auto-cadence scheduler, the
 //! [`resilient::run_resilient`] restart driver and its shrink-and-continue
-//! recovery path, and [`jobs`] gives every campaign job an isolated
-//! per-job checkpoint namespace built from the same set format.
+//! recovery path, and the one per-step rollback-and-checkpoint path,
+//! [`resilient::StepRecovery`]. `jobs` makes a campaign job's one-block
+//! `Simulation` a [`resilient::SimCheckpointExt`] too, so every job runs
+//! that same path on the same set format, in a namespace of its own.
 
 #![deny(missing_docs)]
 
 pub mod ckpt;
-pub mod jobs;
+mod jobs;
 mod replica;
 pub mod resilient;
 

@@ -117,8 +117,9 @@ pub(crate) struct ReplicaRestoreReport {
 #[derive(Debug, Default)]
 pub(crate) struct ReplicaStore {
     /// Frames by global block id: this rank's own blocks plus the blocks
-    /// of the rank whose buddy this rank is.
-    frames: BTreeMap<usize, Vec<u8>>,
+    /// of the rank whose buddy this rank is. Shared buffers: a frame is
+    /// sent and received without a copy.
+    frames: BTreeMap<usize, Bytes>,
     /// Global placement at capture time.
     placement: Vec<usize>,
     /// Alive ranks at capture time (defines the buddy ring).
@@ -152,21 +153,18 @@ impl ReplicaStore {
             prior: 0.0,
         };
         for (li, &id) in sim.local_block_ids().iter().enumerate() {
-            self.frames.insert(
-                id,
-                migrate::encode_block(&sim.blocks[li], id as u64, &entry),
-            );
+            let frame = migrate::encode_block(&sim.blocks[li], id as u64, &entry);
+            self.frames.insert(id, Bytes::from(frame));
         }
         if alive.len() > 1 {
             let my_pos = alive.iter().position(|&a| a == me).expect("self is alive");
             let buddy = alive[(my_pos + 1) % alive.len()];
             let pred = alive[(my_pos + alive.len() - 1) % alive.len()];
             for (&id, frame) in self.frames.iter() {
-                rank.isend(buddy, capture_tag(nb, id), Bytes::from(frame.clone()));
+                rank.isend(buddy, capture_tag(nb, id), frame.clone());
             }
             for id in (0..nb).filter(|&id| placement[id] == pred) {
-                let b = rank.recv(pred, capture_tag(nb, id));
-                self.frames.insert(id, b.to_vec());
+                self.frames.insert(id, rank.recv(pred, capture_tag(nb, id)));
             }
         }
         self.placement = placement;
@@ -224,7 +222,7 @@ impl ReplicaStore {
                     .ok_or(ReplicaError::MissingFrame { id })?;
                 bytes_moved += frame.len() as u64;
                 sim.comm_rank()
-                    .isend(owner, fetch_tag(nb, id), Bytes::from(frame.clone()));
+                    .isend(owner, fetch_tag(nb, id), frame.clone());
             }
         }
         let ids: Vec<usize> = sim.local_block_ids().to_vec();

@@ -54,24 +54,28 @@ use eutectica_comm::{
     catch_comm, CommError, CommPanic, FaultPlan, Rank, ReduceOp, Universe, UniverseCfg,
     UniverseError,
 };
-use eutectica_core::health::{FieldFaultPlan, HealthConfig, HealthMonitor};
+use eutectica_core::health::{FieldFaultPlan, HealthConfig, HealthMonitor, HealthReport};
 use eutectica_core::kernels::KernelConfig;
 use eutectica_core::params::ModelParams;
 use eutectica_core::state::BlockState;
 use eutectica_core::timeloop::{DistributedSim, OverlapOptions};
+use eutectica_telemetry::Telemetry;
 
 use crate::ckpt::{self, BlockEntry, CkptError, Manifest, Precision, DEFAULT_BYTE_BUDGET};
 use crate::replica::ReplicaStore;
 
-/// Checkpoint-set operations on a distributed simulation.
+/// Checkpoint sets on a simulation, and what [`StepRecovery`] needs of it
+/// to roll back onto them. Two implementors: `DistributedSim` (one rank's
+/// blocks; every operation collective) and `Simulation` (one campaign
+/// job's block, see `crate::jobs`).
 pub trait SimCheckpointExt {
     /// Collectively write a checkpoint set for the current step under
     /// `root`. Every rank writes its local blocks; rank 0 gathers the
     /// per-block CRCs and writes the manifest last (the set is valid only
     /// once the manifest lands). Returns the bytes this rank wrote.
     ///
-    /// Telemetry: span `checkpoint_write` (category `io`), counters
-    /// `ckpt/bytes_written`, `ckpt/sets_written`, `ckpt/wall_ns`.
+    /// Telemetry (a rank's): span `checkpoint_write` (category `io`),
+    /// counters `ckpt/bytes_written`, `ckpt/sets_written`, `ckpt/wall_ns`.
     fn write_checkpoint_set(&self, root: &Path, precision: Precision) -> Result<u64, CkptError>;
 
     /// Restore fields, time, step and window offset from the set in `dir`.
@@ -79,6 +83,24 @@ pub trait SimCheckpointExt {
     /// differ from the writer's. Ghosts are refreshed collectively, so all
     /// ranks must call this together.
     fn restore_from_set(&mut self, dir: &Path, byte_budget: u64) -> Result<(), CkptError>;
+
+    /// Take the unhealthy report of the most recent health scan, if any.
+    fn take_unhealthy_report(&mut self) -> Option<HealthReport>;
+
+    /// Scan now, regardless of cadence (collective); `None` without a
+    /// health monitor.
+    fn health_scan_now(&self) -> Option<HealthReport>;
+
+    /// Re-project φ cells off the Gibbs simplex (collective); valid cells
+    /// stay bit-untouched.
+    fn project_phi_to_simplex(&mut self) -> u64;
+
+    /// The simulation's telemetry collector.
+    fn telemetry(&self) -> &Telemetry;
+
+    /// Whether this participant prunes the checkpoint root: one writer
+    /// deletes, so pruning cannot race itself.
+    fn prunes_sets(&self) -> bool;
 }
 
 impl SimCheckpointExt for DistributedSim<'_> {
@@ -192,6 +214,29 @@ impl SimCheckpointExt for DistributedSim<'_> {
         tel.counter_add("ckpt/restores", 1);
         tel.counter_add("ckpt/restore_wall_ns", start.elapsed().as_nanos() as u64);
         Ok(())
+    }
+
+    fn take_unhealthy_report(&mut self) -> Option<HealthReport> {
+        DistributedSim::take_unhealthy_report(self)
+    }
+
+    fn health_scan_now(&self) -> Option<HealthReport> {
+        DistributedSim::health_scan_now(self)
+    }
+
+    fn project_phi_to_simplex(&mut self) -> u64 {
+        DistributedSim::project_phi_to_simplex(self)
+    }
+
+    fn telemetry(&self) -> &Telemetry {
+        DistributedSim::telemetry(self)
+    }
+
+    /// The lowest alive rank, so a shrink that kills rank 0 does not stop
+    /// pruning.
+    fn prunes_sets(&self) -> bool {
+        let rank = self.comm_rank();
+        rank.alive_ranks()[0] == rank.rank()
     }
 }
 
@@ -371,8 +416,8 @@ pub enum ShrinkSource {
 /// recovery-path failures from a killed rank ([`UniverseError`]).
 #[derive(Clone, Debug)]
 pub enum RankFailure {
-    /// No checkpoint set could be restored (all sets corrupt, poisoned, or
-    /// unreadable).
+    /// No checkpoint set could be restored to resume from (all sets
+    /// corrupt, poisoned, or unreadable).
     Restore {
         /// Human-readable cause chain.
         detail: String,
@@ -386,11 +431,12 @@ pub enum RankFailure {
         /// The unhealthy report that triggered the final rollback.
         detail: String,
     },
-    /// Corruption was detected but no checkpoint set exists to roll back to.
+    /// Corruption was detected but no checkpoint set is usable to roll back
+    /// to: there is none, or every one is corrupt or poisoned.
     NoRollbackTarget {
         /// Step at which corruption was detected.
         step: usize,
-        /// The unhealthy report.
+        /// The unhealthy report, and why the sets found were unusable.
         detail: String,
     },
     /// The shrink budget ([`MAX_SHRINKS`]) was exhausted —
@@ -608,76 +654,153 @@ impl From<CkptError> for ResilientError {
     }
 }
 
-/// Outcome of `restore_best`: either a set was restored or none exist yet.
-enum RestoreBest {
-    /// Restored the set written at this step.
-    Restored(u64),
-    /// The root holds no checkpoint sets at all (fresh start).
-    NoSets,
+/// The one rollback-and-checkpoint path, run after every step by each rank
+/// of [`run_resilient`] and by every campaign job on its `Simulation`: the
+/// checkpoint root, the rollback budget and what has been spent of it.
+#[derive(Clone, Debug)]
+pub struct StepRecovery {
+    /// Where the sets live. `None` writes nothing, and an unhealthy step
+    /// then has no rollback target.
+    pub root: Option<PathBuf>,
+    /// Precision of the sets written ([`Precision::F64`] for bit-identical
+    /// rollback).
+    pub precision: Precision,
+    /// Valid sets kept under `root` after each write (`None` keeps all).
+    pub keep: Option<usize>,
+    /// Rollbacks allowed ([`RecoveryPolicy::max_rollbacks`]).
+    pub max_rollbacks: usize,
+    /// Rollbacks taken.
+    pub rollbacks: usize,
+    /// Corrupt or poisoned sets skipped while looking for a set to restore.
+    pub restore_skips: usize,
 }
 
-/// Restore the newest checkpoint set that restores cleanly and (when
-/// `validate`) itself scans healthy, skipping poisoned or corrupt sets in
-/// descending step order. Collective: the restore votes and the validation
-/// scan allreduces keep every rank descending in lockstep, so all ranks
-/// agree on the chosen set (and on failure).
-fn restore_best(
-    sim: &mut DistributedSim<'_>,
-    root: &Path,
-    validate: bool,
-    skips: &mut usize,
-) -> Result<RestoreBest, RankFailure> {
-    let mut limit: Option<u64> = None;
-    let mut saw_any = false;
-    loop {
-        let found = ckpt::find_latest_checkpoint_at_or_below(root, limit).map_err(|e| {
-            RankFailure::Restore {
-                detail: format!("checkpoint scan failed: {e}"),
-            }
-        })?;
-        let Some((step, dir)) = found else {
-            return if saw_any {
-                Err(RankFailure::Restore {
-                    detail: "no restorable checkpoint set left".into(),
-                })
-            } else {
-                Ok(RestoreBest::NoSets)
-            };
+/// What [`StepRecovery::after_step`] did.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum AfterStep {
+    /// Healthy, and no checkpoint was due.
+    Continued,
+    /// Rolled back to the newest usable set.
+    RolledBack,
+    /// Wrote the due checkpoint set, in this wall time.
+    Checkpointed(Duration),
+    /// The due write failed and was counted (`ckpt/write_failures`); the
+    /// set has no manifest, so restores never see it.
+    WriteFailed,
+}
+
+impl StepRecovery {
+    /// Restore the newest set under the root that restores cleanly and,
+    /// when `sim` has a health monitor, itself scans healthy, skipping
+    /// corrupt and poisoned sets in descending step order. `Ok(None)` when
+    /// there is no set at all (a fresh start); an error when there are sets
+    /// but none is usable. Collective for a distributed `sim`: the restore
+    /// votes and the scan's reduction keep every rank descending in
+    /// lockstep, so all ranks agree on the set (and on failure).
+    pub fn resume<S: SimCheckpointExt>(&mut self, sim: &mut S) -> Result<Option<u64>, RankFailure> {
+        let Some(root) = &self.root else {
+            return Ok(None);
         };
-        saw_any = true;
-        match sim.restore_from_set(&dir, DEFAULT_BYTE_BUDGET) {
-            Ok(()) => {
-                if validate {
-                    if let Some(report) = sim.health_scan_now() {
-                        if !report.is_healthy() {
-                            *skips += 1;
-                            sim.telemetry().counter_add("health/restore_skips", 1);
-                            if step == 0 {
-                                return Err(RankFailure::Restore {
-                                    detail: format!(
-                                        "every checkpoint set is poisoned (step 0: {})",
-                                        report.describe()
-                                    ),
-                                });
-                            }
-                            limit = Some(step - 1);
-                            continue;
-                        }
-                    }
+        let mut limit: Option<u64> = None;
+        let mut saw_any = false;
+        loop {
+            let found = ckpt::find_latest_checkpoint_at_or_below(root, limit).map_err(|e| {
+                RankFailure::Restore {
+                    detail: format!("checkpoint scan failed: {e}"),
                 }
-                return Ok(RestoreBest::Restored(step));
+            })?;
+            let Some((step, dir)) = found else {
+                return if saw_any {
+                    Err(RankFailure::Restore {
+                        detail: "no restorable checkpoint set left".into(),
+                    })
+                } else {
+                    Ok(None)
+                };
+            };
+            saw_any = true;
+            let unusable = match sim.restore_from_set(&dir, DEFAULT_BYTE_BUDGET) {
+                Err(e) => format!("step-0 set failed to restore: {e}"),
+                Ok(()) => match sim.health_scan_now() {
+                    Some(report) if !report.is_healthy() => {
+                        format!(
+                            "every checkpoint set is poisoned (step 0: {})",
+                            report.describe()
+                        )
+                    }
+                    _ => return Ok(Some(step)),
+                },
+            };
+            // Skip the set; below step 0 there is nothing left to try.
+            self.restore_skips += 1;
+            sim.telemetry().counter_add("health/restore_skips", 1);
+            if step == 0 {
+                return Err(RankFailure::Restore { detail: unusable });
             }
-            Err(e) => {
-                *skips += 1;
-                sim.telemetry().counter_add("health/restore_skips", 1);
-                if step == 0 {
-                    return Err(RankFailure::Restore {
-                        detail: format!("step-0 set failed to restore: {e}"),
+            limit = Some(step - 1);
+        }
+    }
+
+    /// React to the step `sim` just completed. On an unhealthy report, roll
+    /// back within the budget through [`StepRecovery::resume`] and
+    /// re-project φ (a no-op on valid states). Otherwise, when `due`, write
+    /// a checkpoint set and prune the root to `keep` sets; a failed write
+    /// is counted and the run goes on. Collective for a distributed `sim`:
+    /// unhealthy verdicts come from an allreduce, so every rank takes the
+    /// same branch at the same step.
+    pub fn after_step<S: SimCheckpointExt>(
+        &mut self,
+        sim: &mut S,
+        due: bool,
+    ) -> Result<AfterStep, RankFailure> {
+        if let Some(report) = sim.take_unhealthy_report() {
+            sim.telemetry().counter_add("health/rollbacks", 1);
+            let detail = report.describe();
+            if self.rollbacks >= self.max_rollbacks {
+                return Err(RankFailure::RollbackExhausted {
+                    rollbacks: self.rollbacks + 1,
+                    step: report.step,
+                    detail,
+                });
+            }
+            let step = match self.resume(sim) {
+                Ok(Some(step)) => step,
+                found => {
+                    let detail = match found {
+                        Err(cause) => format!("{detail} ({cause})"),
+                        _ => detail,
+                    };
+                    return Err(RankFailure::NoRollbackTarget {
+                        step: report.step,
+                        detail,
                     });
                 }
-                limit = Some(step - 1);
+            };
+            self.rollbacks += 1;
+            sim.telemetry()
+                .gauge_set("health/rollback_to_step", step as f64);
+            sim.project_phi_to_simplex();
+            return Ok(AfterStep::RolledBack);
+        }
+        let Some(root) = self.root.as_deref().filter(|_| due) else {
+            return Ok(AfterStep::Continued);
+        };
+        let t0 = Instant::now();
+        if sim.write_checkpoint_set(root, self.precision).is_err() {
+            // A distributed write's votes made the error the same on every
+            // rank, and the set has no manifest.
+            sim.telemetry().counter_add("ckpt/write_failures", 1);
+            return Ok(AfterStep::WriteFailed);
+        }
+        let wall = t0.elapsed();
+        if let Some(keep) = self.keep.filter(|_| sim.prunes_sets()) {
+            // Collectives serialize pruning against restores, so it cannot
+            // race a set being read.
+            if let Ok(n) = ckpt::prune_checkpoint_sets(root, keep, None) {
+                sim.telemetry().counter_add("ckpt/sets_pruned", n as u64);
             }
         }
+        Ok(AfterStep::Checkpointed(wall))
     }
 }
 
@@ -698,14 +821,11 @@ struct RankOutcome {
 /// Comm failures inside this routine (a *second* death mid-recovery) panic
 /// through the comm layer — the caller runs it under [`catch_comm`] and
 /// retries against the new, larger dead set.
-#[allow(clippy::too_many_arguments)]
 fn recover_and_rehome(
     sim: &mut DistributedSim<'_>,
     replica: Option<&ReplicaStore>,
     source: ShrinkSource,
-    root: &Path,
-    validate: bool,
-    restore_skips: &mut usize,
+    recovery: &mut StepRecovery,
     trigger: &CommError,
 ) -> Result<(), RankFailure> {
     let tel = sim.telemetry().clone();
@@ -768,11 +888,11 @@ fn recover_and_rehome(
     sim.adopt_placement(plan.placement);
     // 4. Restore a consistent global state at the shrunken rank count.
     match source {
-        ShrinkSource::Disk => match restore_best(sim, root, validate, restore_skips)? {
-            RestoreBest::Restored(s) => {
+        ShrinkSource::Disk => match recovery.resume(sim)? {
+            Some(s) => {
                 sim.telemetry().gauge_set("shrink/restored_step", s as f64);
             }
-            RestoreBest::NoSets => {
+            None => {
                 return Err(RankFailure::ShrinkRecovery {
                     step,
                     detail: "no checkpoint set to re-home from".into(),
@@ -879,24 +999,27 @@ where
                 overlap,
             );
             sim.set_threads(threads);
-            let validate = recovery.health.is_some();
             if let Some(hc) = recovery.health {
                 sim.set_health_monitor(Some(
                     HealthMonitor::new(hc).with_faults(field_plan.clone()),
                 ));
             }
-            let mut restore_skips = 0usize;
-            match restore_best(&mut sim, &root, validate, &mut restore_skips)? {
-                RestoreBest::Restored(step) => {
-                    sim.telemetry().gauge_set("ckpt/resumed_step", step as f64);
-                }
-                RestoreBest::NoSets => sim.init_blocks(|b| init(b)),
+            let mut rec = StepRecovery {
+                root: Some(root.clone()),
+                precision,
+                keep: retain,
+                max_rollbacks: recovery.max_rollbacks,
+                rollbacks: 0,
+                restore_skips: 0,
+            };
+            match rec.resume(&mut sim)? {
+                Some(step) => sim.telemetry().gauge_set("ckpt/resumed_step", step as f64),
+                None => sim.init_blocks(|b| init(b)),
             }
             // Attach after init/restore: the policy's cold-start priors
             // classify the actual block contents.
             sim.set_rebalance_policy(rebalance.clone());
             let mut sched = cadence.clone();
-            let mut rollbacks = 0usize;
             let mut shrinks = 0usize;
             let mut replica = (shrink == Some(ShrinkSource::Buddy)).then(ReplicaStore::default);
             let mut pending_failure: Option<CommError> = None;
@@ -913,15 +1036,7 @@ where
                         });
                     }
                     match catch_comm(|| {
-                        recover_and_rehome(
-                            &mut sim,
-                            replica.as_ref(),
-                            source,
-                            &root,
-                            validate,
-                            &mut restore_skips,
-                            &err,
-                        )
+                        recover_and_rehome(&mut sim, replica.as_ref(), source, &mut rec, &err)
                     }) {
                         Ok(Ok(())) => {
                             // Recovered: re-attach the rebalancer onto
@@ -943,70 +1058,18 @@ where
                     let t0 = Instant::now();
                     sim.step();
                     sched.observe_step(t0.elapsed());
-                    if let Some(report) = sim.take_unhealthy_report() {
-                        // Unhealthy verdicts come from an allreduce, so
-                        // every rank takes this branch at the same step
-                        // and the rollback collectives stay in lockstep.
-                        rollbacks += 1;
-                        sim.telemetry().counter_add("health/rollbacks", 1);
-                        let detail = report.describe();
-                        if rollbacks > recovery.max_rollbacks {
-                            return Err(RankFailure::RollbackExhausted {
-                                rollbacks,
-                                step: report.step,
-                                detail,
-                            });
-                        }
-                        match restore_best(&mut sim, &root, validate, &mut restore_skips)? {
-                            RestoreBest::Restored(step) => {
-                                sim.telemetry()
-                                    .gauge_set("health/rollback_to_step", step as f64);
-                            }
-                            RestoreBest::NoSets => {
-                                return Err(RankFailure::NoRollbackTarget {
-                                    step: report.step,
-                                    detail,
-                                });
-                            }
-                        }
-                        sim.project_phi_to_simplex();
-                        return Ok(());
-                    }
-                    if sim.step_index() < target_steps && sched.due(sim.step_index()) {
-                        let t0 = Instant::now();
-                        match sim.write_checkpoint_set(&root, precision) {
-                            Ok(_) => {
-                                sched.observe_checkpoint(&rank, t0.elapsed(), sim.step_index());
-                                if let Some(keep) =
-                                    retain.filter(|_| rank.alive_ranks()[0] == rank.rank())
-                                {
-                                    // One rank prunes (the lowest alive, so
-                                    // a shrink that kills rank 0 does not
-                                    // stop it), and collectives serialize
-                                    // it against restores, so pruning
-                                    // cannot race a set being read.
-                                    if let Ok(n) = ckpt::prune_checkpoint_sets(&root, keep, None) {
-                                        sim.telemetry().counter_add("ckpt/sets_pruned", n as u64);
-                                    }
-                                }
-                                if let Some(rep) = replica.as_mut() {
-                                    // Mirror the just-checkpointed state
-                                    // into buddy RAM so a shrink can
-                                    // restore it without touching disk.
-                                    rep.capture(&sim);
-                                    sim.telemetry().counter_add("replica/captures", 1);
-                                    sim.telemetry()
-                                        .gauge_set("replica/bytes_held", rep.bytes_held() as f64);
-                                }
-                            }
-                            Err(_) => {
-                                // The votes made this error consistent
-                                // across ranks and the set has no
-                                // manifest, so it is invisible to
-                                // restores. Keep running — the scheduler
-                                // stays due and retries next step.
-                                sim.telemetry().counter_add("ckpt/write_failures", 1);
-                            }
+                    let step = sim.step_index();
+                    let due = step < target_steps && sched.due(step);
+                    if let AfterStep::Checkpointed(wall) = rec.after_step(&mut sim, due)? {
+                        sched.observe_checkpoint(&rank, wall, step);
+                        if let Some(rep) = replica.as_mut() {
+                            // Mirror the just-checkpointed state into buddy
+                            // RAM so a shrink can restore it without
+                            // touching disk.
+                            rep.capture(&sim);
+                            sim.telemetry().counter_add("replica/captures", 1);
+                            sim.telemetry()
+                                .gauge_set("replica/bytes_held", rep.bytes_held() as f64);
                         }
                     }
                     Ok(())
@@ -1038,8 +1101,8 @@ where
             Ok(RankOutcome {
                 time: sim.time(),
                 blocks: ids.into_iter().zip(blocks).collect(),
-                rollbacks,
-                restore_skips,
+                rollbacks: rec.rollbacks,
+                restore_skips: rec.restore_skips,
                 shrinks,
                 cost,
             })

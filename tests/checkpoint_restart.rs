@@ -2,9 +2,15 @@
 //! single-precision tolerance (Sec. 3.2: "checkpoints use only single
 //! precision to save disk space and I/O bandwidth").
 
+use eutectica_blockgrid::codec::crc32;
+use eutectica_blockgrid::decomp::DomainSpec;
 use eutectica_core::params::ModelParams;
 use eutectica_core::prelude::*;
-use eutectica_pfio::ckpt::{decode_block, encode_block, Precision, DEFAULT_BYTE_BUDGET};
+use eutectica_pfio::ckpt::{
+    block_file_name, decode_block, encode_block, encode_manifest, BlockEntry, Manifest, Precision,
+    DEFAULT_BYTE_BUDGET,
+};
+use eutectica_pfio::resilient::SimCheckpointExt;
 
 fn setup() -> Simulation {
     let mut p = ModelParams::ag_al_cu();
@@ -75,4 +81,39 @@ fn checkpoint_restart_preserves_window_origin() {
     let buf = encode_block(&sim.state, 0, sim.time(), Precision::F32);
     let state = decode_block(&buf, DEFAULT_BYTE_BUDGET).unwrap().state;
     assert_eq!(state.origin, origin_before, "window offset lost in restart");
+}
+
+/// A campaign job's set, written by `Simulation`, is block 0 encoded by
+/// `encode_block` plus the manifest of a one-block decomposition — the
+/// bytes job sets have always had, so older sets still restore.
+#[test]
+fn job_set_is_one_encoded_block_and_its_manifest() {
+    let root = std::env::temp_dir().join(format!("eut_job_set_bytes_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let mut sim = setup();
+    sim.step_n(3);
+    sim.write_checkpoint_set(&root, Precision::F64).unwrap();
+    let block = encode_block(&sim.state, 0, sim.time(), Precision::F64);
+    let manifest = encode_manifest(&Manifest {
+        step: 3,
+        time: sim.time(),
+        window_shifts: 0,
+        precision: Precision::F64,
+        spec: DomainSpec::directional([12, 12, 24], [1, 1, 1]),
+        blocks: vec![BlockEntry {
+            id: 0,
+            file_bytes: block.len() as u64,
+            crc32: crc32(&block),
+        }],
+    });
+    let dir = root.join("step_0000000003");
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    assert_eq!(files, [block_file_name(0), "manifest.eckm".to_string()]);
+    assert!(std::fs::read(dir.join(block_file_name(0))).unwrap() == block);
+    assert!(std::fs::read(dir.join("manifest.eckm")).unwrap() == manifest);
+    std::fs::remove_dir_all(&root).unwrap();
 }

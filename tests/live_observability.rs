@@ -8,6 +8,8 @@
 //!   time loop (wall-clock acceptance test, run explicitly).
 //! - **Endpoint**: a plain TCP client decodes at least one observable and
 //!   one slice frame from a live run.
+//! - **One body**: a one-block `Simulation` and a one-rank, one-block
+//!   `DistributedSim` observe the same bits.
 
 use std::io::BufRead;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -15,12 +17,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use eutectica_blockgrid::decomp::{Decomposition, DomainSpec};
+use eutectica_comm::Universe;
 use eutectica_core::kernels::KernelConfig;
 use eutectica_core::params::ModelParams;
+use eutectica_core::solver::Simulation;
 use eutectica_core::state::BlockState;
 use eutectica_core::timeloop::{DistributedSim, OverlapOptions};
 use eutectica_core::{N_COMP, N_PHASES};
-use eutectica_obsv::{FrameBus, InSituObserver, LiveServer, ObservablesConfig};
+use eutectica_obsv::{FrameBus, InSituObserver, LiveServer, ObservableRecord, ObservablesConfig};
 
 const CELLS: [usize; 3] = [16, 16, 24];
 const STEPS: usize = 12;
@@ -160,6 +164,63 @@ fn observability_plane_is_bit_inert_threaded() {
     let (phi_on, mu_on) = run(2, true);
     assert_bit_identical("phi", &phi_off, &phi_on);
     assert_bit_identical("mu", &mu_off, &mu_on);
+}
+
+/// An observer publishing to a bus of its own, and the frames it has
+/// published so far except the metrics frames (each reports its own
+/// simulation's telemetry).
+fn observer_with_frames() -> (InSituObserver, impl FnMut() -> Vec<String>) {
+    let bus = Arc::new(FrameBus::new(64));
+    let sub = bus.subscribe();
+    let obs = InSituObserver::new(ObservablesConfig::with_every(OBSERVE_EVERY)).with_bus(bus);
+    let drain = move || {
+        std::iter::from_fn(|| sub.try_recv())
+            .filter(|f| !f.contains("\"type\":\"metrics\""))
+            .map(|f| f.to_string())
+            .collect()
+    };
+    (obs, drain)
+}
+
+#[test]
+fn one_block_and_one_rank_observe_the_same_bits() {
+    type Observed = (Vec<ObservableRecord>, Vec<String>);
+    let single: Observed = {
+        let (mut obs, mut drain) = observer_with_frames();
+        let mut sim = Simulation::new(ModelParams::ag_al_cu(), CELLS).unwrap();
+        init(&mut sim.state);
+        let mut records = Vec::new();
+        for _ in 0..STEPS {
+            sim.step();
+            records.extend(obs.observe_single(&sim));
+        }
+        (records, drain())
+    };
+    let ranked: Observed = Universe::run(1, |rank| {
+        let (mut obs, mut drain) = observer_with_frames();
+        let mut sim = DistributedSim::new(
+            &rank,
+            ModelParams::ag_al_cu(),
+            Decomposition::new(DomainSpec::directional(CELLS, [1, 1, 1])),
+            KernelConfig::default(),
+            OverlapOptions::default(),
+        );
+        sim.init_blocks(init);
+        let mut records = Vec::new();
+        for _ in 0..STEPS {
+            sim.step();
+            records.extend(obs.observe_distributed(&sim));
+        }
+        (records, drain())
+    })
+    .remove(0);
+    let observations = STEPS / OBSERVE_EVERY;
+    assert_eq!(single.0.len(), observations);
+    assert_eq!(single.0, ranked.0);
+    // One observable frame and two slice frames per observation, equal as
+    // text: every f64 prints as its shortest round-trip form.
+    assert_eq!(single.1.len(), 3 * observations);
+    assert_eq!(single.1, ranked.1);
 }
 
 #[test]

@@ -1,13 +1,18 @@
 //! Ablation benchmarks for the design choices called out in DESIGN.md:
 //! T(z) precompute, staggered buffer, shortcuts, the split µ-kernel
-//! overhead (the reason φ-overlap loses), anti-trapping cost, and the fast
-//! inverse square root.
+//! overhead (the reason φ-overlap loses), anti-trapping cost, the fast
+//! inverse square root, and the ghost-layer writers per face.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use eutectica_blockgrid::GridDims;
+use eutectica_blockgrid::field::SoaField;
+use eutectica_blockgrid::ghost::{
+    copy_region, pack_region_bytes, recv_region, send_region, unpack_region_bytes,
+};
+use eutectica_blockgrid::{Face, GridDims};
 use eutectica_core::kernels::{mu_sweep, phi_sweep, KernelConfig, MuPart, OptLevel, SimdIsa};
 use eutectica_core::params::ModelParams;
 use eutectica_core::regions::{build_scenario, Scenario};
+use eutectica_core::solver::Simulation;
 use eutectica_simd::{dispatch, IsaGeneric, SimdF64x4};
 
 fn flag_ablations(c: &mut Criterion) {
@@ -175,9 +180,58 @@ fn rsqrt_variants(c: &mut Criterion) {
     group.finish();
 }
 
+/// Ghost traffic per face kind: wire pack, wire unpack and same-process
+/// copy of the sequenced x / y / z face messages of a four-component field
+/// (φ) on a 16³ and a 16×32×64 block, with no constant zone to skip. Rates
+/// are payload bytes (MiB/s; GB/s = MiB/s × 1.048576e-3). Then the boundary
+/// fills of one step, `BlockState::new`'s φ and µ specs applied to the
+/// 48×48×64 block of the `solidify_1block` workload after its directional
+/// initialisation.
+fn ghost_faces(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ghost_faces");
+    group.measurement_time(std::time::Duration::from_secs(1));
+    for dims in [GridDims::cube(16), GridDims::new(16, 32, 64, 1)] {
+        let data = |k: usize| (0..4 * dims.volume()).map(|i| (i + k) as f64).collect();
+        let src = SoaField::<4>::from_raw(dims, data(0));
+        let mut dst = SoaField::<4>::from_raw(dims, data(1));
+        let size = format!("{}x{}x{}", dims.nx, dims.ny, dims.nz);
+        for (axis, face) in [("x", Face::XLow), ("y", Face::YLow), ("z", Face::ZLow)] {
+            let (send, recv) = (send_region(dims, face), recv_region(dims, face.opposite()));
+            let bytes = (send.volume() * 4 * 8) as u64;
+            group.throughput(criterion::Throughput::Bytes(bytes));
+            let mut wire = Vec::with_capacity(bytes as usize);
+            group.bench_function(format!("{size}/{axis}/pack_region_bytes"), |b| {
+                b.iter(|| {
+                    wire.clear();
+                    pack_region_bytes(&src, send, &mut wire);
+                });
+            });
+            group.bench_function(format!("{size}/{axis}/unpack_region_bytes"), |b| {
+                b.iter(|| unpack_region_bytes(&mut dst, recv, &wire));
+            });
+            group.bench_function(format!("{size}/{axis}/copy_region"), |b| {
+                b.iter(|| copy_region(&src, send, &mut dst, recv));
+            });
+        }
+    }
+    let mut sim = Simulation::new(ModelParams::ag_al_cu(), [48, 48, 64]).expect("valid parameters");
+    sim.init_directional(1);
+    let state = &mut sim.state;
+    group.throughput(criterion::Throughput::Elements(
+        state.dims.interior_volume() as u64,
+    ));
+    group.bench_function("48x48x64/apply_phi", |b| {
+        b.iter(|| state.bc_phi.apply(&mut state.phi_src));
+    });
+    group.bench_function("48x48x64/apply_mu", |b| {
+        b.iter(|| state.bc_mu.apply(&mut state.mu_src));
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = ablations;
     config = Criterion::default().sample_size(15).measurement_time(std::time::Duration::from_secs(4));
-    targets = flag_ablations, split_mu_overhead, anti_trapping_cost, phi_layout, rsqrt_variants
+    targets = flag_ablations, split_mu_overhead, anti_trapping_cost, phi_layout, rsqrt_variants, ghost_faces
 }
 criterion_main!(ablations);

@@ -63,7 +63,7 @@ fn main() {
                 staggered_buffer: variant == PhiVariant::SimdCellwise,
                 shortcuts,
             };
-            row.push(f2(phi_mlups(&params, sc, dims, cfg, reps)));
+            row.push(phi_mlups(&params, sc, dims, cfg, reps).to_string());
         }
         let state = build_scenario(sc, dims);
         let aos = state.phi_src.to_aos();

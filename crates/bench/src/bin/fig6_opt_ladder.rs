@@ -33,12 +33,11 @@ fn main() {
             let reps = if rung == OptLevel::Reference { 2 } else { 5 };
             let mut row = vec![rung.label().to_string()];
             for sc in [Scenario::Interface, Scenario::Liquid, Scenario::Solid] {
-                let v = if f {
-                    phi_mlups(&params, sc, dims, cfg, reps)
+                row.push(if f {
+                    phi_mlups(&params, sc, dims, cfg, reps).to_string()
                 } else {
-                    mu_mlups(&params, sc, dims, cfg, reps)
-                };
-                row.push(f2(v));
+                    f2(mu_mlups(&params, sc, dims, cfg, reps))
+                });
             }
             table.row(&row);
         }

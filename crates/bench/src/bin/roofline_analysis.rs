@@ -3,7 +3,7 @@
 //! (the paper's "80 GiB/s : 680 B/LUP = 126.3 MLUP/s"), the measured
 //! MLUP/s and fraction of peak, and the IACA-style in-core ceiling.
 
-use eutectica_bench::{f2, mu_mlups, phi_mlups, ResultTable};
+use eutectica_bench::{f2, mu_mlups, phi_mlups, PhiRate, ResultTable};
 use eutectica_blockgrid::GridDims;
 use eutectica_core::kernels::OptLevel;
 use eutectica_core::metrics::{
@@ -75,7 +75,9 @@ fn main() {
     let cfg = OptLevel::SimdTzBuf.config();
     let dims = GridDims::cube(40);
     let mu_meas = mu_mlups(&params, Scenario::Interface, dims, cfg, 5);
-    let phi_meas = phi_mlups(&params, Scenario::Interface, dims, cfg, 5);
+    let PhiRate::Mlups(phi_meas) = phi_mlups(&params, Scenario::Interface, dims, cfg, 5) else {
+        panic!("an interface block is swept");
+    };
 
     let mut table = ResultTable::new(
         "roofline_analysis",

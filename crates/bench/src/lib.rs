@@ -10,7 +10,7 @@ use std::io::Write;
 use std::time::Instant;
 
 use eutectica_blockgrid::GridDims;
-use eutectica_core::kernels::{mu_sweep, phi_sweep, KernelConfig, MuPart};
+use eutectica_core::kernels::{mu_sweep, phi_sweep, phi_sweep_prepare, KernelConfig, MuPart};
 use eutectica_core::params::ModelParams;
 use eutectica_core::regions::{build_scenario, Scenario};
 use eutectica_core::sweep_pool::SweepPool;
@@ -30,17 +30,44 @@ pub fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
     times[times.len() / 2]
 }
 
-/// MLUP/s of the φ-kernel on a scenario block.
+/// A φ-kernel timing on a scenario block.
+#[derive(Copy, Clone, Debug)]
+pub enum PhiRate {
+    /// The sweep ran cells: MLUP/s over the block's interior.
+    Mlups(f64),
+    /// [`phi_sweep_prepare`] left no slab to sweep (the melt under
+    /// `shortcuts`): µs per call, a time no cell count divides.
+    NotSwept(f64),
+}
+
+/// As a table cell: the rate, or `not swept (<µs> µs)`.
+impl std::fmt::Display for PhiRate {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PhiRate::Mlups(v) => write!(f, "{v:.2}"),
+            PhiRate::NotSwept(us) => write!(f, "not swept ({us:.2} µs)"),
+        }
+    }
+}
+
+/// φ-kernel timing on a scenario block: MLUP/s when the sweep runs any
+/// cell, else the call's µs — decided by the z-range
+/// [`phi_sweep_prepare`] returns.
 pub fn phi_mlups(
     params: &ModelParams,
     scenario: Scenario,
     dims: GridDims,
     cfg: KernelConfig,
     reps: usize,
-) -> f64 {
+) -> PhiRate {
     let mut state = build_scenario(scenario, dims);
+    let (z0, z1) = phi_sweep_prepare(&mut state, cfg);
     let secs = time_median(reps, || phi_sweep(params, &mut state, 0.0, cfg));
-    dims.interior_volume() as f64 / secs / 1e6
+    if z0 < z1 {
+        PhiRate::Mlups(dims.interior_volume() as f64 / secs / 1e6)
+    } else {
+        PhiRate::NotSwept(secs * 1e6)
+    }
 }
 
 /// MLUP/s of the µ-kernel on a scenario block.

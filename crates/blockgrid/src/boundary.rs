@@ -8,8 +8,13 @@
 //! exchange. Faces are processed in the fixed x → y → z order over the full
 //! transverse extent, so edge/corner ghosts required by the D3C19 stencil
 //! are filled consistently with the communication scheme (see [`crate::ghost`]).
+//!
+//! This module only computes regions: every ghost layer is written by
+//! [`crate::ghost`]'s region writer, the same one that unpacks and copies
+//! face messages, which also keeps the field's constant-slab summary.
 
-use crate::field::{same_bits, SoaField};
+use crate::field::SoaField;
+use crate::ghost::{copy_region_within, fill_region, Region};
 use crate::Face;
 
 /// Boundary condition of one block face.
@@ -51,171 +56,41 @@ impl<const NC: usize> BoundarySpec<NC> {
         self
     }
 
-    /// Fill the ghost layers of `field` on every non-[`Bc::Comm`] face.
+    /// Fill the ghost layers of `field` on every non-[`Bc::Comm`] face,
+    /// one full-transverse layer at a time.
     pub fn apply(&self, field: &mut SoaField<NC>) {
+        let d = field.dims();
+        let g = d.ghost;
         for f in Face::ALL {
-            match self.face(f) {
-                Bc::Comm => {}
-                Bc::Periodic => apply_periodic(field, f),
-                Bc::Neumann => apply_neumann(field, f),
-                Bc::Dirichlet(v) => apply_dirichlet(field, f, v),
+            let bc = self.face(f);
+            if bc == Bc::Comm {
+                continue;
             }
-        }
-    }
-}
-
-fn apply_periodic<const NC: usize>(field: &mut SoaField<NC>, face: Face) {
-    let d = field.dims();
-    let g = d.ghost;
-    let (n, t) = match face.axis() {
-        0 => (d.nx, d.tx()),
-        1 => (d.ny, d.ty()),
-        _ => (d.nz, d.tz()),
-    };
-    // Ghost layer l (0..g) on the low side maps to interior layer n+l from
-    // the high side and vice versa.
-    for l in 0..g {
-        let (dst, src) = if face.is_high() {
-            (n + g + l, g + l) // high ghost <- low interior
-        } else {
-            (l, n + l) // low ghost <- high interior (offset by g: n+l = g+n-g+l)
-        };
-        copy_axis_layer(field, face.axis(), dst, src, t);
-    }
-}
-
-fn apply_neumann<const NC: usize>(field: &mut SoaField<NC>, face: Face) {
-    let d = field.dims();
-    let g = d.ghost;
-    let n = match face.axis() {
-        0 => d.nx,
-        1 => d.ny,
-        _ => d.nz,
-    };
-    let t = match face.axis() {
-        0 => d.tx(),
-        1 => d.ty(),
-        _ => d.tz(),
-    };
-    for l in 0..g {
-        let (dst, src) = if face.is_high() {
-            (n + g + l, n + g - 1) // copy last interior layer outward
-        } else {
-            (l, g)
-        };
-        copy_axis_layer(field, face.axis(), dst, src, t);
-    }
-}
-
-fn apply_dirichlet<const NC: usize>(field: &mut SoaField<NC>, face: Face, v: [f64; NC]) {
-    let d = field.dims();
-    let g = d.ghost;
-    let n = match face.axis() {
-        0 => d.nx,
-        1 => d.ny,
-        _ => d.nz,
-    };
-    for l in 0..g {
-        let layer = if face.is_high() { n + g + l } else { l };
-        fill_axis_layer(field, face.axis(), layer, v);
-    }
-}
-
-/// Copy one full transverse layer `src` -> `dst` along `axis`. Where both
-/// layers lie in the field's constant zone they are equal already and the
-/// copy is skipped; a z-layer copied into the zone from below it ends the
-/// zone above the copy.
-fn copy_axis_layer<const NC: usize>(
-    field: &mut SoaField<NC>,
-    axis: usize,
-    dst: usize,
-    src: usize,
-    _t: usize,
-) {
-    let d = field.dims();
-    let (tx, ty, tz, vol) = (d.tx(), d.ty(), d.tz(), d.volume());
-    let (data, const_from, _) = field.raw_and_zone();
-    // x- and y-layers cross every slab: the slabs of the zone need no copy.
-    let z_end = tz.min(*const_from);
-    if axis == 2 {
-        if src >= *const_from && dst >= *const_from {
-            return;
-        }
-        if dst >= *const_from {
-            *const_from = dst + 1;
-        }
-    }
-    for comp in data.chunks_exact_mut(vol) {
-        match axis {
-            0 => {
-                for z in 0..z_end {
-                    for y in 0..ty {
-                        let row = (z * ty + y) * tx;
-                        comp[row + dst] = comp[row + src];
-                    }
+            let (a, high) = (f.axis(), f.is_high());
+            let n = [d.nx, d.ny, d.nz][a];
+            let layer = |i: usize| {
+                let mut range = [[0, d.tx()], [0, d.ty()], [0, d.tz()]];
+                range[a] = [i, i + 1];
+                Region { range }
+            };
+            for l in 0..g {
+                let ghost = if high { n + g + l } else { l };
+                match bc {
+                    Bc::Comm => {}
+                    // High ghost layer l <- low interior layer g + l, low
+                    // ghost layer l <- high interior layer n + l.
+                    Bc::Periodic => copy_region_within(
+                        field,
+                        layer(if high { g + l } else { n + l }),
+                        layer(ghost),
+                    ),
+                    Bc::Neumann => copy_region_within(
+                        field,
+                        layer(if high { n + g - 1 } else { g }),
+                        layer(ghost),
+                    ),
+                    Bc::Dirichlet(v) => fill_region(field, layer(ghost), v),
                 }
-            }
-            1 => {
-                for z in 0..z_end {
-                    let base = z * ty * tx;
-                    let (d0, s0) = (base + dst * tx, base + src * tx);
-                    comp.copy_within(s0..s0 + tx, d0);
-                }
-            }
-            _ => {
-                let (d0, s0) = (dst * ty * tx, src * ty * tx);
-                comp.copy_within(s0..s0 + ty * tx, d0);
-            }
-        }
-    }
-}
-
-/// Fill one full transverse layer along `axis` with constant `v`. Slabs of
-/// the field's constant zone that hold `v` already are skipped; writing any
-/// other value into the zone ends it above the write.
-fn fill_axis_layer<const NC: usize>(
-    field: &mut SoaField<NC>,
-    axis: usize,
-    layer: usize,
-    v: [f64; NC],
-) {
-    let d = field.dims();
-    let (tx, ty, tz, vol) = (d.tx(), d.ty(), d.tz(), d.volume());
-    let (data, const_from, const_val) = field.raw_and_zone();
-    let same = same_bits(v, const_val);
-    let z_end = if axis == 2 {
-        if layer >= *const_from {
-            if same {
-                return;
-            }
-            *const_from = layer + 1;
-        }
-        tz
-    } else if same {
-        tz.min(*const_from)
-    } else {
-        // An x- or y-layer of another value crosses every slab of the zone.
-        *const_from = tz;
-        tz
-    };
-    for (c, comp) in data.chunks_exact_mut(vol).enumerate() {
-        match axis {
-            0 => {
-                for z in 0..z_end {
-                    for y in 0..ty {
-                        comp[(z * ty + y) * tx + layer] = v[c];
-                    }
-                }
-            }
-            1 => {
-                for z in 0..z_end {
-                    let start = (z * ty + layer) * tx;
-                    comp[start..start + tx].fill(v[c]);
-                }
-            }
-            _ => {
-                let start = layer * ty * tx;
-                comp[start..start + ty * tx].fill(v[c]);
             }
         }
     }

@@ -22,9 +22,9 @@ use serde::{Deserialize, Serialize};
 /// boundary fills and scans that know it need not touch those slabs. The
 /// summary is kept true by the field itself, never by its callers: every
 /// mutator below states its effect on it, [`SoaField::tighten`] is the only
-/// way the zone grows, and the region writers of [`crate::ghost`] and
-/// [`crate::boundary`] (same crate) maintain it through
-/// `SoaField::raw_and_zone`.
+/// way the zone grows, and the one region writer of [`crate::ghost`] (same
+/// crate), which the boundary fills of [`crate::boundary`] run on too,
+/// maintains it through `SoaField::raw_and_zone`.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct SoaField<const NC: usize> {
     dims: GridDims,
@@ -152,8 +152,8 @@ impl<const NC: usize> SoaField<NC> {
         }
     }
 
-    /// Raw storage together with the summary, for the region writers of
-    /// this crate: whoever writes a row of a slab `z >= *const_from` must
+    /// Raw storage together with the summary, for the region writer of
+    /// [`crate::ghost`]: whoever writes a row of a slab `z >= *const_from` must
     /// either leave it bitwise equal to `const_val` or raise `*const_from`
     /// above `z`.
     #[inline(always)]

@@ -11,8 +11,14 @@
 //! buffer (the "packing and unpacking [of] messages which cannot be
 //! overlapped" in the paper's Fig. 8 discussion); unpacking writes it into
 //! the receiver's ghost slab on the opposite face.
+//!
+//! Every ghost write of this crate — an unpack, a same-process face copy
+//! and the boundary fills of [`crate::boundary`] — runs on one private
+//! region writer. It owns the row loop and the destination's constant-slab
+//! summary (see [`SoaField`]); the public writers only say where a row's
+//! values come from.
 
-use crate::field::SoaField;
+use crate::field::{same_bits, SoaField};
 use crate::{Face, GridDims};
 
 /// An axis-aligned cell region given by half-open total-coordinate ranges.
@@ -148,27 +154,16 @@ pub fn recv_region_plain(dims: GridDims, face: Face) -> Region {
     r
 }
 
-/// One x-row of a pair of equally shaped regions: its component, the z-slab
-/// it lies in on either side, and the offset of its first cell in either
-/// field's raw storage.
+/// One x-row of a pair of equally shaped regions: the offset of its first
+/// cell in either field's raw storage.
 #[derive(Copy, Clone)]
 struct Row {
-    c: usize,
-    src_z: usize,
-    dst_z: usize,
     src: usize,
     dst: usize,
 }
 
-/// Calls `f(row)` for every x-row of two equally shaped regions, in wire
-/// order (component-major, then z, then y).
-#[inline(always)]
-fn for_each_row(
-    nc: usize,
-    (sd, sr): (GridDims, Region),
-    (dd, dr): (GridDims, Region),
-    mut f: impl FnMut(Row),
-) {
+/// Extents of two equally shaped regions, each checked against its field.
+fn extents((sd, sr): (GridDims, Region), (dd, dr): (GridDims, Region)) -> [usize; 3] {
     let ext = |r: Region| [0, 1, 2].map(|a| r.range[a][1] - r.range[a][0]);
     assert_eq!(ext(sr), ext(dr), "ghost regions differ in shape");
     assert!(
@@ -179,70 +174,114 @@ fn for_each_row(
         dr.range[0][1] <= dd.tx() && dr.range[1][1] <= dd.ty() && dr.range[2][1] <= dd.tz(),
         "ghost region outside the destination field"
     );
-    let [_, ny, nz] = ext(sr);
+    ext(sr)
+}
+
+/// Calls `f(offset)` for the first cell of every x-row of region `r` of a
+/// field shaped `dims`, in wire order (component-major, then z, then y).
+#[inline(always)]
+fn for_each_row_of(nc: usize, dims: GridDims, r: Region, mut f: impl FnMut(usize)) {
+    let [_, ny, nz] = extents((dims, r), (dims, r));
     for c in 0..nc {
-        let (sc, dc) = (c * sd.volume(), c * dd.volume());
-        for z in 0..nz {
-            let (src_z, dst_z) = (sr.range[2][0] + z, dr.range[2][0] + z);
-            let s = sc + sd.idx(sr.range[0][0], sr.range[1][0], src_z);
-            let d = dc + dd.idx(dr.range[0][0], dr.range[1][0], dst_z);
+        for z in r.range[2][0]..r.range[2][0] + nz {
+            let first = c * dims.volume() + dims.idx(r.range[0][0], r.range[1][0], z);
             for y in 0..ny {
-                f(Row {
-                    c,
-                    src_z,
-                    dst_z,
-                    src: s + y * sd.sy(),
-                    dst: d + y * dd.sy(),
-                });
+                f(first + y * dims.sy());
             }
         }
     }
 }
 
-/// [`for_each_row`] over one region (`src` and `dst` sides coincide).
-#[inline(always)]
-fn for_each_row_of(nc: usize, dims: GridDims, r: Region, f: impl FnMut(Row)) {
-    for_each_row(nc, (dims, r), (dims, r), f);
-}
-
 /// Cells per x-row of `r`. Rows of one cell (x-faces at ghost width 1) are
-/// copied by a strided scalar loop instead of one slice copy per cell.
+/// packed by a strided scalar loop instead of one slice copy per cell.
 fn row_len(r: Region) -> usize {
     r.range[0][1] - r.range[0][0]
 }
 
-/// The destination field's constant-slab summary while a region writer
-/// holds its raw storage (see `SoaField::raw_and_zone`).
-struct Zone<'a, const NC: usize> {
-    from: &'a mut usize,
-    bits: [u64; NC],
+/// Writes one (component `c`, z) plane of `ny` x-rows of `n` cells, the
+/// first at `first` and the others `sy` apart on either side, through `put`
+/// (see [`write_region`]). One-cell rows (x faces at ghost width 1) take a
+/// strided scalar loop, a plane whose rows are contiguous on both sides (z
+/// layers) one run.
+#[inline(always)]
+fn write_plane(
+    d: &mut [f64],
+    put: &mut impl FnMut(&mut [f64], usize, Row, usize),
+    c: usize,
+    first: Row,
+    [n, ny]: [usize; 2],
+    sy: [usize; 2],
+) {
+    let row = |y: usize| Row {
+        src: first.src + y * sy[0],
+        dst: first.dst + y * sy[1],
+    };
+    match n {
+        1 => (0..ny).for_each(|y| put(d, c, row(y), 1)),
+        n if sy == [n, n] => put(d, c, first, n * ny),
+        n => (0..ny).for_each(|y| put(d, c, row(y), n)),
+    }
 }
 
-impl<const NC: usize> Zone<'_, NC> {
-    /// Whether slab `z` lies in the zone, i.e. its rows hold the constant
-    /// until they are written.
-    #[inline(always)]
-    fn holds(&self, z: usize) -> bool {
-        z >= *self.from
-    }
-
-    /// Account for the row just written to `cells`: if it lies in the zone
-    /// and no longer equals the constant, the zone ends above it. Reads only
-    /// what was just written, and nothing for rows below the zone.
-    #[inline(always)]
-    fn wrote(&mut self, row: Row, cells: &[f64]) {
-        if self.holds(row.dst_z) && cells.iter().any(|v| v.to_bits() != self.bits[row.c]) {
-            *self.from = row.dst_z + 1;
+/// The one writer of ghost cells: writes region `dr` of `dst` from the
+/// equally shaped region of `src` that `put` reads, one (component, z)
+/// plane at a time, and keeps `dst`'s constant-slab summary true (see
+/// `SoaField::raw_and_zone`).
+///
+/// `put(d, c, row, n)` writes the `n` cells of component `c` from `row.dst`
+/// on, from `row.src` on in a field laid out like `src`, or from where a
+/// wire reader stands (rows come in wire order). `src_const(c, src_z,
+/// from)` says whether the source plane at slab `src_z` is known to hold
+/// the zone's constant while the zone starts at slab `from`; it must stay
+/// true for the planes above once it is.
+#[inline(always)]
+fn write_region<const NC: usize>(
+    dst: &mut SoaField<NC>,
+    dr: Region,
+    (sd, sr): (GridDims, Region),
+    src_const: impl Fn(usize, usize, usize) -> bool,
+    mut put: impl FnMut(&mut [f64], usize, Row, usize),
+) {
+    let dd = dst.dims();
+    let [n, ny, nz] = extents((sd, sr), (dd, dr));
+    let (d, from, val) = dst.raw_and_zone();
+    let bits = val.map(f64::to_bits);
+    let sy = [sd.sy(), dd.sy()];
+    let (sz0, dz0) = (sr.range[2][0], dr.range[2][0]);
+    for c in 0..NC {
+        let first = Row {
+            src: c * sd.volume() + sd.idx(sr.range[0][0], sr.range[1][0], sz0),
+            dst: c * dd.volume() + dd.idx(dr.range[0][0], dr.range[1][0], dz0),
+        };
+        let at = |z: usize| Row {
+            src: first.src + z * sd.sz(),
+            dst: first.dst + z * dd.sz(),
+        };
+        // Below the zone every plane is written.
+        let below = (*from).saturating_sub(dz0).min(nz);
+        for z in 0..below {
+            write_plane(d, &mut put, c, at(z), [n, ny], sy);
+        }
+        // In the zone, which only moves up from here: a plane whose source
+        // holds the zone's constant is equal already, and so are the planes
+        // above it; any other plane is written, and if it differs from the
+        // constant the zone ends above it.
+        for z in below..nz {
+            if src_const(c, sz0 + z, *from) {
+                break;
+            }
+            let plane = at(z);
+            write_plane(d, &mut put, c, plane, [n, ny], sy);
+            let differs = |y| {
+                d[plane.dst + y * sy[1]..][..n]
+                    .iter()
+                    .any(|v| v.to_bits() != bits[c])
+            };
+            if (0..ny).any(differs) {
+                *from = dz0 + z + 1;
+            }
         }
     }
-}
-
-/// Raw storage of `field` plus its summary, for a region writer.
-#[inline(always)]
-fn writer<const NC: usize>(field: &mut SoaField<NC>) -> (&mut [f64], Zone<'_, NC>) {
-    let (data, from, val) = field.raw_and_zone();
-    let bits = val.map(f64::to_bits);
-    (data, Zone { from, bits })
 }
 
 /// Copy `src_r` of `src` into the equally shaped `dst_r` of `dst` — a
@@ -259,36 +298,30 @@ pub fn copy_region<const NC: usize>(
     dst: &mut SoaField<NC>,
     dst_r: Region,
 ) {
-    let (from, to) = ((src.dims(), src_r), (dst.dims(), dst_r));
     let (src_from, src_val) = src.const_zone();
-    let s = src.raw();
-    let (d, mut zone) = writer(dst);
     // With different constants no source row counts as "in the zone".
-    let src_from = if src_val.map(f64::to_bits) == zone.bits {
+    let src_from = if same_bits(src_val, dst.const_zone().1) {
         src_from
     } else {
         usize::MAX
     };
-    match row_len(src_r) {
-        1 => for_each_row(NC, from, to, |r| {
-            if r.src_z >= src_from && zone.holds(r.dst_z) {
-                return;
-            }
-            d[r.dst] = s[r.src];
-            zone.wrote(r, &d[r.dst..=r.dst]);
-        }),
-        n => for_each_row(NC, from, to, |r| {
-            if r.src_z >= src_from && zone.holds(r.dst_z) {
-                return;
-            }
-            d[r.dst..r.dst + n].copy_from_slice(&s[r.src..r.src + n]);
-            zone.wrote(r, &d[r.dst..r.dst + n]);
-        }),
-    }
+    let s = src.raw();
+    write_region(
+        dst,
+        dst_r,
+        (src.dims(), src_r),
+        |_, z, _| z >= src_from,
+        // A one-cell row is a plain cell copy: the range checks of the
+        // slice form cost an x face about a tenth.
+        |d, _, r, n| match n {
+            1 => d[r.dst] = s[r.src],
+            n => d[r.dst..r.dst + n].copy_from_slice(&s[r.src..r.src + n]),
+        },
+    );
 }
 
 /// [`copy_region`] inside one field: a block that is its own periodic
-/// neighbor.
+/// neighbor, and the periodic and zero-gradient boundary fills.
 ///
 /// # Panics
 /// Panics like [`copy_region`], and if the regions overlap (a send region
@@ -300,24 +333,29 @@ pub fn copy_region_within<const NC: usize>(field: &mut SoaField<NC>, src_r: Regi
         }),
         "in-field ghost copy between overlapping regions"
     );
-    let (from, to) = ((field.dims(), src_r), (field.dims(), dst_r));
-    let (d, mut zone) = writer(field);
-    match row_len(src_r) {
-        1 => for_each_row(NC, from, to, |r| {
-            if zone.holds(r.src_z) && zone.holds(r.dst_z) {
-                return;
-            }
-            d[r.dst] = d[r.src];
-            zone.wrote(r, &d[r.dst..=r.dst]);
-        }),
-        n => for_each_row(NC, from, to, |r| {
-            if zone.holds(r.src_z) && zone.holds(r.dst_z) {
-                return;
-            }
-            d.copy_within(r.src..r.src + n, r.dst);
-            zone.wrote(r, &d[r.dst..r.dst + n]);
-        }),
-    }
+    let from = (field.dims(), src_r);
+    write_region(
+        field,
+        dst_r,
+        from,
+        // The source is this field's: constant wherever the zone covers it.
+        |_, z, zone_from| z >= zone_from,
+        |d, _, r, n| d.copy_within(r.src..r.src + n, r.dst),
+    );
+}
+
+/// Fill region `r` of `field` with the constant `v` (a Dirichlet ghost
+/// layer).
+pub(crate) fn fill_region<const NC: usize>(field: &mut SoaField<NC>, r: Region, v: [f64; NC]) {
+    let here = (field.dims(), r);
+    let zone = field.const_zone().1.map(f64::to_bits);
+    write_region(
+        field,
+        r,
+        here,
+        |c, _, _| v[c].to_bits() == zone[c],
+        |d, c, r, n| d[r.dst..r.dst + n].fill(v[c]),
+    );
 }
 
 /// Pack an arbitrary region (component-major, then z, y, x).
@@ -326,31 +364,26 @@ pub fn pack_region<const NC: usize>(field: &SoaField<NC>, r: Region, buf: &mut V
     buf.clear();
     buf.reserve(r.volume() * NC);
     match row_len(r) {
-        1 => for_each_row_of(NC, field.dims(), r, |r| buf.push(s[r.src])),
-        n => for_each_row_of(NC, field.dims(), r, |r| {
-            buf.extend_from_slice(&s[r.src..r.src + n])
-        }),
+        1 => for_each_row_of(NC, field.dims(), r, |i| buf.push(s[i])),
+        n => for_each_row_of(NC, field.dims(), r, |i| buf.extend_from_slice(&s[i..i + n])),
     }
 }
 
 /// Unpack into an arbitrary region (inverse of [`pack_region`]).
 pub fn unpack_region<const NC: usize>(field: &mut SoaField<NC>, r: Region, data: &[f64]) {
     assert_eq!(data.len(), r.volume() * NC, "ghost message length mismatch");
-    let dims = field.dims();
-    let (d, mut zone) = writer(field);
+    let here = (field.dims(), r);
     let mut pos = 0;
-    match row_len(r) {
-        1 => for_each_row_of(NC, dims, r, |r| {
-            d[r.dst] = data[pos];
-            zone.wrote(r, &d[r.dst..=r.dst]);
-            pos += 1;
-        }),
-        n => for_each_row_of(NC, dims, r, |r| {
+    write_region(
+        field,
+        r,
+        here,
+        |_, _, _| false,
+        |d, _, r, n| {
             d[r.dst..r.dst + n].copy_from_slice(&data[pos..pos + n]);
-            zone.wrote(r, &d[r.dst..r.dst + n]);
             pos += n;
-        }),
-    }
+        },
+    );
 }
 
 /// Append a region's wire form to `out`: the little-endian bytes of the
@@ -361,13 +394,13 @@ pub fn pack_region_bytes<const NC: usize>(field: &SoaField<NC>, r: Region, out: 
     let s = field.raw();
     out.reserve(r.volume() * NC * std::mem::size_of::<f64>());
     match row_len(r) {
-        1 => for_each_row_of(NC, field.dims(), r, |r| {
-            out.extend_from_slice(&s[r.src].to_le_bytes())
+        1 => for_each_row_of(NC, field.dims(), r, |i| {
+            out.extend_from_slice(&s[i].to_le_bytes())
         }),
-        n => for_each_row_of(NC, field.dims(), r, |r| {
+        n => for_each_row_of(NC, field.dims(), r, |i| {
             let at = out.len();
             out.resize(at + 8 * n, 0);
-            for (b, v) in out[at..].chunks_exact_mut(8).zip(&s[r.src..r.src + n]) {
+            for (b, v) in out[at..].chunks_exact_mut(8).zip(&s[i..i + n]) {
                 b.copy_from_slice(&v.to_le_bytes());
             }
         }),
@@ -385,25 +418,22 @@ pub fn unpack_region_bytes<const NC: usize>(field: &mut SoaField<NC>, r: Region,
         r.volume() * NC * std::mem::size_of::<f64>(),
         "ghost message length mismatch"
     );
-    let dims = field.dims();
-    let (d, mut zone) = writer(field);
+    let here = (field.dims(), r);
     let le = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("8-byte chunk"));
     let mut pos = 0;
-    match row_len(r) {
-        1 => for_each_row_of(NC, dims, r, |r| {
-            d[r.dst] = le(&bytes[pos..pos + 8]);
-            zone.wrote(r, &d[r.dst..=r.dst]);
-            pos += 8;
-        }),
-        n => for_each_row_of(NC, dims, r, |r| {
-            let row = bytes[pos..pos + 8 * n].chunks_exact(8);
-            for (cell, b) in d[r.dst..r.dst + n].iter_mut().zip(row) {
+    write_region(
+        field,
+        r,
+        here,
+        |_, _, _| false,
+        |d, _, r, n| {
+            let cells = bytes[pos..pos + 8 * n].chunks_exact(8);
+            for (cell, b) in d[r.dst..r.dst + n].iter_mut().zip(cells) {
                 *cell = le(b);
             }
-            zone.wrote(r, &d[r.dst..r.dst + n]);
             pos += 8 * n;
-        }),
-    }
+        },
+    );
 }
 
 /// Pack the `face` message of `field` into `buf` (cleared first).
@@ -422,18 +452,6 @@ pub fn pack<const NC: usize>(field: &SoaField<NC>, face: Face, buf: &mut Vec<f64
 /// Panics if `data` has the wrong length.
 pub fn unpack<const NC: usize>(field: &mut SoaField<NC>, face: Face, data: &[f64]) {
     unpack_region(field, recv_region(field.dims(), face), data);
-}
-
-/// Perform a local periodic exchange on one axis of a single field:
-/// each face's send region is copied into the ghost layers of the opposite
-/// face — exactly what a pair of neighboring blocks does through the
-/// communicator, but in-place. Used by tests and by single-block periodic
-/// domains.
-pub fn local_periodic_exchange<const NC: usize>(field: &mut SoaField<NC>, axis: usize) {
-    let dims = field.dims();
-    for f in [Face::ALL[2 * axis], Face::ALL[2 * axis + 1]] {
-        copy_region_within(field, send_region(dims, f), recv_region(dims, f.opposite()));
-    }
 }
 
 #[cfg(test)]
@@ -475,8 +493,12 @@ mod tests {
         // with the BoundarySpec periodic fill.
         let d = GridDims::new(4, 3, 5, 1);
         let mut via_msgs = marked(d);
-        for axis in 0..3 {
-            local_periodic_exchange(&mut via_msgs, axis);
+        for face in Face::ALL {
+            copy_region_within(
+                &mut via_msgs,
+                send_region(d, face),
+                recv_region(d, face.opposite()),
+            );
         }
         let mut via_bc = marked(d);
         BoundarySpec::uniform(Bc::Periodic).apply(&mut via_bc);
@@ -489,8 +511,12 @@ mod tests {
     fn corner_ghosts_are_filled_after_xyz_exchange() {
         let d = GridDims::cube(3);
         let mut f = marked(d);
-        for axis in 0..3 {
-            local_periodic_exchange(&mut f, axis);
+        for face in Face::ALL {
+            copy_region_within(
+                &mut f,
+                send_region(d, face),
+                recv_region(d, face.opposite()),
+            );
         }
         // The (0,0,0) corner ghost must hold the wrapped interior value of
         // the opposite corner (3,3,3).

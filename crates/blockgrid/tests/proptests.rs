@@ -3,9 +3,8 @@
 use eutectica_blockgrid::boundary::{Bc, BoundarySpec};
 use eutectica_blockgrid::field::SoaField;
 use eutectica_blockgrid::ghost::{
-    copy_region, copy_region_within, local_periodic_exchange, pack, pack_region, pack_region_bytes,
-    recv_region, recv_region_plain, send_region, send_region_plain, unpack, unpack_region,
-    unpack_region_bytes,
+    copy_region, copy_region_within, pack, pack_region, pack_region_bytes, recv_region,
+    recv_region_plain, send_region, send_region_plain, unpack, unpack_region, unpack_region_bytes,
 };
 use eutectica_blockgrid::{Face, GridDims};
 use proptest::prelude::*;
@@ -148,6 +147,55 @@ fn mutate(ops: &mut Ops, f: &mut SoaField<3>, peer: &mut SoaField<3>) {
     }
 }
 
+/// Dirichlet values of the boundary reference test: the zone's own value,
+/// one that differs from it in the sign bits of two components only, one
+/// with a NaN payload, and another.
+fn dirichlet_values() -> [[f64; 3]; 4] {
+    let nan = f64::from_bits(0x7ff8_0000_0000_beef);
+    [ZONE, [-0.0, -0.0, -0.0], [nan, 1.0, -0.0], OTHER]
+}
+
+/// `BoundarySpec { faces }.apply` computed cell by cell from the
+/// definitions, on a copy of `f`'s storage: faces in the order x, y, z, low
+/// before high; on each ghost layer `l` of a face, over the full
+/// transverse extent, a periodic cell takes the interior cell `n` layers
+/// away across the axis, a zero-gradient cell the nearest interior layer,
+/// and a Dirichlet cell the face's value.
+fn boundary_reference(f: &SoaField<3>, faces: &[Bc<3>; 6]) -> Vec<u64> {
+    let d = f.dims();
+    let (g, vol, n) = (d.ghost, d.volume(), [d.nx, d.ny, d.nz]);
+    let mut v = f.raw().to_vec();
+    for (k, bc) in faces.iter().enumerate() {
+        let (a, high) = (k / 2, k % 2 == 1);
+        for l in 0..g {
+            let layer = if high { n[a] + g + l } else { l };
+            let src_layer = match bc {
+                Bc::Periodic if high => g + l,
+                Bc::Periodic => n[a] + l,
+                Bc::Neumann if high => n[a] + g - 1,
+                _ => g,
+            };
+            for i in 0..vol {
+                let (x, y, z) = d.coords(i);
+                let mut p = [x, y, z];
+                if p[a] != layer {
+                    continue;
+                }
+                p[a] = src_layer;
+                let src = d.idx(p[0], p[1], p[2]);
+                for c in 0..3 {
+                    match bc {
+                        Bc::Comm => {}
+                        Bc::Dirichlet(val) => v[c * vol + i] = val[c],
+                        _ => v[c * vol + i] = v[c * vol + src],
+                    }
+                }
+            }
+        }
+    }
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -156,8 +204,10 @@ proptest! {
     /// it on both fields — and the rows a writer skipped because of it hold
     /// what an unsummarized twin, which skips nothing, was given.
     /// (Mutation-checked: deleting any one summary-maintenance line of
-    /// `field.rs`, `ghost.rs` or `boundary.rs` — 11 of them — fails the
-    /// scan, and loosening either skip condition fails the twin.)
+    /// `field.rs` or of `ghost.rs`'s one region writer — 8 of them — fails
+    /// the scan, and loosening the skip condition of any of the writer's
+    /// sources fails the twin. CI's `zone-mutation` step repeats this for
+    /// the writer's zone-ending statement.)
     #[test]
     fn summary_survives_any_mutator_sequence(dims in arb_flat_dims(), seed in any::<u64>()) {
         let mut ops = Ops(seed | 1);
@@ -184,6 +234,33 @@ proptest! {
             }
         }
         prop_assert!(zone_slabs > 0, "no zone ever survived: the test checks nothing");
+    }
+
+    /// Boundary fills write exactly what the cell-by-cell reference does,
+    /// bit for bit (-0.0 and NaN payloads included), for any mix of the
+    /// four conditions, with and without a constant zone, and keep the
+    /// field's summary true.
+    #[test]
+    fn boundary_fills_match_a_cellwise_reference(
+        dims in arb_flat_dims(),
+        seed in any::<u64>(),
+        zoned in any::<bool>(),
+    ) {
+        let mut ops = Ops(seed | 1);
+        let mut f = poisoned_ghosts(dims, seed);
+        if zoned {
+            f.extend_const_zone(ops.below(dims.tz()), ZONE);
+        }
+        let faces = [(); 6].map(|_| match ops.below(4) {
+            0 => Bc::Comm,
+            1 => Bc::Periodic,
+            2 => Bc::Neumann,
+            _ => Bc::Dirichlet(dirichlet_values()[ops.below(4)]),
+        });
+        let want = boundary_reference(&f, &faces);
+        BoundarySpec { faces }.apply(&mut f);
+        prop_assert_eq!(bits(&f), want, "faces {:?}, seed {}", faces, seed);
+        prop_assert!(f.summary_holds(), "faces {:?}, seed {}", faces, seed);
     }
 
     /// The staging-free transfers — region→region copy between two fields,
@@ -245,8 +322,8 @@ proptest! {
     #[test]
     fn exchange_equals_periodic_bc(dims in arb_dims(), seed in any::<u64>()) {
         let mut via_msgs = filled_field(dims, seed);
-        for axis in 0..3 {
-            local_periodic_exchange(&mut via_msgs, axis);
+        for face in Face::ALL {
+            copy_region_within(&mut via_msgs, send_region(dims, face), recv_region(dims, face.opposite()));
         }
         let mut via_bc = filled_field(dims, seed);
         BoundarySpec::uniform(Bc::Periodic).apply(&mut via_bc);

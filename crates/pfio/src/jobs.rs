@@ -39,7 +39,7 @@ impl SimCheckpointExt for Simulation {
     /// Write the block file, then the manifest (both atomic
     /// tmp+fsync+rename), so a set is either complete or invisible to
     /// restores.
-    fn write_checkpoint_set(&self, root: &Path, precision: Precision) -> Result<u64, CkptError> {
+    fn write_set(&self, root: &Path, precision: Precision) -> Result<u64, CkptError> {
         let step = self.steps() as u64;
         let dir = ckpt::set_dir(root, step);
         std::fs::create_dir_all(&dir)?;
@@ -58,7 +58,7 @@ impl SimCheckpointExt for Simulation {
 
     /// Replace the block with the set's (keeping its boundary conditions)
     /// and jump the progress counters to the set's.
-    fn restore_from_set(&mut self, dir: &Path, byte_budget: u64) -> Result<(), CkptError> {
+    fn restore_set(&mut self, dir: &Path, byte_budget: u64) -> Result<(), CkptError> {
         let manifest = ckpt::read_manifest_file(dir)?;
         if manifest.spec != one_block_spec(self) {
             return Err(CkptError::Incompatible {
@@ -229,6 +229,30 @@ mod tests {
         assert_eq!(rec.resume(&mut sim).unwrap(), Some(10));
         assert_eq!(sim.steps(), 10);
         assert_eq!(rec.restore_skips, 1);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn job_checkpoints_are_counted_like_a_ranks() {
+        let root = tmp("counted");
+        let mut s = job(5, 10, 1.0, 0);
+        s.set_telemetry(Telemetry::new(0));
+        let first = s
+            .write_checkpoint_set(&ns(&root, 3), Precision::F64)
+            .unwrap();
+        s.set_progress(2.0, 20, 0);
+        let second = s
+            .write_checkpoint_set(&ns(&root, 3), Precision::F64)
+            .unwrap();
+        s.restore_from_set(&ckpt::set_dir(&ns(&root, 3), 10), ckpt::DEFAULT_BYTE_BUDGET)
+            .unwrap();
+        assert_eq!(s.steps(), 10);
+        let counters = s.telemetry().metrics_snapshot().counters;
+        assert_eq!(counters["ckpt/sets_written"], 2);
+        assert_eq!(counters["ckpt/bytes_written"], first + second);
+        assert!(counters["ckpt/wall_ns"] > 0);
+        assert_eq!(counters["ckpt/restores"], 1);
+        assert!(counters["ckpt/restore_wall_ns"] > 0);
         let _ = fs::remove_dir_all(&root);
     }
 

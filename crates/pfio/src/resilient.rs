@@ -69,20 +69,54 @@ use crate::replica::ReplicaStore;
 /// blocks; every operation collective) and `Simulation` (one campaign
 /// job's block, see `crate::jobs`).
 pub trait SimCheckpointExt {
-    /// Collectively write a checkpoint set for the current step under
-    /// `root`. Every rank writes its local blocks; rank 0 gathers the
-    /// per-block CRCs and writes the manifest last (the set is valid only
-    /// once the manifest lands). Returns the bytes this rank wrote.
+    /// Write a checkpoint set for the current step under `root` through
+    /// [`Self::write_set`], and count it. Returns the bytes this
+    /// participant wrote.
     ///
-    /// Telemetry (a rank's): span `checkpoint_write` (category `io`),
-    /// counters `ckpt/bytes_written`, `ckpt/sets_written`, `ckpt/wall_ns`.
-    fn write_checkpoint_set(&self, root: &Path, precision: Precision) -> Result<u64, CkptError>;
+    /// Telemetry, recorded here for every implementor: span
+    /// `checkpoint_write` (category `io`); on success the counters
+    /// `ckpt/bytes_written`, `ckpt/sets_written` and `ckpt/wall_ns`.
+    fn write_checkpoint_set(&self, root: &Path, precision: Precision) -> Result<u64, CkptError> {
+        let tel = self.telemetry().clone();
+        let start = Instant::now();
+        let _span = tel.span_cat("checkpoint_write", "io");
+        let bytes_written = self.write_set(root, precision)?;
+        tel.counter_add("ckpt/bytes_written", bytes_written);
+        tel.counter_add("ckpt/sets_written", 1);
+        tel.counter_add("ckpt/wall_ns", start.elapsed().as_nanos() as u64);
+        Ok(bytes_written)
+    }
 
-    /// Restore fields, time, step and window offset from the set in `dir`.
-    /// The set must decompose the same [`DomainSpec`]; the rank count may
-    /// differ from the writer's. Ghosts are refreshed collectively, so all
-    /// ranks must call this together.
-    fn restore_from_set(&mut self, dir: &Path, byte_budget: u64) -> Result<(), CkptError>;
+    /// Restore from the set in `dir` through [`Self::restore_set`], and
+    /// count it.
+    ///
+    /// Telemetry, recorded here for every implementor: span
+    /// `checkpoint_restore` (category `io`); on success the counters
+    /// `ckpt/restores` and `ckpt/restore_wall_ns`.
+    fn restore_from_set(&mut self, dir: &Path, byte_budget: u64) -> Result<(), CkptError> {
+        let tel = self.telemetry().clone();
+        let start = Instant::now();
+        {
+            let _span = tel.span_cat("checkpoint_restore", "io");
+            self.restore_set(dir, byte_budget)?;
+        }
+        tel.counter_add("ckpt/restores", 1);
+        tel.counter_add("ckpt/restore_wall_ns", start.elapsed().as_nanos() as u64);
+        Ok(())
+    }
+
+    /// The write behind [`Self::write_checkpoint_set`]. On a rank
+    /// (collective): every rank writes its local blocks; rank 0 gathers the
+    /// per-block CRCs and writes the manifest last (the set is valid only
+    /// once the manifest lands). Returns the bytes this participant wrote.
+    fn write_set(&self, root: &Path, precision: Precision) -> Result<u64, CkptError>;
+
+    /// The restore behind [`Self::restore_from_set`]: fields, time, step
+    /// and window offset from the set in `dir`. The set must decompose the
+    /// same [`DomainSpec`]; the rank count may differ from the writer's.
+    /// On a rank, ghosts are refreshed collectively, so all ranks must call
+    /// this together.
+    fn restore_set(&mut self, dir: &Path, byte_budget: u64) -> Result<(), CkptError>;
 
     /// Take the unhealthy report of the most recent health scan, if any.
     fn take_unhealthy_report(&mut self) -> Option<HealthReport>;
@@ -104,10 +138,7 @@ pub trait SimCheckpointExt {
 }
 
 impl SimCheckpointExt for DistributedSim<'_> {
-    fn write_checkpoint_set(&self, root: &Path, precision: Precision) -> Result<u64, CkptError> {
-        let tel = self.telemetry().clone();
-        let start = Instant::now();
-        let _span = tel.span_cat("checkpoint_write", "io");
+    fn write_set(&self, root: &Path, precision: Precision) -> Result<u64, CkptError> {
         let step = self.step_index() as u64;
         let dir = ckpt::set_dir(root, step);
         // Write local block files without early returns — the collective
@@ -183,36 +214,26 @@ impl SimCheckpointExt for DistributedSim<'_> {
                 during: "manifest write",
             }));
         }
-        tel.counter_add("ckpt/bytes_written", bytes_written);
-        tel.counter_add("ckpt/sets_written", 1);
-        tel.counter_add("ckpt/wall_ns", start.elapsed().as_nanos() as u64);
         Ok(bytes_written)
     }
 
-    fn restore_from_set(&mut self, dir: &Path, byte_budget: u64) -> Result<(), CkptError> {
-        let tel = self.telemetry().clone();
-        let start = Instant::now();
-        {
-            let _span = tel.span_cat("checkpoint_restore", "io");
-            // Local reads first, no early return: the vote below must run on
-            // every rank so a failing rank cannot strand its peers in the
-            // ghost-refresh collective. On error this rank's fields may be
-            // partially overwritten — callers are expected to re-restore
-            // (e.g. from the previous set) before continuing.
-            let local = restore_local(self, dir, byte_budget);
-            let ok = self
-                .comm_rank()
-                .allreduce_f64(if local.is_ok() { 1.0 } else { 0.0 }, ReduceOp::Min)
-                == 1.0;
-            if !ok {
-                return Err(local.err().unwrap_or(CkptError::PeerFailure {
-                    during: "checkpoint restore",
-                }));
-            }
-            self.refresh_src_ghosts();
+    fn restore_set(&mut self, dir: &Path, byte_budget: u64) -> Result<(), CkptError> {
+        // Local reads first, no early return: the vote below must run on
+        // every rank so a failing rank cannot strand its peers in the
+        // ghost-refresh collective. On error this rank's fields may be
+        // partially overwritten — callers are expected to re-restore
+        // (e.g. from the previous set) before continuing.
+        let local = restore_local(self, dir, byte_budget);
+        let ok = self
+            .comm_rank()
+            .allreduce_f64(if local.is_ok() { 1.0 } else { 0.0 }, ReduceOp::Min)
+            == 1.0;
+        if !ok {
+            return Err(local.err().unwrap_or(CkptError::PeerFailure {
+                during: "checkpoint restore",
+            }));
         }
-        tel.counter_add("ckpt/restores", 1);
-        tel.counter_add("ckpt/restore_wall_ns", start.elapsed().as_nanos() as u64);
+        self.refresh_src_ghosts();
         Ok(())
     }
 

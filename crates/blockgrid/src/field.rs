@@ -57,10 +57,23 @@ impl<const NC: usize> Clone for SoaField<NC> {
 
     /// Copy `source` into this field's own buffer: no allocation when the
     /// buffer already holds `source`'s volume (the src → dst sync of a
-    /// block).
+    /// block). When this field's constant zone has `source`'s value and
+    /// reaches at least as low, the slabs of `source`'s zone hold what they
+    /// would receive already and only the slabs below it are copied.
     fn clone_from(&mut self, source: &Self) {
-        self.dims = source.dims;
-        self.data.clone_from(&source.data);
+        let zone_held = self.dims == source.dims
+            && self.const_from <= source.const_from
+            && same_bits(self.const_val, source.const_val);
+        if zone_held {
+            let (vol, end) = (self.dims.volume(), source.const_from * self.dims.sz());
+            for c in 0..NC {
+                let below = c * vol..c * vol + end;
+                self.data[below.clone()].copy_from_slice(&source.data[below]);
+            }
+        } else {
+            self.dims = source.dims;
+            self.data.clone_from(&source.data);
+        }
         self.const_from = source.const_from;
         self.const_val = source.const_val;
     }
@@ -68,12 +81,16 @@ impl<const NC: usize> Clone for SoaField<NC> {
 
 impl<const NC: usize> SoaField<NC> {
     /// Allocate with every component of every cell set to `init[c]`. The
-    /// whole field is one constant zone.
+    /// whole field is one constant zone. A component whose value is `+0.0`
+    /// is not written: the allocation is zeroed already, so its pages stay
+    /// untouched until something else writes them.
     pub fn new(dims: GridDims, init: [f64; NC]) -> Self {
         let vol = dims.volume();
         let mut data = vec![0.0; NC * vol];
         for (c, chunk) in data.chunks_exact_mut(vol).enumerate() {
-            chunk.fill(init[c]);
+            if init[c].to_bits() != 0 {
+                chunk.fill(init[c]);
+            }
         }
         Self {
             dims,
@@ -295,29 +312,34 @@ impl<const NC: usize> SoaField<NC> {
     /// are left stale and must be refreshed by communication + boundary
     /// handling afterwards). A constant zone that reaches into the interior
     /// moves down with the data when `fill` continues it, and is cut back
-    /// to the top ghost slabs when it does not.
+    /// to the top ghost slabs when it does not. Slabs in the zone hold what
+    /// they would receive already: only the slabs below it move, and the
+    /// top slice is not written when it is in the zone and `fill` continues
+    /// it.
     pub fn shift_z_down(&mut self, fill: [f64; NC]) {
         let d = self.dims;
         let g = d.ghost;
         let sz = d.sz();
         let vol = d.volume();
+        let top = g + d.nz - 1;
+        let moved_to = top.min(self.const_from);
+        let fill_held = self.const_from <= top && same_bits(fill, self.const_val);
         for c in 0..NC {
             let comp = &mut self.data[c * vol..(c + 1) * vol];
-            for z in g..g + d.nz - 1 {
-                let (dst_start, src_start) = (z * sz, (z + 1) * sz);
-                comp.copy_within(src_start..src_start + sz, dst_start);
+            if moved_to > g {
+                comp.copy_within((g + 1) * sz..(moved_to + 1) * sz, g * sz);
             }
-            let top = (g + d.nz - 1) * sz;
-            // Fill only the interior cells of the top slice.
-            for y in g..g + d.ny {
-                let row = top + y * d.sy() + g;
-                comp[row..row + d.nx].fill(fill[c]);
+            if !fill_held {
+                // Fill only the interior cells of the top slice.
+                for y in g..g + d.ny {
+                    let row = top * sz + y * d.sy() + g;
+                    comp[row..row + d.nx].fill(fill[c]);
+                }
             }
         }
         // Whole padded slabs moved down one; the top interior slab kept its
         // own xy-ghosts and got `fill` inside; slabs outside the interior
         // did not move.
-        let top = g + d.nz - 1;
         if self.const_from <= top {
             if !same_bits(fill, self.const_val) {
                 self.const_from = top + 1;

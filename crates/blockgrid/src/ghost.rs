@@ -177,16 +177,17 @@ fn extents((sd, sr): (GridDims, Region), (dd, dr): (GridDims, Region)) -> [usize
     ext(sr)
 }
 
-/// Calls `f(offset)` for the first cell of every x-row of region `r` of a
-/// field shaped `dims`, in wire order (component-major, then z, then y).
+/// Calls `f(c, z, offset)` for the first cell of every x-row of region `r`
+/// of a field shaped `dims`, in wire order (component-major, then z, then
+/// y).
 #[inline(always)]
-fn for_each_row_of(nc: usize, dims: GridDims, r: Region, mut f: impl FnMut(usize)) {
+fn for_each_row_of(nc: usize, dims: GridDims, r: Region, mut f: impl FnMut(usize, usize, usize)) {
     let [_, ny, nz] = extents((dims, r), (dims, r));
     for c in 0..nc {
         for z in r.range[2][0]..r.range[2][0] + nz {
             let first = c * dims.volume() + dims.idx(r.range[0][0], r.range[1][0], z);
             for y in 0..ny {
-                f(first + y * dims.sy());
+                f(c, z, first + y * dims.sy());
             }
         }
     }
@@ -248,6 +249,11 @@ fn write_region<const NC: usize>(
     let bits = val.map(f64::to_bits);
     let sy = [sd.sy(), dd.sy()];
     let (sz0, dz0) = (sr.range[2][0], dr.range[2][0]);
+    // A region wholly in the zone whose first source plane holds the
+    // zone's constant in every component is equal already.
+    if dz0 >= *from && (0..NC).all(|c| src_const(c, sz0, *from)) {
+        return;
+    }
     for c in 0..NC {
         let first = Row {
             src: c * sd.volume() + sd.idx(sr.range[0][0], sr.range[1][0], sz0),
@@ -364,8 +370,10 @@ pub fn pack_region<const NC: usize>(field: &SoaField<NC>, r: Region, buf: &mut V
     buf.clear();
     buf.reserve(r.volume() * NC);
     match row_len(r) {
-        1 => for_each_row_of(NC, field.dims(), r, |i| buf.push(s[i])),
-        n => for_each_row_of(NC, field.dims(), r, |i| buf.extend_from_slice(&s[i..i + n])),
+        1 => for_each_row_of(NC, field.dims(), r, |_, _, i| buf.push(s[i])),
+        n => for_each_row_of(NC, field.dims(), r, |_, _, i| {
+            buf.extend_from_slice(&s[i..i + n])
+        }),
     }
 }
 
@@ -389,19 +397,30 @@ pub fn unpack_region<const NC: usize>(field: &mut SoaField<NC>, r: Region, data:
 /// Append a region's wire form to `out`: the little-endian bytes of the
 /// doubles [`pack_region`] would produce, in one pass. Several regions
 /// appended to one buffer make one message; reserve its length first and
-/// nothing reallocates.
+/// nothing reallocates. Rows in the field's constant zone are taken from
+/// its value, not read: a page that only the zone covers is never faulted
+/// in by a read, which would make the write that later fills it fault a
+/// second time.
 pub fn pack_region_bytes<const NC: usize>(field: &SoaField<NC>, r: Region, out: &mut Vec<u8>) {
     let s = field.raw();
+    let (from, val) = field.const_zone();
     out.reserve(r.volume() * NC * std::mem::size_of::<f64>());
     match row_len(r) {
-        1 => for_each_row_of(NC, field.dims(), r, |i| {
-            out.extend_from_slice(&s[i].to_le_bytes())
+        1 => for_each_row_of(NC, field.dims(), r, |c, z, i| {
+            let v = if z >= from { val[c] } else { s[i] };
+            out.extend_from_slice(&v.to_le_bytes())
         }),
-        n => for_each_row_of(NC, field.dims(), r, |i| {
+        n => for_each_row_of(NC, field.dims(), r, |c, z, i| {
             let at = out.len();
             out.resize(at + 8 * n, 0);
-            for (b, v) in out[at..].chunks_exact_mut(8).zip(&s[i..i + n]) {
-                b.copy_from_slice(&v.to_le_bytes());
+            if z >= from {
+                for b in out[at..].chunks_exact_mut(8) {
+                    b.copy_from_slice(&val[c].to_le_bytes());
+                }
+            } else {
+                for (b, v) in out[at..].chunks_exact_mut(8).zip(&s[i..i + n]) {
+                    b.copy_from_slice(&v.to_le_bytes());
+                }
             }
         }),
     }

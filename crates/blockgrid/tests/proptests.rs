@@ -96,7 +96,7 @@ impl Ops {
 }
 
 /// Apply one random public mutator or region writer to `f` (`peer` is the
-/// other field of swaps and face copies).
+/// other field of swaps, copies and face copies).
 fn mutate(ops: &mut Ops, f: &mut SoaField<3>, peer: &mut SoaField<3>) {
     let d = f.dims();
     let (x, y, z) = (ops.below(d.tx()), ops.below(d.ty()), ops.below(d.tz()));
@@ -109,7 +109,7 @@ fn mutate(ops: &mut Ops, f: &mut SoaField<3>, peer: &mut SoaField<3>) {
             recv_region_plain(d, face.opposite()),
         )
     };
-    match ops.below(16) {
+    match ops.below(17) {
         0 => f.set(ops.below(3), x, y, z, ops.cell()[ops.below(3)]),
         1 => f.set_cell(x, y, z, ops.cell()),
         2 => f.comp_mut(ops.below(3))[d.idx(x, y, z)] = ops.cell()[0],
@@ -137,6 +137,7 @@ fn mutate(ops: &mut Ops, f: &mut SoaField<3>, peer: &mut SoaField<3>) {
             unpack_region_bytes(f, recv, &wire);
         }
         14 => BoundarySpec::uniform(ops.bc()).apply(f),
+        15 => f.clone_from(peer),
         _ => {
             let mut spec = BoundarySpec::uniform(Bc::Comm);
             for face in Face::ALL {
@@ -234,6 +235,26 @@ proptest! {
             }
         }
         prop_assert!(zone_slabs > 0, "no zone ever survived: the test checks nothing");
+    }
+
+    /// A new field holds exactly what a buffer filled with its initial
+    /// values does — `+0.0` components it does not write, `-0.0` and other
+    /// values it does — and is one constant zone of them.
+    #[test]
+    fn new_field_holds_its_initial_values(dims in arb_flat_dims(), pick in prop::array::uniform3(0usize..4)) {
+        let nan = f64::from_bits(0x7ff8_0000_0000_beef);
+        let init = pick.map(|i| [0.0, -0.0, 1.5, nan][i]);
+        let f = SoaField::<3>::new(dims, init);
+        let want: Vec<u64> = init
+            .iter()
+            .flat_map(|v| vec![*v; dims.volume()])
+            .map(f64::to_bits)
+            .collect();
+        prop_assert_eq!(bits(&f), want, "init {:?}", init);
+        prop_assert!(f.summary_holds());
+        let (from, val) = f.const_zone();
+        prop_assert_eq!(from, 0);
+        prop_assert_eq!(val.map(f64::to_bits), init.map(f64::to_bits));
     }
 
     /// Boundary fills write exactly what the cell-by-cell reference does,

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # zone-mutation: the constant-slab summary (DESIGN §19) is guarded by the
-# summary property test (`proptests::summary_survives_any_mutator_sequence`).
-# This script makes two mutants, each on a scratch copy of the workspace,
-# and requires that test to fail on each, so the suite provably guards:
+# summary property test (`proptests::summary_survives_any_mutator_sequence`)
+# and the zone-aware wire form by the transfer property test
+# (`proptests::direct_transfers_equal_pack_unpack`). This script makes three
+# mutants, each on a scratch copy of the workspace, and requires the named
+# test to fail on each, so the suite provably guards:
 #
 # 1. the zone-ending statement. The region writer in
 #    crates/blockgrid/src/ghost.rs, the only code of the crate that writes
@@ -21,20 +23,32 @@
 #
 #    with `true`, so a zone of another value counts as holding the source's.
 #
+# 3. the value test of the wire unpack's skip rule in
+#    crates/blockgrid/src/ghost.rs: a plane the sender did not send is
+#    skipped only where the receiver's zone holds the sender's zone value
+#    bit for bit. The mutant deletes that test from the line matched by
+#
+#        ^[[:space:]]*[|]c, z, _[|] z >= sent_end && val\[c\]\.to_bits\(\) == zone\[c\],$
+#
+#    so a receiver zone of `-0.0` or of another NaN payload is taken for
+#    the sender's; it must fail the transfer test.
+#
+# Mutants 1 and 2 must fail the summary test.
+#
 # A mutant must still build: one that fails to compile proves nothing. The
 # script fails unless each pattern matches exactly one line.
 #
 # usage: zone-mutation.sh [repo-root]
 set -euo pipefail
 root=$(cd "${1:-$(dirname "$0")/../..}" && pwd)
-test_name=summary_survives_any_mutator_sequence
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
 # mutant <name> <file> <pattern> <sed expression applied to the matched line>
+#        <test that must fail>
 mutant() {
-    local name=$1 file=$2 pattern=$3 edit=$4
+    local name=$1 file=$2 pattern=$3 edit=$4 test_name=$5
     local matches
     matches=$(grep -cE "$pattern" "$root/$file" || true)
     if [ "$matches" -ne 1 ]; then
@@ -66,8 +80,12 @@ mutant() {
     echo "zone-mutation: $test_name fails without $name: ok"
 }
 
+summary=summary_survives_any_mutator_sequence
 mutant "the zone-ending statement" crates/blockgrid/src/ghost.rs \
-    '^[[:space:]]*\*from = dz0 \+ z \+ 1;$' 'd'
+    '^[[:space:]]*\*from = dz0 \+ z \+ 1;$' 'd' "$summary"
 mutant "clone_from's same-value condition" crates/blockgrid/src/field.rs \
     '^[[:space:]]*&& same_bits\(self\.const_val, source\.const_val\);$' \
-    's/same_bits\(self\.const_val, source\.const_val\)/true/'
+    's/same_bits\(self\.const_val, source\.const_val\)/true/' "$summary"
+mutant "the wire unpack's same-value test" crates/blockgrid/src/ghost.rs \
+    '^[[:space:]]*[|]c, z, _[|] z >= sent_end && val\[c\]\.to_bits\(\) == zone\[c\],$' \
+    's/ && val\[c\]\.to_bits\(\) == zone\[c\]//' direct_transfers_equal_pack_unpack

@@ -17,6 +17,15 @@
 //! region writer. It owns the row loop and the destination's constant-slab
 //! summary (see [`SoaField`]); the public writers only say where a row's
 //! values come from.
+//!
+//! A face that crosses a process boundary travels in its wire form
+//! ([`pack_region_bytes`]): a header — the number of z planes sent as a
+//! `u64`, then the sender's constant-zone value per component as `f64`, all
+//! little-endian — and the rows of those planes only. The planes sent are
+//! the ones below the sender's constant zone; the receiver fills the rest
+//! with the header's value and skips what its own zone holds already, so
+//! the melt above the front is neither sent nor written. [`wire_len`]
+//! checks the headers of a whole frame before any of it is unpacked.
 
 use crate::field::{same_bits, SoaField};
 use crate::{Face, GridDims};
@@ -104,13 +113,15 @@ fn message_len(dims: GridDims, face: Face, nc: usize) -> usize {
     send_region(dims, face).volume() * nc
 }
 
-/// Wire size in bytes of a sequenced face message (f64 payload) — the
-/// analytic ground truth the telemetry byte counters are checked against.
+/// Dense size in bytes of a sequenced face message: every plane as f64,
+/// no header ([`pack`]'s payload, and the most a wire form of the face
+/// carries besides its header).
 pub fn message_bytes(dims: GridDims, face: Face, nc: usize) -> u64 {
     (message_len(dims, face, nc) * std::mem::size_of::<f64>()) as u64
 }
 
-/// Wire size in bytes of a "plain" (face-ghost-only) message (f64 payload).
+/// Dense size in bytes of a "plain" (face-ghost-only) message (see
+/// [`message_bytes`]).
 pub fn message_bytes_plain(dims: GridDims, face: Face, nc: usize) -> u64 {
     (send_region_plain(dims, face).volume() * nc * std::mem::size_of::<f64>()) as u64
 }
@@ -177,17 +188,16 @@ fn extents((sd, sr): (GridDims, Region), (dd, dr): (GridDims, Region)) -> [usize
     ext(sr)
 }
 
-/// Calls `f(c, z, offset)` for the first cell of every x-row of region `r`
-/// of a field shaped `dims`, in wire order (component-major, then z, then
-/// y).
+/// Calls `f(offset)` for the first cell of every x-row of region `r` of a
+/// field shaped `dims`, in wire order (component-major, then z, then y).
 #[inline(always)]
-fn for_each_row_of(nc: usize, dims: GridDims, r: Region, mut f: impl FnMut(usize, usize, usize)) {
+fn for_each_row_of(nc: usize, dims: GridDims, r: Region, mut f: impl FnMut(usize)) {
     let [_, ny, nz] = extents((dims, r), (dims, r));
     for c in 0..nc {
         for z in r.range[2][0]..r.range[2][0] + nz {
             let first = c * dims.volume() + dims.idx(r.range[0][0], r.range[1][0], z);
             for y in 0..ny {
-                f(c, z, first + y * dims.sy());
+                f(first + y * dims.sy());
             }
         }
     }
@@ -370,10 +380,8 @@ pub fn pack_region<const NC: usize>(field: &SoaField<NC>, r: Region, buf: &mut V
     buf.clear();
     buf.reserve(r.volume() * NC);
     match row_len(r) {
-        1 => for_each_row_of(NC, field.dims(), r, |_, _, i| buf.push(s[i])),
-        n => for_each_row_of(NC, field.dims(), r, |_, _, i| {
-            buf.extend_from_slice(&s[i..i + n])
-        }),
+        1 => for_each_row_of(NC, field.dims(), r, |i| buf.push(s[i])),
+        n => for_each_row_of(NC, field.dims(), r, |i| buf.extend_from_slice(&s[i..i + n])),
     }
 }
 
@@ -394,63 +402,123 @@ pub fn unpack_region<const NC: usize>(field: &mut SoaField<NC>, r: Region, data:
     );
 }
 
-/// Append a region's wire form to `out`: the little-endian bytes of the
-/// doubles [`pack_region`] would produce, in one pass. Several regions
-/// appended to one buffer make one message; reserve its length first and
-/// nothing reallocates. Rows in the field's constant zone are taken from
-/// its value, not read: a page that only the zone covers is never faulted
-/// in by a read, which would make the write that later fills it fault a
-/// second time.
+/// Bytes of a face's wire header: the planes sent, then the sender's zone
+/// value per component.
+const fn header_len(nc: usize) -> usize {
+    8 * (1 + nc)
+}
+
+/// Wire bytes of one z plane of `r` with `nc` components.
+fn plane_bytes(r: Region, nc: usize) -> usize {
+    row_len(r) * (r.range[1][1] - r.range[1][0]) * nc * 8
+}
+
+/// One wire value.
+fn le_f64(b: &[u8]) -> f64 {
+    f64::from_le_bytes(b.try_into().expect("8-byte chunk"))
+}
+
+/// The planes-sent count at the start of a wire header.
+fn planes_sent(header: &[u8]) -> u64 {
+    u64::from_le_bytes(header[..8].try_into().expect("8-byte count"))
+}
+
+/// Append a region's wire form to `out`: a header holding the number of z
+/// planes sent (`u64`) and `field`'s constant-zone value per component
+/// (`f64`), then the little-endian bytes of the doubles [`pack_region`]
+/// would produce for the planes below that zone, in one pass. The planes
+/// from the zone up hold the header's value and are not sent. Several
+/// regions appended to one buffer make one frame; reserve its dense length
+/// plus the headers first and nothing reallocates.
 pub fn pack_region_bytes<const NC: usize>(field: &SoaField<NC>, r: Region, out: &mut Vec<u8>) {
     let s = field.raw();
     let (from, val) = field.const_zone();
-    out.reserve(r.volume() * NC * std::mem::size_of::<f64>());
+    let [z0, z1] = r.range[2];
+    let planes = from.clamp(z0, z1) - z0;
+    let mut sent = r;
+    sent.range[2][1] = z0 + planes;
+    out.reserve(header_len(NC) + planes * plane_bytes(r, NC));
+    out.extend_from_slice(&(planes as u64).to_le_bytes());
+    for v in val {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
     match row_len(r) {
-        1 => for_each_row_of(NC, field.dims(), r, |c, z, i| {
-            let v = if z >= from { val[c] } else { s[i] };
-            out.extend_from_slice(&v.to_le_bytes())
+        1 => for_each_row_of(NC, field.dims(), sent, |i| {
+            out.extend_from_slice(&s[i].to_le_bytes())
         }),
-        n => for_each_row_of(NC, field.dims(), r, |c, z, i| {
+        n => for_each_row_of(NC, field.dims(), sent, |i| {
             let at = out.len();
             out.resize(at + 8 * n, 0);
-            if z >= from {
-                for b in out[at..].chunks_exact_mut(8) {
-                    b.copy_from_slice(&val[c].to_le_bytes());
-                }
-            } else {
-                for (b, v) in out[at..].chunks_exact_mut(8).zip(&s[i..i + n]) {
-                    b.copy_from_slice(&v.to_le_bytes());
-                }
+            for (b, v) in out[at..].chunks_exact_mut(8).zip(&s[i..i + n]) {
+                b.copy_from_slice(&v.to_le_bytes());
             }
         }),
     }
 }
 
-/// Unpack a wire payload produced by [`pack_region_bytes`] into a region,
-/// in one pass and without staging.
+/// Length in bytes of the wire forms of `regions`, one after the other, at
+/// the start of `frame`, read from their headers. A frame is well formed
+/// when this is its whole length.
 ///
 /// # Panics
-/// Panics if `bytes` has the wrong length.
+/// Panics with "ghost message length mismatch" if a header is cut off,
+/// announces more planes than its region has, or its rows run past the end
+/// of `frame`.
+pub fn wire_len<const NC: usize>(frame: &[u8], regions: impl IntoIterator<Item = Region>) -> usize {
+    let mut at = 0;
+    for r in regions {
+        let planes = frame.get(at..at + header_len(NC)).map(planes_sent);
+        let nz = (r.range[2][1] - r.range[2][0]) as u64;
+        // Bounded by the region before it is multiplied.
+        let Some(planes) = planes.filter(|&p| p <= nz) else {
+            panic!("ghost message length mismatch");
+        };
+        at += header_len(NC) + planes as usize * plane_bytes(r, NC);
+        assert!(at <= frame.len(), "ghost message length mismatch");
+    }
+    at
+}
+
+/// Unpack one wire form produced by [`pack_region_bytes`] into a region, in
+/// one pass and without staging: the planes sent are read, the others take
+/// the header's value, and a plane in `field`'s constant zone that already
+/// holds it is not written.
+///
+/// # Panics
+/// Panics if `bytes` is not one well-formed wire form of `r` (see
+/// [`wire_len`]).
 pub fn unpack_region_bytes<const NC: usize>(field: &mut SoaField<NC>, r: Region, bytes: &[u8]) {
     assert_eq!(
+        wire_len::<NC>(bytes, [r]),
         bytes.len(),
-        r.volume() * NC * std::mem::size_of::<f64>(),
         "ghost message length mismatch"
     );
-    let here = (field.dims(), r);
-    let le = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("8-byte chunk"));
-    let mut pos = 0;
+    let val: [f64; NC] = core::array::from_fn(|c| le_f64(&bytes[8 * (c + 1)..][..8]));
+    let dims = field.dims();
+    let zone = field.const_zone().1.map(f64::to_bits);
+    // The first slab that was not sent, and where it starts in each
+    // component's storage: a row at or past that offset was not sent.
+    let sent_end = r.range[2][0] + planes_sent(bytes) as usize;
+    let unsent: [usize; NC] = core::array::from_fn(|c| c * dims.volume() + sent_end * dims.sz());
+    let mut pos = header_len(NC);
     write_region(
         field,
         r,
-        here,
-        |_, _, _| false,
-        |d, _, r, n| {
-            let cells = bytes[pos..pos + 8 * n].chunks_exact(8);
-            for (cell, b) in d[r.dst..r.dst + n].iter_mut().zip(cells) {
-                *cell = le(b);
+        (dims, r),
+        |c, z, _| z >= sent_end && val[c].to_bits() == zone[c],
+        |d, c, row, n| {
+            let cells = &mut d[row.dst..row.dst + n];
+            if row.dst >= unsent[c] {
+                cells.fill(val[c]);
+            } else {
+                for (cell, b) in cells
+                    .iter_mut()
+                    .zip(bytes[pos..pos + 8 * n].chunks_exact(8))
+                {
+                    *cell = le_f64(b);
+                }
+                pos += 8 * n;
             }
-            pos += 8 * n;
         },
     );
 }

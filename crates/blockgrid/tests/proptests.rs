@@ -287,13 +287,21 @@ proptest! {
     /// The staging-free transfers — region→region copy between two fields,
     /// the same inside one field, and single-pass wire packing — leave every
     /// cell of the receiver exactly as `pack` + `unpack` does, for every
-    /// face, sequenced and plain regions.
+    /// face, sequenced and plain regions, with the sender's constant zone
+    /// starting at any slab (below, inside or above the region) and the
+    /// receiver's zone absent, of the sender's value, or of a value that
+    /// differs from it only in the sign of a zero or the payload of a NaN.
+    /// The wire form is the header (planes sent, the sender's zone value)
+    /// and the staged rows of the planes below the sender's zone.
     #[test]
     fn direct_transfers_equal_pack_unpack(
         dims in arb_flat_dims(),
         seed in any::<u64>(),
         face_id in 0usize..6,
         plain in any::<bool>(),
+        src_zone in any::<usize>(),
+        dst_zone in any::<usize>(),
+        dst_kind in 0usize..4,
     ) {
         let face = Face::ALL[face_id];
         let (send, recv) = if plain {
@@ -301,8 +309,20 @@ proptest! {
         } else {
             (send_region(dims, face), recv_region(dims, face.opposite()))
         };
-        let src = poisoned_ghosts(dims, seed);
-        let dst = poisoned_ghosts(dims, seed.wrapping_add(1));
+        let nan = |payload: u64| f64::from_bits(0x7ff8_0000_0000_0000 | payload);
+        let val = [0.0, 1.5, nan(1)];
+        let dst_val = match dst_kind {
+            1 => val,
+            2 => [-0.0, 1.5, nan(1)],
+            _ => [0.0, 1.5, nan(2)],
+        };
+        let (src_from, dst_from) = (src_zone % (dims.tz() + 1), dst_zone % (dims.tz() + 1));
+        let mut src = poisoned_ghosts(dims, seed);
+        src.extend_const_zone(src_from, val);
+        let mut dst = poisoned_ghosts(dims, seed.wrapping_add(1));
+        if dst_kind > 0 {
+            dst.extend_const_zone(dst_from, dst_val);
+        }
         let mut staged = Vec::new();
 
         // Reference: the public face API where it applies, regions otherwise.
@@ -319,15 +339,27 @@ proptest! {
         copy_region(&src, send, &mut copied, recv);
         prop_assert_eq!(bits(&copied), bits(&want));
 
-        // Appending keeps what the buffer held.
+        // The wire form, built from its definition. Appending keeps what
+        // the buffer held.
+        let [z0, z1] = send.range[2];
+        let planes = src_from.clamp(z0, z1) - z0;
+        let per_comp = send.volume();
+        let per_plane = per_comp / (z1 - z0);
+        let mut expected: Vec<u8> = (planes as u64).to_le_bytes().to_vec();
+        let (_, sent_val) = src.const_zone();
+        expected.extend(sent_val.iter().flat_map(|v| v.to_le_bytes()));
+        for c in 0..3 {
+            let rows = &staged[c * per_comp..][..planes * per_plane];
+            expected.extend(rows.iter().flat_map(|v| v.to_le_bytes()));
+        }
         let mut wire = vec![0xa5; 3];
         pack_region_bytes(&src, send, &mut wire);
-        let staged_wire: Vec<u8> = staged.iter().flat_map(|v| v.to_le_bytes()).collect();
         prop_assert_eq!(&wire[..3], &[0xa5; 3]);
-        prop_assert_eq!(&wire[3..], &staged_wire[..]);
+        prop_assert_eq!(&wire[3..], &expected[..]);
         let mut unpacked = dst.clone();
         unpack_region_bytes(&mut unpacked, recv, &wire[3..]);
         prop_assert_eq!(bits(&unpacked), bits(&want));
+        prop_assert!(unpacked.summary_holds());
 
         // A block that is its own neighbor: sender and receiver coincide.
         let mut want_within = src.clone();

@@ -24,13 +24,16 @@
 //! so φ and µ share them; the four fields differ in their tag range only.
 //!
 //! A frame is tagged by (field, phase) and lists its faces in the sender's
-//! (block id, face) order, which both ends derive from global ids alone: the
-//! receiver knows each face's offset in the frame without any header.
+//! (block id, face) order, which both ends derive from global ids alone.
+//! Each face is its wire form ([`ghost::pack_region_bytes`]): a small header
+//! with the planes sent and the sender's constant-zone value, then the rows
+//! below that zone only, so a face's length follows the front, not the
+//! block. The receiver walks all headers of a frame against its regions
+//! ([`ghost::wire_len`]) before it writes a single ghost cell.
 //!
-//! The plan also knows what its messages weigh: the wire bytes one phase of
-//! one field sends and receives ([`ExchangePlan::wire_bytes`]), from which
-//! the time loop keeps its per-field traffic counters. The transport only
-//! counts totals.
+//! [`ExchangePlan::post`] and [`ExchangePlan::finish`] return the bytes
+//! they moved, from which the time loop keeps its per-field traffic
+//! counters. The transport only counts totals.
 
 use bytes::Bytes;
 use eutectica_blockgrid::decomp::Decomposition;
@@ -40,10 +43,17 @@ use eutectica_blockgrid::Face;
 use eutectica_comm::Rank;
 
 use crate::state::BlockState;
-use crate::{N_COMP, N_PHASES};
 
 /// Wire bytes per value.
 const F64: usize = std::mem::size_of::<f64>();
+
+/// Most wire bytes a face's header takes besides its rows with `nc`
+/// components (the plane count and one value per component, see
+/// [`ghost::pack_region_bytes`]): sizes the send buffer so that nothing
+/// reallocates.
+const fn header_bytes(nc: usize) -> usize {
+    F64 * (1 + nc)
+}
 
 /// Which field a ghost exchange operates on.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -72,15 +82,6 @@ impl FieldSel {
             FieldSel::MuSrc => ["comm/mu_src/bytes_sent", "comm/mu_src/bytes_received"],
             FieldSel::MuDst => ["comm/mu_dst/bytes_sent", "comm/mu_dst/bytes_received"],
         }
-    }
-
-    /// Wire bytes per ghost cell: one f64 per component.
-    fn bytes_per_cell(self) -> u64 {
-        let components = match self {
-            FieldSel::PhiSrc | FieldSel::PhiDst => N_PHASES,
-            FieldSel::MuSrc | FieldSel::MuDst => N_COMP,
-        };
-        (components * F64) as u64
     }
 }
 
@@ -234,29 +235,21 @@ impl ExchangePlan {
         4 * self.tags_per_field
     }
 
-    /// Wire bytes `[sent, received]` of one `phase` of the `field` exchange:
-    /// the lengths of its frames.
-    pub(crate) fn wire_bytes(&self, field: FieldSel, phase: Phase) -> [u64; 2] {
-        let plan = &self.phases[phase.index()];
-        [&plan.sends, &plan.recvs].map(|frames| {
-            frames.iter().map(|f| f.cells as u64).sum::<u64>() * field.bytes_per_cell()
-        })
-    }
-
     /// The tag of `field`'s frames in `phase`.
     fn tag(&self, field: FieldSel, phase: Phase) -> u32 {
         field as u32 * self.tags_per_field + phase.index() as u32
     }
 
     /// Start `phase` for `field`: send one frame per peer, then apply the
-    /// same-rank copies. Complete it with [`ExchangePlan::finish`].
+    /// same-rank copies. Complete it with [`ExchangePlan::finish`]. Returns
+    /// the wire bytes sent.
     pub(crate) fn post(
         &self,
         blocks: &mut [BlockState],
         field: FieldSel,
         phase: Phase,
         rank: &Rank,
-    ) {
+    ) -> u64 {
         match field {
             FieldSel::PhiSrc => self.post_on(blocks, |b| &mut b.phi_src, field, phase, rank),
             FieldSel::PhiDst => self.post_on(blocks, |b| &mut b.phi_dst, field, phase, rank),
@@ -266,14 +259,14 @@ impl ExchangePlan {
     }
 
     /// Complete a posted `phase`: receive each peer's frame into the ghost
-    /// cells of its faces.
+    /// cells of its faces. Returns the wire bytes received.
     pub(crate) fn finish(
         &self,
         blocks: &mut [BlockState],
         field: FieldSel,
         phase: Phase,
         rank: &Rank,
-    ) {
+    ) -> u64 {
         match field {
             FieldSel::PhiSrc => self.finish_on(blocks, |b| &mut b.phi_src, field, phase, rank),
             FieldSel::PhiDst => self.finish_on(blocks, |b| &mut b.phi_dst, field, phase, rank),
@@ -289,13 +282,17 @@ impl ExchangePlan {
         field: FieldSel,
         phase: Phase,
         rank: &Rank,
-    ) {
+    ) -> u64 {
         let plan = &self.phases[phase.index()];
+        let mut sent = 0;
         for frame in &plan.sends {
-            let mut wire = Vec::with_capacity(frame.cells * NC * F64);
+            // The dense size: a frame never outgrows it.
+            let most = frame.cells * NC * F64 + frame.faces.len() * header_bytes(NC);
+            let mut wire = Vec::with_capacity(most);
             for f in &frame.faces {
                 ghost::pack_region_bytes(field_of(&mut blocks[f.block]), f.region, &mut wire);
             }
+            sent += wire.len() as u64;
             rank.isend(frame.peer, self.tag(field, phase), Bytes::from(wire));
         }
         for c in &plan.local {
@@ -306,6 +303,7 @@ impl ExchangePlan {
                 ghost::copy_region(field_of(src), c.send, field_of(dst), c.recv);
             }
         }
+        sent
     }
 
     fn finish_on<const NC: usize>(
@@ -315,17 +313,20 @@ impl ExchangePlan {
         field: FieldSel,
         phase: Phase,
         rank: &Rank,
-    ) {
+    ) -> u64 {
+        let mut received = 0;
         for frame in &self.phases[phase.index()].recvs {
             let wire = rank.wait(rank.irecv(frame.peer, self.tag(field, phase)));
+            // Every header is checked before the first ghost write, so a
+            // malformed frame writes nothing.
             assert_eq!(
+                ghost::wire_len::<NC>(&wire, frame.faces.iter().map(|f| f.region)),
                 wire.len(),
-                frame.cells * NC * F64,
                 "ghost message length mismatch"
             );
             let mut at = 0;
             for f in &frame.faces {
-                let len = f.region.volume() * NC * F64;
+                let len = ghost::wire_len::<NC>(&wire[at..], [f.region]);
                 ghost::unpack_region_bytes(
                     field_of(&mut blocks[f.block]),
                     f.region,
@@ -333,7 +334,9 @@ impl ExchangePlan {
                 );
                 at += len;
             }
+            received += wire.len() as u64;
         }
+        received
     }
 }
 
@@ -356,23 +359,49 @@ mod tests {
     use eutectica_comm::Universe;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    /// A frame one value short or one value long is refused with the length
-    /// message before a single ghost cell is written.
+    /// A malformed frame is refused with the length message before a
+    /// single ghost cell is written: one value short or long, a header cut
+    /// off, a face announcing more planes than its region has (by one, and
+    /// by so many that their size would overflow), and a second face whose
+    /// rows are missing — which a check face by face would only find after
+    /// writing the first.
     #[test]
     fn frame_of_wrong_length_is_refused_before_any_ghost_write() {
         // One block per rank: both x faces of each block go to the other rank.
         let decomp = Decomposition::new(DomainSpec::directional([16, 8, 8], [2, 1, 1]));
         let (field, phase) = (FieldSel::PhiSrc, Phase::Axis(0));
+        // An x face of an 8³ block: 8 planes of 8 one-cell rows, φ's 4
+        // components; its header is the plane count and 4 values.
+        let (nz, plane, header) = (8u64, 8 * 4 * F64, 5 * F64);
+        let face = |planes: u64, rows: usize| {
+            let mut bytes = planes.to_le_bytes().to_vec();
+            bytes.resize(header + rows * plane, 0);
+            bytes
+        };
+        let full = face(nz, nz as usize);
+        let frames: Vec<(&str, Vec<u8>)> = vec![
+            ("short", [&full, &full[..full.len() - F64]].concat()),
+            ("long", [&full[..], &full, &[0; F64]].concat()),
+            ("header cut off", [&full[..], &full[..header / 2]].concat()),
+            (
+                "nz + 1 planes",
+                [face(nz + 1, nz as usize + 1), face(0, 0)].concat(),
+            ),
+            ("u64::MAX planes", [face(u64::MAX, 0), face(0, 0)].concat()),
+            (
+                "second face's rows missing",
+                [&full[..], &face(nz, 1)].concat(),
+            ),
+        ];
         Universe::run(2, move |rank| {
             let my = rank.rank();
             let desc = decomp.block(my);
             let mut blocks = vec![BlockState::new(desc.dims(1), desc.origin)];
             let plan = ExchangePlan::build(&decomp, &[0, 1], &[my], &blocks, my);
-            let len = plan.wire_bytes(field, phase)[1] as usize;
             assert_eq!(plan.phases[phase.index()].recvs[0].faces.len(), 2);
             if my == 1 {
-                for wrong in [len - F64, len + F64] {
-                    rank.isend(0, plan.tag(field, phase), Bytes::from(vec![0u8; wrong]));
+                for (_, frame) in &frames {
+                    rank.isend(0, plan.tag(field, phase), Bytes::from(frame.clone()));
                 }
                 return;
             }
@@ -380,14 +409,15 @@ mod tests {
                 *v = i as f64 + 0.5;
             }
             let before = blocks[0].phi_src.raw().to_vec();
-            for what in ["short", "long"] {
+            for (what, _) in &frames {
                 let err = catch_unwind(AssertUnwindSafe(|| {
                     plan.finish(&mut blocks, field, phase, &rank)
                 }))
-                .expect_err("a frame of the wrong length must be refused");
+                .expect_err("a malformed frame must be refused");
                 let msg = err
                     .downcast_ref::<String>()
                     .map(String::as_str)
+                    .or_else(|| err.downcast_ref::<&str>().copied())
                     .unwrap_or_default();
                 assert!(
                     msg.contains("ghost message length mismatch"),

@@ -176,7 +176,7 @@ struct Net<'r> {
     plan: ExchangePlan,
     overlap: OverlapOptions,
     /// Ghost wire bytes `[sent, received]` per field (in [`FieldSel::ALL`]
-    /// order) since the previous step's accounting, from the exchange plan.
+    /// order) since the previous step's accounting: the frames' lengths.
     ghost_bytes: [[u64; 2]; 4],
 }
 
@@ -187,13 +187,11 @@ impl Transport for Net<'_> {
 
     /// Remote faces are sent and same-rank faces copied.
     fn post(&mut self, blocks: &mut [BlockState], field: FieldSel, phase: Phase) {
-        self.plan.post(blocks, field, phase, self.rank);
-        self.ghost_bytes[field as usize][0] += self.plan.wire_bytes(field, phase)[0];
+        self.ghost_bytes[field as usize][0] += self.plan.post(blocks, field, phase, self.rank);
     }
 
     fn finish(&mut self, blocks: &mut [BlockState], field: FieldSel, phase: Phase) {
-        self.plan.finish(blocks, field, phase, self.rank);
-        self.ghost_bytes[field as usize][1] += self.plan.wire_bytes(field, phase)[1];
+        self.ghost_bytes[field as usize][1] += self.plan.finish(blocks, field, phase, self.rank);
     }
 
     fn barrier(&self) {

@@ -286,7 +286,8 @@ impl ExchangePlan {
         let plan = &self.phases[phase.index()];
         let mut sent = 0;
         for frame in &plan.sends {
-            // The dense size: a frame never outgrows it.
+            // The dense size plus a header per face: a frame never
+            // outgrows it.
             let most = frame.cells * NC * F64 + frame.faces.len() * header_bytes(NC);
             let mut wire = Vec::with_capacity(most);
             for f in &frame.faces {
@@ -373,9 +374,11 @@ mod tests {
         // An x face of an 8³ block: 8 planes of 8 one-cell rows, φ's 4
         // components; its header is the plane count and 4 values.
         let (nz, plane, header) = (8u64, 8 * 4 * F64, 5 * F64);
-        let face = |planes: u64, rows: usize| {
-            let mut bytes = planes.to_le_bytes().to_vec();
-            bytes.resize(header + rows * plane, 0);
+        // A face whose header announces `announced` planes, followed by
+        // `planes` planes of zero rows.
+        let face = |announced: u64, planes: usize| {
+            let mut bytes = announced.to_le_bytes().to_vec();
+            bytes.resize(header + planes * plane, 0);
             bytes
         };
         let full = face(nz, nz as usize);

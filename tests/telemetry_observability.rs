@@ -168,8 +168,8 @@ struct Traffic {
     after_steps: CommStats,
     counters: BTreeMap<String, u64>,
     /// Per local block (global id): the first slab of its melt, found by
-    /// scanning its φ_src before the refresh after init and before each
-    /// step.
+    /// scanning its φ_src after init (the field the refresh sent) and
+    /// before each step.
     melt: Vec<(usize, [usize; STEPS + 1])>,
 }
 
@@ -204,11 +204,10 @@ fn run_traffic(n_ranks: usize, spec: DomainSpec, overlap: OverlapOptions) -> Vec
             KernelConfig::default(),
             overlap,
         );
-        let mut melt = vec![(0, [0; STEPS + 1]); ids.len()];
+        let mut melt: Vec<_> = ids.iter().map(|&id| (id, [0; STEPS + 1])).collect();
         let mut record = |sim: &DistributedSim, k: usize| {
-            for ((m, &id), b) in melt.iter_mut().zip(&ids).zip(&sim.blocks) {
-                *m = (id, m.1);
-                m.1[k] = melt_from(&b.phi_src);
+            for ((_, m), b) in melt.iter_mut().zip(&sim.blocks) {
+                m[k] = melt_from(&b.phi_src);
             }
         };
         sim.init_blocks(|b| init::init_planar_front(b, 0, FRONT));

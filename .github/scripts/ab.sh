@@ -5,20 +5,22 @@
 # Each revision is unpacked with `git archive` into its own tree (as
 # `size-table.sh --against` does) and its `benchmark/` built there, so the
 # working tree is never touched. Then, per workload, AB_PAIRS pairs of
-# `perf_ledger one --workload <w> --seed AB_SEED --seconds AB_SECONDS
-# --trace 0` runs, the side that runs first alternating from pair to pair.
+# `perf_ledger one --workload <w> --seed AB_SEED --seconds <run_seconds>
+# --trace 0` runs (BENCHMARK.json's run length), the side that runs first
+# alternating from pair to pair.
 #
 # Per workload and end-to-end metric (BENCHMARK.json's `end_to_end`, with
 # its `better` direction) it prints both sides' median and quartiles, the
 # pairs <rev-b> won, and a verdict: `better` when <rev-b> won at least 9 of
 # 10 pairs (the same share of other counts) and its median beats <rev-a>'s
 # by more than <rev-a>'s interquartile range, `worse` for the mirror image,
-# `same` otherwise. Every run's `final-state digest` is compared too: the
-# two sides must print one and the same digest per workload. The table is
+# `same` otherwise; a tied pair counts for neither side. Every run's
+# `final-state digest` is compared too: the two sides must print one and
+# the same digest per workload, and a run that prints none fails the test. The table is
 # also written as JSON to AB_OUT.
 #
 # usage: ab.sh <rev-a> <rev-b> [workload ...]   (default: all workloads)
-# env:   AB_PAIRS (10), AB_SECONDS (20), AB_SEED (1), AB_OUT (ab.json),
+# env:   AB_PAIRS (10), AB_SEED (1), AB_OUT (ab.json),
 #        AB_DIR (build trees; kept and reused when set, else a temp dir)
 set -euo pipefail
 [ $# -ge 2 ] || { sed -n '2,/^set /p' "$0" | sed '$d'; exit 2; }
@@ -59,7 +61,7 @@ bench = json.load(open(bench_path))
 workloads = workloads or [w["name"] for w in bench["workloads"]]
 metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
 pairs = int(os.environ.get("AB_PAIRS", "10"))
-seconds = int(os.environ.get("AB_SECONDS", "20"))
+seconds = int(bench["run_seconds"])
 seed = int(os.environ.get("AB_SEED", "1"))
 out_path = os.environ.get("AB_OUT", "ab.json")
 sides = {"a": (rev_a, tree_a), "b": (rev_b, tree_b)}
@@ -99,7 +101,8 @@ for w in workloads:
     digests = {s: sorted({r["digest"] for r in runs[s]}) for s in runs}
     entry = {
         "digests": digests,
-        "digests_equal": len(digests["a"]) == 1 and digests["a"] == digests["b"],
+        "digests_equal": len(digests["a"]) == 1 and None not in digests["a"]
+        and digests["a"] == digests["b"],
         "failed": {s: sum(r["failed"] for r in runs[s]) for s in runs},
         "metrics": {},
     }
@@ -107,18 +110,19 @@ for w in workloads:
         vals = {s: [r["metrics"][m] for r in runs[s]] for s in runs}
         sign = 1 if better == "higher" else -1
         b_wins = sum(sign * (b - a) > 0 for a, b in zip(vals["a"], vals["b"]))
+        a_wins = sum(sign * (b - a) < 0 for a, b in zip(vals["a"], vals["b"]))
         stats = {s: {"q1": quantile(v, 0.25), "median": quantile(v, 0.5),
                      "q3": quantile(v, 0.75), "runs": v} for s, v in vals.items()}
         gap = sign * (stats["b"]["median"] - stats["a"]["median"])
         iqr_a = stats["a"]["q3"] - stats["a"]["q1"]
         if b_wins * 10 >= 9 * pairs and gap > iqr_a:
             verdict = "better"
-        elif (pairs - b_wins) * 10 >= 9 * pairs and -gap > iqr_a:
+        elif a_wins * 10 >= 9 * pairs and -gap > iqr_a:
             verdict = "worse"
         else:
             verdict = "same"
-        entry["metrics"][m] = {"better": better, **stats, "b_wins": b_wins, "gap": gap,
-                               "iqr_a": iqr_a, "verdict": verdict}
+        entry["metrics"][m] = {"better": better, **stats, "b_wins": b_wins, "a_wins": a_wins,
+                               "gap": gap, "iqr_a": iqr_a, "verdict": verdict}
     table["workloads"][w] = entry
 
 print(f"ab: {rev_a} (a) vs {rev_b} (b), seed {seed}, {seconds} s, {pairs} alternating pairs")

@@ -25,7 +25,9 @@
 //! the ones below the sender's constant zone; the receiver fills the rest
 //! with the header's value and skips what its own zone holds already, so
 //! the melt above the front is neither sent nor written. [`wire_len`]
-//! checks the headers of a whole frame before any of it is unpacked.
+//! checks the headers of a whole frame before any of it is unpacked, and
+//! [`wire_capacity`] bounds a frame's length before it is packed; no other
+//! code knows the header's layout.
 
 use crate::field::{same_bits, SoaField};
 use crate::{Face, GridDims};
@@ -428,8 +430,8 @@ fn planes_sent(header: &[u8]) -> u64 {
 /// (`f64`), then the little-endian bytes of the doubles [`pack_region`]
 /// would produce for the planes below that zone, in one pass. The planes
 /// from the zone up hold the header's value and are not sent. Several
-/// regions appended to one buffer make one frame; reserve its dense length
-/// plus the headers first and nothing reallocates.
+/// regions appended to one buffer make one frame; reserve their
+/// [`wire_capacity`] first and nothing reallocates.
 pub fn pack_region_bytes<const NC: usize>(field: &SoaField<NC>, r: Region, out: &mut Vec<u8>) {
     let s = field.raw();
     let (from, val) = field.const_zone();
@@ -456,6 +458,15 @@ pub fn pack_region_bytes<const NC: usize>(field: &SoaField<NC>, r: Region, out: 
     }
 }
 
+/// Most bytes the wire forms of `regions` take with `NC` components: every
+/// plane sent, plus the headers.
+pub fn wire_capacity<const NC: usize>(regions: impl IntoIterator<Item = Region>) -> usize {
+    regions
+        .into_iter()
+        .map(|r| header_len(NC) + r.volume() * NC * 8)
+        .sum()
+}
+
 /// Length in bytes of the wire forms of `regions`, one after the other, at
 /// the start of `frame`, read from their headers. A frame is well formed
 /// when this is its whole length.
@@ -479,20 +490,21 @@ pub fn wire_len<const NC: usize>(frame: &[u8], regions: impl IntoIterator<Item =
     at
 }
 
-/// Unpack one wire form produced by [`pack_region_bytes`] into a region, in
-/// one pass and without staging: the planes sent are read, the others take
-/// the header's value, and a plane in `field`'s constant zone that already
-/// holds it is not written.
+/// Unpack the wire form produced by [`pack_region_bytes`] at the start of
+/// `bytes` into a region, in one pass and without staging: the planes sent
+/// are read, the others take the header's value, and a plane in `field`'s
+/// constant zone that already holds it is not written. Returns the bytes
+/// the wire form took; the next face of a frame starts there.
 ///
 /// # Panics
-/// Panics if `bytes` is not one well-formed wire form of `r` (see
-/// [`wire_len`]).
-pub fn unpack_region_bytes<const NC: usize>(field: &mut SoaField<NC>, r: Region, bytes: &[u8]) {
-    assert_eq!(
-        wire_len::<NC>(bytes, [r]),
-        bytes.len(),
-        "ghost message length mismatch"
-    );
+/// Panics if `bytes` does not start with a well-formed wire form of `r`
+/// (see [`wire_len`]).
+pub fn unpack_region_bytes<const NC: usize>(
+    field: &mut SoaField<NC>,
+    r: Region,
+    bytes: &[u8],
+) -> usize {
+    let len = wire_len::<NC>(bytes, [r]);
     let val: [f64; NC] = core::array::from_fn(|c| le_f64(&bytes[8 * (c + 1)..][..8]));
     let dims = field.dims();
     let zone = field.const_zone().1.map(f64::to_bits);
@@ -521,6 +533,7 @@ pub fn unpack_region_bytes<const NC: usize>(field: &mut SoaField<NC>, r: Region,
             }
         },
     );
+    len
 }
 
 /// Pack the `face` message of `field` into `buf` (cleared first).

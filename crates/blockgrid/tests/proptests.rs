@@ -357,7 +357,7 @@ proptest! {
         prop_assert_eq!(&wire[..3], &[0xa5; 3]);
         prop_assert_eq!(&wire[3..], &expected[..]);
         let mut unpacked = dst.clone();
-        unpack_region_bytes(&mut unpacked, recv, &wire[3..]);
+        prop_assert_eq!(unpack_region_bytes(&mut unpacked, recv, &wire[3..]), expected.len());
         prop_assert_eq!(bits(&unpacked), bits(&want));
         prop_assert!(unpacked.summary_holds());
 

@@ -44,17 +44,6 @@ use eutectica_comm::Rank;
 
 use crate::state::BlockState;
 
-/// Wire bytes per value.
-const F64: usize = std::mem::size_of::<f64>();
-
-/// Most wire bytes a face's header takes besides its rows with `nc`
-/// components (the plane count and one value per component, see
-/// [`ghost::pack_region_bytes`]): sizes the send buffer so that nothing
-/// reallocates.
-const fn header_bytes(nc: usize) -> usize {
-    F64 * (1 + nc)
-}
-
 /// Which field a ghost exchange operates on.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub(crate) enum FieldSel {
@@ -132,8 +121,6 @@ struct RemoteFace {
 struct Frame {
     peer: usize,
     faces: Vec<RemoteFace>,
-    /// Cells of all `faces`.
-    cells: usize,
 }
 
 impl Frame {
@@ -149,7 +136,6 @@ impl Frame {
                     .iter()
                     .map(|&(_, _, block, region)| RemoteFace { block, region })
                     .collect(),
-                cells: peer_faces.iter().map(|f| f.3.volume()).sum(),
             })
             .collect()
     }
@@ -286,10 +272,8 @@ impl ExchangePlan {
         let plan = &self.phases[phase.index()];
         let mut sent = 0;
         for frame in &plan.sends {
-            // The dense size plus a header per face: a frame never
-            // outgrows it.
-            let most = frame.cells * NC * F64 + frame.faces.len() * header_bytes(NC);
-            let mut wire = Vec::with_capacity(most);
+            let regions = frame.faces.iter().map(|f| f.region);
+            let mut wire = Vec::with_capacity(ghost::wire_capacity::<NC>(regions));
             for f in &frame.faces {
                 ghost::pack_region_bytes(field_of(&mut blocks[f.block]), f.region, &mut wire);
             }
@@ -327,13 +311,11 @@ impl ExchangePlan {
             );
             let mut at = 0;
             for f in &frame.faces {
-                let len = ghost::wire_len::<NC>(&wire[at..], [f.region]);
-                ghost::unpack_region_bytes(
+                at += ghost::unpack_region_bytes(
                     field_of(&mut blocks[f.block]),
                     f.region,
-                    &wire[at..at + len],
+                    &wire[at..],
                 );
-                at += len;
             }
             received += wire.len() as u64;
         }
@@ -359,6 +341,9 @@ mod tests {
     use eutectica_blockgrid::decomp::DomainSpec;
     use eutectica_comm::Universe;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Wire bytes per value.
+    const F64: usize = std::mem::size_of::<f64>();
 
     /// A malformed frame is refused with the length message before a
     /// single ghost cell is written: one value short or long, a header cut

@@ -10,6 +10,11 @@
 //! (CRC-protected, budget-validated); this module frames them with a block
 //! header.
 //!
+//! The frame serves live migration only. A state that is restored rather
+//! than moved — a checkpoint set on disk, or a buddy replica in RAM — is
+//! `pfio::ckpt`'s `EUTECKP2` block record: the interiors of src, from which
+//! the restore rebuilds ghosts and dst.
+//!
 //! There are no additional persistent per-block buffers to ship: the
 //! kernels' staggered slab buffers are per-sweep temporaries re-prefetched
 //! at the start of every sweep, and the boundary conditions are a pure
@@ -111,56 +116,6 @@ fn put_field<const NC: usize>(out: &mut Vec<u8>, f: &SoaField<NC>) {
     codec::encode_soa_into(f, out);
 }
 
-/// A frame's header and its four field records, in wire order.
-struct Frame<'a> {
-    id: u64,
-    origin: [usize; 3],
-    entry: CostEntry,
-    /// phi_src, phi_dst, mu_src, mu_dst.
-    fields: [&'a [u8]; 4],
-}
-
-fn parse_frame(bytes: &[u8]) -> Result<Frame<'_>, MigrateError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(MigrateError::Truncated);
-    }
-    if bytes[..8] != MIG_MAGIC {
-        return Err(MigrateError::BadMagic);
-    }
-    let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
-    let f64_at = |o: usize| f64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
-    let origin = [
-        u64_at(16) as usize,
-        u64_at(24) as usize,
-        u64_at(32) as usize,
-    ];
-    let entry = CostEntry {
-        measured: (bytes[40] != 0).then_some(f64_at(41)),
-        prior: f64_at(49),
-    };
-    let mut fields = [&bytes[..0]; 4];
-    let mut off = HEADER_LEN;
-    for f in &mut fields {
-        if bytes.len() < off + 8 {
-            return Err(MigrateError::Truncated);
-        }
-        let len = u64_at(off) as usize;
-        let start = off + 8;
-        let end = start.checked_add(len).ok_or(MigrateError::Truncated)?;
-        if bytes.len() < end {
-            return Err(MigrateError::Truncated);
-        }
-        *f = &bytes[start..end];
-        off = end;
-    }
-    Ok(Frame {
-        id: u64_at(8),
-        origin,
-        entry,
-        fields,
-    })
-}
-
 /// Decode one field record and require the receiver's dimensions.
 fn field<const NC: usize>(
     bytes: &[u8],
@@ -188,44 +143,43 @@ pub fn decode_block(
     expected: GridDims,
     budget: u64,
 ) -> Result<(u64, BlockState, CostEntry), MigrateError> {
-    let Frame {
-        id,
-        origin,
-        entry,
-        fields: [ps, pd, ms, md],
-    } = parse_frame(bytes)?;
+    if bytes.len() < HEADER_LEN {
+        return Err(MigrateError::Truncated);
+    }
+    if bytes[..8] != MIG_MAGIC {
+        return Err(MigrateError::BadMagic);
+    }
+    let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
+    let f64_at = |o: usize| f64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
+    let origin = [
+        u64_at(16) as usize,
+        u64_at(24) as usize,
+        u64_at(32) as usize,
+    ];
+    let entry = CostEntry {
+        measured: (bytes[40] != 0).then_some(f64_at(41)),
+        prior: f64_at(49),
+    };
+    // The four field records, in wire order: phi_src, phi_dst, mu_src, mu_dst.
+    let mut fields = [&bytes[..0]; 4];
+    let mut off = HEADER_LEN;
+    for f in &mut fields {
+        if bytes.len() < off + 8 {
+            return Err(MigrateError::Truncated);
+        }
+        let len = u64_at(off) as usize;
+        let start = off + 8;
+        let end = start.checked_add(len).ok_or(MigrateError::Truncated)?;
+        if bytes.len() < end {
+            return Err(MigrateError::Truncated);
+        }
+        *f = &bytes[start..end];
+        off = end;
+    }
+    let [ps, pd, ms, md] = fields;
     let phi = [field(ps, expected, budget)?, field(pd, expected, budget)?];
     let mu = [field(ms, expected, budget)?, field(md, expected, budget)?];
-    Ok((id, BlockState::from_fields(origin, phi, mu), entry))
-}
-
-/// Decode only a frame's source fields, for a restore that rebuilds dst
-/// from src: the dst records must have the length of an `expected`-sized
-/// field but are neither CRC-checked nor converted.
-///
-/// Returns `(block id, origin, φ_src, µ_src)`.
-pub fn decode_block_src(
-    bytes: &[u8],
-    expected: GridDims,
-    budget: u64,
-) -> Result<(u64, [usize; 3], SoaField<N_PHASES>, SoaField<N_COMP>), MigrateError> {
-    let Frame {
-        id,
-        origin,
-        fields: [ps, pd, ms, md],
-        ..
-    } = parse_frame(bytes)?;
-    if pd.len() != codec::encoded_len::<N_PHASES>(expected)
-        || md.len() != codec::encoded_len::<N_COMP>(expected)
-    {
-        return Err(CodecError::Truncated { what: "payload" }.into());
-    }
-    Ok((
-        id,
-        origin,
-        field(ps, expected, budget)?,
-        field(ms, expected, budget)?,
-    ))
+    Ok((u64_at(8), BlockState::from_fields(origin, phi, mu), entry))
 }
 
 #[cfg(test)]
@@ -299,31 +253,5 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
         assert!(decode_block(&bytes, dims, u64::MAX).is_err());
-    }
-
-    #[test]
-    fn source_decode_skips_dst_checksums_but_not_lengths() {
-        let dims = GridDims::new(3, 4, 2, 1);
-        let st = scrambled_block(dims, 7);
-        let entry = CostEntry {
-            measured: None,
-            prior: 0.0,
-        };
-        let mut bytes = encode_block(&st, 4, &entry);
-        // A flipped bit in φ_dst's payload fails the full decode's CRC and
-        // goes unread by the source decode.
-        let phi_len = codec::encoded_len::<N_PHASES>(dims);
-        let in_phi_dst = HEADER_LEN + 8 + phi_len + 8 + phi_len / 2;
-        bytes[in_phi_dst] ^= 0x04;
-        assert!(decode_block(&bytes, dims, u64::MAX).is_err());
-        let (id, origin, phi_src, mu_src) = decode_block_src(&bytes, dims, u64::MAX).unwrap();
-        assert_eq!((id, origin), (4, st.origin));
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(phi_src.raw()), bits(st.phi_src.raw()));
-        assert_eq!(bits(mu_src.raw()), bits(st.mu_src.raw()));
-        // A dst record of another field's length is refused.
-        assert!(decode_block_src(&bytes[..bytes.len() - 1], dims, u64::MAX).is_err());
-        let other = encode_block(&scrambled_block(GridDims::new(3, 4, 3, 1), 7), 4, &entry);
-        assert!(decode_block_src(&other, dims, u64::MAX).is_err());
     }
 }

@@ -392,8 +392,8 @@ impl<'r> DistributedSim<'r> {
     /// Rebalancing is **placement-invariant**: a rebalanced run produces
     /// bit-identical fields to an unbalanced run of the same scenario. It
     /// composes with communication hiding, threaded sweeps, health scans
-    /// and checkpoint/restore (`restore_local` iterates the post-migration
-    /// `local_block_ids`).
+    /// and checkpoint/restore (`pfio::resilient::restore_blocks` iterates
+    /// the post-migration `local_block_ids`).
     pub fn set_rebalance_policy(&mut self, policy: Option<RebalancePolicy>) {
         let rates = crate::regions::DEFAULT_REGION_RATES;
         self.rebalance = policy.map(|policy| {

@@ -331,20 +331,3 @@ fn migration_encode_allocates_one_frame() {
     }
     assert_eq!(frame, want);
 }
-
-#[test]
-fn replica_restore_decodes_only_the_source_fields() {
-    let b = evolved_block();
-    let entry = CostEntry {
-        measured: None,
-        prior: 0.0,
-    };
-    let frame = migrate::encode_block(&b, 8, &entry);
-    let (decoded, allocs, peak) =
-        measured(|| migrate::decode_block_src(&frame, b.dims, DEFAULT_FIELD_BYTE_BUDGET).unwrap());
-    assert_eq!((allocs, peak), (2, (PHI_BYTES + MU_BYTES) as u64));
-    let (id, origin, phi_src, mu_src) = decoded;
-    assert_eq!((id, origin), (8, b.origin));
-    assert_eq!(phi_src.raw(), b.phi_src.raw());
-    assert_eq!(mu_src.raw(), b.mu_src.raw());
-}

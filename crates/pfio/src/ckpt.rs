@@ -26,7 +26,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use eutectica_blockgrid::codec::crc32;
+use eutectica_blockgrid::codec::{crc32, validate_field_dims};
 use eutectica_blockgrid::decomp::DomainSpec;
 use eutectica_blockgrid::field::SoaField;
 use eutectica_blockgrid::GridDims;
@@ -49,9 +49,9 @@ const MANIFEST_FILE: &str = "manifest.eckm";
 /// allocating.
 pub const DEFAULT_BYTE_BUDGET: u64 = 4 << 30;
 
-/// In-memory bytes per cell of a [`BlockState`]: φ and µ each in src + dst
-/// buffers of f64.
-const MEM_BYTES_PER_CELL: u64 = ((N_PHASES + N_COMP) * 2 * 8) as u64;
+/// f64 components per cell of a decoded [`BlockState`]: φ and µ, each in
+/// src and dst — what the anti-OOM gate weighs a header's dims by.
+const BLOCK_COMPONENTS: u64 = (2 * (N_PHASES + N_COMP)) as u64;
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -205,51 +205,6 @@ impl Precision {
 }
 
 // ---------------------------------------------------------------------------
-// Dimension validation (the anti-OOM gate)
-// ---------------------------------------------------------------------------
-
-/// Validate header-supplied grid dimensions against `budget` (bytes of
-/// in-memory [`BlockState`] they would allocate) *before* any allocation.
-/// All arithmetic is checked, so `u64::MAX`-style values fail cleanly.
-fn validate_dims(
-    nx: u64,
-    ny: u64,
-    nz: u64,
-    ghost: u64,
-    budget: u64,
-) -> Result<GridDims, CkptError> {
-    let insane = |detail: String| Err(CkptError::InsaneDims { detail });
-    if nx == 0 || ny == 0 || nz == 0 {
-        return insane(format!("empty grid {nx}×{ny}×{nz}"));
-    }
-    let total = |n: u64| ghost.checked_mul(2).and_then(|g2| n.checked_add(g2));
-    let (Some(tx), Some(ty), Some(tz)) = (total(nx), total(ny), total(nz)) else {
-        return insane(format!("ghost width {ghost} overflows extents"));
-    };
-    let vol = tx
-        .checked_mul(ty)
-        .and_then(|v| v.checked_mul(tz))
-        .and_then(|v| v.checked_mul(MEM_BYTES_PER_CELL));
-    match vol {
-        Some(bytes) if bytes <= budget => {}
-        _ => {
-            return insane(format!(
-                "{nx}×{ny}×{nz} (ghost {ghost}) implies > {budget} bytes"
-            ))
-        }
-    }
-    if usize::try_from(tx.checked_mul(ty).unwrap().checked_mul(tz).unwrap()).is_err() {
-        return insane(format!("{nx}×{ny}×{nz} exceeds the address space"));
-    }
-    Ok(GridDims::new(
-        nx as usize,
-        ny as usize,
-        nz as usize,
-        ghost as usize,
-    ))
-}
-
-// ---------------------------------------------------------------------------
 // Little-endian cursor over a byte slice
 // ---------------------------------------------------------------------------
 
@@ -305,6 +260,34 @@ pub struct DecodedBlock {
     /// The restored block (source fields filled, dst synced from src,
     /// default boundary conditions — the caller re-applies its own).
     pub state: BlockState,
+}
+
+impl DecodedBlock {
+    /// Put this record in place of block `id`: check that it labels `id`
+    /// and has the block's dims, then take its (possibly window-shifted)
+    /// origin and its four fields, dst already synced, keeping the block's
+    /// boundary conditions. Every restore adopts its blocks through here.
+    pub(crate) fn adopt(self, id: usize, block: &mut BlockState) -> Result<(), CkptError> {
+        if self.id != id as u64 {
+            return Err(CkptError::Incompatible {
+                detail: format!("block {id}: the record labels block {}", self.id),
+            });
+        }
+        if self.state.dims != block.dims {
+            return Err(CkptError::Incompatible {
+                detail: format!(
+                    "block {id}: checkpoint dims {:?} vs simulation {:?}",
+                    self.state.dims, block.dims
+                ),
+            });
+        }
+        *block = BlockState {
+            bc_phi: block.bc_phi,
+            bc_mu: block.bc_mu,
+            ..self.state
+        };
+        Ok(())
+    }
 }
 
 /// Encoded size in bytes of a block file for the given dims and precision.
@@ -388,7 +371,11 @@ pub fn decode_block(bytes: &[u8], budget: u64) -> Result<DecodedBlock, CkptError
     let precision = Precision::from_code(r.u8()?)?;
     let id = r.u64()?;
     let (nx, ny, nz, ghost) = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
-    let dims = validate_dims(nx, ny, nz, ghost, budget)?;
+    let dims = validate_field_dims(nx, ny, nz, ghost, BLOCK_COMPONENTS, budget).map_err(|e| {
+        CkptError::InsaneDims {
+            detail: e.to_string(),
+        }
+    })?;
     let origin_raw = [r.u64()?, r.u64()?, r.u64()?];
     let mut origin = [0usize; 3];
     for (o, v) in origin.iter_mut().zip(origin_raw) {
@@ -479,6 +466,18 @@ pub struct Manifest {
     pub spec: DomainSpec,
     /// One entry per block, sorted by id.
     pub blocks: Vec<BlockEntry>,
+}
+
+impl Manifest {
+    /// Refuse a set that decomposes another domain than `spec`.
+    pub(crate) fn require_spec(&self, spec: DomainSpec) -> Result<(), CkptError> {
+        if self.spec != spec {
+            return Err(CkptError::Incompatible {
+                detail: format!("set decomposes {:?}, simulation runs {spec:?}", self.spec),
+            });
+        }
+        Ok(())
+    }
 }
 
 /// Serialize a manifest (`EUTECMF1`, trailing self-CRC32).
@@ -882,17 +881,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32_known_vectors() {
-        // Standard IEEE CRC32 test vectors.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414f_a339
-        );
-    }
-
-    #[test]
     fn block_roundtrip_f64_is_bit_exact() {
         let s = sample_state();
         let bytes = encode_block(&s, 7, 1.5, Precision::F64);
@@ -998,13 +986,19 @@ mod tests {
 
     #[test]
     fn validate_dims_overflow_and_budget() {
-        assert!(validate_dims(u64::MAX, u64::MAX, u64::MAX, 1, u64::MAX).is_err());
-        assert!(validate_dims(0, 4, 4, 1, DEFAULT_BYTE_BUDGET).is_err());
-        assert!(validate_dims(4, 4, 4, u64::MAX / 2, DEFAULT_BYTE_BUDGET).is_err());
-        // A 16³ block with ghost 1 easily fits a small budget.
-        assert!(validate_dims(16, 16, 16, 1, 10 << 20).is_ok());
-        // ...but not a 1 KiB one.
-        assert!(validate_dims(16, 16, 16, 1, 1024).is_err());
+        // The gate `decode_block` runs on a header's dims.
+        let gate = |nx, ny, nz, ghost, budget| {
+            validate_field_dims(nx, ny, nz, ghost, BLOCK_COMPONENTS, budget)
+        };
+        assert!(gate(u64::MAX, u64::MAX, u64::MAX, 1, u64::MAX).is_err());
+        assert!(gate(0, 4, 4, 1, DEFAULT_BYTE_BUDGET).is_err());
+        assert!(gate(4, 4, 4, u64::MAX / 2, DEFAULT_BYTE_BUDGET).is_err());
+        // A 16³ block with ghost 1 (96 B a cell) fits a 10 MiB budget…
+        assert!(gate(16, 16, 16, 1, 10 << 20).is_ok());
+        assert!(gate(16, 16, 16, 1, 18 * 18 * 18 * 96).is_ok());
+        // …but not one a byte short of it, nor a 1 KiB one.
+        assert!(gate(16, 16, 16, 1, 18 * 18 * 18 * 96 - 1).is_err());
+        assert!(gate(16, 16, 16, 1, 1024).is_err());
     }
 
     #[test]

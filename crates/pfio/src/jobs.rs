@@ -23,7 +23,6 @@ use std::path::Path;
 use eutectica_blockgrid::decomp::DomainSpec;
 use eutectica_core::health::HealthReport;
 use eutectica_core::solver::Simulation;
-use eutectica_core::state::BlockState;
 use eutectica_telemetry::Telemetry;
 
 use crate::ckpt::{self, CkptError, Manifest, Precision};
@@ -60,21 +59,8 @@ impl SimCheckpointExt for Simulation {
     /// and jump the progress counters to the set's.
     fn restore_set(&mut self, dir: &Path, byte_budget: u64) -> Result<(), CkptError> {
         let manifest = ckpt::read_manifest_file(dir)?;
-        if manifest.spec != one_block_spec(self) {
-            return Err(CkptError::Incompatible {
-                detail: format!(
-                    "set decomposes {:?}, job runs {:?}",
-                    manifest.spec,
-                    one_block_spec(self)
-                ),
-            });
-        }
-        let dec = ckpt::read_block_from_set(dir, &manifest, 0, byte_budget)?;
-        self.state = BlockState {
-            bc_phi: self.state.bc_phi,
-            bc_mu: self.state.bc_mu,
-            ..dec.state
-        };
+        manifest.require_spec(one_block_spec(self))?;
+        ckpt::read_block_from_set(dir, &manifest, 0, byte_budget)?.adopt(0, &mut self.state)?;
         self.state.apply_bc_src();
         self.set_progress(
             manifest.time,
@@ -115,6 +101,7 @@ mod tests {
     use crate::resilient::{AfterStep, StepRecovery};
     use eutectica_blockgrid::GridDims;
     use eutectica_core::params::ModelParams;
+    use eutectica_core::state::BlockState;
     use eutectica_core::{N_COMP, N_PHASES};
 
     fn state_with_pattern(seed: u64) -> BlockState {

@@ -61,7 +61,9 @@ use eutectica_core::state::BlockState;
 use eutectica_core::timeloop::{DistributedSim, OverlapOptions};
 use eutectica_telemetry::Telemetry;
 
-use crate::ckpt::{self, BlockEntry, CkptError, Manifest, Precision, DEFAULT_BYTE_BUDGET};
+use crate::ckpt::{
+    self, BlockEntry, CkptError, DecodedBlock, Manifest, Precision, DEFAULT_BYTE_BUDGET,
+};
 use crate::replica::ReplicaStore;
 
 /// Checkpoint sets on a simulation, and what [`StepRecovery`] needs of it
@@ -218,23 +220,9 @@ impl SimCheckpointExt for DistributedSim<'_> {
     }
 
     fn restore_set(&mut self, dir: &Path, byte_budget: u64) -> Result<(), CkptError> {
-        // Local reads first, no early return: the vote below must run on
-        // every rank so a failing rank cannot strand its peers in the
-        // ghost-refresh collective. On error this rank's fields may be
-        // partially overwritten — callers are expected to re-restore
-        // (e.g. from the previous set) before continuing.
-        let local = restore_local(self, dir, byte_budget);
-        let ok = self
-            .comm_rank()
-            .allreduce_f64(if local.is_ok() { 1.0 } else { 0.0 }, ReduceOp::Min)
-            == 1.0;
-        if !ok {
-            return Err(local.err().unwrap_or(CkptError::PeerFailure {
-                during: "checkpoint restore",
-            }));
-        }
-        self.refresh_src_ghosts();
-        Ok(())
+        restore_blocks(self, ckpt::read_manifest_file(dir), |_, manifest, id| {
+            ckpt::read_block_from_set(dir, manifest, id as u64, byte_budget)
+        })
     }
 
     fn take_unhealthy_report(&mut self) -> Option<HealthReport> {
@@ -261,50 +249,43 @@ impl SimCheckpointExt for DistributedSim<'_> {
     }
 }
 
-/// Rank-local part of [`SimCheckpointExt::restore_from_set`]: manifest read,
-/// spec check, block reads and progress reset — everything except the
-/// collective ghost refresh.
-fn restore_local(
+/// The restore of a distributed simulation, whatever holds its records: a
+/// checkpoint set on disk or buddy replicas in RAM (`crate::replica`).
+/// `read` yields each local block's decoded record — the one part that
+/// differs — and every block adopts its record. Then the ranks vote, and
+/// only if every rank succeeded are progress counters set from `manifest`
+/// and ghosts refreshed (collectively, so all ranks must call this
+/// together). The vote runs on every rank, whatever failed locally, so a
+/// failing rank cannot strand its peers in the ghost refresh. On error
+/// this rank's fields may be partially overwritten — callers are expected
+/// to re-restore (e.g. from the previous set) before continuing.
+pub(crate) fn restore_blocks(
     sim: &mut DistributedSim<'_>,
-    dir: &Path,
-    byte_budget: u64,
+    manifest: Result<Manifest, CkptError>,
+    mut read: impl FnMut(&DistributedSim<'_>, &Manifest, usize) -> Result<DecodedBlock, CkptError>,
 ) -> Result<(), CkptError> {
-    let manifest = ckpt::read_manifest_file(dir)?;
-    if manifest.spec != sim.decomp().spec {
-        return Err(CkptError::Incompatible {
-            detail: format!(
-                "set decomposes {:?}, simulation runs {:?}",
-                manifest.spec,
-                sim.decomp().spec
-            ),
-        });
-    }
-    let ids: Vec<usize> = sim.local_block_ids().to_vec();
-    for (li, id) in ids.into_iter().enumerate() {
-        let dec = ckpt::read_block_from_set(dir, &manifest, id as u64, byte_budget)?;
-        let b = &mut sim.blocks[li];
-        if dec.state.dims != b.dims {
-            return Err(CkptError::Incompatible {
-                detail: format!(
-                    "block {id}: checkpoint dims {:?} vs simulation {:?}",
-                    dec.state.dims, b.dims
-                ),
-            });
+    let local = manifest.and_then(|m| {
+        m.require_spec(sim.decomp().spec)?;
+        let ids = sim.local_block_ids().to_vec();
+        for (li, id) in ids.into_iter().enumerate() {
+            read(sim, &m, id)?.adopt(id, &mut sim.blocks[li])?;
         }
-        // Keep this block's boundary conditions; take the (possibly
-        // window-shifted) origin and the four fields, dst already synced,
-        // from the file.
-        *b = BlockState {
-            bc_phi: b.bc_phi,
-            bc_mu: b.bc_mu,
-            ..dec.state
-        };
-    }
-    sim.set_progress(
-        manifest.time,
-        manifest.step as usize,
-        manifest.window_shifts as usize,
-    );
+        Ok(m)
+    });
+    let ok = sim
+        .comm_rank()
+        .allreduce_f64(if local.is_ok() { 1.0 } else { 0.0 }, ReduceOp::Min)
+        == 1.0;
+    let m = match local {
+        Ok(m) if ok => m,
+        local => {
+            return Err(local.err().unwrap_or(CkptError::PeerFailure {
+                during: "checkpoint restore",
+            }))
+        }
+    };
+    sim.set_progress(m.time, m.step as usize, m.window_shifts as usize);
+    sim.refresh_src_ghosts();
     Ok(())
 }
 
@@ -631,7 +612,7 @@ pub struct ShrinkCost {
     /// Blocks re-homed off dead ranks. The plan is replicated, so every
     /// survivor reports the same count (aggregated as max over ranks).
     pub blocks_rehomed: u64,
-    /// Buddy-replica frame bytes shipped over the wire during restores,
+    /// Buddy-replica record bytes shipped over the wire during restores,
     /// summed over survivors (zero for disk-sourced recoveries).
     pub bytes_moved: u64,
     /// Wall-clock spent inside recovery (max over survivors).
@@ -909,33 +890,24 @@ fn recover_and_rehome(
     sim.adopt_placement(plan.placement);
     // 4. Restore a consistent global state at the shrunken rank count.
     match source {
-        ShrinkSource::Disk => match recovery.resume(sim)? {
-            Some(s) => {
-                sim.telemetry().gauge_set("shrink/restored_step", s as f64);
-            }
-            None => {
+        ShrinkSource::Disk => {
+            if recovery.resume(sim)?.is_none() {
                 return Err(RankFailure::ShrinkRecovery {
                     step,
                     detail: "no checkpoint set to re-home from".into(),
                 });
             }
-        },
+        }
         ShrinkSource::Buddy => {
             let rep = replica.expect("buddy shrink source allocates a replica store");
-            match rep.restore(sim) {
-                Ok(r) => {
-                    tel.counter_add("shrink/replica_bytes_moved", r.bytes_moved);
-                    tel.gauge_set("shrink/restored_step", r.step as f64);
-                }
-                Err(e) => {
-                    return Err(RankFailure::ShrinkRecovery {
-                        step,
-                        detail: format!("buddy restore failed: {e}"),
-                    });
-                }
-            }
+            let moved = rep.restore(sim).map_err(|e| RankFailure::ShrinkRecovery {
+                step,
+                detail: format!("buddy restore failed: {e}"),
+            })?;
+            tel.counter_add("shrink/replica_bytes_moved", moved);
         }
     }
+    tel.gauge_set("shrink/restored_step", sim.step_index() as f64);
     tel.counter_add("shrink/blocks_rehomed", rehomed as u64);
     tel.counter_add(
         "shrink/recovery_wall_ns",

@@ -881,6 +881,17 @@ mod tests {
     }
 
     #[test]
+    fn crc32_known_vectors() {
+        // The checksum the on-disk format records is the standard IEEE CRC32,
+        // so a block's trailer can be checked by any external tool.
+        assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        let bytes = encode_block(&sample_state(), 7, 1.5, Precision::F64);
+        let (body, trailer) = bytes.split_at(bytes.len() - 4);
+        assert_eq!(u32::from_le_bytes(trailer.try_into().unwrap()), crc32(body));
+    }
+
+    #[test]
     fn block_roundtrip_f64_is_bit_exact() {
         let s = sample_state();
         let bytes = encode_block(&s, 7, 1.5, Precision::F64);
